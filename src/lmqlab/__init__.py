@@ -12,8 +12,6 @@ from .cube import (
     CubePoint,
     DimensionMismatch,
     enumerate_cube,
-    flip,
-    hamming_distance,
     in_ball,
 )
 from .concepts import (
@@ -29,14 +27,7 @@ from .concepts import (
     SparsePtf,
     Term,
     dnf_of_tree,
-    eval_dfa,
-    eval_dnf,
-    eval_junta,
-    eval_poly,
-    eval_ptf,
-    eval_tree,
     maj_poly,
-    term_satisfied,
 )
 from .distributions import (
     Distribution,
@@ -59,7 +50,6 @@ from .oracle import (
 from .evident import (
     EvidenceReport,
     doubling_dnf,
-    doubling_phi,
     evidence_report,
     flips_reveal_term,
     gen_opposite_literal_dnf,
@@ -74,6 +64,7 @@ from .learner import (
     reconstruct_term,
 )
 from .reductions import (
+    CONSTRUCTIONS,
     AnchorUniquenessError,
     ComposedConcept,
     QReduction,
@@ -83,20 +74,14 @@ from .reductions import (
     build_block_simulator,
     build_detector,
     dfa_product_or,
-    dfa_type_a_reduction,
-    dnf_type_a_reduction,
-    junta_type_b_reduction,
-    poly_type_b_reduction,
-    ptf_type_b_reduction,
+    make_reduction,
     reduce_dfa_type_a,
     reduce_dnf_type_a,
     reduce_junta_type_b,
     reduce_poly_type_b,
     reduce_ptf_type_b,
     reduce_tree_type_b,
-    replicate_map,
     simulate_pac_from_local,
-    tree_type_b_reduction,
     verify_reduction,
 )
 from .harness import (
@@ -109,6 +94,7 @@ from .harness import (
     run_learning_suite,
     run_reconstruction_corpus,
     run_reduction_suite,
+    run_trial,
 )
 
 __version__ = "0.1.0"

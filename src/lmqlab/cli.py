@@ -10,7 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .concepts import SparsePoly, SparsePtf
-from .distributions import exact_loss, mc_loss
+from .cube import DimensionMismatch
 from .evident import evidence_report
 from .formats import (
     dump_dnf,
@@ -32,21 +32,13 @@ from .harness import (
     run_learning_suite,
     run_reconstruction_corpus,
     run_reduction_suite,
+    run_trial,
 )
-from .learner import learn_evident_dnf_run, plan_samples
-from .oracle import LocalMQOracle, draw_training_set
-from .reductions import (
-    dfa_type_a_reduction,
-    dnf_type_a_reduction,
-    junta_type_b_reduction,
-    poly_type_b_reduction,
-    ptf_type_b_reduction,
-    tree_type_b_reduction,
-    verify_reduction,
-)
+from .learner import plan_samples
+from .reductions import CONSTRUCTIONS, make_reduction, verify_reduction
 
-EXACT_LOSS_MAX_N = 20
-MC_SAMPLES = 100_000
+# Keys a suite config file may set; each stands for the suite flag of that name.
+CONFIG_KEYS = ("which", "family", "trials", "seed", "epsilon", "m1", "m2", "q", "corpus_count")
 
 
 def _emit(payload: dict | list, out: str | None) -> None:
@@ -66,16 +58,10 @@ def _cmd_learn(args: argparse.Namespace) -> int:
         m1, m2 = plan.m1, plan.m2
     else:
         if args.m1 is None or args.m2 is None:
-            raise SystemExit("provide --m1 and --m2, or --auto-plan")
+            raise ValueError("provide --m1 and --m2, or --auto-plan")
         m1, m2 = args.m1, args.m2
-    s1 = draw_training_set(dist, target, m1, args.seed)
-    s2 = draw_training_set(dist, target, m2, args.seed + 1)
-    oracle = LocalMQOracle.for_samples(target, args.q, s1, s2)
-    run = learn_evident_dnf_run(s1, s2, oracle)
-    if target.n <= EXACT_LOSS_MAX_N:
-        loss, estimator = exact_loss(dist, target, run.formula), "exact"
-    else:
-        loss, estimator = mc_loss(dist, target, run.formula, MC_SAMPLES, args.seed + 2), "mc"
+    seeds = (args.seed, args.seed + 1, args.seed + 2)
+    run, loss, estimator = run_trial(target, dist, m1, m2, args.q, seeds)
     _emit(
         {
             "hypothesis": dump_dnf(run.formula).splitlines(),
@@ -105,7 +91,7 @@ def _cmd_check_evident(args: argparse.Namespace) -> int:
     return 0 if report.verdict else 1
 
 
-def _default_concept(construction: str, n: int, q0: int, seed: int):
+def _default_concept(construction: str, n: int, seed: int):
     rng = random.Random(seed)
     if construction == "dnf":
         return random_dnf(n, 2, 2, rng)
@@ -121,59 +107,48 @@ def _default_concept(construction: str, n: int, q0: int, seed: int):
     return SparsePtf(poly, Fraction(0))
 
 
+_CONCEPT_PARSERS = {
+    "dnf": parse_dnf,
+    "dfa": parse_dfa,
+    "junta": parse_junta,
+    "tree": parse_tree,
+    "poly": parse_poly,
+    "ptf": parse_poly,
+}
+
+
 def _cmd_verify_reduction(args: argparse.Namespace) -> int:
-    factories = {
-        "dnf": lambda: dnf_type_a_reduction(args.n, args.k),
-        "dfa": lambda: dfa_type_a_reduction(args.n, args.k),
-        "junta": lambda: junta_type_b_reduction(args.n, args.q0),
-        "tree": lambda: tree_type_b_reduction(args.n, args.q0),
-        "poly": lambda: poly_type_b_reduction(args.n, args.q0),
-        "ptf": lambda: ptf_type_b_reduction(args.n, args.q0),
-    }
-    reduction = factories[args.construction]()
+    reduction = make_reduction(args.construction, args.n, k=args.k, q0=args.q0)
     if args.concept:
-        text = Path(args.concept).read_text()
-        parsers = {
-            "dnf": parse_dnf,
-            "dfa": parse_dfa,
-            "junta": parse_junta,
-            "tree": parse_tree,
-            "poly": parse_poly,
-            "ptf": parse_poly,
-        }
-        concept = parsers[args.construction](text)
+        concept = _CONCEPT_PARSERS[args.construction](Path(args.concept).read_text())
+        if concept.n != args.n:
+            raise DimensionMismatch(f"concept file has dimension {concept.n}, --n is {args.n}")
+        if isinstance(concept, SparsePtf) != (args.construction == "ptf"):
+            raise ValueError("a 'theta:' line belongs in ptf concept files and only there")
     else:
-        concept = _default_concept(args.construction, args.n, args.q0, args.seed)
+        concept = _default_concept(args.construction, args.n, args.seed)
     report = verify_reduction(reduction, concept)
     _emit(report.to_dict(), args.out)
     return 0 if report.passed else 1
 
 
-def _read_config(path: str) -> dict:
-    values: dict[str, str] = {}
+def _config_flags(path: str) -> list[str]:
+    """The suite flags a ``key = value`` config file stands for."""
+    flags = []
     for raw in Path(path).read_text().splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        key, sep, value = line.partition("=")
+        key, sep, value = (part.strip() for part in line.partition("="))
         if not sep:
-            raise SystemExit(f"malformed config line (expected key = value): {raw!r}")
-        values[key.strip()] = value.strip()
-    return values
+            raise ValueError(f"malformed config line (expected key = value): {raw!r}")
+        if key not in CONFIG_KEYS:
+            raise ValueError(f"unknown config key {key!r}, expected one of {', '.join(CONFIG_KEYS)}")
+        flags.append(f"--{key.replace('_', '-')}={value}")
+    return flags
 
 
 def _cmd_suite(args: argparse.Namespace) -> int:
-    if args.config:
-        cfg = _read_config(args.config)
-        args.which = cfg.get("which", args.which)
-        args.family = cfg.get("family", args.family)
-        args.trials = int(cfg.get("trials", args.trials))
-        args.seed = int(cfg.get("seed", args.seed))
-        args.epsilon = float(cfg.get("epsilon", args.epsilon))
-        args.m1 = int(cfg.get("m1", args.m1))
-        args.m2 = int(cfg.get("m2", args.m2))
-        args.q = int(cfg.get("q", args.q))
-        args.corpus_count = int(cfg.get("corpus_count", args.corpus_count))
     lines: list[dict] = []
     all_passed = True
     if args.which in ("learning", "all"):
@@ -239,9 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.set_defaults(func=_cmd_check_evident)
 
     verify = sub.add_parser("verify-reduction", help="exhaustively verify one reduction")
-    verify.add_argument(
-        "--construction", required=True, choices=["dnf", "dfa", "junta", "tree", "poly", "ptf"]
-    )
+    verify.add_argument("--construction", required=True, choices=list(CONSTRUCTIONS))
     verify.add_argument("--n", type=int, required=True, help="source dimension")
     verify.add_argument("--q0", type=int, default=1, help="flip budget for majority constructions")
     verify.add_argument("--k", type=int, help="replication factor for dnf/dfa, default n^2")
@@ -267,8 +240,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    """Run one command: exit 0 on a passed verdict, 1 on a failed one, 2 on bad input."""
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(argv)
+    try:
+        if args.command == "suite" and args.config:
+            # Config lines come last, so they override the flags.
+            args = parser.parse_args(argv + _config_flags(args.config))
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        sys.stderr.write(json.dumps({"error": str(exc), "type": type(exc).__name__}) + "\n")
+        raise SystemExit(2) from None
 
 
 if __name__ == "__main__":

@@ -74,6 +74,10 @@ class Term:
         return pos, neg
 
     def satisfied_by(self, x: CubePoint) -> bool:
+        """True iff x meets every literal of the term."""
+        for j in self.variables:
+            if j > x.n:
+                raise DimensionMismatch(f"term variable {j} exceeds point dimension {x.n}")
         pos, neg = self.masks(x.n)
         return (x.mask & pos) == pos and (x.mask & neg) == 0
 
@@ -121,18 +125,6 @@ class DnfFormula:
         return tuple(
             i for i, (pos, neg) in enumerate(self._masks) if (m & pos) == pos and (m & neg) == 0
         )
-
-
-def term_satisfied(term: Term, x: CubePoint) -> bool:
-    """True iff x meets every literal of the term."""
-    for j in term.variables:
-        if j > x.n:
-            raise DimensionMismatch(f"term variable {j} exceeds point dimension {x.n}")
-    return term.satisfied_by(x)
-
-
-def eval_dnf(formula: DnfFormula, x: CubePoint) -> int:
-    return formula.evaluate(x)
 
 
 # ---------------------------------------------------------------------------
@@ -195,10 +187,6 @@ class DecisionTree:
         while isinstance(node, Node):
             node = node.high if x.bit(node.var) == 1 else node.low
         return node.label
-
-
-def eval_tree(tree: DecisionTree, x: CubePoint) -> int:
-    return tree.evaluate(x)
 
 
 def dnf_of_tree(tree: DecisionTree) -> DnfFormula:
@@ -280,10 +268,6 @@ class Dfa:
         return 1 if state in self.accepting else 0
 
 
-def eval_dfa(dfa: Dfa, x: CubePoint) -> int:
-    return dfa.evaluate(x)
-
-
 # ---------------------------------------------------------------------------
 # Juntas
 
@@ -327,10 +311,6 @@ class Junta:
         return self.table[idx]
 
 
-def eval_junta(junta: Junta, x: CubePoint) -> int:
-    return junta.evaluate(x)
-
-
 # ---------------------------------------------------------------------------
 # Sparse multilinear polynomials and threshold functions
 
@@ -347,6 +327,8 @@ class SparsePoly:
     monomials: Mapping[frozenset[int], Fraction]
 
     def __post_init__(self) -> None:
+        if self.n < 1:
+            raise ValueError(f"dimension must be a positive integer, got {self.n}")
         cleaned: dict[frozenset[int], Fraction] = {}
         for vars_, coeff in self.monomials.items():
             vs = frozenset(vars_)
@@ -386,10 +368,6 @@ class SparsePoly:
         return Fraction(total, self._denom)
 
 
-def eval_poly(poly: SparsePoly, x: CubePoint) -> Fraction:
-    return poly.evaluate(x)
-
-
 @dataclass(frozen=True)
 class PolyConcept:
     """Label adapter for a ±1-valued polynomial: +1 -> 1, -1 -> 0."""
@@ -422,10 +400,6 @@ class SparsePtf:
 
     def evaluate(self, x: CubePoint) -> int:
         return 1 if self.poly.evaluate(x) >= self.theta else 0
-
-
-def eval_ptf(ptf: SparsePtf, x: CubePoint) -> int:
-    return ptf.evaluate(x)
 
 
 def maj_poly(k: int) -> SparsePoly:

@@ -81,16 +81,6 @@ class CubePoint:
         return f"CubePoint({self.to_string()!r})"
 
 
-def hamming_distance(x: CubePoint, y: CubePoint) -> int:
-    """Number of coordinates where x and y differ."""
-    return x.hamming(y)
-
-
-def flip(x: CubePoint, j: int) -> CubePoint:
-    """Copy of x with coordinate j negated."""
-    return x.flip(j)
-
-
 def in_ball(z: CubePoint, anchors: Iterable[CubePoint], q: int) -> bool:
     """True iff some anchor lies within Hamming distance q of z.
 
@@ -99,6 +89,15 @@ def in_ball(z: CubePoint, anchors: Iterable[CubePoint], q: int) -> bool:
     if q < 0:
         raise ValueError(f"radius must be non-negative, got {q}")
     return any(z.hamming(a) <= q for a in anchors)
+
+
+def ball_size(n: int, q: int) -> int:
+    """Number of points within Hamming distance q of a point of {-1,+1}^n."""
+    total, c = 0, 1
+    for r in range(q + 1):
+        total += c
+        c = c * (n - r) // (r + 1)
+    return total
 
 
 def masks_at_distance(mask: int, n: int, r: int) -> Iterator[int]:

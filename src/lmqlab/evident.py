@@ -17,7 +17,6 @@ from typing import Optional
 from .concepts import DecisionTree, DnfFormula, Term, dnf_of_tree
 from .cube import CubePoint, DimensionMismatch, ENUMERATION_CAP
 from .distributions import Distribution
-from .reductions import ReplicateMap
 
 
 def satisfies_evidently(formula: DnfFormula, i: int, x: CubePoint) -> bool:
@@ -158,11 +157,6 @@ def gen_opposite_literal_dnf(n: int, d: int, term_width: int, seed: int) -> DnfF
         pos = frozenset(variables[t] for t in range(term_width) if (pattern >> t) & 1)
         terms.append(Term(pos, frozenset(variables) - pos))
     return DnfFormula(n, tuple(terms))
-
-
-def doubling_phi(x: CubePoint) -> CubePoint:
-    """Duplicate every coordinate: (x1, x2, ...) -> (x1, x1, x2, x2, ...)."""
-    return ReplicateMap(x.n, 2).apply(x)
 
 
 def doubling_dnf(tree: DecisionTree) -> DnfFormula:

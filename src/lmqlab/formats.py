@@ -66,7 +66,7 @@ def _split_dim(lines: list[str]) -> tuple[Optional[int], list[str]]:
 
 def parse_dnf(text: str, n: Optional[int] = None) -> DnfFormula:
     declared, lines = _split_dim(_content_lines(text))
-    n = n or declared
+    n = declared if n is None else n
     terms = []
     max_var = 1
     for line in lines:
@@ -98,7 +98,7 @@ def _tokenize(expr: str) -> list[str]:
 
 def parse_tree(text: str, n: Optional[int] = None) -> DecisionTree:
     declared, lines = _split_dim(_content_lines(text))
-    n = n or declared
+    n = declared if n is None else n
     tokens = _tokenize(" ".join(lines))
 
     def parse_node(pos: int) -> tuple[TreeNode, int]:
@@ -188,7 +188,7 @@ def dump_dfa(dfa: Dfa) -> str:
 
 def parse_poly(text: str, n: Optional[int] = None) -> SparsePoly | SparsePtf:
     declared, lines = _split_dim(_content_lines(text))
-    n = n or declared
+    n = declared if n is None else n
     monomials: dict[frozenset[int], Fraction] = {}
     theta: Optional[Fraction] = None
     max_var = 1

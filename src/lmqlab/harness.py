@@ -36,7 +36,7 @@ from .evident import (
     gen_opposite_literal_dnf,
     satisfies_evidently,
 )
-from .learner import learn_evident_dnf, learn_evident_dnf_run, reconstruct_term
+from .learner import LearnerRun, learn_evident_dnf, learn_evident_dnf_run, reconstruct_term
 from .oracle import LocalMQOracle, draw_training_set
 from .reductions import (
     AnchorUniquenessError,
@@ -48,16 +48,24 @@ from .reductions import (
     corrupted_dnf_reduction_without_detector,
     corrupted_tree_reduction_first_copy,
     dfa_product_or,
-    dfa_type_a_reduction,
-    dnf_type_a_reduction,
-    junta_type_b_reduction,
-    poly_type_b_reduction,
-    ptf_type_b_reduction,
+    make_reduction,
     reduce_tree_type_b,
     simulate_pac_from_local,
-    tree_type_b_reduction,
     verify_reduction,
 )
+
+# Losses are exact up to this dimension and Monte Carlo estimates above it.
+EXACT_LOSS_MAX_N = 20
+MC_SAMPLES = 100_000
+
+# Random-DNF corpus shape: dimension range, term count and width caps, how
+# many evident points get the pointwise flip check, and how often a formula
+# is cross-checked pointwise over the whole cube.
+CORPUS_N_LO, CORPUS_N_HI = 4, 10
+CORPUS_D_MAX = 5
+CORPUS_WIDTH_MAX = 4
+CORPUS_REVEAL_PER_FORMULA = 20
+CORPUS_CROSSCHECK_EVERY = 37
 
 
 def derive_seed(base: int, *parts) -> int:
@@ -166,8 +174,6 @@ class ExperimentConfig:
     m2: int
     q: int = 1
     success_threshold: Optional[int] = None
-    exact_loss_max_n: int = 20
-    mc_samples: int = 100_000
 
     def __post_init__(self) -> None:
         if self.trials < 1:
@@ -256,6 +262,24 @@ class SuiteReport:
         return json.dumps(self.canonical_dict(), sort_keys=True)
 
 
+def run_trial(
+    target: DnfFormula, dist: Distribution, m1: int, m2: int, q: int, seeds: tuple[int, int, int]
+) -> tuple[LearnerRun, Fraction, str]:
+    """One learning trial: draw s1 and s2, learn with q-local queries, score the loss.
+
+    ``seeds`` seed s1, s2 and the Monte Carlo loss, in that order. Returns
+    the learner's run, the loss and its estimator ("exact" or "mc").
+    """
+    s1_seed, s2_seed, loss_seed = seeds
+    s1 = draw_training_set(dist, target, m1, s1_seed)
+    s2 = draw_training_set(dist, target, m2, s2_seed)
+    oracle = LocalMQOracle.for_samples(target, q, s1, s2)
+    run = learn_evident_dnf_run(s1, s2, oracle)
+    if target.n <= EXACT_LOSS_MAX_N:
+        return run, exact_loss(dist, target, run.formula), "exact"
+    return run, mc_loss(dist, target, run.formula, MC_SAMPLES, loss_seed), "mc"
+
+
 def run_learning_suite(cfg: ExperimentConfig) -> SuiteReport:
     """Seeded end-to-end trials: draw, learn with 1-local queries, score the loss."""
     trials = []
@@ -264,15 +288,8 @@ def run_learning_suite(cfg: ExperimentConfig) -> SuiteReport:
         try:
             target, dist = cfg.family(derive_seed(seed, "instance"))
             t0 = time.perf_counter()
-            s1 = draw_training_set(dist, target, cfg.m1, derive_seed(seed, "s1"))
-            s2 = draw_training_set(dist, target, cfg.m2, derive_seed(seed, "s2"))
-            oracle = LocalMQOracle.for_samples(target, cfg.q, s1, s2)
-            run = learn_evident_dnf_run(s1, s2, oracle)
-            if target.n <= cfg.exact_loss_max_n:
-                loss, estimator = exact_loss(dist, target, run.formula), "exact"
-            else:
-                loss = mc_loss(dist, target, run.formula, cfg.mc_samples, derive_seed(seed, "loss"))
-                estimator = "mc"
+            seeds = (derive_seed(seed, "s1"), derive_seed(seed, "s2"), derive_seed(seed, "loss"))
+            run, loss, estimator = run_trial(target, dist, cfg.m1, cfg.m2, cfg.q, seeds)
             seconds = time.perf_counter() - t0
         except Exception as exc:
             raise RuntimeError(f"trial {i} (seed {seed}) failed: {exc}") from exc
@@ -415,17 +432,7 @@ class CorpusReport:
         }
 
 
-def run_reconstruction_corpus(
-    count: int = 1000,
-    base_seed: int = 0,
-    n_lo: int = 4,
-    n_hi: int = 10,
-    d_max: int = 5,
-    width_max: int = 4,
-    reconstruct: bool = True,
-    reveal_per_formula: int = 20,
-    crosscheck_every: int = 37,
-) -> CorpusReport:
+def run_reconstruction_corpus(count: int = 1000, base_seed: int = 0) -> CorpusReport:
     """Random-DNF corpus audit of evident points.
 
     For every formula, evident points are found exhaustively with truth-table
@@ -440,8 +447,8 @@ def run_reconstruction_corpus(
     t0 = time.perf_counter()
     for idx in range(count):
         rng = random.Random(derive_seed(base_seed, "corpus", idx))
-        n = rng.randint(n_lo, n_hi)
-        formula = random_dnf(n, rng.randint(1, d_max), width_max, rng)
+        n = rng.randint(CORPUS_N_LO, CORPUS_N_HI)
+        formula = random_dnf(n, rng.randint(1, CORPUS_D_MAX), CORPUS_WIDTH_MAX, rng)
         report.formulas += 1
         sat, h_table, evident = _evident_bitsets(formula)
 
@@ -469,13 +476,13 @@ def run_reconstruction_corpus(
         evident_pairs = [(i, m) for i, ev in enumerate(evident) for m in _iter_bits(ev)]
         report.evident_points += len(evident_pairs)
 
-        for i, mask in evident_pairs[:reveal_per_formula]:
+        for i, mask in evident_pairs[:CORPUS_REVEAL_PER_FORMULA]:
             report.reveal_checked += 1
             if not flips_reveal_term(formula, i, CubePoint(n, mask)):
                 report.reveal_failures += 1
                 report._note("reveal", formula_index=idx, term=i, point=CubePoint(n, mask).to_string())
 
-        if idx % crosscheck_every == 0:
+        if idx % CORPUS_CROSSCHECK_EVERY == 0:
             report.crosscheck_formulas += 1
             for point in enumerate_cube(n):
                 hit = formula.satisfied_indices(point)
@@ -494,25 +501,24 @@ def run_reconstruction_corpus(
                         pointwise=str(pointwise), bitset=str(via_bits),
                     )
 
-        if reconstruct:
-            t1 = time.perf_counter()
-            for i, mask in evident_pairs:
-                x = CubePoint(n, mask)
-                oracle = LocalMQOracle(formula, [x], q=1)
-                got = reconstruct_term(x, oracle)
-                report.recon_checked += 1
-                if got != formula.terms[i]:
-                    report.recon_failures += 1
-                    report._note(
-                        "reconstruction",
-                        formula_index=idx,
-                        term=i,
-                        point=x.to_string(),
-                        got=str(sorted(got.signed())),
-                    )
-                for dist, cnt in oracle.stats().distance_histogram.items():
-                    report.locality_histogram[dist] = report.locality_histogram.get(dist, 0) + cnt
-            t_recon += time.perf_counter() - t1
+        t1 = time.perf_counter()
+        for i, mask in evident_pairs:
+            x = CubePoint(n, mask)
+            oracle = LocalMQOracle(formula, [x], q=1)
+            got = reconstruct_term(x, oracle)
+            report.recon_checked += 1
+            if got != formula.terms[i]:
+                report.recon_failures += 1
+                report._note(
+                    "reconstruction",
+                    formula_index=idx,
+                    term=i,
+                    point=x.to_string(),
+                    got=str(sorted(got.signed())),
+                )
+            for dist, cnt in oracle.stats().distance_histogram.items():
+                report.locality_histogram[dist] = report.locality_histogram.get(dist, 0) + cnt
+        t_recon += time.perf_counter() - t1
     report.seconds_reconstruct = t_recon
     report.seconds_discovery = time.perf_counter() - t0 - t_recon
     return report
@@ -587,35 +593,31 @@ def _audit_simulation(
             report.simulation_mismatches += 1
 
 
-def run_reduction_suite(base_seed: int = 0, include_negative_controls: bool = True) -> ReductionSuiteReport:
+def run_reduction_suite(base_seed: int = 0) -> ReductionSuiteReport:
     """Verification matrix over all shipped constructions at desk scale."""
     report = ReductionSuiteReport()
     rng = random.Random(derive_seed(base_seed, "reductions"))
 
     # Replicated-coordinate DNFs, label-1 near image.
     for n in (2, 3):
-        _verify_into(report, dnf_type_a_reduction(n), DnfFormula(n, (Term.of(1),)), f"x1 over n={n}")
-        _verify_into(
-            report, dnf_type_a_reduction(n), random_dnf(n, 2, 2, rng), f"random dnf n={n}"
-        )
+        _verify_into(report, make_reduction("dnf", n), DnfFormula(n, (Term.of(1),)), f"x1 over n={n}")
+        _verify_into(report, make_reduction("dnf", n), random_dnf(n, 2, 2, rng), f"random dnf n={n}")
 
     # Automata through the checker/simulator product.
     for n in (2, 3):
-        _verify_into(report, dfa_type_a_reduction(n), parity_dfa(n), f"parity n={n}")
-        _verify_into(report, dfa_type_a_reduction(n), random_dfa(n, 3, rng), f"random dfa n={n}")
+        _verify_into(report, make_reduction("dfa", n), parity_dfa(n), f"parity n={n}")
+        _verify_into(report, make_reduction("dfa", n), random_dfa(n, 3, rng), f"random dfa n={n}")
 
     # Majority-of-copies constructions, nearest-anchor labels.
     xor_junta = Junta(4, (1, 2), (0, 1, 1, 0))
-    _verify_into(report, junta_type_b_reduction(4, 1), xor_junta, "xor junta n=4 q0=1")
-    _verify_into(report, junta_type_b_reduction(4, 2), xor_junta, "xor junta n=4 q0=2")
-    _verify_into(
-        report, junta_type_b_reduction(6, 1), random_junta(6, 3, rng), "random junta n=6 q0=1"
-    )
+    _verify_into(report, make_reduction("junta", 4, q0=1), xor_junta, "xor junta n=4 q0=1")
+    _verify_into(report, make_reduction("junta", 4, q0=2), xor_junta, "xor junta n=4 q0=2")
+    _verify_into(report, make_reduction("junta", 6, q0=1), random_junta(6, 3, rng), "random junta n=6 q0=1")
 
     tree42 = random_tree(4, 4, rng)
-    _verify_into(report, tree_type_b_reduction(4, 1), tree42, "random tree n=4 q0=1")
-    _verify_into(report, tree_type_b_reduction(4, 2), tree42, "random tree n=4 q0=2")
-    _verify_into(report, tree_type_b_reduction(6, 1), random_tree(6, 6, rng), "random tree n=6 q0=1")
+    _verify_into(report, make_reduction("tree", 4, q0=1), tree42, "random tree n=4 q0=1")
+    _verify_into(report, make_reduction("tree", 4, q0=2), tree42, "random tree n=4 q0=2")
+    _verify_into(report, make_reduction("tree", 6, q0=1), random_tree(6, 6, rng), "random tree n=6 q0=1")
 
     linear4 = SparsePoly(
         4,
@@ -626,13 +628,13 @@ def run_reduction_suite(base_seed: int = 0, include_negative_controls: bool = Tr
             frozenset(): Fraction(1, 7),
         },
     )
-    _verify_into(report, poly_type_b_reduction(4, 1), linear4, "linear poly n=4 q0=1")
-    _verify_into(report, poly_type_b_reduction(4, 2), linear4, "linear poly n=4 q0=2")
+    _verify_into(report, make_reduction("poly", 4, q0=1), linear4, "linear poly n=4 q0=1")
+    _verify_into(report, make_reduction("poly", 4, q0=2), linear4, "linear poly n=4 q0=2")
     quadratic = SparsePoly(4, {frozenset({1, 2}): Fraction(1), frozenset({3}): Fraction(2)})
-    _verify_into(report, poly_type_b_reduction(4, 1), quadratic, "quadratic poly n=4 q0=1")
+    _verify_into(report, make_reduction("poly", 4, q0=1), quadratic, "quadratic poly n=4 q0=1")
     ptf = SparsePtf(linear4, Fraction(1, 10))
-    _verify_into(report, ptf_type_b_reduction(4, 1), ptf, "linear ptf n=4 q0=1")
-    _verify_into(report, ptf_type_b_reduction(6, 2), SparsePtf(
+    _verify_into(report, make_reduction("ptf", 4, q0=1), ptf, "linear ptf n=4 q0=1")
+    _verify_into(report, make_reduction("ptf", 6, q0=2), SparsePtf(
         SparsePoly(6, {frozenset({j}): Fraction(1) for j in range(1, 7)}), Fraction(0)
     ), "vote ptf n=6 q0=2")
 
@@ -663,7 +665,7 @@ def run_reduction_suite(base_seed: int = 0, include_negative_controls: bool = Tr
             reduced.leaf_count == tree42.leaf_count ** r,
             f"{reduced.leaf_count} == {tree42.leaf_count}^{r}",
         )
-        grown = poly_type_b_reduction(4, q0).transform(linear4)
+        grown = make_reduction("poly", 4, q0=q0).transform(linear4)
         degree_ok = grown.degree <= r * max(1, linear4.degree)
         count_ok = grown.coefficient_count <= (1 << r) * linear4.coefficient_count
         _size_check(
@@ -689,7 +691,7 @@ def run_reduction_suite(base_seed: int = 0, include_negative_controls: bool = Tr
     # Query synthesis audit over both kinds.
     _audit_simulation(
         report,
-        dnf_type_a_reduction(3),
+        make_reduction("dnf", 3),
         DnfFormula(3, (Term.of(1),)),
         UniformCube(3),
         600,
@@ -698,7 +700,7 @@ def run_reduction_suite(base_seed: int = 0, include_negative_controls: bool = Tr
     )
     _audit_simulation(
         report,
-        junta_type_b_reduction(4, 1),
+        make_reduction("junta", 4, q0=1),
         xor_junta,
         UniformCube(4),
         500,
@@ -707,7 +709,7 @@ def run_reduction_suite(base_seed: int = 0, include_negative_controls: bool = Tr
     )
     _audit_simulation(
         report,
-        ptf_type_b_reduction(4, 2),
+        make_reduction("ptf", 4, q0=2),
         ptf,
         UniformCube(4),
         500,
@@ -715,20 +717,19 @@ def run_reduction_suite(base_seed: int = 0, include_negative_controls: bool = Tr
         derive_seed(base_seed, "sim-ptf"),
     )
 
-    if include_negative_controls:
-        controls = [
-            ("detector dropped", corrupted_dnf_reduction_without_detector(2), DnfFormula(2, (Term.of(1),))),
-            ("simulator never steps", corrupted_dfa_reduction_stuck_simulator(2), parity_dfa(2)),
-            ("first copy instead of majority", corrupted_tree_reduction_first_copy(2, 1),
-             DecisionTree(2, Node(1, Leaf(0), Leaf(1)))),
-        ]
-        for label, broken, concept in controls:
-            result = verify_reduction(broken, concept)
-            report.negative_controls.append(
-                {
-                    "name": label,
-                    "detected": not result.passed,
-                    "counterexamples": result.counterexamples,
-                }
-            )
+    controls = [
+        ("detector dropped", corrupted_dnf_reduction_without_detector(2), DnfFormula(2, (Term.of(1),))),
+        ("simulator never steps", corrupted_dfa_reduction_stuck_simulator(2), parity_dfa(2)),
+        ("first copy instead of majority", corrupted_tree_reduction_first_copy(2, 1),
+         DecisionTree(2, Node(1, Leaf(0), Leaf(1)))),
+    ]
+    for label, broken, concept in controls:
+        result = verify_reduction(broken, concept)
+        report.negative_controls.append(
+            {
+                "name": label,
+                "detected": not result.passed,
+                "counterexamples": result.counterexamples,
+            }
+        )
     return report

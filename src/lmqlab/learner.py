@@ -83,15 +83,11 @@ class LearnerRun:
 
 def learn_evident_dnf(s1: LabeledSample, s2: LabeledSample, oracle: LocalMQOracle) -> DnfFormula:
     """Two-phase DNF learner using only 1-local queries around s1's positives."""
-    return _learn(s1, s2, oracle).formula
+    return learn_evident_dnf_run(s1, s2, oracle).formula
 
 
 def learn_evident_dnf_run(s1: LabeledSample, s2: LabeledSample, oracle: LocalMQOracle) -> LearnerRun:
     """Like ``learn_evident_dnf`` but with query statistics and phase timings."""
-    return _learn(s1, s2, oracle)
-
-
-def _learn(s1: LabeledSample, s2: LabeledSample, oracle: LocalMQOracle) -> LearnerRun:
     n = oracle.n
     t0 = time.perf_counter()
     collected: dict[Term, None] = {}

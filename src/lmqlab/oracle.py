@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .concepts import Concept
-from .cube import CubePoint, DimensionMismatch, masks_at_distance
+from .cube import CubePoint, DimensionMismatch, ball_size, masks_at_distance
 from .distributions import Distribution, LabeledSample, sample
 
 QUERY_BUDGET_FACTOR = 64
@@ -95,19 +95,12 @@ class LocalMQOracle:
     def log(self) -> tuple[QueryRecord, ...]:
         return tuple(self._log)
 
-    def _ball_cost(self) -> int:
-        total, c = 0, 1
-        for r in range(self.q + 1):
-            total += c
-            c = c * (self.n - r) // (r + 1)
-        return total
-
     def _min_distance(self, z: CubePoint) -> int | None:
         """Smallest anchor distance if it is <= q, else None (exact on demand)."""
         if not self.anchors:
             return None
         # Whichever costs fewer probes: scan the anchors, or walk the q-ball.
-        if len(self._anchor_masks) <= self._ball_cost():
+        if len(self._anchor_masks) <= ball_size(self.n, self.q):
             best = min((z.mask ^ m).bit_count() for m in self._anchor_masks)
             return best if best <= self.q else None
         for r in range(self.q + 1):

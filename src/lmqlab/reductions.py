@@ -17,7 +17,7 @@ exploits to run a query-using learner without any oracle access.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -36,7 +36,7 @@ from .concepts import (
     TreeNode,
     maj_poly,
 )
-from .cube import CubePoint, DimensionMismatch, masks_at_distance
+from .cube import CubePoint, DimensionMismatch, ball_size, masks_at_distance
 from .distributions import LabeledSample
 from .oracle import OracleStats
 
@@ -85,10 +85,6 @@ class ReplicateMap:
     def block_coordinates(self, i: int) -> range:
         """Target coordinates carrying source coordinate i."""
         return range((i - 1) * self.k + 1, i * self.k + 1)
-
-
-def replicate_map(n: int, k: int) -> ReplicateMap:
-    return ReplicateMap(n, k)
 
 
 @dataclass(frozen=True)
@@ -168,11 +164,6 @@ def reduce_dnf_type_a(formula: DnfFormula, k: int | None = None) -> DnfFormula:
     k = n * n if k is None else k
     lifted = _lift_terms_to_block_heads(formula, k)
     return DnfFormula(n * k, lifted + build_detector(n, k).terms)
-
-
-def dnf_type_a_reduction(n: int, k: int | None = None) -> QReduction:
-    k = n * n if k is None else k
-    return QReduction("dnf", "A", ReplicateMap(n, k), k - 1, lambda f: reduce_dnf_type_a(f, k))
 
 
 # ---------------------------------------------------------------------------
@@ -257,11 +248,6 @@ def reduce_dfa_type_a(automaton: Dfa, k: int | None = None) -> Dfa:
     return dfa_product_or(build_block_checker(n, k), build_block_simulator(automaton, n, k))
 
 
-def dfa_type_a_reduction(n: int, k: int | None = None) -> QReduction:
-    k = n * n if k is None else k
-    return QReduction("dfa", "A", ReplicateMap(n, k), k - 1, lambda a: reduce_dfa_type_a(a, k))
-
-
 # ---------------------------------------------------------------------------
 # Kind-B constructions: majority over 2*q0+1 copies absorbs q0 flips
 
@@ -292,11 +278,6 @@ def reduce_junta_type_b(junta: Junta, q0: int, cap: int = JUNTA_CAP) -> Junta:
             idx = (idx << 1) | (chunk.bit_count() > half)
         table.append(junta.table[idx])
     return Junta(junta.n * r, relevant, tuple(table))
-
-
-def junta_type_b_reduction(n: int, q0: int) -> QReduction:
-    r = 2 * q0 + 1
-    return QReduction("junta", "B", ReplicateMap(n, r), q0, lambda h: reduce_junta_type_b(h, q0))
 
 
 def _stack_tree(tree: DecisionTree, q0: int, label_rule: Callable[[tuple[int, ...]], int]) -> DecisionTree:
@@ -336,11 +317,6 @@ def reduce_tree_type_b(tree: DecisionTree, q0: int, leaf_cap: int = TREE_LEAF_CA
     return _stack_tree(tree, q0, majority_label)
 
 
-def tree_type_b_reduction(n: int, q0: int) -> QReduction:
-    r = 2 * q0 + 1
-    return QReduction("tree", "B", ReplicateMap(n, r), q0, lambda h: reduce_tree_type_b(h, q0))
-
-
 def reduce_poly_type_b(poly: SparsePoly, q0: int, coeff_cap: int = POLY_COEFF_CAP) -> SparsePoly:
     """Substitute the block majority polynomial for every variable and expand.
 
@@ -362,7 +338,7 @@ def reduce_poly_type_b(poly: SparsePoly, q0: int, coeff_cap: int = POLY_COEFF_CA
                 for u_vars, u_coeff in shifted:
                     grown[acc_vars | u_vars] = acc_coeff * u_coeff
             partial = grown
-            if len(partial) * max(1, len(result)) > coeff_cap * 4:
+            if len(partial) > coeff_cap:
                 raise ValueError(f"expansion exceeds coefficient cap {coeff_cap}")
         for new_vars, new_coeff in partial.items():
             result[new_vars] = result.get(new_vars, Fraction(0)) + new_coeff
@@ -375,14 +351,34 @@ def reduce_ptf_type_b(ptf: SparsePtf, q0: int, coeff_cap: int = POLY_COEFF_CAP) 
     return SparsePtf(reduce_poly_type_b(ptf.poly, q0, coeff_cap), ptf.theta)
 
 
-def poly_type_b_reduction(n: int, q0: int) -> QReduction:
-    r = 2 * q0 + 1
-    return QReduction("poly", "B", ReplicateMap(n, r), q0, lambda h: reduce_poly_type_b(h, q0))
+# ---------------------------------------------------------------------------
+# Registry of shipped constructions
 
 
-def ptf_type_b_reduction(n: int, q0: int) -> QReduction:
-    r = 2 * q0 + 1
-    return QReduction("ptf", "B", ReplicateMap(n, r), q0, lambda h: reduce_ptf_type_b(h, q0))
+CONSTRUCTIONS: dict[str, tuple[str, Callable]] = {
+    "dnf": ("A", reduce_dnf_type_a),
+    "dfa": ("A", reduce_dfa_type_a),
+    "junta": ("B", reduce_junta_type_b),
+    "tree": ("B", reduce_tree_type_b),
+    "poly": ("B", reduce_poly_type_b),
+    "ptf": ("B", reduce_ptf_type_b),
+}
+
+
+def make_reduction(name: str, n: int, *, k: int | None = None, q0: int = 1) -> QReduction:
+    """The named construction over source dimension n.
+
+    Kind A replicates each coordinate k times (default n^2) and tolerates
+    q = k - 1 flips; kind B takes 2*q0+1 copies and tolerates q = q0. Kind A
+    ignores q0 and kind B ignores k.
+    """
+    if name not in CONSTRUCTIONS:
+        raise ValueError(f"unknown construction {name!r}, expected one of {sorted(CONSTRUCTIONS)}")
+    kind, reduce = CONSTRUCTIONS[name]
+    if kind == "A":
+        k = n * n if k is None else k
+        return QReduction(name, kind, ReplicateMap(n, k), k - 1, lambda h: reduce(h, k))
+    return QReduction(name, kind, ReplicateMap(n, 2 * q0 + 1), q0, lambda h: reduce(h, q0))
 
 
 # ---------------------------------------------------------------------------
@@ -418,15 +414,8 @@ class SyntheticAnswerer:
         """Query count only; synthesized answers involve no distance bookkeeping."""
         return OracleStats(len(self._log), 0, {})
 
-    def _ball_cost(self) -> int:
-        total, c = 0, 1
-        for r in range(self.q + 1):
-            total += c
-            c = c * (self.n - r) // (r + 1)
-        return total
-
     def _matches_within_q(self, z: CubePoint) -> set[int]:
-        if self._ball_cost() <= max(256, 4 * len(self._labels)):
+        if ball_size(self.n, self.q) <= max(256, 4 * len(self._labels)):
             found = set()
             for r in range(self.q + 1):
                 for m in masks_at_distance(z.mask, self.n, r):
@@ -540,10 +529,7 @@ def verify_reduction(
     transformed = reduction.transform(concept)
     radius = min(reduction.q, cap_q)
 
-    per_point, c = 0, 1
-    for r in range(radius + 1):
-        per_point += c
-        c = c * (n_target - r) // (r + 1)
+    per_point = ball_size(n_target, radius)
     if per_point * (1 << n) > enum_budget:
         raise ValueError(
             f"flip enumeration needs {per_point * (1 << n)} checks, budget is {enum_budget}"
@@ -605,7 +591,7 @@ def corrupted_dnf_reduction_without_detector(n: int) -> QReduction:
     def transform(formula: DnfFormula) -> DnfFormula:
         return DnfFormula(n ** 3, _lift_terms_to_block_heads(formula, n * n))
 
-    return QReduction("dnf-no-detector", "A", ReplicateMap(n, n * n), n * n - 1, transform)
+    return replace(make_reduction("dnf", n), name="dnf-no-detector", transform=transform)
 
 
 def corrupted_dfa_reduction_stuck_simulator(n: int) -> QReduction:
@@ -623,14 +609,13 @@ def corrupted_dfa_reduction_stuck_simulator(n: int) -> QReduction:
     def transform(automaton: Dfa) -> Dfa:
         return dfa_product_or(build_block_checker(n), broken_simulator(automaton))
 
-    return QReduction("dfa-stuck-simulator", "A", ReplicateMap(n, n * n), n * n - 1, transform)
+    return replace(make_reduction("dfa", n), name="dfa-stuck-simulator", transform=transform)
 
 
 def corrupted_tree_reduction_first_copy(n: int, q0: int) -> QReduction:
     """Tree reduction labeling leaves by the first copy instead of the majority."""
-    r = 2 * q0 + 1
 
     def transform(tree: DecisionTree) -> DecisionTree:
         return _stack_tree(tree, q0, lambda outcomes: outcomes[0])
 
-    return QReduction("tree-first-copy", "B", ReplicateMap(n, r), q0, transform)
+    return replace(make_reduction("tree", n, q0=q0), name="tree-first-copy", transform=transform)

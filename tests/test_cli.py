@@ -4,7 +4,10 @@ import pytest
 
 from lmqlab.cli import main
 from lmqlab.concepts import DnfFormula, Term
-from lmqlab.formats import dump_dnf
+from lmqlab.distributions import UniformCube
+from lmqlab.formats import dump_dnf, parse_dnf
+from lmqlab.harness import run_trial
+from lmqlab.reductions import CONSTRUCTIONS
 
 
 @pytest.fixture
@@ -98,3 +101,91 @@ def test_suite_config_file(tmp_path, capsys):
 def test_learn_requires_sample_sizes(formula_file):
     with pytest.raises(SystemExit):
         main(["learn", "--target", formula_file, "--dist", "uniform:4"])
+
+
+def _usage_error(capsys, argv) -> dict:
+    """Run the CLI on bad input; assert exit 2 and return the one-line JSON error."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    return json.loads(err)
+
+
+def test_learn_without_sample_sizes_is_a_json_error(formula_file, capsys):
+    error = _usage_error(capsys, ["learn", "--target", formula_file, "--dist", "uniform:4"])
+    assert error["type"] == "ValueError"
+    assert "--m1" in error["error"]
+
+
+def test_missing_file_is_a_json_error(tmp_path, capsys):
+    argv = ["learn", "--target", str(tmp_path / "absent.dnf"), "--dist", "uniform:4", "--m1", "9", "--m2", "9"]
+    assert _usage_error(capsys, argv)["type"] == "FileNotFoundError"
+
+
+@pytest.mark.parametrize("name", list(CONSTRUCTIONS))
+def test_verify_reduction_every_construction(name, capsys):
+    assert main(["verify-reduction", "--construction", name, "--n", "2"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["passed"] is True
+    assert (report["name"], report["kind"]) == (name, CONSTRUCTIONS[name][0])
+
+
+def test_verify_reduction_concept_dimension_mismatch(tmp_path, capsys):
+    path = tmp_path / "f.dnf"
+    path.write_text("dim 3\n1\n")
+    error = _usage_error(
+        capsys, ["verify-reduction", "--construction", "dnf", "--n", "2", "--concept", str(path)]
+    )
+    assert error["type"] == "DimensionMismatch"
+
+
+def test_verify_reduction_theta_line_must_match_construction(tmp_path, capsys):
+    poly = tmp_path / "p.poly"
+    poly.write_text("dim 2\n1: 1\n")
+    ptf = tmp_path / "t.poly"
+    ptf.write_text("dim 2\n1: 1\ntheta: 0\n")
+    for construction, path in (("ptf", poly), ("poly", ptf)):
+        argv = ["verify-reduction", "--construction", construction, "--n", "2", "--concept", str(path)]
+        assert "theta" in _usage_error(capsys, argv)["error"]
+
+
+@pytest.mark.parametrize(
+    "text, n", [("dim 4\n1 2\n-1 -2\n", 4), ("dim 24\n1 2 3\n-1 -2 4\n", 24)]
+)
+def test_learn_is_one_trial(tmp_path, capsys, text, n):
+    path = tmp_path / "target.dnf"
+    path.write_text(text)
+    argv = ["learn", "--target", str(path), "--dist", f"uniform:{n}", "--m1", "300", "--m2", "600"]
+    assert main(argv + ["--seed", "9"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    run, loss, estimator = run_trial(parse_dnf(text), UniformCube(n), 300, 600, 1, (9, 10, 11))
+    assert payload["estimator"] == estimator == ("exact" if n <= 20 else "mc")
+    assert payload["loss"] == str(loss)
+    assert payload["hypothesis"] == dump_dnf(run.formula).splitlines()
+    assert payload["queries"] == run.oracle_stats.query_count
+    assert payload["positives"] == run.positives_seen
+
+
+def test_suite_config_overrides_flags(tmp_path, capsys):
+    cfg = tmp_path / "suite.cfg"
+    cfg.write_text("which = learning\nfamily = opposite\ntrials = 2\nm1 = 300\nm2 = 1000\n")
+    assert main(["suite", "--config", str(cfg), "--trials", "9"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["trials"] == 2
+
+
+@pytest.mark.parametrize("line", ["trails = 2", "out = x.jsonl", "trials 2"])
+def test_suite_config_rejects_unknown_or_malformed_lines(tmp_path, capsys, line):
+    cfg = tmp_path / "suite.cfg"
+    cfg.write_text(f"which = corpus\n{line}\n")
+    assert _usage_error(capsys, ["suite", "--config", str(cfg)])["type"] == "ValueError"
+
+
+def test_suite_config_values_are_checked_like_flags(tmp_path, capsys):
+    cfg = tmp_path / "suite.cfg"
+    cfg.write_text("which = bogus\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["suite", "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err

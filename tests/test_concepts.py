@@ -15,14 +15,7 @@ from lmqlab.concepts import (
     SparsePtf,
     Term,
     dnf_of_tree,
-    eval_dfa,
-    eval_dnf,
-    eval_junta,
-    eval_poly,
-    eval_ptf,
-    eval_tree,
     maj_poly,
-    term_satisfied,
 )
 from lmqlab.cube import CubePoint, DimensionMismatch, enumerate_cube
 from lmqlab.harness import parity_dfa, random_tree
@@ -35,24 +28,28 @@ def P(text: str) -> CubePoint:
 class TestDnf:
     def test_first_term_satisfied(self):
         f = DnfFormula(3, (Term.of(1, 2), Term.of(-1, 3)))
-        assert eval_dnf(f, P("++-")) == 1
+        assert f.evaluate(P("++-")) == 1
 
     def test_no_term_satisfied(self):
         f = DnfFormula(3, (Term.of(1, 2), Term.of(-1, 3)))
-        assert eval_dnf(f, P("---")) == 0
+        assert f.evaluate(P("---")) == 0
 
     def test_empty_formula_and_empty_term_conventions(self):
         empty_formula = DnfFormula(2, ())
         always = DnfFormula(2, (Term(frozenset(), frozenset()),))
         for x in enumerate_cube(2):
-            assert eval_dnf(empty_formula, x) == 0
-            assert eval_dnf(always, x) == 1
+            assert empty_formula.evaluate(x) == 0
+            assert always.evaluate(x) == 1
 
     def test_term_satisfied_examples(self):
         t = Term.of(1, -2)
-        assert term_satisfied(t, P("+-")) is True
-        assert term_satisfied(t, P("++")) is False
-        assert term_satisfied(Term(frozenset(), frozenset()), P("--")) is True
+        assert t.satisfied_by(P("+-")) is True
+        assert t.satisfied_by(P("++")) is False
+        assert Term(frozenset(), frozenset()).satisfied_by(P("--")) is True
+
+    def test_term_variable_beyond_point_dimension(self):
+        with pytest.raises(DimensionMismatch):
+            Term.of(3).satisfied_by(P("++"))
 
     def test_contradictory_term_rejected(self):
         with pytest.raises(ValueError):
@@ -65,7 +62,7 @@ class TestDnf:
     def test_dimension_mismatch(self):
         f = DnfFormula(3, (Term.of(1),))
         with pytest.raises(DimensionMismatch):
-            eval_dnf(f, P("++"))
+            f.evaluate(P("++"))
 
     def test_satisfied_indices(self):
         f = DnfFormula(2, (Term.of(1), Term.of(2)))
@@ -80,9 +77,9 @@ class TestTree:
 
     def test_trace(self):
         # Low branch at the root, then low at the inner node, lands on 1.
-        assert eval_tree(self.tree(), P("--")) == 1
-        assert eval_tree(self.tree(), P("-+")) == 0
-        assert eval_tree(self.tree(), P("+-")) == 1
+        assert self.tree().evaluate(P("--")) == 1
+        assert self.tree().evaluate(P("-+")) == 0
+        assert self.tree().evaluate(P("+-")) == 1
 
     def test_dnf_of_tree_paths(self):
         f = dnf_of_tree(self.tree())
@@ -96,7 +93,7 @@ class TestTree:
         t = DecisionTree(2, Leaf(1))
         f = dnf_of_tree(t)
         assert len(f.terms) == 1 and f.terms[0].width == 0
-        assert all(eval_dnf(f, x) == 1 for x in enumerate_cube(2))
+        assert all(f.evaluate(x) == 1 for x in enumerate_cube(2))
 
     def test_dnf_of_tree_equivalence_random(self):
         rng = random.Random(99)
@@ -106,25 +103,25 @@ class TestTree:
             f = dnf_of_tree(tree)
             assert len(f.terms) <= tree.leaf_count
             for x in enumerate_cube(n):
-                label = eval_tree(tree, x)
-                assert eval_dnf(f, x) == label
+                label = tree.evaluate(x)
+                assert f.evaluate(x) == label
                 if label == 1:
                     assert len(f.satisfied_indices(x)) == 1
 
     def test_evaluator_is_pure(self):
         t = self.tree()
-        assert eval_tree(t, P("-+")) == eval_tree(t, P("-+"))
+        assert t.evaluate(P("-+")) == t.evaluate(P("-+"))
 
 
 class TestDfa:
     def test_parity_hand_run(self):
         # Two -1 symbols: even count, rejected.
-        assert eval_dfa(parity_dfa(3), P("-+-")) == 0
-        assert eval_dfa(parity_dfa(3), P("---")) == 1
+        assert parity_dfa(3).evaluate(P("-+-")) == 0
+        assert parity_dfa(3).evaluate(P("---")) == 1
 
     def test_length_must_match(self):
         with pytest.raises(DimensionMismatch):
-            eval_dfa(parity_dfa(3), P("++"))
+            parity_dfa(3).evaluate(P("++"))
 
     def test_transition_totality_enforced(self):
         with pytest.raises(ValueError):
@@ -134,7 +131,7 @@ class TestDfa:
         a = parity_dfa(4)
         for x in enumerate_cube(4):
             minus_count = sum(1 for b in x.bits if b == -1)
-            assert eval_dfa(a, x) == (minus_count % 2)
+            assert a.evaluate(x) == (minus_count % 2)
 
 
 class TestJunta:
@@ -142,7 +139,7 @@ class TestJunta:
         h = Junta(4, (1, 2), (0, 1, 1, 0))
         for x in enumerate_cube(4):
             expected = 1 if x.bit(1) != x.bit(2) else 0
-            assert eval_junta(h, x) == expected
+            assert h.evaluate(x) == expected
 
     def test_table_size_validated(self):
         with pytest.raises(ValueError):
@@ -164,8 +161,8 @@ class TestPoly:
                 frozenset({1, 2, 3}): Fraction(-1, 2),
             },
         )
-        assert eval_poly(p, P("++-")) == 1
-        assert eval_poly(p, P("--+")) == -1
+        assert p.evaluate(P("++-")) == 1
+        assert p.evaluate(P("--+")) == -1
 
     def test_zero_coefficients_dropped(self):
         p = SparsePoly(2, {frozenset({1}): Fraction(0), frozenset(): Fraction(1)})
@@ -174,8 +171,8 @@ class TestPoly:
     def test_ptf_threshold(self):
         p = SparsePoly(2, {frozenset({1}): Fraction(1), frozenset({2}): Fraction(1)})
         f = SparsePtf(p, Fraction(2))
-        assert eval_ptf(f, P("++")) == 1
-        assert eval_ptf(f, P("+-")) == 0
+        assert f.evaluate(P("++")) == 1
+        assert f.evaluate(P("+-")) == 0
 
     def test_poly_concept_adapter(self):
         maj = PolyConcept(maj_poly(3))

@@ -5,9 +5,8 @@ from lmqlab.cube import (
     ENUMERATION_CAP,
     CubePoint,
     DimensionMismatch,
+    ball_size,
     enumerate_cube,
-    flip,
-    hamming_distance,
     in_ball,
     masks_at_distance,
 )
@@ -18,41 +17,41 @@ def P(text: str) -> CubePoint:
 
 
 def test_hamming_identity():
-    assert hamming_distance(P("+++"), P("+++")) == 0
+    assert P("+++").hamming(P("+++")) == 0
 
 
 def test_hamming_counts_differing_coordinates():
-    assert hamming_distance(P("+-+"), P("---")) == 2
+    assert P("+-+").hamming(P("---")) == 2
 
 
 def test_hamming_full_complement():
     x = P("+-+-+")
     y = CubePoint.from_bits([-b for b in x.bits])
-    assert hamming_distance(x, y) == 5
+    assert x.hamming(y) == 5
 
 
 def test_hamming_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        hamming_distance(P("++"), P("+++"))
+        P("++").hamming(P("+++"))
 
 
 def test_flip_definition():
-    assert flip(P("++"), 1) == P("-+")
+    assert P("++").flip(1) == P("-+")
 
 
 def test_flip_out_of_range():
     with pytest.raises(ValueError):
-        flip(P("++"), 3)
+        P("++").flip(3)
     with pytest.raises(ValueError):
-        flip(P("++"), 0)
+        P("++").flip(0)
 
 
 @given(st.integers(1, 12).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, 2 ** n - 1), st.integers(1, n))))
 def test_flip_involution_and_distance(case):
     n, mask, j = case
     x = CubePoint(n, mask)
-    assert flip(flip(x, j), j) == x
-    assert hamming_distance(x, flip(x, j)) == 1
+    assert x.flip(j).flip(j) == x
+    assert x.hamming(x.flip(j)) == 1
 
 
 @given(
@@ -64,9 +63,9 @@ def test_flip_involution_and_distance(case):
 )
 def test_hamming_is_a_metric(points):
     x, y, z = points
-    assert hamming_distance(x, y) == hamming_distance(y, x)
-    assert (hamming_distance(x, y) == 0) == (x == y)
-    assert hamming_distance(x, z) <= hamming_distance(x, y) + hamming_distance(y, z)
+    assert x.hamming(y) == y.hamming(x)
+    assert (x.hamming(y) == 0) == (x == y)
+    assert x.hamming(z) <= x.hamming(y) + y.hamming(z)
 
 
 def test_in_ball_basic_cases():
@@ -79,9 +78,16 @@ def test_in_ball_basic_cases():
 def test_in_ball_matches_min_distance_exhaustively():
     anchors = [P("++-"), P("---")]
     for z in enumerate_cube(3):
-        best = min(hamming_distance(z, a) for a in anchors)
+        best = min(z.hamming(a) for a in anchors)
         for q in range(4):
             assert in_ball(z, anchors, q) == (best <= q)
+
+
+def test_ball_size_counts_points_within_radius():
+    for n in range(1, 7):
+        for q in range(n + 2):
+            within = sum(1 for m in range(1 << n) if m.bit_count() <= q)
+            assert ball_size(n, q) == within
 
 
 def test_enumerate_base_case_and_order():

@@ -3,18 +3,18 @@ from fractions import Fraction
 
 import pytest
 
-from lmqlab.concepts import DecisionTree, DnfFormula, Leaf, Node, Term, eval_dnf, eval_tree
+from lmqlab.concepts import DecisionTree, DnfFormula, Leaf, Node, Term
 from lmqlab.cube import CubePoint, enumerate_cube
 from lmqlab.distributions import FiniteSupport, UniformCube
 from lmqlab.evident import (
     doubling_dnf,
-    doubling_phi,
     evidence_report,
     flips_reveal_term,
     gen_opposite_literal_dnf,
     satisfies_evidently,
 )
 from lmqlab.harness import random_tree
+from lmqlab.reductions import ReplicateMap
 
 
 def P(text: str) -> CubePoint:
@@ -172,7 +172,7 @@ class TestGenerator:
 
 class TestDoubling:
     def test_phi_duplicates_coordinates(self):
-        assert doubling_phi(P("+-")) == P("++--")
+        assert ReplicateMap(2, 2).apply(P("+-")) == P("++--")
 
     def test_term_doubling(self):
         tree = DecisionTree(2, Node(1, Node(2, Leaf(1), Leaf(0)), Leaf(0)))
@@ -184,7 +184,7 @@ class TestDoubling:
         f = doubling_dnf(tree)
         assert set(t.signed() for t in f.terms) == {(1, 2), (-1, -2, -3, -4)}
         for x in enumerate_cube(2):
-            assert eval_tree(tree, x) == eval_dnf(f, doubling_phi(x))
+            assert tree.evaluate(x) == f.evaluate(ReplicateMap(2, 2).apply(x))
 
     def test_doubling_makes_positives_evident(self):
         rng = random.Random(31)
@@ -194,8 +194,8 @@ class TestDoubling:
             f = doubling_dnf(tree)
             assert len(f.terms) <= tree.leaf_count
             for x in enumerate_cube(n):
-                if eval_tree(tree, x) == 1:
-                    z = doubling_phi(x)
+                if tree.evaluate(x) == 1:
+                    z = ReplicateMap(n, 2).apply(x)
                     hit = f.satisfied_indices(z)
                     assert len(hit) == 1
                     assert satisfies_evidently(f, hit[0], z)

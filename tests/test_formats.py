@@ -45,6 +45,21 @@ def test_dnf_dimension_inference_and_override():
     assert parse_dnf("dim 6\n2\n").n == 6
 
 
+def test_dnf_explicit_zero_dimension_rejected():
+    with pytest.raises(ValueError, match="positive"):
+        parse_dnf("dim 3\n1\n", n=0)
+
+
+def test_tree_explicit_zero_dimension_rejected():
+    with pytest.raises(ValueError, match="positive"):
+        parse_tree("dim 3\n(1 0 1)\n", n=0)
+
+
+def test_poly_explicit_zero_dimension_rejected():
+    with pytest.raises(ValueError, match="positive"):
+        parse_poly("dim 3\n1/2:\n", n=0)
+
+
 def test_dnf_empty_term_marker():
     f = parse_dnf("dim 3\n0\n")
     assert f.terms[0].width == 0

@@ -161,8 +161,6 @@ def test_monte_carlo_estimator_above_enumeration_bound():
         trials=1,
         m1=300,
         m2=600,
-        exact_loss_max_n=20,
-        mc_samples=20_000,
     )
     report = run_learning_suite(cfg)
     trial = report.trials[0]

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from lmqlab.concepts import DnfFormula, Term, eval_dnf
+from lmqlab.concepts import DnfFormula, Term
 from lmqlab.cube import CubePoint, enumerate_cube
 from lmqlab.distributions import LabeledSample, UniformCube, exact_loss
 from lmqlab.evident import gen_opposite_literal_dnf, satisfies_evidently
@@ -88,7 +88,7 @@ class TestLearner:
         oracle = LocalMQOracle.for_samples(target, 1, s1, s2)
         learned = learn_evident_dnf(s1, s2, oracle)
         for x in enumerate_cube(4):
-            assert eval_dnf(learned, x) == eval_dnf(target, x)
+            assert learned.evaluate(x) == target.evaluate(x)
         assert exact_loss(dist, target, learned) == 0
         # Pruning soundness: nothing in the output fires on a known negative.
         for term in learned.terms:

@@ -32,18 +32,13 @@ from lmqlab.reductions import (
     corrupted_dnf_reduction_without_detector,
     corrupted_tree_reduction_first_copy,
     dfa_product_or,
-    dfa_type_a_reduction,
-    dnf_type_a_reduction,
-    junta_type_b_reduction,
     majority_label,
-    poly_type_b_reduction,
-    ptf_type_b_reduction,
+    make_reduction,
     reduce_dnf_type_a,
     reduce_junta_type_b,
     reduce_poly_type_b,
     reduce_tree_type_b,
     simulate_pac_from_local,
-    tree_type_b_reduction,
     verify_reduction,
 )
 
@@ -97,7 +92,7 @@ class TestDnfReduction:
             assert fp.evaluate(phi.apply(x)) == f.evaluate(x)
 
     def test_verifier_passes(self):
-        report = verify_reduction(dnf_type_a_reduction(2), DnfFormula(2, (Term.of(1),)))
+        report = verify_reduction(make_reduction("dnf", 2), DnfFormula(2, (Term.of(1),)))
         assert report.passed
         assert report.image_checked == 4
         assert report.ball_checked > 0
@@ -109,7 +104,7 @@ class TestDnfReduction:
 
     def test_custom_replication_factor(self):
         f = DnfFormula(2, (Term.of(1),))
-        reduction = dnf_type_a_reduction(2, k=6)
+        reduction = make_reduction("dnf", 2, k=6)
         assert reduction.q == 5
         assert reduction.phi.target_n == 12
         assert verify_reduction(reduction, f).passed
@@ -152,14 +147,14 @@ class TestDfaReduction:
             assert both.evaluate(z) == (c.evaluate(z) | s.evaluate(z))
 
     def test_verifier_passes(self):
-        report = verify_reduction(dfa_type_a_reduction(2), parity_dfa(2))
+        report = verify_reduction(make_reduction("dfa", 2), parity_dfa(2))
         assert report.passed
         rng = random.Random(5)
-        report = verify_reduction(dfa_type_a_reduction(3), random_dfa(3, 3, rng))
+        report = verify_reduction(make_reduction("dfa", 3), random_dfa(3, 3, rng))
         assert report.passed
 
     def test_custom_replication_factor(self):
-        reduction = dfa_type_a_reduction(2, k=5)
+        reduction = make_reduction("dfa", 2, k=5)
         assert reduction.phi.target_n == 10
         assert verify_reduction(reduction, parity_dfa(2)).passed
 
@@ -206,7 +201,7 @@ class TestJuntaReduction:
             reduce_junta_type_b(h, 2)
 
     def test_verifier_passes(self):
-        report = verify_reduction(junta_type_b_reduction(4, 1), Junta(4, (1, 2), (0, 1, 1, 0)))
+        report = verify_reduction(make_reduction("junta", 4, q0=1), Junta(4, (1, 2), (0, 1, 1, 0)))
         assert report.passed
 
 
@@ -241,7 +236,7 @@ class TestTreeReduction:
 
     def test_verifier_passes(self):
         tree = random_tree(4, 4, random.Random(2))
-        assert verify_reduction(tree_type_b_reduction(4, 1), tree).passed
+        assert verify_reduction(make_reduction("tree", 4, q0=1), tree).passed
 
 
 class TestPolyReduction:
@@ -273,10 +268,21 @@ class TestPolyReduction:
         assert grown.degree == 6
         assert grown.coefficient_count == 16
 
+    def test_all_pairs_quadratic_within_cap(self):
+        # 1770 monomials of degree 2, each expanding to 4 x 4 disjoint-block products.
+        pairs = {frozenset(pair): Fraction(1) for pair in combinations(range(1, 61), 2)}
+        grown = reduce_poly_type_b(SparsePoly(60, pairs), 1)
+        assert grown.coefficient_count == 28_320
+
+    def test_coefficient_cap_enforced(self):
+        p = SparsePoly(4, {frozenset({1, 2, 3, 4}): Fraction(1)})
+        with pytest.raises(ValueError, match="cap"):
+            reduce_poly_type_b(p, 1, coeff_cap=100)
+
     def test_ptf_threshold_preserved(self):
         poly = SparsePoly(3, {frozenset({j}): Fraction(1) for j in range(1, 4)})
         f = SparsePtf(poly, Fraction(1, 2))
-        grown = ptf_type_b_reduction(3, 1).transform(f)
+        grown = make_reduction("ptf", 3, q0=1).transform(f)
         assert grown.theta == f.theta
         phi = ReplicateMap(3, 3)
         for x in enumerate_cube(3):
@@ -284,9 +290,9 @@ class TestPolyReduction:
 
     def test_verifier_passes_linear_and_ptf(self):
         linear = SparsePoly(3, {frozenset({1}): Fraction(1, 2), frozenset({2}): Fraction(1, 3)})
-        assert verify_reduction(poly_type_b_reduction(3, 1), linear).passed
+        assert verify_reduction(make_reduction("poly", 3, q0=1), linear).passed
         ptf = SparsePtf(linear, Fraction(0))
-        assert verify_reduction(ptf_type_b_reduction(3, 2), ptf).passed
+        assert verify_reduction(make_reduction("ptf", 3, q0=2), ptf).passed
 
 
 class TestSimulation:
@@ -299,7 +305,7 @@ class TestSimulation:
 
     def test_kind_a_answers_match_ground_truth(self):
         f = DnfFormula(3, (Term.of(1),))
-        reduction = dnf_type_a_reduction(3)
+        reduction = make_reduction("dnf", 3)
         s1, s2 = self._samples(f, 3, 200, seed=900)
         transformed = reduction.transform(f)
         composed, answerer = simulate_pac_from_local(learn_evident_dnf, reduction, s1, s2)
@@ -309,21 +315,21 @@ class TestSimulation:
 
     def test_kind_a_off_image_answer_is_one(self):
         f = DnfFormula(2, (Term.of(1),))
-        reduction = dnf_type_a_reduction(2)
+        reduction = make_reduction("dnf", 2)
         anchor = ReplicateMap(2, 4).apply(P("+-"))
         answerer = SyntheticAnswerer(reduction, [(anchor, 1)])
         assert answerer.query(anchor.flip(3)) == 1
 
     def test_kind_a_anchor_answer_is_its_label(self):
         f = DnfFormula(2, (Term.of(1),))
-        reduction = dnf_type_a_reduction(2)
+        reduction = make_reduction("dnf", 2)
         anchor = ReplicateMap(2, 4).apply(P("-+"))
         answerer = SyntheticAnswerer(reduction, [(anchor, 0)])
         assert answerer.query(anchor) == 0
 
     def test_kind_b_answers_match_ground_truth(self):
         h = Junta(4, (1, 2), (0, 1, 1, 0))
-        reduction = junta_type_b_reduction(4, 1)
+        reduction = make_reduction("junta", 4, q0=1)
         s1, s2 = self._samples(h, 4, 200, seed=901)
         transformed = reduction.transform(h)
         composed, answerer = simulate_pac_from_local(learn_evident_dnf, reduction, s1, s2)
@@ -334,7 +340,7 @@ class TestSimulation:
             assert composed.evaluate(x) in (0, 1)
 
     def test_kind_b_unique_anchor_at_distance_zero(self):
-        reduction = junta_type_b_reduction(2, 1)
+        reduction = make_reduction("junta", 2, q0=1)
         phi = reduction.phi
         z = phi.apply(P("+-"))
         answerer = SyntheticAnswerer(reduction, [(z, 1), (phi.apply(P("-+")), 0)])
@@ -354,6 +360,31 @@ class TestSimulation:
         answerer = SyntheticAnswerer(fake, [(P("++"), 1)])
         with pytest.raises(AnchorUniquenessError):
             answerer.query(P("--"))
+
+
+class TestMakeReduction:
+    def test_kind_a_replicates_k_times(self):
+        assert make_reduction("dnf", 3).phi == ReplicateMap(3, 9)
+        r = make_reduction("dfa", 2, k=5, q0=7)
+        assert (r.kind, r.phi, r.q) == ("A", ReplicateMap(2, 5), 4)
+
+    def test_kind_b_takes_odd_copies(self):
+        r = make_reduction("tree", 3, k=9, q0=2)
+        assert (r.kind, r.phi, r.q) == ("B", ReplicateMap(3, 5), 2)
+
+    def test_unknown_name_rejected(self):
+        with pytest.raises(ValueError, match="unknown construction"):
+            make_reduction("cnf", 2)
+
+    def test_negative_controls_share_the_replication_policy(self):
+        pairs = [
+            (corrupted_dnf_reduction_without_detector(2), make_reduction("dnf", 2)),
+            (corrupted_dfa_reduction_stuck_simulator(2), make_reduction("dfa", 2)),
+            (corrupted_tree_reduction_first_copy(2, 1), make_reduction("tree", 2, q0=1)),
+        ]
+        for broken, shipped in pairs:
+            assert (broken.kind, broken.phi, broken.q) == (shipped.kind, shipped.phi, shipped.q)
+            assert broken.name != shipped.name
 
 
 class TestNegativeControls:
@@ -381,9 +412,9 @@ class TestNegativeControls:
 class TestVerifierGuards:
     def test_flip_budget_guard(self):
         with pytest.raises(ValueError, match="budget"):
-            verify_reduction(dnf_type_a_reduction(6), DnfFormula(6, (Term.of(1),)), enum_budget=1000)
+            verify_reduction(make_reduction("dnf", 6), DnfFormula(6, (Term.of(1),)), enum_budget=1000)
 
     def test_ball_radius_respects_cap(self):
-        report = verify_reduction(dnf_type_a_reduction(3), DnfFormula(3, (Term.of(1),)), cap_q=1)
+        report = verify_reduction(make_reduction("dnf", 3), DnfFormula(3, (Term.of(1),)), cap_q=1)
         assert report.flip_radius == 1
         assert report.passed
