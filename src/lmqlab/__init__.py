@@ -9,10 +9,10 @@ polynomials. Everything is verified exhaustively at desk scale.
 
 from .cube import (
     ENUMERATION_CAP,
+    AnchorIndex,
     CubePoint,
     DimensionMismatch,
     enumerate_cube,
-    in_ball,
 )
 from .concepts import (
     Concept,
@@ -65,7 +65,6 @@ from .learner import (
 )
 from .reductions import (
     CONSTRUCTIONS,
-    AnchorUniquenessError,
     ComposedConcept,
     QReduction,
     ReductionReport,

@@ -35,6 +35,7 @@ from .harness import (
     run_trial,
 )
 from .learner import plan_samples
+from .oracle import BudgetExhausted, LocalityViolation
 from .reductions import CONSTRUCTIONS, make_reduction, verify_reduction
 
 # Keys a suite config file may set; each stands for the suite flag of that name.
@@ -240,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command: exit 0 on a passed verdict, 1 on a failed one, 2 on bad input."""
+    """Run one command: exit 0 on a passed verdict, 1 on a failed one, 2 on bad input or a refused query."""
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
@@ -249,7 +250,7 @@ def main(argv: list[str] | None = None) -> int:
             # Config lines come last, so they override the flags.
             args = parser.parse_args(argv + _config_flags(args.config))
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, LocalityViolation, BudgetExhausted) as exc:
         sys.stderr.write(json.dumps({"error": str(exc), "type": type(exc).__name__}) + "\n")
         raise SystemExit(2) from None
 

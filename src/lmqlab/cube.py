@@ -81,16 +81,6 @@ class CubePoint:
         return f"CubePoint({self.to_string()!r})"
 
 
-def in_ball(z: CubePoint, anchors: Iterable[CubePoint], q: int) -> bool:
-    """True iff some anchor lies within Hamming distance q of z.
-
-    Empty anchor collections yield False.
-    """
-    if q < 0:
-        raise ValueError(f"radius must be non-negative, got {q}")
-    return any(z.hamming(a) <= q for a in anchors)
-
-
 def ball_size(n: int, q: int) -> int:
     """Number of points within Hamming distance q of a point of {-1,+1}^n."""
     total, c = 0, 1
@@ -109,14 +99,51 @@ def masks_at_distance(mask: int, n: int, r: int) -> Iterator[int]:
         yield m
 
 
-def enumerate_cube(n: int, cap: int = ENUMERATION_CAP) -> Iterator[CubePoint]:
+class AnchorIndex:
+    """Nearest anchor within Hamming distance q of a query, over n-bit masks.
+
+    Fixed once per anchor set: scan the anchors if they are no more than the
+    points of a q-ball, else walk the ball around the query from radius 0.
+    """
+
+    __slots__ = ("n", "q", "masks", "walk")
+
+    def __init__(self, masks: Iterable[int], n: int, q: int):
+        if q < 0:
+            raise ValueError(f"locality budget must be non-negative, got {q}")
+        self.n, self.q = n, q
+        self.masks = frozenset(masks)
+        self.walk = len(self.masks) > ball_size(n, q)
+
+    def nearest(self, z: int) -> tuple[int, int] | None:
+        """``(anchor, distance)`` for a closest anchor to z, or None if none is within q."""
+        if self.walk:
+            for r in range(self.q + 1):
+                for m in masks_at_distance(z, self.n, r):
+                    if m in self.masks:
+                        return m, r
+            return None
+        found, limit = None, self.q
+        for m in self.masks:
+            d = (z ^ m).bit_count()
+            if d <= limit:
+                found, limit = (m, d), d - 1
+        return found
+
+    def min_distance(self, z: int) -> int | None:
+        """Exact distance from z to the nearest anchor, however far; None without anchors."""
+        return min(((z ^ m).bit_count() for m in self.masks), default=None)
+
+
+def enumerate_cube(n: int) -> Iterator[CubePoint]:
     """Yield all 2^n points in lexicographic order of coordinates (-1 < +1).
 
-    Refuses dimensions above ``cap`` so exhaustive loops stay at desk scale.
+    Refuses dimensions above ``ENUMERATION_CAP`` so exhaustive loops stay at
+    desk scale.
     """
     if n < 1:
         raise ValueError(f"dimension must be a positive integer, got {n}")
-    if n > cap:
-        raise ValueError(f"dimension {n} exceeds enumeration cap {cap}")
+    if n > ENUMERATION_CAP:
+        raise ValueError(f"dimension {n} exceeds enumeration cap {ENUMERATION_CAP}")
     for mask in range(1 << n):
         yield CubePoint(n, mask)

@@ -39,9 +39,9 @@ class UniformCube:
     def draw(self, rng: random.Random) -> CubePoint:
         return CubePoint(self.n, rng.getrandbits(self.n))
 
-    def support(self, cap: int = ENUMERATION_CAP) -> Iterator[tuple[CubePoint, Fraction]]:
-        if self.n > cap:
-            raise ValueError(f"dimension {self.n} exceeds enumeration cap {cap}")
+    def support(self) -> Iterator[tuple[CubePoint, Fraction]]:
+        if self.n > ENUMERATION_CAP:
+            raise ValueError(f"dimension {self.n} exceeds enumeration cap {ENUMERATION_CAP}")
         p = Fraction(1, 1 << self.n)
         for mask in range(1 << self.n):
             yield CubePoint(self.n, mask), p
@@ -68,9 +68,9 @@ class ProductDist:
             mask = (mask << 1) | (rng.random() < p)
         return CubePoint(self.n, mask)
 
-    def support(self, cap: int = ENUMERATION_CAP) -> Iterator[tuple[CubePoint, Fraction]]:
-        if self.n > cap:
-            raise ValueError(f"dimension {self.n} exceeds enumeration cap {cap}")
+    def support(self) -> Iterator[tuple[CubePoint, Fraction]]:
+        if self.n > ENUMERATION_CAP:
+            raise ValueError(f"dimension {self.n} exceeds enumeration cap {ENUMERATION_CAP}")
         for mask in range(1 << self.n):
             prob = Fraction(1)
             for j, p in enumerate(self.plus_probs):
@@ -114,7 +114,7 @@ class FiniteSupport:
         i = bisect_right(cum, rng.random() * cum[-1])
         return self.entries[min(i, len(self.entries) - 1)][0]
 
-    def support(self, cap: int = ENUMERATION_CAP) -> Iterator[tuple[CubePoint, Fraction]]:
+    def support(self) -> Iterator[tuple[CubePoint, Fraction]]:
         return iter(self.entries)
 
 
@@ -129,7 +129,7 @@ def sample(dist: Distribution, m: int, seed: int) -> list[CubePoint]:
     return [dist.draw(rng) for _ in range(m)]
 
 
-def pushforward(dist: Distribution, phi: CoordinateMap, cap: int = ENUMERATION_CAP) -> FiniteSupport:
+def pushforward(dist: Distribution, phi: CoordinateMap) -> FiniteSupport:
     """Image distribution assigning each source mass to its mapped point.
 
     The map must be injective on the support; colliding images would merge
@@ -139,7 +139,7 @@ def pushforward(dist: Distribution, phi: CoordinateMap, cap: int = ENUMERATION_C
         raise DimensionMismatch(f"map expects dimension {phi.source_n}, distribution has {dist.n}")
     entries: list[tuple[CubePoint, Fraction]] = []
     seen: dict[int, CubePoint] = {}
-    for point, prob in dist.support(cap=cap):
+    for point, prob in dist.support():
         image = phi.apply(point)
         if image.mask in seen:
             raise ValueError(
@@ -170,28 +170,25 @@ class LabeledSample:
     def __iter__(self) -> Iterator[tuple[CubePoint, int]]:
         return iter(self.pairs)
 
-    def points(self) -> list[CubePoint]:
-        return [x for x, _ in self.pairs]
-
     def positives(self) -> list[CubePoint]:
         return [x for x, y in self.pairs if y == 1]
 
 
-def exact_loss(dist: Distribution, h_star: Concept, h_hat: Concept, cap: int = ENUMERATION_CAP) -> Fraction:
+def exact_loss(dist: Distribution, h_star: Concept, h_hat: Concept) -> Fraction:
     """Exact disagreement mass between two concepts under the distribution.
 
-    Requires an enumerable distribution; above the cap use ``mc_loss``.
+    Requires an enumerable distribution; above ``ENUMERATION_CAP`` use ``mc_loss``.
     """
     if h_star.n != dist.n or h_hat.n != dist.n:
         raise DimensionMismatch(
             f"dimensions disagree: distribution {dist.n}, concepts {h_star.n}/{h_hat.n}"
         )
-    if isinstance(dist, (UniformCube, ProductDist)) and dist.n > cap:
+    if isinstance(dist, (UniformCube, ProductDist)) and dist.n > ENUMERATION_CAP:
         raise ValueError(
-            f"dimension {dist.n} exceeds enumeration cap {cap}; use mc_loss for an estimate"
+            f"dimension {dist.n} exceeds enumeration cap {ENUMERATION_CAP}; use mc_loss for an estimate"
         )
     loss = Fraction(0)
-    for point, prob in dist.support(cap=cap):
+    for point, prob in dist.support():
         if h_star.evaluate(point) != h_hat.evaluate(point):
             loss += prob
     return loss

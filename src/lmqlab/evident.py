@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .concepts import DecisionTree, DnfFormula, Term, dnf_of_tree
-from .cube import CubePoint, DimensionMismatch, ENUMERATION_CAP
+from .cube import CubePoint, DimensionMismatch
 from .distributions import Distribution
 
 
@@ -92,10 +92,7 @@ class EvidenceReport:
 
 
 def evidence_report(
-    formula: DnfFormula,
-    dist: Distribution,
-    beta: Optional[Fraction] = None,
-    cap: int = ENUMERATION_CAP,
+    formula: DnfFormula, dist: Distribution, beta: Optional[Fraction] = None
 ) -> EvidenceReport:
     """Exact per-term evidence rates under an enumerable distribution.
 
@@ -110,7 +107,7 @@ def evidence_report(
         beta = Fraction(1, formula.n)
     sat = [Fraction(0)] * len(formula.terms)
     evi = [Fraction(0)] * len(formula.terms)
-    for point, prob in dist.support(cap=cap):
+    for point, prob in dist.support():
         hit = formula.satisfied_indices(point)
         for i in hit:
             sat[i] += prob

@@ -37,9 +37,8 @@ from .evident import (
     satisfies_evidently,
 )
 from .learner import LearnerRun, learn_evident_dnf, learn_evident_dnf_run, reconstruct_term
-from .oracle import LocalMQOracle, draw_training_set
+from .oracle import BudgetExhausted, LocalityViolation, LocalMQOracle, draw_training_set
 from .reductions import (
-    AnchorUniquenessError,
     QReduction,
     ReplicateMap,
     build_block_checker,
@@ -291,6 +290,10 @@ def run_learning_suite(cfg: ExperimentConfig) -> SuiteReport:
             seeds = (derive_seed(seed, "s1"), derive_seed(seed, "s2"), derive_seed(seed, "loss"))
             run, loss, estimator = run_trial(target, dist, cfg.m1, cfg.m2, cfg.q, seeds)
             seconds = time.perf_counter() - t0
+        except (LocalityViolation, BudgetExhausted) as exc:
+            # A refused query stays a refusal, so the CLI reports it as bad input.
+            exc.args = (f"trial {i} (seed {seed}) failed: {exc}",)
+            raise
         except Exception as exc:
             raise RuntimeError(f"trial {i} (seed {seed}) failed: {exc}") from exc
         stats = run.oracle_stats
@@ -584,7 +587,7 @@ def _audit_simulation(
     transformed = reduction.transform(concept)
     try:
         _, answerer = simulate_pac_from_local(learn_evident_dnf, reduction, s1, s2)
-    except AnchorUniquenessError:
+    except LocalityViolation:
         report.uniqueness_errors += 1
         return
     for z, answer in answerer.log:

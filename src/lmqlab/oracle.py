@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .concepts import Concept
-from .cube import CubePoint, DimensionMismatch, ball_size, masks_at_distance
+from .cube import AnchorIndex, CubePoint, DimensionMismatch
 from .distributions import Distribution, LabeledSample, sample
 
 QUERY_BUDGET_FACTOR = 64
@@ -64,8 +64,6 @@ class LocalMQOracle:
         q: int,
         query_cap: int | None = None,
     ):
-        if q < 0:
-            raise ValueError(f"locality budget must be non-negative, got {q}")
         self.target = target
         self.n = target.n
         self.q = q
@@ -73,7 +71,7 @@ class LocalMQOracle:
         for a in self.anchors:
             if a.n != self.n:
                 raise DimensionMismatch(f"anchor dimension {a.n} differs from target {self.n}")
-        self._anchor_masks = frozenset(a.mask for a in self.anchors)
+        self._index = AnchorIndex((a.mask for a in self.anchors), self.n, q)
         if query_cap is None:
             query_cap = QUERY_BUDGET_FACTOR * self.n * max(1, len(self.anchors))
         self.query_cap = query_cap
@@ -95,35 +93,16 @@ class LocalMQOracle:
     def log(self) -> tuple[QueryRecord, ...]:
         return tuple(self._log)
 
-    def _min_distance(self, z: CubePoint) -> int | None:
-        """Smallest anchor distance if it is <= q, else None (exact on demand)."""
-        if not self.anchors:
-            return None
-        # Whichever costs fewer probes: scan the anchors, or walk the q-ball.
-        if len(self._anchor_masks) <= ball_size(self.n, self.q):
-            best = min((z.mask ^ m).bit_count() for m in self._anchor_masks)
-            return best if best <= self.q else None
-        for r in range(self.q + 1):
-            for m in masks_at_distance(z.mask, self.n, r):
-                if m in self._anchor_masks:
-                    return r
-        return None
-
     def query(self, z: CubePoint) -> int:
         if z.n != self.n:
             raise DimensionMismatch(f"query dimension {z.n} differs from oracle {self.n}")
-        dist = self._min_distance(z)
-        if dist is None:
-            exact = (
-                min((z.mask ^ m).bit_count() for m in self._anchor_masks)
-                if self.anchors
-                else None
-            )
-            raise LocalityViolation(exact, self.q)
+        hit = self._index.nearest(z.mask)
+        if hit is None:
+            raise LocalityViolation(self._index.min_distance(z.mask), self.q)
         if len(self._log) >= self.query_cap:
             raise BudgetExhausted(self.query_cap)
         answer = self.target.evaluate(z)
-        self._log.append(QueryRecord(z, answer, dist))
+        self._log.append(QueryRecord(z, answer, hit[1]))
         return answer
 
     def stats(self) -> OracleStats:

@@ -36,12 +36,13 @@ from .concepts import (
     TreeNode,
     maj_poly,
 )
-from .cube import CubePoint, DimensionMismatch, ball_size, masks_at_distance
+from .cube import AnchorIndex, CubePoint, DimensionMismatch, ball_size, masks_at_distance
 from .distributions import LabeledSample
-from .oracle import OracleStats
+from .oracle import LocalityViolation, OracleStats
 
 TREE_LEAF_CAP = 32768
 POLY_COEFF_CAP = 1 << 16
+FLIP_RADIUS_CAP = 3  # the verifier walks at most this many flips around an image
 FLIP_ENUM_BUDGET = 5_000_000
 
 
@@ -104,7 +105,12 @@ class ComposedConcept:
 
 @dataclass(frozen=True)
 class QReduction:
-    """A coordinate map with its locality budget, kind, and concept transform."""
+    """A coordinate map with its locality budget, kind, and concept transform.
+
+    Images lie at least k (the replication factor) apart. Kind A needs q < k,
+    so no image is within q of another; kind B needs 2q < k, so no point is
+    within q of two images.
+    """
 
     name: str
     kind: str
@@ -117,6 +123,9 @@ class QReduction:
             raise ValueError(f"kind must be 'A' or 'B', got {self.kind!r}")
         if self.q < 0:
             raise ValueError(f"locality budget must be non-negative, got {self.q}")
+        spread = self.q if self.kind == "A" else 2 * self.q
+        if spread >= self.phi.k:
+            raise ValueError(f"kind {self.kind} at q={self.q} needs k > {spread}, got k={self.phi.k}")
 
 
 # ---------------------------------------------------------------------------
@@ -259,15 +268,15 @@ def majority_label(labels: Sequence[int]) -> int:
     return 1 if sum(labels) * 2 > len(labels) else 0
 
 
-def reduce_junta_type_b(junta: Junta, q0: int, cap: int = JUNTA_CAP) -> Junta:
+def reduce_junta_type_b(junta: Junta, q0: int) -> Junta:
     """Junta over (2*q0+1)*n variables applying the source to block majorities."""
     if q0 < 0:
         raise ValueError(f"q0 must be non-negative, got {q0}")
     r = 2 * q0 + 1
     k = junta.k
     k_new = r * k
-    if k_new > cap:
-        raise ValueError(f"reduced junta would depend on {k_new} variables, cap is {cap}")
+    if k_new > JUNTA_CAP:
+        raise ValueError(f"reduced junta would depend on {k_new} variables, cap is {JUNTA_CAP}")
     relevant = tuple((i - 1) * r + c for i in junta.relevant for c in range(1, r + 1))
     half = r // 2
     table = []
@@ -302,7 +311,7 @@ def _stack_tree(tree: DecisionTree, q0: int, label_rule: Callable[[tuple[int, ..
     return DecisionTree(tree.n * r, build(tree.root, 1, ()))
 
 
-def reduce_tree_type_b(tree: DecisionTree, q0: int, leaf_cap: int = TREE_LEAF_CAP) -> DecisionTree:
+def reduce_tree_type_b(tree: DecisionTree, q0: int) -> DecisionTree:
     """Decision tree over (2*q0+1)*n variables taking the majority over copies.
 
     Leaf count is exactly leafcount(tree) ** (2*q0+1).
@@ -310,14 +319,14 @@ def reduce_tree_type_b(tree: DecisionTree, q0: int, leaf_cap: int = TREE_LEAF_CA
     if q0 < 0:
         raise ValueError(f"q0 must be non-negative, got {q0}")
     r = 2 * q0 + 1
-    if tree.leaf_count ** r > leaf_cap:
+    if tree.leaf_count ** r > TREE_LEAF_CAP:
         raise ValueError(
-            f"stacked tree would have {tree.leaf_count ** r} leaves, cap is {leaf_cap}"
+            f"stacked tree would have {tree.leaf_count ** r} leaves, cap is {TREE_LEAF_CAP}"
         )
     return _stack_tree(tree, q0, majority_label)
 
 
-def reduce_poly_type_b(poly: SparsePoly, q0: int, coeff_cap: int = POLY_COEFF_CAP) -> SparsePoly:
+def reduce_poly_type_b(poly: SparsePoly, q0: int) -> SparsePoly:
     """Substitute the block majority polynomial for every variable and expand.
 
     Blocks are disjoint, so the expansion stays multilinear; the degree
@@ -338,17 +347,17 @@ def reduce_poly_type_b(poly: SparsePoly, q0: int, coeff_cap: int = POLY_COEFF_CA
                 for u_vars, u_coeff in shifted:
                     grown[acc_vars | u_vars] = acc_coeff * u_coeff
             partial = grown
-            if len(partial) > coeff_cap:
-                raise ValueError(f"expansion exceeds coefficient cap {coeff_cap}")
+            if len(partial) > POLY_COEFF_CAP:
+                raise ValueError(f"expansion exceeds coefficient cap {POLY_COEFF_CAP}")
         for new_vars, new_coeff in partial.items():
             result[new_vars] = result.get(new_vars, Fraction(0)) + new_coeff
-        if len(result) > coeff_cap:
-            raise ValueError(f"expansion exceeds coefficient cap {coeff_cap}")
+        if len(result) > POLY_COEFF_CAP:
+            raise ValueError(f"expansion exceeds coefficient cap {POLY_COEFF_CAP}")
     return SparsePoly(poly.n * r, result)
 
 
-def reduce_ptf_type_b(ptf: SparsePtf, q0: int, coeff_cap: int = POLY_COEFF_CAP) -> SparsePtf:
-    return SparsePtf(reduce_poly_type_b(ptf.poly, q0, coeff_cap), ptf.theta)
+def reduce_ptf_type_b(ptf: SparsePtf, q0: int) -> SparsePtf:
+    return SparsePtf(reduce_poly_type_b(ptf.poly, q0), ptf.theta)
 
 
 # ---------------------------------------------------------------------------
@@ -385,25 +394,22 @@ def make_reduction(name: str, n: int, *, k: int | None = None, q0: int = 1) -> Q
 # Query synthesis: running a local-query learner without an oracle
 
 
-class AnchorUniquenessError(RuntimeError):
-    """A kind-B query had zero or several distinct anchors within range."""
-
-
 class SyntheticAnswerer:
     """Answers local queries from mapped training data alone.
 
     Kind A: a query matching a mapped training point returns its label;
-    anything else nearby is labeled 1 by construction. Kind B: the unique
-    mapped training point within distance q supplies the label.
+    anything else nearby is labeled 1 by construction. Kind B: the mapped
+    training point within distance q, unique by the map's spacing, supplies
+    the label; a query with none raises ``LocalityViolation``.
     """
 
     def __init__(self, reduction: QReduction, mapped: Sequence[tuple[CubePoint, int]]):
         self.kind = reduction.kind
         self.q = reduction.q
         self.n = reduction.phi.target_n
-        self._labels: dict[int, int] = {}
-        for z, y in mapped:
-            self._labels[z.mask] = y
+        self._labels = {z.mask: y for z, y in mapped}
+        if self.kind == "B":
+            self._index = AnchorIndex(self._labels, self.n, self.q)
         self._log: list[tuple[CubePoint, int]] = []
 
     @property
@@ -414,28 +420,16 @@ class SyntheticAnswerer:
         """Query count only; synthesized answers involve no distance bookkeeping."""
         return OracleStats(len(self._log), 0, {})
 
-    def _matches_within_q(self, z: CubePoint) -> set[int]:
-        if ball_size(self.n, self.q) <= max(256, 4 * len(self._labels)):
-            found = set()
-            for r in range(self.q + 1):
-                for m in masks_at_distance(z.mask, self.n, r):
-                    if m in self._labels:
-                        found.add(m)
-            return found
-        return {m for m in self._labels if (m ^ z.mask).bit_count() <= self.q}
-
     def query(self, z: CubePoint) -> int:
         if z.n != self.n:
             raise DimensionMismatch(f"query dimension {z.n} differs from {self.n}")
         if self.kind == "A":
             answer = self._labels.get(z.mask, 1)
         else:
-            matches = self._matches_within_q(z)
-            if len(matches) != 1:
-                raise AnchorUniquenessError(
-                    f"{len(matches)} anchors within distance {self.q} of {z.to_string()}"
-                )
-            answer = self._labels[matches.pop()]
+            hit = self._index.nearest(z.mask)
+            if hit is None:
+                raise LocalityViolation(self._index.min_distance(z.mask), self.q)
+            answer = self._labels[hit[0]]
         self._log.append((z, answer))
         return answer
 
@@ -509,30 +503,25 @@ class ReductionReport:
         }
 
 
-def verify_reduction(
-    reduction: QReduction,
-    concept: Concept,
-    cap_q: int = 3,
-    enum_budget: int = FLIP_ENUM_BUDGET,
-) -> ReductionReport:
+def verify_reduction(reduction: QReduction, concept: Concept) -> ReductionReport:
     """Exhaustively check a reduction against one source concept.
 
     Confirms value agreement on the whole image, then walks every point
-    obtained by flipping at most min(q, cap_q) coordinates of an image
-    point: kind A requires label 1 off the image, kind B requires a unique
-    in-range anchor carrying the point's value. Flip enumeration is guarded
-    by a binomial budget since the target cube itself is astronomically
-    large.
+    obtained by flipping at most min(q, FLIP_RADIUS_CAP) coordinates of an
+    image point: kind A requires label 1 off the image, kind B requires a
+    unique in-range anchor carrying the point's value. Flip enumeration is
+    guarded by the FLIP_ENUM_BUDGET check count since the target cube itself
+    is astronomically large.
     """
     phi = reduction.phi
     n, n_target = phi.source_n, phi.target_n
     transformed = reduction.transform(concept)
-    radius = min(reduction.q, cap_q)
+    radius = min(reduction.q, FLIP_RADIUS_CAP)
 
     per_point = ball_size(n_target, radius)
-    if per_point * (1 << n) > enum_budget:
+    if per_point * (1 << n) > FLIP_ENUM_BUDGET:
         raise ValueError(
-            f"flip enumeration needs {per_point * (1 << n)} checks, budget is {enum_budget}"
+            f"flip enumeration needs {per_point * (1 << n)} checks, budget is {FLIP_ENUM_BUDGET}"
         )
 
     report = ReductionReport(reduction.name, reduction.kind, n, n_target, reduction.q, radius)

@@ -6,7 +6,7 @@ from lmqlab.cli import main
 from lmqlab.concepts import DnfFormula, Term
 from lmqlab.distributions import UniformCube
 from lmqlab.formats import dump_dnf, parse_dnf
-from lmqlab.harness import run_trial
+from lmqlab.harness import derive_seed, run_trial
 from lmqlab.reductions import CONSTRUCTIONS
 
 
@@ -122,6 +122,23 @@ def test_learn_without_sample_sizes_is_a_json_error(formula_file, capsys):
 def test_missing_file_is_a_json_error(tmp_path, capsys):
     argv = ["learn", "--target", str(tmp_path / "absent.dnf"), "--dist", "uniform:4", "--m1", "9", "--m2", "9"]
     assert _usage_error(capsys, argv)["type"] == "FileNotFoundError"
+
+
+def test_learn_refused_query_is_a_json_error(tmp_path, capsys):
+    path = tmp_path / "target.dnf"
+    path.write_text("dim 6\n1 2\n-1 -2\n")
+    argv = ["learn", "--target", str(path), "--dist", "uniform:6", "--m1", "50", "--m2", "50", "--q", "0"]
+    error = _usage_error(capsys, argv)
+    assert error["type"] == "LocalityViolation"
+    assert error["error"] == "query is not 0-local: nearest anchor at distance 1"
+
+
+def test_suite_refused_query_is_a_json_error(capsys):
+    argv = ["suite", "--which", "learning", "--trials", "1", "--q", "0", "--m1", "100", "--m2", "100"]
+    error = _usage_error(capsys, argv)
+    assert error["type"] == "LocalityViolation"
+    refusal = "query is not 0-local: nearest anchor at distance 1"
+    assert error["error"] == f"trial 0 (seed {derive_seed(0, 'trial', 0)}) failed: {refusal}"
 
 
 @pytest.mark.parametrize("name", list(CONSTRUCTIONS))

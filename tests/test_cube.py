@@ -1,13 +1,13 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from lmqlab.cube import (
     ENUMERATION_CAP,
+    AnchorIndex,
     CubePoint,
     DimensionMismatch,
     ball_size,
     enumerate_cube,
-    in_ball,
     masks_at_distance,
 )
 
@@ -68,19 +68,38 @@ def test_hamming_is_a_metric(points):
     assert x.hamming(z) <= x.hamming(y) + y.hamming(z)
 
 
-def test_in_ball_basic_cases():
-    assert in_ball(P("-+"), [P("++")], 1) is True
-    assert in_ball(P("-+"), [P("++")], 0) is False
-    assert in_ball(P("-+"), [P("--"), P("-+")], 0) is True
-    assert in_ball(P("-+"), [], 5) is False
+def _anchor_sets(n: int):
+    """Empty, small (scanned) and dense (usually walked) anchor sets over n bits."""
+    dense = st.integers(0, (1 << (1 << n)) - 1).map(
+        lambda bits: frozenset(m for m in range(1 << n) if bits >> m & 1)
+    )
+    small = st.frozensets(st.integers(0, (1 << n) - 1), min_size=1, max_size=3)
+    return st.one_of(st.just(frozenset()), small, dense)
 
 
-def test_in_ball_matches_min_distance_exhaustively():
-    anchors = [P("++-"), P("---")]
-    for z in enumerate_cube(3):
-        best = min(z.hamming(a) for a in anchors)
-        for q in range(4):
-            assert in_ball(z, anchors, q) == (best <= q)
+@settings(max_examples=100)
+@given(
+    st.integers(1, 8).flatmap(
+        lambda n: st.tuples(st.just(n), _anchor_sets(n), st.integers(0, n), st.integers(0, (1 << n) - 1))
+    )
+)
+def test_anchor_index_matches_brute_force_nearest(case):
+    n, anchors, q, z = case
+    index = AnchorIndex(anchors, n, q)
+    assert index.walk == (len(anchors) > ball_size(n, q))
+    best = min(((z ^ a).bit_count() for a in anchors), default=None)
+    assert index.min_distance(z) == best
+    hit = index.nearest(z)
+    if best is None or best > q:
+        assert hit is None
+    else:
+        anchor, distance = hit
+        assert anchor in anchors and distance == best == (z ^ anchor).bit_count()
+
+
+def test_anchor_index_rejects_negative_radius():
+    with pytest.raises(ValueError):
+        AnchorIndex([0], 3, -1)
 
 
 def test_ball_size_counts_points_within_radius():

@@ -112,17 +112,3 @@ def test_log_jsonl_format():
     o.query(P("-++"))
     record = json.loads(o.log_jsonl())
     assert record == {"query": "-++", "answer": 0, "dist": 1}
-
-
-def test_min_distance_strategies_agree():
-    # Small anchor sets scan; large ones walk the ball. Same answers.
-    anchors = [CubePoint(6, m) for m in range(40)]
-    scan = LocalMQOracle(TARGET_6 := DnfFormula(6, (Term.of(1),)), anchors[:2], q=2)
-    ball = LocalMQOracle(TARGET_6, anchors, q=2)
-    z = CubePoint(6, 0b111000)
-    d_scan = scan._min_distance(z)
-    d_ball = ball._min_distance(z)
-    brute = min((z.mask ^ a.mask).bit_count() for a in anchors)
-    assert d_ball == (brute if brute <= 2 else None)
-    brute2 = min((z.mask ^ a.mask).bit_count() for a in anchors[:2])
-    assert d_scan == (brute2 if brute2 <= 2 else None)

@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lmqlab.concepts import (
     DecisionTree,
@@ -15,13 +16,14 @@ from lmqlab.concepts import (
     Term,
     maj_poly,
 )
-from lmqlab.cube import CubePoint, enumerate_cube
+from lmqlab.cube import CubePoint, enumerate_cube, masks_at_distance
 from lmqlab.distributions import UniformCube
-from lmqlab.harness import parity_dfa, random_dfa, random_tree
+from lmqlab.harness import parity_dfa, random_dfa, random_junta, random_tree
 from lmqlab.learner import learn_evident_dnf
-from lmqlab.oracle import draw_training_set
+from lmqlab.oracle import LocalityViolation, draw_training_set
 from lmqlab.reductions import (
-    AnchorUniquenessError,
+    CONSTRUCTIONS,
+    FLIP_RADIUS_CAP,
     QReduction,
     ReplicateMap,
     SyntheticAnswerer,
@@ -230,9 +232,10 @@ class TestTreeReduction:
             assert reduced.evaluate(z) == majority_label(copies)
 
     def test_leaf_cap_enforced(self):
+        # 16 ** 5 stacked leaves at q0=2, far above TREE_LEAF_CAP.
         tree = random_tree(4, 16, random.Random(1))
         with pytest.raises(ValueError):
-            reduce_tree_type_b(tree, 2, leaf_cap=1000)
+            reduce_tree_type_b(tree, 2)
 
     def test_verifier_passes(self):
         tree = random_tree(4, 4, random.Random(2))
@@ -275,9 +278,10 @@ class TestPolyReduction:
         assert grown.coefficient_count == 28_320
 
     def test_coefficient_cap_enforced(self):
-        p = SparsePoly(4, {frozenset({1, 2, 3, 4}): Fraction(1)})
+        # 4950 pairs x 16 = 79,200 coefficients, above POLY_COEFF_CAP = 65,536.
+        pairs = {frozenset(pair): Fraction(1) for pair in combinations(range(1, 101), 2)}
         with pytest.raises(ValueError, match="cap"):
-            reduce_poly_type_b(p, 1, coeff_cap=100)
+            reduce_poly_type_b(SparsePoly(100, pairs), 1)
 
     def test_ptf_threshold_preserved(self):
         poly = SparsePoly(3, {frozenset({j}): Fraction(1) for j in range(1, 4)})
@@ -347,19 +351,74 @@ class TestSimulation:
         assert answerer.query(z) == 1
         assert answerer.query(z.flip(1)) == 1
 
-    def test_kind_b_ambiguous_anchors_raise(self):
-        # A fake budget-1 reduction without replication lets two anchors
-        # crowd the same query point.
-        fake = QReduction("fake", "B", ReplicateMap(2, 1), 1, lambda h: h)
-        answerer = SyntheticAnswerer(fake, [(P("++"), 1), (P("+-"), 0)])
-        with pytest.raises(AnchorUniquenessError):
-            answerer.query(P("++"))
-
     def test_kind_b_no_anchor_raises(self):
-        fake = QReduction("fake", "B", ReplicateMap(2, 1), 1, lambda h: h)
-        answerer = SyntheticAnswerer(fake, [(P("++"), 1)])
-        with pytest.raises(AnchorUniquenessError):
-            answerer.query(P("--"))
+        reduction = make_reduction("junta", 2, q0=1)
+        phi = reduction.phi
+        answerer = SyntheticAnswerer(reduction, [(phi.apply(P("++")), 1)])
+        with pytest.raises(LocalityViolation) as exc:
+            answerer.query(phi.apply(P("--")))
+        assert (exc.value.min_distance, exc.value.q) == (6, 1)
+        assert answerer.log == ()
+
+
+KIND_B = sorted(name for name, (kind, _) in CONSTRUCTIONS.items() if kind == "B")
+
+
+def _kind_b_concept(name: str, n: int, rng: random.Random):
+    if name == "junta":
+        return random_junta(n, min(2, n), rng)
+    if name == "tree":
+        return random_tree(n, 4, rng)
+    coeffs = {frozenset({j}): Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for j in range(1, n + 1)}
+    poly = SparsePoly(n, coeffs)
+    return poly if name == "poly" else SparsePtf(poly, Fraction(rng.randint(-2, 2), 3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(KIND_B),
+    n=st.integers(1, 4),
+    q0=st.sampled_from([1, 2]),
+    seed=st.integers(0, 2**32),
+    subset=st.integers(0, 2**16 - 1),
+)
+def test_kind_b_synthesis_answers_within_q_and_refuses_beyond(name, n, q0, seed, subset):
+    rng = random.Random(seed)
+    reduction = make_reduction(name, n, q0=q0)
+    phi, q, target_n = reduction.phi, reduction.q, reduction.phi.target_n
+    h = _kind_b_concept(name, n, rng)
+    transformed = reduction.transform(h)
+    sources = list(enumerate_cube(n))
+    mapped = [(phi.apply(x), h.evaluate(x)) for x in sources if subset >> x.mask & 1]
+    trained = [z for z, _ in mapped]
+    answerer = SyntheticAnswerer(reduction, mapped)
+
+    within = {m for z in trained for r in range(q + 1) for m in masks_at_distance(z.mask, target_n, r)}
+    for m in within:
+        z = CubePoint(target_n, m)
+        assert answerer.query(z) == transformed.evaluate(z)
+
+    # Just past the radius around each training image, and every untrained image.
+    beyond = {phi.apply(x).mask for x in sources}
+    for z in trained:
+        for _ in range(5):
+            beyond.add(z.mask ^ sum(1 << p for p in rng.sample(range(target_n), q + 1)))
+    for m in beyond - within:
+        with pytest.raises(LocalityViolation):
+            answerer.query(CubePoint(target_n, m))
+
+
+@settings(max_examples=60)
+@given(kind=st.sampled_from("AB"), n=st.integers(1, 4), k=st.integers(1, 9), q=st.integers(0, 9))
+def test_qreduction_requires_image_spacing(kind, n, k, q):
+    def build():
+        return QReduction("spacing", kind, ReplicateMap(n, k), q, lambda h: h)
+
+    if k > (q if kind == "A" else 2 * q):
+        assert build().q == q
+    else:
+        with pytest.raises(ValueError, match="needs k >"):
+            build()
 
 
 class TestMakeReduction:
@@ -411,10 +470,12 @@ class TestNegativeControls:
 
 class TestVerifierGuards:
     def test_flip_budget_guard(self):
+        # Radius 3 over 216 target bits needs ~1.7M checks per source point.
         with pytest.raises(ValueError, match="budget"):
-            verify_reduction(make_reduction("dnf", 6), DnfFormula(6, (Term.of(1),)), enum_budget=1000)
+            verify_reduction(make_reduction("dnf", 6), DnfFormula(6, (Term.of(1),)))
 
     def test_ball_radius_respects_cap(self):
-        report = verify_reduction(make_reduction("dnf", 3), DnfFormula(3, (Term.of(1),)), cap_q=1)
-        assert report.flip_radius == 1
+        reduction = make_reduction("dnf", 3)
+        report = verify_reduction(reduction, DnfFormula(3, (Term.of(1),)))
+        assert report.flip_radius == min(reduction.q, FLIP_RADIUS_CAP) == 3
         assert report.passed
