@@ -97,6 +97,25 @@ def test_anchor_index_matches_brute_force_nearest(case):
         assert anchor in anchors and distance == best == (z ^ anchor).bit_count()
 
 
+def _in_ball(z: CubePoint, anchors, q: int) -> bool:
+    return AnchorIndex((a.mask for a in anchors), z.n, q).nearest(z.mask) is not None
+
+
+def test_in_ball_basic_cases():
+    assert _in_ball(P("-+"), [P("++")], 1) is True
+    assert _in_ball(P("-+"), [P("++")], 0) is False
+    assert _in_ball(P("-+"), [P("--"), P("-+")], 0) is True
+    assert _in_ball(P("-+"), [], 5) is False
+
+
+def test_in_ball_matches_min_distance_exhaustively():
+    anchors = [P("++-"), P("---")]
+    for z in enumerate_cube(3):
+        best = min(z.hamming(a) for a in anchors)
+        for q in range(4):
+            assert _in_ball(z, anchors, q) == (best <= q)
+
+
 def test_anchor_index_rejects_negative_radius():
     with pytest.raises(ValueError):
         AnchorIndex([0], 3, -1)

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from lmqlab.concepts import DnfFormula, Term
-from lmqlab.cube import CubePoint
+from lmqlab.cube import CubePoint, ball_size, enumerate_cube
 from lmqlab.distributions import FiniteSupport, UniformCube
 from lmqlab.oracle import (
     BudgetExhausted,
@@ -112,3 +112,21 @@ def test_log_jsonl_format():
     o.query(P("-++"))
     record = json.loads(o.log_jsonl())
     assert record == {"query": "-++", "answer": 0, "dist": 1}
+
+
+def test_min_distance_strategies_agree():
+    # Small anchor sets scan; large ones walk the ball. Same answers.
+    target = DnfFormula(6, (Term.of(1),))
+    anchors = [CubePoint(6, m) for m in range(40)]
+    assert 2 <= ball_size(6, 2) < len(anchors)
+    for subset in (anchors[:2], anchors):
+        oracle = LocalMQOracle(target, subset, q=2, query_cap=1 << 10)
+        for z in enumerate_cube(6):
+            brute = min((z.mask ^ a.mask).bit_count() for a in subset)
+            if brute <= 2:
+                assert oracle.query(z) == target.evaluate(z)
+                assert oracle.log[-1].distance == brute
+            else:
+                with pytest.raises(LocalityViolation) as err:
+                    oracle.query(z)
+                assert err.value.min_distance == brute
