@@ -69,6 +69,7 @@ from .reductions import (
     QReduction,
     ReductionReport,
     ReplicateMap,
+    SynthesizedLabels,
     build_block_checker,
     build_block_simulator,
     build_detector,

@@ -8,6 +8,7 @@ import random
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import NoReturn
 
 from .concepts import SparsePoly, SparsePtf
 from .cube import DimensionMismatch
@@ -40,6 +41,13 @@ from .reductions import CONSTRUCTIONS, make_reduction, verify_reduction
 
 # Keys a suite config file may set; each stands for the suite flag of that name.
 CONFIG_KEYS = ("which", "family", "trials", "seed", "epsilon", "m1", "m2", "q", "corpus_count")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Bad input, a malformed command line included, ends in one JSON line on stderr and exit 2."""
+
+    def error(self, message: str, kind: str = "ArgumentError") -> NoReturn:
+        self.exit(2, json.dumps({"error": message, "type": kind}) + "\n")
 
 
 def _emit(payload: dict | list, out: str | None) -> None:
@@ -189,7 +197,7 @@ def _cmd_suite(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lmqlab",
         description="Learning with Hamming-local membership queries: learner, verifiers, suites.",
     )
@@ -251,8 +259,7 @@ def main(argv: list[str] | None = None) -> int:
             args = parser.parse_args(argv + _config_flags(args.config))
         return args.func(args)
     except (ValueError, OSError, LocalityViolation, BudgetExhausted) as exc:
-        sys.stderr.write(json.dumps({"error": str(exc), "type": type(exc).__name__}) + "\n")
-        raise SystemExit(2) from None
+        parser.error(str(exc), type(exc).__name__)
 
 
 if __name__ == "__main__":

@@ -115,19 +115,19 @@ class AnchorIndex:
         self.masks = frozenset(masks)
         self.walk = len(self.masks) > ball_size(n, q)
 
-    def nearest(self, z: int) -> tuple[int, int] | None:
-        """``(anchor, distance)`` for a closest anchor to z, or None if none is within q."""
+    def nearest(self, z: int) -> int | None:
+        """Distance from z to its closest anchor, or None if none is within q."""
         if self.walk:
             for r in range(self.q + 1):
                 for m in masks_at_distance(z, self.n, r):
                     if m in self.masks:
-                        return m, r
+                        return r
             return None
         found, limit = None, self.q
         for m in self.masks:
             d = (z ^ m).bit_count()
             if d <= limit:
-                found, limit = (m, d), d - 1
+                found = limit = d
         return found
 
     def min_distance(self, z: int) -> int | None:

@@ -179,6 +179,8 @@ class ExperimentConfig:
             raise ValueError(f"trial count must be at least 1, got {self.trials}")
         if not 0 < self.epsilon < 1:
             raise ValueError(f"epsilon must lie in (0,1), got {self.epsilon}")
+        if self.m1 < 0 or self.m2 < 0:
+            raise ValueError(f"sample sizes must be non-negative, got m1={self.m1}, m2={self.m2}")
 
     @property
     def threshold(self) -> int:
@@ -586,13 +588,13 @@ def _audit_simulation(
     s2 = draw_training_set(dist, concept, m2, derive_seed(seed, "sim-s2"))
     transformed = reduction.transform(concept)
     try:
-        _, answerer = simulate_pac_from_local(learn_evident_dnf, reduction, s1, s2)
+        _, oracle = simulate_pac_from_local(learn_evident_dnf, reduction, s1, s2)
     except LocalityViolation:
         report.uniqueness_errors += 1
         return
-    for z, answer in answerer.log:
+    for rec in oracle.log:
         report.simulation_queries += 1
-        if answer != transformed.evaluate(z):
+        if rec.answer != transformed.evaluate(rec.point):
             report.simulation_mismatches += 1
 
 

@@ -36,7 +36,7 @@ class BudgetExhausted(RuntimeError):
         super().__init__(f"query budget of {cap} exhausted")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QueryRecord:
     point: CubePoint
     answer: int
@@ -51,7 +51,10 @@ class OracleStats:
 
 
 class LocalMQOracle:
-    """Answers h*(z) for q-local queries only, logging each one.
+    """Answers target(z) for q-local queries only, logging each one.
+
+    The target is the answer source: the true concept, or labels synthesized
+    from training data alone (``reductions.SynthesizedLabels``).
 
     The default query cap is 64 * n * max(1, anchor count), a fixed
     polynomial budget in the sample size and dimension.
@@ -96,13 +99,13 @@ class LocalMQOracle:
     def query(self, z: CubePoint) -> int:
         if z.n != self.n:
             raise DimensionMismatch(f"query dimension {z.n} differs from oracle {self.n}")
-        hit = self._index.nearest(z.mask)
-        if hit is None:
+        distance = self._index.nearest(z.mask)
+        if distance is None:
             raise LocalityViolation(self._index.min_distance(z.mask), self.q)
         if len(self._log) >= self.query_cap:
             raise BudgetExhausted(self.query_cap)
         answer = self.target.evaluate(z)
-        self._log.append(QueryRecord(z, answer, hit[1]))
+        self._log.append(QueryRecord(z, answer, distance))
         return answer
 
     def stats(self) -> OracleStats:

@@ -12,12 +12,12 @@ near the image of phi:
 
 Either way, answers to q-local membership queries around mapped training
 data become predictable, which is what ``simulate_pac_from_local``
-exploits to run a query-using learner without any oracle access.
+exploits to run a query-using learner without access to the target.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -36,9 +36,9 @@ from .concepts import (
     TreeNode,
     maj_poly,
 )
-from .cube import AnchorIndex, CubePoint, DimensionMismatch, ball_size, masks_at_distance
+from .cube import CubePoint, DimensionMismatch, ball_size, masks_at_distance
 from .distributions import LabeledSample
-from .oracle import LocalityViolation, OracleStats
+from .oracle import LocalMQOracle
 
 TREE_LEAF_CAP = 32768
 POLY_COEFF_CAP = 1 << 16
@@ -82,6 +82,17 @@ class ReplicateMap:
             if (x.mask >> (self.source_n - i)) & 1:
                 mask |= self._expand[i - 1]
         return CubePoint(self.target_n, mask)
+
+    def decode(self, mask: int) -> int:
+        """Source mask whose image is nearest to the target mask: each block's majority bit.
+
+        A tied block (even k) decodes to 0; no point within k/2 of an image has one.
+        """
+        k, half, block = self.k, self.k // 2, (1 << self.k) - 1
+        source = 0
+        for shift in range(self.target_n - k, -1, -k):
+            source = (source << 1) | (((mask >> shift) & block).bit_count() > half)
+        return source
 
     def block_coordinates(self, i: int) -> range:
         """Target coordinates carrying source coordinate i."""
@@ -391,47 +402,28 @@ def make_reduction(name: str, n: int, *, k: int | None = None, q0: int = 1) -> Q
 
 
 # ---------------------------------------------------------------------------
-# Query synthesis: running a local-query learner without an oracle
+# Query synthesis: running a local-query learner without the target
 
 
-class SyntheticAnswerer:
-    """Answers local queries from mapped training data alone.
+class SynthesizedLabels:
+    """The labels a reduction predicts near mapped training data, as a target-cube concept.
 
-    Kind A: a query matching a mapped training point returns its label;
-    anything else nearby is labeled 1 by construction. Kind B: the mapped
-    training point within distance q, unique by the map's spacing, supplies
-    the label; a query with none raises ``LocalityViolation``.
+    Kind A: a training image keeps its label and any other point is labeled 1.
+    Kind B: a point takes the label of the training image its blocks decode to.
+    Served through ``LocalMQOracle``, which asks only within q of a training
+    image, these agree with ``reduction.transform(h)``.
     """
 
     def __init__(self, reduction: QReduction, mapped: Sequence[tuple[CubePoint, int]]):
-        self.kind = reduction.kind
-        self.q = reduction.q
         self.n = reduction.phi.target_n
-        self._labels = {z.mask: y for z, y in mapped}
-        if self.kind == "B":
-            self._index = AnchorIndex(self._labels, self.n, self.q)
-        self._log: list[tuple[CubePoint, int]] = []
+        self._decode = reduction.phi.decode if reduction.kind == "B" else None
+        labels = {z.mask: y for z, y in mapped}
+        self._labels = labels if self._decode is None else {self._decode(m): y for m, y in labels.items()}
 
-    @property
-    def log(self) -> tuple[tuple[CubePoint, int], ...]:
-        return tuple(self._log)
-
-    def stats(self) -> OracleStats:
-        """Query count only; synthesized answers involve no distance bookkeeping."""
-        return OracleStats(len(self._log), 0, {})
-
-    def query(self, z: CubePoint) -> int:
-        if z.n != self.n:
-            raise DimensionMismatch(f"query dimension {z.n} differs from {self.n}")
-        if self.kind == "A":
-            answer = self._labels.get(z.mask, 1)
-        else:
-            hit = self._index.nearest(z.mask)
-            if hit is None:
-                raise LocalityViolation(self._index.min_distance(z.mask), self.q)
-            answer = self._labels[hit[0]]
-        self._log.append((z, answer))
-        return answer
+    def evaluate(self, z: CubePoint) -> int:
+        if self._decode is None:
+            return self._labels.get(z.mask, 1)
+        return self._labels[self._decode(z.mask)]
 
 
 def simulate_pac_from_local(
@@ -439,11 +431,12 @@ def simulate_pac_from_local(
     reduction: QReduction,
     s1: LabeledSample,
     s2: LabeledSample,
-) -> tuple[ComposedConcept, SyntheticAnswerer]:
+) -> tuple[ComposedConcept, LocalMQOracle]:
     """Run a local-query learner on mapped samples, synthesizing all answers.
 
     Returns the learned hypothesis composed back with the map, plus the
-    answerer whose log allows auditing every synthesized answer.
+    q-local oracle over ``SynthesizedLabels`` whose log allows auditing every
+    synthesized answer.
     """
     phi = reduction.phi
 
@@ -451,9 +444,10 @@ def simulate_pac_from_local(
         return LabeledSample(tuple((phi.apply(x), y) for x, y in s))
 
     m1, m2 = mapped(s1), mapped(s2)
-    answerer = SyntheticAnswerer(reduction, m1.pairs + m2.pairs)
-    hypothesis = learner(m1, m2, answerer)
-    return ComposedConcept(hypothesis, phi), answerer
+    labels = SynthesizedLabels(reduction, m1.pairs + m2.pairs)
+    oracle = LocalMQOracle.for_samples(labels, reduction.q, m1, m2)
+    hypothesis = learner(m1, m2, oracle)
+    return ComposedConcept(hypothesis, phi), oracle
 
 
 # ---------------------------------------------------------------------------
@@ -486,21 +480,7 @@ class ReductionReport:
             )
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "source_n": self.source_n,
-            "target_n": self.target_n,
-            "q": self.q,
-            "flip_radius": self.flip_radius,
-            "image_checked": self.image_checked,
-            "ball_checked": self.ball_checked,
-            "image_failures": self.image_failures,
-            "ball_failures": self.ball_failures,
-            "anchor_failures": self.anchor_failures,
-            "passed": self.passed,
-            "counterexamples": self.counterexamples,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def verify_reduction(reduction: QReduction, concept: Concept) -> ReductionReport:
@@ -508,10 +488,10 @@ def verify_reduction(reduction: QReduction, concept: Concept) -> ReductionReport
 
     Confirms value agreement on the whole image, then walks every point
     obtained by flipping at most min(q, FLIP_RADIUS_CAP) coordinates of an
-    image point: kind A requires label 1 off the image, kind B requires a
-    unique in-range anchor carrying the point's value. Flip enumeration is
-    guarded by the FLIP_ENUM_BUDGET check count since the target cube itself
-    is astronomically large.
+    image point: kind A requires label 1 off the image, kind B requires the
+    point to decode to a source whose image is within q and to carry that
+    source's value. Flip enumeration is guarded by the FLIP_ENUM_BUDGET check
+    count since the target cube itself is astronomically large.
     """
     phi = reduction.phi
     n, n_target = phi.source_n, phi.target_n
@@ -527,11 +507,12 @@ def verify_reduction(reduction: QReduction, concept: Concept) -> ReductionReport
     report = ReductionReport(reduction.name, reduction.kind, n, n_target, reduction.q, radius)
 
     source_points = [CubePoint(n, m) for m in range(1 << n)]
-    values = {x.mask: concept.evaluate(x) for x in source_points}
-    images = {phi.apply(x).mask: x for x in source_points}
+    values = [concept.evaluate(x) for x in source_points]
+    image_masks = [phi.apply(x).mask for x in source_points]
+    images = set(image_masks)
 
     for x in source_points:
-        z = phi.apply(x)
+        z = CubePoint(n_target, image_masks[x.mask])
         got = transformed.evaluate(z)
         report.image_checked += 1
         if got != values[x.mask]:
@@ -539,10 +520,9 @@ def verify_reduction(reduction: QReduction, concept: Concept) -> ReductionReport
             report._note("image", z, values[x.mask], got)
 
     seen: set[int] = set()
-    for x in source_points:
-        zx = phi.apply(x)
+    for image in image_masks:
         for r in range(1, radius + 1):
-            for m in masks_at_distance(zx.mask, n_target, r):
+            for m in masks_at_distance(image, n_target, r):
                 if m in images or m in seen:
                     continue
                 seen.add(m)
@@ -554,15 +534,13 @@ def verify_reduction(reduction: QReduction, concept: Concept) -> ReductionReport
                         report.ball_failures += 1
                         report._note("ball", z, 1, got)
                 else:
-                    anchors = [
-                        src for img, src in images.items()
-                        if (img ^ m).bit_count() <= reduction.q
-                    ]
-                    if len(anchors) != 1:
+                    source = phi.decode(m)
+                    distance = (image_masks[source] ^ m).bit_count()
+                    if distance > reduction.q:
                         report.anchor_failures += 1
-                        report._note("anchor", z, "unique anchor", f"{len(anchors)} anchors")
+                        report._note("anchor", z, f"decoded image within {reduction.q}", distance)
                         continue
-                    expected = values[anchors[0].mask]
+                    expected = values[source]
                     got = transformed.evaluate(z)
                     if got != expected:
                         report.ball_failures += 1

@@ -202,7 +202,17 @@ def test_suite_config_rejects_unknown_or_malformed_lines(tmp_path, capsys, line)
 def test_suite_config_values_are_checked_like_flags(tmp_path, capsys):
     cfg = tmp_path / "suite.cfg"
     cfg.write_text("which = bogus\n")
-    with pytest.raises(SystemExit) as exc:
-        main(["suite", "--config", str(cfg)])
-    assert exc.value.code == 2
-    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+    error = _usage_error(capsys, ["suite", "--config", str(cfg)])
+    assert error["type"] == "ArgumentError"
+    assert "invalid choice: 'bogus'" in error["error"]
+
+
+def test_argument_error_is_a_json_error(capsys):
+    error = _usage_error(capsys, ["suite", "--trials", "x"])
+    assert error == {"error": "argument --trials: invalid int value: 'x'", "type": "ArgumentError"}
+
+
+def test_suite_negative_sample_size_is_a_json_error(capsys):
+    argv = ["suite", "--which", "learning", "--trials", "1", "--m1", "-1", "--m2", "10"]
+    error = _usage_error(capsys, argv)
+    assert error == {"error": "sample sizes must be non-negative, got m1=-1, m2=10", "type": "ValueError"}

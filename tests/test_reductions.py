@@ -18,15 +18,15 @@ from lmqlab.concepts import (
 )
 from lmqlab.cube import CubePoint, enumerate_cube, masks_at_distance
 from lmqlab.distributions import UniformCube
-from lmqlab.harness import parity_dfa, random_dfa, random_junta, random_tree
+from lmqlab.harness import parity_dfa, random_dfa, random_dnf, random_junta, random_tree
 from lmqlab.learner import learn_evident_dnf
-from lmqlab.oracle import LocalityViolation, draw_training_set
+from lmqlab.oracle import LocalityViolation, LocalMQOracle, draw_training_set
 from lmqlab.reductions import (
     CONSTRUCTIONS,
     FLIP_RADIUS_CAP,
     QReduction,
     ReplicateMap,
-    SyntheticAnswerer,
+    SynthesizedLabels,
     build_block_checker,
     build_block_simulator,
     build_detector,
@@ -47,6 +47,11 @@ from lmqlab.reductions import (
 
 def P(text: str) -> CubePoint:
     return CubePoint.from_string(text)
+
+
+def _synthesized(reduction: QReduction, mapped) -> LocalMQOracle:
+    """The q-local oracle over labels synthesized from mapped training pairs."""
+    return LocalMQOracle(SynthesizedLabels(reduction, mapped), [z for z, _ in mapped], reduction.q)
 
 
 class TestReplicateMap:
@@ -312,34 +317,44 @@ class TestSimulation:
         reduction = make_reduction("dnf", 3)
         s1, s2 = self._samples(f, 3, 200, seed=900)
         transformed = reduction.transform(f)
-        composed, answerer = simulate_pac_from_local(learn_evident_dnf, reduction, s1, s2)
-        assert len(answerer.log) == 27 * len(s1.positives())
-        for z, answer in answerer.log:
-            assert answer == transformed.evaluate(z)
+        composed, oracle = simulate_pac_from_local(learn_evident_dnf, reduction, s1, s2)
+        assert len(oracle.log) == 27 * len(s1.positives())
+        for rec in oracle.log:
+            assert rec.answer == transformed.evaluate(rec.point)
 
     def test_kind_a_off_image_answer_is_one(self):
-        f = DnfFormula(2, (Term.of(1),))
         reduction = make_reduction("dnf", 2)
         anchor = ReplicateMap(2, 4).apply(P("+-"))
-        answerer = SyntheticAnswerer(reduction, [(anchor, 1)])
-        assert answerer.query(anchor.flip(3)) == 1
+        oracle = _synthesized(reduction, [(anchor, 1)])
+        assert oracle.query(anchor.flip(3)) == 1
 
     def test_kind_a_anchor_answer_is_its_label(self):
-        f = DnfFormula(2, (Term.of(1),))
         reduction = make_reduction("dnf", 2)
         anchor = ReplicateMap(2, 4).apply(P("-+"))
-        answerer = SyntheticAnswerer(reduction, [(anchor, 0)])
-        assert answerer.query(anchor) == 0
+        oracle = _synthesized(reduction, [(anchor, 0)])
+        assert oracle.query(anchor) == 0
+
+    def test_kind_a_untrained_image_is_refused(self):
+        # The target labels phi(--) 0; an answer of 1 there would be silently wrong.
+        reduction = make_reduction("dnf", 2)
+        phi = reduction.phi
+        h = DnfFormula(2, (Term.of(1, 2),))
+        assert reduction.transform(h).evaluate(phi.apply(P("--"))) == 0
+        oracle = _synthesized(reduction, [(phi.apply(P("++")), 1)])
+        with pytest.raises(LocalityViolation) as exc:
+            oracle.query(phi.apply(P("--")))
+        assert (exc.value.min_distance, exc.value.q) == (8, 3)
+        assert oracle.log == ()
 
     def test_kind_b_answers_match_ground_truth(self):
         h = Junta(4, (1, 2), (0, 1, 1, 0))
         reduction = make_reduction("junta", 4, q0=1)
         s1, s2 = self._samples(h, 4, 200, seed=901)
         transformed = reduction.transform(h)
-        composed, answerer = simulate_pac_from_local(learn_evident_dnf, reduction, s1, s2)
-        assert len(answerer.log) == 12 * len(s1.positives())
-        for z, answer in answerer.log:
-            assert answer == transformed.evaluate(z)
+        composed, oracle = simulate_pac_from_local(learn_evident_dnf, reduction, s1, s2)
+        assert len(oracle.log) == 12 * len(s1.positives())
+        for rec in oracle.log:
+            assert rec.answer == transformed.evaluate(rec.point)
         for x in enumerate_cube(4):
             assert composed.evaluate(x) in (0, 1)
 
@@ -347,18 +362,18 @@ class TestSimulation:
         reduction = make_reduction("junta", 2, q0=1)
         phi = reduction.phi
         z = phi.apply(P("+-"))
-        answerer = SyntheticAnswerer(reduction, [(z, 1), (phi.apply(P("-+")), 0)])
-        assert answerer.query(z) == 1
-        assert answerer.query(z.flip(1)) == 1
+        oracle = _synthesized(reduction, [(z, 1), (phi.apply(P("-+")), 0)])
+        assert oracle.query(z) == 1
+        assert oracle.query(z.flip(1)) == 1
 
     def test_kind_b_no_anchor_raises(self):
         reduction = make_reduction("junta", 2, q0=1)
         phi = reduction.phi
-        answerer = SyntheticAnswerer(reduction, [(phi.apply(P("++")), 1)])
+        oracle = _synthesized(reduction, [(phi.apply(P("++")), 1)])
         with pytest.raises(LocalityViolation) as exc:
-            answerer.query(phi.apply(P("--")))
+            oracle.query(phi.apply(P("--")))
         assert (exc.value.min_distance, exc.value.q) == (6, 1)
-        assert answerer.log == ()
+        assert oracle.log == ()
 
 
 KIND_B = sorted(name for name, (kind, _) in CONSTRUCTIONS.items() if kind == "B")
@@ -391,12 +406,12 @@ def test_kind_b_synthesis_answers_within_q_and_refuses_beyond(name, n, q0, seed,
     sources = list(enumerate_cube(n))
     mapped = [(phi.apply(x), h.evaluate(x)) for x in sources if subset >> x.mask & 1]
     trained = [z for z, _ in mapped]
-    answerer = SyntheticAnswerer(reduction, mapped)
+    oracle = _synthesized(reduction, mapped)
 
     within = {m for z in trained for r in range(q + 1) for m in masks_at_distance(z.mask, target_n, r)}
     for m in within:
         z = CubePoint(target_n, m)
-        assert answerer.query(z) == transformed.evaluate(z)
+        assert oracle.query(z) == transformed.evaluate(z)
 
     # Just past the radius around each training image, and every untrained image.
     beyond = {phi.apply(x).mask for x in sources}
@@ -405,7 +420,60 @@ def test_kind_b_synthesis_answers_within_q_and_refuses_beyond(name, n, q0, seed,
             beyond.add(z.mask ^ sum(1 << p for p in rng.sample(range(target_n), q + 1)))
     for m in beyond - within:
         with pytest.raises(LocalityViolation):
-            answerer.query(CubePoint(target_n, m))
+            oracle.query(CubePoint(target_n, m))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    name=st.sampled_from(["dnf", "dfa"]),
+    n=st.integers(1, 3),
+    k=st.integers(2, 4),
+    seed=st.integers(0, 2**32),
+    subset=st.integers(0, 2**8 - 1),
+)
+def test_kind_a_synthesis_answers_within_q_and_refuses_beyond(name, n, k, seed, subset):
+    rng = random.Random(seed)
+    reduction = make_reduction(name, n, k=k)
+    phi, q, target_n = reduction.phi, reduction.q, reduction.phi.target_n
+    h = random_dnf(n, 2, 2, rng) if name == "dnf" else random_dfa(n, 3, rng)
+    transformed = reduction.transform(h)
+    mapped = [(phi.apply(x), h.evaluate(x)) for x in enumerate_cube(n) if subset >> x.mask & 1]
+    oracle = _synthesized(reduction, mapped)
+    for z in enumerate_cube(target_n):
+        if any(z.hamming(image) <= q for image, _ in mapped):
+            assert oracle.query(z) == transformed.evaluate(z)
+        else:
+            with pytest.raises(LocalityViolation):
+                oracle.query(z)
+
+
+def _nearest_sources(phi: ReplicateMap, z: int) -> list[int]:
+    """Brute force: the source masks whose images are nearest to z, over all 2^n images."""
+    distances = {x.mask: (phi.apply(x).mask ^ z).bit_count() for x in enumerate_cube(phi.source_n)}
+    best = min(distances.values())
+    return [src for src, d in distances.items() if d == best]
+
+
+@settings(max_examples=200)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.integers(1, 9).flatmap(
+            lambda k: st.tuples(
+                st.just(n),
+                st.just(k),
+                st.integers(0, (1 << n) - 1),
+                st.sets(st.integers(0, n * k - 1), max_size=(k - 1) // 2),
+            )
+        )
+    )
+)
+def test_decode_matches_brute_force_nearest_image(case):
+    # Up to q flips with 2q < k, for odd and even k alike.
+    n, k, source, flips = case
+    phi = ReplicateMap(n, k)
+    z = phi.apply(CubePoint(n, source)).mask ^ sum(1 << p for p in flips)
+    assert _nearest_sources(phi, z) == [source]
+    assert phi.decode(z) == source
 
 
 @settings(max_examples=60)
