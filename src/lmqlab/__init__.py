@@ -12,6 +12,7 @@ from .cube import (
     AnchorIndex,
     CubePoint,
     DimensionMismatch,
+    ReplicateMap,
     enumerate_cube,
 )
 from .concepts import (
@@ -68,7 +69,6 @@ from .reductions import (
     ComposedConcept,
     QReduction,
     ReductionReport,
-    ReplicateMap,
     SynthesizedLabels,
     build_block_checker,
     build_block_simulator,

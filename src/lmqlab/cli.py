@@ -10,26 +10,14 @@ from fractions import Fraction
 from pathlib import Path
 from typing import NoReturn
 
-from .concepts import SparsePoly, SparsePtf
+from .concepts import SparsePtf
 from .cube import DimensionMismatch
 from .evident import evidence_report
-from .formats import (
-    dump_dnf,
-    parse_distribution,
-    parse_dfa,
-    parse_dnf,
-    parse_junta,
-    parse_poly,
-    parse_tree,
-)
+from .formats import dump_dnf, parse_distribution, parse_dnf
 from .harness import (
     ExperimentConfig,
     doubled_tree_family,
     opposite_literal_family,
-    parity_dfa,
-    random_dnf,
-    random_junta,
-    random_tree,
     run_learning_suite,
     run_reconstruction_corpus,
     run_reduction_suite,
@@ -100,42 +88,17 @@ def _cmd_check_evident(args: argparse.Namespace) -> int:
     return 0 if report.verdict else 1
 
 
-def _default_concept(construction: str, n: int, seed: int):
-    rng = random.Random(seed)
-    if construction == "dnf":
-        return random_dnf(n, 2, 2, rng)
-    if construction == "dfa":
-        return parity_dfa(n)
-    if construction == "junta":
-        return random_junta(n, min(2, n), rng)
-    if construction == "tree":
-        return random_tree(n, 4, rng)
-    poly = SparsePoly(n, {frozenset({j}): Fraction(1, j + 1) for j in range(1, n + 1)})
-    if construction == "poly":
-        return poly
-    return SparsePtf(poly, Fraction(0))
-
-
-_CONCEPT_PARSERS = {
-    "dnf": parse_dnf,
-    "dfa": parse_dfa,
-    "junta": parse_junta,
-    "tree": parse_tree,
-    "poly": parse_poly,
-    "ptf": parse_poly,
-}
-
-
 def _cmd_verify_reduction(args: argparse.Namespace) -> int:
     reduction = make_reduction(args.construction, args.n, k=args.k, q0=args.q0)
+    construction = CONSTRUCTIONS[args.construction]
     if args.concept:
-        concept = _CONCEPT_PARSERS[args.construction](Path(args.concept).read_text())
+        concept = construction.parse(Path(args.concept).read_text())
         if concept.n != args.n:
             raise DimensionMismatch(f"concept file has dimension {concept.n}, --n is {args.n}")
         if isinstance(concept, SparsePtf) != (args.construction == "ptf"):
             raise ValueError("a 'theta:' line belongs in ptf concept files and only there")
     else:
-        concept = _default_concept(args.construction, args.n, args.seed)
+        concept = construction.example(args.n, random.Random(args.seed))
     report = verify_reduction(reduction, concept)
     _emit(report.to_dict(), args.out)
     return 0 if report.passed else 1

@@ -1,4 +1,4 @@
-"""Concept classes over the cube and their evaluators.
+"""Concept classes over the cube, their evaluators, and seeded random instances.
 
 All concepts expose ``n`` (input dimension) and ``evaluate(x) -> {0,1}``;
 sparse polynomials additionally evaluate to exact rationals. Variable
@@ -8,6 +8,7 @@ indices are 1-based everywhere, matching the textual formats.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Mapping, Protocol, Union
@@ -429,3 +430,57 @@ def maj_poly(k: int) -> SparsePoly:
             vars_ = frozenset(k - t for t in range(k) if (smask >> t) & 1)
             monomials[vars_] = Fraction(vals[smask], size)
     return SparsePoly(k, monomials)
+
+
+# ---------------------------------------------------------------------------
+# Seeded random instances
+
+
+def random_tree(n: int, leaves: int, rng: random.Random) -> DecisionTree:
+    """Random tree with the exact leaf count, never re-testing a path variable."""
+    leaves = max(1, min(leaves, 1 << n))
+
+    def build(available: frozenset[int], budget: int):
+        if budget == 1 or not available:
+            return Leaf(rng.randint(0, 1))
+        var = rng.choice(sorted(available))
+        rest = available - {var}
+        side_cap = 1 << len(rest)
+        low_budget = rng.randint(max(1, budget - side_cap), min(budget - 1, side_cap))
+        return Node(var, build(rest, low_budget), build(rest, budget - low_budget))
+
+    return DecisionTree(n, build(frozenset(range(1, n + 1)), leaves))
+
+
+def random_dnf(n: int, d: int, max_width: int, rng: random.Random) -> DnfFormula:
+    terms = []
+    for _ in range(d):
+        width = rng.randint(1, min(max_width, n))
+        variables = rng.sample(range(1, n + 1), width)
+        pos = frozenset(j for j in variables if rng.random() < 0.5)
+        terms.append(Term(pos, frozenset(variables) - pos))
+    return DnfFormula(n, tuple(terms))
+
+
+def parity_dfa(n: int) -> Dfa:
+    """Accepts length-n inputs containing an odd number of -1 symbols."""
+    transitions = {
+        ("even", -1): "odd",
+        ("even", 1): "even",
+        ("odd", -1): "even",
+        ("odd", 1): "odd",
+    }
+    return Dfa(("even", "odd"), "even", frozenset({"odd"}), transitions, n)
+
+
+def random_dfa(n: int, num_states: int, rng: random.Random) -> Dfa:
+    states = tuple(range(num_states))
+    transitions = {(s, b): rng.randrange(num_states) for s in states for b in (-1, 1)}
+    accepting = frozenset(s for s in states if rng.random() < 0.5) or frozenset({states[-1]})
+    return Dfa(states, 0, accepting, transitions, n)
+
+
+def random_junta(n: int, k: int, rng: random.Random) -> Junta:
+    relevant = tuple(rng.sample(range(1, n + 1), k))
+    table = tuple(rng.randint(0, 1) for _ in range(1 << k))
+    return Junta(n, relevant, table)

@@ -1,4 +1,4 @@
-"""Points of the boolean cube {-1,+1}^n and their Hamming geometry.
+"""Points of the boolean cube {-1,+1}^n, their Hamming geometry, and the replication map.
 
 Coordinates are 1-based throughout the package. A point is stored as a
 bit mask so that flips, distances and enumeration reduce to integer
@@ -7,7 +7,7 @@ arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
@@ -133,6 +133,55 @@ class AnchorIndex:
     def min_distance(self, z: int) -> int | None:
         """Exact distance from z to the nearest anchor, however far; None without anchors."""
         return min(((z ^ m).bit_count() for m in self.masks), default=None)
+
+
+@dataclass(frozen=True)
+class ReplicateMap:
+    """Each source coordinate expanded into k adjacent copies.
+
+    Source coordinate i lands on target coordinates (i-1)*k+1 .. i*k, so
+    Hamming distances scale exactly by k.
+    """
+
+    source_n: int
+    k: int
+    _expand: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.source_n < 1 or self.k < 1:
+            raise ValueError(f"need positive dimension and factor, got n={self.source_n}, k={self.k}")
+        n, k, target = self.source_n, self.k, self.source_n * self.k
+        block = (1 << k) - 1
+        expand = tuple(block << (target - i * k) for i in range(1, n + 1))
+        object.__setattr__(self, "_expand", expand)
+
+    @property
+    def target_n(self) -> int:
+        return self.source_n * self.k
+
+    def apply(self, x: CubePoint) -> CubePoint:
+        if x.n != self.source_n:
+            raise DimensionMismatch(f"map expects dimension {self.source_n}, point has {x.n}")
+        mask = 0
+        for i in range(1, self.source_n + 1):
+            if (x.mask >> (self.source_n - i)) & 1:
+                mask |= self._expand[i - 1]
+        return CubePoint(self.target_n, mask)
+
+    def decode(self, mask: int) -> int:
+        """Source mask whose image is nearest to the target mask: each block's majority bit.
+
+        A tied block (even k) decodes to 0; no point within k/2 of an image has one.
+        """
+        k, half, block = self.k, self.k // 2, (1 << self.k) - 1
+        source = 0
+        for shift in range(self.target_n - k, -1, -k):
+            source = (source << 1) | (((mask >> shift) & block).bit_count() > half)
+        return source
+
+    def block_coordinates(self, i: int) -> range:
+        """Target coordinates carrying source coordinate i."""
+        return range((i - 1) * self.k + 1, i * self.k + 1)
 
 
 def enumerate_cube(n: int) -> Iterator[CubePoint]:

@@ -11,19 +11,10 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Protocol, Union
+from typing import Iterator, Union
 
-from .cube import ENUMERATION_CAP, CubePoint, DimensionMismatch
+from .cube import ENUMERATION_CAP, CubePoint, DimensionMismatch, ReplicateMap
 from .concepts import Concept
-
-
-class CoordinateMap(Protocol):
-    """An injective map between cubes, applied pointwise."""
-
-    source_n: int
-    target_n: int
-
-    def apply(self, x: CubePoint) -> CubePoint: ...
 
 
 @dataclass(frozen=True)
@@ -129,7 +120,7 @@ def sample(dist: Distribution, m: int, seed: int) -> list[CubePoint]:
     return [dist.draw(rng) for _ in range(m)]
 
 
-def pushforward(dist: Distribution, phi: CoordinateMap) -> FiniteSupport:
+def pushforward(dist: Distribution, phi: ReplicateMap) -> FiniteSupport:
     """Image distribution assigning each source mass to its mapped point.
 
     The map must be injective on the support; colliding images would merge

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .concepts import DecisionTree, DnfFormula, Term, dnf_of_tree
-from .cube import CubePoint, DimensionMismatch
+from .cube import CubePoint, DimensionMismatch, ReplicateMap
 from .distributions import Distribution
 
 
@@ -157,16 +157,16 @@ def gen_opposite_literal_dnf(n: int, d: int, term_width: int, seed: int) -> DnfF
 
 
 def doubling_dnf(tree: DecisionTree) -> DnfFormula:
-    """DNF over 2n variables agreeing with the tree through coordinate doubling.
+    """DNF over 2n variables agreeing with the tree through ``ReplicateMap(n, 2)``.
 
     Each reachable 1-leaf path becomes a term reading both copies of every
     path variable. Turning one term off and another on then takes at least
     two flips, so every positive point maps to an evident one.
     """
-    base = dnf_of_tree(tree)
+    phi = ReplicateMap(tree.n, 2)
     terms = []
-    for t in base.terms:
-        pos = frozenset(v for j in t.positives for v in (2 * j - 1, 2 * j))
-        neg = frozenset(v for j in t.negatives for v in (2 * j - 1, 2 * j))
+    for t in dnf_of_tree(tree).terms:
+        pos = frozenset(v for j in t.positives for v in phi.block_coordinates(j))
+        neg = frozenset(v for j in t.negatives for v in phi.block_coordinates(j))
         terms.append(Term(pos, neg))
-    return DnfFormula(2 * tree.n, tuple(terms))
+    return DnfFormula(phi.target_n, tuple(terms))

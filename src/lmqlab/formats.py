@@ -101,22 +101,28 @@ def parse_tree(text: str, n: Optional[int] = None) -> DecisionTree:
     n = declared if n is None else n
     tokens = _tokenize(" ".join(lines))
 
-    def parse_node(pos: int) -> tuple[TreeNode, int]:
+    def token(pos: int) -> str:
         if pos >= len(tokens):
             raise ValueError("unexpected end of tree expression")
-        tok = tokens[pos]
+        return tokens[pos]
+
+    def parse_node(pos: int) -> tuple[TreeNode, int]:
+        tok = token(pos)
         if tok == "(":
-            var = int(tokens[pos + 1])
+            var = int(token(pos + 1))
             low, after_low = parse_node(pos + 2)
             high, after_high = parse_node(after_low)
-            if tokens[after_high] != ")":
+            if token(after_high) != ")":
                 raise ValueError(f"expected ')' at token {after_high}")
             return Node(var, low, high), after_high + 1
         if tok in ("0", "1"):
             return Leaf(int(tok)), pos + 1
         raise ValueError(f"unexpected token {tok!r}")
 
-    root, end = parse_node(0)
+    try:
+        root, end = parse_node(0)
+    except RecursionError:
+        raise ValueError("tree expression nests too deeply") from None
     if end != len(tokens):
         raise ValueError(f"trailing tokens after tree expression: {tokens[end:]}")
     max_var = max((v for v in DecisionTree._vars(root)), default=1)
@@ -160,7 +166,7 @@ def parse_dfa(text: str) -> Dfa:
                 remember(s)
         elif key == "trans":
             src, symbol, dst = rest.split()
-            if symbol not in "+-":
+            if symbol not in ("+", "-"):
                 raise ValueError(f"transition symbol must be '+' or '-', got {symbol!r}")
             remember(src)
             remember(dst)

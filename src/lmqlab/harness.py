@@ -18,7 +18,6 @@ from typing import Callable, Optional
 
 from .concepts import (
     DecisionTree,
-    Dfa,
     DnfFormula,
     Junta,
     Leaf,
@@ -27,8 +26,13 @@ from .concepts import (
     SparsePtf,
     Term,
     maj_poly,
+    parity_dfa,
+    random_dfa,
+    random_dnf,
+    random_junta,
+    random_tree,
 )
-from .cube import CubePoint, enumerate_cube
+from .cube import CubePoint, ReplicateMap, enumerate_cube
 from .distributions import Distribution, UniformCube, exact_loss, mc_loss, pushforward
 from .evident import (
     doubling_dnf,
@@ -40,7 +44,6 @@ from .learner import LearnerRun, learn_evident_dnf, learn_evident_dnf_run, recon
 from .oracle import BudgetExhausted, LocalityViolation, LocalMQOracle, draw_training_set
 from .reductions import (
     QReduction,
-    ReplicateMap,
     build_block_checker,
     build_block_simulator,
     corrupted_dfa_reduction_stuck_simulator,
@@ -48,7 +51,6 @@ from .reductions import (
     corrupted_tree_reduction_first_copy,
     dfa_product_or,
     make_reduction,
-    reduce_tree_type_b,
     simulate_pac_from_local,
     verify_reduction,
 )
@@ -75,57 +77,7 @@ def derive_seed(base: int, *parts) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Random instance generators
-
-
-def random_tree(n: int, leaves: int, rng: random.Random) -> DecisionTree:
-    """Random tree with the exact leaf count, never re-testing a path variable."""
-    leaves = max(1, min(leaves, 1 << n))
-
-    def build(available: frozenset[int], budget: int):
-        if budget == 1 or not available:
-            return Leaf(rng.randint(0, 1))
-        var = rng.choice(sorted(available))
-        rest = available - {var}
-        side_cap = 1 << len(rest)
-        low_budget = rng.randint(max(1, budget - side_cap), min(budget - 1, side_cap))
-        return Node(var, build(rest, low_budget), build(rest, budget - low_budget))
-
-    return DecisionTree(n, build(frozenset(range(1, n + 1)), leaves))
-
-
-def random_dnf(n: int, d: int, max_width: int, rng: random.Random) -> DnfFormula:
-    terms = []
-    for _ in range(d):
-        width = rng.randint(1, min(max_width, n))
-        variables = rng.sample(range(1, n + 1), width)
-        pos = frozenset(j for j in variables if rng.random() < 0.5)
-        terms.append(Term(pos, frozenset(variables) - pos))
-    return DnfFormula(n, tuple(terms))
-
-
-def parity_dfa(n: int) -> Dfa:
-    """Accepts length-n inputs containing an odd number of -1 symbols."""
-    transitions = {
-        ("even", -1): "odd",
-        ("even", 1): "even",
-        ("odd", -1): "even",
-        ("odd", 1): "odd",
-    }
-    return Dfa(("even", "odd"), "even", frozenset({"odd"}), transitions, n)
-
-
-def random_dfa(n: int, num_states: int, rng: random.Random) -> Dfa:
-    states = tuple(range(num_states))
-    transitions = {(s, b): rng.randrange(num_states) for s in states for b in (-1, 1)}
-    accepting = frozenset(s for s in states if rng.random() < 0.5) or frozenset({states[-1]})
-    return Dfa(states, 0, accepting, transitions, n)
-
-
-def random_junta(n: int, k: int, rng: random.Random) -> Junta:
-    relevant = tuple(rng.sample(range(1, n + 1), k))
-    table = tuple(rng.randint(0, 1) for _ in range(1 << k))
-    return Junta(n, relevant, table)
+# Learning families
 
 
 def opposite_literal_family(n_lo: int = 4, n_hi: int = 8) -> Callable[[int], tuple[DnfFormula, Distribution]]:
@@ -181,6 +133,8 @@ class ExperimentConfig:
             raise ValueError(f"epsilon must lie in (0,1), got {self.epsilon}")
         if self.m1 < 0 or self.m2 < 0:
             raise ValueError(f"sample sizes must be non-negative, got m1={self.m1}, m2={self.m2}")
+        if self.q < 0:
+            raise ValueError(f"locality budget must be non-negative, got {self.q}")
 
     @property
     def threshold(self) -> int:
@@ -447,6 +401,8 @@ def run_reconstruction_corpus(count: int = 1000, base_seed: int = 0) -> CorpusRe
     deterministic subset of formulas, and term reconstruction through a real
     1-local oracle on every evident point.
     """
+    if count < 1:
+        raise ValueError(f"formula count must be at least 1, got {count}")
     report = CorpusReport()
     t_recon = 0.0
     t0 = time.perf_counter()
@@ -646,14 +602,15 @@ def run_reduction_suite(base_seed: int = 0) -> ReductionSuiteReport:
     # Size accounting.
     for n in (2, 3):
         a = parity_dfa(n)
-        simulator = build_block_simulator(a, n)
+        phi = make_reduction("dfa", n).phi
+        simulator = build_block_simulator(a, phi)
         _size_check(
             report,
             f"simulator states n={n}",
             simulator.num_states == a.num_states * n * n,
             f"{simulator.num_states} == {a.num_states} * {n * n}",
         )
-        checker = build_block_checker(n)
+        checker = build_block_checker(phi)
         product = dfa_product_or(checker, simulator)
         _size_check(
             report,
@@ -663,7 +620,7 @@ def run_reduction_suite(base_seed: int = 0) -> ReductionSuiteReport:
         )
     for q0 in (1, 2):
         r = 2 * q0 + 1
-        reduced = reduce_tree_type_b(tree42, q0)
+        reduced = make_reduction("tree", 4, q0=q0).transform(tree42)
         _size_check(
             report,
             f"tree leaves q0={q0}",

@@ -17,9 +17,10 @@ exploits to run a query-using learner without access to the target.
 
 from __future__ import annotations
 
+import random
 from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .concepts import (
     Concept,
@@ -35,68 +36,20 @@ from .concepts import (
     Term,
     TreeNode,
     maj_poly,
+    parity_dfa,
+    random_dnf,
+    random_junta,
+    random_tree,
 )
-from .cube import CubePoint, DimensionMismatch, ball_size, masks_at_distance
+from .cube import CubePoint, DimensionMismatch, ReplicateMap, ball_size, masks_at_distance
 from .distributions import LabeledSample
+from .formats import parse_dfa, parse_dnf, parse_junta, parse_poly, parse_tree
 from .oracle import LocalMQOracle
 
 TREE_LEAF_CAP = 32768
 POLY_COEFF_CAP = 1 << 16
 FLIP_RADIUS_CAP = 3  # the verifier walks at most this many flips around an image
 FLIP_ENUM_BUDGET = 5_000_000
-
-
-# ---------------------------------------------------------------------------
-# Coordinate maps
-
-
-@dataclass(frozen=True)
-class ReplicateMap:
-    """Each source coordinate expanded into k adjacent copies.
-
-    Source coordinate i lands on target coordinates (i-1)*k+1 .. i*k, so
-    Hamming distances scale exactly by k.
-    """
-
-    source_n: int
-    k: int
-    _expand: tuple[int, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.source_n < 1 or self.k < 1:
-            raise ValueError(f"need positive dimension and factor, got n={self.source_n}, k={self.k}")
-        n, k, target = self.source_n, self.k, self.source_n * self.k
-        block = (1 << k) - 1
-        expand = tuple(block << (target - i * k) for i in range(1, n + 1))
-        object.__setattr__(self, "_expand", expand)
-
-    @property
-    def target_n(self) -> int:
-        return self.source_n * self.k
-
-    def apply(self, x: CubePoint) -> CubePoint:
-        if x.n != self.source_n:
-            raise DimensionMismatch(f"map expects dimension {self.source_n}, point has {x.n}")
-        mask = 0
-        for i in range(1, self.source_n + 1):
-            if (x.mask >> (self.source_n - i)) & 1:
-                mask |= self._expand[i - 1]
-        return CubePoint(self.target_n, mask)
-
-    def decode(self, mask: int) -> int:
-        """Source mask whose image is nearest to the target mask: each block's majority bit.
-
-        A tied block (even k) decodes to 0; no point within k/2 of an image has one.
-        """
-        k, half, block = self.k, self.k // 2, (1 << self.k) - 1
-        source = 0
-        for shift in range(self.target_n - k, -1, -k):
-            source = (source << 1) | (((mask >> shift) & block).bit_count() > half)
-        return source
-
-    def block_coordinates(self, i: int) -> range:
-        """Target coordinates carrying source coordinate i."""
-        return range((i - 1) * self.k + 1, i * self.k + 1)
 
 
 @dataclass(frozen=True)
@@ -140,66 +93,55 @@ class QReduction:
 
 
 # ---------------------------------------------------------------------------
-# DNF construction (kind A, replication factor n^2)
+# DNF construction (kind A)
 
 
-def build_detector(n: int, k: int | None = None) -> DnfFormula:
-    """DNF over k*n variables firing iff some replication block is non-constant.
+def build_detector(phi: ReplicateMap) -> DnfFormula:
+    """DNF over phi's target firing iff some replication block is non-constant.
 
     For each source coordinate block, adjacent copy pairs are compared in
-    both polarities: 2 * n * (k - 1) two-literal terms. The default
-    replication factor k = n^2 puts the formula over n^3 variables.
+    both polarities: 2 * n * (k - 1) two-literal terms.
     """
-    if n < 1:
-        raise ValueError(f"dimension must be positive, got {n}")
-    k = n * n if k is None else k
     terms = []
-    for i in range(1, n + 1):
-        base = (i - 1) * k
-        for j in range(1, k):
-            a, b = base + j, base + j + 1
+    for i in range(1, phi.source_n + 1):
+        block = phi.block_coordinates(i)
+        for a, b in zip(block, block[1:]):
             terms.append(Term(frozenset({a}), frozenset({b})))
             terms.append(Term(frozenset({b}), frozenset({a})))
-    return DnfFormula(n * k, tuple(terms))
+    return DnfFormula(phi.target_n, tuple(terms))
 
 
-def _lift_terms_to_block_heads(formula: DnfFormula, k: int) -> tuple[Term, ...]:
+def _lift_terms_to_block_heads(formula: DnfFormula, phi: ReplicateMap) -> tuple[Term, ...]:
     """Re-index each term onto the first coordinate of its variable's block."""
-    lifted = []
-    for t in formula.terms:
-        pos = frozenset((i - 1) * k + 1 for i in t.positives)
-        neg = frozenset((i - 1) * k + 1 for i in t.negatives)
-        lifted.append(Term(pos, neg))
-    return tuple(lifted)
+
+    def heads(variables: frozenset[int]) -> frozenset[int]:
+        return frozenset(phi.block_coordinates(i)[0] for i in variables)
+
+    return tuple(Term(heads(t.positives), heads(t.negatives)) for t in formula.terms)
 
 
-def reduce_dnf_type_a(formula: DnfFormula, k: int | None = None) -> DnfFormula:
-    """Transform a DNF over n variables into one over k*n variables.
+def reduce_dnf_type_a(formula: DnfFormula, phi: ReplicateMap) -> DnfFormula:
+    """Transform a DNF over n variables into one over phi's target.
 
     Original terms read the first coordinate of each block; the detector
     terms force label 1 on any point with a non-constant block, which
-    covers the whole near-image region. Defaults to k = n^2.
+    covers the whole near-image region.
     """
-    n = formula.n
-    k = n * n if k is None else k
-    lifted = _lift_terms_to_block_heads(formula, k)
-    return DnfFormula(n * k, lifted + build_detector(n, k).terms)
+    return DnfFormula(phi.target_n, _lift_terms_to_block_heads(formula, phi) + build_detector(phi).terms)
 
 
 # ---------------------------------------------------------------------------
 # DFA construction (kind A)
 
 
-def build_block_checker(n: int, k: int | None = None) -> Dfa:
-    """Automaton accepting exactly the length-k*n strings with a non-constant block.
+def build_block_checker(phi: ReplicateMap) -> Dfa:
+    """Automaton accepting exactly the inputs of phi's target length with a non-constant block.
 
     Tracks the position inside the current block and the block's first bit;
     one absorbing accept state flags the first mismatch. At most 2k + 2
-    states, so 2*n^2 + 2 at the default replication factor.
+    states.
     """
-    if n < 1:
-        raise ValueError(f"dimension must be positive, got {n}")
-    k = n * n if k is None else k
+    k = phi.k
     init, acc = "init", "acc"
     states: list = [init, acc]
     transitions: dict = {(acc, -1): acc, (acc, 1): acc}
@@ -217,20 +159,19 @@ def build_block_checker(n: int, k: int | None = None) -> Dfa:
                     transitions[((pos, first), b)] = acc
     for b in (-1, 1):
         transitions[(init, b)] = (1, b)
-    return Dfa(tuple(states), init, frozenset({acc}), transitions, n * k)
+    return Dfa(tuple(states), init, frozenset({acc}), transitions, phi.target_n)
 
 
-def build_block_simulator(automaton: Dfa, n: int, k: int | None = None) -> Dfa:
-    """Automaton over length-k*n strings running the source machine once per block.
+def build_block_simulator(automaton: Dfa, phi: ReplicateMap) -> Dfa:
+    """Automaton over phi's target length running the source machine once per block.
 
     States are (source state, position in block); the source transition is
     applied on each block's final symbol, so on replicated inputs the run
-    agrees with the source automaton. Exactly |states| * k states, with
-    k = n^2 by default.
+    agrees with the source automaton. Exactly |states| * k states.
     """
-    if automaton.length != n:
-        raise ValueError(f"source automaton reads length {automaton.length}, expected {n}")
-    k = n * n if k is None else k
+    if automaton.length != phi.source_n:
+        raise ValueError(f"source automaton reads length {automaton.length}, expected {phi.source_n}")
+    k = phi.k
     states = tuple((s, i) for s in automaton.states for i in range(1, k + 1))
     transitions: dict = {}
     for s in automaton.states:
@@ -241,7 +182,7 @@ def build_block_simulator(automaton: Dfa, n: int, k: int | None = None) -> Dfa:
                 else:
                     transitions[((s, i), b)] = (automaton.transitions[(s, b)], 1)
     accepting = frozenset((s, i) for s in automaton.accepting for i in range(1, k + 1))
-    return Dfa(states, (automaton.start, 1), accepting, transitions, n * k)
+    return Dfa(states, (automaton.start, 1), accepting, transitions, phi.target_n)
 
 
 def dfa_product_or(a1: Dfa, a2: Dfa) -> Dfa:
@@ -262,10 +203,8 @@ def dfa_product_or(a1: Dfa, a2: Dfa) -> Dfa:
     return Dfa(states, (a1.start, a2.start), accepting, transitions, a1.length)
 
 
-def reduce_dfa_type_a(automaton: Dfa, k: int | None = None) -> Dfa:
-    n = automaton.length
-    k = n * n if k is None else k
-    return dfa_product_or(build_block_checker(n, k), build_block_simulator(automaton, n, k))
+def reduce_dfa_type_a(automaton: Dfa, phi: ReplicateMap) -> Dfa:
+    return dfa_product_or(build_block_checker(phi), build_block_simulator(automaton, phi))
 
 
 # ---------------------------------------------------------------------------
@@ -279,80 +218,63 @@ def majority_label(labels: Sequence[int]) -> int:
     return 1 if sum(labels) * 2 > len(labels) else 0
 
 
-def reduce_junta_type_b(junta: Junta, q0: int) -> Junta:
-    """Junta over (2*q0+1)*n variables applying the source to block majorities."""
-    if q0 < 0:
-        raise ValueError(f"q0 must be non-negative, got {q0}")
-    r = 2 * q0 + 1
-    k = junta.k
-    k_new = r * k
+def reduce_junta_type_b(junta: Junta, phi: ReplicateMap) -> Junta:
+    """Junta over phi's target applying the source to block majorities."""
+    k_new = junta.k * phi.k
     if k_new > JUNTA_CAP:
         raise ValueError(f"reduced junta would depend on {k_new} variables, cap is {JUNTA_CAP}")
-    relevant = tuple((i - 1) * r + c for i in junta.relevant for c in range(1, r + 1))
-    half = r // 2
-    table = []
-    for m in range(1 << k_new):
-        idx = 0
-        for t in range(k):
-            chunk = (m >> (k_new - (t + 1) * r)) & ((1 << r) - 1)
-            idx = (idx << 1) | (chunk.bit_count() > half)
-        table.append(junta.table[idx])
-    return Junta(junta.n * r, relevant, tuple(table))
+    if not junta.relevant:  # a constant has no block to decode
+        return Junta(phi.target_n, (), junta.table)
+    relevant = tuple(c for i in junta.relevant for c in phi.block_coordinates(i))
+    decode = ReplicateMap(junta.k, phi.k).decode
+    return Junta(phi.target_n, relevant, tuple(junta.table[decode(m)] for m in range(1 << k_new)))
 
 
-def _stack_tree(tree: DecisionTree, q0: int, label_rule: Callable[[tuple[int, ...]], int]) -> DecisionTree:
-    """Chain 2*q0+1 renamed replicas of the tree; leaves combine path outcomes."""
-    r = 2 * q0 + 1
-
-    def rename(var: int, copy: int) -> int:
-        return (var - 1) * r + copy
+def _stack_tree(
+    tree: DecisionTree, phi: ReplicateMap, label_rule: Callable[[tuple[int, ...]], int]
+) -> DecisionTree:
+    """Chain phi.k renamed replicas of the tree; leaves combine path outcomes."""
 
     def build(node: TreeNode, copy: int, outcomes: tuple[int, ...]) -> TreeNode:
         if isinstance(node, Leaf):
             collected = outcomes + (node.label,)
-            if copy == r:
+            if copy == phi.k:
                 return Leaf(label_rule(collected))
             return build(tree.root, copy + 1, collected)
         return Node(
-            rename(node.var, copy),
+            phi.block_coordinates(node.var)[copy - 1],
             build(node.low, copy, outcomes),
             build(node.high, copy, outcomes),
         )
 
-    return DecisionTree(tree.n * r, build(tree.root, 1, ()))
+    return DecisionTree(phi.target_n, build(tree.root, 1, ()))
 
 
-def reduce_tree_type_b(tree: DecisionTree, q0: int) -> DecisionTree:
-    """Decision tree over (2*q0+1)*n variables taking the majority over copies.
+def reduce_tree_type_b(tree: DecisionTree, phi: ReplicateMap) -> DecisionTree:
+    """Decision tree over phi's target taking the majority over copies.
 
-    Leaf count is exactly leafcount(tree) ** (2*q0+1).
+    Leaf count is exactly leafcount(tree) ** k.
     """
-    if q0 < 0:
-        raise ValueError(f"q0 must be non-negative, got {q0}")
-    r = 2 * q0 + 1
-    if tree.leaf_count ** r > TREE_LEAF_CAP:
+    if tree.leaf_count ** phi.k > TREE_LEAF_CAP:
         raise ValueError(
-            f"stacked tree would have {tree.leaf_count ** r} leaves, cap is {TREE_LEAF_CAP}"
+            f"stacked tree would have {tree.leaf_count ** phi.k} leaves, cap is {TREE_LEAF_CAP}"
         )
-    return _stack_tree(tree, q0, majority_label)
+    return _stack_tree(tree, phi, majority_label)
 
 
-def reduce_poly_type_b(poly: SparsePoly, q0: int) -> SparsePoly:
+def reduce_poly_type_b(poly: SparsePoly, phi: ReplicateMap) -> SparsePoly:
     """Substitute the block majority polynomial for every variable and expand.
 
     Blocks are disjoint, so the expansion stays multilinear; the degree
-    grows by a factor of at most 2*q0+1.
+    grows by a factor of at most k.
     """
-    if q0 < 0:
-        raise ValueError(f"q0 must be non-negative, got {q0}")
-    r = 2 * q0 + 1
-    maj = maj_poly(r)
+    maj = maj_poly(phi.k)
     result: dict[frozenset[int], Fraction] = {}
     for vars_, coeff in poly.monomials.items():
         partial: dict[frozenset[int], Fraction] = {frozenset(): coeff}
         for i in sorted(vars_):
-            base = (i - 1) * r
-            shifted = [(frozenset(base + c for c in u), cu) for u, cu in maj.monomials.items()]
+            block = phi.block_coordinates(i)
+            shifted = [(frozenset(block[c - 1] for c in u), cu) for u, cu in maj.monomials.items()]
             grown: dict[frozenset[int], Fraction] = {}
             for acc_vars, acc_coeff in partial.items():
                 for u_vars, u_coeff in shifted:
@@ -364,24 +286,41 @@ def reduce_poly_type_b(poly: SparsePoly, q0: int) -> SparsePoly:
             result[new_vars] = result.get(new_vars, Fraction(0)) + new_coeff
         if len(result) > POLY_COEFF_CAP:
             raise ValueError(f"expansion exceeds coefficient cap {POLY_COEFF_CAP}")
-    return SparsePoly(poly.n * r, result)
+    return SparsePoly(phi.target_n, result)
 
 
-def reduce_ptf_type_b(ptf: SparsePtf, q0: int) -> SparsePtf:
-    return SparsePtf(reduce_poly_type_b(ptf.poly, q0), ptf.theta)
+def reduce_ptf_type_b(ptf: SparsePtf, phi: ReplicateMap) -> SparsePtf:
+    return SparsePtf(reduce_poly_type_b(ptf.poly, phi), ptf.theta)
 
 
 # ---------------------------------------------------------------------------
 # Registry of shipped constructions
 
 
-CONSTRUCTIONS: dict[str, tuple[str, Callable]] = {
-    "dnf": ("A", reduce_dnf_type_a),
-    "dfa": ("A", reduce_dfa_type_a),
-    "junta": ("B", reduce_junta_type_b),
-    "tree": ("B", reduce_tree_type_b),
-    "poly": ("B", reduce_poly_type_b),
-    "ptf": ("B", reduce_ptf_type_b),
+class Construction(NamedTuple):
+    """What one concept class needs: its reduction kind and transform, file parser and seeded example."""
+
+    kind: str
+    reduce: Callable[[Concept, ReplicateMap], Concept]
+    parse: Callable[[str], Concept]
+    example: Callable[[int, random.Random], Concept]
+
+
+def _example_poly(n: int, rng: random.Random) -> SparsePoly:
+    return SparsePoly(n, {frozenset({j}): Fraction(1, j + 1) for j in range(1, n + 1)})
+
+
+CONSTRUCTIONS: dict[str, Construction] = {
+    "dnf": Construction("A", reduce_dnf_type_a, parse_dnf, lambda n, rng: random_dnf(n, 2, 2, rng)),
+    "dfa": Construction("A", reduce_dfa_type_a, parse_dfa, lambda n, rng: parity_dfa(n)),
+    "junta": Construction(
+        "B", reduce_junta_type_b, parse_junta, lambda n, rng: random_junta(n, min(2, n), rng)
+    ),
+    "tree": Construction("B", reduce_tree_type_b, parse_tree, lambda n, rng: random_tree(n, 4, rng)),
+    "poly": Construction("B", reduce_poly_type_b, parse_poly, _example_poly),
+    "ptf": Construction(
+        "B", reduce_ptf_type_b, parse_poly, lambda n, rng: SparsePtf(_example_poly(n, rng), Fraction(0))
+    ),
 }
 
 
@@ -390,15 +329,24 @@ def make_reduction(name: str, n: int, *, k: int | None = None, q0: int = 1) -> Q
 
     Kind A replicates each coordinate k times (default n^2) and tolerates
     q = k - 1 flips; kind B takes 2*q0+1 copies and tolerates q = q0. Kind A
-    ignores q0 and kind B ignores k.
+    ignores q0 and kind B ignores k. The transform refuses a concept whose
+    dimension is not n.
     """
     if name not in CONSTRUCTIONS:
         raise ValueError(f"unknown construction {name!r}, expected one of {sorted(CONSTRUCTIONS)}")
-    kind, reduce = CONSTRUCTIONS[name]
-    if kind == "A":
+    construction = CONSTRUCTIONS[name]
+    if construction.kind == "A":
         k = n * n if k is None else k
-        return QReduction(name, kind, ReplicateMap(n, k), k - 1, lambda h: reduce(h, k))
-    return QReduction(name, kind, ReplicateMap(n, 2 * q0 + 1), q0, lambda h: reduce(h, q0))
+        phi, q = ReplicateMap(n, k), k - 1
+    else:
+        phi, q = ReplicateMap(n, 2 * q0 + 1), q0
+
+    def transform(h: Concept) -> Concept:
+        if h.n != phi.source_n:
+            raise DimensionMismatch(f"{name} reduction maps dimension {phi.source_n}, concept has {h.n}")
+        return construction.reduce(h, phi)
+
+    return QReduction(name, construction.kind, phi, q, transform)
 
 
 # ---------------------------------------------------------------------------
@@ -554,35 +502,39 @@ def verify_reduction(reduction: QReduction, concept: Concept) -> ReductionReport
 
 def corrupted_dnf_reduction_without_detector(n: int) -> QReduction:
     """DNF reduction missing the non-constant-block detector terms."""
+    shipped = make_reduction("dnf", n)
+    phi = shipped.phi
 
     def transform(formula: DnfFormula) -> DnfFormula:
-        return DnfFormula(n ** 3, _lift_terms_to_block_heads(formula, n * n))
+        return DnfFormula(phi.target_n, _lift_terms_to_block_heads(formula, phi))
 
-    return replace(make_reduction("dnf", n), name="dnf-no-detector", transform=transform)
+    return replace(shipped, name="dnf-no-detector", transform=transform)
 
 
 def corrupted_dfa_reduction_stuck_simulator(n: int) -> QReduction:
     """DFA reduction whose simulator wraps blocks without ever stepping."""
+    shipped = make_reduction("dfa", n)
+    phi = shipped.phi
 
     def broken_simulator(automaton: Dfa) -> Dfa:
-        good = build_block_simulator(automaton, n)
-        k = n * n
+        good = build_block_simulator(automaton, phi)
         transitions = dict(good.transitions)
         for s in automaton.states:
             for b in (-1, 1):
-                transitions[((s, k), b)] = (s, 1)
+                transitions[((s, phi.k), b)] = (s, 1)
         return Dfa(good.states, good.start, good.accepting, transitions, good.length)
 
     def transform(automaton: Dfa) -> Dfa:
-        return dfa_product_or(build_block_checker(n), broken_simulator(automaton))
+        return dfa_product_or(build_block_checker(phi), broken_simulator(automaton))
 
-    return replace(make_reduction("dfa", n), name="dfa-stuck-simulator", transform=transform)
+    return replace(shipped, name="dfa-stuck-simulator", transform=transform)
 
 
 def corrupted_tree_reduction_first_copy(n: int, q0: int) -> QReduction:
     """Tree reduction labeling leaves by the first copy instead of the majority."""
+    shipped = make_reduction("tree", n, q0=q0)
 
     def transform(tree: DecisionTree) -> DecisionTree:
-        return _stack_tree(tree, q0, lambda outcomes: outcomes[0])
+        return _stack_tree(tree, shipped.phi, lambda outcomes: outcomes[0])
 
-    return replace(make_reduction("tree", n, q0=q0), name="tree-first-copy", transform=transform)
+    return replace(shipped, name="tree-first-copy", transform=transform)

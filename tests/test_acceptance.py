@@ -15,7 +15,6 @@ from lmqlab.harness import (
     ExperimentConfig,
     doubled_tree_family,
     opposite_literal_family,
-    parity_dfa,
     run_learning_suite,
     run_reconstruction_corpus,
     run_reduction_suite,
@@ -23,7 +22,8 @@ from lmqlab.harness import (
 from lmqlab.learner import learn_evident_dnf, plan_samples
 from lmqlab.oracle import LocalityViolation, LocalMQOracle, draw_training_set
 from lmqlab.reductions import build_block_simulator, reduce_tree_type_b
-from lmqlab.concepts import DecisionTree, Leaf, Node
+from lmqlab.concepts import DecisionTree, Leaf, Node, parity_dfa
+from lmqlab.cube import ReplicateMap
 
 
 @contextmanager
@@ -145,10 +145,10 @@ def test_size_bounds_exact(reductions):
     report, _ = reductions
     with criterion("construction size bounds hold exactly"):
         assert all(c["passed"] for c in report.size_checks)
-        simulator = build_block_simulator(parity_dfa(3), 3)
+        simulator = build_block_simulator(parity_dfa(3), ReplicateMap(3, 9))
         assert simulator.num_states == 2 * 9
         two_leaf = DecisionTree(2, Node(1, Leaf(0), Leaf(1)))
-        assert reduce_tree_type_b(two_leaf, 1).leaf_count == 8
+        assert reduce_tree_type_b(two_leaf, ReplicateMap(2, 3)).leaf_count == 8
 
 
 def test_synthesized_answers_match_ground_truth(reductions):

@@ -146,7 +146,7 @@ def test_verify_reduction_every_construction(name, capsys):
     assert main(["verify-reduction", "--construction", name, "--n", "2"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["passed"] is True
-    assert (report["name"], report["kind"]) == (name, CONSTRUCTIONS[name][0])
+    assert (report["name"], report["kind"]) == (name, CONSTRUCTIONS[name].kind)
 
 
 def test_verify_reduction_concept_dimension_mismatch(tmp_path, capsys):
@@ -216,3 +216,15 @@ def test_suite_negative_sample_size_is_a_json_error(capsys):
     argv = ["suite", "--which", "learning", "--trials", "1", "--m1", "-1", "--m2", "10"]
     error = _usage_error(capsys, argv)
     assert error == {"error": "sample sizes must be non-negative, got m1=-1, m2=10", "type": "ValueError"}
+
+
+def test_suite_negative_locality_is_a_json_error(capsys):
+    argv = ["suite", "--which", "learning", "--trials", "1", "--q", "-1", "--m1", "10", "--m2", "10"]
+    error = _usage_error(capsys, argv)
+    assert error == {"error": "locality budget must be non-negative, got -1", "type": "ValueError"}
+
+
+@pytest.mark.parametrize("count", ["0", "-5"])
+def test_suite_corpus_count_below_one_is_a_json_error(capsys, count):
+    error = _usage_error(capsys, ["suite", "--which", "corpus", "--corpus-count", count])
+    assert error == {"error": f"formula count must be at least 1, got {count}", "type": "ValueError"}

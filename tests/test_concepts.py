@@ -16,9 +16,10 @@ from lmqlab.concepts import (
     Term,
     dnf_of_tree,
     maj_poly,
+    parity_dfa,
+    random_tree,
 )
 from lmqlab.cube import CubePoint, DimensionMismatch, enumerate_cube
-from lmqlab.harness import parity_dfa, random_tree
 
 
 def P(text: str) -> CubePoint:

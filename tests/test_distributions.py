@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from lmqlab.concepts import DnfFormula, Term
-from lmqlab.cube import CubePoint, enumerate_cube
+from lmqlab.cube import CubePoint, ReplicateMap, enumerate_cube
 from lmqlab.distributions import (
     FiniteSupport,
     LabeledSample,
@@ -15,7 +15,6 @@ from lmqlab.distributions import (
     pushforward,
     sample,
 )
-from lmqlab.reductions import ReplicateMap
 
 
 def P(text: str) -> CubePoint:

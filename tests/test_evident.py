@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from lmqlab.concepts import DecisionTree, DnfFormula, Leaf, Node, Term
-from lmqlab.cube import CubePoint, enumerate_cube
+from lmqlab.concepts import DecisionTree, DnfFormula, Leaf, Node, Term, random_tree
+from lmqlab.cube import CubePoint, ReplicateMap, enumerate_cube
 from lmqlab.distributions import FiniteSupport, UniformCube
 from lmqlab.evident import (
     doubling_dnf,
@@ -13,8 +13,6 @@ from lmqlab.evident import (
     gen_opposite_literal_dnf,
     satisfies_evidently,
 )
-from lmqlab.harness import random_tree
-from lmqlab.reductions import ReplicateMap
 
 
 def P(text: str) -> CubePoint:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from lmqlab.concepts import DnfFormula, SparsePoly, SparsePtf, Term
+from lmqlab.concepts import DnfFormula, SparsePoly, SparsePtf, Term, parity_dfa, random_junta, random_tree
 from lmqlab.cube import CubePoint, enumerate_cube
 from lmqlab.distributions import FiniteSupport, ProductDist, UniformCube
 from lmqlab.formats import (
@@ -21,7 +21,6 @@ from lmqlab.formats import (
     parse_poly,
     parse_tree,
 )
-from lmqlab.harness import parity_dfa, random_junta, random_tree
 
 
 def P(text: str) -> CubePoint:
@@ -85,10 +84,9 @@ def test_tree_parse_example():
 
 
 def test_tree_malformed():
-    with pytest.raises(ValueError):
-        parse_tree("(1 0)")
-    with pytest.raises(ValueError):
-        parse_tree("(1 0 1) extra")
+    for text in ("(1 0)", "(1 0 1) extra", "(1 0 1", "(", "(1 " * 2000):
+        with pytest.raises(ValueError):
+            parse_tree(text)
 
 
 def test_dfa_round_trip():
@@ -102,6 +100,11 @@ def test_dfa_round_trip():
 def test_dfa_requires_header_lines():
     with pytest.raises(ValueError):
         parse_dfa("trans: a + a\ntrans: a - a\n")
+
+
+def test_dfa_transition_symbol_is_one_sign():
+    with pytest.raises(ValueError, match="transition symbol"):
+        parse_dfa("len: 1\nstart: a\ntrans: a +- a\ntrans: a - a\n")
 
 
 def test_poly_round_trip():

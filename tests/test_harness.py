@@ -2,18 +2,13 @@ import random
 
 import pytest
 
-from lmqlab.concepts import DnfFormula, Term
+from lmqlab.concepts import DnfFormula, Term, parity_dfa, random_dfa, random_dnf, random_junta, random_tree
 from lmqlab.cube import enumerate_cube
 from lmqlab.harness import (
     ExperimentConfig,
     derive_seed,
     doubled_tree_family,
     opposite_literal_family,
-    parity_dfa,
-    random_dfa,
-    random_dnf,
-    random_junta,
-    random_tree,
     run_learning_suite,
     run_reconstruction_corpus,
     run_reduction_suite,

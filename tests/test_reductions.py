@@ -15,17 +15,20 @@ from lmqlab.concepts import (
     SparsePtf,
     Term,
     maj_poly,
+    parity_dfa,
+    random_dfa,
+    random_dnf,
+    random_junta,
+    random_tree,
 )
-from lmqlab.cube import CubePoint, enumerate_cube, masks_at_distance
+from lmqlab.cube import CubePoint, DimensionMismatch, ReplicateMap, enumerate_cube, masks_at_distance
 from lmqlab.distributions import UniformCube
-from lmqlab.harness import parity_dfa, random_dfa, random_dnf, random_junta, random_tree
 from lmqlab.learner import learn_evident_dnf
 from lmqlab.oracle import LocalityViolation, LocalMQOracle, draw_training_set
 from lmqlab.reductions import (
     CONSTRUCTIONS,
     FLIP_RADIUS_CAP,
     QReduction,
-    ReplicateMap,
     SynthesizedLabels,
     build_block_checker,
     build_block_simulator,
@@ -77,24 +80,24 @@ class TestReplicateMap:
 
 class TestDnfReduction:
     def test_detector_term_count(self):
-        assert len(build_detector(2).terms) == 2 * 2 * 3
+        assert len(build_detector(ReplicateMap(2, 4)).terms) == 2 * 2 * 3
 
     def test_detector_silent_on_constant_blocks(self):
-        g = build_detector(2)
         phi = ReplicateMap(2, 4)
+        g = build_detector(phi)
         for x in enumerate_cube(2):
             assert g.evaluate(phi.apply(x)) == 0
 
     def test_detector_fires_on_one_internal_flip(self):
-        g = build_detector(2)
         phi = ReplicateMap(2, 4)
+        g = build_detector(phi)
         z = phi.apply(P("+-")).flip(2)
         assert g.evaluate(z) == 1
 
     def test_image_agreement(self):
         f = DnfFormula(2, (Term.of(1),))
-        fp = reduce_dnf_type_a(f)
         phi = ReplicateMap(2, 4)
+        fp = reduce_dnf_type_a(f, phi)
         for x in enumerate_cube(2):
             assert fp.evaluate(phi.apply(x)) == f.evaluate(x)
 
@@ -106,7 +109,7 @@ class TestDnfReduction:
 
     def test_lifted_terms_read_block_heads(self):
         f = DnfFormula(2, (Term.of(1, -2),))
-        fp = reduce_dnf_type_a(f)
+        fp = reduce_dnf_type_a(f, ReplicateMap(2, 4))
         assert fp.terms[0] == Term(frozenset({1}), frozenset({5}))
 
     def test_custom_replication_factor(self):
@@ -120,7 +123,7 @@ class TestDnfReduction:
 class TestDfaReduction:
     def test_simulator_transition_structure(self):
         a = parity_dfa(2)
-        sim = build_block_simulator(a, 2)
+        sim = build_block_simulator(a, ReplicateMap(2, 4))
         assert sim.num_states == 2 * 4
         assert sim.transitions[(("even", 1), -1)] == ("even", 2)
         assert sim.transitions[(("even", 4), -1)] == ("odd", 1)
@@ -128,14 +131,14 @@ class TestDfaReduction:
 
     def test_simulator_agrees_with_source_on_images(self):
         a = parity_dfa(2)
-        sim = build_block_simulator(a, 2)
         phi = ReplicateMap(2, 4)
+        sim = build_block_simulator(a, phi)
         for x in enumerate_cube(2):
             assert sim.evaluate(phi.apply(x)) == a.evaluate(x)
 
     def test_checker_rejects_images_accepts_flips(self):
-        checker = build_block_checker(2)
         phi = ReplicateMap(2, 4)
+        checker = build_block_checker(phi)
         for x in enumerate_cube(2):
             z = phi.apply(x)
             assert checker.evaluate(z) == 0
@@ -143,11 +146,12 @@ class TestDfaReduction:
                 assert checker.evaluate(z.flip(j)) == 1
 
     def test_checker_state_budget(self):
-        assert build_block_checker(3).num_states <= 2 * 9 + 2
+        assert build_block_checker(ReplicateMap(3, 9)).num_states <= 2 * 9 + 2
 
     def test_product_language_is_union(self):
-        c = build_block_checker(2)
-        s = build_block_simulator(parity_dfa(2), 2)
+        phi = ReplicateMap(2, 4)
+        c = build_block_checker(phi)
+        s = build_block_simulator(parity_dfa(2), phi)
         both = dfa_product_or(c, s)
         assert both.num_states == c.num_states * s.num_states
         for z in enumerate_cube(8):
@@ -169,7 +173,7 @@ class TestDfaReduction:
 class TestJuntaReduction:
     def test_single_variable_becomes_block_majority(self):
         h = Junta(1, (1,), (0, 1))
-        hp = reduce_junta_type_b(h, 1)
+        hp = reduce_junta_type_b(h, ReplicateMap(1, 3))
         assert hp.k == 3
         assert hp.relevant == (1, 2, 3)
         maj = maj_poly(3)
@@ -179,7 +183,7 @@ class TestJuntaReduction:
 
     def test_zero_budget_is_renaming(self):
         h = Junta(3, (2, 3), (0, 1, 1, 1))
-        hp = reduce_junta_type_b(h, 0)
+        hp = reduce_junta_type_b(h, ReplicateMap(3, 1))
         assert hp.relevant == (2, 3)
         assert hp.table == h.table
 
@@ -187,7 +191,7 @@ class TestJuntaReduction:
         h = Junta(4, (1, 2), (0, 1, 1, 0))
         for q0 in (1, 2):
             phi = ReplicateMap(4, 2 * q0 + 1)
-            hp = reduce_junta_type_b(h, q0)
+            hp = reduce_junta_type_b(h, phi)
             for x in enumerate_cube(4):
                 z = phi.apply(x)
                 base = hp.evaluate(z)
@@ -200,27 +204,32 @@ class TestJuntaReduction:
 
     def test_depends_on_scaled_variable_count(self):
         h = Junta(5, (1, 4), (1, 0, 0, 1))
-        assert reduce_junta_type_b(h, 2).k == 5 * 2
+        assert reduce_junta_type_b(h, ReplicateMap(5, 5)).k == 5 * 2
 
     def test_cap_enforced(self):
         h = Junta(8, tuple(range(1, 7)), tuple([0, 1] * 32))
         with pytest.raises(ValueError):
-            reduce_junta_type_b(h, 2)
+            reduce_junta_type_b(h, ReplicateMap(8, 5))
 
     def test_verifier_passes(self):
         report = verify_reduction(make_reduction("junta", 4, q0=1), Junta(4, (1, 2), (0, 1, 1, 0)))
         assert report.passed
 
+    def test_constant_junta_stays_constant(self):
+        hp = make_reduction("junta", 2).transform(Junta(2, (), (1,)))
+        assert (hp.n, hp.relevant, hp.table) == (6, (), (1,))
+        assert verify_reduction(make_reduction("junta", 2), Junta(2, (), (1,))).passed
+
 
 class TestTreeReduction:
     def test_leaf_count_power(self):
         tree = DecisionTree(2, Node(1, Leaf(0), Leaf(1)))
-        assert reduce_tree_type_b(tree, 1).leaf_count == 2 ** 3
-        assert reduce_tree_type_b(tree, 2).leaf_count == 2 ** 5
+        assert reduce_tree_type_b(tree, ReplicateMap(2, 3)).leaf_count == 2 ** 3
+        assert reduce_tree_type_b(tree, ReplicateMap(2, 5)).leaf_count == 2 ** 5
 
     def test_zero_budget_is_renaming(self):
         tree = DecisionTree(2, Node(1, Leaf(0), Node(2, Leaf(1), Leaf(0))))
-        reduced = reduce_tree_type_b(tree, 0)
+        reduced = reduce_tree_type_b(tree, ReplicateMap(2, 1))
         for x in enumerate_cube(2):
             assert reduced.evaluate(x) == tree.evaluate(x)
 
@@ -228,7 +237,7 @@ class TestTreeReduction:
         rng = random.Random(44)
         tree = random_tree(3, 4, rng)
         q0 = 1
-        reduced = reduce_tree_type_b(tree, q0)
+        reduced = reduce_tree_type_b(tree, ReplicateMap(3, 2 * q0 + 1))
         for z in enumerate_cube(9):
             copies = []
             for c in range(1, 2 * q0 + 2):
@@ -240,7 +249,7 @@ class TestTreeReduction:
         # 16 ** 5 stacked leaves at q0=2, far above TREE_LEAF_CAP.
         tree = random_tree(4, 16, random.Random(1))
         with pytest.raises(ValueError):
-            reduce_tree_type_b(tree, 2)
+            reduce_tree_type_b(tree, ReplicateMap(4, 5))
 
     def test_verifier_passes(self):
         tree = random_tree(4, 4, random.Random(2))
@@ -250,14 +259,14 @@ class TestTreeReduction:
 class TestPolyReduction:
     def test_single_variable_becomes_majority_poly(self):
         p = SparsePoly(1, {frozenset({1}): Fraction(1)})
-        grown = reduce_poly_type_b(p, 1)
+        grown = reduce_poly_type_b(p, ReplicateMap(1, 3))
         assert grown.monomials == maj_poly(3).monomials
         assert grown.degree <= 3
         assert grown.coefficient_count <= 8
 
     def test_zero_budget_unchanged(self):
         p = SparsePoly(3, {frozenset({1, 3}): Fraction(2, 7), frozenset(): Fraction(1)})
-        assert reduce_poly_type_b(p, 0).monomials == p.monomials
+        assert reduce_poly_type_b(p, ReplicateMap(3, 1)).monomials == p.monomials
 
     def test_values_preserved_through_map(self):
         p = SparsePoly(
@@ -265,28 +274,28 @@ class TestPolyReduction:
         )
         for q0 in (0, 1):
             phi = ReplicateMap(4, 2 * q0 + 1)
-            grown = reduce_poly_type_b(p, q0)
+            grown = reduce_poly_type_b(p, phi)
             for x in enumerate_cube(4):
                 assert grown.evaluate(phi.apply(x)) == p.evaluate(x)
 
     def test_degree_two_expansion_is_product_of_supports(self):
         # Majority factors on disjoint blocks multiply coefficient counts.
         p = SparsePoly(2, {frozenset({1, 2}): Fraction(1)})
-        grown = reduce_poly_type_b(p, 1)
+        grown = reduce_poly_type_b(p, ReplicateMap(2, 3))
         assert grown.degree == 6
         assert grown.coefficient_count == 16
 
     def test_all_pairs_quadratic_within_cap(self):
         # 1770 monomials of degree 2, each expanding to 4 x 4 disjoint-block products.
         pairs = {frozenset(pair): Fraction(1) for pair in combinations(range(1, 61), 2)}
-        grown = reduce_poly_type_b(SparsePoly(60, pairs), 1)
+        grown = reduce_poly_type_b(SparsePoly(60, pairs), ReplicateMap(60, 3))
         assert grown.coefficient_count == 28_320
 
     def test_coefficient_cap_enforced(self):
         # 4950 pairs x 16 = 79,200 coefficients, above POLY_COEFF_CAP = 65,536.
         pairs = {frozenset(pair): Fraction(1) for pair in combinations(range(1, 101), 2)}
         with pytest.raises(ValueError, match="cap"):
-            reduce_poly_type_b(SparsePoly(100, pairs), 1)
+            reduce_poly_type_b(SparsePoly(100, pairs), ReplicateMap(100, 3))
 
     def test_ptf_threshold_preserved(self):
         poly = SparsePoly(3, {frozenset({j}): Fraction(1) for j in range(1, 4)})
@@ -376,7 +385,7 @@ class TestSimulation:
         assert oracle.log == ()
 
 
-KIND_B = sorted(name for name, (kind, _) in CONSTRUCTIONS.items() if kind == "B")
+KIND_B = sorted(name for name, c in CONSTRUCTIONS.items() if c.kind == "B")
 
 
 def _kind_b_concept(name: str, n: int, rng: random.Random):
@@ -502,6 +511,13 @@ class TestMakeReduction:
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown construction"):
             make_reduction("cnf", 2)
+
+    @pytest.mark.parametrize("name", list(CONSTRUCTIONS))
+    def test_transform_refuses_another_dimension(self, name):
+        # phi maps dimension 2; a dimension-3 concept must not come out over a wrong-sized cube.
+        concept = CONSTRUCTIONS[name].example(3, random.Random(0))
+        with pytest.raises(DimensionMismatch, match="maps dimension 2, concept has 3"):
+            make_reduction(name, 2).transform(concept)
 
     def test_negative_controls_share_the_replication_policy(self):
         pairs = [
