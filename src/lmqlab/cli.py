@@ -6,14 +6,13 @@ import argparse
 import json
 import random
 import sys
-from fractions import Fraction
 from pathlib import Path
 from typing import NoReturn
 
 from .concepts import SparsePtf
 from .cube import DimensionMismatch
 from .evident import evidence_report
-from .formats import dump_dnf, parse_distribution, parse_dnf
+from .formats import dump_dnf, parse_distribution, parse_dnf, parse_fraction
 from .harness import (
     ExperimentConfig,
     doubled_tree_family,
@@ -82,7 +81,7 @@ def _cmd_learn(args: argparse.Namespace) -> int:
 def _cmd_check_evident(args: argparse.Namespace) -> int:
     formula = parse_dnf(Path(args.formula).read_text())
     dist = parse_distribution(args.dist)
-    beta = Fraction(args.beta) if args.beta else None
+    beta = parse_fraction(args.beta) if args.beta else None
     report = evidence_report(formula, dist, beta)
     _emit(report.to_dict(), args.out)
     return 0 if report.verdict else 1

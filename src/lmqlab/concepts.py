@@ -224,28 +224,23 @@ def dnf_of_tree(tree: DecisionTree) -> DnfFormula:
 class Dfa:
     """Deterministic automaton reading the bits of a point in coordinate order.
 
-    ``length`` is the exact number of symbols consumed; acceptance is
-    inspected only after the full input.
+    States are ``0 .. len(delta) - 1``; ``delta[s]`` is the pair (next state
+    on -1, next state on +1). ``length`` is the exact number of symbols
+    consumed; acceptance is inspected only after the full input.
     """
 
-    states: tuple
-    start: object
-    accepting: frozenset
-    transitions: Mapping[tuple, object]
+    delta: tuple[tuple[int, int], ...]
+    start: int
+    accepting: frozenset[int]
     length: int
 
     def __post_init__(self) -> None:
-        state_set = set(self.states)
-        if self.start not in state_set:
-            raise ValueError(f"start state {self.start!r} not in state set")
-        if not set(self.accepting) <= state_set:
-            raise ValueError("accepting states must be a subset of the state set")
-        for s in self.states:
-            for b in (-1, 1):
-                if (s, b) not in self.transitions:
-                    raise ValueError(f"transition missing for ({s!r}, {b})")
-                if self.transitions[(s, b)] not in state_set:
-                    raise ValueError(f"transition from ({s!r}, {b}) leaves the state set")
+        states = range(len(self.delta))
+        if self.start not in states or not all(s in states for s in self.accepting):
+            raise ValueError(f"start and accepting states must lie in 0..{len(states) - 1}")
+        for s, row in enumerate(self.delta):
+            if len(row) != 2 or not all(t in states for t in row):
+                raise ValueError(f"state {s} needs two transitions into 0..{len(states) - 1}, got {row!r}")
         if self.length < 1:
             raise ValueError(f"input length must be positive, got {self.length}")
 
@@ -255,17 +250,14 @@ class Dfa:
 
     @property
     def num_states(self) -> int:
-        return len(self.states)
+        return len(self.delta)
 
     def evaluate(self, x: CubePoint) -> int:
         if x.n != self.length:
             raise DimensionMismatch(f"automaton expects length {self.length}, point has {x.n}")
-        state = self.start
-        trans = self.transitions
-        mask, n = x.mask, x.n
-        for j in range(1, n + 1):
-            b = 1 if (mask >> (n - j)) & 1 else -1
-            state = trans[(state, b)]
+        state, delta, mask = self.start, self.delta, x.mask
+        for shift in range(x.n - 1, -1, -1):
+            state = delta[state][(mask >> shift) & 1]
         return 1 if state in self.accepting else 0
 
 
@@ -463,21 +455,14 @@ def random_dnf(n: int, d: int, max_width: int, rng: random.Random) -> DnfFormula
 
 
 def parity_dfa(n: int) -> Dfa:
-    """Accepts length-n inputs containing an odd number of -1 symbols."""
-    transitions = {
-        ("even", -1): "odd",
-        ("even", 1): "even",
-        ("odd", -1): "even",
-        ("odd", 1): "odd",
-    }
-    return Dfa(("even", "odd"), "even", frozenset({"odd"}), transitions, n)
+    """Accepts length-n inputs containing an odd number of -1 symbols (state 0 even, 1 odd)."""
+    return Dfa(((1, 0), (0, 1)), 0, frozenset({1}), n)
 
 
 def random_dfa(n: int, num_states: int, rng: random.Random) -> Dfa:
-    states = tuple(range(num_states))
-    transitions = {(s, b): rng.randrange(num_states) for s in states for b in (-1, 1)}
-    accepting = frozenset(s for s in states if rng.random() < 0.5) or frozenset({states[-1]})
-    return Dfa(states, 0, accepting, transitions, n)
+    delta = tuple((rng.randrange(num_states), rng.randrange(num_states)) for _ in range(num_states))
+    accepting = frozenset(s for s in range(num_states) if rng.random() < 0.5) or frozenset({num_states - 1})
+    return Dfa(delta, 0, accepting, n)
 
 
 def random_junta(n: int, k: int, rng: random.Random) -> Junta:

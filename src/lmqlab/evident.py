@@ -98,6 +98,7 @@ def evidence_report(
 
     A term passes when its conditional evident probability reaches beta
     (default 1/n); terms the distribution never satisfies pass vacuously.
+    A beta outside (0, 1] is a ValueError.
     """
     if dist.n != formula.n:
         raise DimensionMismatch(
@@ -105,6 +106,8 @@ def evidence_report(
         )
     if beta is None:
         beta = Fraction(1, formula.n)
+    if not 0 < beta <= 1:
+        raise ValueError(f"beta must lie in (0, 1], got {beta}")
     sat = [Fraction(0)] * len(formula.terms)
     evi = [Fraction(0)] * len(formula.terms)
     for point, prob in dist.support():

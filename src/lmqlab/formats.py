@@ -10,7 +10,8 @@ Tree         a single s-expression: leaf ::= 0 | 1,
              node ::= ( var low-subtree high-subtree ),
              where the low branch is taken when the variable is -1.
 Automaton    "len: N", "start: STATE", "accept: STATE...", and one
-             "trans: STATE (+|-) STATE" line per edge.
+             "trans: STATE (+|-) STATE" line per edge. STATE names are
+             labels: states are numbered 0, 1, ... by first mention.
 Polynomial   one monomial per line as "COEFF: v1 v2 ..." with a rational
              coefficient; "theta: R" turns the file into a threshold
              function.
@@ -51,6 +52,14 @@ def _content_lines(text: str) -> list[str]:
     return lines
 
 
+def parse_fraction(text: str) -> Fraction:
+    """An exact rational such as "3/4" or "-0.5"; a zero denominator is a ValueError."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text.strip()!r}") from None
+
+
 def _split_dim(lines: list[str]) -> tuple[Optional[int], list[str]]:
     if lines and lines[0].lower().startswith("dim"):
         parts = lines[0].split()
@@ -64,9 +73,8 @@ def _split_dim(lines: list[str]) -> tuple[Optional[int], list[str]]:
 # DNF
 
 
-def parse_dnf(text: str, n: Optional[int] = None) -> DnfFormula:
-    declared, lines = _split_dim(_content_lines(text))
-    n = declared if n is None else n
+def parse_dnf(text: str) -> DnfFormula:
+    n, lines = _split_dim(_content_lines(text))
     terms = []
     max_var = 1
     for line in lines:
@@ -96,9 +104,8 @@ def _tokenize(expr: str) -> list[str]:
     return expr.replace("(", " ( ").replace(")", " ) ").split()
 
 
-def parse_tree(text: str, n: Optional[int] = None) -> DecisionTree:
-    declared, lines = _split_dim(_content_lines(text))
-    n = declared if n is None else n
+def parse_tree(text: str) -> DecisionTree:
+    n, lines = _split_dim(_content_lines(text))
     tokens = _tokenize(" ".join(lines))
 
     def token(pos: int) -> str:
@@ -143,15 +150,11 @@ def dump_tree(tree: DecisionTree) -> str:
 
 
 def parse_dfa(text: str) -> Dfa:
+    """Read an automaton; its state names are labels numbered 0, 1, ... by first mention."""
     length = start = None
     accepting: list[str] = []
-    transitions: dict[tuple, str] = {}
-    states: list[str] = []
-
-    def remember(state: str) -> None:
-        if state not in states:
-            states.append(state)
-
+    edges: dict[tuple[str, int], str] = {}
+    mentions: list[str] = []
     for line in _content_lines(text):
         key, _, rest = line.partition(":")
         key, rest = key.strip().lower(), rest.strip()
@@ -159,32 +162,34 @@ def parse_dfa(text: str) -> Dfa:
             length = int(rest)
         elif key == "start":
             start = rest
-            remember(start)
+            mentions.append(start)
         elif key == "accept":
-            accepting.extend(rest.split())
-            for s in rest.split():
-                remember(s)
+            accepting += rest.split()
+            mentions += rest.split()
         elif key == "trans":
             src, symbol, dst = rest.split()
             if symbol not in ("+", "-"):
                 raise ValueError(f"transition symbol must be '+' or '-', got {symbol!r}")
-            remember(src)
-            remember(dst)
-            transitions[(src, 1 if symbol == "+" else -1)] = dst
+            mentions += [src, dst]
+            edges[(src, 1 if symbol == "+" else -1)] = dst
         else:
             raise ValueError(f"unknown automaton line: {line!r}")
     if length is None or start is None:
         raise ValueError("automaton needs 'len:' and 'start:' lines")
-    return Dfa(tuple(states), start, frozenset(accepting), transitions, length)
+    states = {name: index for index, name in enumerate(dict.fromkeys(mentions))}
+    for edge in ((s, b) for s in states for b in (-1, 1)):
+        if edge not in edges:
+            raise ValueError(f"transition missing for {edge!r}")
+    delta = tuple((states[edges[(s, -1)]], states[edges[(s, 1)]]) for s in states)
+    return Dfa(delta, states[start], frozenset(states[s] for s in accepting), length)
 
 
 def dump_dfa(dfa: Dfa) -> str:
     lines = [f"len: {dfa.length}", f"start: {dfa.start}"]
     if dfa.accepting:
-        lines.append("accept: " + " ".join(str(s) for s in sorted(dfa.accepting, key=str)))
-    for state in dfa.states:
-        for bit, symbol in ((-1, "-"), (1, "+")):
-            lines.append(f"trans: {state} {symbol} {dfa.transitions[(state, bit)]}")
+        lines.append("accept: " + " ".join(map(str, sorted(dfa.accepting))))
+    for state, (minus, plus) in enumerate(dfa.delta):
+        lines += [f"trans: {state} - {minus}", f"trans: {state} + {plus}"]
     return "\n".join(lines) + "\n"
 
 
@@ -192,18 +197,17 @@ def dump_dfa(dfa: Dfa) -> str:
 # Polynomials and threshold functions
 
 
-def parse_poly(text: str, n: Optional[int] = None) -> SparsePoly | SparsePtf:
-    declared, lines = _split_dim(_content_lines(text))
-    n = declared if n is None else n
+def parse_poly(text: str) -> SparsePoly | SparsePtf:
+    n, lines = _split_dim(_content_lines(text))
     monomials: dict[frozenset[int], Fraction] = {}
     theta: Optional[Fraction] = None
     max_var = 1
     for line in lines:
         head, _, rest = line.partition(":")
         if head.strip().lower() == "theta":
-            theta = Fraction(rest.strip())
+            theta = parse_fraction(rest)
             continue
-        coeff = Fraction(head.strip())
+        coeff = parse_fraction(head)
         variables = frozenset(int(tok) for tok in rest.split())
         if variables:
             max_var = max(max_var, *variables)
@@ -262,7 +266,7 @@ def parse_distribution(spec: str) -> Distribution:
     if kind == "uniform":
         return UniformCube(int(rest))
     if kind == "product":
-        probs = tuple(Fraction(tok) for tok in rest.split(","))
+        probs = tuple(parse_fraction(tok) for tok in rest.split(","))
         return ProductDist(len(probs), probs)
     if kind == "file":
         return parse_finite_support(Path(rest).read_text())
@@ -273,7 +277,7 @@ def parse_finite_support(text: str) -> FiniteSupport:
     entries = []
     for line in _content_lines(text):
         point_text, prob_text = line.split()
-        entries.append((CubePoint.from_string(point_text), Fraction(prob_text)))
+        entries.append((CubePoint.from_string(point_text), parse_fraction(prob_text)))
     if not entries:
         raise ValueError("finite support file has no entries")
     return FiniteSupport(entries[0][0].n, tuple(entries))

@@ -169,7 +169,6 @@ class TrialReport:
     positives: int
     terms_added: int
     terms_pruned: int
-    seconds: float
 
     def canonical_dict(self) -> dict:
         return {
@@ -242,10 +241,8 @@ def run_learning_suite(cfg: ExperimentConfig) -> SuiteReport:
         seed = derive_seed(cfg.base_seed, "trial", i)
         try:
             target, dist = cfg.family(derive_seed(seed, "instance"))
-            t0 = time.perf_counter()
             seeds = (derive_seed(seed, "s1"), derive_seed(seed, "s2"), derive_seed(seed, "loss"))
             run, loss, estimator = run_trial(target, dist, cfg.m1, cfg.m2, cfg.q, seeds)
-            seconds = time.perf_counter() - t0
         except (LocalityViolation, BudgetExhausted) as exc:
             # A refused query stays a refusal, so the CLI reports it as bad input.
             exc.args = (f"trial {i} (seed {seed}) failed: {exc}",)
@@ -267,7 +264,6 @@ def run_learning_suite(cfg: ExperimentConfig) -> SuiteReport:
                 positives=run.positives_seen,
                 terms_added=run.terms_added,
                 terms_pruned=run.terms_pruned,
-                seconds=seconds,
             )
         )
     note = (

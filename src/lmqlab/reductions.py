@@ -137,70 +137,54 @@ def reduce_dnf_type_a(formula: DnfFormula, phi: ReplicateMap) -> DnfFormula:
 def build_block_checker(phi: ReplicateMap) -> Dfa:
     """Automaton accepting exactly the inputs of phi's target length with a non-constant block.
 
-    Tracks the position inside the current block and the block's first bit;
-    one absorbing accept state flags the first mismatch. At most 2k + 2
+    State 0 starts, state 1 is the absorbing accept state that flags the
+    first mismatch, and ``2 * pos + first`` is position ``pos`` (1..k) of
+    a block whose first bit is ``first`` (0 for -1, 1 for +1): 2k + 2
     states.
     """
     k = phi.k
-    init, acc = "init", "acc"
-    states: list = [init, acc]
-    transitions: dict = {(acc, -1): acc, (acc, 1): acc}
-    for first in (-1, 1):
-        for pos in range(1, k + 1):
-            states.append((pos, first))
-    for first in (-1, 1):
-        for pos in range(1, k + 1):
-            for b in (-1, 1):
-                if pos == k:
-                    transitions[((pos, first), b)] = (1, b)
-                elif b == first:
-                    transitions[((pos, first), b)] = (pos + 1, first)
-                else:
-                    transitions[((pos, first), b)] = acc
-    for b in (-1, 1):
-        transitions[(init, b)] = (1, b)
-    return Dfa(tuple(states), init, frozenset({acc}), transitions, phi.target_n)
+    delta = [(2, 3), (1, 1)]
+    for pos in range(1, k):
+        # A repeat of the first bit moves on; the other bit is a mismatch.
+        delta += [(2 * pos + 2, 1), (1, 2 * pos + 3)]
+    delta += [(2, 3), (2, 3)]  # position k: the next symbol starts a block
+    return Dfa(tuple(delta), 0, frozenset({1}), phi.target_n)
 
 
 def build_block_simulator(automaton: Dfa, phi: ReplicateMap) -> Dfa:
     """Automaton over phi's target length running the source machine once per block.
 
-    States are (source state, position in block); the source transition is
-    applied on each block's final symbol, so on replicated inputs the run
-    agrees with the source automaton. Exactly |states| * k states.
+    State ``s * k + i`` is source state s at position i (0-based) of a block;
+    the source transition is applied on each block's final symbol, so on
+    replicated inputs the run agrees with the source automaton. Exactly
+    |states| * k states.
     """
     if automaton.length != phi.source_n:
         raise ValueError(f"source automaton reads length {automaton.length}, expected {phi.source_n}")
     k = phi.k
-    states = tuple((s, i) for s in automaton.states for i in range(1, k + 1))
-    transitions: dict = {}
-    for s in automaton.states:
-        for i in range(1, k + 1):
-            for b in (-1, 1):
-                if i < k:
-                    transitions[((s, i), b)] = (s, i + 1)
-                else:
-                    transitions[((s, i), b)] = (automaton.transitions[(s, b)], 1)
-    accepting = frozenset((s, i) for s in automaton.accepting for i in range(1, k + 1))
-    return Dfa(states, (automaton.start, 1), accepting, transitions, phi.target_n)
+    delta = tuple(
+        (s * k + i + 1, s * k + i + 1) if i < k - 1 else (minus * k, plus * k)
+        for s, (minus, plus) in enumerate(automaton.delta)
+        for i in range(k)
+    )
+    accepting = frozenset(s * k + i for s in automaton.accepting for i in range(k))
+    return Dfa(delta, automaton.start * k, accepting, phi.target_n)
 
 
 def dfa_product_or(a1: Dfa, a2: Dfa) -> Dfa:
-    """Pair construction accepting iff either machine accepts."""
+    """Pair construction accepting iff either machine accepts; state ``s1 * |a2| + s2``.
+
+    Every pair is kept, reachable or not, so the state count is |a1| * |a2|.
+    """
     if a1.length != a2.length:
         raise DimensionMismatch(f"input lengths differ: {a1.length} vs {a2.length}")
-    states = tuple((s1, s2) for s1 in a1.states for s2 in a2.states)
-    transitions = {
-        ((s1, s2), b): (a1.transitions[(s1, b)], a2.transitions[(s2, b)])
-        for s1 in a1.states
-        for s2 in a2.states
-        for b in (-1, 1)
-    }
+    size = a2.num_states
+    delta = tuple((m1 * size + m2, p1 * size + p2) for m1, p1 in a1.delta for m2, p2 in a2.delta)
     accepting = frozenset(
-        (s1, s2) for s1 in a1.states for s2 in a2.states
+        s1 * size + s2 for s1 in range(a1.num_states) for s2 in range(size)
         if s1 in a1.accepting or s2 in a2.accepting
     )
-    return Dfa(states, (a1.start, a2.start), accepting, transitions, a1.length)
+    return Dfa(delta, a1.start * size + a2.start, accepting, a1.length)
 
 
 def reduce_dfa_type_a(automaton: Dfa, phi: ReplicateMap) -> Dfa:
@@ -518,11 +502,10 @@ def corrupted_dfa_reduction_stuck_simulator(n: int) -> QReduction:
 
     def broken_simulator(automaton: Dfa) -> Dfa:
         good = build_block_simulator(automaton, phi)
-        transitions = dict(good.transitions)
-        for s in automaton.states:
-            for b in (-1, 1):
-                transitions[((s, phi.k), b)] = (s, 1)
-        return Dfa(good.states, good.start, good.accepting, transitions, good.length)
+        k = phi.k
+        # Each block end goes back to its own block start, whatever the symbol.
+        delta = tuple((s - k + 1,) * 2 if s % k == k - 1 else row for s, row in enumerate(good.delta))
+        return replace(good, delta=delta)
 
     def transform(automaton: Dfa) -> Dfa:
         return dfa_product_or(build_block_checker(phi), broken_simulator(automaton))

@@ -228,3 +228,29 @@ def test_suite_negative_locality_is_a_json_error(capsys):
 def test_suite_corpus_count_below_one_is_a_json_error(capsys, count):
     error = _usage_error(capsys, ["suite", "--which", "corpus", "--corpus-count", count])
     assert error == {"error": f"formula count must be at least 1, got {count}", "type": "ValueError"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-evident", "--formula", "{dnf}", "--dist", "uniform:2", "--beta", "1/0"],
+        ["check-evident", "--formula", "{dnf}", "--dist", "product:1/0,1/2"],
+        ["check-evident", "--formula", "{dnf}", "--dist", "file:{support}"],
+        ["verify-reduction", "--construction", "poly", "--n", "1", "--concept", "{poly}"],
+        ["verify-reduction", "--construction", "ptf", "--n", "1", "--concept", "{ptf}"],
+    ],
+    ids=["beta", "product", "support-file", "coefficient", "theta"],
+)
+def test_zero_denominator_is_a_json_error(tmp_path, capsys, argv):
+    files = {"dnf": "dim 2\n1\n", "support": "+- 1/0\n", "poly": "1/0: 1\n", "ptf": "1: 1\ntheta: 1/0\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    error = _usage_error(capsys, [arg.format(**{name: tmp_path / name for name in files}) for arg in argv])
+    assert error == {"error": "zero denominator in '1/0'", "type": "ValueError"}
+
+
+@pytest.mark.parametrize("beta", ["-3", "0", "3/2"])
+def test_check_evident_beta_outside_unit_interval_is_a_json_error(formula_file, capsys, beta):
+    argv = ["check-evident", "--formula", formula_file, "--dist", "uniform:4", "--beta", beta]
+    error = _usage_error(capsys, argv)
+    assert error == {"error": f"beta must lie in (0, 1], got {beta}", "type": "ValueError"}

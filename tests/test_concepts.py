@@ -126,7 +126,7 @@ class TestDfa:
 
     def test_transition_totality_enforced(self):
         with pytest.raises(ValueError):
-            Dfa(("a",), "a", frozenset(), {("a", 1): "a"}, 2)
+            Dfa(((0,),), 0, frozenset(), 2)
 
     def test_parity_agrees_with_popcount(self):
         a = parity_dfa(4)

@@ -114,6 +114,11 @@ class TestEvidenceReport:
         report = evidence_report(OPPOSITE, UniformCube(2))
         assert report.beta == Fraction(1, 2)
 
+    @pytest.mark.parametrize("beta", [Fraction(-3), Fraction(0), Fraction(3, 2)])
+    def test_beta_outside_unit_interval_rejected(self, beta):
+        with pytest.raises(ValueError, match=r"beta must lie in \(0, 1\]"):
+            evidence_report(OPPOSITE, UniformCube(2), beta=beta)
+
     def test_dimension_mismatch_fails_fast(self):
         from lmqlab.cube import DimensionMismatch
 

@@ -3,8 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from lmqlab.concepts import DnfFormula, SparsePoly, SparsePtf, Term, parity_dfa, random_junta, random_tree
-from lmqlab.cube import CubePoint, enumerate_cube
+from lmqlab.concepts import (
+    Dfa,
+    DnfFormula,
+    SparsePoly,
+    SparsePtf,
+    Term,
+    parity_dfa,
+    random_junta,
+    random_tree,
+)
+from lmqlab.cube import CubePoint, ReplicateMap, enumerate_cube
 from lmqlab.distributions import FiniteSupport, ProductDist, UniformCube
 from lmqlab.formats import (
     dump_dfa,
@@ -21,6 +30,7 @@ from lmqlab.formats import (
     parse_poly,
     parse_tree,
 )
+from lmqlab.reductions import reduce_dfa_type_a
 
 
 def P(text: str) -> CubePoint:
@@ -40,23 +50,22 @@ def test_dnf_literal_lines():
 
 def test_dnf_dimension_inference_and_override():
     assert parse_dnf("2\n").n == 2
-    assert parse_dnf("2\n", n=5).n == 5
     assert parse_dnf("dim 6\n2\n").n == 6
 
 
 def test_dnf_explicit_zero_dimension_rejected():
     with pytest.raises(ValueError, match="positive"):
-        parse_dnf("dim 3\n1\n", n=0)
+        parse_dnf("dim 0\n1\n")
 
 
 def test_tree_explicit_zero_dimension_rejected():
     with pytest.raises(ValueError, match="positive"):
-        parse_tree("dim 3\n(1 0 1)\n", n=0)
+        parse_tree("dim 0\n(1 0 1)\n")
 
 
 def test_poly_explicit_zero_dimension_rejected():
     with pytest.raises(ValueError, match="positive"):
-        parse_poly("dim 3\n1/2:\n", n=0)
+        parse_poly("dim 0\n1/2:\n")
 
 
 def test_dnf_empty_term_marker():
@@ -95,6 +104,35 @@ def test_dfa_round_trip():
     assert parsed.length == 3
     for x in enumerate_cube(3):
         assert parsed.evaluate(x) == a.evaluate(x)
+    # Parity started in the odd state: the product's start is state 3, and
+    # the file renumbers it 0 by first mention.
+    odd_start = Dfa(((1, 0), (0, 1)), 1, frozenset({1}), 2)
+    product = reduce_dfa_type_a(odd_start, ReplicateMap(2, 3))
+    assert product.start != 0
+    parsed = parse_dfa(dump_dfa(product))
+    assert parsed.start == 0
+    for z in enumerate_cube(6):
+        assert parsed.evaluate(z) == product.evaluate(z)
+
+
+def test_dfa_state_names_are_labels_numbered_by_first_mention():
+    a = parse_dfa("len: 2\ntrans: x + y\ntrans: x - x\ntrans: y + x\ntrans: y - y\nstart: y\naccept: x\n")
+    assert a == Dfa(((0, 1), (1, 0)), 1, frozenset({0}), 2)
+
+
+@pytest.mark.parametrize(
+    "text, missing",
+    [
+        ("len: 1\nstart: a\naccept: b\ntrans: b - b\ntrans: b + b\n", "('a', -1)"),
+        ("len: 1\nstart: a\naccept: b\ntrans: a - a\ntrans: a + a\n", "('b', -1)"),
+        ("len: 1\nstart: a\ntrans: a - a\n", "('a', 1)"),
+    ],
+    ids=["start", "accept", "one-symbol"],
+)
+def test_dfa_state_without_transitions_is_named(text, missing):
+    with pytest.raises(ValueError) as exc:
+        parse_dfa(text)
+    assert str(exc.value) == f"transition missing for {missing}"
 
 
 def test_dfa_requires_header_lines():

@@ -48,7 +48,7 @@ def test_generators_are_seed_deterministic():
     a = random_dnf(5, 3, 3, random.Random(9))
     b = random_dnf(5, 3, 3, random.Random(9))
     assert a == b
-    assert random_dfa(4, 3, random.Random(2)).transitions == random_dfa(4, 3, random.Random(2)).transitions
+    assert random_dfa(4, 3, random.Random(2)).delta == random_dfa(4, 3, random.Random(2)).delta
     assert random_junta(5, 2, random.Random(4)) == random_junta(5, 2, random.Random(4))
 
 

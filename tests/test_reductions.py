@@ -124,10 +124,11 @@ class TestDfaReduction:
     def test_simulator_transition_structure(self):
         a = parity_dfa(2)
         sim = build_block_simulator(a, ReplicateMap(2, 4))
+        # State s*k + i is source state s (0 even, 1 odd) at 0-based block position i.
         assert sim.num_states == 2 * 4
-        assert sim.transitions[(("even", 1), -1)] == ("even", 2)
-        assert sim.transitions[(("even", 4), -1)] == ("odd", 1)
-        assert sim.transitions[(("even", 4), 1)] == ("even", 1)
+        assert sim.delta[0][0] == 1  # (even, 1) on -1 -> (even, 2)
+        assert sim.delta[3][0] == 4  # (even, 4) on -1 -> (odd, 1)
+        assert sim.delta[3][1] == 0  # (even, 4) on +1 -> (even, 1)
 
     def test_simulator_agrees_with_source_on_images(self):
         a = parity_dfa(2)
