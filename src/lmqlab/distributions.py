@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterator, Union
 
 from .cube import ENUMERATION_CAP, CubePoint, DimensionMismatch, ReplicateMap
@@ -27,8 +28,8 @@ class UniformCube:
         if self.n < 1:
             raise ValueError(f"dimension must be a positive integer, got {self.n}")
 
-    def draw(self, rng: random.Random) -> CubePoint:
-        return CubePoint(self.n, rng.getrandbits(self.n))
+    def draw(self, rng: random.Random) -> int:
+        return rng.getrandbits(self.n)
 
     def support(self) -> Iterator[tuple[CubePoint, Fraction]]:
         if self.n > ENUMERATION_CAP:
@@ -53,11 +54,11 @@ class ProductDist:
             raise ValueError("coordinate probabilities must lie in [0,1]")
         object.__setattr__(self, "plus_probs", probs)
 
-    def draw(self, rng: random.Random) -> CubePoint:
+    def draw(self, rng: random.Random) -> int:
         mask = 0
         for p in self.plus_probs:
             mask = (mask << 1) | (rng.random() < p)
-        return CubePoint(self.n, mask)
+        return mask
 
     def support(self) -> Iterator[tuple[CubePoint, Fraction]]:
         if self.n > ENUMERATION_CAP:
@@ -76,6 +77,8 @@ class FiniteSupport:
 
     n: int
     entries: tuple[tuple[CubePoint, Fraction], ...]
+    _cum: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         merged: dict[int, Fraction] = {}
@@ -93,17 +96,12 @@ class FiniteSupport:
             (CubePoint(self.n, mask), merged[mask]) for mask in sorted(merged) if merged[mask]
         )
         object.__setattr__(self, "entries", canonical)
+        object.__setattr__(self, "_cum", tuple(accumulate(float(prob) for _, prob in canonical)))
+        # The last mask twice: a product that rounds up to the total bisects past the end.
+        object.__setattr__(self, "_masks", tuple(point.mask for point, _ in canonical + canonical[-1:]))
 
-    def draw(self, rng: random.Random) -> CubePoint:
-        cum = getattr(self, "_cum", None)
-        if cum is None:
-            acc, cum = 0.0, []
-            for _, prob in self.entries:
-                acc += float(prob)
-                cum.append(acc)
-            object.__setattr__(self, "_cum", cum)
-        i = bisect_right(cum, rng.random() * cum[-1])
-        return self.entries[min(i, len(self.entries) - 1)][0]
+    def draw(self, rng: random.Random) -> int:
+        return self._masks[bisect_right(self._cum, rng.random() * self._cum[-1])]
 
     def support(self) -> Iterator[tuple[CubePoint, Fraction]]:
         return iter(self.entries)
@@ -112,8 +110,8 @@ class FiniteSupport:
 Distribution = Union[UniformCube, ProductDist, FiniteSupport]
 
 
-def sample(dist: Distribution, m: int, seed: int) -> list[CubePoint]:
-    """m i.i.d. draws, reproducible from the seed."""
+def sample(dist: Distribution, m: int, seed: int) -> list[int]:
+    """m i.i.d. draws as point masks, reproducible from the seed."""
     if m < 0:
         raise ValueError(f"sample count must be non-negative, got {m}")
     rng = random.Random(seed)
@@ -189,6 +187,6 @@ def mc_loss(dist: Distribution, h_star: Concept, h_hat: Concept, m: int, seed: i
     """Empirical disagreement frequency over m seeded draws."""
     if m <= 0:
         raise ValueError(f"sample count must be positive, got {m}")
-    points = sample(dist, m, seed)
+    points = (CubePoint(dist.n, mask) for mask in sample(dist, m, seed))
     bad = sum(1 for x in points if h_star.evaluate(x) != h_hat.evaluate(x))
     return Fraction(bad, m)

@@ -544,10 +544,10 @@ def _audit_simulation(
     except LocalityViolation:
         report.uniqueness_errors += 1
         return
-    for rec in oracle.log:
-        report.simulation_queries += 1
+    for rec, times in oracle.records():
+        report.simulation_queries += times
         if rec.answer != transformed.evaluate(rec.point):
-            report.simulation_mismatches += 1
+            report.simulation_mismatches += times
 
 
 def run_reduction_suite(base_seed: int = 0) -> ReductionSuiteReport:

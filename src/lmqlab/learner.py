@@ -1,23 +1,24 @@
 """The 1-local-query DNF learner and its sample-size planner.
 
-Phase 1 walks the positive examples of the first sample and rebuilds one
-candidate term per example by flipping each coordinate and asking the
-oracle: an answer of 1 means the variable is absent from the term, an
-answer of 0 keeps the literal the example itself satisfies. Phase 2 throws
-away every candidate that fires on a negative example of the second
-sample. On instances whose positives are evident, phase 1 recovers exact
-terms and phase 2 never removes a true one.
+Phase 1 rebuilds one candidate term per distinct positive example of the
+first sample by flipping each coordinate and asking the oracle, counting
+each query once per occurrence: an answer of 1 means the variable is absent
+from the term, an answer of 0 keeps the literal the example satisfies.
+Phase 2 throws away every candidate that fires on a negative example of the
+second sample. On instances whose positives are evident, phase 1 recovers
+exact terms and phase 2 never removes a true one.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
 from .concepts import DnfFormula, Term
-from .cube import CubePoint
+from .cube import CubePoint, DimensionMismatch
 from .distributions import LabeledSample
 from .oracle import LocalMQOracle, OracleStats
 
@@ -52,21 +53,22 @@ def plan_samples(n: int, epsilon: float, d: Optional[int] = None) -> SampleSizeP
     return SampleSizePlan(n, epsilon, m1, m2)
 
 
-def reconstruct_term(x: CubePoint, oracle: LocalMQOracle) -> Term:
+def reconstruct_term(x: CubePoint, oracle: LocalMQOracle, times: int = 1) -> Term:
     """Recover the term a positive example satisfies, one flip per coordinate.
 
-    Issues exactly n queries, each at distance 1 from x. Starting from the
-    conjunction of all literals over all variables, an answer of 1 at
+    Issues exactly n queries, each at distance 1 from x, and counts each
+    ``times`` times: once per occurrence of x in the sample. Starting from
+    the conjunction of all literals over all variables, an answer of 1 at
     coordinate j removes both of j's literals, and an answer of 0 removes
     the literal x violates, keeping the one x satisfies.
     """
+    if x.n != oracle.n:
+        raise DimensionMismatch(f"example dimension {x.n} differs from oracle {oracle.n}")
     positives, negatives = set(), set()
     for j in range(1, x.n + 1):
-        if oracle.query(x.flip(j)) == 0:
-            if x.bit(j) == 1:
-                positives.add(j)
-            else:
-                negatives.add(j)
+        bit = 1 << (x.n - j)
+        if oracle.ask(x.mask ^ bit, times) == 0:
+            (positives if x.mask & bit else negatives).add(j)
     return Term(frozenset(positives), frozenset(negatives))
 
 
@@ -90,15 +92,12 @@ def learn_evident_dnf_run(s1: LabeledSample, s2: LabeledSample, oracle: LocalMQO
     """Like ``learn_evident_dnf`` but with query statistics and phase timings."""
     n = oracle.n
     t0 = time.perf_counter()
+    occurrences = Counter(x for x, y in s1 if y == 1)
     collected: dict[Term, None] = {}
-    positives_seen = 0
-    for x, y in s1:
-        if y != 1:
-            continue
-        positives_seen += 1
-        collected.setdefault(reconstruct_term(x, oracle))
+    for x, times in occurrences.items():
+        collected.setdefault(reconstruct_term(x, oracle, times))
     t1 = time.perf_counter()
-    negative_masks = [x.mask for x, y in s2 if y == 0]
+    negative_masks = {x.mask for x, y in s2 if y == 0}
     surviving = []
     pruned = 0
     for term in collected:
@@ -111,7 +110,7 @@ def learn_evident_dnf_run(s1: LabeledSample, s2: LabeledSample, oracle: LocalMQO
     return LearnerRun(
         formula=DnfFormula(n, tuple(surviving)),
         oracle_stats=oracle.stats(),
-        positives_seen=positives_seen,
+        positives_seen=sum(occurrences.values()),
         terms_added=len(collected),
         terms_pruned=pruned,
         phase1_seconds=t1 - t0,

@@ -3,6 +3,8 @@
 A query for point z is q-local when some anchor (training point) lies
 within Hamming distance q of z. The oracle refuses anything farther away
 and logs every answer it gives, so learners can be audited after a run.
+The core, ``ask(mask, times)``, checks and answers each distinct query once
+and counts its repeats; ``log`` expands the counts, grouped by first asking.
 """
 
 from __future__ import annotations
@@ -77,8 +79,12 @@ class LocalMQOracle:
         self._index = AnchorIndex((a.mask for a in self.anchors), self.n, q)
         if query_cap is None:
             query_cap = QUERY_BUDGET_FACTOR * self.n * max(1, len(self.anchors))
+        if query_cap < 0:
+            raise ValueError(f"query budget must be non-negative, got {query_cap}")
         self.query_cap = query_cap
-        self._log: list[QueryRecord] = []
+        # One [answer, distance, times] entry per distinct query mask, in order of first asking.
+        self._asked: dict[int, list[int]] = {}
+        self._count = 0
 
     @classmethod
     def for_samples(
@@ -92,40 +98,66 @@ class LocalMQOracle:
         anchors = [x for s in samples for x, _ in s]
         return cls(target, anchors, q, query_cap=query_cap)
 
+    def records(self) -> list[tuple[QueryRecord, int]]:
+        """Each distinct query once, in order of first asking, with the times it was asked."""
+        return [
+            (QueryRecord(CubePoint(self.n, mask), answer, distance), times)
+            for mask, (answer, distance, times) in self._asked.items()
+        ]
+
     @property
     def log(self) -> tuple[QueryRecord, ...]:
-        return tuple(self._log)
+        """Every query asked, repeats included, grouped by first asking."""
+        return tuple(rec for rec, times in self.records() for _ in range(times))
 
     def query(self, z: CubePoint) -> int:
         if z.n != self.n:
             raise DimensionMismatch(f"query dimension {z.n} differs from oracle {self.n}")
-        distance = self._index.nearest(z.mask)
-        if distance is None:
-            raise LocalityViolation(self._index.min_distance(z.mask), self.q)
-        if len(self._log) >= self.query_cap:
+        return self.ask(z.mask)
+
+    def ask(self, mask: int, times: int = 1) -> int:
+        """Answer the query at ``mask``, counted ``times`` times against the budget.
+
+        Locality is checked and the target evaluated on a mask's first asking
+        only. A batch that does not fit the budget is refused whole.
+        """
+        if times < 1:
+            raise ValueError(f"a query is asked at least once, got times={times}")
+        entry = self._asked.get(mask)
+        if entry is None:
+            if not 0 <= mask < 1 << self.n:
+                raise DimensionMismatch(f"query mask {mask} out of range for dimension {self.n}")
+            distance = self._index.nearest(mask)
+            if distance is None:
+                raise LocalityViolation(self._index.min_distance(mask), self.q)
+        if self._count + times > self.query_cap:
             raise BudgetExhausted(self.query_cap)
-        answer = self.target.evaluate(z)
-        self._log.append(QueryRecord(z, answer, distance))
-        return answer
+        if entry is None:
+            entry = self._asked[mask] = [self.target.evaluate(CubePoint(self.n, mask)), distance, 0]
+        entry[2] += times
+        self._count += times
+        return entry[0]
 
     def stats(self) -> OracleStats:
         histogram: dict[int, int] = {}
-        for rec in self._log:
-            histogram[rec.distance] = histogram.get(rec.distance, 0) + 1
+        for _, distance, times in self._asked.values():
+            histogram[distance] = histogram.get(distance, 0) + times
         max_used = max(histogram) if histogram else 0
-        return OracleStats(len(self._log), max_used, histogram)
+        return OracleStats(self._count, max_used, histogram)
 
     def log_jsonl(self) -> str:
         lines = [
             json.dumps({"query": rec.point.to_string(), "answer": rec.answer, "dist": rec.distance})
-            for rec in self._log
+            for rec in self.log
         ]
         return "\n".join(lines)
 
 
 def draw_training_set(dist: Distribution, h_star: Concept, m: int, seed: int) -> LabeledSample:
-    """m i.i.d. points labeled by the target concept."""
+    """m i.i.d. points labeled by the target concept; repeated draws share one labelled pair."""
     if h_star.n != dist.n:
         raise DimensionMismatch(f"concept dimension {h_star.n} differs from distribution {dist.n}")
-    points = sample(dist, m, seed)
-    return LabeledSample(tuple((x, h_star.evaluate(x)) for x in points))
+    masks = sample(dist, m, seed)
+    points = [CubePoint(dist.n, mask) for mask in dict.fromkeys(masks)]
+    labelled = {x.mask: (x, h_star.evaluate(x)) for x in points}
+    return LabeledSample(tuple(map(labelled.__getitem__, masks)))

@@ -1,11 +1,14 @@
 import math
 import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lmqlab.concepts import DnfFormula, Term
-from lmqlab.cube import CubePoint, enumerate_cube
-from lmqlab.distributions import LabeledSample, UniformCube, exact_loss
+from lmqlab.concepts import DnfFormula, Term, random_dnf
+from lmqlab.cube import CubePoint, DimensionMismatch, enumerate_cube
+from lmqlab.distributions import FiniteSupport, LabeledSample, UniformCube, exact_loss
 from lmqlab.evident import gen_opposite_literal_dnf, satisfies_evidently
 from lmqlab.learner import (
     learn_evident_dnf,
@@ -69,6 +72,13 @@ class TestReconstruction:
                 if len(hit) == 1 and satisfies_evidently(f, hit[0], x):
                     o = LocalMQOracle(f, [x], q=1)
                     assert reconstruct_term(x, o) == f.terms[hit[0]]
+
+    @pytest.mark.parametrize("x", ["++", "++++"])
+    def test_example_of_another_dimension_rejected(self, x):
+        o = LocalMQOracle(DnfFormula(3, (Term.of(1),)), [P("+++")], q=3)
+        with pytest.raises(DimensionMismatch):
+            reconstruct_term(P(x), o)
+        assert o.log == ()
 
     def test_queries_are_distance_one_flips(self):
         f = DnfFormula(4, (Term.of(1),))
@@ -161,3 +171,61 @@ class TestLearner:
         oracle = LocalMQOracle.for_samples(target, 1, s1, s2)
         learned = learn_evident_dnf(s1, s2, oracle)
         assert set(learned.terms) == set(target.terms)
+
+
+def reference_learn(s1, s2, oracle):
+    """The pointwise learner: one reconstruction per positive occurrence, through ``query``.
+
+    Returns (terms, positives, terms added, terms pruned).
+    """
+    n = oracle.n
+    collected = {}
+    positives = 0
+    for x, y in s1:
+        if y != 1:
+            continue
+        positives += 1
+        pos, neg = set(), set()
+        for j in range(1, n + 1):
+            if oracle.query(x.flip(j)) == 0:
+                (pos if x.bit(j) == 1 else neg).add(j)
+        collected.setdefault(Term(frozenset(pos), frozenset(neg)))
+    negatives = [x for x, y in s2 if y == 0]
+    surviving = tuple(t for t in collected if not any(t.satisfied_by(x) for x in negatives))
+    return surviving, positives, len(collected), len(collected) - len(surviving)
+
+
+@st.composite
+def repeated_samples(draw):
+    """A random DNF with a distribution whose samples repeat heavily: few points, many draws."""
+    n = draw(st.integers(2, 8))
+    d, width, seed = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(0, 1 << 30))
+    target = random_dnf(n, d, width, random.Random(seed))
+    if draw(st.booleans()):
+        dist = UniformCube(n)
+    else:
+        masks = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=6, unique=True))
+        weights = draw(st.lists(st.integers(1, 5), min_size=len(masks), max_size=len(masks)))
+        dist = FiniteSupport(
+            n, tuple((CubePoint(n, m), Fraction(w, sum(weights))) for m, w in zip(masks, weights))
+        )
+    m1, m2 = draw(st.integers(0, 600)), draw(st.integers(0, 600))
+    seeds = draw(st.tuples(st.integers(0, 1 << 30), st.integers(0, 1 << 30)))
+    return target, dist, m1, m2, seeds
+
+
+@settings(max_examples=60, deadline=None)
+@given(repeated_samples(), st.integers(1, 2))
+def test_learner_matches_pointwise_reference(case, q):
+    target, dist, m1, m2, (seed1, seed2) = case
+    s1 = draw_training_set(dist, target, m1, seed1)
+    s2 = draw_training_set(dist, target, m2, seed2)
+    oracle = LocalMQOracle.for_samples(target, q, s1, s2)
+    run = learn_evident_dnf_run(s1, s2, oracle)
+    reference = LocalMQOracle.for_samples(target, q, s1, s2)
+    terms, positives, added, pruned = reference_learn(s1, s2, reference)
+    assert run.formula.terms == terms
+    assert (run.positives_seen, run.terms_added, run.terms_pruned) == (positives, added, pruned)
+    assert run.oracle_stats == reference.stats()
+    assert run.oracle_stats.query_count == target.n * positives
+    assert Counter(oracle.log) == Counter(reference.log)

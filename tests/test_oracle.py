@@ -1,10 +1,12 @@
 import json
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lmqlab.concepts import DnfFormula, Term
-from lmqlab.cube import CubePoint, ball_size, enumerate_cube
-from lmqlab.distributions import FiniteSupport, UniformCube
+from lmqlab.cube import CubePoint, DimensionMismatch, ball_size, enumerate_cube
+from lmqlab.distributions import FiniteSupport, ProductDist, UniformCube, sample
 from lmqlab.oracle import (
     BudgetExhausted,
     LocalityViolation,
@@ -36,6 +38,25 @@ def test_draw_labels_match_target():
     s = draw_training_set(UniformCube(3), TARGET, 200, seed=3)
     for x, y in s:
         assert y == TARGET.evaluate(x)
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [
+        UniformCube(3),
+        ProductDist(3, (Fraction(1, 3), Fraction(1, 2), Fraction(9, 10))),
+        FiniteSupport(3, ((P("++-"), Fraction(1, 4)), (P("+-+"), Fraction(3, 4)))),
+    ],
+    ids=lambda d: type(d).__name__,
+)
+def test_draw_pairs_are_the_sampled_points_labelled(dist):
+    masks = sample(dist, 300, seed=5)
+    s = draw_training_set(dist, TARGET, 300, seed=5)
+    assert s.pairs == tuple((CubePoint(3, m), TARGET.evaluate(CubePoint(3, m))) for m in masks)
+    # Repeated draws share one labelled pair.
+    first = {}
+    for pair in s.pairs:
+        assert first.setdefault(pair[0].mask, pair) is pair
 
 
 def test_query_at_distance_one():
@@ -74,6 +95,94 @@ def test_budget_exhausted():
     o.query(P("++-"))
     with pytest.raises(BudgetExhausted):
         o.query(P("+-+"))
+
+
+def test_negative_budget_rejected():
+    with pytest.raises(ValueError, match="non-negative"):
+        LocalMQOracle(TARGET, [P("+++")], q=1, query_cap=-5)
+    o = LocalMQOracle(TARGET, [P("+++")], q=1, query_cap=0)
+    with pytest.raises(BudgetExhausted):
+        o.query(P("+++"))
+
+
+def test_batch_that_fills_the_budget_is_answered_and_one_more_is_refused():
+    o = LocalMQOracle(TARGET, [P("+++")], q=1, query_cap=5)
+    assert o.ask(P("++-").mask, 2) == 1
+    assert o.ask(P("+++").mask, 3) == 1
+    before = (o.stats(), o.log)
+    for mask in (P("++-").mask, P("-++").mask):
+        with pytest.raises(BudgetExhausted):
+            o.ask(mask)
+    assert (o.stats(), o.log) == before
+    assert o.stats().query_count == 5
+
+
+def test_batch_beyond_the_budget_is_refused_whole():
+    o = LocalMQOracle(TARGET, [P("+++")], q=1, query_cap=5)
+    with pytest.raises(BudgetExhausted):
+        o.ask(P("++-").mask, 6)
+    assert o.log == () and o.stats().query_count == 0
+
+
+def test_ask_rejects_bad_masks_and_counts():
+    o = LocalMQOracle(TARGET, [P("+++")], q=3)
+    for mask in (-1, 1 << 3):
+        with pytest.raises(DimensionMismatch):
+            o.ask(mask)
+    for times in (0, -2):
+        with pytest.raises(ValueError, match="at least once"):
+            o.ask(P("+++").mask, times)
+    assert o.log == ()
+
+
+class CountingTarget:
+    def __init__(self, concept):
+        self.n, self.concept, self.calls = concept.n, concept, 0
+
+    def evaluate(self, x):
+        self.calls += 1
+        return self.concept.evaluate(x)
+
+
+def test_repeated_query_is_evaluated_once():
+    target = CountingTarget(TARGET)
+    o = LocalMQOracle(target, [P("+++")], q=1)
+    for _ in range(3):
+        o.query(P("++-"))
+    o.ask(P("++-").mask, 4)
+    assert target.calls == 1
+    assert o.stats().query_count == 7
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 7), st.integers(1, 4)), max_size=12))
+def test_ask_counts_like_repeated_queries(batches):
+    # Every point of the 3-cube lies within 1 of one of the anchors.
+    anchors = [P("+++"), P("---")]
+    batched = LocalMQOracle(TARGET, anchors, q=1)
+    pointwise = LocalMQOracle(TARGET, anchors, q=1)
+    for mask, times in batches:
+        answers = {pointwise.query(CubePoint(3, mask)) for _ in range(times)}
+        assert answers == {batched.ask(mask, times)}
+    assert batched.stats() == pointwise.stats()
+    assert batched.log == pointwise.log
+    histogram = Counter()
+    for mask, times in batches:
+        histogram[min((mask ^ a.mask).bit_count() for a in anchors)] += times
+    assert batched.stats().distance_histogram == histogram
+    assert batched.stats().query_count == sum(times for _, times in batches)
+    assert [(rec.point.mask, times) for rec, times in batched.records()] == [
+        (mask, sum(t for m, t in batches if m == mask)) for mask in dict.fromkeys(m for m, _ in batches)
+    ]
+
+
+def test_log_groups_repeats_by_first_asking():
+    o = LocalMQOracle(TARGET, [P("+++")], q=1)
+    for z in ("++-", "-++", "++-"):
+        o.query(P(z))
+    log = o.log
+    assert [rec.point.to_string() for rec in log] == ["++-", "++-", "-++"]
+    assert log[0] is log[1]
 
 
 def test_default_budget_is_polynomial():
