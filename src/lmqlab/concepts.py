@@ -1,8 +1,10 @@
 """Concept classes over the cube, their evaluators, and seeded random instances.
 
-All concepts expose ``n`` (input dimension) and ``evaluate(x) -> {0,1}``;
-sparse polynomials additionally evaluate to exact rationals. Variable
-indices are 1-based everywhere, matching the textual formats.
+All concepts expose ``n`` (input dimension), ``label(mask) -> {0,1}`` on
+in-range n-bit masks, and ``evaluate(x)``: a dimension check, then
+``label(x.mask)``. Hot paths call ``label``; ``CubePoint`` stays at the API
+boundary. Sparse polynomials additionally evaluate to exact rationals.
+Variable indices are 1-based everywhere, matching the textual formats.
 """
 
 from __future__ import annotations
@@ -20,11 +22,24 @@ MAJ_POLY_CAP = 15
 
 
 class Concept(Protocol):
-    """Anything evaluable to a {0,1} label on cube points of dimension n."""
+    """Anything labelling the points of {-1,+1}^n with 0 or 1."""
 
     n: int
 
+    def label(self, mask: int) -> int: ...
+
     def evaluate(self, x: CubePoint) -> int: ...
+
+
+class MaskConcept:
+    """The one ``evaluate`` of every concept: a dimension check, then ``label(x.mask)``."""
+
+    __slots__ = ()
+
+    def evaluate(self, x: CubePoint) -> int:
+        if x.n != self.n:
+            raise DimensionMismatch(f"{type(self).__name__} over {self.n} variables, point has {x.n}")
+        return self.label(x.mask)
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +102,7 @@ class Term:
 
 
 @dataclass(frozen=True)
-class DnfFormula:
+class DnfFormula(MaskConcept):
     """A disjunction of terms over n variables.
 
     Conventions: the empty formula evaluates to 0 everywhere; a term with
@@ -111,11 +126,9 @@ class DnfFormula:
         if x.n != self.n:
             raise DimensionMismatch(f"formula over {self.n} variables, point has {x.n}")
 
-    def evaluate(self, x: CubePoint) -> int:
-        self._check_dim(x)
-        m = x.mask
+    def label(self, mask: int) -> int:
         for pos, neg in self._masks:
-            if (m & pos) == pos and (m & neg) == 0:
+            if (mask & pos) == pos and (mask & neg) == 0:
                 return 1
         return 0
 
@@ -154,7 +167,7 @@ TreeNode = Union[Node, Leaf]
 
 
 @dataclass(frozen=True)
-class DecisionTree:
+class DecisionTree(MaskConcept):
     n: int
     root: TreeNode
 
@@ -181,12 +194,10 @@ class DecisionTree:
 
         return count(self.root)
 
-    def evaluate(self, x: CubePoint) -> int:
-        if x.n != self.n:
-            raise DimensionMismatch(f"tree over {self.n} variables, point has {x.n}")
-        node = self.root
+    def label(self, mask: int) -> int:
+        node, n = self.root, self.n
         while isinstance(node, Node):
-            node = node.high if x.bit(node.var) == 1 else node.low
+            node = node.high if (mask >> (n - node.var)) & 1 else node.low
         return node.label
 
 
@@ -221,7 +232,7 @@ def dnf_of_tree(tree: DecisionTree) -> DnfFormula:
 
 
 @dataclass(frozen=True)
-class Dfa:
+class Dfa(MaskConcept):
     """Deterministic automaton reading the bits of a point in coordinate order.
 
     States are ``0 .. len(delta) - 1``; ``delta[s]`` is the pair (next state
@@ -252,11 +263,9 @@ class Dfa:
     def num_states(self) -> int:
         return len(self.delta)
 
-    def evaluate(self, x: CubePoint) -> int:
-        if x.n != self.length:
-            raise DimensionMismatch(f"automaton expects length {self.length}, point has {x.n}")
-        state, delta, mask = self.start, self.delta, x.mask
-        for shift in range(x.n - 1, -1, -1):
+    def label(self, mask: int) -> int:
+        state, delta = self.start, self.delta
+        for shift in range(self.length - 1, -1, -1):
             state = delta[state][(mask >> shift) & 1]
         return 1 if state in self.accepting else 0
 
@@ -266,7 +275,7 @@ class Dfa:
 
 
 @dataclass(frozen=True)
-class Junta:
+class Junta(MaskConcept):
     """A function depending only on the listed variables, given as a table.
 
     ``table`` has 2^K entries indexed by the relevant variables in order,
@@ -295,12 +304,10 @@ class Junta:
     def k(self) -> int:
         return len(self.relevant)
 
-    def evaluate(self, x: CubePoint) -> int:
-        if x.n != self.n:
-            raise DimensionMismatch(f"junta over {self.n} variables, point has {x.n}")
+    def label(self, mask: int) -> int:
         idx = 0
         for j in self.relevant:
-            idx = (idx << 1) | (x.bit(j) == 1)
+            idx = (idx << 1) | ((mask >> (self.n - j)) & 1)
         return self.table[idx]
 
 
@@ -354,7 +361,11 @@ class SparsePoly:
     def evaluate(self, x: CubePoint) -> Fraction:
         if x.n != self.n:
             raise DimensionMismatch(f"polynomial over {self.n} variables, point has {x.n}")
-        minus = ~x.mask
+        return self.value(x.mask)
+
+    def value(self, mask: int) -> Fraction:
+        """The polynomial at an in-range n-bit mask."""
+        minus = ~mask
         total = 0
         for mono_mask, num in self._scaled:
             total += -num if (mono_mask & minus).bit_count() & 1 else num
@@ -362,7 +373,7 @@ class SparsePoly:
 
 
 @dataclass(frozen=True)
-class PolyConcept:
+class PolyConcept(MaskConcept):
     """Label adapter for a ±1-valued polynomial: +1 -> 1, -1 -> 0."""
 
     poly: SparsePoly
@@ -371,17 +382,17 @@ class PolyConcept:
     def n(self) -> int:
         return self.poly.n
 
-    def evaluate(self, x: CubePoint) -> int:
-        v = self.poly.evaluate(x)
+    def label(self, mask: int) -> int:
+        v = self.poly.value(mask)
         if v == 1:
             return 1
         if v == -1:
             return 0
-        raise ValueError(f"polynomial value {v} at {x.to_string()} is not in {{-1,+1}}")
+        raise ValueError(f"polynomial value {v} at {CubePoint(self.n, mask).to_string()} is not in {{-1,+1}}")
 
 
 @dataclass(frozen=True)
-class SparsePtf:
+class SparsePtf(MaskConcept):
     """Polynomial threshold function: label 1 iff the polynomial is >= theta."""
 
     poly: SparsePoly
@@ -391,8 +402,8 @@ class SparsePtf:
     def n(self) -> int:
         return self.poly.n
 
-    def evaluate(self, x: CubePoint) -> int:
-        return 1 if self.poly.evaluate(x) >= self.theta else 0
+    def label(self, mask: int) -> int:
+        return 1 if self.poly.value(mask) >= self.theta else 0
 
 
 def maj_poly(k: int) -> SparsePoly:

@@ -2,7 +2,8 @@
 
 Coordinates are 1-based throughout the package. A point is stored as a
 bit mask so that flips, distances and enumeration reduce to integer
-arithmetic.
+arithmetic. Hot paths pass the bare int masks (``AnchorIndex``,
+``ReplicateMap.encode``/``decode``); ``CubePoint`` is the API form.
 """
 
 from __future__ import annotations
@@ -104,9 +105,12 @@ class AnchorIndex:
 
     Fixed once per anchor set: scan the anchors if they are no more than the
     points of a q-ball, else walk the ball around the query from radius 0.
+    The walk probes one shell at a time: ``shells[r]`` holds the XOR
+    patterns of weight r, built once, so a probe is one set test in C.
+    There are fewer patterns than anchors whenever the walk is chosen.
     """
 
-    __slots__ = ("n", "q", "masks", "walk")
+    __slots__ = ("n", "q", "masks", "walk", "shells")
 
     def __init__(self, masks: Iterable[int], n: int, q: int):
         if q < 0:
@@ -114,14 +118,14 @@ class AnchorIndex:
         self.n, self.q = n, q
         self.masks = frozenset(masks)
         self.walk = len(self.masks) > ball_size(n, q)
+        self.shells = tuple(tuple(masks_at_distance(0, n, r)) for r in range(q + 1)) if self.walk else ()
 
     def nearest(self, z: int) -> int | None:
         """Distance from z to its closest anchor, or None if none is within q."""
         if self.walk:
-            for r in range(self.q + 1):
-                for m in masks_at_distance(z, self.n, r):
-                    if m in self.masks:
-                        return r
+            for r, shell in enumerate(self.shells):
+                if not self.masks.isdisjoint(map(z.__xor__, shell)):
+                    return r
             return None
         found, limit = None, self.q
         for m in self.masks:
@@ -162,11 +166,15 @@ class ReplicateMap:
     def apply(self, x: CubePoint) -> CubePoint:
         if x.n != self.source_n:
             raise DimensionMismatch(f"map expects dimension {self.source_n}, point has {x.n}")
-        mask = 0
-        for i in range(1, self.source_n + 1):
-            if (x.mask >> (self.source_n - i)) & 1:
-                mask |= self._expand[i - 1]
-        return CubePoint(self.target_n, mask)
+        return CubePoint(self.target_n, self.encode(x.mask))
+
+    def encode(self, mask: int) -> int:
+        """Target mask of the image of a source mask: each bit copied across its block."""
+        image = 0
+        for i, block in enumerate(self._expand, 1):
+            if (mask >> (self.source_n - i)) & 1:
+                image |= block
+        return image
 
     def decode(self, mask: int) -> int:
         """Source mask whose image is nearest to the target mask: each block's majority bit.

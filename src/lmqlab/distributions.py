@@ -12,6 +12,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
+from operator import ne
 from typing import Iterator, Union
 
 from .cube import ENUMERATION_CAP, CubePoint, DimensionMismatch, ReplicateMap
@@ -163,30 +164,34 @@ class LabeledSample:
         return [x for x, y in self.pairs if y == 1]
 
 
+def _check_loss_dims(dist: Distribution, h_star: Concept, h_hat: Concept) -> None:
+    if h_star.n != dist.n or h_hat.n != dist.n:
+        raise DimensionMismatch(
+            f"dimensions disagree: distribution {dist.n}, concepts {h_star.n}/{h_hat.n}"
+        )
+
+
 def exact_loss(dist: Distribution, h_star: Concept, h_hat: Concept) -> Fraction:
     """Exact disagreement mass between two concepts under the distribution.
 
     Requires an enumerable distribution; above ``ENUMERATION_CAP`` use ``mc_loss``.
     """
-    if h_star.n != dist.n or h_hat.n != dist.n:
-        raise DimensionMismatch(
-            f"dimensions disagree: distribution {dist.n}, concepts {h_star.n}/{h_hat.n}"
-        )
+    _check_loss_dims(dist, h_star, h_hat)
     if isinstance(dist, (UniformCube, ProductDist)) and dist.n > ENUMERATION_CAP:
         raise ValueError(
             f"dimension {dist.n} exceeds enumeration cap {ENUMERATION_CAP}; use mc_loss for an estimate"
         )
     loss = Fraction(0)
     for point, prob in dist.support():
-        if h_star.evaluate(point) != h_hat.evaluate(point):
+        if h_star.label(point.mask) != h_hat.label(point.mask):
             loss += prob
     return loss
 
 
 def mc_loss(dist: Distribution, h_star: Concept, h_hat: Concept, m: int, seed: int) -> Fraction:
     """Empirical disagreement frequency over m seeded draws."""
+    _check_loss_dims(dist, h_star, h_hat)
     if m <= 0:
         raise ValueError(f"sample count must be positive, got {m}")
-    points = (CubePoint(dist.n, mask) for mask in sample(dist, m, seed))
-    bad = sum(1 for x in points if h_star.evaluate(x) != h_hat.evaluate(x))
-    return Fraction(bad, m)
+    masks = sample(dist, m, seed)
+    return Fraction(sum(map(ne, map(h_star.label, masks), map(h_hat.label, masks))), m)

@@ -133,7 +133,7 @@ class LocalMQOracle:
         if self._count + times > self.query_cap:
             raise BudgetExhausted(self.query_cap)
         if entry is None:
-            entry = self._asked[mask] = [self.target.evaluate(CubePoint(self.n, mask)), distance, 0]
+            entry = self._asked[mask] = [self.target.label(mask), distance, 0]
         entry[2] += times
         self._count += times
         return entry[0]
@@ -158,6 +158,5 @@ def draw_training_set(dist: Distribution, h_star: Concept, m: int, seed: int) ->
     if h_star.n != dist.n:
         raise DimensionMismatch(f"concept dimension {h_star.n} differs from distribution {dist.n}")
     masks = sample(dist, m, seed)
-    points = [CubePoint(dist.n, mask) for mask in dict.fromkeys(masks)]
-    labelled = {x.mask: (x, h_star.evaluate(x)) for x in points}
+    labelled = {mask: (CubePoint(dist.n, mask), h_star.label(mask)) for mask in dict.fromkeys(masks)}
     return LabeledSample(tuple(map(labelled.__getitem__, masks)))

@@ -30,6 +30,7 @@ from .concepts import (
     Junta,
     JUNTA_CAP,
     Leaf,
+    MaskConcept,
     Node,
     SparsePoly,
     SparsePtf,
@@ -53,8 +54,8 @@ FLIP_ENUM_BUDGET = 5_000_000
 
 
 @dataclass(frozen=True)
-class ComposedConcept:
-    """h' composed with a coordinate map: evaluates h'(phi(x))."""
+class ComposedConcept(MaskConcept):
+    """h' composed with a coordinate map: labels x with h'(phi(x))."""
 
     inner: Concept
     phi: ReplicateMap
@@ -63,8 +64,8 @@ class ComposedConcept:
     def n(self) -> int:
         return self.phi.source_n
 
-    def evaluate(self, x: CubePoint) -> int:
-        return self.inner.evaluate(self.phi.apply(x))
+    def label(self, mask: int) -> int:
+        return self.inner.label(self.phi.encode(mask))
 
 
 @dataclass(frozen=True)
@@ -337,7 +338,7 @@ def make_reduction(name: str, n: int, *, k: int | None = None, q0: int = 1) -> Q
 # Query synthesis: running a local-query learner without the target
 
 
-class SynthesizedLabels:
+class SynthesizedLabels(MaskConcept):
     """The labels a reduction predicts near mapped training data, as a target-cube concept.
 
     Kind A: a training image keeps its label and any other point is labeled 1.
@@ -352,10 +353,10 @@ class SynthesizedLabels:
         labels = {z.mask: y for z, y in mapped}
         self._labels = labels if self._decode is None else {self._decode(m): y for m, y in labels.items()}
 
-    def evaluate(self, z: CubePoint) -> int:
+    def label(self, mask: int) -> int:
         if self._decode is None:
-            return self._labels.get(z.mask, 1)
-        return self._labels[self._decode(z.mask)]
+            return self._labels.get(mask, 1)
+        return self._labels[self._decode(mask)]
 
 
 def simulate_pac_from_local(

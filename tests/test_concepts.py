@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lmqlab.concepts import (
     DecisionTree,
@@ -17,9 +18,13 @@ from lmqlab.concepts import (
     dnf_of_tree,
     maj_poly,
     parity_dfa,
+    random_dfa,
+    random_dnf,
+    random_junta,
     random_tree,
 )
-from lmqlab.cube import CubePoint, DimensionMismatch, enumerate_cube
+from lmqlab.cube import CubePoint, DimensionMismatch, ReplicateMap, enumerate_cube
+from lmqlab.reductions import ComposedConcept, SynthesizedLabels, make_reduction
 
 
 def P(text: str) -> CubePoint:
@@ -210,3 +215,103 @@ class TestMajPoly:
     def test_even_count_rejected(self):
         with pytest.raises(ValueError):
             maj_poly(4)
+
+
+# ---------------------------------------------------------------------------
+# label(mask) against evaluate and a pointwise reference
+
+
+def _ref_value(poly: SparsePoly, x: CubePoint) -> Fraction:
+    total = Fraction(0)
+    for vars_, coeff in poly.monomials.items():
+        sign = 1
+        for j in vars_:
+            sign *= x.bit(j)
+        total += coeff * sign
+    return total
+
+
+def _reference(c, x: CubePoint) -> int:
+    """The label of x from the CubePoint API alone, one coordinate at a time."""
+    if isinstance(c, DnfFormula):
+        return int(any(t.satisfied_by(x) for t in c.terms))
+    if isinstance(c, DecisionTree):
+        node = c.root
+        while isinstance(node, Node):
+            node = node.high if x.bit(node.var) == 1 else node.low
+        return node.label
+    if isinstance(c, Dfa):
+        state = c.start
+        for b in x.bits:
+            state = c.delta[state][b == 1]
+        return int(state in c.accepting)
+    if isinstance(c, Junta):
+        idx = 0
+        for j in c.relevant:
+            idx = 2 * idx + (x.bit(j) == 1)
+        return c.table[idx]
+    if isinstance(c, PolyConcept):
+        return {1: 1, -1: 0}[_ref_value(c.poly, x)]
+    if isinstance(c, SparsePtf):
+        return int(_ref_value(c.poly, x) >= c.theta)
+    if isinstance(c, ComposedConcept):
+        return _reference(c.inner, CubePoint.from_bits([b for b in x.bits for _ in range(c.phi.k)]))
+    raise TypeError(f"no reference for {type(c).__name__}")
+
+
+def _instance(kind: str, rng: random.Random):
+    """A random concept of the kind, and a pointwise reference for its labels."""
+    n = rng.randint(1, 12)
+    if kind == "dnf":
+        c = random_dnf(n, rng.randint(0, 4), 3, rng)
+    elif kind == "tree":
+        c = random_tree(n, rng.randint(1, 12), rng)
+    elif kind == "dfa":
+        c = random_dfa(n, rng.randint(1, 5), rng)
+    elif kind == "junta":
+        c = random_junta(n, rng.randint(0, min(n, 5)), rng)
+    elif kind == "poly":  # a signed parity is ±1-valued
+        parity = frozenset(rng.sample(range(1, n + 1), rng.randint(0, n)))
+        c = PolyConcept(SparsePoly(n, {parity: rng.choice((1, -1))}))
+    elif kind == "ptf":
+        monomials = {
+            frozenset(rng.sample(range(1, n + 1), rng.randint(0, min(n, 3)))): Fraction(rng.randint(-4, 4), 3)
+            for _ in range(rng.randint(0, 5))
+        }
+        c = SparsePtf(SparsePoly(n, monomials), Fraction(rng.randint(-3, 3), 2))
+    elif kind == "composed":
+        phi = ReplicateMap(rng.randint(1, 4), rng.randint(1, 4))
+        c = ComposedConcept(random_dnf(phi.target_n, 3, 3, rng), phi)
+    else:
+        # Kind A trains on a random subset of images; kind B on all of them,
+        # so that every target point decodes to a trained source.
+        source_n = rng.randint(1, 3)
+        if kind == "synthesized-A":
+            reduction = make_reduction("dnf", source_n, k=rng.randint(2, 4))
+            h = random_dnf(source_n, 2, 2, rng)
+        else:
+            reduction = make_reduction("junta", source_n, q0=rng.randint(1, 2))
+            h = random_junta(source_n, rng.randint(0, source_n), rng)
+        phi = reduction.phi
+        mapped = [(phi.apply(x), h.evaluate(x)) for x in enumerate_cube(source_n)]
+        if kind == "synthesized-A":
+            mapped = rng.sample(mapped, rng.randint(0, len(mapped)))
+            labels = dict(mapped)
+            return SynthesizedLabels(reduction, mapped), lambda z: labels.get(z, 1)
+        return SynthesizedLabels(reduction, mapped), lambda z: min(mapped, key=lambda p: z.hamming(p[0]))[1]
+    return c, lambda x: _reference(c, x)
+
+
+@pytest.mark.parametrize(
+    "kind", ["dnf", "tree", "dfa", "junta", "poly", "ptf", "composed", "synthesized-A", "synthesized-B"]
+)
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32))
+def test_label_matches_evaluate_and_pointwise_reference(kind, seed):
+    rng = random.Random(seed)
+    c, reference = _instance(kind, rng)
+    for mask in [0, (1 << c.n) - 1] + [rng.getrandbits(c.n) for _ in range(16)]:
+        x = CubePoint(c.n, mask)
+        assert c.label(mask) == c.evaluate(x) == reference(x)
+    with pytest.raises(DimensionMismatch):
+        c.evaluate(CubePoint(c.n + 1, 0))

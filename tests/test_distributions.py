@@ -1,10 +1,12 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lmqlab.concepts import DnfFormula, Term
-from lmqlab.cube import CubePoint, ReplicateMap, enumerate_cube
+from lmqlab.concepts import DnfFormula, Term, random_dnf
+from lmqlab.cube import CubePoint, DimensionMismatch, ReplicateMap, enumerate_cube
 from lmqlab.distributions import (
     FiniteSupport,
     LabeledSample,
@@ -154,6 +156,24 @@ def test_mc_loss_tracks_exact_loss():
     estimate = mc_loss(d, f, g, m, seed=11)
     se = math.sqrt(float(exact) * (1 - float(exact)) / m)
     assert abs(float(estimate) - float(exact)) < max(5 * se, 0.01)
+
+
+@pytest.mark.parametrize(
+    "dist_n, star_n, hat_n", [(4, 3, 3), (3, 4, 3), (3, 3, 4)], ids=["distribution", "h_star", "h_hat"]
+)
+def test_mc_loss_refuses_mismatched_dimensions(dist_n, star_n, hat_n):
+    with pytest.raises(DimensionMismatch):
+        mc_loss(UniformCube(dist_n), DnfFormula(star_n, (Term.of(1),)), DnfFormula(hat_n, ()), 100, seed=0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(21, 32), seed=st.integers(0, 2**32), m=st.integers(1, 500))
+def test_mc_loss_matches_pointwise_reference(n, seed, m):
+    rng = random.Random(seed)
+    f, g = random_dnf(n, 3, 3, rng), random_dnf(n, 3, 3, rng)
+    dist = UniformCube(n)
+    points = [CubePoint(n, mask) for mask in sample(dist, m, seed)]
+    assert mc_loss(dist, f, g, m, seed) == Fraction(sum(f.evaluate(x) != g.evaluate(x) for x in points), m)
 
 
 def test_labeled_sample_validation():

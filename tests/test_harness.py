@@ -150,17 +150,36 @@ def test_parity_dfa_counts_minus_symbols():
         assert a.evaluate(x) == sum(1 for b in x.bits if b == -1) % 2
 
 
+# Whole trials on the Monte Carlo path, pinned so that a drift in the
+# distance histogram or the estimated loss shows. Both have more distinct
+# anchors than a 1-ball has points, so the oracle walks the ball; the
+# opposite-literal trial at n=25 misses a term, so its loss is not 0.
+MC_TRIALS = [
+    (
+        doubled_tree_family(11, 11, max_leaves=8), 300, 600,
+        {
+            "distance_histogram": {"1": 1782}, "estimator": "mc", "index": 0, "loss": "0",
+            "loss_float": 0.0, "max_locality": 1, "n": 22, "positives": 81, "queries": 1782,
+            "seed": 6011654802197052586, "success": True, "terms_added": 1, "terms_pruned": 0,
+        },
+    ),
+    (
+        opposite_literal_family(24, 32), 4, 60,
+        {
+            "distance_histogram": {"1": 75}, "estimator": "mc", "index": 0, "loss": "6209/50000",
+            "loss_float": 0.12418, "max_locality": 1, "n": 25, "positives": 3, "queries": 75,
+            "seed": 6011654802197052586, "success": True, "terms_added": 3, "terms_pruned": 0,
+        },
+    ),
+]
+
+
 def test_monte_carlo_estimator_above_enumeration_bound():
-    cfg = small_config(
-        family=doubled_tree_family(11, 11, max_leaves=8),
-        trials=1,
-        m1=300,
-        m2=600,
-    )
-    report = run_learning_suite(cfg)
-    trial = report.trials[0]
-    assert trial.n == 22
-    assert trial.estimator == "mc"
+    for family, m1, m2, expected in MC_TRIALS:
+        report = run_learning_suite(small_config(family=family, trials=1, m1=m1, m2=m2))
+        trial = report.trials[0]
+        assert trial.estimator == "mc"
+        assert trial.canonical_dict() == expected
 
 
 def test_point_mass_trial_has_zero_loss():

@@ -139,9 +139,9 @@ class CountingTarget:
     def __init__(self, concept):
         self.n, self.concept, self.calls = concept.n, concept, 0
 
-    def evaluate(self, x):
+    def label(self, mask):
         self.calls += 1
-        return self.concept.evaluate(x)
+        return self.concept.label(mask)
 
 
 def test_repeated_query_is_evaluated_once():

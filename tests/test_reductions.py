@@ -457,6 +457,19 @@ def test_kind_a_synthesis_answers_within_q_and_refuses_beyond(name, n, k, seed, 
                 oracle.query(z)
 
 
+@pytest.mark.parametrize(
+    "name, n, wrong", [("dnf", 2, [CubePoint(3, 5), CubePoint(20, 12345)]), ("junta", 4, [CubePoint(5, 9)])]
+)
+def test_synthesized_labels_refuse_another_dimension(name, n, wrong):
+    # Kind A over 8 target bits and kind B over 12: neither may answer a point of another dimension.
+    reduction = make_reduction(name, n)
+    h = CONSTRUCTIONS[name].example(n, random.Random(0))
+    labels = SynthesizedLabels(reduction, [(reduction.phi.apply(x), h.evaluate(x)) for x in enumerate_cube(n)])
+    for z in wrong:
+        with pytest.raises(DimensionMismatch):
+            labels.evaluate(z)
+
+
 def _nearest_sources(phi: ReplicateMap, z: int) -> list[int]:
     """Brute force: the source masks whose images are nearest to z, over all 2^n images."""
     distances = {x.mask: (phi.apply(x).mask ^ z).bit_count() for x in enumerate_cube(phi.source_n)}
