@@ -122,10 +122,6 @@ class DnfFormula(MaskConcept):
                     raise ValueError(f"variable {j} exceeds dimension {self.n}")
         object.__setattr__(self, "_masks", tuple(t.masks(self.n) for t in self.terms))
 
-    def _check_dim(self, x: CubePoint) -> None:
-        if x.n != self.n:
-            raise DimensionMismatch(f"formula over {self.n} variables, point has {x.n}")
-
     def label(self, mask: int) -> int:
         for pos, neg in self._masks:
             if (mask & pos) == pos and (mask & neg) == 0:
@@ -134,7 +130,8 @@ class DnfFormula(MaskConcept):
 
     def satisfied_indices(self, x: CubePoint) -> tuple[int, ...]:
         """0-based indices of all terms satisfied by x."""
-        self._check_dim(x)
+        if x.n != self.n:
+            raise DimensionMismatch(f"formula over {self.n} variables, point has {x.n}")
         m = x.mask
         return tuple(
             i for i, (pos, neg) in enumerate(self._masks) if (m & pos) == pos and (m & neg) == 0
@@ -287,6 +284,8 @@ class Junta(MaskConcept):
     table: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if self.n < 1:
+            raise ValueError(f"dimension must be a positive integer, got {self.n}")
         k = len(self.relevant)
         if k > JUNTA_CAP:
             raise ValueError(f"junta depends on {k} variables, cap is {JUNTA_CAP}")

@@ -276,8 +276,10 @@ def parse_distribution(spec: str) -> Distribution:
 def parse_finite_support(text: str) -> FiniteSupport:
     entries = []
     for line in _content_lines(text):
-        point_text, prob_text = line.split()
-        entries.append((CubePoint.from_string(point_text), parse_fraction(prob_text)))
+        fields = line.split()
+        if len(fields) != 2:
+            raise ValueError(f"finite support line {line!r} is not of the form 'POINT PROB'")
+        entries.append((CubePoint.from_string(fields[0]), parse_fraction(fields[1])))
     if not entries:
         raise ValueError("finite support file has no entries")
     return FiniteSupport(entries[0][0].n, tuple(entries))

@@ -546,7 +546,7 @@ def _audit_simulation(
         return
     for rec, times in oracle.records():
         report.simulation_queries += times
-        if rec.answer != transformed.evaluate(rec.point):
+        if rec.answer != transformed.label(rec.point.mask):
             report.simulation_mismatches += times
 
 
@@ -636,9 +636,7 @@ def run_reduction_suite(base_seed: int = 0) -> ReductionSuiteReport:
     for k in (1, 3, 5, 7):
         poly = maj_poly(k)
         half = k // 2
-        agrees = all(
-            poly.evaluate(x) == (1 if x.mask.bit_count() > half else -1) for x in enumerate_cube(k)
-        )
+        agrees = all(poly.value(m) == (1 if m.bit_count() > half else -1) for m in range(1 << k))
         _size_check(
             report,
             f"majority expansion k={k}",

@@ -406,11 +406,10 @@ class ReductionReport:
     def passed(self) -> bool:
         return self.image_failures == 0 and self.ball_failures == 0 and self.anchor_failures == 0
 
-    def _note(self, kind: str, z: CubePoint, expected, got) -> None:
+    def _note(self, kind: str, mask: int, expected, got) -> None:
         if len(self.counterexamples) < 10:
-            self.counterexamples.append(
-                {"check": kind, "point": z.to_string(), "expected": str(expected), "got": str(got)}
-            )
+            point = CubePoint(self.target_n, mask).to_string()
+            self.counterexamples.append(dict(check=kind, point=point, expected=str(expected), got=str(got)))
 
     def to_dict(self) -> dict:
         return {**asdict(self), "passed": self.passed}
@@ -424,60 +423,59 @@ def verify_reduction(reduction: QReduction, concept: Concept) -> ReductionReport
     image point: kind A requires label 1 off the image, kind B requires the
     point to decode to a source whose image is within q and to carry that
     source's value. Flip enumeration is guarded by the FLIP_ENUM_BUDGET check
-    count since the target cube itself is astronomically large.
+    count since the target cube itself is astronomically large. Points are
+    int masks throughout; concepts are read through ``label``, or through
+    ``value`` for a ``SparsePoly``, which is checked by exact value.
     """
     phi = reduction.phi
     n, n_target = phi.source_n, phi.target_n
+    if concept.n != n:  # the negative controls' transforms skip make_reduction's check
+        raise DimensionMismatch(f"{reduction.name} reduction maps dimension {n}, concept has {concept.n}")
     transformed = reduction.transform(concept)
+    if transformed.n != n_target:
+        raise DimensionMismatch(f"transformed concept has dimension {transformed.n}, target is {n_target}")
     radius = min(reduction.q, FLIP_RADIUS_CAP)
 
-    per_point = ball_size(n_target, radius)
-    if per_point * (1 << n) > FLIP_ENUM_BUDGET:
-        raise ValueError(
-            f"flip enumeration needs {per_point * (1 << n)} checks, budget is {FLIP_ENUM_BUDGET}"
-        )
+    checks = ball_size(n_target, radius) << n
+    if checks > FLIP_ENUM_BUDGET:
+        raise ValueError(f"flip enumeration needs {checks} checks, budget is {FLIP_ENUM_BUDGET}")
 
     report = ReductionReport(reduction.name, reduction.kind, n, n_target, reduction.q, radius)
+    read, read_transformed = (
+        c.value if isinstance(c, SparsePoly) else c.label for c in (concept, transformed)
+    )
+    values = [read(m) for m in range(1 << n)]
+    image_masks = [phi.encode(m) for m in range(1 << n)]
 
-    source_points = [CubePoint(n, m) for m in range(1 << n)]
-    values = [concept.evaluate(x) for x in source_points]
-    image_masks = [phi.apply(x).mask for x in source_points]
-    images = set(image_masks)
-
-    for x in source_points:
-        z = CubePoint(n_target, image_masks[x.mask])
-        got = transformed.evaluate(z)
+    for expected, z in zip(values, image_masks):
+        got = read_transformed(z)
         report.image_checked += 1
-        if got != values[x.mask]:
+        if got != expected:
             report.image_failures += 1
-            report._note("image", z, values[x.mask], got)
+            report._note("image", z, expected, got)
 
-    seen: set[int] = set()
+    seen: set[int] = set()  # no image lies within q < k of another, so the walk meets none
     for image in image_masks:
         for r in range(1, radius + 1):
             for m in masks_at_distance(image, n_target, r):
-                if m in images or m in seen:
+                if m in seen:
                     continue
                 seen.add(m)
-                z = CubePoint(n_target, m)
                 report.ball_checked += 1
                 if reduction.kind == "A":
-                    got = transformed.evaluate(z)
-                    if got != 1:
-                        report.ball_failures += 1
-                        report._note("ball", z, 1, got)
+                    expected = 1
                 else:
                     source = phi.decode(m)
                     distance = (image_masks[source] ^ m).bit_count()
                     if distance > reduction.q:
                         report.anchor_failures += 1
-                        report._note("anchor", z, f"decoded image within {reduction.q}", distance)
+                        report._note("anchor", m, f"decoded image within {reduction.q}", distance)
                         continue
                     expected = values[source]
-                    got = transformed.evaluate(z)
-                    if got != expected:
-                        report.ball_failures += 1
-                        report._note("ball", z, expected, got)
+                got = read_transformed(m)
+                if got != expected:
+                    report.ball_failures += 1
+                    report._note("ball", m, expected, got)
     return report
 
 

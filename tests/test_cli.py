@@ -254,3 +254,11 @@ def test_check_evident_beta_outside_unit_interval_is_a_json_error(formula_file, 
     argv = ["check-evident", "--formula", formula_file, "--dist", "uniform:4", "--beta", beta]
     error = _usage_error(capsys, argv)
     assert error == {"error": f"beta must lie in (0, 1], got {beta}", "type": "ValueError"}
+
+
+def test_support_line_without_probability_is_a_json_error(formula_file, tmp_path, capsys):
+    support = tmp_path / "support"
+    support.write_text("+- 1/2\n++\n")
+    argv = ["learn", "--target", formula_file, "--dist", f"file:{support}", "--m1", "9", "--m2", "9"]
+    error = _usage_error(capsys, argv)
+    assert error == {"error": "finite support line '++' is not of the form 'POINT PROB'", "type": "ValueError"}

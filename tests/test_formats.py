@@ -6,6 +6,7 @@ import pytest
 from lmqlab.concepts import (
     Dfa,
     DnfFormula,
+    Junta,
     SparsePoly,
     SparsePtf,
     Term,
@@ -66,6 +67,13 @@ def test_tree_explicit_zero_dimension_rejected():
 def test_poly_explicit_zero_dimension_rejected():
     with pytest.raises(ValueError, match="positive"):
         parse_poly("dim 0\n1/2:\n")
+
+
+def test_junta_explicit_zero_dimension_rejected():
+    with pytest.raises(ValueError, match="positive"):
+        parse_junta("dim 0\nrelevant:\ntable: 1\n")
+    with pytest.raises(ValueError, match="positive"):
+        Junta(-3, (), (0,))
 
 
 def test_dnf_empty_term_marker():

@@ -1,11 +1,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lmqlab.concepts import DnfFormula, Term, parity_dfa, random_dfa, random_dnf, random_junta, random_tree
 from lmqlab.cube import enumerate_cube
+from lmqlab.evident import satisfies_evidently
 from lmqlab.harness import (
     ExperimentConfig,
+    _evident_bitsets,
+    _flip_table,
     derive_seed,
     doubled_tree_family,
     opposite_literal_family,
@@ -195,3 +199,22 @@ def test_point_mass_trial_has_zero_loss():
     trial = report.trials[0]
     assert trial.loss == 0 and trial.success
     assert trial.terms_added == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 8), d=st.integers(0, 5), width=st.integers(1, 4), seed=st.integers(0, 2**32))
+def test_truth_table_kernel_matches_pointwise_code(n, d, width, seed):
+    # The corpus's bitsets against satisfied_indices, satisfies_evidently and CubePoint.flip, on every point.
+    formula = random_dnf(n, d, width, random.Random(seed))
+    sat, h_table, evident = _evident_bitsets(formula)
+    tables = sat + [h_table]
+    flipped = {j: [_flip_table(t, n, j) for t in tables] for j in range(1, n + 1)}
+    for x in enumerate_cube(n):
+        hit = formula.satisfied_indices(x)
+        assert [(t >> x.mask) & 1 for t in sat] == [int(i in hit) for i in range(d)]
+        assert (h_table >> x.mask) & 1 == formula.evaluate(x)
+        for i, ev in enumerate(evident):
+            assert (ev >> x.mask) & 1 == satisfies_evidently(formula, i, x)
+        for j, row in flipped.items():
+            y = x.flip(j).mask
+            assert [(t >> x.mask) & 1 for t in row] == [(t >> y) & 1 for t in tables]

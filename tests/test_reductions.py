@@ -1,4 +1,7 @@
+import hashlib
+import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -29,6 +32,7 @@ from lmqlab.reductions import (
     CONSTRUCTIONS,
     FLIP_RADIUS_CAP,
     QReduction,
+    ReductionReport,
     SynthesizedLabels,
     build_block_checker,
     build_block_simulator,
@@ -46,6 +50,7 @@ from lmqlab.reductions import (
     simulate_pac_from_local,
     verify_reduction,
 )
+from lmqlab.harness import run_reduction_suite
 
 
 def P(text: str) -> CubePoint:
@@ -577,3 +582,151 @@ class TestVerifierGuards:
         report = verify_reduction(reduction, DnfFormula(3, (Term.of(1),)))
         assert report.flip_radius == min(reduction.q, FLIP_RADIUS_CAP) == 3
         assert report.passed
+
+
+# ---------------------------------------------------------------------------
+# The mask walk of verify_reduction against its CubePoint reference
+
+
+def _reference_verify(reduction: QReduction, concept) -> dict:
+    """Brute-force reference for verify_reduction: builds a CubePoint per checked point and calls evaluate."""
+    phi = reduction.phi
+    n, n_target = phi.source_n, phi.target_n
+    transformed = reduction.transform(concept)
+    radius = min(reduction.q, FLIP_RADIUS_CAP)
+    report = ReductionReport(reduction.name, reduction.kind, n, n_target, reduction.q, radius)
+
+    def note(kind: str, z: CubePoint, expected, got) -> None:
+        if len(report.counterexamples) < 10:
+            report.counterexamples.append(
+                {"check": kind, "point": z.to_string(), "expected": str(expected), "got": str(got)}
+            )
+
+    source_points = list(enumerate_cube(n))
+    values = [concept.evaluate(x) for x in source_points]
+    image_masks = [phi.apply(x).mask for x in source_points]
+    images = set(image_masks)
+
+    for x in source_points:
+        z = CubePoint(n_target, image_masks[x.mask])
+        got = transformed.evaluate(z)
+        report.image_checked += 1
+        if got != values[x.mask]:
+            report.image_failures += 1
+            note("image", z, values[x.mask], got)
+
+    seen: set[int] = set()
+    for image in image_masks:
+        for r in range(1, radius + 1):
+            for m in masks_at_distance(image, n_target, r):
+                if m in images or m in seen:
+                    continue
+                seen.add(m)
+                z = CubePoint(n_target, m)
+                report.ball_checked += 1
+                if reduction.kind == "A":
+                    got = transformed.evaluate(z)
+                    if got != 1:
+                        report.ball_failures += 1
+                        note("ball", z, 1, got)
+                else:
+                    source = phi.decode(m)
+                    distance = (image_masks[source] ^ m).bit_count()
+                    if distance > reduction.q:
+                        report.anchor_failures += 1
+                        note("anchor", z, f"decoded image within {reduction.q}", distance)
+                        continue
+                    expected = values[source]
+                    got = transformed.evaluate(z)
+                    if got != expected:
+                        report.ball_failures += 1
+                        note("ball", z, expected, got)
+    return report.to_dict()
+
+
+# The reduction matrix's sizes: (construction, n, q0); kind A ignores q0.
+MATRIX_SIZES = [
+    ("dnf", 2, 1), ("dnf", 3, 1), ("dfa", 2, 1), ("dfa", 3, 1),
+    ("junta", 4, 1), ("junta", 4, 2), ("junta", 6, 1),
+    ("tree", 4, 1), ("tree", 4, 2), ("tree", 6, 1),
+    ("poly", 4, 1), ("poly", 4, 2), ("ptf", 4, 1), ("ptf", 4, 2),
+]
+
+
+@pytest.mark.parametrize(
+    "name, n, q0", MATRIX_SIZES, ids=[f"{c}-n{n}" + f"-q0={q}" * (c in KIND_B) for c, n, q in MATRIX_SIZES]
+)
+def test_verify_reduction_matches_reference_on_seeded_examples(name, n, q0):
+    reduction = make_reduction(name, n, q0=q0)
+    for seed in range(3):
+        concept = CONSTRUCTIONS[name].example(n, random.Random(seed))
+        report = verify_reduction(reduction, concept).to_dict()
+        assert report["passed"]
+        assert report == _reference_verify(reduction, concept)
+
+
+NEGATIVE_CONTROLS = [
+    (corrupted_dnf_reduction_without_detector(2), DnfFormula(2, (Term.of(1),))),
+    (corrupted_dnf_reduction_without_detector(3), DnfFormula(3, (Term.of(1, -2), Term.of(3)))),
+    (corrupted_dfa_reduction_stuck_simulator(2), parity_dfa(2)),
+    (corrupted_dfa_reduction_stuck_simulator(3), parity_dfa(3)),
+    (corrupted_tree_reduction_first_copy(2, 1), DecisionTree(2, Node(1, Leaf(0), Leaf(1)))),
+    (corrupted_tree_reduction_first_copy(4, 2), random_tree(4, 4, random.Random(2))),
+]
+
+
+@pytest.mark.parametrize(
+    "broken, concept", NEGATIVE_CONTROLS, ids=[f"{b.name}-n{b.phi.source_n}" for b, _ in NEGATIVE_CONTROLS]
+)
+def test_negative_controls_match_reference(broken, concept):
+    report = verify_reduction(broken, concept).to_dict()
+    assert not report["passed"] and report["counterexamples"]
+    assert report == _reference_verify(broken, concept)
+
+
+@pytest.mark.parametrize(
+    "broken, concept",
+    [
+        (corrupted_dnf_reduction_without_detector(2), DnfFormula(3, (Term.of(1),))),
+        (corrupted_dfa_reduction_stuck_simulator(2), parity_dfa(3)),
+        (corrupted_tree_reduction_first_copy(2, 1), DecisionTree(1, Node(1, Leaf(0), Leaf(1)))),
+    ],
+    ids=["dnf", "dfa", "tree"],
+)
+def test_negative_control_refuses_concept_of_another_dimension(broken, concept):
+    # These transforms skip make_reduction's check; read on masks, the concept would answer anyway.
+    with pytest.raises(DimensionMismatch):
+        verify_reduction(broken, concept)
+
+
+def test_poly_reduction_is_checked_by_exact_value():
+    # Doubling every coefficient keeps every sign, so only the exact values tell.
+    shipped = make_reduction("poly", 2)
+
+    def doubled(p: SparsePoly) -> SparsePoly:
+        return shipped.transform(SparsePoly(p.n, {v: 2 * c for v, c in p.monomials.items()}))
+
+    broken = replace(shipped, transform=doubled)
+    concept = SparsePoly(2, {frozenset({1}): Fraction(1, 2), frozenset(): Fraction(1, 3)})
+    report = verify_reduction(broken, concept).to_dict()
+    assert report["image_failures"] == 4 and report["ball_failures"] == report["ball_checked"]
+    assert report["counterexamples"][0] == {"check": "image", "point": "------", "expected": "-1/6", "got": "-1/3"}
+    assert report == _reference_verify(broken, concept)
+
+
+def test_verify_reduction_refuses_transform_into_another_dimension():
+    identity = replace(make_reduction("dnf", 2), transform=lambda h: h)
+    with pytest.raises(DimensionMismatch):
+        verify_reduction(identity, DnfFormula(2, (Term.of(1),)))
+
+
+@pytest.mark.parametrize(
+    "seed, digest",
+    [
+        (0, "5204f51fba6b61fcdf21e8ac412dc88dda151b8d643275b9a7fa6729783203ff"),
+        (1, "6104f894f6f0484d5afc9bd386353a9dede7487389e29c33c9472a8c4ab946ac"),
+    ],
+)
+def test_reduction_suite_digest_is_pinned(seed, digest):
+    payload = json.dumps(run_reduction_suite(seed).to_dict(), sort_keys=True)
+    assert hashlib.sha256(payload.encode()).hexdigest() == digest
