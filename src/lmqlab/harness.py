@@ -544,9 +544,9 @@ def _audit_simulation(
     except LocalityViolation:
         report.uniqueness_errors += 1
         return
-    for rec, times in oracle.records():
+    for mask, answer, _, times in oracle.entries():
         report.simulation_queries += times
-        if rec.answer != transformed.label(rec.point.mask):
+        if answer != transformed.label(mask):
             report.simulation_mismatches += times
 
 

@@ -1,9 +1,10 @@
 """The 1-local-query DNF learner and its sample-size planner.
 
 Phase 1 rebuilds one candidate term per distinct positive example of the
-first sample by flipping each coordinate and asking the oracle, counting
-each query once per occurrence: an answer of 1 means the variable is absent
-from the term, an answer of 0 keeps the literal the example satisfies.
+first sample by flipping each coordinate and asking the oracle, the n flips
+as one ``ask_flips`` batch, counting each query once per occurrence: an
+answer of 1 means the variable is absent from the term, an answer of 0 keeps
+the literal the example satisfies.
 Phase 2 throws away every candidate that fires on a negative example of the
 second sample. On instances whose positives are evident, phase 1 recovers
 exact terms and phase 2 never removes a true one.
@@ -56,19 +57,19 @@ def plan_samples(n: int, epsilon: float, d: Optional[int] = None) -> SampleSizeP
 def reconstruct_term(x: CubePoint, oracle: LocalMQOracle, times: int = 1) -> Term:
     """Recover the term a positive example satisfies, one flip per coordinate.
 
-    Issues exactly n queries, each at distance 1 from x, and counts each
-    ``times`` times: once per occurrence of x in the sample. Starting from
-    the conjunction of all literals over all variables, an answer of 1 at
-    coordinate j removes both of j's literals, and an answer of 0 removes
-    the literal x violates, keeping the one x satisfies.
+    Issues exactly n queries, each at distance 1 from x, as one
+    ``ask_flips`` batch, and counts each ``times`` times: once per
+    occurrence of x in the sample. Starting from the conjunction of all
+    literals over all variables, an answer of 1 at coordinate j removes both
+    of j's literals, and an answer of 0 removes the literal x violates,
+    keeping the one x satisfies.
     """
     if x.n != oracle.n:
         raise DimensionMismatch(f"example dimension {x.n} differs from oracle {oracle.n}")
     positives, negatives = set(), set()
-    for j in range(1, x.n + 1):
-        bit = 1 << (x.n - j)
-        if oracle.ask(x.mask ^ bit, times) == 0:
-            (positives if x.mask & bit else negatives).add(j)
+    for j, answer in enumerate(oracle.ask_flips(x.mask, times), 1):
+        if answer == 0:
+            (positives if x.mask >> (x.n - j) & 1 else negatives).add(j)
     return Term(frozenset(positives), frozenset(negatives))
 
 

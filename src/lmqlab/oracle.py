@@ -5,19 +5,28 @@ within Hamming distance q of z. The oracle refuses anything farther away
 and logs every answer it gives, so learners can be audited after a run.
 The core, ``ask(mask, times)``, checks and answers each distinct query once
 and counts its repeats; ``log`` expands the counts, grouped by first asking.
+``ask_flips(mask, times)`` asks the n one-flip neighbours of a point as one
+batch: around an anchor with q >= 1 every neighbour is 1-local by
+construction, so no ball is walked.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .concepts import Concept
 from .cube import AnchorIndex, CubePoint, DimensionMismatch
 from .distributions import Distribution, LabeledSample, sample
 
 QUERY_BUDGET_FACTOR = 64
+
+
+def _require_count(value: object, least: int, what: str) -> None:
+    """Refuse a count below ``least`` or one that is not an int (a bool is not a count)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ValueError(f"{what}, got {value!r}")
 
 
 class LocalityViolation(RuntimeError):
@@ -79,8 +88,7 @@ class LocalMQOracle:
         self._index = AnchorIndex((a.mask for a in self.anchors), self.n, q)
         if query_cap is None:
             query_cap = QUERY_BUDGET_FACTOR * self.n * max(1, len(self.anchors))
-        if query_cap < 0:
-            raise ValueError(f"query budget must be non-negative, got {query_cap}")
+        _require_count(query_cap, 0, "query budget must be a non-negative integer")
         self.query_cap = query_cap
         # One [answer, distance, times] entry per distinct query mask, in order of first asking.
         self._asked: dict[int, list[int]] = {}
@@ -98,11 +106,15 @@ class LocalMQOracle:
         anchors = [x for s in samples for x, _ in s]
         return cls(target, anchors, q, query_cap=query_cap)
 
+    def entries(self) -> list[tuple[int, int, int, int]]:
+        """Each distinct query once, in order of first asking, as (mask, answer, distance, times)."""
+        return [(mask, *entry) for mask, entry in self._asked.items()]
+
     def records(self) -> list[tuple[QueryRecord, int]]:
         """Each distinct query once, in order of first asking, with the times it was asked."""
         return [
             (QueryRecord(CubePoint(self.n, mask), answer, distance), times)
-            for mask, (answer, distance, times) in self._asked.items()
+            for mask, answer, distance, times in self.entries()
         ]
 
     @property
@@ -121,10 +133,9 @@ class LocalMQOracle:
         Locality is checked and the target evaluated on a mask's first asking
         only. A batch that does not fit the budget is refused whole.
         """
-        if times < 1:
-            raise ValueError(f"a query is asked at least once, got times={times}")
-        entry = self._asked.get(mask)
-        if entry is None:
+        _require_count(times, 1, "a query is asked a whole number of times, at least once")
+        distance = None
+        if mask not in self._asked:
             if not 0 <= mask < 1 << self.n:
                 raise DimensionMismatch(f"query mask {mask} out of range for dimension {self.n}")
             distance = self._index.nearest(mask)
@@ -132,11 +143,35 @@ class LocalMQOracle:
                 raise LocalityViolation(self._index.min_distance(mask), self.q)
         if self._count + times > self.query_cap:
             raise BudgetExhausted(self.query_cap)
-        if entry is None:
-            entry = self._asked[mask] = [self.target.label(mask), distance, 0]
-        entry[2] += times
-        self._count += times
-        return entry[0]
+        return self._record((mask,), (distance,), times)[0]
+
+    def ask_flips(self, mask: int, times: int = 1) -> list[int]:
+        """Answers at the n one-flip neighbours of ``mask``, coordinate 1 first.
+
+        Answers, records, statistics and errors are those of ``ask`` on each
+        neighbour in turn. An anchor centre with q >= 1 proves every neighbour
+        1-local (distance 0 if an anchor itself, else 1), so a batch that fits
+        the budget walks no ball.
+        """
+        _require_count(times, 1, "a query is asked a whole number of times, at least once")
+        flips = [mask ^ (1 << i) for i in range(self.n - 1, -1, -1)]
+        anchors = self._index.masks
+        if self.q < 1 or mask not in anchors or self._count + self.n * times > self.query_cap:
+            return [self.ask(z, times) for z in flips]
+        return self._record(flips, [0 if z in anchors else 1 for z in flips], times)
+
+    def _record(self, masks: Sequence[int], distances: Sequence[int | None], times: int) -> list[int]:
+        """Answer masks already checked local and within budget, charging each ``times``."""
+        asked, label = self._asked, self.target.label
+        answers = []
+        for mask, distance in zip(masks, distances):
+            entry = asked.get(mask)
+            if entry is None:
+                entry = asked[mask] = [label(mask), distance, 0]
+            entry[2] += times
+            answers.append(entry[0])
+        self._count += len(masks) * times
+        return answers
 
     def stats(self) -> OracleStats:
         histogram: dict[int, int] = {}

@@ -1,13 +1,26 @@
+import dataclasses
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lmqlab.concepts import DnfFormula, Term, parity_dfa, random_dfa, random_dnf, random_junta, random_tree
+from lmqlab.concepts import (
+    DnfFormula,
+    Junta,
+    Term,
+    parity_dfa,
+    random_dfa,
+    random_dnf,
+    random_junta,
+    random_tree,
+)
 from lmqlab.cube import enumerate_cube
+from lmqlab.distributions import UniformCube
 from lmqlab.evident import satisfies_evidently
 from lmqlab.harness import (
     ExperimentConfig,
+    ReductionSuiteReport,
+    _audit_simulation,
     _evident_bitsets,
     _flip_table,
     derive_seed,
@@ -17,6 +30,7 @@ from lmqlab.harness import (
     run_reconstruction_corpus,
     run_reduction_suite,
 )
+from lmqlab.reductions import make_reduction
 
 
 def small_config(**overrides):
@@ -146,6 +160,33 @@ def test_reduction_suite_passes_and_reports_shape():
     assert len(d["negative_controls"]) == 3
     assert all(c["detected"] for c in d["negative_controls"])
     assert all(c["counterexamples"] for c in d["negative_controls"])
+
+
+class _NeighbourShifted:
+    """Answers what the wrapped concept says at the point with its last coordinate flipped."""
+
+    def __init__(self, inner):
+        self.n, self.inner = inner.n, inner
+
+    def label(self, mask):
+        return self.inner.label(mask ^ 1)
+
+
+def test_simulation_audit_counts_a_neighbour_shifted_transform():
+    # The suite's audit fixtures ignore the last source variable, so a transform
+    # shifted onto the last target coordinate agrees with them wherever the
+    # learner asks. A parity over every source variable does not.
+    honest = make_reduction("junta", 4, q0=1)
+    shifted = dataclasses.replace(honest, transform=lambda h: _NeighbourShifted(honest.transform(h)))
+    parity = Junta(4, (1, 2, 3, 4), tuple(bin(i).count("1") % 2 for i in range(16)))
+    counts = {}
+    for name, reduction in (("honest", honest), ("shifted", shifted)):
+        report = ReductionSuiteReport()
+        _audit_simulation(report, reduction, parity, UniformCube(4), 200, 200, derive_seed(0, "sim-parity"))
+        counts[name] = (report.simulation_queries, report.simulation_mismatches, report.uniqueness_errors)
+    assert counts["honest"][1:] == (0, 0)
+    queries, mismatches, errors = counts["shifted"]
+    assert queries == counts["honest"][0] and 0 < mismatches < queries and errors == 0
 
 
 def test_parity_dfa_counts_minus_symbols():

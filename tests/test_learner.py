@@ -16,7 +16,7 @@ from lmqlab.learner import (
     plan_samples,
     reconstruct_term,
 )
-from lmqlab.oracle import LocalityViolation, LocalMQOracle, draw_training_set
+from lmqlab.oracle import BudgetExhausted, LocalityViolation, LocalMQOracle, draw_training_set
 
 
 def P(text: str) -> CubePoint:
@@ -229,3 +229,35 @@ def test_learner_matches_pointwise_reference(case, q):
     assert run.oracle_stats == reference.stats()
     assert run.oracle_stats.query_count == target.n * positives
     assert Counter(oracle.log) == Counter(reference.log)
+
+
+def _reference_reconstruct(x, oracle, times=1):
+    """The per-flip loop: one ``ask`` per coordinate, coordinate 1 first."""
+    positives, negatives = set(), set()
+    for j in range(1, x.n + 1):
+        bit = 1 << (x.n - j)
+        if oracle.ask(x.mask ^ bit, times) == 0:
+            (positives if x.mask & bit else negatives).add(j)
+    return Term(frozenset(positives), frozenset(negatives))
+
+
+@settings(max_examples=60, deadline=None)
+@given(repeated_samples(), st.integers(0, 2), st.none() | st.integers(0, 400))
+def test_reconstruct_term_matches_per_flip_reference(case, q, cap):
+    target, dist, m1, m2, (seed1, seed2) = case
+    s1 = draw_training_set(dist, target, m1, seed1)
+    s2 = draw_training_set(dist, target, m2, seed2)
+    batched = LocalMQOracle.for_samples(target, q, s1, s2, query_cap=cap)
+    reference = LocalMQOracle.for_samples(target, q, s1, s2, query_cap=cap)
+    # Off-sample centres too, so some batches fall back to per-flip asks.
+    centres = Counter(x for x, y in s1 if y == 1) + Counter(CubePoint(target.n, m) for m in range(3))
+    for x, times in centres.items():
+        try:
+            expected = _reference_reconstruct(x, reference, times)
+        except (BudgetExhausted, LocalityViolation) as err:
+            with pytest.raises(type(err)):
+                reconstruct_term(x, batched, times)
+            break
+        assert reconstruct_term(x, batched, times) == expected
+    assert batched.records() == reference.records()
+    assert batched.stats() == reference.stats()

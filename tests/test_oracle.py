@@ -1,16 +1,18 @@
 import json
+import random
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lmqlab.concepts import DnfFormula, Term
+from lmqlab.concepts import DnfFormula, Term, random_dnf
 from lmqlab.cube import CubePoint, DimensionMismatch, ball_size, enumerate_cube
 from lmqlab.distributions import FiniteSupport, ProductDist, UniformCube, sample
 from lmqlab.oracle import (
     BudgetExhausted,
     LocalityViolation,
     LocalMQOracle,
+    OracleStats,
     draw_training_set,
 )
 from fractions import Fraction
@@ -135,6 +137,21 @@ def test_ask_rejects_bad_masks_and_counts():
     assert o.log == ()
 
 
+@pytest.mark.parametrize("times", [1.5, 2.0, True, "2", None])
+def test_ask_and_ask_flips_reject_a_count_that_is_not_an_int(times):
+    o = LocalMQOracle(TARGET, [P("+++")], q=1)
+    for ask in (o.ask, o.ask_flips):
+        with pytest.raises(ValueError, match="whole number of times"):
+            ask(P("+++").mask, times)
+    assert o.log == () and o.stats().query_count == 0
+
+
+@pytest.mark.parametrize("cap", [2.5, 10.0, False, "7"])
+def test_budget_that_is_not_an_int_rejected(cap):
+    with pytest.raises(ValueError, match="non-negative integer"):
+        LocalMQOracle(TARGET, [P("+++")], q=1, query_cap=cap)
+
+
 class CountingTarget:
     def __init__(self, concept):
         self.n, self.concept, self.calls = concept.n, concept, 0
@@ -239,3 +256,85 @@ def test_min_distance_strategies_agree():
                 with pytest.raises(LocalityViolation) as err:
                     oracle.query(z)
                 assert err.value.min_distance == brute
+
+
+def _state(oracle):
+    return oracle.entries(), oracle.records(), oracle.stats(), oracle._count
+
+
+@st.composite
+def flip_batches(draw, walk):
+    """An oracle setting and a run of (centre, times) batches, centres often anchors and repeated."""
+    q = draw(st.sampled_from((0, 1, 2)))
+    n = draw(st.integers(3, 6))
+    cube = st.integers(0, (1 << n) - 1)
+    ball = ball_size(n, q)
+    if walk:
+        anchors = draw(st.sets(cube, min_size=ball + 1, max_size=1 << n))
+    else:
+        anchors = draw(st.sets(cube, max_size=ball))
+    centre = st.sampled_from(sorted(anchors)) | cube if anchors else cube
+    pool = draw(st.lists(centre, min_size=1, max_size=4))
+    calls = draw(st.lists(st.tuples(st.sampled_from(pool), st.integers(1, 3)), min_size=1, max_size=8))
+    cap = draw(st.none() | st.integers(0, n * sum(times for _, times in calls)))
+    target = random_dnf(n, 2, 3, random.Random(draw(st.integers(0, 1 << 30))))
+    return target, [CubePoint(n, m) for m in sorted(anchors)], q, calls, cap
+
+
+@pytest.mark.parametrize("walk", [False, True], ids=["scan", "walk"])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_ask_flips_matches_sequential_asks(walk, data):
+    target, anchors, q, calls, cap = data.draw(flip_batches(walk))
+    n = target.n
+    batched = LocalMQOracle(target, anchors, q, query_cap=cap)
+    sequential = LocalMQOracle(target, anchors, q, query_cap=cap)
+    assert batched._index.walk == walk
+    for centre, times in calls:
+        try:
+            expected = [sequential.ask(centre ^ (1 << (n - j)), times) for j in range(1, n + 1)]
+        except (BudgetExhausted, LocalityViolation) as err:
+            with pytest.raises(type(err)) as raised:
+                batched.ask_flips(centre, times)
+            assert str(raised.value) == str(err)
+            break
+        assert batched.ask_flips(centre, times) == expected
+        assert _state(batched) == _state(sequential)
+    assert _state(batched) == _state(sequential)
+
+
+def test_ask_flips_records_anchor_neighbours_at_distance_zero():
+    o = LocalMQOracle(TARGET, [P("+++"), P("++-")], q=1)
+    assert o.ask_flips(P("+++").mask, 2) == [0, 0, 1]
+    assert [(rec.point.to_string(), rec.distance, times) for rec, times in o.records()] == [
+        ("-++", 1, 2), ("+-+", 1, 2), ("++-", 0, 2),
+    ]
+    assert o.stats() == OracleStats(6, 1, {1: 4, 0: 2})
+
+
+def test_ball_walk_at_width_matches_brute_force():
+    # Far more anchors than points of a 2-ball in 28 dimensions: the index walks
+    # the ball. Queries two and three flips from an anchor check the walk's
+    # distances and refusals against a scan of every anchor.
+    n, q = 28, 2
+    rng = random.Random(28)
+    masks = [rng.getrandbits(n) for _ in range(5000)]
+    target = DnfFormula(n, (Term.of(1, -2), Term.of(3, 27, -28)))
+    oracle = LocalMQOracle(target, [CubePoint(n, m) for m in masks], q)
+    assert oracle._index.walk
+    answered, refused = Counter(), Counter()
+    for i in range(300):
+        z = rng.choice(masks)
+        for p in rng.sample(range(n), 2 + i % 2):
+            z ^= 1 << p
+        brute = min((z ^ m).bit_count() for m in masks)
+        if brute <= q:
+            assert oracle.ask(z) == target.label(z)
+            assert {mask: d for mask, _, d, _ in oracle.entries()}[z] == brute
+            answered[brute] += 1
+        else:
+            with pytest.raises(LocalityViolation) as err:
+                oracle.ask(z)
+            assert err.value.min_distance == brute
+            refused[brute] += 1
+    assert answered[2] > 100 and refused[3] > 100
