@@ -1,8 +1,8 @@
-"""Distributions over the cube: sampling, pushforward, and loss computation.
+"""Distributions over the cube: sampling, pushforward, labelled samples, loss.
 
 Probabilities are exact rationals wherever a distribution is enumerated;
 sampling uses a seeded ``random.Random`` stream so every draw replays
-bit-exactly.
+bit-exactly. Draws and ``LabeledSample`` hold int masks, not points.
 """
 
 from __future__ import annotations
@@ -143,25 +143,27 @@ def pushforward(dist: Distribution, phi: ReplicateMap) -> FiniteSupport:
 
 @dataclass(frozen=True)
 class LabeledSample:
-    """An ordered sequence of (point, label) pairs of uniform dimension."""
+    """An ordered sample over {-1,+1}^n: ``masks[i]`` labelled ``labels[i]``."""
 
-    pairs: tuple[tuple[CubePoint, int], ...]
+    n: int
+    masks: tuple[int, ...]
+    labels: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        dims = {x.n for x, _ in self.pairs}
-        if len(dims) > 1:
-            raise DimensionMismatch(f"sample mixes dimensions {sorted(dims)}")
-        if any(y not in (0, 1) for _, y in self.pairs):
+        if self.n < 1:
+            raise ValueError(f"dimension must be a positive integer, got {self.n}")
+        if len(self.masks) != len(self.labels):
+            raise ValueError(f"{len(self.masks)} masks but {len(self.labels)} labels")
+        if self.masks and not (0 <= min(self.masks) and max(self.masks) < 1 << self.n):
+            raise ValueError(f"sample masks must lie in [0, 2^{self.n})")
+        if not set(self.labels) <= {0, 1}:
             raise ValueError("labels must be 0 or 1")
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self.masks)
 
     def __iter__(self) -> Iterator[tuple[CubePoint, int]]:
-        return iter(self.pairs)
-
-    def positives(self) -> list[CubePoint]:
-        return [x for x, y in self.pairs if y == 1]
+        return ((CubePoint(self.n, m), y) for m, y in zip(self.masks, self.labels))
 
 
 def _check_loss_dims(dist: Distribution, h_star: Concept, h_hat: Concept) -> None:

@@ -167,6 +167,8 @@ def parse_dfa(text: str) -> Dfa:
             accepting += rest.split()
             mentions += rest.split()
         elif key == "trans":
+            if len(rest.split()) != 3:
+                raise ValueError(f"automaton line {line!r} is not of the form 'trans: STATE (+|-) STATE'")
             src, symbol, dst = rest.split()
             if symbol not in ("+", "-"):
                 raise ValueError(f"transition symbol must be '+' or '-', got {symbol!r}")

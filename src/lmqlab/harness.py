@@ -462,7 +462,7 @@ def run_reconstruction_corpus(count: int = 1000, base_seed: int = 0) -> CorpusRe
         for i, mask in evident_pairs:
             x = CubePoint(n, mask)
             oracle = LocalMQOracle(formula, [x], q=1)
-            got = reconstruct_term(x, oracle)
+            got = reconstruct_term(mask, oracle)
             report.recon_checked += 1
             if got != formula.terms[i]:
                 report.recon_failures += 1

@@ -1,6 +1,6 @@
 """The 1-local-query DNF learner and its sample-size planner.
 
-Phase 1 rebuilds one candidate term per distinct positive example of the
+Phase 1 rebuilds one candidate term per distinct positive mask of the
 first sample by flipping each coordinate and asking the oracle, the n flips
 as one ``ask_flips`` batch, counting each query once per occurrence: an
 answer of 1 means the variable is absent from the term, an answer of 0 keeps
@@ -16,10 +16,11 @@ import math
 import time
 from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
 from typing import Optional
 
 from .concepts import DnfFormula, Term
-from .cube import CubePoint, DimensionMismatch
+from .cube import DimensionMismatch
 from .distributions import LabeledSample
 from .oracle import LocalMQOracle, OracleStats
 
@@ -54,22 +55,21 @@ def plan_samples(n: int, epsilon: float, d: Optional[int] = None) -> SampleSizeP
     return SampleSizePlan(n, epsilon, m1, m2)
 
 
-def reconstruct_term(x: CubePoint, oracle: LocalMQOracle, times: int = 1) -> Term:
-    """Recover the term a positive example satisfies, one flip per coordinate.
+def reconstruct_term(x: int, oracle: LocalMQOracle, times: int = 1) -> Term:
+    """Recover the term a positive example's mask x satisfies, one flip per coordinate.
 
     Issues exactly n queries, each at distance 1 from x, as one
     ``ask_flips`` batch, and counts each ``times`` times: once per
     occurrence of x in the sample. Starting from the conjunction of all
     literals over all variables, an answer of 1 at coordinate j removes both
     of j's literals, and an answer of 0 removes the literal x violates,
-    keeping the one x satisfies.
+    keeping the one x satisfies. The oracle refuses a mask out of range.
     """
-    if x.n != oracle.n:
-        raise DimensionMismatch(f"example dimension {x.n} differs from oracle {oracle.n}")
+    n = oracle.n
     positives, negatives = set(), set()
-    for j, answer in enumerate(oracle.ask_flips(x.mask, times), 1):
+    for j, answer in enumerate(oracle.ask_flips(x, times), 1):
         if answer == 0:
-            (positives if x.mask >> (x.n - j) & 1 else negatives).add(j)
+            (positives if x >> (n - j) & 1 else negatives).add(j)
     return Term(frozenset(positives), frozenset(negatives))
 
 
@@ -92,13 +92,15 @@ def learn_evident_dnf(s1: LabeledSample, s2: LabeledSample, oracle: LocalMQOracl
 def learn_evident_dnf_run(s1: LabeledSample, s2: LabeledSample, oracle: LocalMQOracle) -> LearnerRun:
     """Like ``learn_evident_dnf`` but with query statistics and phase timings."""
     n = oracle.n
+    if s1.n != n or s2.n != n:
+        raise DimensionMismatch(f"sample dimensions {s1.n}/{s2.n} differ from oracle {n}")
     t0 = time.perf_counter()
-    occurrences = Counter(x for x, y in s1 if y == 1)
+    occurrences = Counter(compress(s1.masks, s1.labels))
     collected: dict[Term, None] = {}
     for x, times in occurrences.items():
         collected.setdefault(reconstruct_term(x, oracle, times))
     t1 = time.perf_counter()
-    negative_masks = {x.mask for x, y in s2 if y == 0}
+    negative_masks = {m for m, y in zip(s2.masks, s2.labels) if y == 0}
     surviving = []
     pruned = 0
     for term in collected:

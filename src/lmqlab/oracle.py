@@ -1,7 +1,7 @@
 """Example oracle and the locality-enforcing membership-query oracle.
 
-A query for point z is q-local when some anchor (training point) lies
-within Hamming distance q of z. The oracle refuses anything farther away
+A query for point z is q-local when some anchor (a distinct training point)
+lies within Hamming distance q of z. The oracle refuses anything farther away
 and logs every answer it gives, so learners can be audited after a run.
 The core, ``ask(mask, times)``, checks and answers each distinct query once
 and counts its repeats; ``log`` expands the counts, grouped by first asking.
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .concepts import Concept
@@ -81,13 +82,13 @@ class LocalMQOracle:
         self.target = target
         self.n = target.n
         self.q = q
-        self.anchors: tuple[CubePoint, ...] = tuple(anchors)
-        for a in self.anchors:
+        anchors = tuple(anchors)
+        for a in anchors:
             if a.n != self.n:
                 raise DimensionMismatch(f"anchor dimension {a.n} differs from target {self.n}")
-        self._index = AnchorIndex((a.mask for a in self.anchors), self.n, q)
+        self._index = AnchorIndex((a.mask for a in anchors), self.n, q)
         if query_cap is None:
-            query_cap = QUERY_BUDGET_FACTOR * self.n * max(1, len(self.anchors))
+            query_cap = QUERY_BUDGET_FACTOR * self.n * max(1, len(anchors))
         _require_count(query_cap, 0, "query budget must be a non-negative integer")
         self.query_cap = query_cap
         # One [answer, distance, times] entry per distinct query mask, in order of first asking.
@@ -102,9 +103,14 @@ class LocalMQOracle:
         *samples: LabeledSample,
         query_cap: int | None = None,
     ) -> "LocalMQOracle":
-        """Oracle whose anchors are all points of the given training samples."""
-        anchors = [x for s in samples for x, _ in s]
-        return cls(target, anchors, q, query_cap=query_cap)
+        """Oracle anchored at the samples' distinct points; the default cap counts every draw."""
+        for s in samples:
+            if s.n != target.n:
+                raise DimensionMismatch(f"sample dimension {s.n} differs from target {target.n}")
+        if query_cap is None:
+            query_cap = QUERY_BUDGET_FACTOR * target.n * max(1, sum(map(len, samples)))
+        distinct = dict.fromkeys(chain.from_iterable(s.masks for s in samples))
+        return cls(target, [CubePoint(target.n, m) for m in distinct], q, query_cap=query_cap)
 
     def entries(self) -> list[tuple[int, int, int, int]]:
         """Each distinct query once, in order of first asking, as (mask, answer, distance, times)."""
@@ -189,9 +195,9 @@ class LocalMQOracle:
 
 
 def draw_training_set(dist: Distribution, h_star: Concept, m: int, seed: int) -> LabeledSample:
-    """m i.i.d. points labeled by the target concept; repeated draws share one labelled pair."""
+    """m i.i.d. points labeled by the target concept, each distinct point labelled once."""
     if h_star.n != dist.n:
         raise DimensionMismatch(f"concept dimension {h_star.n} differs from distribution {dist.n}")
     masks = sample(dist, m, seed)
-    labelled = {mask: (CubePoint(dist.n, mask), h_star.label(mask)) for mask in dict.fromkeys(masks)}
-    return LabeledSample(tuple(map(labelled.__getitem__, masks)))
+    labels = {mask: h_star.label(mask) for mask in dict.fromkeys(masks)}
+    return LabeledSample(dist.n, tuple(masks), tuple(map(labels.__getitem__, masks)))

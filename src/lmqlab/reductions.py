@@ -347,10 +347,10 @@ class SynthesizedLabels(MaskConcept):
     image, these agree with ``reduction.transform(h)``.
     """
 
-    def __init__(self, reduction: QReduction, mapped: Sequence[tuple[CubePoint, int]]):
+    def __init__(self, reduction: QReduction, *mapped: LabeledSample):
         self.n = reduction.phi.target_n
         self._decode = reduction.phi.decode if reduction.kind == "B" else None
-        labels = {z.mask: y for z, y in mapped}
+        labels = {m: y for s in mapped for m, y in zip(s.masks, s.labels)}
         self._labels = labels if self._decode is None else {self._decode(m): y for m, y in labels.items()}
 
     def label(self, mask: int) -> int:
@@ -372,12 +372,10 @@ def simulate_pac_from_local(
     synthesized answer.
     """
     phi = reduction.phi
-
-    def mapped(s: LabeledSample) -> LabeledSample:
-        return LabeledSample(tuple((phi.apply(x), y) for x, y in s))
-
-    m1, m2 = mapped(s1), mapped(s2)
-    labels = SynthesizedLabels(reduction, m1.pairs + m2.pairs)
+    if s1.n != phi.source_n or s2.n != phi.source_n:
+        raise DimensionMismatch(f"map expects dimension {phi.source_n}, samples have {s1.n}/{s2.n}")
+    m1, m2 = (LabeledSample(phi.target_n, tuple(map(phi.encode, s.masks)), s.labels) for s in (s1, s2))
+    labels = SynthesizedLabels(reduction, m1, m2)
     oracle = LocalMQOracle.for_samples(labels, reduction.q, m1, m2)
     hypothesis = learner(m1, m2, oracle)
     return ComposedConcept(hypothesis, phi), oracle

@@ -104,7 +104,7 @@ def test_locality_discipline(corpus, learning):
         s1 = s2 = None
         for seed in range(100):
             candidate = draw_training_set(dist, target, 30, seed)
-            if candidate.positives():
+            if 1 in candidate.labels:
                 s1 = candidate
                 s2 = draw_training_set(dist, target, 30, seed + 1000)
                 break

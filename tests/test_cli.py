@@ -158,6 +158,16 @@ def test_verify_reduction_concept_dimension_mismatch(tmp_path, capsys):
     assert error["type"] == "DimensionMismatch"
 
 
+@pytest.mark.parametrize("trans", ["trans: a +", "trans: a + b c"])
+def test_verify_reduction_malformed_transition_is_a_json_error(tmp_path, capsys, trans):
+    path = tmp_path / "bad.dfa"
+    path.write_text(f"len: 2\nstart: a\naccept: a\n{trans}\ntrans: a - a\n")
+    argv = ["verify-reduction", "--construction", "dfa", "--n", "2", "--concept", str(path)]
+    error = _usage_error(capsys, argv)
+    message = f"automaton line {trans!r} is not of the form 'trans: STATE (+|-) STATE'"
+    assert error == {"error": message, "type": "ValueError"}
+
+
 def test_verify_reduction_theta_line_must_match_construction(tmp_path, capsys):
     poly = tmp_path / "p.poly"
     poly.write_text("dim 2\n1: 1\n")

@@ -24,6 +24,7 @@ from lmqlab.concepts import (
     random_tree,
 )
 from lmqlab.cube import CubePoint, DimensionMismatch, ReplicateMap, enumerate_cube
+from lmqlab.distributions import LabeledSample
 from lmqlab.reductions import ComposedConcept, SynthesizedLabels, make_reduction
 
 
@@ -259,6 +260,10 @@ def _reference(c, x: CubePoint) -> int:
     raise TypeError(f"no reference for {type(c).__name__}")
 
 
+def _sample(n: int, pairs) -> LabeledSample:
+    return LabeledSample(n, tuple(x.mask for x, _ in pairs), tuple(y for _, y in pairs))
+
+
 def _instance(kind: str, rng: random.Random):
     """A random concept of the kind, and a pointwise reference for its labels."""
     n = rng.randint(1, 12)
@@ -296,9 +301,11 @@ def _instance(kind: str, rng: random.Random):
         mapped = [(phi.apply(x), h.evaluate(x)) for x in enumerate_cube(source_n)]
         if kind == "synthesized-A":
             mapped = rng.sample(mapped, rng.randint(0, len(mapped)))
-            labels = dict(mapped)
-            return SynthesizedLabels(reduction, mapped), lambda z: labels.get(z, 1)
-        return SynthesizedLabels(reduction, mapped), lambda z: min(mapped, key=lambda p: z.hamming(p[0]))[1]
+            labels, cut = dict(mapped), rng.randint(0, len(mapped))
+            samples = _sample(phi.target_n, mapped[:cut]), _sample(phi.target_n, mapped[cut:])
+            return SynthesizedLabels(reduction, *samples), lambda z: labels.get(z, 1)
+        synthesized = SynthesizedLabels(reduction, _sample(phi.target_n, mapped))
+        return synthesized, lambda z: min(mapped, key=lambda p: z.hamming(p[0]))[1]
     return c, lambda x: _reference(c, x)
 
 

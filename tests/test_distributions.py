@@ -178,7 +178,35 @@ def test_mc_loss_matches_pointwise_reference(n, seed, m):
 
 def test_labeled_sample_validation():
     with pytest.raises(ValueError):
-        LabeledSample(((P("++"), 2),))
-    s = LabeledSample(((P("++"), 1), (P("--"), 0)))
+        LabeledSample(2, (P("++").mask,), (2,))
+    s = LabeledSample(2, (P("++").mask, P("--").mask), (1, 0))
     assert len(s) == 2
-    assert s.positives() == [P("++")]
+    assert [x for x, y in s if y == 1] == [P("++")]
+
+
+@pytest.mark.parametrize(
+    "n, masks, labels, message",
+    [
+        (0, (), (), "dimension"),
+        (-2, (0,), (1,), "dimension"),
+        (2, (0, 1), (1,), "2 masks but 1 labels"),
+        (2, (0,), (1, 0), "1 masks but 2 labels"),
+        (2, (1, -1), (0, 0), "must lie in"),
+        (2, (4, 0), (0, 0), "must lie in"),
+        (2, (3, 9), (0, 0), "must lie in"),
+        (2, (0, 1), (1, 2), "labels must be 0 or 1"),
+        (2, (0, 1), (-1, 0), "labels must be 0 or 1"),
+        (2, (0,), ("1",), "labels must be 0 or 1"),
+    ],
+)
+def test_labeled_sample_rejects_bad_input(n, masks, labels, message):
+    with pytest.raises(ValueError, match=message):
+        LabeledSample(n, masks, labels)
+
+
+def test_labeled_sample_iterates_point_label_pairs():
+    s = LabeledSample(3, (5, 5, 0), (1, 1, 0))
+    pairs = iter(s)
+    assert next(pairs) == (CubePoint(3, 5), 1)
+    assert list(pairs) == [(CubePoint(3, 5), 1), (CubePoint(3, 0), 0)]
+    assert list(LabeledSample(3, (), ())) == [] and len(LabeledSample(3, (), ())) == 0

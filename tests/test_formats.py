@@ -153,6 +153,13 @@ def test_dfa_transition_symbol_is_one_sign():
         parse_dfa("len: 1\nstart: a\ntrans: a +- a\ntrans: a - a\n")
 
 
+@pytest.mark.parametrize("trans", ["trans: a +", "trans: a + b c", "trans:"])
+def test_dfa_transition_line_needs_three_fields(trans):
+    with pytest.raises(ValueError) as exc:
+        parse_dfa(f"len: 1\nstart: a\n{trans}\ntrans: a - a\n")
+    assert str(exc.value) == f"automaton line {trans!r} is not of the form 'trans: STATE (+|-) STATE'"
+
+
 def test_poly_round_trip():
     p = SparsePoly(
         3, {frozenset({1, 3}): Fraction(-2, 7), frozenset(): Fraction(1, 2), frozenset({2}): Fraction(3)}

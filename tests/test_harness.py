@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 import random
 
 import pytest
@@ -140,6 +142,40 @@ def test_corpus_small_run_is_clean():
     assert report.recon_failures == 0
     assert report.recon_checked == report.evident_points
     assert set(report.locality_histogram) <= {1}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "name, family, m2, trials, digest",
+    [
+        (
+            "doubled-tree", doubled_tree_family(4, 8, max_leaves=16), 50000, 5,
+            "51554e301b5a917d4aeb21d6fb6b264264f30d820f6887dd0f7593c8ff67ee3d",
+        ),
+        (
+            "opposite-literal", opposite_literal_family(4, 8), 50000, 5,
+            "40bbf48f4f132e0a36fc0b2e4bd567b687857e59086ce94c56f660431abf0435",
+        ),
+        (
+            # n = 27: Monte Carlo loss, and more distinct anchors than a 1-ball, so the oracle walks.
+            "opposite-literal-wide", opposite_literal_family(24, 32), 20000, 1,
+            "94acc4e9c9e05efc326522d7af86d2dd938cb7856c39dd53d8955635e788300a",
+        ),
+    ],
+    ids=["doubled-tree", "opposite-literal", "opposite-literal-wide"],
+)
+def test_learning_suite_digest_is_pinned(name, family, m2, trials, digest):
+    cfg = ExperimentConfig(name=name, family=family, trials=trials, base_seed=42, epsilon=0.1, m1=5000, m2=m2)
+    assert _sha256(run_learning_suite(cfg).canonical_json()) == digest
+
+
+def test_corpus_digest_is_pinned():
+    report = run_reconstruction_corpus(200)
+    digest = "9a86d8b5f7e7bc1422d78e74ec72b1523f7b187ce20303a870d9cf61e82cb1f7"
+    assert _sha256(json.dumps(report.to_dict(), sort_keys=True)) == digest
 
 
 def test_corpus_deterministic():

@@ -23,6 +23,11 @@ def P(text: str) -> CubePoint:
     return CubePoint.from_string(text)
 
 
+def S(n: int, *pairs: tuple[str, int]) -> LabeledSample:
+    """A sample over n variables from (point string, label) pairs."""
+    return LabeledSample(n, tuple(P(x).mask for x, _ in pairs), tuple(y for _, y in pairs))
+
+
 class TestPlanner:
     def test_exact_values_small_case(self):
         plan = plan_samples(2, 0.5)
@@ -51,14 +56,14 @@ class TestReconstruction:
         f = DnfFormula(3, (Term.of(1, 2),))
         x = P("+++")
         o = LocalMQOracle(f, [x], q=1)
-        assert reconstruct_term(x, o) == Term.of(1, 2)
+        assert reconstruct_term(x.mask, o) == Term.of(1, 2)
         assert o.stats().query_count == 3
 
     def test_negative_literal_trace(self):
         f = DnfFormula(2, (Term.of(-1),))
         x = P("-+")
         o = LocalMQOracle(f, [x], q=1)
-        assert reconstruct_term(x, o) == Term.of(-1)
+        assert reconstruct_term(x.mask, o) == Term.of(-1)
 
     def test_exact_on_evident_points_of_random_instances(self):
         rng = random.Random(73)
@@ -71,20 +76,30 @@ class TestReconstruction:
                 hit = f.satisfied_indices(x)
                 if len(hit) == 1 and satisfies_evidently(f, hit[0], x):
                     o = LocalMQOracle(f, [x], q=1)
-                    assert reconstruct_term(x, o) == f.terms[hit[0]]
+                    assert reconstruct_term(x.mask, o) == f.terms[hit[0]]
 
     @pytest.mark.parametrize("x", ["++", "++++"])
     def test_example_of_another_dimension_rejected(self, x):
+        # A mask carries no dimension, so the learner checks each sample's.
         o = LocalMQOracle(DnfFormula(3, (Term.of(1),)), [P("+++")], q=3)
         with pytest.raises(DimensionMismatch):
-            reconstruct_term(P(x), o)
+            learn_evident_dnf_run(S(len(x), (x, 1)), S(3), o)
+        with pytest.raises(DimensionMismatch):
+            learn_evident_dnf_run(S(3, ("+++", 1)), S(len(x), (x, 0)), o)
         assert o.log == ()
+
+    @pytest.mark.parametrize("mask", [-1, 8, 15, 1 << 40])
+    def test_mask_out_of_range_rejected(self, mask):
+        o = LocalMQOracle(DnfFormula(3, (Term.of(1),)), [P("+++")], q=3)
+        with pytest.raises(DimensionMismatch, match="out of range"):
+            reconstruct_term(mask, o)
+        assert o.log == () and o.stats().query_count == 0
 
     def test_queries_are_distance_one_flips(self):
         f = DnfFormula(4, (Term.of(1),))
         x = P("+-+-")
         o = LocalMQOracle(f, [x], q=1)
-        reconstruct_term(x, o)
+        reconstruct_term(x.mask, o)
         assert [rec.point for rec in o.log] == [x.flip(j) for j in range(1, 5)]
         assert o.stats().distance_histogram == {1: 4}
 
@@ -108,8 +123,8 @@ class TestLearner:
 
     def test_no_positives_yields_constant_zero(self):
         target = DnfFormula(3, (Term.of(1, 2, 3),))
-        s1 = LabeledSample(((P("---"), 0), (P("-+-"), 0)))
-        s2 = LabeledSample(())
+        s1 = S(3, ("---", 0), ("-+-", 0))
+        s2 = S(3)
         oracle = LocalMQOracle.for_samples(target, 1, s1, s2)
         learned = learn_evident_dnf(s1, s2, oracle)
         assert learned.terms == ()
@@ -119,8 +134,8 @@ class TestLearner:
         # The non-evident positive (+++) reconstructs the always-true term;
         # the negative example in the second sample removes it.
         target = DnfFormula(3, (Term.of(1), Term.of(2)))
-        s1 = LabeledSample(((P("+++"), 1), (P("+--"), 1)))
-        s2 = LabeledSample(((P("---"), 0),))
+        s1 = S(3, ("+++", 1), ("+--", 1))
+        s2 = S(3, ("---", 0))
         oracle = LocalMQOracle.for_samples(target, 1, s1, s2)
         run = learn_evident_dnf_run(s1, s2, oracle)
         assert run.terms_added == 2
@@ -134,14 +149,13 @@ class TestLearner:
         s2 = draw_training_set(dist, target, 300, seed=202)
         oracle = LocalMQOracle.for_samples(target, 1, s1, s2)
         run = learn_evident_dnf_run(s1, s2, oracle)
-        assert run.oracle_stats.query_count == 5 * len(s1.positives())
-        assert run.positives_seen == len(s1.positives())
+        assert run.oracle_stats.query_count == 5 * sum(s1.labels)
+        assert run.positives_seen == sum(s1.labels)
 
     def test_duplicate_terms_deduplicated(self):
         target = DnfFormula(3, (Term.of(1, 2),))
-        x = P("+++")
-        s1 = LabeledSample(((x, 1),) * 4)
-        s2 = LabeledSample(())
+        s1 = S(3, *[("+++", 1)] * 4)
+        s2 = S(3)
         oracle = LocalMQOracle.for_samples(target, 1, s1, s2)
         run = learn_evident_dnf_run(s1, s2, oracle)
         assert run.terms_added == 1
@@ -149,8 +163,8 @@ class TestLearner:
 
     def test_zero_locality_budget_rejects_first_query(self):
         target = DnfFormula(3, (Term.of(1, 2),))
-        s1 = LabeledSample(((P("+++"), 1),))
-        s2 = LabeledSample(((P("-+-"), 0),))
+        s1 = S(3, ("+++", 1))
+        s2 = S(3, ("-+-", 0))
         oracle = LocalMQOracle.for_samples(target, 0, s1, s2)
         with pytest.raises(LocalityViolation):
             learn_evident_dnf(s1, s2, oracle)
@@ -166,7 +180,7 @@ class TestLearner:
             hit = target.satisfied_indices(x)
             if len(hit) == 1 and satisfies_evidently(target, hit[0], x):
                 s1_points.append(x)
-        s1 = LabeledSample(tuple((x, 1) for x in s1_points))
+        s1 = LabeledSample(6, tuple(x.mask for x in s1_points), (1,) * len(s1_points))
         s2 = draw_training_set(dist, target, 3000, seed=55)
         oracle = LocalMQOracle.for_samples(target, 1, s1, s2)
         learned = learn_evident_dnf(s1, s2, oracle)
@@ -256,8 +270,8 @@ def test_reconstruct_term_matches_per_flip_reference(case, q, cap):
             expected = _reference_reconstruct(x, reference, times)
         except (BudgetExhausted, LocalityViolation) as err:
             with pytest.raises(type(err)):
-                reconstruct_term(x, batched, times)
+                reconstruct_term(x.mask, batched, times)
             break
-        assert reconstruct_term(x, batched, times) == expected
+        assert reconstruct_term(x.mask, batched, times) == expected
     assert batched.records() == reference.records()
     assert batched.stats() == reference.stats()

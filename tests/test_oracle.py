@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from lmqlab.concepts import DnfFormula, Term, random_dnf
 from lmqlab.cube import CubePoint, DimensionMismatch, ball_size, enumerate_cube
-from lmqlab.distributions import FiniteSupport, ProductDist, UniformCube, sample
+from lmqlab.distributions import FiniteSupport, LabeledSample, ProductDist, UniformCube, sample
+from lmqlab.learner import learn_evident_dnf_run
 from lmqlab.oracle import (
     BudgetExhausted,
     LocalityViolation,
@@ -33,7 +34,8 @@ def test_draw_empty():
 def test_draw_point_mass():
     dist = FiniteSupport(3, ((P("++-"), Fraction(1)),))
     s = draw_training_set(dist, TARGET, 4, seed=1)
-    assert s.pairs == ((P("++-"), 1),) * 4
+    assert (s.n, s.masks, s.labels) == (3, (P("++-").mask,) * 4, (1,) * 4)
+    assert tuple(s) == ((P("++-"), 1),) * 4
 
 
 def test_draw_labels_match_target():
@@ -53,12 +55,12 @@ def test_draw_labels_match_target():
 )
 def test_draw_pairs_are_the_sampled_points_labelled(dist):
     masks = sample(dist, 300, seed=5)
-    s = draw_training_set(dist, TARGET, 300, seed=5)
-    assert s.pairs == tuple((CubePoint(3, m), TARGET.evaluate(CubePoint(3, m))) for m in masks)
-    # Repeated draws share one labelled pair.
-    first = {}
-    for pair in s.pairs:
-        assert first.setdefault(pair[0].mask, pair) is pair
+    target = CountingTarget(TARGET)
+    s = draw_training_set(dist, target, 300, seed=5)
+    assert tuple(s) == tuple((CubePoint(3, m), TARGET.evaluate(CubePoint(3, m))) for m in masks)
+    assert s.masks == tuple(masks)
+    # Repeated draws are labelled once.
+    assert target.calls == len(set(masks))
 
 
 def test_query_at_distance_one():
@@ -338,3 +340,83 @@ def test_ball_walk_at_width_matches_brute_force():
             assert err.value.min_distance == brute
             refused[brute] += 1
     assert answered[2] > 100 and refused[3] > 100
+
+
+@st.composite
+def repeated_training_samples(draw, walk):
+    """A target and two samples drawing a few distinct points many times each.
+
+    Every distinct point is drawn, so the oracle's anchor count and with it
+    its ``AnchorIndex`` mode are fixed by ``walk``.
+    """
+    q = draw(st.sampled_from((0, 1, 2)))
+    n = draw(st.integers(3, 6))
+    cube, ball = st.integers(0, (1 << n) - 1), ball_size(n, q)
+    if walk:
+        points = draw(st.sets(cube, min_size=ball + 1, max_size=1 << n))
+    else:
+        points = draw(st.sets(cube, min_size=1, max_size=ball))
+    repeats = draw(st.lists(st.integers(1, 4), min_size=len(points), max_size=len(points)))
+    draws = draw(st.permutations([m for m, r in zip(sorted(points), repeats) for _ in range(r)]))
+    cut = draw(st.integers(0, len(draws)))
+    target = random_dnf(n, 2, 3, random.Random(draw(st.integers(0, 1 << 30))))
+    s1, s2 = (
+        LabeledSample(n, tuple(masks), tuple(map(target.label, masks))) for masks in (draws[:cut], draws[cut:])
+    )
+    cap = draw(st.none() | st.integers(0, n * len(draws)))
+    return target, q, s1, s2, cap
+
+
+def _learn(s1, s2, oracle):
+    try:
+        return learn_evident_dnf_run(s1, s2, oracle).formula
+    except (BudgetExhausted, LocalityViolation) as err:
+        return type(err), str(err)
+
+
+@pytest.mark.parametrize("walk", [False, True], ids=["scan", "walk"])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_for_samples_matches_one_anchor_per_draw(walk, data):
+    # The reference anchors the oracle at every draw, repeats included.
+    target, q, s1, s2, cap = data.draw(repeated_training_samples(walk))
+    deduplicated = LocalMQOracle.for_samples(target, q, s1, s2, query_cap=cap)
+    reference = LocalMQOracle(target, [x for s in (s1, s2) for x, _ in s], q, query_cap=cap)
+    assert deduplicated._index.walk == reference._index.walk == walk
+    assert deduplicated.query_cap == reference.query_cap
+    assert _learn(s1, s2, deduplicated) == _learn(s1, s2, reference)
+    assert deduplicated.entries() == reference.entries()
+    assert deduplicated.stats() == reference.stats()
+
+
+def test_for_samples_cap_counts_repeated_draws():
+    s = LabeledSample(3, (7,) * 10, (1,) * 10)
+    assert LocalMQOracle.for_samples(TARGET, 1, s).query_cap == 64 * 3 * 10
+    assert LocalMQOracle.for_samples(TARGET, 1, s, query_cap=5).query_cap == 5
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_for_samples_refuses_a_sample_of_another_dimension(n):
+    good, other = LabeledSample(3, (7,), (1,)), LabeledSample(n, (1,), (0,))
+    for samples in ((other,), (good, other), (other, good)):
+        with pytest.raises(DimensionMismatch, match=f"sample dimension {n} differs from target 3"):
+            LocalMQOracle.for_samples(TARGET, 1, *samples)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    points=st.lists(st.integers(0, 255), min_size=1, max_size=5, unique=True),
+    uniform=st.booleans(),
+    m=st.integers(0, 400),
+    seed=st.integers(0, 1 << 30),
+)
+def test_draw_training_set_matches_pointwise_reference(n, points, uniform, m, seed):
+    target = random_dnf(n, 2, 3, random.Random(seed))
+    if uniform:
+        dist = UniformCube(n)
+    else:
+        masks = sorted({p % (1 << n) for p in points})
+        dist = FiniteSupport(n, tuple((CubePoint(n, p), Fraction(1, len(masks))) for p in masks))
+    reference = [(CubePoint(n, x), target.evaluate(CubePoint(n, x))) for x in sample(dist, m, seed)]
+    assert list(draw_training_set(dist, target, m, seed)) == reference

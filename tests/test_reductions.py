@@ -4,6 +4,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,8 +26,8 @@ from lmqlab.concepts import (
     random_tree,
 )
 from lmqlab.cube import CubePoint, DimensionMismatch, ReplicateMap, enumerate_cube, masks_at_distance
-from lmqlab.distributions import UniformCube
-from lmqlab.learner import learn_evident_dnf
+from lmqlab.distributions import LabeledSample, UniformCube
+from lmqlab.learner import learn_evident_dnf, reconstruct_term
 from lmqlab.oracle import LocalityViolation, LocalMQOracle, draw_training_set
 from lmqlab.reductions import (
     CONSTRUCTIONS,
@@ -57,9 +58,20 @@ def P(text: str) -> CubePoint:
     return CubePoint.from_string(text)
 
 
+def _mapped_sample(reduction: QReduction, mapped):
+    """Mapped training pairs (target point, label) as one target-cube sample.
+
+    A real-valued concept's values are no 0/1 labels, so they ride in a plain
+    record with the same fields: ``SynthesizedLabels`` reads only those.
+    """
+    n, masks, labels = reduction.phi.target_n, tuple(z.mask for z, _ in mapped), tuple(y for _, y in mapped)
+    return LabeledSample(n, masks, labels) if set(labels) <= {0, 1} else SimpleNamespace(n=n, masks=masks, labels=labels)
+
+
 def _synthesized(reduction: QReduction, mapped) -> LocalMQOracle:
     """The q-local oracle over labels synthesized from mapped training pairs."""
-    return LocalMQOracle(SynthesizedLabels(reduction, mapped), [z for z, _ in mapped], reduction.q)
+    labels = SynthesizedLabels(reduction, _mapped_sample(reduction, mapped))
+    return LocalMQOracle(labels, [z for z, _ in mapped], reduction.q)
 
 
 class TestReplicateMap:
@@ -333,7 +345,7 @@ class TestSimulation:
         s1, s2 = self._samples(f, 3, 200, seed=900)
         transformed = reduction.transform(f)
         composed, oracle = simulate_pac_from_local(learn_evident_dnf, reduction, s1, s2)
-        assert len(oracle.log) == 27 * len(s1.positives())
+        assert len(oracle.log) == 27 * sum(s1.labels)
         for rec in oracle.log:
             assert rec.answer == transformed.evaluate(rec.point)
 
@@ -367,7 +379,7 @@ class TestSimulation:
         s1, s2 = self._samples(h, 4, 200, seed=901)
         transformed = reduction.transform(h)
         composed, oracle = simulate_pac_from_local(learn_evident_dnf, reduction, s1, s2)
-        assert len(oracle.log) == 12 * len(s1.positives())
+        assert len(oracle.log) == 12 * sum(s1.labels)
         for rec in oracle.log:
             assert rec.answer == transformed.evaluate(rec.point)
         for x in enumerate_cube(4):
@@ -389,6 +401,37 @@ class TestSimulation:
             oracle.query(phi.apply(P("--")))
         assert (exc.value.min_distance, exc.value.q) == (6, 1)
         assert oracle.log == ()
+
+    @pytest.mark.parametrize("other_n", [1, 3])
+    def test_sample_of_another_dimension_refused(self, other_n):
+        # Both wrong samples would map to valid target masks: only the dimension tells.
+        reduction = make_reduction("dnf", 2)
+        good, other = LabeledSample(2, (3, 1), (1, 0)), LabeledSample(other_n, (1, 1), (1, 0))
+        for s1, s2 in ((other, good), (good, other)):
+            with pytest.raises(DimensionMismatch, match="map expects dimension 2"):
+                simulate_pac_from_local(learn_evident_dnf, reduction, s1, s2)
+
+    def test_sample_pipeline_builds_points_only_for_distinct_anchors(self, monkeypatch):
+        f = DnfFormula(3, (Term.of(1),))
+        reduction = make_reduction("dnf", 3)
+        built = []
+        original = CubePoint.__post_init__
+
+        def counting(point):
+            built.append(point.mask)
+            original(point)
+
+        monkeypatch.setattr(CubePoint, "__post_init__", counting)
+        s1, s2 = self._samples(f, 3, 200, seed=900)
+        assert built == [] and len(set(s1.masks + s2.masks)) < len(s1) + len(s2)
+        oracle = LocalMQOracle.for_samples(f, 1, s1, s2)
+        assert sorted(built) == sorted(set(s1.masks + s2.masks))
+        built.clear()
+        learn_evident_dnf(s1, s2, oracle)
+        reconstruct_term(s1.masks[0], oracle)
+        assert built == []
+        simulate_pac_from_local(learn_evident_dnf, reduction, s1, s2)
+        assert sorted(built) == sorted({reduction.phi.encode(m) for m in s1.masks + s2.masks})
 
 
 KIND_B = sorted(name for name, c in CONSTRUCTIONS.items() if c.kind == "B")
@@ -469,7 +512,8 @@ def test_synthesized_labels_refuse_another_dimension(name, n, wrong):
     # Kind A over 8 target bits and kind B over 12: neither may answer a point of another dimension.
     reduction = make_reduction(name, n)
     h = CONSTRUCTIONS[name].example(n, random.Random(0))
-    labels = SynthesizedLabels(reduction, [(reduction.phi.apply(x), h.evaluate(x)) for x in enumerate_cube(n)])
+    mapped = [(reduction.phi.apply(x), h.evaluate(x)) for x in enumerate_cube(n)]
+    labels = SynthesizedLabels(reduction, _mapped_sample(reduction, mapped))
     for z in wrong:
         with pytest.raises(DimensionMismatch):
             labels.evaluate(z)
