@@ -1,9 +1,10 @@
 """Concept classes over the cube, their evaluators, and seeded random instances.
 
 All concepts expose ``n`` (input dimension), ``label(mask) -> {0,1}`` on
-in-range n-bit masks, and ``evaluate(x)``: a dimension check, then
-``label(x.mask)``. Hot paths call ``label``; ``CubePoint`` stays at the API
-boundary. Sparse polynomials additionally evaluate to exact rationals.
+in-range n-bit masks, ``reads``, the bit mask of the coordinates a label can
+depend on (``label(m) == label(m & reads)``), and ``evaluate(x)``: a
+dimension check, then ``label(x.mask)``. Hot paths call ``label``;
+``CubePoint`` stays at the API boundary. Sparse polynomials additionally evaluate to exact rationals.
 Variable indices are 1-based everywhere, matching the textual formats.
 """
 
@@ -13,6 +14,8 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 from typing import Iterator, Mapping, Protocol, Union
 
 from .cube import CubePoint, DimensionMismatch
@@ -25,6 +28,7 @@ class Concept(Protocol):
     """Anything labelling the points of {-1,+1}^n with 0 or 1."""
 
     n: int
+    reads: int
 
     def label(self, mask: int) -> int: ...
 
@@ -35,6 +39,11 @@ class MaskConcept:
     """The one ``evaluate`` of every concept: a dimension check, then ``label(x.mask)``."""
 
     __slots__ = ()
+
+    @property
+    def reads(self) -> int:
+        """All n coordinates, unless a subclass knows its label reads fewer."""
+        return (1 << self.n) - 1
 
     def evaluate(self, x: CubePoint) -> int:
         if x.n != self.n:
@@ -112,6 +121,8 @@ class DnfFormula(MaskConcept):
     n: int
     terms: tuple[Term, ...]
     _masks: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
+    # The union of the terms' masks; the class default only shadows ``MaskConcept.reads``.
+    reads: int = field(init=False, repr=False, compare=False, default=0)
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -121,6 +132,7 @@ class DnfFormula(MaskConcept):
                 if j > self.n:
                     raise ValueError(f"variable {j} exceeds dimension {self.n}")
         object.__setattr__(self, "_masks", tuple(t.masks(self.n) for t in self.terms))
+        object.__setattr__(self, "reads", reduce(or_, (pos | neg for pos, neg in self._masks), 0))
 
     def label(self, mask: int) -> int:
         for pos, neg in self._masks:

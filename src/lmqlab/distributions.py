@@ -3,17 +3,27 @@
 Probabilities are exact rationals wherever a distribution is enumerated;
 sampling uses a seeded ``random.Random`` stream so every draw replays
 bit-exactly. Draws and ``LabeledSample`` hold int masks, not points.
+
+``sample`` asks a distribution for all its draws in one ``draws(rng, m)``
+call. ``FiniteSupport`` reads the generator's 32-bit words in blocks and
+looks each draw up in a guide table (Chen & Asau, 1974) indexed by the top
+bits of its first word; it takes the same two words per draw as
+``random()`` and returns the masks the per-draw float bisection
+``bisect_right(cum, random() * cum[-1])`` would, leaving the generator in the
+same state. ``mc_loss`` counts the draws' projections onto the coordinates
+either concept reads and labels each distinct projection once.
 """
 
 from __future__ import annotations
 
 import random
+import sys
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
-from operator import ne
-from typing import Iterator, Union
+from typing import Iterator, Optional, Union
 
 from .cube import ENUMERATION_CAP, CubePoint, DimensionMismatch, ReplicateMap
 from .concepts import Concept
@@ -29,8 +39,9 @@ class UniformCube:
         if self.n < 1:
             raise ValueError(f"dimension must be a positive integer, got {self.n}")
 
-    def draw(self, rng: random.Random) -> int:
-        return rng.getrandbits(self.n)
+    def draws(self, rng: random.Random, m: int) -> list[int]:
+        n, bits = self.n, rng.getrandbits
+        return [bits(n) for _ in range(m)]
 
     def support(self) -> Iterator[tuple[CubePoint, Fraction]]:
         if self.n > ENUMERATION_CAP:
@@ -55,11 +66,14 @@ class ProductDist:
             raise ValueError("coordinate probabilities must lie in [0,1]")
         object.__setattr__(self, "plus_probs", probs)
 
-    def draw(self, rng: random.Random) -> int:
-        mask = 0
-        for p in self.plus_probs:
-            mask = (mask << 1) | (rng.random() < p)
-        return mask
+    def draws(self, rng: random.Random, m: int) -> list[int]:
+        out = []
+        for _ in range(m):
+            mask = 0
+            for p in self.plus_probs:
+                mask = (mask << 1) | (rng.random() < p)
+            out.append(mask)
+        return out
 
     def support(self) -> Iterator[tuple[CubePoint, Fraction]]:
         if self.n > ENUMERATION_CAP:
@@ -72,6 +86,23 @@ class ProductDist:
                 yield CubePoint(self.n, mask), prob
 
 
+# A guide slot covers the random() values whose first word starts with these
+# many bits; draws are read from the generator this many at a time.
+_GUIDE_BITS = 12
+_DRAW_BLOCK = 4096
+
+
+def _words(rng: random.Random, count: int) -> memoryview:
+    """The generator's next ``count`` 32-bit outputs, in the order it makes them.
+
+    ``getrandbits`` puts its first output in the lowest 32 bits on every host,
+    so a big-endian host reads the native-order words back to front. (A
+    memoryview, not an ``array``: importing that extension raised peak RSS.)
+    """
+    words = memoryview(rng.getrandbits(32 * count).to_bytes(4 * count, sys.byteorder)).cast("I")
+    return words if sys.byteorder == "little" else words[::-1]
+
+
 @dataclass(frozen=True)
 class FiniteSupport:
     """Explicit point masses; probabilities must sum to exactly 1."""
@@ -80,6 +111,7 @@ class FiniteSupport:
     entries: tuple[tuple[CubePoint, Fraction], ...]
     _cum: tuple[float, ...] = field(init=False, repr=False, compare=False)
     _masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _guide: tuple[Optional[int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         merged: dict[int, Fraction] = {}
@@ -100,9 +132,43 @@ class FiniteSupport:
         object.__setattr__(self, "_cum", tuple(accumulate(float(prob) for _, prob in canonical)))
         # The last mask twice: a product that rounds up to the total bisects past the end.
         object.__setattr__(self, "_masks", tuple(point.mask for point, _ in canonical + canonical[-1:]))
+        object.__setattr__(self, "_guide", self._build_guide())
 
-    def draw(self, rng: random.Random) -> int:
-        return self._masks[bisect_right(self._cum, rng.random() * self._cum[-1])]
+    def _pick(self, value: int) -> int:
+        """The mask drawn when ``random()`` returns ``value / 2**53``."""
+        return self._masks[bisect_right(self._cum, value * 2**-53 * self._cum[-1])]
+
+    def _build_guide(self) -> tuple[Optional[int], ...]:
+        """Slot s: the mask every 53-bit value with prefix s draws, or None if they differ.
+
+        ``_pick`` is monotone in the value, so a run of slots whose lowest and
+        highest values pick the same mask picks it throughout; runs that do
+        not are halved until single slots are left ambiguous.
+        """
+        shift = 53 - _GUIDE_BITS
+        guide: list[Optional[int]] = [None] * (1 << _GUIDE_BITS)
+        runs = [(0, 1 << _GUIDE_BITS)]
+        while runs:
+            lo, hi = runs.pop()
+            mask = self._pick(lo << shift)
+            if mask == self._pick((hi << shift) - 1):
+                guide[lo:hi] = [mask] * (hi - lo)
+            elif hi - lo > 1:
+                runs += (lo, (lo + hi) // 2), ((lo + hi) // 2, hi)
+        return tuple(guide)
+
+    def draws(self, rng: random.Random, m: int) -> list[int]:
+        guide, shift, out = self._guide, 32 - _GUIDE_BITS, []
+        for start in range(0, m, _DRAW_BLOCK):
+            words = _words(rng, 2 * min(_DRAW_BLOCK, m - start))
+            block = [guide[a >> shift] for a in words[::2]]
+            if None in block:
+                # random()'s own 53 bits: the top 27 of the first word, then the top 26 of the second.
+                for i, mask in enumerate(block):
+                    if mask is None:
+                        block[i] = self._pick((words[2 * i] >> 5) << 26 | words[2 * i + 1] >> 6)
+            out += block
+        return out
 
     def support(self) -> Iterator[tuple[CubePoint, Fraction]]:
         return iter(self.entries)
@@ -115,8 +181,7 @@ def sample(dist: Distribution, m: int, seed: int) -> list[int]:
     """m i.i.d. draws as point masks, reproducible from the seed."""
     if m < 0:
         raise ValueError(f"sample count must be non-negative, got {m}")
-    rng = random.Random(seed)
-    return [dist.draw(rng) for _ in range(m)]
+    return dist.draws(random.Random(seed), m)
 
 
 def pushforward(dist: Distribution, phi: ReplicateMap) -> FiniteSupport:
@@ -191,9 +256,13 @@ def exact_loss(dist: Distribution, h_star: Concept, h_hat: Concept) -> Fraction:
 
 
 def mc_loss(dist: Distribution, h_star: Concept, h_hat: Concept, m: int, seed: int) -> Fraction:
-    """Empirical disagreement frequency over m seeded draws."""
+    """Empirical disagreement frequency over m seeded draws.
+
+    Both labels depend only on the coordinates in ``reads``, so each draw is
+    projected onto them and each distinct projection labelled once.
+    """
     _check_loss_dims(dist, h_star, h_hat)
     if m <= 0:
         raise ValueError(f"sample count must be positive, got {m}")
-    masks = sample(dist, m, seed)
-    return Fraction(sum(map(ne, map(h_star.label, masks), map(h_hat.label, masks))), m)
+    counts = Counter(map((h_star.reads | h_hat.reads).__and__, sample(dist, m, seed)))
+    return Fraction(sum(c for x, c in counts.items() if h_star.label(x) != h_hat.label(x)), m)

@@ -349,6 +349,9 @@ class SynthesizedLabels(MaskConcept):
 
     def __init__(self, reduction: QReduction, *mapped: LabeledSample):
         self.n = reduction.phi.target_n
+        for s in mapped:
+            if s.n != self.n:
+                raise DimensionMismatch(f"mapped sample has dimension {s.n}, target cube has {self.n}")
         self._decode = reduction.phi.decode if reduction.kind == "B" else None
         labels = {m: y for s in mapped for m, y in zip(s.masks, s.labels)}
         self._labels = labels if self._decode is None else {self._decode(m): y for m, y in labels.items()}

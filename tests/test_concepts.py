@@ -322,3 +322,33 @@ def test_label_matches_evaluate_and_pointwise_reference(kind, seed):
         assert c.label(mask) == c.evaluate(x) == reference(x)
     with pytest.raises(DimensionMismatch):
         c.evaluate(CubePoint(c.n + 1, 0))
+
+
+@pytest.mark.parametrize(
+    "kind", ["tree", "dfa", "junta", "poly", "ptf", "composed", "synthesized-A", "synthesized-B"]
+)
+def test_default_reads_covers_every_coordinate(kind):
+    c, _ = _instance(kind, random.Random(7))
+    assert c.reads == (1 << c.n) - 1
+    rng = random.Random(8)
+    for mask in [0, (1 << c.n) - 1] + [rng.getrandbits(c.n) for _ in range(16)]:
+        assert c.label(mask) == c.label(mask & c.reads)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    d=st.integers(0, 6),
+    width=st.integers(1, 6),
+    empty_term=st.booleans(),
+    seed=st.integers(0, 2**32),
+)
+def test_dnf_reads_only_its_terms_variables(n, d, width, empty_term, seed):
+    rng = random.Random(seed)
+    f = random_dnf(n, d, width, rng)
+    if empty_term:
+        f = DnfFormula(n, f.terms + (Term.of(),))
+    assert f.reads == sum(1 << (n - j) for j in set().union(*(t.variables for t in f.terms)))
+    for mask in [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(32)]:
+        assert f.label(mask) == f.label(mask & f.reads)
+        assert f.label(mask) == f.label(mask | ~f.reads & (1 << n) - 1)

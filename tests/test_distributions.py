@@ -1,6 +1,8 @@
 import math
 import random
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +18,8 @@ from lmqlab.distributions import (
     mc_loss,
     pushforward,
     sample,
+    _DRAW_BLOCK,
+    _GUIDE_BITS,
 )
 
 
@@ -52,6 +56,79 @@ PINNED_STREAMS = [
 @pytest.mark.parametrize("dist, masks", PINNED_STREAMS, ids=lambda v: type(v).__name__)
 def test_seeded_sample_stream_is_pinned(dist, masks):
     assert sample(dist, 16, seed=2024) == masks
+
+
+def _reference_draws(dist, m: int, rng: random.Random) -> list[int]:
+    """The per-draw bisection bulk draws must reproduce, built from the support alone."""
+    if not isinstance(dist, FiniteSupport):
+        return [rng.getrandbits(dist.n) for _ in range(m)]
+    cum = list(accumulate(float(prob) for _, prob in dist.support()))
+    # The last mask twice: a product that rounds up to the total bisects past the end.
+    masks = [x.mask for x, _ in dist.support()] + [dist.entries[-1][0].mask]
+    return [masks[bisect_right(cum, rng.random() * cum[-1])] for _ in range(m)]
+
+
+@st.composite
+def finite_supports(draw, n_max=6):
+    """Random supports with rational masses such as 1/3 and 1/18, and one-point supports."""
+    n = draw(st.integers(1, n_max))
+    masks = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=40, unique=True))
+    weights = draw(st.lists(st.integers(1, 20), min_size=len(masks), max_size=len(masks)))
+    total = sum(weights)
+    return FiniteSupport(n, tuple((CubePoint(n, m), Fraction(w, total)) for m, w in zip(masks, weights)))
+
+
+DRAW_COUNTS = [0, 1, _DRAW_BLOCK - 1, _DRAW_BLOCK, _DRAW_BLOCK + 1, 3 * _DRAW_BLOCK + 7]
+
+
+def _assert_stream_identical(dist, m: int, seed: int) -> None:
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    assert dist.draws(rng, m) == _reference_draws(dist, m, ref_rng)
+    assert rng.getstate() == ref_rng.getstate()
+    assert sample(dist, m, seed) == _reference_draws(dist, m, random.Random(seed))
+
+
+@settings(max_examples=60, deadline=None)
+@given(dist=finite_supports(), m=st.sampled_from(DRAW_COUNTS), seed=st.integers(0, 2**64))
+def test_finite_support_draws_match_per_draw_reference(dist, m, seed):
+    _assert_stream_identical(dist, m, seed)
+
+
+@pytest.mark.parametrize("m", DRAW_COUNTS)
+@pytest.mark.parametrize("n", range(1, 9))
+def test_doubled_uniform_draws_match_per_draw_reference(n, m):
+    _assert_stream_identical(pushforward(UniformCube(n), ReplicateMap(n, 2)), m, seed=1000 * n + m)
+
+
+@pytest.mark.parametrize("m", DRAW_COUNTS)
+def test_one_point_and_uniform_draws_match_per_draw_reference(m):
+    _assert_stream_identical(FiniteSupport(3, ((P("+-+"), Fraction(1)),)), m, seed=m)
+    _assert_stream_identical(UniformCube(40), m, seed=m)
+
+
+def test_draws_take_the_ambiguous_slots_path():
+    """Masses 1/3 and 1/18 leave guide slots that only the per-draw expression resolves."""
+    masses = (Fraction(1, 3), Fraction(1, 18), Fraction(11, 18))
+    dist = FiniteSupport(2, tuple((CubePoint(2, m), p) for m, p in enumerate(masses)))
+    ambiguous = [s for s, mask in enumerate(dist._guide) if mask is None]
+    assert ambiguous
+    # Seeds whose first draw lands in an ambiguous slot: the top bits of the first word pick it.
+    seeds = [s for s in range(20_000) if random.Random(s).getrandbits(32) >> 32 - _GUIDE_BITS in ambiguous]
+    assert seeds
+    for seed in seeds:
+        _assert_stream_identical(dist, 3, seed)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_draw_on_a_mass_boundary_reads_both_words(seed):
+    """A boundary exactly at the first random() value: its last bits come from the second word."""
+    value = int(random.Random(seed).random() * 2**53)
+    for cut, first in ((value, 1), (value + 1, 0)):
+        p = Fraction(cut, 2**53)
+        dist = FiniteSupport(1, ((CubePoint(1, 0), p), (CubePoint(1, 1), 1 - p)))
+        assert dist._guide[value >> 53 - _GUIDE_BITS] is None
+        assert sample(dist, 1, seed) == [first]
+        _assert_stream_identical(dist, 5, seed)
 
 
 def test_sampling_deterministic_given_seed():
@@ -173,6 +250,34 @@ def test_mc_loss_matches_pointwise_reference(n, seed, m):
     f, g = random_dnf(n, 3, 3, rng), random_dnf(n, 3, 3, rng)
     dist = UniformCube(n)
     points = [CubePoint(n, mask) for mask in sample(dist, m, seed)]
+    assert mc_loss(dist, f, g, m, seed) == Fraction(sum(f.evaluate(x) != g.evaluate(x) for x in points), m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(24, 32),
+    seed=st.integers(0, 2**32),
+    m=st.integers(1, 2000),
+    kinds=st.tuples(*[st.sampled_from(["random", "empty", "empty-term"])] * 2),
+    finite=st.booleans(),
+)
+def test_mc_loss_matches_per_draw_reference(n, seed, m, kinds, finite):
+    """Projected counting against labels at every draw, drawn by the per-draw reference."""
+    rng = random.Random(seed)
+
+    def formula(kind):
+        if kind == "empty":
+            return DnfFormula(n, ())
+        terms = random_dnf(n, 4, 3, rng).terms
+        return DnfFormula(n, terms + (Term.of(),)) if kind == "empty-term" else DnfFormula(n, terms)
+
+    f, g = map(formula, kinds)
+    if finite:
+        masks = rng.sample(range(1 << n), 12)
+        dist = FiniteSupport(n, tuple((CubePoint(n, x), Fraction(i + 1, 78)) for i, x in enumerate(masks)))
+    else:
+        dist = UniformCube(n)
+    points = [CubePoint(n, mask) for mask in _reference_draws(dist, m, random.Random(seed))]
     assert mc_loss(dist, f, g, m, seed) == Fraction(sum(f.evaluate(x) != g.evaluate(x) for x in points), m)
 
 

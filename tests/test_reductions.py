@@ -411,6 +411,16 @@ class TestSimulation:
             with pytest.raises(DimensionMismatch, match="map expects dimension 2"):
                 simulate_pac_from_local(learn_evident_dnf, reduction, s1, s2)
 
+    @pytest.mark.parametrize("kind, other_n", [("dnf", 3), ("dnf", 9), ("junta", 5), ("junta", 7)])
+    def test_synthesized_labels_refuse_a_sample_off_the_target_cube(self, kind, other_n):
+        # dnf at n = 2 maps into 8 bits (k = 4), junta at n = 2, q0 = 1 into 6 (k = 3).
+        reduction = make_reduction(kind, 2, q0=1) if kind == "junta" else make_reduction(kind, 2)
+        target_n = reduction.phi.target_n
+        good, other = LabeledSample(target_n, (0,), (1,)), LabeledSample(other_n, (5,), (0,))
+        for samples in ((other,), (good, other), (other, good)):
+            with pytest.raises(DimensionMismatch, match=f"dimension {other_n}, target cube has {target_n}"):
+                SynthesizedLabels(reduction, *samples)
+
     def test_sample_pipeline_builds_points_only_for_distinct_anchors(self, monkeypatch):
         f = DnfFormula(3, (Term.of(1),))
         reduction = make_reduction("dnf", 3)
