@@ -9,7 +9,6 @@ polynomials. Everything is verified exhaustively at desk scale.
 
 from .cube import (
     ENUMERATION_CAP,
-    AnchorIndex,
     CubePoint,
     DimensionMismatch,
     ReplicateMap,

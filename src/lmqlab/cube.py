@@ -2,7 +2,7 @@
 
 Coordinates are 1-based throughout the package. A point is stored as a
 bit mask so that flips, distances and enumeration reduce to integer
-arithmetic. Hot paths pass the bare int masks (``AnchorIndex``,
+arithmetic. Hot paths pass the bare int masks (the oracle's anchor scan,
 ``ReplicateMap.encode``/``decode``); ``CubePoint`` is the API form.
 """
 
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 ENUMERATION_CAP = 24
 
@@ -98,45 +98,6 @@ def masks_at_distance(mask: int, n: int, r: int) -> Iterator[int]:
         for p in positions:
             m ^= 1 << p
         yield m
-
-
-class AnchorIndex:
-    """Nearest anchor within Hamming distance q of a query, over n-bit masks.
-
-    Fixed once per anchor set: scan the anchors if they are no more than the
-    points of a q-ball, else walk the ball around the query from radius 0.
-    The walk probes one shell at a time: ``shells[r]`` holds the XOR
-    patterns of weight r, built once, so a probe is one set test in C.
-    There are fewer patterns than anchors whenever the walk is chosen.
-    """
-
-    __slots__ = ("n", "q", "masks", "walk", "shells")
-
-    def __init__(self, masks: Iterable[int], n: int, q: int):
-        if q < 0:
-            raise ValueError(f"locality budget must be non-negative, got {q}")
-        self.n, self.q = n, q
-        self.masks = frozenset(masks)
-        self.walk = len(self.masks) > ball_size(n, q)
-        self.shells = tuple(tuple(masks_at_distance(0, n, r)) for r in range(q + 1)) if self.walk else ()
-
-    def nearest(self, z: int) -> int | None:
-        """Distance from z to its closest anchor, or None if none is within q."""
-        if self.walk:
-            for r, shell in enumerate(self.shells):
-                if not self.masks.isdisjoint(map(z.__xor__, shell)):
-                    return r
-            return None
-        found, limit = None, self.q
-        for m in self.masks:
-            d = (z ^ m).bit_count()
-            if d <= limit:
-                found = limit = d
-        return found
-
-    def min_distance(self, z: int) -> int | None:
-        """Exact distance from z to the nearest anchor, however far; None without anchors."""
-        return min(((z ^ m).bit_count() for m in self.masks), default=None)
 
 
 @dataclass(frozen=True)

@@ -59,6 +59,8 @@ class ProductDist:
     plus_probs: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
+        if self.n < 1:
+            raise ValueError(f"dimension must be a positive integer, got {self.n}")
         if len(self.plus_probs) != self.n:
             raise ValueError(f"need {self.n} probabilities, got {len(self.plus_probs)}")
         probs = tuple(Fraction(p) for p in self.plus_probs)

@@ -135,6 +135,8 @@ class ExperimentConfig:
             raise ValueError(f"sample sizes must be non-negative, got m1={self.m1}, m2={self.m2}")
         if self.q < 0:
             raise ValueError(f"locality budget must be non-negative, got {self.q}")
+        if self.success_threshold is not None and not 0 <= self.success_threshold <= self.trials:
+            raise ValueError(f"success threshold must lie in 0..{self.trials}, got {self.success_threshold}")
 
     @property
     def threshold(self) -> int:

@@ -5,9 +5,11 @@ lies within Hamming distance q of z. The oracle refuses anything farther away
 and logs every answer it gives, so learners can be audited after a run.
 The core, ``ask(mask, times)``, checks and answers each distinct query once
 and counts its repeats; ``log`` expands the counts, grouped by first asking.
-``ask_flips(mask, times)`` asks the n one-flip neighbours of a point as one
-batch: around an anchor with q >= 1 every neighbour is 1-local by
-construction, so no ball is walked.
+Locality is one scan: a mask's first asking computes its distance to the
+nearest anchor, which is both the logged distance and a refusal's
+``min_distance``. ``ask_flips(mask, times)`` asks the n one-flip neighbours
+of a point as one batch: around an anchor with q >= 1 every neighbour is
+1-local by construction, so no anchor is scanned.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from itertools import chain
 from typing import Iterable, Sequence
 
 from .concepts import Concept
-from .cube import AnchorIndex, CubePoint, DimensionMismatch
+from .cube import CubePoint, DimensionMismatch
 from .distributions import Distribution, LabeledSample, sample
 
 QUERY_BUDGET_FACTOR = 64
@@ -86,7 +88,8 @@ class LocalMQOracle:
         for a in anchors:
             if a.n != self.n:
                 raise DimensionMismatch(f"anchor dimension {a.n} differs from target {self.n}")
-        self._index = AnchorIndex((a.mask for a in anchors), self.n, q)
+        _require_count(q, 0, "locality budget must be non-negative")
+        self._anchors = frozenset(a.mask for a in anchors)
         if query_cap is None:
             query_cap = QUERY_BUDGET_FACTOR * self.n * max(1, len(anchors))
         _require_count(query_cap, 0, "query budget must be a non-negative integer")
@@ -116,17 +119,13 @@ class LocalMQOracle:
         """Each distinct query once, in order of first asking, as (mask, answer, distance, times)."""
         return [(mask, *entry) for mask, entry in self._asked.items()]
 
-    def records(self) -> list[tuple[QueryRecord, int]]:
-        """Each distinct query once, in order of first asking, with the times it was asked."""
-        return [
-            (QueryRecord(CubePoint(self.n, mask), answer, distance), times)
-            for mask, answer, distance, times in self.entries()
-        ]
-
     @property
     def log(self) -> tuple[QueryRecord, ...]:
         """Every query asked, repeats included, grouped by first asking."""
-        return tuple(rec for rec, times in self.records() for _ in range(times))
+        log: list[QueryRecord] = []
+        for mask, (answer, distance, times) in self._asked.items():
+            log += [QueryRecord(CubePoint(self.n, mask), answer, distance)] * times
+        return tuple(log)
 
     def query(self, z: CubePoint) -> int:
         if z.n != self.n:
@@ -137,16 +136,17 @@ class LocalMQOracle:
         """Answer the query at ``mask``, counted ``times`` times against the budget.
 
         Locality is checked and the target evaluated on a mask's first asking
-        only. A batch that does not fit the budget is refused whole.
+        only, by one scan for the nearest anchor. A batch that does not fit
+        the budget is refused whole.
         """
         _require_count(times, 1, "a query is asked a whole number of times, at least once")
         distance = None
         if mask not in self._asked:
             if not 0 <= mask < 1 << self.n:
                 raise DimensionMismatch(f"query mask {mask} out of range for dimension {self.n}")
-            distance = self._index.nearest(mask)
-            if distance is None:
-                raise LocalityViolation(self._index.min_distance(mask), self.q)
+            distance = min(((mask ^ a).bit_count() for a in self._anchors), default=None)
+            if distance is None or distance > self.q:
+                raise LocalityViolation(distance, self.q)
         if self._count + times > self.query_cap:
             raise BudgetExhausted(self.query_cap)
         return self._record((mask,), (distance,), times)[0]
@@ -157,11 +157,11 @@ class LocalMQOracle:
         Answers, records, statistics and errors are those of ``ask`` on each
         neighbour in turn. An anchor centre with q >= 1 proves every neighbour
         1-local (distance 0 if an anchor itself, else 1), so a batch that fits
-        the budget walks no ball.
+        the budget scans no anchor.
         """
         _require_count(times, 1, "a query is asked a whole number of times, at least once")
         flips = [mask ^ (1 << i) for i in range(self.n - 1, -1, -1)]
-        anchors = self._index.masks
+        anchors = self._anchors
         if self.q < 1 or mask not in anchors or self._count + self.n * times > self.query_cap:
             return [self.ask(z, times) for z in flips]
         return self._record(flips, [0 if z in anchors else 1 for z in flips], times)

@@ -1,15 +1,16 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lmqlab.concepts import DnfFormula, Term
 from lmqlab.cube import (
     ENUMERATION_CAP,
-    AnchorIndex,
     CubePoint,
     DimensionMismatch,
     ball_size,
     enumerate_cube,
     masks_at_distance,
 )
+from lmqlab.oracle import LocalityViolation, LocalMQOracle
 
 
 def P(text: str) -> CubePoint:
@@ -69,12 +70,17 @@ def test_hamming_is_a_metric(points):
 
 
 def _anchor_sets(n: int):
-    """Empty, small (scanned) and dense (usually walked) anchor sets over n bits."""
+    """Empty, small and dense anchor sets over n bits."""
     dense = st.integers(0, (1 << (1 << n)) - 1).map(
         lambda bits: frozenset(m for m in range(1 << n) if bits >> m & 1)
     )
     small = st.frozensets(st.integers(0, (1 << n) - 1), min_size=1, max_size=3)
     return st.one_of(st.just(frozenset()), small, dense)
+
+
+def _locality_oracle(anchors, n: int, q: int) -> LocalMQOracle:
+    """A q-local oracle on n bits answering the first coordinate, anchored at int masks."""
+    return LocalMQOracle(DnfFormula(n, (Term.of(1),)), [CubePoint(n, a) for a in anchors], q)
 
 
 @settings(max_examples=100)
@@ -83,21 +89,25 @@ def _anchor_sets(n: int):
         lambda n: st.tuples(st.just(n), _anchor_sets(n), st.integers(0, n), st.integers(0, (1 << n) - 1))
     )
 )
-def test_anchor_index_matches_brute_force_nearest(case):
+def test_oracle_locality_matches_brute_force_nearest(case):
     n, anchors, q, z = case
-    index = AnchorIndex(anchors, n, q)
-    assert index.walk == (len(anchors) > ball_size(n, q))
+    oracle = _locality_oracle(anchors, n, q)
     best = min(((z ^ a).bit_count() for a in anchors), default=None)
-    assert index.min_distance(z) == best
-    distance = index.nearest(z)
     if best is None or best > q:
-        assert distance is None
+        with pytest.raises(LocalityViolation) as err:
+            oracle.ask(z)
+        assert err.value.min_distance == best
     else:
-        assert distance == best
+        assert oracle.ask(z) == z >> (n - 1)
+        assert oracle.entries() == [(z, z >> (n - 1), best, 1)]
 
 
 def _in_ball(z: CubePoint, anchors, q: int) -> bool:
-    return AnchorIndex((a.mask for a in anchors), z.n, q).nearest(z.mask) is not None
+    try:
+        _locality_oracle((a.mask for a in anchors), z.n, q).query(z)
+    except LocalityViolation:
+        return False
+    return True
 
 
 def test_in_ball_basic_cases():
@@ -115,9 +125,9 @@ def test_in_ball_matches_min_distance_exhaustively():
             assert _in_ball(z, anchors, q) == (best <= q)
 
 
-def test_anchor_index_rejects_negative_radius():
-    with pytest.raises(ValueError):
-        AnchorIndex([0], 3, -1)
+def test_oracle_rejects_negative_radius():
+    with pytest.raises(ValueError, match="^locality budget must be non-negative, got -1$"):
+        _locality_oracle([0], 3, -1)
 
 
 def test_ball_size_counts_points_within_radius():

@@ -152,6 +152,13 @@ def test_product_distribution_bias():
     assert abs(f1 - 0.9) < 0.02 and abs(f2 - 0.1) < 0.02
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_product_and_uniform_reject_a_dimension_below_one(n):
+    for make in (lambda: ProductDist(n, ()), lambda: UniformCube(n)):
+        with pytest.raises(ValueError, match=f"^dimension must be a positive integer, got {n}$"):
+            make()
+
+
 def test_product_support_masses():
     dist = ProductDist(2, (Fraction(1, 2), Fraction(1, 4)))
     masses = {p.to_string(): prob for p, prob in dist.support()}

@@ -31,7 +31,9 @@ from lmqlab.harness import (
     run_learning_suite,
     run_reconstruction_corpus,
     run_reduction_suite,
+    run_trial,
 )
+from lmqlab.oracle import LocalMQOracle
 from lmqlab.reductions import make_reduction
 
 
@@ -124,6 +126,14 @@ def test_config_validation():
         small_config(epsilon=1.5)
 
 
+@pytest.mark.parametrize("threshold", [-1, 4])
+def test_success_threshold_outside_trial_count_rejected(threshold):
+    with pytest.raises(ValueError, match=f"success threshold must lie in 0..3, got {threshold}"):
+        small_config(trials=3, success_threshold=threshold)
+    for edge in (0, 3):
+        assert small_config(trials=3, success_threshold=edge).threshold == edge
+
+
 def test_opposite_family_instances_are_fully_evident():
     family = opposite_literal_family()
     from lmqlab.evident import evidence_report
@@ -160,7 +170,7 @@ def _sha256(text: str) -> str:
             "40bbf48f4f132e0a36fc0b2e4bd567b687857e59086ce94c56f660431abf0435",
         ),
         (
-            # n = 27: Monte Carlo loss, and more distinct anchors than a 1-ball, so the oracle walks.
+            # n = 27: Monte Carlo loss, and more distinct anchors than a 1-ball has points.
             "opposite-literal-wide", opposite_literal_family(24, 32), 20000, 1,
             "94acc4e9c9e05efc326522d7af86d2dd938cb7856c39dd53d8955635e788300a",
         ),
@@ -176,6 +186,29 @@ def test_corpus_digest_is_pinned():
     report = run_reconstruction_corpus(200)
     digest = "9a86d8b5f7e7bc1422d78e74ec72b1523f7b187ce20303a870d9cf61e82cb1f7"
     assert _sha256(json.dumps(report.to_dict(), sort_keys=True)) == digest
+
+
+def _learning_and_corpus_results():
+    trials = []
+    for family in (opposite_literal_family(24, 32), doubled_tree_family(4, 8)):
+        target, dist = family(derive_seed(13, "instance"))
+        run, loss, estimator = run_trial(target, dist, 300, 600, 1, (1, 2, 3))
+        trials.append((dataclasses.replace(run, phase1_seconds=0, phase2_seconds=0), loss, estimator))
+    return trials, run_reconstruction_corpus(count=5).to_dict()
+
+
+def test_learning_and_corpus_never_reach_the_anchor_scan(monkeypatch):
+    # Reconstruction asks one-flip batches around anchors, which need no scan;
+    # a change that sends learning queries through ask must measure the scan.
+    expected = _learning_and_corpus_results()
+    assert expected[0][0][0].formula.n >= 24
+    assert all(run.oracle_stats.query_count > 0 for run, _, _ in expected[0])
+
+    def refuse(self, mask, times=1):
+        raise AssertionError(f"ask({mask}, {times}) reached the anchor scan")
+
+    monkeypatch.setattr(LocalMQOracle, "ask", refuse)
+    assert _learning_and_corpus_results() == expected
 
 
 def test_corpus_deterministic():
@@ -233,8 +266,8 @@ def test_parity_dfa_counts_minus_symbols():
 
 # Whole trials on the Monte Carlo path, pinned so that a drift in the
 # distance histogram or the estimated loss shows. Both have more distinct
-# anchors than a 1-ball has points, so the oracle walks the ball; the
-# opposite-literal trial at n=25 misses a term, so its loss is not 0.
+# anchors than a 1-ball has points; the opposite-literal trial at n=25
+# misses a term, so its loss is not 0.
 MC_TRIALS = [
     (
         doubled_tree_family(11, 11, max_leaves=8), 300, 600,

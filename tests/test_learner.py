@@ -273,5 +273,5 @@ def test_reconstruct_term_matches_per_flip_reference(case, q, cap):
                 reconstruct_term(x.mask, batched, times)
             break
         assert reconstruct_term(x.mask, batched, times) == expected
-    assert batched.records() == reference.records()
+    assert batched.entries() == reference.entries()
     assert batched.stats() == reference.stats()

@@ -154,6 +154,12 @@ def test_budget_that_is_not_an_int_rejected(cap):
         LocalMQOracle(TARGET, [P("+++")], q=1, query_cap=cap)
 
 
+@pytest.mark.parametrize("q", [1.5, 1.0, True, False, "1", None])
+def test_locality_budget_that_is_not_an_int_rejected(q):
+    with pytest.raises(ValueError, match=f"^locality budget must be non-negative, got {q!r}$"):
+        LocalMQOracle(TARGET, [P("+++")], q=q)
+
+
 class CountingTarget:
     def __init__(self, concept):
         self.n, self.concept, self.calls = concept.n, concept, 0
@@ -190,7 +196,7 @@ def test_ask_counts_like_repeated_queries(batches):
         histogram[min((mask ^ a.mask).bit_count() for a in anchors)] += times
     assert batched.stats().distance_histogram == histogram
     assert batched.stats().query_count == sum(times for _, times in batches)
-    assert [(rec.point.mask, times) for rec, times in batched.records()] == [
+    assert [(mask, times) for mask, _, _, times in batched.entries()] == [
         (mask, sum(t for m, t in batches if m == mask)) for mask in dict.fromkeys(m for m, _ in batches)
     ]
 
@@ -243,7 +249,7 @@ def test_log_jsonl_format():
 
 
 def test_min_distance_strategies_agree():
-    # Small anchor sets scan; large ones walk the ball. Same answers.
+    # A sparse anchor set and a dense one, with more anchors than a 2-ball has points.
     target = DnfFormula(6, (Term.of(1),))
     anchors = [CubePoint(6, m) for m in range(40)]
     assert 2 <= ball_size(6, 2) < len(anchors)
@@ -261,17 +267,20 @@ def test_min_distance_strategies_agree():
 
 
 def _state(oracle):
-    return oracle.entries(), oracle.records(), oracle.stats(), oracle._count
+    return oracle.entries(), oracle.stats(), oracle._count
 
 
 @st.composite
-def flip_batches(draw, walk):
-    """An oracle setting and a run of (centre, times) batches, centres often anchors and repeated."""
+def flip_batches(draw, dense):
+    """An oracle setting and a run of (centre, times) batches, centres often anchors and repeated.
+
+    A dense anchor set has more anchors than a q-ball has points, a sparse one at most as many.
+    """
     q = draw(st.sampled_from((0, 1, 2)))
     n = draw(st.integers(3, 6))
     cube = st.integers(0, (1 << n) - 1)
     ball = ball_size(n, q)
-    if walk:
+    if dense:
         anchors = draw(st.sets(cube, min_size=ball + 1, max_size=1 << n))
     else:
         anchors = draw(st.sets(cube, max_size=ball))
@@ -283,15 +292,14 @@ def flip_batches(draw, walk):
     return target, [CubePoint(n, m) for m in sorted(anchors)], q, calls, cap
 
 
-@pytest.mark.parametrize("walk", [False, True], ids=["scan", "walk"])
+@pytest.mark.parametrize("dense", [False, True], ids=["scan", "walk"])
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
-def test_ask_flips_matches_sequential_asks(walk, data):
-    target, anchors, q, calls, cap = data.draw(flip_batches(walk))
+def test_ask_flips_matches_sequential_asks(dense, data):
+    target, anchors, q, calls, cap = data.draw(flip_batches(dense))
     n = target.n
     batched = LocalMQOracle(target, anchors, q, query_cap=cap)
     sequential = LocalMQOracle(target, anchors, q, query_cap=cap)
-    assert batched._index.walk == walk
     for centre, times in calls:
         try:
             expected = [sequential.ask(centre ^ (1 << (n - j)), times) for j in range(1, n + 1)]
@@ -308,22 +316,21 @@ def test_ask_flips_matches_sequential_asks(walk, data):
 def test_ask_flips_records_anchor_neighbours_at_distance_zero():
     o = LocalMQOracle(TARGET, [P("+++"), P("++-")], q=1)
     assert o.ask_flips(P("+++").mask, 2) == [0, 0, 1]
-    assert [(rec.point.to_string(), rec.distance, times) for rec, times in o.records()] == [
+    assert [(CubePoint(3, mask).to_string(), distance, times) for mask, _, distance, times in o.entries()] == [
         ("-++", 1, 2), ("+-+", 1, 2), ("++-", 0, 2),
     ]
     assert o.stats() == OracleStats(6, 1, {1: 4, 0: 2})
 
 
 def test_ball_walk_at_width_matches_brute_force():
-    # Far more anchors than points of a 2-ball in 28 dimensions: the index walks
-    # the ball. Queries two and three flips from an anchor check the walk's
-    # distances and refusals against a scan of every anchor.
+    # Far more anchors than points of a 2-ball in 28 dimensions. Queries two and
+    # three flips from an anchor check the oracle's distances and refusals
+    # against a brute-force minimum over every anchor.
     n, q = 28, 2
     rng = random.Random(28)
     masks = [rng.getrandbits(n) for _ in range(5000)]
     target = DnfFormula(n, (Term.of(1, -2), Term.of(3, 27, -28)))
     oracle = LocalMQOracle(target, [CubePoint(n, m) for m in masks], q)
-    assert oracle._index.walk
     answered, refused = Counter(), Counter()
     for i in range(300):
         z = rng.choice(masks)
@@ -343,16 +350,16 @@ def test_ball_walk_at_width_matches_brute_force():
 
 
 @st.composite
-def repeated_training_samples(draw, walk):
+def repeated_training_samples(draw, dense):
     """A target and two samples drawing a few distinct points many times each.
 
-    Every distinct point is drawn, so the oracle's anchor count and with it
-    its ``AnchorIndex`` mode are fixed by ``walk``.
+    Every distinct point is drawn, so the oracle has more anchors than a
+    q-ball has points exactly when ``dense``.
     """
     q = draw(st.sampled_from((0, 1, 2)))
     n = draw(st.integers(3, 6))
     cube, ball = st.integers(0, (1 << n) - 1), ball_size(n, q)
-    if walk:
+    if dense:
         points = draw(st.sets(cube, min_size=ball + 1, max_size=1 << n))
     else:
         points = draw(st.sets(cube, min_size=1, max_size=ball))
@@ -374,15 +381,15 @@ def _learn(s1, s2, oracle):
         return type(err), str(err)
 
 
-@pytest.mark.parametrize("walk", [False, True], ids=["scan", "walk"])
+@pytest.mark.parametrize("dense", [False, True], ids=["scan", "walk"])
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
-def test_for_samples_matches_one_anchor_per_draw(walk, data):
+def test_for_samples_matches_one_anchor_per_draw(dense, data):
     # The reference anchors the oracle at every draw, repeats included.
-    target, q, s1, s2, cap = data.draw(repeated_training_samples(walk))
+    target, q, s1, s2, cap = data.draw(repeated_training_samples(dense))
     deduplicated = LocalMQOracle.for_samples(target, q, s1, s2, query_cap=cap)
     reference = LocalMQOracle(target, [x for s in (s1, s2) for x, _ in s], q, query_cap=cap)
-    assert deduplicated._index.walk == reference._index.walk == walk
+    assert deduplicated._anchors == reference._anchors
     assert deduplicated.query_cap == reference.query_cap
     assert _learn(s1, s2, deduplicated) == _learn(s1, s2, reference)
     assert deduplicated.entries() == reference.entries()
