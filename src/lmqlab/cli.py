@@ -49,6 +49,8 @@ def _emit(payload: dict | list, out: str | None) -> None:
 def _cmd_learn(args: argparse.Namespace) -> int:
     target = parse_dnf(Path(args.target).read_text())
     dist = parse_distribution(args.dist)
+    if not 0 < args.epsilon < 1:
+        raise ValueError(f"epsilon must lie in (0,1), got {args.epsilon}")
     if args.auto_plan:
         plan = plan_samples(target.n, args.epsilon)
         m1, m2 = plan.m1, plan.m2

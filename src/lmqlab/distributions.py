@@ -2,7 +2,9 @@
 
 Probabilities are exact rationals wherever a distribution is enumerated;
 sampling uses a seeded ``random.Random`` stream so every draw replays
-bit-exactly. Draws and ``LabeledSample`` hold int masks, not points.
+bit-exactly. Draws, supports (``(mask, Fraction)`` pairs, the form in which
+``FiniteSupport`` takes its entries) and ``LabeledSample`` hold int masks; a
+``CubePoint`` is built only for an error message or an iterated sample.
 
 ``sample`` asks a distribution for all its draws in one ``draws(rng, m)``
 call. ``FiniteSupport`` reads the generator's 32-bit words in blocks and
@@ -43,12 +45,12 @@ class UniformCube:
         n, bits = self.n, rng.getrandbits
         return [bits(n) for _ in range(m)]
 
-    def support(self) -> Iterator[tuple[CubePoint, Fraction]]:
+    def support(self) -> Iterator[tuple[int, Fraction]]:
         if self.n > ENUMERATION_CAP:
             raise ValueError(f"dimension {self.n} exceeds enumeration cap {ENUMERATION_CAP}")
         p = Fraction(1, 1 << self.n)
         for mask in range(1 << self.n):
-            yield CubePoint(self.n, mask), p
+            yield mask, p
 
 
 @dataclass(frozen=True)
@@ -77,7 +79,7 @@ class ProductDist:
             out.append(mask)
         return out
 
-    def support(self) -> Iterator[tuple[CubePoint, Fraction]]:
+    def support(self) -> Iterator[tuple[int, Fraction]]:
         if self.n > ENUMERATION_CAP:
             raise ValueError(f"dimension {self.n} exceeds enumeration cap {ENUMERATION_CAP}")
         for mask in range(1 << self.n):
@@ -85,7 +87,7 @@ class ProductDist:
             for j, p in enumerate(self.plus_probs):
                 prob *= p if (mask >> (self.n - 1 - j)) & 1 else 1 - p
             if prob:
-                yield CubePoint(self.n, mask), prob
+                yield mask, prob
 
 
 # A guide slot covers the random() values whose first word starts with these
@@ -107,33 +109,33 @@ def _words(rng: random.Random, count: int) -> memoryview:
 
 @dataclass(frozen=True)
 class FiniteSupport:
-    """Explicit point masses; probabilities must sum to exactly 1."""
+    """Explicit point masses as ``(mask, prob)`` entries; probabilities must sum to exactly 1."""
 
     n: int
-    entries: tuple[tuple[CubePoint, Fraction], ...]
+    entries: tuple[tuple[int, Fraction], ...]
     _cum: tuple[float, ...] = field(init=False, repr=False, compare=False)
     _masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _guide: tuple[Optional[int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if self.n < 1:
+            raise ValueError(f"dimension must be a positive integer, got {self.n}")
         merged: dict[int, Fraction] = {}
-        for point, prob in self.entries:
-            if point.n != self.n:
-                raise DimensionMismatch(f"support point has dimension {point.n}, expected {self.n}")
+        for mask, prob in self.entries:
+            if not 0 <= mask < 1 << self.n:
+                raise DimensionMismatch(f"support mask {mask} out of range for dimension {self.n}")
             p = Fraction(prob)
             if p < 0:
-                raise ValueError(f"negative probability {p} at {point.to_string()}")
-            merged[point.mask] = merged.get(point.mask, Fraction(0)) + p
+                raise ValueError(f"negative probability {p} at {CubePoint(self.n, mask).to_string()}")
+            merged[mask] = merged.get(mask, Fraction(0)) + p
         total = sum(merged.values(), Fraction(0))
         if total != 1:
             raise ValueError(f"probabilities sum to {total}, expected exactly 1")
-        canonical = tuple(
-            (CubePoint(self.n, mask), merged[mask]) for mask in sorted(merged) if merged[mask]
-        )
+        canonical = tuple((mask, merged[mask]) for mask in sorted(merged) if merged[mask])
         object.__setattr__(self, "entries", canonical)
         object.__setattr__(self, "_cum", tuple(accumulate(float(prob) for _, prob in canonical)))
         # The last mask twice: a product that rounds up to the total bisects past the end.
-        object.__setattr__(self, "_masks", tuple(point.mask for point, _ in canonical + canonical[-1:]))
+        object.__setattr__(self, "_masks", tuple(mask for mask, _ in canonical + canonical[-1:]))
         object.__setattr__(self, "_guide", self._build_guide())
 
     def _pick(self, value: int) -> int:
@@ -172,7 +174,7 @@ class FiniteSupport:
             out += block
         return out
 
-    def support(self) -> Iterator[tuple[CubePoint, Fraction]]:
+    def support(self) -> Iterator[tuple[int, Fraction]]:
         return iter(self.entries)
 
 
@@ -189,23 +191,11 @@ def sample(dist: Distribution, m: int, seed: int) -> list[int]:
 def pushforward(dist: Distribution, phi: ReplicateMap) -> FiniteSupport:
     """Image distribution assigning each source mass to its mapped point.
 
-    The map must be injective on the support; colliding images would merge
-    masses and are rejected.
+    A ``ReplicateMap`` is injective, so no two masses merge.
     """
     if phi.source_n != dist.n:
         raise DimensionMismatch(f"map expects dimension {phi.source_n}, distribution has {dist.n}")
-    entries: list[tuple[CubePoint, Fraction]] = []
-    seen: dict[int, CubePoint] = {}
-    for point, prob in dist.support():
-        image = phi.apply(point)
-        if image.mask in seen:
-            raise ValueError(
-                f"map is not injective on the support: {point.to_string()} and "
-                f"{seen[image.mask].to_string()} share image {image.to_string()}"
-            )
-        seen[image.mask] = point
-        entries.append((image, prob))
-    return FiniteSupport(phi.target_n, tuple(entries))
+    return FiniteSupport(phi.target_n, tuple((phi.encode(mask), prob) for mask, prob in dist.support()))
 
 
 @dataclass(frozen=True)
@@ -251,8 +241,8 @@ def exact_loss(dist: Distribution, h_star: Concept, h_hat: Concept) -> Fraction:
             f"dimension {dist.n} exceeds enumeration cap {ENUMERATION_CAP}; use mc_loss for an estimate"
         )
     loss = Fraction(0)
-    for point, prob in dist.support():
-        if h_star.label(point.mask) != h_hat.label(point.mask):
+    for mask, prob in dist.support():
+        if h_star.label(mask) != h_hat.label(mask):
             loss += prob
     return loss
 

@@ -5,6 +5,11 @@ no single coordinate flip can deactivate the term while leaving the formula
 true through a different term. Such points let a learner read the term off
 the formula one flip at a time, which is what the whole positive result
 rests on.
+
+This module owns the truth-table kernel: ``evident_tables`` holds each set
+as a 2^n-bit int whose bit ``mask`` is the entry at that point; the harness's
+corpus and ``evidence_report`` read it. The pointwise ``satisfies_evidently``
+and ``flips_reveal_term`` are its reference, and the tests cross-check both.
 """
 
 from __future__ import annotations
@@ -12,10 +17,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from functools import lru_cache
+from typing import Iterator, Optional
 
 from .concepts import DecisionTree, DnfFormula, Term, dnf_of_tree
-from .cube import CubePoint, DimensionMismatch, ReplicateMap
+from .cube import ENUMERATION_CAP, CubePoint, DimensionMismatch, ReplicateMap
 from .distributions import Distribution
 
 
@@ -52,6 +58,65 @@ def flips_reveal_term(formula: DnfFormula, i: int, x: CubePoint) -> bool:
         if stays_true != (j not in term_vars):
             return False
     return True
+
+
+@lru_cache(maxsize=None)
+def _plus_pattern(n: int, j: int) -> int:
+    """Truth-table bitset (indexed by point mask) of the literal x_j = +1."""
+    stride = 1 << (n - j)
+    period = stride << 1
+    unit = ((1 << stride) - 1) << stride
+    reps = (1 << n) // period
+    geometric = ((1 << (reps * period)) - 1) // ((1 << period) - 1)
+    return unit * geometric
+
+
+def _term_table(term: Term, n: int) -> int:
+    table = full = (1 << (1 << n)) - 1
+    for j in term.positives:
+        table &= _plus_pattern(n, j)
+    for j in term.negatives:
+        table &= full ^ _plus_pattern(n, j)
+    return table
+
+
+def flip_table(table: int, n: int, j: int) -> int:
+    """Bitset whose entry at x is the entry of the input at x with j flipped."""
+    stride = 1 << (n - j)
+    full = (1 << (1 << n)) - 1
+    low = full ^ _plus_pattern(n, j)
+    return ((table >> stride) & low) | ((table & low) << stride)
+
+
+def iter_bits(bitset: int) -> Iterator[int]:
+    while bitset:
+        lowest = bitset & -bitset
+        yield lowest.bit_length() - 1
+        bitset ^= lowest
+
+
+def evident_tables(formula: DnfFormula) -> tuple[list[int], int, list[int]]:
+    """Per-term satisfaction tables, the formula table, and evident-point tables (n <= ``ENUMERATION_CAP``)."""
+    n = formula.n
+    if n > ENUMERATION_CAP:
+        raise ValueError(f"dimension {n} exceeds enumeration cap {ENUMERATION_CAP}")
+    full = (1 << (1 << n)) - 1
+    sat = [_term_table(t, n) for t in formula.terms]
+    h_table = twice = 0  # points satisfying at least one term, and at least two
+    for t in sat:
+        twice |= h_table & t
+        h_table |= t
+    evident = []
+    for table in sat:
+        exactly = table & ~twice
+        ok = (full ^ h_table) | exactly
+        ev = exactly
+        for j in range(1, n + 1):
+            if not ev:
+                break
+            ev &= flip_table(ok, n, j)
+        evident.append(ev)
+    return sat, h_table, evident
 
 
 @dataclass(frozen=True)
@@ -101,28 +166,27 @@ def evidence_report(
     A beta outside (0, 1] is a ValueError.
     """
     if dist.n != formula.n:
-        raise DimensionMismatch(
-            f"formula over {formula.n} variables, distribution over {dist.n}"
-        )
+        raise DimensionMismatch(f"formula over {formula.n} variables, distribution over {dist.n}")
     if beta is None:
         beta = Fraction(1, formula.n)
     if not 0 < beta <= 1:
         raise ValueError(f"beta must lie in (0, 1], got {beta}")
-    sat = [Fraction(0)] * len(formula.terms)
-    evi = [Fraction(0)] * len(formula.terms)
-    for point, prob in dist.support():
-        hit = formula.satisfied_indices(point)
-        for i in hit:
-            sat[i] += prob
-        if len(hit) == 1 and satisfies_evidently(formula, hit[0], point):
-            evi[hit[0]] += prob
+    # Bit ``mask`` of a table is bit ``mask & 7`` of byte ``mask >> 3`` of its little-endian bytes.
+    size = max(1, (1 << formula.n) // 8)
+    sat_tables, _, evident = evident_tables(formula)
+    tables = [(s.to_bytes(size, "little"), e.to_bytes(size, "little")) for s, e in zip(sat_tables, evident)]
+    sat, evi = [Fraction(0)] * len(tables), [Fraction(0)] * len(tables)
+    for mask, prob in dist.support():
+        byte, bit = mask >> 3, 1 << (mask & 7)
+        for i, (s, e) in enumerate(tables):
+            if s[byte] & bit:
+                sat[i] += prob
+                if e[byte] & bit:
+                    evi[i] += prob
     entries = []
-    for i in range(len(formula.terms)):
-        if sat[i] == 0:
-            entries.append(TermEvidence(i, sat[i], evi[i], None, True, True))
-        else:
-            cond = evi[i] / sat[i]
-            entries.append(TermEvidence(i, sat[i], evi[i], cond, False, cond >= beta))
+    for i, (p_sat, p_evi) in enumerate(zip(sat, evi)):
+        cond = p_evi / p_sat if p_sat else None
+        entries.append(TermEvidence(i, p_sat, p_evi, cond, cond is None, cond is None or cond >= beta))
     return EvidenceReport(Fraction(beta), tuple(entries))
 
 

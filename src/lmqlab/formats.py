@@ -39,7 +39,7 @@ from .concepts import (
     Term,
     TreeNode,
 )
-from .cube import CubePoint
+from .cube import CubePoint, DimensionMismatch
 from .distributions import Distribution, FiniteSupport, ProductDist, UniformCube
 
 
@@ -284,8 +284,12 @@ def parse_finite_support(text: str) -> FiniteSupport:
         entries.append((CubePoint.from_string(fields[0]), parse_fraction(fields[1])))
     if not entries:
         raise ValueError("finite support file has no entries")
-    return FiniteSupport(entries[0][0].n, tuple(entries))
+    n = entries[0][0].n
+    for point, _ in entries:
+        if point.n != n:
+            raise DimensionMismatch(f"support point has dimension {point.n}, expected {n}")
+    return FiniteSupport(n, tuple((point.mask, prob) for point, prob in entries))
 
 
 def dump_finite_support(dist: FiniteSupport) -> str:
-    return "\n".join(f"{p.to_string()} {prob}" for p, prob in dist.entries) + "\n"
+    return "\n".join(f"{CubePoint(dist.n, mask).to_string()} {prob}" for mask, prob in dist.entries) + "\n"

@@ -1,8 +1,8 @@
-"""Experiment orchestration: seeded trials, verification suites, JSON reports.
+"""Experiment orchestration only: seeded trials, suites and JSON reports.
 
-Per-trial seeds are derived from the base seed with SHA-256 so any trial
-replays in isolation. Reports separate deterministic content (stable under
-replay, byte-identical as canonical JSON) from wall-clock timings.
+Per-trial seeds come from the base seed through SHA-256, so any trial
+replays alone; the corpus reads evident points from ``evident``'s truth
+tables. Timings stay out of canonical JSON, which replays byte for byte.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Optional
 
 from .concepts import (
@@ -36,12 +35,15 @@ from .cube import CubePoint, ReplicateMap, enumerate_cube
 from .distributions import Distribution, UniformCube, exact_loss, mc_loss, pushforward
 from .evident import (
     doubling_dnf,
+    evident_tables,
+    flip_table,
     flips_reveal_term,
     gen_opposite_literal_dnf,
+    iter_bits,
     satisfies_evidently,
 )
 from .learner import LearnerRun, learn_evident_dnf, learn_evident_dnf_run, reconstruct_term
-from .oracle import BudgetExhausted, LocalityViolation, LocalMQOracle, draw_training_set
+from .oracle import BudgetExhausted, LocalityViolation, LocalMQOracle, _require_count, draw_training_set
 from .reductions import (
     QReduction,
     build_block_checker,
@@ -127,14 +129,15 @@ class ExperimentConfig:
     success_threshold: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise ValueError(f"trial count must be at least 1, got {self.trials}")
+        _require_count(self.trials, 1, "trial count must be at least 1")
         if not 0 < self.epsilon < 1:
             raise ValueError(f"epsilon must lie in (0,1), got {self.epsilon}")
-        if self.m1 < 0 or self.m2 < 0:
-            raise ValueError(f"sample sizes must be non-negative, got m1={self.m1}, m2={self.m2}")
-        if self.q < 0:
-            raise ValueError(f"locality budget must be non-negative, got {self.q}")
+        try:
+            _require_count(self.m1, 0, "m1")
+            _require_count(self.m2, 0, "m2")
+        except ValueError:
+            raise ValueError(f"sample sizes must be non-negative, got m1={self.m1}, m2={self.m2}") from None
+        _require_count(self.q, 0, "locality budget must be non-negative")
         if self.success_threshold is not None and not 0 <= self.success_threshold <= self.trials:
             raise ValueError(f"success threshold must lie in 0..{self.trials}, got {self.success_threshold}")
 
@@ -279,68 +282,6 @@ def run_learning_suite(cfg: ExperimentConfig) -> SuiteReport:
 # Random-DNF corpus: evident discovery, flip biconditional, reconstruction
 
 
-@lru_cache(maxsize=None)
-def _plus_pattern(n: int, j: int) -> int:
-    """Truth-table bitset (indexed by point mask) of the literal x_j = +1."""
-    p = n - j
-    stride = 1 << p
-    period = stride << 1
-    unit = ((1 << stride) - 1) << stride
-    reps = (1 << n) // period
-    geometric = ((1 << (reps * period)) - 1) // ((1 << period) - 1)
-    return unit * geometric
-
-
-def _term_table(term: Term, n: int) -> int:
-    full = (1 << (1 << n)) - 1
-    table = full
-    for j in term.positives:
-        table &= _plus_pattern(n, j)
-    for j in term.negatives:
-        table &= full ^ _plus_pattern(n, j)
-    return table
-
-
-def _flip_table(table: int, n: int, j: int) -> int:
-    """Bitset whose entry at x is the entry of the input at x with j flipped."""
-    stride = 1 << (n - j)
-    full = (1 << (1 << n)) - 1
-    low = full ^ _plus_pattern(n, j)
-    return ((table >> stride) & low) | ((table & low) << stride)
-
-
-def _iter_bits(bitset: int):
-    while bitset:
-        lowest = bitset & -bitset
-        yield lowest.bit_length() - 1
-        bitset ^= lowest
-
-
-def _evident_bitsets(formula: DnfFormula) -> tuple[list[int], int, list[int]]:
-    """Per-term satisfaction tables, the formula table, and evident-point tables."""
-    n = formula.n
-    full = (1 << (1 << n)) - 1
-    sat = [_term_table(t, n) for t in formula.terms]
-    h_table = 0
-    for t in sat:
-        h_table |= t
-    evident = []
-    for i, table in enumerate(sat):
-        others = 0
-        for k, other in enumerate(sat):
-            if k != i:
-                others |= other
-        exactly = table & ~others & full
-        ok = (~h_table & full) | exactly
-        ev = exactly
-        for j in range(1, n + 1):
-            if not ev:
-                break
-            ev &= _flip_table(ok, n, j)
-        evident.append(ev)
-    return sat, h_table, evident
-
-
 @dataclass
 class CorpusReport:
     formulas: int = 0
@@ -409,17 +350,16 @@ def run_reconstruction_corpus(count: int = 1000, base_seed: int = 0) -> CorpusRe
         n = rng.randint(CORPUS_N_LO, CORPUS_N_HI)
         formula = random_dnf(n, rng.randint(1, CORPUS_D_MAX), CORPUS_WIDTH_MAX, rng)
         report.formulas += 1
-        sat, h_table, evident = _evident_bitsets(formula)
+        sat, h_table, evident = evident_tables(formula)
 
-        full = (1 << (1 << n)) - 1
-        flip_h = [_flip_table(h_table, n, j) for j in range(1, n + 1)]
+        flip_h = [flip_table(h_table, n, j) for j in range(1, n + 1)]
         for i, ev in enumerate(evident):
             if not ev:
                 continue
             term_vars = formula.terms[i].variables
             for j in range(1, n + 1):
                 stays = flip_h[j - 1]
-                bad = (ev & stays) if j in term_vars else (ev & ~stays & full)
+                bad = (ev & stays) if j in term_vars else (ev & ~stays)
                 report.biconditional_checks += 1
                 if bad:
                     report.biconditional_failures += 1
@@ -432,7 +372,7 @@ def run_reconstruction_corpus(count: int = 1000, base_seed: int = 0) -> CorpusRe
                         point=CubePoint(n, mask).to_string(),
                     )
 
-        evident_pairs = [(i, m) for i, ev in enumerate(evident) for m in _iter_bits(ev)]
+        evident_pairs = [(i, m) for i, ev in enumerate(evident) for m in iter_bits(ev)]
         report.evident_points += len(evident_pairs)
 
         for i, mask in evident_pairs[:CORPUS_REVEAL_PER_FORMULA]:

@@ -272,3 +272,18 @@ def test_support_line_without_probability_is_a_json_error(formula_file, tmp_path
     argv = ["learn", "--target", formula_file, "--dist", f"file:{support}", "--m1", "9", "--m2", "9"]
     error = _usage_error(capsys, argv)
     assert error == {"error": "finite support line '++' is not of the form 'POINT PROB'", "type": "ValueError"}
+
+
+@pytest.mark.parametrize("epsilon", ["0", "5", "nan"])
+def test_learn_epsilon_outside_unit_interval_is_a_json_error(formula_file, capsys, epsilon):
+    # Without --auto-plan these were echoed back, nan as "epsilon": NaN, which is not JSON.
+    argv = ["learn", "--target", formula_file, "--dist", "uniform:4", "--m1", "9", "--m2", "9", "--epsilon", epsilon]
+    error = _usage_error(capsys, argv)
+    assert error == {"error": f"epsilon must lie in (0,1), got {float(epsilon)}", "type": "ValueError"}
+
+
+def test_support_points_of_two_lengths_are_a_json_error(formula_file, tmp_path, capsys):
+    support = tmp_path / "support"
+    support.write_text("+-+ 1/2\n+- 1/2\n")
+    error = _usage_error(capsys, ["check-evident", "--formula", formula_file, "--dist", f"file:{support}"])
+    assert error == {"error": "support point has dimension 2, expected 3", "type": "DimensionMismatch"}

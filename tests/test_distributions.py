@@ -32,7 +32,7 @@ def test_sample_zero_draws():
 
 
 def test_point_mass_sampling():
-    dist = FiniteSupport(2, ((P("+-"), Fraction(1)),))
+    dist = FiniteSupport(2, ((P("+-").mask, Fraction(1)),))
     assert sample(dist, 5, seed=9) == [P("+-").mask] * 5
 
 
@@ -46,7 +46,7 @@ PINNED_STREAMS = [
     ),
     (
         FiniteSupport(
-            3, ((P("--+"), Fraction(1, 3)), (P("++-"), Fraction(1, 6)), (P("+--"), Fraction(1, 2)))
+            3, ((P("--+").mask, Fraction(1, 3)), (P("++-").mask, Fraction(1, 6)), (P("+--").mask, Fraction(1, 2)))
         ),
         [4, 4, 1, 6, 4, 4, 1, 1, 4, 4, 4, 4, 6, 1, 4, 4],
     ),
@@ -64,7 +64,7 @@ def _reference_draws(dist, m: int, rng: random.Random) -> list[int]:
         return [rng.getrandbits(dist.n) for _ in range(m)]
     cum = list(accumulate(float(prob) for _, prob in dist.support()))
     # The last mask twice: a product that rounds up to the total bisects past the end.
-    masks = [x.mask for x, _ in dist.support()] + [dist.entries[-1][0].mask]
+    masks = [x for x, _ in dist.support()] + [dist.entries[-1][0]]
     return [masks[bisect_right(cum, rng.random() * cum[-1])] for _ in range(m)]
 
 
@@ -75,7 +75,7 @@ def finite_supports(draw, n_max=6):
     masks = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=40, unique=True))
     weights = draw(st.lists(st.integers(1, 20), min_size=len(masks), max_size=len(masks)))
     total = sum(weights)
-    return FiniteSupport(n, tuple((CubePoint(n, m), Fraction(w, total)) for m, w in zip(masks, weights)))
+    return FiniteSupport(n, tuple((m, Fraction(w, total)) for m, w in zip(masks, weights)))
 
 
 DRAW_COUNTS = [0, 1, _DRAW_BLOCK - 1, _DRAW_BLOCK, _DRAW_BLOCK + 1, 3 * _DRAW_BLOCK + 7]
@@ -102,14 +102,14 @@ def test_doubled_uniform_draws_match_per_draw_reference(n, m):
 
 @pytest.mark.parametrize("m", DRAW_COUNTS)
 def test_one_point_and_uniform_draws_match_per_draw_reference(m):
-    _assert_stream_identical(FiniteSupport(3, ((P("+-+"), Fraction(1)),)), m, seed=m)
+    _assert_stream_identical(FiniteSupport(3, ((P("+-+").mask, Fraction(1)),)), m, seed=m)
     _assert_stream_identical(UniformCube(40), m, seed=m)
 
 
 def test_draws_take_the_ambiguous_slots_path():
     """Masses 1/3 and 1/18 leave guide slots that only the per-draw expression resolves."""
     masses = (Fraction(1, 3), Fraction(1, 18), Fraction(11, 18))
-    dist = FiniteSupport(2, tuple((CubePoint(2, m), p) for m, p in enumerate(masses)))
+    dist = FiniteSupport(2, tuple(enumerate(masses)))
     ambiguous = [s for s, mask in enumerate(dist._guide) if mask is None]
     assert ambiguous
     # Seeds whose first draw lands in an ambiguous slot: the top bits of the first word pick it.
@@ -125,7 +125,7 @@ def test_draw_on_a_mass_boundary_reads_both_words(seed):
     value = int(random.Random(seed).random() * 2**53)
     for cut, first in ((value, 1), (value + 1, 0)):
         p = Fraction(cut, 2**53)
-        dist = FiniteSupport(1, ((CubePoint(1, 0), p), (CubePoint(1, 1), 1 - p)))
+        dist = FiniteSupport(1, ((0, p), (1, 1 - p)))
         assert dist._guide[value >> 53 - _GUIDE_BITS] is None
         assert sample(dist, 1, seed) == [first]
         _assert_stream_identical(dist, 5, seed)
@@ -159,9 +159,21 @@ def test_product_and_uniform_reject_a_dimension_below_one(n):
             make()
 
 
+@pytest.mark.parametrize("mask", [-1, 4])
+def test_finite_support_rejects_a_mask_out_of_range(mask):
+    with pytest.raises(DimensionMismatch, match=f"^support mask {mask} out of range for dimension 2$"):
+        FiniteSupport(2, ((0, Fraction(1, 2)), (mask, Fraction(1, 2))))
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_finite_support_rejects_a_dimension_below_one(n):
+    with pytest.raises(ValueError, match=f"^dimension must be a positive integer, got {n}$"):
+        FiniteSupport(n, ((0, Fraction(1)),))
+
+
 def test_product_support_masses():
     dist = ProductDist(2, (Fraction(1, 2), Fraction(1, 4)))
-    masses = {p.to_string(): prob for p, prob in dist.support()}
+    masses = {CubePoint(2, x).to_string(): prob for x, prob in dist.support()}
     assert masses == {
         "--": Fraction(3, 8),
         "-+": Fraction(1, 8),
@@ -172,19 +184,19 @@ def test_product_support_masses():
 
 def test_finite_support_must_sum_to_one():
     with pytest.raises(ValueError):
-        FiniteSupport(2, ((P("++"), Fraction(1, 2)),))
-    with pytest.raises(ValueError):
-        FiniteSupport(2, ((P("++"), Fraction(-1)), (P("--"), Fraction(2))))
+        FiniteSupport(2, ((P("++").mask, Fraction(1, 2)),))
+    with pytest.raises(ValueError, match=r"^negative probability -1 at \+\+$"):
+        FiniteSupport(2, ((P("++").mask, Fraction(-1)), (P("--").mask, Fraction(2))))
 
 
 def test_finite_support_merges_duplicates():
-    dist = FiniteSupport(2, ((P("++"), Fraction(1, 2)), (P("++"), Fraction(1, 2))))
-    assert dist.entries == ((P("++"), Fraction(1)),)
+    dist = FiniteSupport(2, ((P("++").mask, Fraction(1, 2)), (P("++").mask, Fraction(1, 2))))
+    assert dist.entries == ((P("++").mask, Fraction(1)),)
 
 
 def test_pushforward_doubling_on_one_variable():
     got = pushforward(UniformCube(1), ReplicateMap(1, 2))
-    assert dict((p.to_string(), prob) for p, prob in got.entries) == {
+    assert dict((CubePoint(2, x).to_string(), prob) for x, prob in got.entries) == {
         "--": Fraction(1, 2),
         "++": Fraction(1, 2),
     }
@@ -192,9 +204,9 @@ def test_pushforward_doubling_on_one_variable():
 
 def test_pushforward_point_mass():
     phi = ReplicateMap(2, 2)
-    src = FiniteSupport(2, ((P("+-"), Fraction(1)),))
+    src = FiniteSupport(2, ((P("+-").mask, Fraction(1)),))
     got = pushforward(src, phi)
-    assert got.entries == ((P("++--"), Fraction(1)),)
+    assert got.entries == ((P("++--").mask, Fraction(1)),)
 
 
 def test_pushforward_uniform_two_variables():
@@ -202,19 +214,7 @@ def test_pushforward_uniform_two_variables():
     assert len(got.entries) == 4
     assert all(prob == Fraction(1, 4) for _, prob in got.entries)
     images = {ReplicateMap(2, 2).apply(x).mask for x in enumerate_cube(2)}
-    assert {p.mask for p, _ in got.entries} == images
-
-
-def test_pushforward_rejects_mass_merging():
-    class Collapse:
-        source_n = 2
-        target_n = 2
-
-        def apply(self, x):
-            return P("++")
-
-    with pytest.raises(ValueError, match="injective"):
-        pushforward(UniformCube(2), Collapse())
+    assert {x for x, _ in got.entries} == images
 
 
 def test_exact_loss_trivial_and_symmetric():
@@ -281,7 +281,7 @@ def test_mc_loss_matches_per_draw_reference(n, seed, m, kinds, finite):
     f, g = map(formula, kinds)
     if finite:
         masks = rng.sample(range(1 << n), 12)
-        dist = FiniteSupport(n, tuple((CubePoint(n, x), Fraction(i + 1, 78)) for i, x in enumerate(masks)))
+        dist = FiniteSupport(n, tuple((x, Fraction(i + 1, 78)) for i, x in enumerate(masks)))
     else:
         dist = UniformCube(n)
     points = [CubePoint(n, mask) for mask in _reference_draws(dist, m, random.Random(seed))]

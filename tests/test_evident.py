@@ -2,13 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lmqlab.concepts import DecisionTree, DnfFormula, Leaf, Node, Term, random_tree
+from lmqlab.concepts import DecisionTree, DnfFormula, Leaf, Node, Term, random_dnf, random_tree
 from lmqlab.cube import CubePoint, ReplicateMap, enumerate_cube
-from lmqlab.distributions import FiniteSupport, UniformCube
+from lmqlab.distributions import FiniteSupport, ProductDist, UniformCube, pushforward
 from lmqlab.evident import (
     doubling_dnf,
     evidence_report,
+    evident_tables,
+    flip_table,
     flips_reveal_term,
     gen_opposite_literal_dnf,
     satisfies_evidently,
@@ -86,6 +89,72 @@ class TestFlipsRevealTerm:
         assert checked > 100
 
 
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 8), d=st.integers(0, 5), width=st.integers(1, 4), seed=st.integers(0, 2**32))
+def test_truth_table_kernel_matches_pointwise_code(n, d, width, seed):
+    # The truth tables against satisfied_indices, satisfies_evidently and CubePoint.flip, on every point.
+    formula = random_dnf(n, d, width, random.Random(seed))
+    sat, h_table, evident = evident_tables(formula)
+    tables = sat + [h_table]
+    flipped = {j: [flip_table(t, n, j) for t in tables] for j in range(1, n + 1)}
+    for x in enumerate_cube(n):
+        hit = formula.satisfied_indices(x)
+        assert [(t >> x.mask) & 1 for t in sat] == [int(i in hit) for i in range(d)]
+        assert (h_table >> x.mask) & 1 == formula.evaluate(x)
+        for i, ev in enumerate(evident):
+            assert (ev >> x.mask) & 1 == satisfies_evidently(formula, i, x)
+        for j, row in flipped.items():
+            y = x.flip(j).mask
+            assert [(t >> x.mask) & 1 for t in row] == [(t >> y) & 1 for t in tables]
+
+
+def _reference_evidence(formula, dist):
+    """Per-term satisfied and evident masses, read pointwise at every support point."""
+    sat = [Fraction(0)] * len(formula.terms)
+    evi = [Fraction(0)] * len(formula.terms)
+    for mask, prob in dist.support():
+        point = CubePoint(formula.n, mask)
+        hit = formula.satisfied_indices(point)
+        for i in hit:
+            sat[i] += prob
+        if len(hit) == 1 and satisfies_evidently(formula, hit[0], point):
+            evi[hit[0]] += prob
+    return list(zip(sat, evi))
+
+
+@st.composite
+def formulas_under_distributions(draw):
+    """DNFs of 0-5 terms, possibly with an empty term, under the four distribution kinds."""
+    kind = draw(st.sampled_from(["uniform", "product", "finite", "doubled"]))
+    n = 2 * draw(st.integers(1, 4)) if kind == "doubled" else draw(st.integers(1, 8))
+    d, width, seed = draw(st.integers(0, 5)), draw(st.integers(1, 4)), draw(st.integers(0, 2**32))
+    terms = random_dnf(n, d, width, random.Random(seed)).terms
+    if terms and draw(st.booleans()):
+        i = draw(st.integers(0, len(terms) - 1))
+        terms = terms[:i] + (Term.of(),) + terms[i + 1 :]
+    if kind == "uniform":
+        dist = UniformCube(n)
+    elif kind == "product":
+        probs = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1)]
+        dist = ProductDist(n, tuple(draw(st.lists(st.sampled_from(probs), min_size=n, max_size=n))))
+    elif kind == "finite":
+        masks = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=12, unique=True))
+        weights = draw(st.lists(st.integers(1, 20), min_size=len(masks), max_size=len(masks)))
+        dist = FiniteSupport(n, tuple((m, Fraction(w, sum(weights))) for m, w in zip(masks, weights)))
+    else:
+        dist = pushforward(UniformCube(n // 2), ReplicateMap(n // 2, 2))
+    return DnfFormula(n, terms), dist
+
+
+@settings(max_examples=200, deadline=None)
+@given(formulas_under_distributions())
+def test_evidence_report_matches_pointwise_reference(case):
+    formula, dist = case
+    report = evidence_report(formula, dist)
+    got = [(t.satisfaction_probability, t.evident_probability) for t in report.terms]
+    assert got == _reference_evidence(formula, dist)
+
+
 class TestEvidenceReport:
     def test_opposite_terms_fully_evident(self):
         report = evidence_report(OPPOSITE, UniformCube(2), beta=Fraction(1, 2))
@@ -105,7 +174,7 @@ class TestEvidenceReport:
 
     def test_zero_mass_term_passes_vacuously(self):
         f = DnfFormula(2, (Term.of(1), Term.of(-1)))
-        dist = FiniteSupport(2, ((P("++"), Fraction(1)),))
+        dist = FiniteSupport(2, ((P("++").mask, Fraction(1)),))
         report = evidence_report(f, dist, beta=Fraction(1))
         assert report.terms[1].vacuous is True
         assert report.terms[1].passed is True
@@ -118,6 +187,12 @@ class TestEvidenceReport:
     def test_beta_outside_unit_interval_rejected(self, beta):
         with pytest.raises(ValueError, match=r"beta must lie in \(0, 1\]"):
             evidence_report(OPPOSITE, UniformCube(2), beta=beta)
+
+    def test_finite_support_above_enumeration_cap_refused(self):
+        # The truth tables have 2^n bits, so a wide support is refused before any is built.
+        f = DnfFormula(25, (Term.of(1),))
+        with pytest.raises(ValueError, match="^dimension 25 exceeds enumeration cap 24$"):
+            evidence_report(f, FiniteSupport(25, ((0, Fraction(1)),)))
 
     def test_dimension_mismatch_fails_fast(self):
         from lmqlab.cube import DimensionMismatch

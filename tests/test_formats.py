@@ -189,7 +189,7 @@ def test_distribution_specs():
 
 
 def test_finite_support_file_round_trip():
-    dist = FiniteSupport(3, ((P("+-+"), Fraction(1, 4)), (P("---"), Fraction(3, 4))))
+    dist = FiniteSupport(3, ((P("+-+").mask, Fraction(1, 4)), (P("---").mask, Fraction(3, 4))))
     assert parse_finite_support(dump_finite_support(dist)) == dist
 
 
@@ -197,7 +197,7 @@ def test_finite_support_file_spec(tmp_path):
     path = tmp_path / "d.dist"
     path.write_text("+- 1/3\n-+ 2/3\n")
     dist = parse_distribution(f"file:{path}")
-    assert dist == FiniteSupport(2, ((P("+-"), Fraction(1, 3)), (P("-+"), Fraction(2, 3))))
+    assert dist == FiniteSupport(2, ((P("+-").mask, Fraction(1, 3)), (P("-+").mask, Fraction(2, 3))))
 
 
 def test_comments_and_blank_lines_ignored():

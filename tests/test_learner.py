@@ -220,9 +220,7 @@ def repeated_samples(draw):
     else:
         masks = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=6, unique=True))
         weights = draw(st.lists(st.integers(1, 5), min_size=len(masks), max_size=len(masks)))
-        dist = FiniteSupport(
-            n, tuple((CubePoint(n, m), Fraction(w, sum(weights))) for m, w in zip(masks, weights))
-        )
+        dist = FiniteSupport(n, tuple((m, Fraction(w, sum(weights))) for m, w in zip(masks, weights)))
     m1, m2 = draw(st.integers(0, 600)), draw(st.integers(0, 600))
     seeds = draw(st.tuples(st.integers(0, 1 << 30), st.integers(0, 1 << 30)))
     return target, dist, m1, m2, seeds

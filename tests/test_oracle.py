@@ -32,7 +32,7 @@ def test_draw_empty():
 
 
 def test_draw_point_mass():
-    dist = FiniteSupport(3, ((P("++-"), Fraction(1)),))
+    dist = FiniteSupport(3, ((P("++-").mask, Fraction(1)),))
     s = draw_training_set(dist, TARGET, 4, seed=1)
     assert (s.n, s.masks, s.labels) == (3, (P("++-").mask,) * 4, (1,) * 4)
     assert tuple(s) == ((P("++-"), 1),) * 4
@@ -49,7 +49,7 @@ def test_draw_labels_match_target():
     [
         UniformCube(3),
         ProductDist(3, (Fraction(1, 3), Fraction(1, 2), Fraction(9, 10))),
-        FiniteSupport(3, ((P("++-"), Fraction(1, 4)), (P("+-+"), Fraction(3, 4)))),
+        FiniteSupport(3, ((P("++-").mask, Fraction(1, 4)), (P("+-+").mask, Fraction(3, 4)))),
     ],
     ids=lambda d: type(d).__name__,
 )
@@ -424,6 +424,6 @@ def test_draw_training_set_matches_pointwise_reference(n, points, uniform, m, se
         dist = UniformCube(n)
     else:
         masks = sorted({p % (1 << n) for p in points})
-        dist = FiniteSupport(n, tuple((CubePoint(n, p), Fraction(1, len(masks))) for p in masks))
+        dist = FiniteSupport(n, tuple((p, Fraction(1, len(masks))) for p in masks))
     reference = [(CubePoint(n, x), target.evaluate(CubePoint(n, x))) for x in sample(dist, m, seed)]
     assert list(draw_training_set(dist, target, m, seed)) == reference
