@@ -22,7 +22,7 @@ from .harness import (
     run_reduction_suite,
     run_trial,
 )
-from .learner import plan_samples
+from .learner import plan_samples, require_epsilon
 from .oracle import BudgetExhausted, LocalityViolation
 from .reductions import CONSTRUCTIONS, make_reduction, verify_reduction
 
@@ -49,8 +49,7 @@ def _emit(payload: dict | list, out: str | None) -> None:
 def _cmd_learn(args: argparse.Namespace) -> int:
     target = parse_dnf(Path(args.target).read_text())
     dist = parse_distribution(args.dist)
-    if not 0 < args.epsilon < 1:
-        raise ValueError(f"epsilon must lie in (0,1), got {args.epsilon}")
+    require_epsilon(args.epsilon)
     if args.auto_plan:
         plan = plan_samples(target.n, args.epsilon)
         m1, m2 = plan.m1, plan.m2

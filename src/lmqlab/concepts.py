@@ -18,7 +18,7 @@ from functools import reduce
 from operator import or_
 from typing import Iterator, Mapping, Protocol, Union
 
-from .cube import CubePoint, DimensionMismatch
+from .cube import CubePoint, DimensionMismatch, require_count
 
 JUNTA_CAP = 16
 MAJ_POLY_CAP = 15
@@ -68,8 +68,7 @@ class Term:
                 f"term contains a variable and its negation: {sorted(self.positives & self.negatives)}"
             )
         for j in self.positives | self.negatives:
-            if not isinstance(j, int) or j < 1:
-                raise ValueError(f"variable indices must be positive integers, got {j!r}")
+            require_count(j, 1, "variable indices must be positive integers")
 
     @classmethod
     def of(cls, *literals: int) -> "Term":
@@ -125,8 +124,7 @@ class DnfFormula(MaskConcept):
     reads: int = field(init=False, repr=False, compare=False, default=0)
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"dimension must be a positive integer, got {self.n}")
+        require_count(self.n, 1, "dimension must be a positive integer")
         for t in self.terms:
             for j in t.variables:
                 if j > self.n:
@@ -181,8 +179,7 @@ class DecisionTree(MaskConcept):
     root: TreeNode
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"dimension must be a positive integer, got {self.n}")
+        require_count(self.n, 1, "dimension must be a positive integer")
         for var in self._vars(self.root):
             if not 1 <= var <= self.n:
                 raise ValueError(f"node variable {var} out of range 1..{self.n}")
@@ -261,8 +258,7 @@ class Dfa(MaskConcept):
         for s, row in enumerate(self.delta):
             if len(row) != 2 or not all(t in states for t in row):
                 raise ValueError(f"state {s} needs two transitions into 0..{len(states) - 1}, got {row!r}")
-        if self.length < 1:
-            raise ValueError(f"input length must be positive, got {self.length}")
+        require_count(self.length, 1, "input length must be positive")
 
     @property
     def n(self) -> int:
@@ -296,8 +292,7 @@ class Junta(MaskConcept):
     table: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"dimension must be a positive integer, got {self.n}")
+        require_count(self.n, 1, "dimension must be a positive integer")
         k = len(self.relevant)
         if k > JUNTA_CAP:
             raise ValueError(f"junta depends on {k} variables, cap is {JUNTA_CAP}")
@@ -338,8 +333,7 @@ class SparsePoly:
     monomials: Mapping[frozenset[int], Fraction]
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"dimension must be a positive integer, got {self.n}")
+        require_count(self.n, 1, "dimension must be a positive integer")
         cleaned: dict[frozenset[int], Fraction] = {}
         for vars_, coeff in self.monomials.items():
             vs = frozenset(vars_)

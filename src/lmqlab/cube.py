@@ -4,6 +4,10 @@ Coordinates are 1-based throughout the package. A point is stored as a
 bit mask so that flips, distances and enumeration reduce to integer
 arithmetic. Hot paths pass the bare int masks (the oracle's anchor scan,
 ``ReplicateMap.encode``/``decode``); ``CubePoint`` is the API form.
+
+``require_count`` is the package's one rule for a count, dimension or budget
+(an int, never a bool or a float, at least a bound); ``require_enumerable``
+holds the one comparison against ``ENUMERATION_CAP``.
 """
 
 from __future__ import annotations
@@ -19,6 +23,18 @@ class DimensionMismatch(ValueError):
     """Raised when cube values of different dimensions are combined."""
 
 
+def require_count(value: object, least: int, what: str) -> None:
+    """Refuse a count below ``least`` or one that is not an int (a bool is not a count)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ValueError(f"{what}, got {value!r}")
+
+
+def require_enumerable(n: int) -> None:
+    """Refuse to enumerate 2^n points above ``ENUMERATION_CAP``, so exhaustive loops stay at desk scale."""
+    if n > ENUMERATION_CAP:
+        raise ValueError(f"dimension {n} exceeds enumeration cap {ENUMERATION_CAP}")
+
+
 @dataclass(frozen=True, slots=True)
 class CubePoint:
     """A point of {-1,+1}^n.
@@ -31,8 +47,7 @@ class CubePoint:
     mask: int
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"dimension must be a positive integer, got {self.n}")
+        require_count(self.n, 1, "dimension must be a positive integer")
         if not 0 <= self.mask < (1 << self.n):
             raise ValueError(f"mask {self.mask} out of range for dimension {self.n}")
 
@@ -113,11 +128,14 @@ class ReplicateMap:
     _expand: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.source_n < 1 or self.k < 1:
-            raise ValueError(f"need positive dimension and factor, got n={self.source_n}, k={self.k}")
-        n, k, target = self.source_n, self.k, self.source_n * self.k
+        n, k = self.source_n, self.k
+        try:
+            require_count(n, 1, "n")
+            require_count(k, 1, "k")
+        except ValueError:
+            raise ValueError(f"need positive dimension and factor, got n={n}, k={k}") from None
         block = (1 << k) - 1
-        expand = tuple(block << (target - i * k) for i in range(1, n + 1))
+        expand = tuple(block << ((n - i) * k) for i in range(1, n + 1))
         object.__setattr__(self, "_expand", expand)
 
     @property
@@ -154,14 +172,8 @@ class ReplicateMap:
 
 
 def enumerate_cube(n: int) -> Iterator[CubePoint]:
-    """Yield all 2^n points in lexicographic order of coordinates (-1 < +1).
-
-    Refuses dimensions above ``ENUMERATION_CAP`` so exhaustive loops stay at
-    desk scale.
-    """
-    if n < 1:
-        raise ValueError(f"dimension must be a positive integer, got {n}")
-    if n > ENUMERATION_CAP:
-        raise ValueError(f"dimension {n} exceeds enumeration cap {ENUMERATION_CAP}")
+    """Yield all 2^n points in lexicographic order of coordinates (-1 < +1), n <= ``ENUMERATION_CAP``."""
+    require_count(n, 1, "dimension must be a positive integer")
+    require_enumerable(n)
     for mask in range(1 << n):
         yield CubePoint(n, mask)

@@ -27,7 +27,14 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Iterator, Optional, Union
 
-from .cube import ENUMERATION_CAP, CubePoint, DimensionMismatch, ReplicateMap
+from .cube import (
+    ENUMERATION_CAP,
+    CubePoint,
+    DimensionMismatch,
+    ReplicateMap,
+    require_count,
+    require_enumerable,
+)
 from .concepts import Concept
 
 
@@ -38,16 +45,14 @@ class UniformCube:
     n: int
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"dimension must be a positive integer, got {self.n}")
+        require_count(self.n, 1, "dimension must be a positive integer")
 
     def draws(self, rng: random.Random, m: int) -> list[int]:
         n, bits = self.n, rng.getrandbits
         return [bits(n) for _ in range(m)]
 
     def support(self) -> Iterator[tuple[int, Fraction]]:
-        if self.n > ENUMERATION_CAP:
-            raise ValueError(f"dimension {self.n} exceeds enumeration cap {ENUMERATION_CAP}")
+        require_enumerable(self.n)
         p = Fraction(1, 1 << self.n)
         for mask in range(1 << self.n):
             yield mask, p
@@ -61,8 +66,7 @@ class ProductDist:
     plus_probs: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"dimension must be a positive integer, got {self.n}")
+        require_count(self.n, 1, "dimension must be a positive integer")
         if len(self.plus_probs) != self.n:
             raise ValueError(f"need {self.n} probabilities, got {len(self.plus_probs)}")
         probs = tuple(Fraction(p) for p in self.plus_probs)
@@ -80,8 +84,7 @@ class ProductDist:
         return out
 
     def support(self) -> Iterator[tuple[int, Fraction]]:
-        if self.n > ENUMERATION_CAP:
-            raise ValueError(f"dimension {self.n} exceeds enumeration cap {ENUMERATION_CAP}")
+        require_enumerable(self.n)
         for mask in range(1 << self.n):
             prob = Fraction(1)
             for j, p in enumerate(self.plus_probs):
@@ -118,8 +121,7 @@ class FiniteSupport:
     _guide: tuple[Optional[int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"dimension must be a positive integer, got {self.n}")
+        require_count(self.n, 1, "dimension must be a positive integer")
         merged: dict[int, Fraction] = {}
         for mask, prob in self.entries:
             if not 0 <= mask < 1 << self.n:
@@ -183,8 +185,7 @@ Distribution = Union[UniformCube, ProductDist, FiniteSupport]
 
 def sample(dist: Distribution, m: int, seed: int) -> list[int]:
     """m i.i.d. draws as point masks, reproducible from the seed."""
-    if m < 0:
-        raise ValueError(f"sample count must be non-negative, got {m}")
+    require_count(m, 0, "sample count must be non-negative")
     return dist.draws(random.Random(seed), m)
 
 
@@ -207,8 +208,7 @@ class LabeledSample:
     labels: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"dimension must be a positive integer, got {self.n}")
+        require_count(self.n, 1, "dimension must be a positive integer")
         if len(self.masks) != len(self.labels):
             raise ValueError(f"{len(self.masks)} masks but {len(self.labels)} labels")
         if self.masks and not (0 <= min(self.masks) and max(self.masks) < 1 << self.n):
@@ -254,7 +254,6 @@ def mc_loss(dist: Distribution, h_star: Concept, h_hat: Concept, m: int, seed: i
     projected onto them and each distinct projection labelled once.
     """
     _check_loss_dims(dist, h_star, h_hat)
-    if m <= 0:
-        raise ValueError(f"sample count must be positive, got {m}")
+    require_count(m, 1, "sample count must be positive")
     counts = Counter(map((h_star.reads | h_hat.reads).__and__, sample(dist, m, seed)))
     return Fraction(sum(c for x, c in counts.items() if h_star.label(x) != h_hat.label(x)), m)

@@ -21,7 +21,7 @@ from functools import lru_cache
 from typing import Iterator, Optional
 
 from .concepts import DecisionTree, DnfFormula, Term, dnf_of_tree
-from .cube import ENUMERATION_CAP, CubePoint, DimensionMismatch, ReplicateMap
+from .cube import CubePoint, DimensionMismatch, ReplicateMap, require_count, require_enumerable
 from .distributions import Distribution
 
 
@@ -98,8 +98,7 @@ def iter_bits(bitset: int) -> Iterator[int]:
 def evident_tables(formula: DnfFormula) -> tuple[list[int], int, list[int]]:
     """Per-term satisfaction tables, the formula table, and evident-point tables (n <= ``ENUMERATION_CAP``)."""
     n = formula.n
-    if n > ENUMERATION_CAP:
-        raise ValueError(f"dimension {n} exceeds enumeration cap {ENUMERATION_CAP}")
+    require_enumerable(n)
     full = (1 << (1 << n)) - 1
     sat = [_term_table(t, n) for t in formula.terms]
     h_table = twice = 0  # points satisfying at least one term, and at least two
@@ -200,12 +199,10 @@ def gen_opposite_literal_dnf(n: int, d: int, term_width: int, seed: int) -> DnfF
     whose minimum distance 2 is exactly the pairwise-opposite requirement.
     At most 2^(width-1) such terms exist; asking for more raises.
     """
-    if term_width < 2:
-        raise ValueError(f"term width must be at least 2, got {term_width}")
+    require_count(term_width, 2, "term width must be at least 2")
     if term_width > n:
         raise ValueError(f"term width {term_width} exceeds dimension {n}")
-    if d < 1:
-        raise ValueError(f"term count must be positive, got {d}")
+    require_count(d, 1, "term count must be positive")
     if d > 1 << (term_width - 1):
         raise ValueError(
             f"at most {1 << (term_width - 1)} pairwise-opposite terms of width "

@@ -31,7 +31,7 @@ from .concepts import (
     random_junta,
     random_tree,
 )
-from .cube import CubePoint, ReplicateMap, enumerate_cube
+from .cube import CubePoint, ReplicateMap, enumerate_cube, require_count
 from .distributions import Distribution, UniformCube, exact_loss, mc_loss, pushforward
 from .evident import (
     doubling_dnf,
@@ -42,8 +42,8 @@ from .evident import (
     iter_bits,
     satisfies_evidently,
 )
-from .learner import LearnerRun, learn_evident_dnf, learn_evident_dnf_run, reconstruct_term
-from .oracle import BudgetExhausted, LocalityViolation, LocalMQOracle, _require_count, draw_training_set
+from .learner import LearnerRun, learn_evident_dnf, learn_evident_dnf_run, reconstruct_term, require_epsilon
+from .oracle import BudgetExhausted, LocalityViolation, LocalMQOracle, draw_training_set
 from .reductions import (
     QReduction,
     build_block_checker,
@@ -129,17 +129,19 @@ class ExperimentConfig:
     success_threshold: Optional[int] = None
 
     def __post_init__(self) -> None:
-        _require_count(self.trials, 1, "trial count must be at least 1")
-        if not 0 < self.epsilon < 1:
-            raise ValueError(f"epsilon must lie in (0,1), got {self.epsilon}")
+        require_count(self.trials, 1, "trial count must be at least 1")
+        require_epsilon(self.epsilon)
         try:
-            _require_count(self.m1, 0, "m1")
-            _require_count(self.m2, 0, "m2")
+            require_count(self.m1, 0, "m1")
+            require_count(self.m2, 0, "m2")
         except ValueError:
             raise ValueError(f"sample sizes must be non-negative, got m1={self.m1}, m2={self.m2}") from None
-        _require_count(self.q, 0, "locality budget must be non-negative")
-        if self.success_threshold is not None and not 0 <= self.success_threshold <= self.trials:
-            raise ValueError(f"success threshold must lie in 0..{self.trials}, got {self.success_threshold}")
+        require_count(self.q, 0, "locality budget must be non-negative")
+        if self.success_threshold is not None:
+            what = f"success threshold must lie in 0..{self.trials}"
+            require_count(self.success_threshold, 0, what)
+            if self.success_threshold > self.trials:
+                raise ValueError(f"{what}, got {self.success_threshold}")
 
     @property
     def threshold(self) -> int:
@@ -340,8 +342,7 @@ def run_reconstruction_corpus(count: int = 1000, base_seed: int = 0) -> CorpusRe
     deterministic subset of formulas, and term reconstruction through a real
     1-local oracle on every evident point.
     """
-    if count < 1:
-        raise ValueError(f"formula count must be at least 1, got {count}")
+    require_count(count, 1, "formula count must be at least 1")
     report = CorpusReport()
     t_recon = 0.0
     t0 = time.perf_counter()

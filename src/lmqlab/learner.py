@@ -20,7 +20,7 @@ from itertools import compress
 from typing import Optional
 
 from .concepts import DnfFormula, Term
-from .cube import DimensionMismatch
+from .cube import DimensionMismatch, require_count
 from .distributions import LabeledSample
 from .oracle import LocalMQOracle, OracleStats
 
@@ -33,6 +33,12 @@ class SampleSizePlan:
     m2: int
 
 
+def require_epsilon(epsilon: float) -> None:
+    """Refuse an accuracy parameter outside the open interval (0, 1), nan included."""
+    if not (0 < epsilon < 1):
+        raise ValueError(f"epsilon must lie in (0,1), got {epsilon}")
+
+
 def plan_samples(n: int, epsilon: float, d: Optional[int] = None) -> SampleSizePlan:
     """Smallest integer sample sizes meeting the learner's guarantee bounds.
 
@@ -41,15 +47,12 @@ def plan_samples(n: int, epsilon: float, d: Optional[int] = None) -> SampleSizeP
     to (32 n d / eps) ln(32 d / eps). The second stage always needs
     (32 m1 / eps) ln(32 m1 / eps).
     """
-    if n < 1:
-        raise ValueError(f"dimension must be a positive integer, got {n}")
-    if not 0 < epsilon < 1:
-        raise ValueError(f"epsilon must lie strictly between 0 and 1, got {epsilon}")
+    require_count(n, 1, "dimension must be a positive integer")
+    require_epsilon(epsilon)
     if d is None:
         m1 = math.ceil((32 * n ** 3 / epsilon) * math.log(32 * n ** 2 / epsilon))
     else:
-        if d < 1:
-            raise ValueError(f"term count must be positive, got {d}")
+        require_count(d, 1, "term count must be positive")
         m1 = math.ceil((32 * n * d / epsilon) * math.log(32 * d / epsilon))
     m2 = math.ceil((32 * m1 / epsilon) * math.log(32 * m1 / epsilon))
     return SampleSizePlan(n, epsilon, m1, m2)

@@ -20,16 +20,10 @@ from itertools import chain
 from typing import Iterable, Sequence
 
 from .concepts import Concept
-from .cube import CubePoint, DimensionMismatch
+from .cube import CubePoint, DimensionMismatch, require_count
 from .distributions import Distribution, LabeledSample, sample
 
 QUERY_BUDGET_FACTOR = 64
-
-
-def _require_count(value: object, least: int, what: str) -> None:
-    """Refuse a count below ``least`` or one that is not an int (a bool is not a count)."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        raise ValueError(f"{what}, got {value!r}")
 
 
 class LocalityViolation(RuntimeError):
@@ -88,11 +82,11 @@ class LocalMQOracle:
         for a in anchors:
             if a.n != self.n:
                 raise DimensionMismatch(f"anchor dimension {a.n} differs from target {self.n}")
-        _require_count(q, 0, "locality budget must be non-negative")
+        require_count(q, 0, "locality budget must be non-negative")
         self._anchors = frozenset(a.mask for a in anchors)
         if query_cap is None:
             query_cap = QUERY_BUDGET_FACTOR * self.n * max(1, len(anchors))
-        _require_count(query_cap, 0, "query budget must be a non-negative integer")
+        require_count(query_cap, 0, "query budget must be a non-negative integer")
         self.query_cap = query_cap
         # One [answer, distance, times] entry per distinct query mask, in order of first asking.
         self._asked: dict[int, list[int]] = {}
@@ -139,7 +133,7 @@ class LocalMQOracle:
         only, by one scan for the nearest anchor. A batch that does not fit
         the budget is refused whole.
         """
-        _require_count(times, 1, "a query is asked a whole number of times, at least once")
+        require_count(times, 1, "a query is asked a whole number of times, at least once")
         distance = None
         if mask not in self._asked:
             if not 0 <= mask < 1 << self.n:
@@ -159,7 +153,7 @@ class LocalMQOracle:
         1-local (distance 0 if an anchor itself, else 1), so a batch that fits
         the budget scans no anchor.
         """
-        _require_count(times, 1, "a query is asked a whole number of times, at least once")
+        require_count(times, 1, "a query is asked a whole number of times, at least once")
         flips = [mask ^ (1 << i) for i in range(self.n - 1, -1, -1)]
         anchors = self._anchors
         if self.q < 1 or mask not in anchors or self._count + self.n * times > self.query_cap:

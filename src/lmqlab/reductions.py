@@ -42,7 +42,7 @@ from .concepts import (
     random_junta,
     random_tree,
 )
-from .cube import CubePoint, DimensionMismatch, ReplicateMap, ball_size, masks_at_distance
+from .cube import CubePoint, DimensionMismatch, ReplicateMap, ball_size, masks_at_distance, require_count
 from .distributions import LabeledSample
 from .formats import parse_dfa, parse_dnf, parse_junta, parse_poly, parse_tree
 from .oracle import LocalMQOracle
@@ -86,8 +86,7 @@ class QReduction:
     def __post_init__(self) -> None:
         if self.kind not in ("A", "B"):
             raise ValueError(f"kind must be 'A' or 'B', got {self.kind!r}")
-        if self.q < 0:
-            raise ValueError(f"locality budget must be non-negative, got {self.q}")
+        require_count(self.q, 0, "locality budget must be non-negative")
         spread = self.q if self.kind == "A" else 2 * self.q
         if spread >= self.phi.k:
             raise ValueError(f"kind {self.kind} at q={self.q} needs k > {spread}, got k={self.phi.k}")
@@ -324,6 +323,7 @@ def make_reduction(name: str, n: int, *, k: int | None = None, q0: int = 1) -> Q
         k = n * n if k is None else k
         phi, q = ReplicateMap(n, k), k - 1
     else:
+        require_count(q0, 0, "locality budget must be non-negative")
         phi, q = ReplicateMap(n, 2 * q0 + 1), q0
 
     def transform(h: Concept) -> Concept:

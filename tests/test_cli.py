@@ -259,6 +259,12 @@ def test_zero_denominator_is_a_json_error(tmp_path, capsys, argv):
     assert error == {"error": "zero denominator in '1/0'", "type": "ValueError"}
 
 
+def test_negative_q0_is_a_json_error_naming_the_budget(capsys):
+    # It used to blame a replication factor never passed: "need positive dimension and factor, got n=4, k=-1".
+    error = _usage_error(capsys, ["verify-reduction", "--construction", "junta", "--n", "4", "--q0", "-1"])
+    assert error == {"error": "locality budget must be non-negative, got -1", "type": "ValueError"}
+
+
 @pytest.mark.parametrize("beta", ["-3", "0", "3/2"])
 def test_check_evident_beta_outside_unit_interval_is_a_json_error(formula_file, capsys, beta):
     argv = ["check-evident", "--formula", formula_file, "--dist", "uniform:4", "--beta", beta]

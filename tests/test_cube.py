@@ -1,6 +1,9 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lmqlab import concepts, cube, distributions, evident, harness, learner, reductions
 from lmqlab.concepts import DnfFormula, Term
 from lmqlab.cube import (
     ENUMERATION_CAP,
@@ -174,3 +177,132 @@ def test_masks_at_distance_counts():
     masks = set(masks_at_distance(0b1010, 4, 2))
     assert len(masks) == 6
     assert all((m ^ 0b1010).bit_count() == 2 for m in masks)
+
+
+
+# ---------------------------------------------------------------------------
+# One rule for counts: every entry point that takes a count, dimension or
+# budget refuses a bool or a float with the message it gives a bad int.
+# Helpers are reached through their modules so each row stands on its own.
+
+
+def _oracle(**kwargs) -> LocalMQOracle:
+    return LocalMQOracle(DnfFormula(2, ()), [P("+-")], **{"q": 1, **kwargs})
+
+
+def _config(**overrides) -> harness.ExperimentConfig:
+    family = harness.opposite_literal_family(4, 5)
+    fields = dict(name="t", family=family, trials=3, base_seed=0, epsilon=0.2, m1=1, m2=1)
+    return harness.ExperimentConfig(**{**fields, **overrides})
+
+
+def _mc_loss(m):
+    h = DnfFormula(2, ())
+    return distributions.mc_loss(distributions.UniformCube(2), h, h, m, 0)
+
+
+def _bad_n(v) -> str:
+    return f"need positive dimension and factor, got n={v!r}, k=3"
+
+
+def _bad_k(v) -> str:
+    return f"need positive dimension and factor, got n=2, k={v!r}"
+
+
+_DIMENSION = "dimension must be a positive integer"
+_LOCALITY = "locality budget must be non-negative"
+_TIMES = "a query is asked a whole number of times, at least once"
+_HALF = Fraction(1, 2)
+
+# id, call on the value, an int the call refuses, and the message prefix (or the whole message per value).
+COUNT_ROWS = [
+    ("CubePoint", lambda v: cube.CubePoint(v, 0), 0, _DIMENSION),
+    ("ReplicateMap.n", lambda v: cube.ReplicateMap(v, 3), 0, _bad_n),
+    ("ReplicateMap.k", lambda v: cube.ReplicateMap(2, v), 0, _bad_k),
+    ("enumerate_cube", lambda v: list(cube.enumerate_cube(v)), 0, _DIMENSION),
+    ("Term", lambda v: Term(frozenset({v}), frozenset()), 0, "variable indices must be positive integers"),
+    ("DnfFormula", lambda v: DnfFormula(v, ()), 0, _DIMENSION),
+    ("DecisionTree", lambda v: concepts.DecisionTree(v, concepts.Leaf(1)), 0, _DIMENSION),
+    ("Junta", lambda v: concepts.Junta(v, (), (1,)), 0, _DIMENSION),
+    ("SparsePoly", lambda v: concepts.SparsePoly(v, {}), 0, _DIMENSION),
+    ("Dfa.length", lambda v: concepts.Dfa(((0, 0),), 0, frozenset({0}), v), 0, "input length must be positive"),
+    ("UniformCube", lambda v: distributions.UniformCube(v), 0, _DIMENSION),
+    ("ProductDist", lambda v: distributions.ProductDist(v, (_HALF, _HALF)), 0, _DIMENSION),
+    ("FiniteSupport", lambda v: distributions.FiniteSupport(v, ((0, Fraction(1)),)), 0, _DIMENSION),
+    ("LabeledSample", lambda v: distributions.LabeledSample(v, (), ()), 0, _DIMENSION),
+    ("sample", lambda v: distributions.sample(distributions.UniformCube(2), v, 0), -1,
+     "sample count must be non-negative"),
+    ("mc_loss", _mc_loss, 0, "sample count must be positive"),
+    ("gen_opposite_literal_dnf.d", lambda v: evident.gen_opposite_literal_dnf(6, v, 3, 0), 0,
+     "term count must be positive"),
+    ("gen_opposite_literal_dnf.term_width", lambda v: evident.gen_opposite_literal_dnf(6, 1, v, 0), 1,
+     "term width must be at least 2"),
+    ("plan_samples.n", lambda v: learner.plan_samples(v, 0.1), 0, _DIMENSION),
+    ("plan_samples.d", lambda v: learner.plan_samples(4, 0.1, v), 0, "term count must be positive"),
+    ("LocalMQOracle.q", lambda v: _oracle(q=v), -1, _LOCALITY),
+    ("LocalMQOracle.query_cap", lambda v: _oracle(query_cap=v), -1, "query budget must be a non-negative integer"),
+    ("LocalMQOracle.ask", lambda v: _oracle().ask(0b10, v), 0, _TIMES),
+    ("LocalMQOracle.ask_flips", lambda v: _oracle().ask_flips(0b10, v), 0, _TIMES),
+    ("ExperimentConfig.trials", lambda v: _config(trials=v), 0, "trial count must be at least 1"),
+    ("ExperimentConfig.m1", lambda v: _config(m1=v), -1,
+     lambda v: f"sample sizes must be non-negative, got m1={v!r}, m2=1"),
+    ("ExperimentConfig.q", lambda v: _config(q=v), -1, _LOCALITY),
+    ("ExperimentConfig.success_threshold", lambda v: _config(success_threshold=v), -1,
+     "success threshold must lie in 0..3"),
+    ("run_reconstruction_corpus", harness.run_reconstruction_corpus, 0, "formula count must be at least 1"),
+    ("QReduction.q", lambda v: reductions.QReduction("junta", "B", cube.ReplicateMap(2, 3), v, None), -1,
+     _LOCALITY),
+    ("make_reduction.q0", lambda v: reductions.make_reduction("junta", 2, q0=v), -1, _LOCALITY),
+    ("make_reduction.k", lambda v: reductions.make_reduction("dnf", 2, k=v), 0, _bad_k),
+]
+
+
+@pytest.mark.parametrize("kind", ["int", "bool", "float"])
+@pytest.mark.parametrize(
+    "call, bad_int, message", [r[1:] for r in COUNT_ROWS], ids=[r[0] for r in COUNT_ROWS]
+)
+def test_counts_refuse_bools_and_floats_with_the_int_message(call, bad_int, message, kind):
+    value = {"int": bad_int, "bool": True, "float": 2.5}[kind]
+    expected = message(value) if callable(message) else f"{message}, got {value!r}"
+    with pytest.raises(ValueError) as exc:
+        call(value)
+    assert exc.type is ValueError and str(exc.value) == expected
+
+
+EPSILON_ROWS = [
+    ("plan_samples", lambda e: learner.plan_samples(4, e)),
+    ("ExperimentConfig", lambda e: _config(epsilon=e)),
+    ("require_epsilon", lambda e: learner.require_epsilon(e)),
+]
+
+
+@pytest.mark.parametrize("epsilon", [0, 1, float("nan")], ids=["0", "1", "nan"])
+@pytest.mark.parametrize("call", [r[1] for r in EPSILON_ROWS], ids=[r[0] for r in EPSILON_ROWS])
+def test_epsilon_outside_the_open_unit_interval_has_one_message(call, epsilon):
+    with pytest.raises(ValueError) as exc:
+        call(epsilon)
+    assert exc.type is ValueError and str(exc.value) == f"epsilon must lie in (0,1), got {epsilon}"
+
+
+_ABOVE_CAP = ENUMERATION_CAP + 1
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: cube.require_enumerable(_ABOVE_CAP),
+        lambda: list(cube.enumerate_cube(_ABOVE_CAP)),
+        lambda: list(distributions.UniformCube(_ABOVE_CAP).support()),
+        lambda: list(distributions.ProductDist(_ABOVE_CAP, (_HALF,) * _ABOVE_CAP).support()),
+        lambda: evident.evident_tables(DnfFormula(_ABOVE_CAP, ())),
+    ],
+    ids=["require_enumerable", "enumerate_cube", "UniformCube.support", "ProductDist.support", "evident_tables"],
+)
+def test_enumeration_cap_has_one_message(call):
+    message = f"^dimension {_ABOVE_CAP} exceeds enumeration cap {ENUMERATION_CAP}$"
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_enumeration_cap_itself_is_enumerable():
+    cube.require_enumerable(ENUMERATION_CAP)

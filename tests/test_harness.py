@@ -142,7 +142,7 @@ def test_counts_that_are_not_ints_rejected(field, value, message):
         small_config(**{field: value})
 
 
-@pytest.mark.parametrize("threshold", [-1, 4])
+@pytest.mark.parametrize("threshold", [-1, 4, True, 1.5])
 def test_success_threshold_outside_trial_count_rejected(threshold):
     with pytest.raises(ValueError, match=f"success threshold must lie in 0..3, got {threshold}"):
         small_config(trials=3, success_threshold=threshold)
