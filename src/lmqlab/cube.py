@@ -7,7 +7,8 @@ arithmetic. Hot paths pass the bare int masks (the oracle's anchor scan,
 
 ``require_count`` is the package's one rule for a count, dimension or budget
 (an int, never a bool or a float, at least a bound); ``require_enumerable``
-holds the one comparison against ``ENUMERATION_CAP``.
+holds every enumeration's comparison against ``ENUMERATION_CAP``. ``exact_loss``
+keeps its own comparison, because its message carries the ``use mc_loss`` hint.
 """
 
 from __future__ import annotations

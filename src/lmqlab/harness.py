@@ -459,17 +459,6 @@ class ReductionSuiteReport:
         }
 
 
-def _verify_into(report: ReductionSuiteReport, reduction: QReduction, concept, fixture: str) -> None:
-    result = verify_reduction(reduction, concept)
-    entry = result.to_dict()
-    entry["fixture"] = fixture
-    report.constructions.append(entry)
-
-
-def _size_check(report: ReductionSuiteReport, name: str, passed: bool, details: str) -> None:
-    report.size_checks.append({"check": name, "passed": passed, "details": details})
-
-
 def _audit_simulation(
     report: ReductionSuiteReport,
     reduction: QReduction,
@@ -494,31 +483,18 @@ def _audit_simulation(
 
 
 def run_reduction_suite(base_seed: int = 0) -> ReductionSuiteReport:
-    """Verification matrix over all shipped constructions at desk scale."""
+    """Verification matrix over all shipped constructions at desk scale: each section is rows run by one loop."""
     report = ReductionSuiteReport()
+    # Random fixtures are drawn first, in one fixed order, so every row replays from the seed.
     rng = random.Random(derive_seed(base_seed, "reductions"))
-
-    # Replicated-coordinate DNFs, label-1 near image.
-    for n in (2, 3):
-        _verify_into(report, make_reduction("dnf", n), DnfFormula(n, (Term.of(1),)), f"x1 over n={n}")
-        _verify_into(report, make_reduction("dnf", n), random_dnf(n, 2, 2, rng), f"random dnf n={n}")
-
-    # Automata through the checker/simulator product.
-    for n in (2, 3):
-        _verify_into(report, make_reduction("dfa", n), parity_dfa(n), f"parity n={n}")
-        _verify_into(report, make_reduction("dfa", n), random_dfa(n, 3, rng), f"random dfa n={n}")
-
-    # Majority-of-copies constructions, nearest-anchor labels.
-    xor_junta = Junta(4, (1, 2), (0, 1, 1, 0))
-    _verify_into(report, make_reduction("junta", 4, q0=1), xor_junta, "xor junta n=4 q0=1")
-    _verify_into(report, make_reduction("junta", 4, q0=2), xor_junta, "xor junta n=4 q0=2")
-    _verify_into(report, make_reduction("junta", 6, q0=1), random_junta(6, 3, rng), "random junta n=6 q0=1")
-
+    dnf2 = random_dnf(2, 2, 2, rng)
+    dnf3 = random_dnf(3, 2, 2, rng)
+    dfa2 = random_dfa(2, 3, rng)
+    dfa3 = random_dfa(3, 3, rng)
+    junta6 = random_junta(6, 3, rng)
     tree42 = random_tree(4, 4, rng)
-    _verify_into(report, make_reduction("tree", 4, q0=1), tree42, "random tree n=4 q0=1")
-    _verify_into(report, make_reduction("tree", 4, q0=2), tree42, "random tree n=4 q0=2")
-    _verify_into(report, make_reduction("tree", 6, q0=1), random_tree(6, 6, rng), "random tree n=6 q0=1")
-
+    tree66 = random_tree(6, 6, rng)
+    xor_junta = Junta(4, (1, 2), (0, 1, 1, 0))
     linear4 = SparsePoly(
         4,
         {
@@ -528,93 +504,97 @@ def run_reduction_suite(base_seed: int = 0) -> ReductionSuiteReport:
             frozenset(): Fraction(1, 7),
         },
     )
-    _verify_into(report, make_reduction("poly", 4, q0=1), linear4, "linear poly n=4 q0=1")
-    _verify_into(report, make_reduction("poly", 4, q0=2), linear4, "linear poly n=4 q0=2")
-    quadratic = SparsePoly(4, {frozenset({1, 2}): Fraction(1), frozenset({3}): Fraction(2)})
-    _verify_into(report, make_reduction("poly", 4, q0=1), quadratic, "quadratic poly n=4 q0=1")
     ptf = SparsePtf(linear4, Fraction(1, 10))
-    _verify_into(report, make_reduction("ptf", 4, q0=1), ptf, "linear ptf n=4 q0=1")
-    _verify_into(report, make_reduction("ptf", 6, q0=2), SparsePtf(
-        SparsePoly(6, {frozenset({j}): Fraction(1) for j in range(1, 7)}), Fraction(0)
-    ), "vote ptf n=6 q0=2")
+    quadratic = SparsePoly(4, {frozenset({1, 2}): Fraction(1), frozenset({3}): Fraction(2)})
+    vote = SparsePtf(SparsePoly(6, {frozenset({j}): Fraction(1) for j in range(1, 7)}), Fraction(0))
+    # (construction, n, q0, concept, fixture): replicated-coordinate DNFs and automata
+    # (kind A, which ignores q0), then the majority-of-copies constructions (kind B).
+    rows = (
+        ("dnf", 2, 1, DnfFormula(2, (Term.of(1),)), "x1 over n=2"),
+        ("dnf", 2, 1, dnf2, "random dnf n=2"),
+        ("dnf", 3, 1, DnfFormula(3, (Term.of(1),)), "x1 over n=3"),
+        ("dnf", 3, 1, dnf3, "random dnf n=3"),
+        ("dfa", 2, 1, parity_dfa(2), "parity n=2"),
+        ("dfa", 2, 1, dfa2, "random dfa n=2"),
+        ("dfa", 3, 1, parity_dfa(3), "parity n=3"),
+        ("dfa", 3, 1, dfa3, "random dfa n=3"),
+        ("junta", 4, 1, xor_junta, "xor junta n=4 q0=1"),
+        ("junta", 4, 2, xor_junta, "xor junta n=4 q0=2"),
+        ("junta", 6, 1, junta6, "random junta n=6 q0=1"),
+        ("tree", 4, 1, tree42, "random tree n=4 q0=1"),
+        ("tree", 4, 2, tree42, "random tree n=4 q0=2"),
+        ("tree", 6, 1, tree66, "random tree n=6 q0=1"),
+        ("poly", 4, 1, linear4, "linear poly n=4 q0=1"),
+        ("poly", 4, 2, linear4, "linear poly n=4 q0=2"),
+        ("poly", 4, 1, quadratic, "quadratic poly n=4 q0=1"),
+        ("ptf", 4, 1, ptf, "linear ptf n=4 q0=1"),
+        ("ptf", 6, 2, vote, "vote ptf n=6 q0=2"),
+    )
+    for name, n, q0, concept, fixture in rows:
+        entry = verify_reduction(make_reduction(name, n, q0=q0), concept).to_dict()
+        entry["fixture"] = fixture
+        report.constructions.append(entry)
 
-    # Size accounting.
+    # Size accounting, as (check, passed, details).
+    checks = []
     for n in (2, 3):
         a = parity_dfa(n)
         phi = make_reduction("dfa", n).phi
         simulator = build_block_simulator(a, phi)
-        _size_check(
-            report,
-            f"simulator states n={n}",
-            simulator.num_states == a.num_states * n * n,
-            f"{simulator.num_states} == {a.num_states} * {n * n}",
-        )
         checker = build_block_checker(phi)
         product = dfa_product_or(checker, simulator)
-        _size_check(
-            report,
-            f"product states n={n}",
-            product.num_states <= checker.num_states * simulator.num_states,
-            f"{product.num_states} <= {checker.num_states * simulator.num_states}",
-        )
+        checks += [
+            (
+                f"simulator states n={n}",
+                simulator.num_states == a.num_states * n * n,
+                f"{simulator.num_states} == {a.num_states} * {n * n}",
+            ),
+            (
+                f"product states n={n}",
+                product.num_states <= checker.num_states * simulator.num_states,
+                f"{product.num_states} <= {checker.num_states * simulator.num_states}",
+            ),
+        ]
     for q0 in (1, 2):
         r = 2 * q0 + 1
         reduced = make_reduction("tree", 4, q0=q0).transform(tree42)
-        _size_check(
-            report,
-            f"tree leaves q0={q0}",
-            reduced.leaf_count == tree42.leaf_count ** r,
-            f"{reduced.leaf_count} == {tree42.leaf_count}^{r}",
-        )
         grown = make_reduction("poly", 4, q0=q0).transform(linear4)
         degree_ok = grown.degree <= r * max(1, linear4.degree)
         count_ok = grown.coefficient_count <= (1 << r) * linear4.coefficient_count
-        _size_check(
-            report,
-            f"poly growth q0={q0}",
-            degree_ok and count_ok,
-            f"degree {grown.degree} <= {r}*{linear4.degree}; "
-            f"coeffs {grown.coefficient_count} <= 2^{r}*{linear4.coefficient_count}",
-        )
+        checks += [
+            (
+                f"tree leaves q0={q0}",
+                reduced.leaf_count == tree42.leaf_count ** r,
+                f"{reduced.leaf_count} == {tree42.leaf_count}^{r}",
+            ),
+            (
+                f"poly growth q0={q0}",
+                degree_ok and count_ok,
+                f"degree {grown.degree} <= {r}*{linear4.degree}; "
+                f"coeffs {grown.coefficient_count} <= 2^{r}*{linear4.coefficient_count}",
+            ),
+        ]
     for k in (1, 3, 5, 7):
         poly = maj_poly(k)
-        half = k // 2
-        agrees = all(poly.value(m) == (1 if m.bit_count() > half else -1) for m in range(1 << k))
-        _size_check(
-            report,
-            f"majority expansion k={k}",
-            agrees and poly.coefficient_count <= 1 << k and poly.degree <= k,
-            f"{poly.coefficient_count} coefficients, degree {poly.degree}",
+        agrees = all(poly.value(m) == (1 if m.bit_count() > k // 2 else -1) for m in range(1 << k))
+        checks.append(
+            (
+                f"majority expansion k={k}",
+                agrees and poly.coefficient_count <= 1 << k and poly.degree <= k,
+                f"{poly.coefficient_count} coefficients, degree {poly.degree}",
+            )
         )
+    report.size_checks.extend({"check": c, "passed": ok, "details": d} for c, ok, d in checks)
 
-    # Query synthesis audit over both kinds.
-    _audit_simulation(
-        report,
-        make_reduction("dnf", 3),
-        DnfFormula(3, (Term.of(1),)),
-        UniformCube(3),
-        600,
-        600,
-        derive_seed(base_seed, "sim-dnf"),
+    # Query synthesis audit over both kinds: (construction, n, q0, concept, m1 = m2, seed tag).
+    audits = (
+        ("dnf", 3, 1, DnfFormula(3, (Term.of(1),)), 600, "sim-dnf"),
+        ("junta", 4, 1, xor_junta, 500, "sim-junta"),
+        ("ptf", 4, 2, ptf, 500, "sim-ptf"),
     )
-    _audit_simulation(
-        report,
-        make_reduction("junta", 4, q0=1),
-        xor_junta,
-        UniformCube(4),
-        500,
-        500,
-        derive_seed(base_seed, "sim-junta"),
-    )
-    _audit_simulation(
-        report,
-        make_reduction("ptf", 4, q0=2),
-        ptf,
-        UniformCube(4),
-        500,
-        500,
-        derive_seed(base_seed, "sim-ptf"),
-    )
+    for name, n, q0, concept, m, tag in audits:
+        reduction = make_reduction(name, n, q0=q0)
+        _audit_simulation(report, reduction, concept, UniformCube(n), m, m, derive_seed(base_seed, tag))
 
     controls = [
         ("detector dropped", corrupted_dnf_reduction_without_detector(2), DnfFormula(2, (Term.of(1),))),

@@ -34,9 +34,11 @@ class SampleSizePlan:
 
 
 def require_epsilon(epsilon: float) -> None:
-    """Refuse an accuracy parameter outside the open interval (0, 1), nan included."""
+    """Refuse an accuracy parameter outside the open interval (0, 1), nan included, or one that is not a float."""
     if not (0 < epsilon < 1):
         raise ValueError(f"epsilon must lie in (0,1), got {epsilon}")
+    if not isinstance(epsilon, float):
+        raise ValueError(f"epsilon must be a float, got {epsilon!r}")
 
 
 def plan_samples(n: int, epsilon: float, d: Optional[int] = None) -> SampleSizePlan:

@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -282,6 +283,16 @@ def test_epsilon_outside_the_open_unit_interval_has_one_message(call, epsilon):
     with pytest.raises(ValueError) as exc:
         call(epsilon)
     assert exc.type is ValueError and str(exc.value) == f"epsilon must lie in (0,1), got {epsilon}"
+
+
+@pytest.mark.parametrize("epsilon", [Fraction(1, 2), Decimal("0.5")], ids=["Fraction", "Decimal"])
+@pytest.mark.parametrize("call", [r[1] for r in EPSILON_ROWS], ids=[r[0] for r in EPSILON_ROWS])
+def test_epsilon_that_is_not_a_float_is_refused_before_any_work(call, epsilon):
+    # Inside (0, 1) but not JSON-serialisable: a suite would run every trial and
+    # only then fail to write its canonical report.
+    with pytest.raises(ValueError) as exc:
+        call(epsilon)
+    assert exc.type is ValueError and str(exc.value) == f"epsilon must be a float, got {epsilon!r}"
 
 
 _ABOVE_CAP = ENUMERATION_CAP + 1

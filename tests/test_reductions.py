@@ -9,6 +9,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lmqlab import harness
 from lmqlab.concepts import (
     DecisionTree,
     DnfFormula,
@@ -781,6 +782,26 @@ def test_verify_reduction_refuses_transform_into_another_dimension():
         (1, "6104f894f6f0484d5afc9bd386353a9dede7487389e29c33c9472a8c4ab946ac"),
     ],
 )
-def test_reduction_suite_digest_is_pinned(seed, digest):
-    payload = json.dumps(run_reduction_suite(seed).to_dict(), sort_keys=True)
+def test_reduction_suite_digest_is_pinned(seed, digest, monkeypatch):
+    # perfbench times its items by replacing these names in lmqlab.harness, so the
+    # suite must call them there: one verify per row, then the controls, and one
+    # simulation per audit.
+    verified, simulated = [], []
+
+    def verify(reduction, concept):
+        verified.append(reduction.name)
+        return verify_reduction(reduction, concept)
+
+    def simulate(*args):
+        simulated.append(args[1].name)
+        return simulate_pac_from_local(*args)
+
+    monkeypatch.setattr(harness, "verify_reduction", verify)
+    monkeypatch.setattr(harness, "simulate_pac_from_local", simulate)
+    report = run_reduction_suite(seed)
+    payload = json.dumps(report.to_dict(), sort_keys=True)
     assert hashlib.sha256(payload.encode()).hexdigest() == digest
+    shipped = [c["name"] for c in report.constructions]
+    assert len(shipped) == 19
+    assert verified == shipped + ["dnf-no-detector", "dfa-stuck-simulator", "tree-first-copy"]
+    assert simulated == ["dnf", "junta", "ptf"]
