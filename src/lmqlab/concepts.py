@@ -138,13 +138,12 @@ class DnfFormula(MaskConcept):
                 return 1
         return 0
 
-    def satisfied_indices(self, x: CubePoint) -> tuple[int, ...]:
-        """0-based indices of all terms satisfied by x."""
-        if x.n != self.n:
-            raise DimensionMismatch(f"formula over {self.n} variables, point has {x.n}")
-        m = x.mask
+    def satisfied_indices(self, mask: int) -> tuple[int, ...]:
+        """0-based indices of all terms satisfied by the point with this mask."""
+        if not 0 <= mask < 1 << self.n:
+            raise DimensionMismatch(f"mask {mask} out of range for formula over {self.n} variables")
         return tuple(
-            i for i, (pos, neg) in enumerate(self._masks) if (m & pos) == pos and (m & neg) == 0
+            i for i, (pos, neg) in enumerate(self._masks) if (mask & pos) == pos and (mask & neg) == 0
         )
 
 

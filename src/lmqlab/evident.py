@@ -8,8 +8,9 @@ rests on.
 
 This module owns the truth-table kernel: ``evident_tables`` holds each set
 as a 2^n-bit int whose bit ``mask`` is the entry at that point; the harness's
-corpus and ``evidence_report`` read it. The pointwise ``satisfies_evidently``
-and ``flips_reveal_term`` are its reference, and the tests cross-check both.
+corpus and ``evidence_report`` read it. ``satisfies_evidently`` and
+``flips_reveal_term`` are its reference: pointwise on masks, one flip at a
+time, and the tests cross-check both.
 """
 
 from __future__ import annotations
@@ -21,12 +22,12 @@ from functools import lru_cache
 from typing import Iterator, Optional
 
 from .concepts import DecisionTree, DnfFormula, Term, dnf_of_tree
-from .cube import CubePoint, DimensionMismatch, ReplicateMap, require_count, require_enumerable
+from .cube import DimensionMismatch, ReplicateMap, require_count, require_enumerable
 from .distributions import Distribution
 
 
-def satisfies_evidently(formula: DnfFormula, i: int, x: CubePoint) -> bool:
-    """True iff x satisfies term i (0-based) of the formula evidently.
+def satisfies_evidently(formula: DnfFormula, i: int, x: int) -> bool:
+    """True iff the point with mask x satisfies term i (0-based) of the formula evidently.
 
     Three conditions: x satisfies term i; x satisfies no other term; and
     every one-flip neighbor that still satisfies the formula satisfies
@@ -37,14 +38,14 @@ def satisfies_evidently(formula: DnfFormula, i: int, x: CubePoint) -> bool:
     if formula.satisfied_indices(x) != (i,):
         return False
     for j in range(1, formula.n + 1):
-        hit = formula.satisfied_indices(x.flip(j))
+        hit = formula.satisfied_indices(x ^ (1 << (formula.n - j)))
         if hit and hit != (i,):
             return False
     return True
 
 
-def flips_reveal_term(formula: DnfFormula, i: int, x: CubePoint) -> bool:
-    """Check the flip biconditional at an evident point.
+def flips_reveal_term(formula: DnfFormula, i: int, x: int) -> bool:
+    """Check the flip biconditional at the evident point with mask x.
 
     For every coordinate j, flipping j must keep the formula satisfied
     exactly when variable j does not occur in term i. Requires x to be
@@ -54,7 +55,7 @@ def flips_reveal_term(formula: DnfFormula, i: int, x: CubePoint) -> bool:
         raise ValueError("point is not evident for the given term")
     term_vars = formula.terms[i].variables
     for j in range(1, formula.n + 1):
-        stays_true = formula.evaluate(x.flip(j)) == 1
+        stays_true = formula.label(x ^ (1 << (formula.n - j))) == 1
         if stays_true != (j not in term_vars):
             return False
     return True

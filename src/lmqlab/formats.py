@@ -172,8 +172,11 @@ def parse_dfa(text: str) -> Dfa:
             src, symbol, dst = rest.split()
             if symbol not in ("+", "-"):
                 raise ValueError(f"transition symbol must be '+' or '-', got {symbol!r}")
+            edge = (src, 1 if symbol == "+" else -1)
+            if edge in edges:
+                raise ValueError(f"transition for {edge!r} given twice")
             mentions += [src, dst]
-            edges[(src, 1 if symbol == "+" else -1)] = dst
+            edges[edge] = dst
         else:
             raise ValueError(f"unknown automaton line: {line!r}")
     if length is None or start is None:
@@ -211,6 +214,8 @@ def parse_poly(text: str) -> SparsePoly | SparsePtf:
             continue
         coeff = parse_fraction(head)
         variables = frozenset(int(tok) for tok in rest.split())
+        if len(variables) != len(rest.split()):
+            raise ValueError(f"monomial repeats a variable: {line!r}")
         if variables:
             max_var = max(max_var, *variables)
         monomials[variables] = monomials.get(variables, Fraction(0)) + coeff

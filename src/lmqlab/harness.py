@@ -31,7 +31,7 @@ from .concepts import (
     random_junta,
     random_tree,
 )
-from .cube import CubePoint, ReplicateMap, enumerate_cube, require_count
+from .cube import CubePoint, ReplicateMap, require_count
 from .distributions import Distribution, UniformCube, exact_loss, mc_loss, pushforward
 from .evident import (
     doubling_dnf,
@@ -378,33 +378,32 @@ def run_reconstruction_corpus(count: int = 1000, base_seed: int = 0) -> CorpusRe
 
         for i, mask in evident_pairs[:CORPUS_REVEAL_PER_FORMULA]:
             report.reveal_checked += 1
-            if not flips_reveal_term(formula, i, CubePoint(n, mask)):
+            if not flips_reveal_term(formula, i, mask):
                 report.reveal_failures += 1
                 report._note("reveal", formula_index=idx, term=i, point=CubePoint(n, mask).to_string())
 
         if idx % CORPUS_CROSSCHECK_EVERY == 0:
             report.crosscheck_formulas += 1
-            for point in enumerate_cube(n):
-                hit = formula.satisfied_indices(point)
+            for mask in range(1 << n):
+                hit = formula.satisfied_indices(mask)
                 pointwise = (
                     hit[0]
-                    if len(hit) == 1 and satisfies_evidently(formula, hit[0], point)
+                    if len(hit) == 1 and satisfies_evidently(formula, hit[0], mask)
                     else None
                 )
                 via_bits = next(
-                    (i for i, ev in enumerate(evident) if (ev >> point.mask) & 1), None
+                    (i for i, ev in enumerate(evident) if (ev >> mask) & 1), None
                 )
                 if pointwise != via_bits:
                     report.crosscheck_mismatches += 1
                     report._note(
-                        "crosscheck", formula_index=idx, point=point.to_string(),
+                        "crosscheck", formula_index=idx, point=CubePoint(n, mask).to_string(),
                         pointwise=str(pointwise), bitset=str(via_bits),
                     )
 
         t1 = time.perf_counter()
         for i, mask in evident_pairs:
-            x = CubePoint(n, mask)
-            oracle = LocalMQOracle(formula, [x], q=1)
+            oracle = LocalMQOracle(formula, [CubePoint(n, mask)], q=1)
             got = reconstruct_term(mask, oracle)
             report.recon_checked += 1
             if got != formula.terms[i]:
@@ -413,7 +412,7 @@ def run_reconstruction_corpus(count: int = 1000, base_seed: int = 0) -> CorpusRe
                     "reconstruction",
                     formula_index=idx,
                     term=i,
-                    point=x.to_string(),
+                    point=CubePoint(n, mask).to_string(),
                     got=str(sorted(got.signed())),
                 )
             for dist, cnt in oracle.stats().distance_histogram.items():

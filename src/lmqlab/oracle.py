@@ -14,7 +14,6 @@ of a point as one batch: around an anchor with q >= 1 every neighbour is
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Sequence
@@ -179,13 +178,6 @@ class LocalMQOracle:
             histogram[distance] = histogram.get(distance, 0) + times
         max_used = max(histogram) if histogram else 0
         return OracleStats(self._count, max_used, histogram)
-
-    def log_jsonl(self) -> str:
-        lines = [
-            json.dumps({"query": rec.point.to_string(), "answer": rec.answer, "dist": rec.distance})
-            for rec in self.log
-        ]
-        return "\n".join(lines)
 
 
 def draw_training_set(dist: Distribution, h_star: Concept, m: int, seed: int) -> LabeledSample:

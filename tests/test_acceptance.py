@@ -83,6 +83,13 @@ def test_flip_biconditional_corpus(corpus):
         assert corpus.seconds_discovery < 30.0
 
 
+def test_benchmark_corpus_digest_is_pinned(corpus):
+    # Count 1000 at seed 20260811 is perfbench's corpus verdict; this is its golden digest.
+    payload = json.dumps(corpus.to_dict(), sort_keys=True)
+    digest = "d0b7cf446ae9f6541355106de2db6e2934759cc91d8c3358591e8243f4bfbc68"
+    assert hashlib.sha256(payload.encode()).hexdigest() == digest
+
+
 def test_term_reconstruction_exact_on_corpus(corpus):
     with criterion("term reconstruction exact on every evident corpus point"):
         assert corpus.recon_checked == corpus.evident_points

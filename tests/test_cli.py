@@ -168,6 +168,15 @@ def test_verify_reduction_malformed_transition_is_a_json_error(tmp_path, capsys,
     assert error == {"error": message, "type": "ValueError"}
 
 
+@pytest.mark.parametrize("construction, theta", [("poly", ""), ("ptf", "theta: 0\n")])
+def test_verify_reduction_repeated_monomial_variable_is_a_json_error(tmp_path, capsys, construction, theta):
+    path = tmp_path / "p.poly"
+    path.write_text(f"dim 2\n1/2: 1 1\n1/3: 2\n{theta}")
+    argv = ["verify-reduction", "--construction", construction, "--n", "2", "--concept", str(path)]
+    error = _usage_error(capsys, argv)
+    assert error == {"error": "monomial repeats a variable: '1/2: 1 1'", "type": "ValueError"}
+
+
 def test_verify_reduction_theta_line_must_match_construction(tmp_path, capsys):
     poly = tmp_path / "p.poly"
     poly.write_text("dim 2\n1: 1\n")

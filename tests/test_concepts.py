@@ -73,9 +73,9 @@ class TestDnf:
 
     def test_satisfied_indices(self):
         f = DnfFormula(2, (Term.of(1), Term.of(2)))
-        assert f.satisfied_indices(P("++")) == (0, 1)
-        assert f.satisfied_indices(P("+-")) == (0,)
-        assert f.satisfied_indices(P("--")) == ()
+        assert f.satisfied_indices(P("++").mask) == (0, 1)
+        assert f.satisfied_indices(P("+-").mask) == (0,)
+        assert f.satisfied_indices(P("--").mask) == ()
 
 
 class TestTree:
@@ -113,7 +113,7 @@ class TestTree:
                 label = tree.evaluate(x)
                 assert f.evaluate(x) == label
                 if label == 1:
-                    assert len(f.satisfied_indices(x)) == 1
+                    assert len(f.satisfied_indices(x.mask)) == 1
 
     def test_evaluator_is_pure(self):
         t = self.tree()

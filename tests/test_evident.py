@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lmqlab.concepts import DecisionTree, DnfFormula, Leaf, Node, Term, random_dnf, random_tree
-from lmqlab.cube import CubePoint, ReplicateMap, enumerate_cube
+from lmqlab.cube import CubePoint, DimensionMismatch, ReplicateMap, enumerate_cube
 from lmqlab.distributions import FiniteSupport, ProductDist, UniformCube, pushforward
 from lmqlab.evident import (
     doubling_dnf,
@@ -28,46 +28,46 @@ OPPOSITE = DnfFormula(2, (Term.of(1, 2), Term.of(-1, -2)))
 class TestSatisfiesEvidently:
     def test_shared_point_is_not_evident(self):
         f = DnfFormula(2, (Term.of(1), Term.of(2)))
-        assert satisfies_evidently(f, 0, P("++")) is False
+        assert satisfies_evidently(f, 0, P("++").mask) is False
 
     def test_opposite_terms_point_is_evident(self):
-        assert satisfies_evidently(OPPOSITE, 0, P("++")) is True
+        assert satisfies_evidently(OPPOSITE, 0, P("++").mask) is True
 
     def test_free_coordinate_keeps_evidence(self):
         f = DnfFormula(3, (Term.of(1, 2),))
-        assert satisfies_evidently(f, 0, P("+++")) is True
+        assert satisfies_evidently(f, 0, P("+++").mask) is True
 
     def test_flip_into_other_term_blocks_evidence(self):
         # (+-) satisfies only x1, but flipping coordinate 2 reaches (++)
         # where both terms fire.
         f = DnfFormula(2, (Term.of(1), Term.of(2)))
-        assert satisfies_evidently(f, 0, P("+-")) is False
+        assert satisfies_evidently(f, 0, P("+-").mask) is False
 
     def test_index_out_of_range(self):
         with pytest.raises(ValueError):
-            satisfies_evidently(OPPOSITE, 2, P("++"))
+            satisfies_evidently(OPPOSITE, 2, P("++").mask)
 
     def test_non_satisfying_point(self):
-        assert satisfies_evidently(OPPOSITE, 0, P("-+")) is False
+        assert satisfies_evidently(OPPOSITE, 0, P("-+").mask) is False
 
 
 class TestFlipsRevealTerm:
     def test_free_variable_flip_stays_positive(self):
         f = DnfFormula(3, (Term.of(1, 2),))
-        assert flips_reveal_term(f, 0, P("+++")) is True
+        assert flips_reveal_term(f, 0, P("+++").mask) is True
 
     def test_opposite_terms(self):
-        assert flips_reveal_term(OPPOSITE, 0, P("++")) is True
+        assert flips_reveal_term(OPPOSITE, 0, P("++").mask) is True
 
     def test_constant_one_formula_vacuous(self):
         f = DnfFormula(2, (Term(frozenset(), frozenset()),))
         for x in enumerate_cube(2):
-            assert flips_reveal_term(f, 0, x) is True
+            assert flips_reveal_term(f, 0, x.mask) is True
 
     def test_requires_evident_point(self):
         f = DnfFormula(2, (Term.of(1), Term.of(2)))
         with pytest.raises(ValueError):
-            flips_reveal_term(f, 0, P("++"))
+            flips_reveal_term(f, 0, P("++").mask)
 
     def test_holds_on_random_corpus(self):
         rng = random.Random(17)
@@ -82,11 +82,27 @@ class TestFlipsRevealTerm:
                 terms.append(Term(pos, frozenset(variables) - pos))
             f = DnfFormula(n, tuple(terms))
             for x in enumerate_cube(n):
-                hit = f.satisfied_indices(x)
-                if len(hit) == 1 and satisfies_evidently(f, hit[0], x):
-                    assert flips_reveal_term(f, hit[0], x) is True
+                hit = f.satisfied_indices(x.mask)
+                if len(hit) == 1 and satisfies_evidently(f, hit[0], x.mask):
+                    assert flips_reveal_term(f, hit[0], x.mask) is True
                     checked += 1
         assert checked > 100
+
+
+@pytest.mark.parametrize(
+    "reference",
+    [
+        lambda f, x: f.satisfied_indices(x),
+        lambda f, x: satisfies_evidently(f, 0, x),
+        lambda f, x: flips_reveal_term(f, 0, x),
+    ],
+    ids=["satisfied_indices", "satisfies_evidently", "flips_reveal_term"],
+)
+@pytest.mark.parametrize("mask", [-1, 1 << OPPOSITE.n])
+def test_mask_references_refuse_out_of_range_masks(reference, mask):
+    # Out-of-range masks are refused, not read modulo 2^n.
+    with pytest.raises(DimensionMismatch):
+        reference(OPPOSITE, mask)
 
 
 @settings(max_examples=100, deadline=None)
@@ -98,11 +114,11 @@ def test_truth_table_kernel_matches_pointwise_code(n, d, width, seed):
     tables = sat + [h_table]
     flipped = {j: [flip_table(t, n, j) for t in tables] for j in range(1, n + 1)}
     for x in enumerate_cube(n):
-        hit = formula.satisfied_indices(x)
+        hit = formula.satisfied_indices(x.mask)
         assert [(t >> x.mask) & 1 for t in sat] == [int(i in hit) for i in range(d)]
         assert (h_table >> x.mask) & 1 == formula.evaluate(x)
         for i, ev in enumerate(evident):
-            assert (ev >> x.mask) & 1 == satisfies_evidently(formula, i, x)
+            assert (ev >> x.mask) & 1 == satisfies_evidently(formula, i, x.mask)
         for j, row in flipped.items():
             y = x.flip(j).mask
             assert [(t >> x.mask) & 1 for t in row] == [(t >> y) & 1 for t in tables]
@@ -113,11 +129,10 @@ def _reference_evidence(formula, dist):
     sat = [Fraction(0)] * len(formula.terms)
     evi = [Fraction(0)] * len(formula.terms)
     for mask, prob in dist.support():
-        point = CubePoint(formula.n, mask)
-        hit = formula.satisfied_indices(point)
+        hit = formula.satisfied_indices(mask)
         for i in hit:
             sat[i] += prob
-        if len(hit) == 1 and satisfies_evidently(formula, hit[0], point):
+        if len(hit) == 1 and satisfies_evidently(formula, hit[0], mask):
             evi[hit[0]] += prob
     return list(zip(sat, evi))
 
@@ -222,17 +237,17 @@ class TestGenerator:
             report = evidence_report(f, UniformCube(6), beta=Fraction(1))
             assert report.verdict is True
             for x in enumerate_cube(6):
-                hit = f.satisfied_indices(x)
+                hit = f.satisfied_indices(x.mask)
                 if hit:
                     assert len(hit) == 1
-                    assert satisfies_evidently(f, hit[0], x)
+                    assert satisfies_evidently(f, hit[0], x.mask)
 
     def test_single_term_always_evident(self):
         f = gen_opposite_literal_dnf(4, 1, 2, seed=5)
         for x in enumerate_cube(4):
-            hit = f.satisfied_indices(x)
+            hit = f.satisfied_indices(x.mask)
             if hit:
-                assert satisfies_evidently(f, 0, x)
+                assert satisfies_evidently(f, 0, x.mask)
 
     def test_infeasible_parameters_raise(self):
         with pytest.raises(ValueError):
@@ -274,6 +289,6 @@ class TestDoubling:
             for x in enumerate_cube(n):
                 if tree.evaluate(x) == 1:
                     z = ReplicateMap(n, 2).apply(x)
-                    hit = f.satisfied_indices(z)
+                    hit = f.satisfied_indices(z.mask)
                     assert len(hit) == 1
-                    assert satisfies_evidently(f, hit[0], z)
+                    assert satisfies_evidently(f, hit[0], z.mask)

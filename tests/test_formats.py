@@ -160,6 +160,23 @@ def test_dfa_transition_line_needs_three_fields(trans):
     assert str(exc.value) == f"automaton line {trans!r} is not of the form 'trans: STATE (+|-) STATE'"
 
 
+def test_dfa_transition_given_twice_is_refused():
+    with pytest.raises(ValueError) as exc:
+        parse_dfa("len: 2\nstart: a\ntrans: a + b\ntrans: a + a\ntrans: a - a\ntrans: b + b\ntrans: b - b\n")
+    assert str(exc.value) == "transition for ('a', 1) given twice"
+    # ``accept:`` lines still accumulate.
+    a = parse_dfa("len: 1\nstart: a\naccept: a\naccept: b\ntrans: a + b\ntrans: a - a\ntrans: b + b\ntrans: b - b\n")
+    assert a.accepting == frozenset({0, 1})
+
+
+@pytest.mark.parametrize("theta", ["", "theta: 0\n"], ids=["poly", "ptf"])
+def test_poly_monomial_repeating_a_variable_is_refused(theta):
+    # On the cube x1*x1 = 1, so reading "1 1" as x1 would give -5/6 at (-1,-1) instead of 1/6.
+    with pytest.raises(ValueError) as exc:
+        parse_poly(f"dim 2\n1/2: 1 1\n1/3: 2\n{theta}")
+    assert str(exc.value) == "monomial repeats a variable: '1/2: 1 1'"
+
+
 def test_poly_round_trip():
     p = SparsePoly(
         3, {frozenset({1, 3}): Fraction(-2, 7), frozenset(): Fraction(1, 2), frozenset({2}): Fraction(3)}

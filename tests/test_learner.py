@@ -73,8 +73,8 @@ class TestReconstruction:
             d = rng.randint(1, 1 << (width - 1))
             f = gen_opposite_literal_dnf(n, d, width, seed=rng.randrange(1 << 30))
             for x in enumerate_cube(n):
-                hit = f.satisfied_indices(x)
-                if len(hit) == 1 and satisfies_evidently(f, hit[0], x):
+                hit = f.satisfied_indices(x.mask)
+                if len(hit) == 1 and satisfies_evidently(f, hit[0], x.mask):
                     o = LocalMQOracle(f, [x], q=1)
                     assert reconstruct_term(x.mask, o) == f.terms[hit[0]]
 
@@ -177,8 +177,8 @@ class TestLearner:
         dist = UniformCube(6)
         s1_points = []
         for x in enumerate_cube(6):
-            hit = target.satisfied_indices(x)
-            if len(hit) == 1 and satisfies_evidently(target, hit[0], x):
+            hit = target.satisfied_indices(x.mask)
+            if len(hit) == 1 and satisfies_evidently(target, hit[0], x.mask):
                 s1_points.append(x)
         s1 = LabeledSample(6, tuple(x.mask for x in s1_points), (1,) * len(s1_points))
         s2 = draw_training_set(dist, target, 3000, seed=55)

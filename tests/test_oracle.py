@@ -1,4 +1,3 @@
-import json
 import random
 from collections import Counter
 
@@ -239,13 +238,6 @@ def test_repeated_queries_logged_each_time():
     o.query(P("++-"))
     o.query(P("++-"))
     assert o.stats().query_count == 2
-
-
-def test_log_jsonl_format():
-    o = LocalMQOracle(TARGET, [P("+++")], q=1)
-    o.query(P("-++"))
-    record = json.loads(o.log_jsonl())
-    assert record == {"query": "-++", "answer": 0, "dist": 1}
 
 
 def test_min_distance_strategies_agree():
