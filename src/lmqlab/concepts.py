@@ -1,7 +1,8 @@
 """Concept classes over the cube, their evaluators, and seeded random instances.
 
 All concepts expose ``n`` (input dimension), ``label(mask) -> {0,1}`` on
-in-range n-bit masks, ``reads``, the bit mask of the coordinates a label can
+in-range n-bit masks, ``flip_labels(mask)``, whose bit i is the label at
+``mask ^ (1 << i)``, ``reads``, the bit mask of the coordinates a label can
 depend on (``label(m) == label(m & reads)``), and ``evaluate(x)``: a
 dimension check, then ``label(x.mask)``. Hot paths call ``label``;
 ``CubePoint`` stays at the API boundary. Sparse polynomials additionally evaluate to exact rationals.
@@ -32,6 +33,8 @@ class Concept(Protocol):
 
     def label(self, mask: int) -> int: ...
 
+    def flip_labels(self, mask: int) -> int: ...
+
     def evaluate(self, x: CubePoint) -> int: ...
 
 
@@ -44,6 +47,10 @@ class MaskConcept:
     def reads(self) -> int:
         """All n coordinates, unless a subclass knows its label reads fewer."""
         return (1 << self.n) - 1
+
+    def flip_labels(self, mask: int) -> int:
+        """Bit i is the label at ``mask ^ (1 << i)``: n ``label`` calls, unless a subclass knows better."""
+        return sum(self.label(mask ^ 1 << i) << i for i in range(self.n))
 
     def evaluate(self, x: CubePoint) -> int:
         if x.n != self.n:
@@ -137,6 +144,18 @@ class DnfFormula(MaskConcept):
             if (mask & pos) == pos and (mask & neg) == 0:
                 return 1
         return 0
+
+    def flip_labels(self, mask: int) -> int:
+        """One pass over the terms: a satisfied term makes every flip outside its
+        variables positive, and a term violated by one literal makes that flip positive."""
+        bits = 0
+        for pos, neg in self._masks:
+            violated = (mask ^ pos) & (pos | neg)
+            if not violated:
+                bits |= ~(pos | neg) & (1 << self.n) - 1
+            elif not violated & (violated - 1):
+                bits |= violated
+        return bits
 
     def satisfied_indices(self, mask: int) -> tuple[int, ...]:
         """0-based indices of all terms satisfied by the point with this mask."""

@@ -17,6 +17,8 @@ Polynomial   one monomial per line as "COEFF: v1 v2 ..." with a rational
              function.
 Junta        "dim N", "relevant: v1 v2 ...", "table: 0110..." (row-major,
              first relevant variable most significant, bit 1 for +1).
+             A repeated "len:", "start:", "theta:", "relevant:" or "table:"
+             line is refused; "accept:" lines accumulate.
 Distribution "uniform:N", "product:p1,...,pN", or "file:PATH" where the
              file holds "POINT PROB" lines like "+-+ 1/4".
 """
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
+from typing import Any, Optional
 
 from .concepts import (
     DecisionTree,
@@ -67,6 +69,13 @@ def _split_dim(lines: list[str]) -> tuple[Optional[int], list[str]]:
             raise ValueError(f"malformed dimension line: {lines[0]!r}")
         return int(parts[1]), lines[1:]
     return None, lines
+
+
+def _once(current: object, key: str, value: Any) -> Any:
+    """The value of a key that takes one line; a second line for it is refused."""
+    if current is not None:
+        raise ValueError(f"{key!r} given twice")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -159,9 +168,9 @@ def parse_dfa(text: str) -> Dfa:
         key, _, rest = line.partition(":")
         key, rest = key.strip().lower(), rest.strip()
         if key == "len":
-            length = int(rest)
+            length = _once(length, "len:", int(rest))
         elif key == "start":
-            start = rest
+            start = _once(start, "start:", rest)
             mentions.append(start)
         elif key == "accept":
             accepting += rest.split()
@@ -210,7 +219,7 @@ def parse_poly(text: str) -> SparsePoly | SparsePtf:
     for line in lines:
         head, _, rest = line.partition(":")
         if head.strip().lower() == "theta":
-            theta = parse_fraction(rest)
+            theta = _once(theta, "theta:", parse_fraction(rest))
             continue
         coeff = parse_fraction(head)
         variables = frozenset(int(tok) for tok in rest.split())
@@ -247,10 +256,9 @@ def parse_junta(text: str) -> Junta:
         key, _, rest = line.partition(":")
         key = key.strip().lower()
         if key == "relevant":
-            relevant = tuple(int(tok) for tok in rest.split())
+            relevant = _once(relevant, "relevant:", tuple(int(tok) for tok in rest.split()))
         elif key == "table":
-            bits = rest.strip().replace(" ", "")
-            table = tuple(int(c) for c in bits)
+            table = _once(table, "table:", tuple(int(c) for c in rest.strip().replace(" ", "")))
         else:
             raise ValueError(f"unknown junta line: {line!r}")
     if declared is None or relevant is None or table is None:

@@ -2,21 +2,22 @@
 
 A query for point z is q-local when some anchor (a distinct training point)
 lies within Hamming distance q of z. The oracle refuses anything farther away
-and logs every answer it gives, so learners can be audited after a run.
+and records every answer it gives, so learners can be audited after a run.
 The core, ``ask(mask, times)``, checks and answers each distinct query once
-and counts its repeats; ``log`` expands the counts, grouped by first asking.
-Locality is one scan: a mask's first asking computes its distance to the
-nearest anchor, which is both the logged distance and a refusal's
-``min_distance``. ``ask_flips(mask, times)`` asks the n one-flip neighbours
-of a point as one batch: around an anchor with q >= 1 every neighbour is
-1-local by construction, so no anchor is scanned.
+and counts its repeats. Locality is one scan: a mask's first asking computes
+its distance to the nearest anchor, which is both the recorded distance and
+a refusal's ``min_distance``. ``ask_flips(mask, times)`` asks the n one-flip
+neighbours of a point as one batch: around an anchor with q >= 1 every
+neighbour is 1-local, so no anchor is scanned, one ``flip_labels`` call
+answers them all, and the batch is stored whole. ``entries()`` and ``log``
+expand the record on demand, each distinct mask once, by first asking.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .concepts import Concept
 from .cube import CubePoint, DimensionMismatch, require_count
@@ -87,8 +88,11 @@ class LocalMQOracle:
             query_cap = QUERY_BUDGET_FACTOR * self.n * max(1, len(anchors))
         require_count(query_cap, 0, "query budget must be a non-negative integer")
         self.query_cap = query_cap
-        # One [answer, distance, times] entry per distinct query mask, in order of first asking.
+        # One record in order of first asking: a single query's mask keys
+        # [answer, distance, times]; a batch around an anchor keys ~centre
+        # (negative, so never a mask) with [flip_labels bits, times, anchor flips].
         self._asked: dict[int, list[int]] = {}
+        self._histogram: dict[int, int] = {}
         self._count = 0
 
     @classmethod
@@ -109,14 +113,28 @@ class LocalMQOracle:
         return cls(target, [CubePoint(target.n, m) for m in distinct], q, query_cap=query_cap)
 
     def entries(self) -> list[tuple[int, int, int, int]]:
-        """Each distinct query once, in order of first asking, as (mask, answer, distance, times)."""
-        return [(mask, *entry) for mask, entry in self._asked.items()]
+        """Each distinct query once, in order of first asking, as (mask, answer, distance, times).
+
+        Batches expand coordinate 1 first; a mask asked again adds its times to its first row.
+        """
+        rows: dict[int, list[int]] = {}
+        anchors = self._anchors
+        for key, record in self._asked.items():
+            if key >= 0:
+                expanded = [(key, *record)]
+            else:
+                centre, bits, times = ~key, record[0], record[1]
+                flips = [(centre ^ 1 << i, bits >> i & 1) for i in range(self.n - 1, -1, -1)]
+                expanded = [(z, answer, 0 if z in anchors else 1, times) for z, answer in flips]
+            for mask, answer, distance, times in expanded:
+                rows.setdefault(mask, [answer, distance, 0])[2] += times
+        return [(mask, *row) for mask, row in rows.items()]
 
     @property
     def log(self) -> tuple[QueryRecord, ...]:
         """Every query asked, repeats included, grouped by first asking."""
         log: list[QueryRecord] = []
-        for mask, (answer, distance, times) in self._asked.items():
+        for mask, answer, distance, times in self.entries():
             log += [QueryRecord(CubePoint(self.n, mask), answer, distance)] * times
         return tuple(log)
 
@@ -128,56 +146,59 @@ class LocalMQOracle:
     def ask(self, mask: int, times: int = 1) -> int:
         """Answer the query at ``mask``, counted ``times`` times against the budget.
 
-        Locality is checked and the target evaluated on a mask's first asking
-        only, by one scan for the nearest anchor. A batch that does not fit
-        the budget is refused whole.
+        A first asking scans for the nearest anchor and evaluates the target,
+        unless an earlier batch answered the mask: then its distance is 0 or 1
+        by anchor membership. A count that does not fit the budget is refused whole.
         """
         require_count(times, 1, "a query is asked a whole number of times, at least once")
-        distance = None
-        if mask not in self._asked:
-            if not 0 <= mask < 1 << self.n:
-                raise DimensionMismatch(f"query mask {mask} out of range for dimension {self.n}")
-            distance = min(((mask ^ a).bit_count() for a in self._anchors), default=None)
-            if distance is None or distance > self.q:
-                raise LocalityViolation(distance, self.q)
+        if not 0 <= mask < 1 << self.n:
+            raise DimensionMismatch(f"query mask {mask} out of range for dimension {self.n}")
+        asked = self._asked
+        entry = asked.get(mask)
+        if entry is None:
+            # A batch around a neighbour mask ^ (1 << i) holds the answer as its bit i.
+            answer = next((b[0] >> i & 1 for i in range(self.n) if (b := asked.get(~(mask ^ 1 << i)))), None)
+            distance = 0 if mask in self._anchors else 1
+            if answer is None:
+                distance = min(((mask ^ a).bit_count() for a in self._anchors), default=None)
+                if distance is None or distance > self.q:
+                    raise LocalityViolation(distance, self.q)
         if self._count + times > self.query_cap:
             raise BudgetExhausted(self.query_cap)
-        return self._record((mask,), (distance,), times)[0]
+        if entry is None:
+            entry = asked[mask] = [self.target.label(mask) if answer is None else answer, distance, 0]
+        entry[2] += times
+        self._count += times
+        self._histogram[entry[1]] = self._histogram.get(entry[1], 0) + times
+        return entry[0]
 
     def ask_flips(self, mask: int, times: int = 1) -> list[int]:
         """Answers at the n one-flip neighbours of ``mask``, coordinate 1 first.
 
-        Answers, records, statistics and errors are those of ``ask`` on each
+        Answers, entries, statistics and errors are those of ``ask`` on each
         neighbour in turn. An anchor centre with q >= 1 proves every neighbour
         1-local (distance 0 if an anchor itself, else 1), so a batch that fits
-        the budget scans no anchor.
+        the budget scans no anchor and is recorded as one batch.
         """
         require_count(times, 1, "a query is asked a whole number of times, at least once")
-        flips = [mask ^ (1 << i) for i in range(self.n - 1, -1, -1)]
-        anchors = self._anchors
-        if self.q < 1 or mask not in anchors or self._count + self.n * times > self.query_cap:
-            return [self.ask(z, times) for z in flips]
-        return self._record(flips, [0 if z in anchors else 1 for z in flips], times)
-
-    def _record(self, masks: Sequence[int], distances: Sequence[int | None], times: int) -> list[int]:
-        """Answer masks already checked local and within budget, charging each ``times``."""
-        asked, label = self._asked, self.target.label
-        answers = []
-        for mask, distance in zip(masks, distances):
-            entry = asked.get(mask)
-            if entry is None:
-                entry = asked[mask] = [label(mask), distance, 0]
-            entry[2] += times
-            answers.append(entry[0])
-        self._count += len(masks) * times
-        return answers
+        n, anchors = self.n, self._anchors
+        if self.q < 1 or mask not in anchors or self._count + n * times > self.query_cap:
+            return [self.ask(mask ^ (1 << i), times) for i in range(n - 1, -1, -1)]
+        batch = self._asked.get(~mask)
+        if batch is None:
+            near = len(anchors.intersection([mask ^ 1 << i for i in range(n)]))
+            batch = self._asked[~mask] = [self.target.flip_labels(mask), 0, near]
+        bits, _, near = batch
+        batch[1] += times
+        self._count += n * times
+        for distance, flips in ((0, near), (1, n - near)):
+            self._histogram[distance] = self._histogram.get(distance, 0) + flips * times
+        return [bits >> i & 1 for i in range(n - 1, -1, -1)]
 
     def stats(self) -> OracleStats:
-        histogram: dict[int, int] = {}
-        for _, distance, times in self._asked.values():
-            histogram[distance] = histogram.get(distance, 0) + times
-        max_used = max(histogram) if histogram else 0
-        return OracleStats(self._count, max_used, histogram)
+        """Counts so far; the histogram is a copy, so editing it changes nothing here."""
+        histogram = {distance: count for distance, count in self._histogram.items() if count}
+        return OracleStats(self._count, max(histogram, default=0), histogram)
 
 
 def draw_training_set(dist: Distribution, h_star: Concept, m: int, seed: int) -> LabeledSample:

@@ -177,6 +177,22 @@ def test_verify_reduction_repeated_monomial_variable_is_a_json_error(tmp_path, c
     assert error == {"error": "monomial repeats a variable: '1/2: 1 1'", "type": "ValueError"}
 
 
+@pytest.mark.parametrize(
+    "construction, text, key",
+    [
+        ("dfa", "len: 2\nstart: a\nlen: 3\naccept: a\ntrans: a + a\ntrans: a - a\n", "len:"),
+        ("ptf", "dim 2\n1: 1\ntheta: 0\ntheta: 1\n", "theta:"),
+        ("junta", "dim 2\nrelevant: 1\ntable: 01\ntable: 10\n", "table:"),
+    ],
+    ids=["dfa", "ptf", "junta"],
+)
+def test_verify_reduction_repeated_single_valued_line_is_a_json_error(tmp_path, capsys, construction, text, key):
+    path = tmp_path / "concept.txt"
+    path.write_text(text)
+    argv = ["verify-reduction", "--construction", construction, "--n", "2", "--concept", str(path)]
+    assert _usage_error(capsys, argv) == {"error": f"{key!r} given twice", "type": "ValueError"}
+
+
 def test_verify_reduction_theta_line_must_match_construction(tmp_path, capsys):
     poly = tmp_path / "p.poly"
     poly.write_text("dim 2\n1: 1\n")

@@ -352,3 +352,60 @@ def test_dnf_reads_only_its_terms_variables(n, d, width, empty_term, seed):
     for mask in [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(32)]:
         assert f.label(mask) == f.label(mask & f.reads)
         assert f.label(mask) == f.label(mask | ~f.reads & (1 << n) - 1)
+
+
+def _flips_one_by_one(c, mask):
+    return [c.label(mask ^ 1 << i) for i in range(c.n)]
+
+
+def _flip_bits(c, mask):
+    bits = c.flip_labels(mask)
+    assert 0 <= bits < 1 << c.n
+    return [bits >> i & 1 for i in range(c.n)]
+
+
+@pytest.mark.parametrize(
+    "kind", ["dnf", "tree", "dfa", "junta", "poly", "ptf", "composed", "synthesized-A", "synthesized-B"]
+)
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32))
+def test_flip_labels_matches_one_label_per_flip(kind, seed):
+    rng = random.Random(seed)
+    c, _ = _instance(kind, rng)
+    for mask in [0, (1 << c.n) - 1] + [rng.getrandbits(c.n) for _ in range(16)]:
+        assert _flip_bits(c, mask) == _flips_one_by_one(c, mask)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    d=st.integers(0, 6),
+    width=st.integers(1, 6),
+    empty_term=st.booleans(),
+    violations=st.integers(0, 2),
+    seed=st.integers(0, 2**32),
+)
+def test_dnf_flip_labels_matches_one_label_per_flip(n, d, width, empty_term, violations, seed):
+    # Points near a term, so satisfied terms and terms violated by one literal both occur.
+    rng = random.Random(seed)
+    f = random_dnf(n, d, width, rng)
+    if empty_term:
+        f = DnfFormula(n, f.terms + (Term.of(),))
+    masks = [0, (1 << n) - 1, rng.getrandbits(n)]
+    for term in f.terms:
+        pos, neg = term.masks(n)
+        mask = (rng.getrandbits(n) | pos) & ~neg
+        for j in rng.sample(sorted(term.variables), min(violations, term.width)):
+            mask ^= 1 << (n - j)
+        masks.append(mask)
+    for mask in masks:
+        assert _flip_bits(f, mask) == _flips_one_by_one(f, mask)
+
+
+def test_dnf_flip_labels_edge_formulas():
+    assert DnfFormula(3, ()).flip_labels(0b101) == 0
+    assert DnfFormula(3, (Term.of(),)).flip_labels(0b101) == 0b111
+    # x1 AND NOT x2 at (+,+,-): flipping x2 satisfies it, nothing else does.
+    assert DnfFormula(3, (Term.of(1, -2),)).flip_labels(0b110) == 0b010
+    # ... and at (+,-,-) it is satisfied, so only flips of x1 or x2 turn it off.
+    assert DnfFormula(3, (Term.of(1, -2),)).flip_labels(0b100) == 0b001

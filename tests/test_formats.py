@@ -169,6 +169,28 @@ def test_dfa_transition_given_twice_is_refused():
     assert a.accepting == frozenset({0, 1})
 
 
+@pytest.mark.parametrize("line", ["len: 2", "start: b"])
+def test_dfa_single_valued_line_given_twice_is_refused(line):
+    key = line.split()[0]
+    with pytest.raises(ValueError) as exc:
+        parse_dfa(f"len: 1\nstart: a\n{line}\ntrans: a + a\ntrans: a - a\ntrans: b + b\ntrans: b - b\n")
+    assert str(exc.value) == f"{key!r} given twice"
+
+
+def test_poly_theta_given_twice_is_refused():
+    with pytest.raises(ValueError) as exc:
+        parse_poly("dim 2\n1: 1\ntheta: 0\ntheta: 1/2\n")
+    assert str(exc.value) == "'theta:' given twice"
+
+
+@pytest.mark.parametrize("line", ["relevant: 1 2", "table: 1001"])
+def test_junta_single_valued_line_given_twice_is_refused(line):
+    key = line.split()[0]
+    with pytest.raises(ValueError) as exc:
+        parse_junta(f"dim 3\nrelevant: 2 3\ntable: 0110\n{line}\n")
+    assert str(exc.value) == f"{key!r} given twice"
+
+
 @pytest.mark.parametrize("theta", ["", "theta: 0\n"], ids=["poly", "ptf"])
 def test_poly_monomial_repeating_a_variable_is_refused(theta):
     # On the cube x1*x1 = 1, so reading "1 1" as x1 would give -5/6 at (-1,-1) instead of 1/6.

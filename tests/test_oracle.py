@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lmqlab.concepts import DnfFormula, Term, random_dnf
+from lmqlab.concepts import DnfFormula, MaskConcept, Term, random_dnf
 from lmqlab.cube import CubePoint, DimensionMismatch, ball_size, enumerate_cube
 from lmqlab.distributions import FiniteSupport, LabeledSample, ProductDist, UniformCube, sample
 from lmqlab.learner import learn_evident_dnf_run
@@ -159,7 +159,9 @@ def test_locality_budget_that_is_not_an_int_rejected(q):
         LocalMQOracle(TARGET, [P("+++")], q=q)
 
 
-class CountingTarget:
+class CountingTarget(MaskConcept):
+    """A concept that counts its ``label`` calls; its ``flip_labels`` is the n-call default."""
+
     def __init__(self, concept):
         self.n, self.concept, self.calls = concept.n, concept, 0
 
@@ -312,6 +314,43 @@ def test_ask_flips_records_anchor_neighbours_at_distance_zero():
         ("-++", 1, 2), ("+-+", 1, 2), ("++-", 0, 2),
     ]
     assert o.stats() == OracleStats(6, 1, {1: 4, 0: 2})
+
+
+def test_batches_around_centres_at_distance_two_share_their_common_flips():
+    # Centres 0000 and 0011 share the flips 0001 (an anchor) and 0010.
+    target = DnfFormula(4, (Term.of(4), Term.of(1, 2)))
+    o = LocalMQOracle(target, [CubePoint(4, m) for m in (0b0000, 0b0011, 0b0001)], q=1)
+    assert o.ask_flips(0b0000, 2) == [0, 0, 0, 1]
+    assert o.ask_flips(0b0011, 3) == [1, 1, 1, 0]
+    rows = {mask: (answer, distance, times) for mask, answer, distance, times in o.entries()}
+    assert [mask for mask, *_ in o.entries()] == [0b1000, 0b0100, 0b0010, 0b0001, 0b1011, 0b0111]
+    assert rows[0b0001] == (1, 0, 5) and rows[0b0010] == (0, 1, 5)
+    assert rows[0b1000] == (0, 1, 2) and rows[0b1011] == (1, 1, 3)
+    assert o.stats() == OracleStats(20, 1, {1: 15, 0: 5})
+    expected = [0b1000] * 2 + [0b0100] * 2 + [0b0010] * 5 + [0b0001] * 5 + [0b1011] * 3 + [0b0111] * 3
+    assert [rec.point.mask for rec in o.log] == expected
+
+
+def test_ask_of_a_flip_a_batch_answered_labels_nothing_more():
+    target = CountingTarget(DnfFormula(4, (Term.of(1, -2),)))
+    anchors = [CubePoint(4, m) for m in (0b1100, 0b1101)]
+    o = LocalMQOracle(target, anchors, q=1)
+    assert o.ask_flips(0b1100) == [0, 1, 0, 0]
+    assert target.calls == 4
+    assert [o.ask(0b0100, 2), o.ask(0b1101), o.ask(0b1000)] == [0, 0, 1]
+    assert target.calls == 4
+    assert [row for row in o.entries() if row[0] in (0b0100, 0b1101)] == [(0b0100, 0, 1, 3), (0b1101, 0, 0, 2)]
+    assert o.stats() == OracleStats(8, 1, {1: 6, 0: 2})
+    # A mask no batch answered is still scanned and labelled.
+    assert o.ask(0b1111) == 0 and target.calls == 5
+
+
+def test_stats_histogram_is_a_copy():
+    o = LocalMQOracle(TARGET, [P("+++")], q=1)
+    o.ask_flips(P("+++").mask)
+    o.stats().distance_histogram[1] = 99
+    o.stats().distance_histogram[5] = 1
+    assert o.stats() == OracleStats(3, 1, {1: 3})
 
 
 def test_ball_walk_at_width_matches_brute_force():
