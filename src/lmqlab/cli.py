@@ -10,7 +10,7 @@ from pathlib import Path
 from typing import NoReturn
 
 from .concepts import SparsePtf
-from .cube import DimensionMismatch
+from .cube import ENUMERATION_CAP, DimensionMismatch
 from .evident import evidence_report
 from .formats import dump_dnf, parse_distribution, parse_dnf, parse_fraction
 from .harness import (
@@ -53,6 +53,11 @@ def _cmd_learn(args: argparse.Namespace) -> int:
     if args.auto_plan:
         plan = plan_samples(target.n, args.epsilon)
         m1, m2 = plan.m1, plan.m2
+        if m1 + m2 > 1 << ENUMERATION_CAP:
+            raise ValueError(
+                f"--auto-plan sizes m1={m1} and m2={m2} exceed the desk-scale cap of 2^{ENUMERATION_CAP} draws;"
+                " pass --m1 and --m2"
+            )
     else:
         if args.m1 is None or args.m2 is None:
             raise ValueError("provide --m1 and --m2, or --auto-plan")

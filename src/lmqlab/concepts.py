@@ -25,6 +25,12 @@ JUNTA_CAP = 16
 MAJ_POLY_CAP = 15
 
 
+def _require_variable(j: object, n: int, what: str) -> None:
+    """Refuse a variable index that is not an int in 1..n (a bool is not an index)."""
+    if isinstance(j, bool) or not isinstance(j, int) or not 1 <= j <= n:
+        raise ValueError(f"{what} {j} out of range 1..{n}")
+
+
 class Concept(Protocol):
     """Anything labelling the points of {-1,+1}^n with 0 or 1."""
 
@@ -96,13 +102,14 @@ class Term:
 
     def masks(self, n: int) -> tuple[int, int]:
         """(must-be-+1 mask, must-be--1 mask) for dimension n."""
-        pos = 0
-        for j in self.positives:
-            pos |= 1 << (n - j)
-        neg = 0
-        for j in self.negatives:
-            neg |= 1 << (n - j)
-        return pos, neg
+        return sum(1 << (n - j) for j in self.positives), sum(1 << (n - j) for j in self.negatives)
+
+    @classmethod
+    def from_masks(cls, n: int, pos: int, neg: int) -> "Term":
+        """The inverse of ``masks``: the term whose masks over n variables are pos and neg."""
+        if (pos | neg) >> n:
+            raise DimensionMismatch(f"term masks {pos}, {neg} out of range for dimension {n}")
+        return cls(*(frozenset(n - i for i in range(n) if m >> i & 1) for m in (pos, neg)))
 
     def satisfied_by(self, x: CubePoint) -> bool:
         """True iff x meets every literal of the term."""
@@ -199,8 +206,7 @@ class DecisionTree(MaskConcept):
     def __post_init__(self) -> None:
         require_count(self.n, 1, "dimension must be a positive integer")
         for var in self._vars(self.root):
-            if not 1 <= var <= self.n:
-                raise ValueError(f"node variable {var} out of range 1..{self.n}")
+            _require_variable(var, self.n, "node variable")
 
     @staticmethod
     def _vars(node: TreeNode) -> Iterator[int]:
@@ -317,8 +323,7 @@ class Junta(MaskConcept):
         if len(set(self.relevant)) != k:
             raise ValueError("relevant variables must be distinct")
         for j in self.relevant:
-            if not 1 <= j <= self.n:
-                raise ValueError(f"relevant variable {j} out of range 1..{self.n}")
+            _require_variable(j, self.n, "relevant variable")
         if len(self.table) != 1 << k:
             raise ValueError(f"table must have {1 << k} entries, got {len(self.table)}")
         if any(v not in (0, 1) for v in self.table):
@@ -356,8 +361,7 @@ class SparsePoly:
         for vars_, coeff in self.monomials.items():
             vs = frozenset(vars_)
             for j in vs:
-                if not 1 <= j <= self.n:
-                    raise ValueError(f"monomial variable {j} out of range 1..{self.n}")
+                _require_variable(j, self.n, "monomial variable")
             c = Fraction(coeff)
             if c != 0:
                 cleaned[vs] = c

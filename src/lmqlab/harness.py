@@ -402,18 +402,19 @@ def run_reconstruction_corpus(count: int = 1000, base_seed: int = 0) -> CorpusRe
                     )
 
         t1 = time.perf_counter()
+        term_masks = [t.masks(n) for t in formula.terms]
         for i, mask in evident_pairs:
             oracle = LocalMQOracle(formula, [CubePoint(n, mask)], q=1)
             got = reconstruct_term(mask, oracle)
             report.recon_checked += 1
-            if got != formula.terms[i]:
+            if got != term_masks[i]:
                 report.recon_failures += 1
                 report._note(
                     "reconstruction",
                     formula_index=idx,
                     term=i,
                     point=CubePoint(n, mask).to_string(),
-                    got=str(sorted(got.signed())),
+                    got=str(sorted(Term.from_masks(n, *got).signed())),
                 )
             for dist, cnt in oracle.stats().distance_histogram.items():
                 report.locality_histogram[dist] = report.locality_histogram.get(dist, 0) + cnt

@@ -4,10 +4,10 @@ Phase 1 rebuilds one candidate term per distinct positive mask of the
 first sample by flipping each coordinate and asking the oracle, the n flips
 as one ``ask_flips`` batch, counting each query once per occurrence: an
 answer of 1 means the variable is absent from the term, an answer of 0 keeps
-the literal the example satisfies.
+the literal the example satisfies. Candidates stay int mask pairs.
 Phase 2 throws away every candidate that fires on a negative example of the
-second sample. On instances whose positives are evident, phase 1 recovers
-exact terms and phase 2 never removes a true one.
+second sample; only survivors become ``Term``s. On instances whose positives
+are evident, phase 1 recovers exact terms and phase 2 never removes a true one.
 """
 
 from __future__ import annotations
@@ -60,22 +60,18 @@ def plan_samples(n: int, epsilon: float, d: Optional[int] = None) -> SampleSizeP
     return SampleSizePlan(n, epsilon, m1, m2)
 
 
-def reconstruct_term(x: int, oracle: LocalMQOracle, times: int = 1) -> Term:
-    """Recover the term a positive example's mask x satisfies, one flip per coordinate.
+def reconstruct_term(x: int, oracle: LocalMQOracle, times: int = 1) -> tuple[int, int]:
+    """Recover the masks of the term a positive example's mask x satisfies, one flip per coordinate.
 
     Issues exactly n queries, each at distance 1 from x, as one
     ``ask_flips`` batch, and counts each ``times`` times: once per
-    occurrence of x in the sample. Starting from the conjunction of all
-    literals over all variables, an answer of 1 at coordinate j removes both
-    of j's literals, and an answer of 0 removes the literal x violates,
-    keeping the one x satisfies. The oracle refuses a mask out of range.
+    occurrence of x in the sample. An answer of 1 at a coordinate drops
+    both of its literals, and an answer of 0 keeps the literal x satisfies.
+    Returns (must-be-+1 mask, must-be--1 mask), the form ``Term.masks(n)``
+    gives. The oracle refuses a mask out of range.
     """
-    n = oracle.n
-    positives, negatives = set(), set()
-    for j, answer in enumerate(oracle.ask_flips(x, times), 1):
-        if answer == 0:
-            (positives if x >> (n - j) & 1 else negatives).add(j)
-    return Term(frozenset(positives), frozenset(negatives))
+    kept = ~oracle.ask_flips(x, times) & (1 << oracle.n) - 1
+    return kept & x, kept & ~x
 
 
 @dataclass(frozen=True)
@@ -101,26 +97,21 @@ def learn_evident_dnf_run(s1: LabeledSample, s2: LabeledSample, oracle: LocalMQO
         raise DimensionMismatch(f"sample dimensions {s1.n}/{s2.n} differ from oracle {n}")
     t0 = time.perf_counter()
     occurrences = Counter(compress(s1.masks, s1.labels))
-    collected: dict[Term, None] = {}
-    for x, times in occurrences.items():
-        collected.setdefault(reconstruct_term(x, oracle, times))
+    collected = dict.fromkeys(reconstruct_term(x, oracle, times) for x, times in occurrences.items())
     t1 = time.perf_counter()
     negative_masks = {m for m, y in zip(s2.masks, s2.labels) if y == 0}
-    surviving = []
-    pruned = 0
-    for term in collected:
-        pos, neg = term.masks(n)
-        if any((m & pos) == pos and (m & neg) == 0 for m in negative_masks):
-            pruned += 1
-        else:
-            surviving.append(term)
+    surviving = [
+        Term.from_masks(n, pos, neg)
+        for pos, neg in collected
+        if not any((m & pos) == pos and (m & neg) == 0 for m in negative_masks)
+    ]
     t2 = time.perf_counter()
     return LearnerRun(
         formula=DnfFormula(n, tuple(surviving)),
         oracle_stats=oracle.stats(),
         positives_seen=sum(occurrences.values()),
         terms_added=len(collected),
-        terms_pruned=pruned,
+        terms_pruned=len(collected) - len(surviving),
         phase1_seconds=t1 - t0,
         phase2_seconds=t2 - t1,
     )

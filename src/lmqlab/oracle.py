@@ -7,10 +7,11 @@ The core, ``ask(mask, times)``, checks and answers each distinct query once
 and counts its repeats. Locality is one scan: a mask's first asking computes
 its distance to the nearest anchor, which is both the recorded distance and
 a refusal's ``min_distance``. ``ask_flips(mask, times)`` asks the n one-flip
-neighbours of a point as one batch: around an anchor with q >= 1 every
-neighbour is 1-local, so no anchor is scanned, one ``flip_labels`` call
-answers them all, and the batch is stored whole. ``entries()`` and ``log``
-expand the record on demand, each distinct mask once, by first asking.
+neighbours of a point as one batch and returns their answers as one int in
+``flip_labels`` form: around an anchor with q >= 1 every neighbour is
+1-local, so no anchor is scanned, one ``flip_labels`` call answers them all,
+and the batch is stored whole. ``entries()`` and ``log`` expand the record
+on demand, each distinct mask once, by first asking.
 """
 
 from __future__ import annotations
@@ -146,44 +147,38 @@ class LocalMQOracle:
     def ask(self, mask: int, times: int = 1) -> int:
         """Answer the query at ``mask``, counted ``times`` times against the budget.
 
-        A first asking scans for the nearest anchor and evaluates the target,
-        unless an earlier batch answered the mask: then its distance is 0 or 1
-        by anchor membership. A count that does not fit the budget is refused whole.
+        A first asking scans for the nearest anchor and evaluates the target.
+        A count that does not fit the budget is refused whole.
         """
         require_count(times, 1, "a query is asked a whole number of times, at least once")
         if not 0 <= mask < 1 << self.n:
             raise DimensionMismatch(f"query mask {mask} out of range for dimension {self.n}")
-        asked = self._asked
-        entry = asked.get(mask)
+        entry = self._asked.get(mask)
         if entry is None:
-            # A batch around a neighbour mask ^ (1 << i) holds the answer as its bit i.
-            answer = next((b[0] >> i & 1 for i in range(self.n) if (b := asked.get(~(mask ^ 1 << i)))), None)
-            distance = 0 if mask in self._anchors else 1
-            if answer is None:
-                distance = min(((mask ^ a).bit_count() for a in self._anchors), default=None)
-                if distance is None or distance > self.q:
-                    raise LocalityViolation(distance, self.q)
+            distance = min(((mask ^ a).bit_count() for a in self._anchors), default=None)
+            if distance is None or distance > self.q:
+                raise LocalityViolation(distance, self.q)
         if self._count + times > self.query_cap:
             raise BudgetExhausted(self.query_cap)
         if entry is None:
-            entry = asked[mask] = [self.target.label(mask) if answer is None else answer, distance, 0]
+            entry = self._asked[mask] = [self.target.label(mask), distance, 0]
         entry[2] += times
         self._count += times
         self._histogram[entry[1]] = self._histogram.get(entry[1], 0) + times
         return entry[0]
 
-    def ask_flips(self, mask: int, times: int = 1) -> list[int]:
-        """Answers at the n one-flip neighbours of ``mask``, coordinate 1 first.
+    def ask_flips(self, mask: int, times: int = 1) -> int:
+        """Answers at the n one-flip neighbours of ``mask``: bit i answers ``mask ^ (1 << i)``.
 
         Answers, entries, statistics and errors are those of ``ask`` on each
-        neighbour in turn. An anchor centre with q >= 1 proves every neighbour
-        1-local (distance 0 if an anchor itself, else 1), so a batch that fits
-        the budget scans no anchor and is recorded as one batch.
+        neighbour in turn, coordinate 1 first. An anchor centre with q >= 1
+        proves every neighbour 1-local (distance 0 if an anchor itself, else 1),
+        so a batch that fits the budget scans no anchor and is recorded as one batch.
         """
         require_count(times, 1, "a query is asked a whole number of times, at least once")
         n, anchors = self.n, self._anchors
         if self.q < 1 or mask not in anchors or self._count + n * times > self.query_cap:
-            return [self.ask(mask ^ (1 << i), times) for i in range(n - 1, -1, -1)]
+            return sum(self.ask(mask ^ 1 << i, times) << i for i in range(n - 1, -1, -1))
         batch = self._asked.get(~mask)
         if batch is None:
             near = len(anchors.intersection([mask ^ 1 << i for i in range(n)]))
@@ -193,7 +188,7 @@ class LocalMQOracle:
         self._count += n * times
         for distance, flips in ((0, near), (1, n - near)):
             self._histogram[distance] = self._histogram.get(distance, 0) + flips * times
-        return [bits >> i & 1 for i in range(n - 1, -1, -1)]
+        return bits
 
     def stats(self) -> OracleStats:
         """Counts so far; the histogram is a copy, so editing it changes nothing here."""

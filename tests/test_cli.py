@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -117,6 +118,48 @@ def test_learn_without_sample_sizes_is_a_json_error(formula_file, capsys):
     error = _usage_error(capsys, ["learn", "--target", formula_file, "--dist", "uniform:4"])
     assert error["type"] == "ValueError"
     assert "--m1" in error["error"]
+
+
+PINNED_TARGET = "dim 4\n1 -2\n3\n"
+
+
+@pytest.fixture
+def pinned_target(tmp_path):
+    path = tmp_path / "pinned.dnf"
+    path.write_text(PINNED_TARGET)
+    return str(path)
+
+
+def test_learn_output_is_pinned(pinned_target, capsys):
+    argv = ["learn", "--target", pinned_target, "--dist", "uniform:4", "--m1", "2000", "--m2", "10000", "--seed", "7"]
+    assert main(argv) == 0
+    [line] = capsys.readouterr().out.splitlines()
+    assert hashlib.sha256(line.encode()).hexdigest() == (
+        "d62225f8cf9ce38080f57b431d844e9f6124ff3678cbd9d37c33212ea4f9ad0f"
+    )
+    # Phase 2 removes one candidate here, so the pin covers pruning.
+    assert json.loads(line)["terms_pruned"] == 1
+
+
+def test_learn_auto_plan_beyond_desk_scale_is_refused_before_any_draw(pinned_target, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("run_trial was called")
+
+    monkeypatch.setattr("lmqlab.cli.run_trial", refuse)
+    error = _usage_error(capsys, ["learn", "--target", pinned_target, "--dist", "uniform:4", "--auto-plan"])
+    assert error["type"] == "ValueError"
+    assert "m1=174918" in error["error"] and "m2=998593908" in error["error"]
+    assert "--m1" in error["error"] and "--m2" in error["error"]
+
+
+def test_learn_auto_plan_within_desk_scale_runs(tmp_path, capsys):
+    path = tmp_path / "one.dnf"
+    path.write_text("dim 1\n1\n")
+    argv = ["learn", "--target", str(path), "--dist", "uniform:1", "--auto-plan", "--epsilon", "0.5"]
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["m1"], payload["m2"]) == (267, 166542)
+    assert payload["loss"] == "0"
 
 
 def test_missing_file_is_a_json_error(tmp_path, capsys):

@@ -58,6 +58,21 @@ class TestDnf:
         with pytest.raises(DimensionMismatch):
             Term.of(3).satisfied_by(P("++"))
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.sampled_from((-1, 0, 1)), min_size=1, max_size=40), st.integers(0, 3))
+    def test_from_masks_inverts_masks(self, signs, extra):
+        t = Term.of(*(sign * j for j, sign in enumerate(signs, 1) if sign))
+        n = len(signs) + extra
+        assert Term.from_masks(n, *t.masks(n)) == t
+
+    @pytest.mark.parametrize(
+        "pos, neg, message",
+        [(8, 0, "out of range"), (0, 8, "out of range"), (-1, 0, "out of range"), (1, 1, "and its negation")],
+    )
+    def test_from_masks_refuses_masks_no_term_has(self, pos, neg, message):
+        with pytest.raises(ValueError, match=message):
+            Term.from_masks(3, pos, neg)
+
     def test_contradictory_term_rejected(self):
         with pytest.raises(ValueError):
             Term(frozenset({1}), frozenset({1}))

@@ -226,6 +226,12 @@ COUNT_ROWS = [
     ("DecisionTree", lambda v: concepts.DecisionTree(v, concepts.Leaf(1)), 0, _DIMENSION),
     ("Junta", lambda v: concepts.Junta(v, (), (1,)), 0, _DIMENSION),
     ("SparsePoly", lambda v: concepts.SparsePoly(v, {}), 0, _DIMENSION),
+    ("DecisionTree.var", lambda v: concepts.DecisionTree(3, concepts.Node(v, concepts.Leaf(0), concepts.Leaf(1))), 0,
+     lambda v: f"node variable {v} out of range 1..3"),
+    ("Junta.relevant", lambda v: concepts.Junta(4, (v,), (0, 1)), 0,
+     lambda v: f"relevant variable {v} out of range 1..4"),
+    ("SparsePoly.monomial", lambda v: concepts.SparsePoly(3, {frozenset({v}): 1}), 0,
+     lambda v: f"monomial variable {v} out of range 1..3"),
     ("Dfa.length", lambda v: concepts.Dfa(((0, 0),), 0, frozenset({0}), v), 0, "input length must be positive"),
     ("UniformCube", lambda v: distributions.UniformCube(v), 0, _DIMENSION),
     ("ProductDist", lambda v: distributions.ProductDist(v, (_HALF, _HALF)), 0, _DIMENSION),

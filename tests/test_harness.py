@@ -16,6 +16,7 @@ from lmqlab.concepts import (
     random_junta,
     random_tree,
 )
+from lmqlab import harness
 from lmqlab.cube import enumerate_cube
 from lmqlab.distributions import UniformCube
 from lmqlab.harness import (
@@ -170,6 +171,23 @@ def test_corpus_small_run_is_clean():
     assert set(report.locality_histogram) <= {1}
 
 
+def test_corpus_notes_a_wrong_reconstruction_as_signed_literals(monkeypatch):
+    real = harness.reconstruct_term
+    formulas = []
+
+    def swapped(x, oracle):
+        formulas.append(oracle.target)
+        pos, neg = real(x, oracle)
+        return neg, pos
+
+    monkeypatch.setattr(harness, "reconstruct_term", swapped)
+    report = run_reconstruction_corpus(count=1)
+    assert report.recon_failures == report.recon_checked > 0 and not report.passed
+    note = report.failures[0]
+    assert note["kind"] == "reconstruction"
+    assert note["got"] == str(sorted(-v for v in formulas[0].terms[note["term"]].signed()))
+
+
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -210,7 +228,14 @@ def _learning_and_corpus_results():
         target, dist = family(derive_seed(13, "instance"))
         run, loss, estimator = run_trial(target, dist, 300, 600, 1, (1, 2, 3))
         trials.append((dataclasses.replace(run, phase1_seconds=0, phase2_seconds=0), loss, estimator))
-    return trials, run_reconstruction_corpus(count=5).to_dict()
+    # One kind-A and one kind-B query synthesis audit, as run_reduction_suite runs them.
+    audits = []
+    for name, concept in (("dnf", DnfFormula(3, (Term.of(1),))), ("junta", Junta(4, (1, 2), (0, 1, 1, 0)))):
+        report = ReductionSuiteReport()
+        reduction = make_reduction(name, concept.n)
+        _audit_simulation(report, reduction, concept, UniformCube(concept.n), 200, 200, derive_seed(13, name))
+        audits.append((reduction.kind, report.to_dict()))
+    return trials, run_reconstruction_corpus(count=5).to_dict(), audits
 
 
 def test_learning_and_corpus_never_reach_the_anchor_scan(monkeypatch):
@@ -219,6 +244,8 @@ def test_learning_and_corpus_never_reach_the_anchor_scan(monkeypatch):
     expected = _learning_and_corpus_results()
     assert expected[0][0][0].formula.n >= 24
     assert all(run.oracle_stats.query_count > 0 for run, _, _ in expected[0])
+    assert [kind for kind, _ in expected[2]] == ["A", "B"]
+    assert all(audit["simulation_queries"] > 0 and audit["passed"] for _, audit in expected[2])
 
     def refuse(self, mask, times=1):
         raise AssertionError(f"ask({mask}, {times}) reached the anchor scan")

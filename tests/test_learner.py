@@ -56,14 +56,14 @@ class TestReconstruction:
         f = DnfFormula(3, (Term.of(1, 2),))
         x = P("+++")
         o = LocalMQOracle(f, [x], q=1)
-        assert reconstruct_term(x.mask, o) == Term.of(1, 2)
+        assert reconstruct_term(x.mask, o) == Term.of(1, 2).masks(3)
         assert o.stats().query_count == 3
 
     def test_negative_literal_trace(self):
         f = DnfFormula(2, (Term.of(-1),))
         x = P("-+")
         o = LocalMQOracle(f, [x], q=1)
-        assert reconstruct_term(x.mask, o) == Term.of(-1)
+        assert reconstruct_term(x.mask, o) == Term.of(-1).masks(2)
 
     def test_exact_on_evident_points_of_random_instances(self):
         rng = random.Random(73)
@@ -76,7 +76,7 @@ class TestReconstruction:
                 hit = f.satisfied_indices(x.mask)
                 if len(hit) == 1 and satisfies_evidently(f, hit[0], x.mask):
                     o = LocalMQOracle(f, [x], q=1)
-                    assert reconstruct_term(x.mask, o) == f.terms[hit[0]]
+                    assert reconstruct_term(x.mask, o) == f.terms[hit[0]].masks(n)
 
     @pytest.mark.parametrize("x", ["++", "++++"])
     def test_example_of_another_dimension_rejected(self, x):
@@ -270,6 +270,6 @@ def test_reconstruct_term_matches_per_flip_reference(case, q, cap):
             with pytest.raises(type(err)):
                 reconstruct_term(x.mask, batched, times)
             break
-        assert reconstruct_term(x.mask, batched, times) == expected
+        assert reconstruct_term(x.mask, batched, times) == expected.masks(target.n)
     assert batched.entries() == reference.entries()
     assert batched.stats() == reference.stats()
