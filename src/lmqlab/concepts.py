@@ -15,7 +15,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from operator import or_
 from typing import Iterator, Mapping, Protocol, Union
 
@@ -344,12 +344,26 @@ class Junta(MaskConcept):
 # Sparse multilinear polynomials and threshold functions
 
 
+def _exact_rational(value: object, what: str) -> Fraction:
+    """An int, a finite float or a Fraction as the exact Fraction it denotes.
+
+    A bool, nan, an infinity or any other type is refused: none of them is a
+    number a polynomial's coefficient or threshold could mean.
+    """
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int) and not isinstance(value, bool) or isinstance(value, float) and math.isfinite(value):
+        return Fraction(value)
+    raise ValueError(f"{what} must be an int, a finite float or a Fraction, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SparsePoly:
     """Multilinear polynomial with exact rational coefficients.
 
-    ``monomials`` maps a frozenset of variable indices to its coefficient;
-    zero coefficients are dropped at construction.
+    ``monomials`` maps a frozenset of variable indices to its coefficient, an
+    int, a finite float or a Fraction, stored as a Fraction; zero
+    coefficients are dropped at construction.
     """
 
     n: int
@@ -362,20 +376,10 @@ class SparsePoly:
             vs = frozenset(vars_)
             for j in vs:
                 _require_variable(j, self.n, "monomial variable")
-            c = Fraction(coeff)
+            c = _exact_rational(coeff, "coefficient")
             if c != 0:
                 cleaned[vs] = c
         object.__setattr__(self, "monomials", cleaned)
-        # Integer form over a common denominator: evaluation needs one
-        # popcount per monomial and a single Fraction at the end.
-        denom = 1
-        for c in cleaned.values():
-            denom = denom * c.denominator // math.gcd(denom, c.denominator)
-        scaled = tuple(
-            (sum(1 << (self.n - j) for j in vs), int(c * denom)) for vs, c in cleaned.items()
-        )
-        object.__setattr__(self, "_scaled", scaled)
-        object.__setattr__(self, "_denom", denom)
 
     @property
     def degree(self) -> int:
@@ -385,18 +389,58 @@ class SparsePoly:
     def coefficient_count(self) -> int:
         return len(self.monomials)
 
+    @cached_property
+    def _tables(self) -> tuple:
+        """The bit-sliced evaluation kernel, built on the first evaluation.
+
+        Monomial t is bit t. Over the common denominator ``denom`` each
+        coefficient is an integer v. For every 8-coordinate chunk of the mask
+        that some monomial reads, a 256-entry table maps the chunk's -1
+        coordinates to the monomials reading an odd number of them, built as
+        ``tab[b] = tab[b ^ low] ^ holders[low]``. ``classes`` pairs 2v with
+        the bitset of the monomials scaled to v, so a point's numerator is
+        ``base`` (the sum of all v) minus 2v per odd monomial of each class.
+        """
+        denom = math.lcm(*(c.denominator for c in self.monomials.values()))
+        holders: dict[int, int] = {}  # mask bit position -> monomials reading it
+        by_value: dict[int, int] = {}
+        for t, (vars_, c) in enumerate(self.monomials.items()):
+            for j in vars_:
+                holders[self.n - j] = holders.get(self.n - j, 0) | 1 << t
+            v = c.numerator * (denom // c.denominator)
+            by_value[v] = by_value.get(v, 0) | 1 << t
+        chunks = []
+        for shift in range(0, self.n, 8):
+            held = [holders.get(shift + i, 0) for i in range(8)]
+            if any(held):
+                tab = [0] * 256
+                for b in range(1, 256):
+                    low = b & -b
+                    tab[b] = tab[b ^ low] ^ held[low.bit_length() - 1]
+                chunks.append((shift, tab))
+        base = sum(v * bits.bit_count() for v, bits in by_value.items())
+        return denom, base, tuple(chunks), tuple((2 * v, bits) for v, bits in by_value.items())
+
+    def _parts(self, mask: int) -> tuple[int, int]:
+        """(total, denom), denom > 0: the polynomial at an in-range n-bit mask is total / denom."""
+        denom, total, chunks, classes = self._tables
+        minus = ~mask
+        odd = 0
+        for shift, tab in chunks:
+            odd ^= tab[minus >> shift & 255]
+        for w, bits in classes:
+            total -= w * (odd & bits).bit_count()
+        return total, denom
+
     def evaluate(self, x: CubePoint) -> Fraction:
         if x.n != self.n:
             raise DimensionMismatch(f"polynomial over {self.n} variables, point has {x.n}")
         return self.value(x.mask)
 
     def value(self, mask: int) -> Fraction:
-        """The polynomial at an in-range n-bit mask."""
-        minus = ~mask
-        total = 0
-        for mono_mask, num in self._scaled:
-            total += -num if (mono_mask & minus).bit_count() & 1 else num
-        return Fraction(total, self._denom)
+        """The polynomial at an in-range n-bit mask, exactly: one parity-table lookup
+        per 8-coordinate chunk, then one popcount per distinct coefficient (see ``_tables``)."""
+        return Fraction(*self._parts(mask))
 
 
 @dataclass(frozen=True)
@@ -405,32 +449,48 @@ class PolyConcept(MaskConcept):
 
     poly: SparsePoly
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.poly, SparsePoly):
+            raise ValueError(f"polynomial concept needs a SparsePoly, got {type(self.poly).__name__}")
+
     @property
     def n(self) -> int:
         return self.poly.n
 
     def label(self, mask: int) -> int:
-        v = self.poly.value(mask)
-        if v == 1:
+        total, denom = self.poly._parts(mask)
+        if total == denom:
             return 1
-        if v == -1:
+        if total == -denom:
             return 0
-        raise ValueError(f"polynomial value {v} at {CubePoint(self.n, mask).to_string()} is not in {{-1,+1}}")
+        raise ValueError(
+            f"polynomial value {Fraction(total, denom)} at {CubePoint(self.n, mask).to_string()} is not in {{-1,+1}}"
+        )
 
 
 @dataclass(frozen=True)
 class SparsePtf(MaskConcept):
-    """Polynomial threshold function: label 1 iff the polynomial is >= theta."""
+    """Polynomial threshold function: label 1 iff the polynomial is >= theta.
+
+    ``theta`` is an int, a finite float or a Fraction, stored as a Fraction.
+    """
 
     poly: SparsePoly
     theta: Fraction
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.poly, SparsePoly):
+            raise ValueError(f"threshold function needs a SparsePoly, got {type(self.poly).__name__}")
+        object.__setattr__(self, "theta", _exact_rational(self.theta, "threshold"))
 
     @property
     def n(self) -> int:
         return self.poly.n
 
     def label(self, mask: int) -> int:
-        return 1 if self.poly.value(mask) >= self.theta else 0
+        total, denom = self.poly._parts(mask)
+        theta = self.theta
+        return 1 if total * theta.denominator >= theta.numerator * denom else 0
 
 
 def maj_poly(k: int) -> SparsePoly:

@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -204,6 +205,38 @@ class TestPoly:
         with pytest.raises(ValueError):
             bad.evaluate(P("++"))
 
+    @pytest.mark.parametrize("theta", [1, -3, 0.1, -2.75, 0.0, Fraction(-7, 3)])
+    def test_ptf_threshold_is_stored_exactly(self, theta):
+        p = SparsePoly(3, {frozenset({1}): Fraction(1, 10), frozenset({2, 3}): -2})
+        f = SparsePtf(p, theta)
+        assert type(f.theta) is Fraction and f.theta == theta
+        for x in enumerate_cube(3):
+            assert f.evaluate(x) == int(_ref_value(p, x) >= Fraction(theta))
+
+    @pytest.mark.parametrize(
+        "theta", [float("nan"), float("inf"), -float("inf"), True, False, "1", None, Decimal("0.5"), 1j]
+    )
+    def test_ptf_threshold_that_is_not_a_rational_refused(self, theta):
+        p = SparsePoly(2, {frozenset({1}): Fraction(1)})
+        with pytest.raises(ValueError, match="threshold must be an int, a finite float or a Fraction"):
+            SparsePtf(p, theta)
+
+    @pytest.mark.parametrize("poly", [None, {frozenset({1}): 1}, maj_poly(3).monomials, PolyConcept(maj_poly(3))])
+    @pytest.mark.parametrize("adapter", [lambda p: SparsePtf(p, Fraction(0)), PolyConcept])
+    def test_adapter_of_something_else_than_a_polynomial_refused(self, poly, adapter):
+        with pytest.raises(ValueError, match="needs a SparsePoly"):
+            adapter(poly)
+
+    @pytest.mark.parametrize("coeff", [True, False, float("nan"), float("inf"), "1/2", None, Decimal(1)])
+    def test_coefficient_that_is_not_a_rational_refused(self, coeff):
+        with pytest.raises(ValueError, match="coefficient must be an int, a finite float or a Fraction"):
+            SparsePoly(2, {frozenset({1}): coeff})
+
+    def test_float_coefficient_kept_exactly(self):
+        p = SparsePoly(1, {frozenset({1}): 0.1, frozenset(): 3})
+        assert p.monomials == {frozenset({1}): Fraction(0.1), frozenset(): Fraction(3)}
+        assert p.value(1) == Fraction(0.1) + 3 and p.value(0) == 3 - Fraction(0.1)
+
 
 class TestMajPoly:
     def test_single_variable(self):
@@ -348,6 +381,108 @@ def test_default_reads_covers_every_coordinate(kind):
     rng = random.Random(8)
     for mask in [0, (1 << c.n) - 1] + [rng.getrandbits(c.n) for _ in range(16)]:
         assert c.label(mask) == c.label(mask & c.reads)
+
+
+# Dimensions on both sides of the 8-coordinate chunk edges and the 64-bit word edge.
+_EDGE_DIMENSIONS = st.sampled_from([1, 7, 8, 9, 15, 16, 17, 63, 64, 65]) | st.integers(1, 70)
+
+
+@st.composite
+def _polys(draw, n=None):
+    """A polynomial over n variables whose coefficients fall in 1 to 5 classes, or none."""
+    n = draw(_EDGE_DIMENSIONS) if n is None else n
+    pool = draw(
+        st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=12), min_size=1, max_size=5)
+    )
+    monomials = draw(
+        st.dictionaries(
+            st.frozensets(st.integers(1, n), max_size=min(n, 6)), st.sampled_from(pool), max_size=40
+        )
+    )
+    return SparsePoly(n, monomials)
+
+
+@st.composite
+def _masks(draw, n):
+    """Masks 0 and 2^n - 1, and a few drawn ones."""
+    return [0, (1 << n) - 1] + draw(st.lists(st.integers(0, (1 << n) - 1), max_size=8))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_poly_value_matches_pointwise_product(data):
+    poly = data.draw(_polys())
+    for mask in data.draw(_masks(poly.n)):
+        assert poly.value(mask) == _ref_value(poly, CubePoint(poly.n, mask))
+
+
+@pytest.mark.parametrize("n", [1, 8, 9, 64, 65])
+def test_empty_and_constant_polys_match_pointwise_product(n):
+    for monomials in ({}, {frozenset(): Fraction(-5, 3)}, {frozenset(): 2, frozenset({1}): Fraction(1, 3)}):
+        poly = SparsePoly(n, monomials)
+        for mask in (0, (1 << n) - 1, 1, 1 << (n - 1)):
+            assert poly.value(mask) == _ref_value(poly, CubePoint(n, mask))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_ptf_label_matches_pointwise_threshold(data):
+    poly = data.draw(_polys())
+    masks = data.draw(_masks(poly.n))
+    values = [_ref_value(poly, CubePoint(poly.n, m)) for m in masks]
+    # Half the thresholds are one of the values, so value == theta ties occur.
+    theta = data.draw(
+        st.sampled_from(values) | st.fractions(min_value=-6, max_value=6, max_denominator=12)
+    )
+    f = SparsePtf(poly, theta)
+    for mask, value in zip(masks, values):
+        assert f.label(mask) == int(value >= theta)
+
+
+@st.composite
+def _signed_polys(draw):
+    """A ±1-valued polynomial: a signed product of majorities over disjoint variables, or any polynomial."""
+    n = draw(_EDGE_DIMENSIONS)
+    if draw(st.booleans()):
+        return draw(_polys(n))
+    free = draw(st.permutations(range(1, n + 1)))
+    poly = SparsePoly(n, {frozenset(): draw(st.sampled_from([1, -1]))})
+    for k in draw(st.lists(st.sampled_from([1, 3, 5]), max_size=2)):
+        if len(free) < k:
+            break
+        block, free = free[:k], free[k:]
+        maj = maj_poly(k).monomials
+        poly = SparsePoly(
+            n,
+            {
+                vs | frozenset(block[i - 1] for i in us): c * d
+                for vs, c in poly.monomials.items()
+                for us, d in maj.items()
+            },
+        )
+    return poly
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_poly_concept_label_matches_pointwise_sign(data):
+    poly = data.draw(_signed_polys())
+    c = PolyConcept(poly)
+    for mask in data.draw(_masks(poly.n)):
+        value = _ref_value(poly, CubePoint(poly.n, mask))
+        if value in (1, -1):
+            assert c.label(mask) == (value == 1)
+        else:
+            with pytest.raises(ValueError, match=f"polynomial value {value} at "):
+                c.label(mask)
+
+
+def test_poly_tables_built_on_first_evaluation():
+    # Kind-B expansions build polynomials with tens of thousands of monomials that are never evaluated.
+    poly = SparsePoly(20, {frozenset({j}): Fraction(1, j) for j in range(1, 21)})
+    assert "_tables" not in vars(poly)
+    assert poly.value(0) == -sum(Fraction(1, j) for j in range(1, 21))
+    assert "_tables" in vars(poly)
 
 
 @settings(max_examples=100, deadline=None)
