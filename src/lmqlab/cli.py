@@ -94,8 +94,10 @@ def _cmd_check_evident(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_reduction(args: argparse.Namespace) -> int:
-    reduction = make_reduction(args.construction, args.n, k=args.k, q0=args.q0)
     construction = CONSTRUCTIONS[args.construction]
+    if args.q0 is not None and construction.kind == "A":
+        raise ValueError(f"{args.construction} is a kind-A construction, whose budget is k-1; --q0 is for kind B")
+    reduction = make_reduction(args.construction, args.n, k=args.k, q0=1 if args.q0 is None else args.q0)
     if args.concept:
         concept = construction.parse(Path(args.concept).read_text())
         if concept.n != args.n:
@@ -193,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify-reduction", help="exhaustively verify one reduction")
     verify.add_argument("--construction", required=True, choices=list(CONSTRUCTIONS))
     verify.add_argument("--n", type=int, required=True, help="source dimension")
-    verify.add_argument("--q0", type=int, default=1, help="flip budget for majority constructions")
+    verify.add_argument("--q0", type=int, help="flip budget for majority constructions, default 1")
     verify.add_argument("--k", type=int, help="replication factor for dnf/dfa, default n^2")
     verify.add_argument("--concept", help="source concept file; omit for a seeded fixture")
     verify.add_argument("--seed", type=int, default=0)

@@ -6,6 +6,8 @@ in-range n-bit masks, ``flip_labels(mask)``, whose bit i is the label at
 depend on (``label(m) == label(m & reads)``), and ``evaluate(x)``: a
 dimension check, then ``label(x.mask)``. Hot paths call ``label``;
 ``CubePoint`` stays at the API boundary. Sparse polynomials additionally evaluate to exact rationals.
+DNFs, automata, trees and juntas also label a bit-sliced point list at once (see ``cube``):
+``label_columns(columns, full)``, with one bit of ``full`` per point, is the bitset of the points labelled 1.
 Variable indices are 1-based everywhere, matching the textual formats.
 """
 
@@ -16,8 +18,8 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
-from operator import or_
-from typing import Iterator, Mapping, Protocol, Union
+from operator import and_, or_
+from typing import Iterator, Mapping, Protocol, Sequence, Union
 
 from .cube import CubePoint, DimensionMismatch, require_count
 
@@ -111,6 +113,11 @@ class Term:
             raise DimensionMismatch(f"term masks {pos}, {neg} out of range for dimension {n}")
         return cls(*(frozenset(n - i for i in range(n) if m >> i & 1) for m in (pos, neg)))
 
+    def table(self, columns: Sequence[int], full: int) -> int:
+        """Bitset of the listed points satisfying the term; ``columns[i]`` holds bit i of each point."""
+        n = len(columns)
+        return reduce(and_, [columns[n - j] for j in self.positives] + [~columns[n - j] for j in self.negatives], full)
+
     def satisfied_by(self, x: CubePoint) -> bool:
         """True iff x meets every literal of the term."""
         for j in self.variables:
@@ -151,6 +158,9 @@ class DnfFormula(MaskConcept):
             if (mask & pos) == pos and (mask & neg) == 0:
                 return 1
         return 0
+
+    def label_columns(self, columns: Sequence[int], full: int) -> int:
+        return reduce(or_, (t.table(columns, full) for t in self.terms), 0)
 
     def flip_labels(self, mask: int) -> int:
         """One pass over the terms: a satisfied term makes every flip outside its
@@ -230,6 +240,19 @@ class DecisionTree(MaskConcept):
             node = node.high if (mask >> (n - node.var)) & 1 else node.low
         return node.label
 
+    def label_columns(self, columns: Sequence[int], full: int) -> int:
+        """Each node splits its points by its variable's column; 1-leaves collect theirs."""
+
+        def ones(node: TreeNode, points: int) -> int:
+            if not points:
+                return 0
+            if isinstance(node, Leaf):
+                return points * node.label
+            plus = columns[self.n - node.var]
+            return ones(node.low, points & ~plus) | ones(node.high, points & plus)
+
+        return ones(self.root, full)
+
 
 def dnf_of_tree(tree: DecisionTree) -> DnfFormula:
     """Expand a decision tree into one term per reachable 1-leaf.
@@ -298,6 +321,18 @@ class Dfa(MaskConcept):
             state = delta[state][(mask >> shift) & 1]
         return 1 if state in self.accepting else 0
 
+    def label_columns(self, columns: Sequence[int], full: int) -> int:
+        """One bitset per live state, stepped through the columns in reading order."""
+        live = {self.start: full}
+        for shift in range(self.length - 1, -1, -1):
+            plus, stepped = columns[shift], {}
+            for state, points in live.items():
+                for target, part in zip(self.delta[state], (points & ~plus, points & plus)):
+                    if part:
+                        stepped[target] = stepped.get(target, 0) | part
+            live = stepped
+        return reduce(or_, (points for state, points in live.items() if state in self.accepting), 0)
+
 
 # ---------------------------------------------------------------------------
 # Juntas
@@ -338,6 +373,15 @@ class Junta(MaskConcept):
         for j in self.relevant:
             idx = (idx << 1) | ((mask >> (self.n - j)) & 1)
         return self.table[idx]
+
+    def label_columns(self, columns: Sequence[int], full: int) -> int:
+        """Shannon split over the relevant columns, keeping only non-empty parts, then a table read per part."""
+        parts = [(0, full)]  # (table index prefix, points with that prefix)
+        for j in self.relevant:
+            plus = columns[self.n - j]
+            parts = [(idx << 1 | bit, part) for idx, points in parts
+                     for bit, part in ((0, points & ~plus), (1, points & plus)) if part]
+        return reduce(or_, (points for idx, points in parts if self.table[idx]), 0)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,10 @@ bit mask so that flips, distances and enumeration reduce to integer
 arithmetic. Hot paths pass the bare int masks (the oracle's anchor scan,
 ``ReplicateMap.encode``/``decode``); ``CubePoint`` is the API form.
 
+A point list can also be held bit-sliced, as columns: column i is the bitset
+of the list positions whose point has mask bit i set (``cube_columns``,
+``ball_columns``), so one bitset operation acts on every point at once.
+
 ``require_count`` is the package's one rule for a count, dimension or budget
 (an int, never a bool or a float, at least a bound); ``require_enumerable``
 holds every enumeration's comparison against ``ENUMERATION_CAP``. ``exact_loss``
@@ -14,6 +18,7 @@ keeps its own comparison, because its message carries the ``use mc_loss`` hint.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterator, Sequence
 
@@ -116,6 +121,59 @@ def masks_at_distance(mask: int, n: int, r: int) -> Iterator[int]:
         yield m
 
 
+@lru_cache(maxsize=None)
+def cube_columns(n: int) -> tuple[int, ...]:
+    """Columns of all 2^n points in mask order: bit m of column i is bit i of mask m."""
+    full = (1 << (1 << n)) - 1  # column i repeats 2^i zeros then 2^i ones, a geometric series
+    return tuple((((1 << (1 << i)) - 1) << (1 << i)) * (full // ((1 << (2 << i)) - 1)) for i in range(n))
+
+
+def ball_columns(n: int, r: int) -> tuple[int, ...]:
+    """Columns of the ``ball_size(n, r) - 1`` n-bit flip patterns of weight 1..r, weight ascending,
+    then in ``masks_at_distance`` order; ``recentre`` moves them onto the ball around a point.
+
+    The weight-w patterns over bits a..n-1 are those holding bit a, then those
+    without it, so each column is a concatenation, with no loop over patterns.
+    """
+
+    @lru_cache(maxsize=None)
+    def combos(a: int, w: int) -> tuple[int, tuple[int, ...]]:
+        if w == 0 or n - a < w:
+            return int(w == 0), (0,) * (n - a)
+        hit, hit_columns = combos(a + 1, w - 1)
+        miss, miss_columns = combos(a + 1, w)
+        return hit + miss, ((1 << hit) - 1,) + tuple(h | m << hit for h, m in zip(hit_columns, miss_columns))
+
+    columns, offset = [0] * n, 0
+    for w in range(1, r + 1):
+        count, block = combos(0, w)
+        columns = [c | b << offset for c, b in zip(columns, block)]
+        offset += count
+    return tuple(columns)
+
+
+def recentre(columns: Sequence[int], full: int, centre: int) -> list[int]:
+    """The columns of every listed point XOR ``centre``; ``full`` has one bit per point."""
+    return [c ^ full if centre >> i & 1 else c for i, c in enumerate(columns)]
+
+
+def count_above(columns: Sequence[int], t: int) -> int:
+    """Bitset of the points set in more than t of the columns, by a saturating bit-sliced count."""
+    above = [0] * (t + 1)  # above[s]: set in more than s of the columns read so far
+    for c in columns:
+        for s in range(t, 0, -1):
+            above[s] |= above[s - 1] & c
+        above[0] |= c
+    return above[t]
+
+
+def iter_bits(bitset: int) -> Iterator[int]:
+    while bitset:
+        lowest = bitset & -bitset
+        yield lowest.bit_length() - 1
+        bitset ^= lowest
+
+
 @dataclass(frozen=True)
 class ReplicateMap:
     """Each source coordinate expanded into k adjacent copies.
@@ -166,6 +224,11 @@ class ReplicateMap:
         for shift in range(self.target_n - k, -1, -k):
             source = (source << 1) | (((mask >> shift) & block).bit_count() > half)
         return source
+
+    def decode_columns(self, columns: Sequence[int]) -> list[int]:
+        """``decode`` bit-sliced: from the target columns of a point list, the source columns of its decodes."""
+        k = self.k
+        return [count_above(columns[b * k:(b + 1) * k], k // 2) for b in range(self.source_n)]
 
     def block_coordinates(self, i: int) -> range:
         """Target coordinates carrying source coordinate i."""

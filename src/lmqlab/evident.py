@@ -6,9 +6,10 @@ true through a different term. Such points let a learner read the term off
 the formula one flip at a time, which is what the whole positive result
 rests on.
 
-This module owns the truth-table kernel: ``evident_tables`` holds each set
-as a 2^n-bit int whose bit ``mask`` is the entry at that point; the harness's
-corpus and ``evidence_report`` read it. ``satisfies_evidently`` and
+This module owns the evident truth tables: ``evident_tables`` holds each set
+as a 2^n-bit int whose bit ``mask`` is the entry at that point, built with
+``Term.table`` over the whole cube's columns; the harness's corpus and
+``evidence_report`` read it. ``satisfies_evidently`` and
 ``flips_reveal_term`` are its reference: pointwise on masks, one flip at a
 time, and the tests cross-check both.
 """
@@ -18,11 +19,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Optional
 
 from .concepts import DecisionTree, DnfFormula, Term, dnf_of_tree
-from .cube import DimensionMismatch, ReplicateMap, require_count, require_enumerable
+from .cube import DimensionMismatch, ReplicateMap, cube_columns, require_count, require_enumerable
 from .distributions import Distribution
 
 
@@ -61,47 +61,20 @@ def flips_reveal_term(formula: DnfFormula, i: int, x: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
-def _plus_pattern(n: int, j: int) -> int:
-    """Truth-table bitset (indexed by point mask) of the literal x_j = +1."""
-    stride = 1 << (n - j)
-    period = stride << 1
-    unit = ((1 << stride) - 1) << stride
-    reps = (1 << n) // period
-    geometric = ((1 << (reps * period)) - 1) // ((1 << period) - 1)
-    return unit * geometric
-
-
-def _term_table(term: Term, n: int) -> int:
-    table = full = (1 << (1 << n)) - 1
-    for j in term.positives:
-        table &= _plus_pattern(n, j)
-    for j in term.negatives:
-        table &= full ^ _plus_pattern(n, j)
-    return table
-
-
 def flip_table(table: int, n: int, j: int) -> int:
     """Bitset whose entry at x is the entry of the input at x with j flipped."""
     stride = 1 << (n - j)
     full = (1 << (1 << n)) - 1
-    low = full ^ _plus_pattern(n, j)
+    low = full ^ cube_columns(n)[n - j]
     return ((table >> stride) & low) | ((table & low) << stride)
-
-
-def iter_bits(bitset: int) -> Iterator[int]:
-    while bitset:
-        lowest = bitset & -bitset
-        yield lowest.bit_length() - 1
-        bitset ^= lowest
 
 
 def evident_tables(formula: DnfFormula) -> tuple[list[int], int, list[int]]:
     """Per-term satisfaction tables, the formula table, and evident-point tables (n <= ``ENUMERATION_CAP``)."""
     n = formula.n
     require_enumerable(n)
-    full = (1 << (1 << n)) - 1
-    sat = [_term_table(t, n) for t in formula.terms]
+    full, columns = (1 << (1 << n)) - 1, cube_columns(n)
+    sat = [t.table(columns, full) for t in formula.terms]
     h_table = twice = 0  # points satisfying at least one term, and at least two
     for t in sat:
         twice |= h_table & t

@@ -31,7 +31,7 @@ from .concepts import (
     random_junta,
     random_tree,
 )
-from .cube import CubePoint, ReplicateMap, require_count
+from .cube import CubePoint, ReplicateMap, iter_bits, require_count
 from .distributions import Distribution, UniformCube, exact_loss, mc_loss, pushforward
 from .evident import (
     doubling_dnf,
@@ -39,7 +39,6 @@ from .evident import (
     flip_table,
     flips_reveal_term,
     gen_opposite_literal_dnf,
-    iter_bits,
     satisfies_evidently,
 )
 from .learner import LearnerRun, learn_evident_dnf, learn_evident_dnf_run, reconstruct_term, require_epsilon

@@ -20,6 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
+from functools import cache
 from typing import Callable, NamedTuple, Sequence
 
 from .concepts import (
@@ -42,14 +43,15 @@ from .concepts import (
     random_junta,
     random_tree,
 )
-from .cube import CubePoint, DimensionMismatch, ReplicateMap, ball_size, masks_at_distance, require_count
+from .cube import CubePoint, DimensionMismatch, ReplicateMap, ball_columns, ball_size, count_above, iter_bits
+from .cube import masks_at_distance, recentre, require_count
 from .distributions import LabeledSample
 from .formats import parse_dfa, parse_dnf, parse_junta, parse_poly, parse_tree
 from .oracle import LocalMQOracle
 
 TREE_LEAF_CAP = 32768
 POLY_COEFF_CAP = 1 << 16
-FLIP_RADIUS_CAP = 3  # the verifier walks at most this many flips around an image
+FLIP_RADIUS_CAP = 3  # the verifier checks at most this many flips around an image
 FLIP_ENUM_BUDGET = 5_000_000
 
 
@@ -313,8 +315,8 @@ def make_reduction(name: str, n: int, *, k: int | None = None, q0: int = 1) -> Q
 
     Kind A replicates each coordinate k times (default n^2) and tolerates
     q = k - 1 flips; kind B takes 2*q0+1 copies and tolerates q = q0. Kind A
-    ignores q0 and kind B ignores k. The transform refuses a concept whose
-    dimension is not n.
+    ignores q0, and kind B refuses a k, which q0 fixes. The transform refuses
+    a concept whose dimension is not n.
     """
     if name not in CONSTRUCTIONS:
         raise ValueError(f"unknown construction {name!r}, expected one of {sorted(CONSTRUCTIONS)}")
@@ -323,6 +325,8 @@ def make_reduction(name: str, n: int, *, k: int | None = None, q0: int = 1) -> Q
         k = n * n if k is None else k
         phi, q = ReplicateMap(n, k), k - 1
     else:
+        if k is not None:
+            raise ValueError(f"{name} is a kind-B construction, whose replication factor is 2*q0+1; got k={k}")
         require_count(q0, 0, "locality budget must be non-negative")
         phi, q = ReplicateMap(n, 2 * q0 + 1), q0
 
@@ -419,17 +423,19 @@ class ReductionReport:
 def verify_reduction(reduction: QReduction, concept: Concept) -> ReductionReport:
     """Exhaustively check a reduction against one source concept.
 
-    Confirms value agreement on the whole image, then walks every point
-    obtained by flipping at most min(q, FLIP_RADIUS_CAP) coordinates of an
-    image point: kind A requires label 1 off the image, kind B requires the
+    Confirms value agreement on the whole image, then checks every point
+    obtained by flipping 1..min(q, FLIP_RADIUS_CAP) coordinates of an image
+    point, once: kind A requires label 1 off the image, kind B requires the
     point to decode to a source whose image is within q and to carry that
     source's value. Flip enumeration is guarded by the FLIP_ENUM_BUDGET check
-    count since the target cube itself is astronomically large. Points are
-    int masks throughout; concepts are read through ``label``, or through
-    ``value`` for a ``SparsePoly``, which is checked by exact value.
+    count since the target cube itself is astronomically large. Each ball is
+    one bitset over ``ball_columns``, labelled by ``label_columns``, or point
+    by point for a polynomial (by exact ``value``) or threshold function. As
+    2q < k, a kind-B ball point carries its centre's value once a bit-sliced
+    block majority confirms it decodes there; any other point is decoded alone.
     """
     phi = reduction.phi
-    n, n_target = phi.source_n, phi.target_n
+    n, n_target, k = phi.source_n, phi.target_n, phi.k
     if concept.n != n:  # the negative controls' transforms skip make_reduction's check
         raise DimensionMismatch(f"{reduction.name} reduction maps dimension {n}, concept has {concept.n}")
     transformed = reduction.transform(concept)
@@ -455,28 +461,43 @@ def verify_reduction(reduction: QReduction, concept: Concept) -> ReductionReport
             report.image_failures += 1
             report._note("image", z, expected, got)
 
-    seen: set[int] = set()  # no image lies within q < k of another, so the walk meets none
-    for image in image_masks:
-        for r in range(1, radius + 1):
-            for m in masks_at_distance(image, n_target, r):
-                if m in seen:
-                    continue
-                seen.add(m)
-                report.ball_checked += 1
-                if reduction.kind == "A":
-                    expected = 1
-                else:
-                    source = phi.decode(m)
-                    distance = (image_masks[source] ^ m).bit_count()
-                    if distance > reduction.q:
-                        report.anchor_failures += 1
-                        report._note("anchor", m, f"decoded image within {reduction.q}", distance)
-                        continue
-                    expected = values[source]
-                got = read_transformed(m)
-                if got != expected:
+    columns = ball_columns(n_target, radius)
+    full = (1 << (ball_size(n_target, radius) - 1)) - 1
+    # The flip patterns themselves, listed only once some point is read alone.
+    flips = cache(lambda: [m for r in range(1, radius + 1) for m in masks_at_distance(0, n_target, r)])
+    for source, centre in enumerate(image_masks):
+        ball, fresh = recentre(columns, full, centre), full
+        # Images lie k apart, so balls meet only where 2 * radius >= k: a shared point belongs to the earlier image.
+        for near in (s for w in range(1, 2 * radius // k + 1) for s in masks_at_distance(source, n, w) if s < source):
+            fresh &= count_above(recentre(columns, full, centre ^ image_masks[near]), radius)
+        report.ball_checked += fresh.bit_count()
+
+        expected, astray = 1, 0  # astray: points whose block majorities do not give back the centre's source
+        if reduction.kind == "B":
+            expected = values[source]
+            astray = fresh & count_above(recentre(phi.decode_columns(ball), full, source), 0)
+        if hasattr(transformed, "label_columns") and expected in (0, 1):
+            wrong = transformed.label_columns(ball, full) ^ (full if expected else 0)
+        else:
+            wrong = sum(1 << p for p, flip in enumerate(flips()) if read_transformed(centre ^ flip) != expected)
+        wrong &= fresh & ~astray
+        report.ball_failures += wrong.bit_count()
+
+        for p in iter_bits(astray | wrong):
+            m = centre ^ flips()[p]
+            if astray >> p & 1:
+                decoded = phi.decode(m)
+                distance = (image_masks[decoded] ^ m).bit_count()
+                if distance > reduction.q:
+                    report.anchor_failures += 1
+                    report._note("anchor", m, f"decoded image within {reduction.q}", distance)
+                elif (got := read_transformed(m)) != values[decoded]:
                     report.ball_failures += 1
-                    report._note("ball", m, expected, got)
+                    report._note("ball", m, values[decoded], got)
+            elif len(report.counterexamples) < 10:
+                report._note("ball", m, expected, read_transformed(m))
+            elif not astray >> p:
+                break
     return report
 
 

@@ -333,6 +333,29 @@ def test_negative_q0_is_a_json_error_naming_the_budget(capsys):
     assert error == {"error": "locality budget must be non-negative, got -1", "type": "ValueError"}
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["--construction", "junta", "--n", "4", "--k", "9"],
+            "junta is a kind-B construction, whose replication factor is 2*q0+1; got k=9",
+        ),
+        (
+            ["--construction", "dnf", "--n", "2", "--q0", "1"],
+            "dnf is a kind-A construction, whose budget is k-1; --q0 is for kind B",
+        ),
+        (
+            ["--construction", "dfa", "--n", "2", "--k", "3", "--q0", "2"],
+            "dfa is a kind-A construction, whose budget is k-1; --q0 is for kind B",
+        ),
+    ],
+    ids=["k-for-kind-b", "q0-for-kind-a", "q0-beside-k"],
+)
+def test_verify_reduction_refuses_a_flag_its_kind_would_ignore(capsys, argv, message):
+    # Each flag used to be ignored silently, with exit 0.
+    assert _usage_error(capsys, ["verify-reduction", *argv]) == {"error": message, "type": "ValueError"}
+
+
 @pytest.mark.parametrize("beta", ["-3", "0", "3/2"])
 def test_check_evident_beta_outside_unit_interval_is_a_json_error(formula_file, capsys, beta):
     argv = ["check-evident", "--formula", formula_file, "--dist", "uniform:4", "--beta", beta]

@@ -24,7 +24,16 @@ from lmqlab.concepts import (
     random_junta,
     random_tree,
 )
-from lmqlab.cube import CubePoint, DimensionMismatch, ReplicateMap, enumerate_cube
+from lmqlab.cube import (
+    CubePoint,
+    DimensionMismatch,
+    ReplicateMap,
+    ball_columns,
+    cube_columns,
+    enumerate_cube,
+    masks_at_distance,
+    recentre,
+)
 from lmqlab.distributions import LabeledSample
 from lmqlab.reductions import ComposedConcept, SynthesizedLabels, make_reduction
 
@@ -559,3 +568,36 @@ def test_dnf_flip_labels_edge_formulas():
     assert DnfFormula(3, (Term.of(1, -2),)).flip_labels(0b110) == 0b010
     # ... and at (+,-,-) it is satisfied, so only flips of x1 or x2 turn it off.
     assert DnfFormula(3, (Term.of(1, -2),)).flip_labels(0b100) == 0b001
+
+
+# ---------------------------------------------------------------------------
+# Bit-sliced labels against pointwise ``label``
+
+COLUMN_CONCEPTS = {
+    "dnf": lambda n, rng: random_dnf(n, rng.randint(0, 6), 4, rng),
+    "dfa": lambda n, rng: random_dfa(n, rng.randint(1, 6), rng),
+    "tree": lambda n, rng: random_tree(n, rng.randint(1, 12), rng),
+    "junta": lambda n, rng: random_junta(n, rng.randint(0, min(n, 5)), rng),
+}
+
+
+@pytest.mark.parametrize("kind", list(COLUMN_CONCEPTS))
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from([1, 2, 5, 9, 20, 63, 64, 65]), r=st.integers(0, 3), rng=st.randoms(use_true_random=False))
+def test_label_columns_match_label_over_a_ball(kind, n, r, rng):
+    # Ball sizes and target widths on both sides of 64-bit word edges.
+    r = min(r, 3 if n <= 20 else 2)
+    concept = COLUMN_CONCEPTS[kind](n, rng)
+    flips = [m for w in range(1, r + 1) for m in masks_at_distance(0, n, w)]
+    full, centre = (1 << len(flips)) - 1, rng.getrandbits(n)
+    ones = concept.label_columns(recentre(ball_columns(n, r), full, centre), full)
+    assert ones == sum(concept.label(centre ^ f) << p for p, f in enumerate(flips))
+
+
+@pytest.mark.parametrize("kind", list(COLUMN_CONCEPTS))
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(1, 7), rng=st.randoms(use_true_random=False))
+def test_label_columns_over_the_whole_cube_are_truth_tables(kind, n, rng):
+    concept = COLUMN_CONCEPTS[kind](n, rng)
+    ones = concept.label_columns(cube_columns(n), (1 << (1 << n)) - 1)
+    assert ones == sum(concept.label(m) << m for m in range(1 << n))

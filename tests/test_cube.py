@@ -10,9 +10,13 @@ from lmqlab.cube import (
     ENUMERATION_CAP,
     CubePoint,
     DimensionMismatch,
+    ReplicateMap,
+    ball_columns,
     ball_size,
+    cube_columns,
     enumerate_cube,
     masks_at_distance,
+    recentre,
 )
 from lmqlab.oracle import LocalityViolation, LocalMQOracle
 
@@ -178,6 +182,43 @@ def test_masks_at_distance_counts():
     masks = set(masks_at_distance(0b1010, 4, 2))
     assert len(masks) == 6
     assert all((m ^ 0b1010).bit_count() == 2 for m in masks)
+
+
+def _points(columns, full) -> list[int]:
+    """The point list bit-sliced columns stand for, read back one point per bit of full."""
+    return [sum((c >> p & 1) << i for i, c in enumerate(columns)) for p in range(full.bit_length())]
+
+
+def _flips(n: int, r: int) -> list[int]:
+    """The verifier's walk order: flip count ascending, then ``masks_at_distance`` order."""
+    return [m for w in range(1, r + 1) for m in masks_at_distance(0, n, w)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1, 2, 3, 7, 8, 31, 32, 33, 63, 64, 65]), st.integers(0, 3))
+def test_ball_columns_list_the_flips_in_walk_order(n, r):
+    r = min(r, 3 if n <= 33 else 2)  # keep the ball small enough to read back point by point
+    flips = _flips(n, r)
+    columns = ball_columns(n, r)
+    assert len(columns) == n and len(flips) == ball_size(n, r) - 1
+    assert _points(columns, (1 << len(flips)) - 1) == flips
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_cube_columns_list_every_mask_in_order(n):
+    assert _points(cube_columns(n), (1 << (1 << n)) - 1) == list(range(1 << n))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 6), st.integers(0, 3), st.randoms(use_true_random=False))
+def test_decode_columns_match_decode_point_by_point(n, k, r, rng):
+    # Even k included: a tied block decodes to 0 on both sides.
+    phi = ReplicateMap(n, k)
+    r = min(r, phi.target_n)
+    flips = _flips(phi.target_n, r)
+    full, centre = (1 << len(flips)) - 1, rng.getrandbits(phi.target_n)
+    decoded = phi.decode_columns(recentre(ball_columns(phi.target_n, r), full, centre))
+    assert _points(decoded, full) == [phi.decode(centre ^ f) for f in flips]
 
 
 

@@ -3,8 +3,10 @@ import json
 import random
 from dataclasses import replace
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from types import SimpleNamespace
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -579,8 +581,14 @@ class TestMakeReduction:
         assert (r.kind, r.phi, r.q) == ("A", ReplicateMap(2, 5), 4)
 
     def test_kind_b_takes_odd_copies(self):
-        r = make_reduction("tree", 3, k=9, q0=2)
+        r = make_reduction("tree", 3, q0=2)
         assert (r.kind, r.phi, r.q) == ("B", ReplicateMap(3, 5), 2)
+
+    @pytest.mark.parametrize("name", [name for name in CONSTRUCTIONS if CONSTRUCTIONS[name].kind == "B"])
+    def test_kind_b_refuses_a_replication_factor(self, name):
+        # q0 fixes kind B's factor at 2*q0+1; a k it would ignore is refused instead.
+        with pytest.raises(ValueError, match=f"{name} is a kind-B construction.*got k=9"):
+            make_reduction(name, 3, k=9, q0=2)
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown construction"):
@@ -704,20 +712,50 @@ MATRIX_SIZES = [
     ("dnf", 2, 1), ("dnf", 3, 1), ("dfa", 2, 1), ("dfa", 3, 1),
     ("junta", 4, 1), ("junta", 4, 2), ("junta", 6, 1),
     ("tree", 4, 1), ("tree", 4, 2), ("tree", 6, 1),
-    ("poly", 4, 1), ("poly", 4, 2), ("ptf", 4, 1), ("ptf", 4, 2),
+    ("poly", 4, 1), ("poly", 4, 2), ("ptf", 4, 1), ("ptf", 4, 2), ("ptf", 6, 2),
 ]
+
+
+@lru_cache(maxsize=None)
+def _suite_concepts() -> dict:
+    """The concepts the reduction suite verifies at seed 0, keyed by (construction, map, q)."""
+    verified: dict = {}
+
+    def record(reduction, concept):
+        verified.setdefault((reduction.name, reduction.phi, reduction.q), []).append(concept)
+        return verify_reduction(reduction, concept)
+
+    with patch.object(harness, "verify_reduction", record):
+        run_reduction_suite(0)
+    return verified
 
 
 @pytest.mark.parametrize(
     "name, n, q0", MATRIX_SIZES, ids=[f"{c}-n{n}" + f"-q0={q}" * (c in KIND_B) for c, n, q in MATRIX_SIZES]
 )
 def test_verify_reduction_matches_reference_on_seeded_examples(name, n, q0):
+    # The seeded CLI examples, then the suite's own fixtures for this row (its random DNFs,
+    # automata, juntas and trees included).
     reduction = make_reduction(name, n, q0=q0)
-    for seed in range(3):
-        concept = CONSTRUCTIONS[name].example(n, random.Random(seed))
+    examples = [CONSTRUCTIONS[name].example(n, random.Random(seed)) for seed in range(3)]
+    suite = _suite_concepts().get((name, reduction.phi, reduction.q), [])
+    for concept in examples + suite:
         report = verify_reduction(reduction, concept).to_dict()
         assert report["passed"]
         assert report == _reference_verify(reduction, concept)
+
+
+def test_every_suite_row_is_cross_checked():
+    rows = {key for key in _suite_concepts() if key[0] in CONSTRUCTIONS}  # the controls carry other names
+    sizes = {(name, r.phi, r.q) for name, n, q0 in MATRIX_SIZES for r in [make_reduction(name, n, q0=q0)]}
+    assert rows <= sizes
+
+
+def test_dfa_reduction_at_n4_checks_every_ball_point():
+    # 16 images, each with the 64-bit target's 43,744 flips of weight 1..3.
+    report = verify_reduction(make_reduction("dfa", 4), parity_dfa(4))
+    assert report.passed
+    assert (report.flip_radius, report.image_checked, report.ball_checked) == (3, 16, 699_904)
 
 
 NEGATIVE_CONTROLS = [
