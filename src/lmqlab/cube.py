@@ -129,12 +129,9 @@ def cube_columns(n: int) -> tuple[int, ...]:
 
 
 def ball_columns(n: int, r: int) -> tuple[int, ...]:
-    """Columns of the ``ball_size(n, r) - 1`` n-bit flip patterns of weight 1..r, weight ascending,
-    then in ``masks_at_distance`` order; ``recentre`` moves them onto the ball around a point.
-
-    The weight-w patterns over bits a..n-1 are those holding bit a, then those
-    without it, so each column is a concatenation, with no loop over patterns.
-    """
+    """Columns of the n-bit flip patterns of weight 1..r, weight ascending, then in ``masks_at_distance``
+    order; ``recentre`` moves them onto the ball around a point. The weight-w patterns over bits
+    a..n-1 hold bit a first, so each column is a concatenation, with no loop over patterns."""
 
     @lru_cache(maxsize=None)
     def combos(a: int, w: int) -> tuple[int, tuple[int, ...]]:
@@ -224,11 +221,6 @@ class ReplicateMap:
         for shift in range(self.target_n - k, -1, -k):
             source = (source << 1) | (((mask >> shift) & block).bit_count() > half)
         return source
-
-    def decode_columns(self, columns: Sequence[int]) -> list[int]:
-        """``decode`` bit-sliced: from the target columns of a point list, the source columns of its decodes."""
-        k = self.k
-        return [count_above(columns[b * k:(b + 1) * k], k // 2) for b in range(self.source_n)]
 
     def block_coordinates(self, i: int) -> range:
         """Target coordinates carrying source coordinate i."""

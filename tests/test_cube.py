@@ -10,13 +10,11 @@ from lmqlab.cube import (
     ENUMERATION_CAP,
     CubePoint,
     DimensionMismatch,
-    ReplicateMap,
     ball_columns,
     ball_size,
     cube_columns,
     enumerate_cube,
     masks_at_distance,
-    recentre,
 )
 from lmqlab.oracle import LocalityViolation, LocalMQOracle
 
@@ -207,19 +205,6 @@ def test_ball_columns_list_the_flips_in_walk_order(n, r):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_cube_columns_list_every_mask_in_order(n):
     assert _points(cube_columns(n), (1 << (1 << n)) - 1) == list(range(1 << n))
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.integers(1, 4), st.integers(1, 6), st.integers(0, 3), st.randoms(use_true_random=False))
-def test_decode_columns_match_decode_point_by_point(n, k, r, rng):
-    # Even k included: a tied block decodes to 0 on both sides.
-    phi = ReplicateMap(n, k)
-    r = min(r, phi.target_n)
-    flips = _flips(phi.target_n, r)
-    full, centre = (1 << len(flips)) - 1, rng.getrandbits(phi.target_n)
-    decoded = phi.decode_columns(recentre(ball_columns(phi.target_n, r), full, centre))
-    assert _points(decoded, full) == [phi.decode(centre ^ f) for f in flips]
-
 
 
 # ---------------------------------------------------------------------------
