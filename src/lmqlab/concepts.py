@@ -6,8 +6,8 @@ in-range n-bit masks, ``flip_labels(mask)``, whose bit i is the label at
 depend on (``label(m) == label(m & reads)``), and ``evaluate(x)``: a
 dimension check, then ``label(x.mask)``. Hot paths call ``label``;
 ``CubePoint`` stays at the API boundary. Sparse polynomials additionally evaluate to exact rationals.
-DNFs, automata, trees and juntas also label a bit-sliced point list at once (see ``cube``):
-``label_columns(columns, full)``, with one bit of ``full`` per point, is the bitset of the points labelled 1.
+Every concept class also labels a bit-sliced point list at once (see ``cube``): ``label_columns(columns, full)``,
+one bit of ``full`` per point, is the bitset of the points labelled 1 (polynomials: ``SparsePoly.compare_columns``).
 Variable indices are 1-based everywhere, matching the textual formats.
 """
 
@@ -18,10 +18,10 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
-from operator import and_, or_
-from typing import Iterator, Mapping, Protocol, Sequence, Union
+from operator import and_, or_, xor
+from typing import Iterable, Iterator, Mapping, Protocol, Sequence, Union
 
-from .cube import CubePoint, DimensionMismatch, require_count
+from .cube import CubePoint, DimensionMismatch, iter_bits, require_count
 
 JUNTA_CAP = 16
 MAJ_POLY_CAP = 15
@@ -435,7 +435,7 @@ class SparsePoly:
 
     @cached_property
     def _tables(self) -> tuple:
-        """The bit-sliced evaluation kernel, built on the first evaluation.
+        """The pointwise evaluation tables, built on the first evaluation.
 
         Monomial t is bit t. Over the common denominator ``denom`` each
         coefficient is an integer v. For every 8-coordinate chunk of the mask
@@ -486,6 +486,51 @@ class SparsePoly:
         per 8-coordinate chunk, then one popcount per distinct coefficient (see ``_tables``)."""
         return Fraction(*self._parts(mask))
 
+    def compare_columns(self, columns: Sequence[int], full: int, targets: Iterable[tuple]) -> tuple[int, int]:
+        """Bitsets of the listed points where the polynomial is >= and == their target; ``targets`` pairs each
+        rational target with the bitset of its points. Over the common denominator each coefficient is an integer
+        v, and v times a monomial is -|v| plus 2|v| times its even (v > 0) or odd (v < 0) -1 parity: the value times
+        the denominator is ``low`` plus their bit-sliced sum, compared with the targets from the top plane down."""
+        denom = math.lcm(*(c.denominator for c in self.monomials.values()))
+        scaled = {vars_: c.numerator * (denom // c.denominator) for vars_, c in self.monomials.items()}
+        low = -sum(map(abs, scaled.values()))
+        heaps: list[list[int]] = [[] for _ in range((-2 * low).bit_length())]
+
+        def file(j: int, bits: int) -> None:
+            # heaps[j] keeps at most two bitsets of weight 2^j: a full adder turns three into their sum and a carry
+            # one weight up. No point's sum reaches 2^len(heaps), so no carry falls off the end.
+            heaps[j].append(bits)
+            if len(heaps[j]) == 3:
+                a, b, c = heaps[j]
+                heaps[j] = [a ^ b ^ c]
+                if carry := a & b | c & (a ^ b):
+                    file(j + 1, carry)
+
+        for vars_, v in scaled.items():
+            # The odd -1 parity is the XOR of the complemented columns; the even one, for v > 0, its complement.
+            parity = reduce(xor, (columns[self.n - j] for j in vars_), full if len(vars_) % 2 == (v < 0) else 0)
+            for j in iter_bits(2 * abs(v)):
+                file(j, parity)
+        for j in range(len(heaps)):
+            if len(heaps[j]) == 2:  # a half adder: a full adder with a zero third
+                file(j, 0)
+        planes = [heap[0] if heap else 0 for heap in heaps]
+        at_least = exact = live = 0
+        digits = [0] * len(planes)  # digits[j]: the points whose integer target has bit j set
+        for target, points in targets:
+            c = math.ceil(t := target * denom - low)
+            if c < 0:
+                at_least |= points
+            elif not c >> len(planes):
+                live, exact = live | points, exact | (points if c == t else 0)
+                for j in iter_bits(c):
+                    digits[j] |= points
+        above, equal = 0, live
+        for plane, digit in zip(reversed(planes), reversed(digits)):
+            above |= equal & plane & ~digit
+            equal &= ~(plane ^ digit)
+        return at_least | above | equal, equal & exact
+
 
 @dataclass(frozen=True)
 class PolyConcept(MaskConcept):
@@ -511,6 +556,13 @@ class PolyConcept(MaskConcept):
             f"polynomial value {Fraction(total, denom)} at {CubePoint(self.n, mask).to_string()} is not in {{-1,+1}}"
         )
 
+    def label_columns(self, columns: Sequence[int], full: int) -> int:
+        """The points where the polynomial is +1; ``label``'s error at the first point, in list order, off ±1."""
+        ones, zeros = (self.poly.compare_columns(columns, full, [(t, full)])[1] for t in (1, -1))
+        if bad := full & ~(ones | zeros):
+            self.label(sum((c & bad & -bad != 0) << i for i, c in enumerate(columns)))
+        return ones
+
 
 @dataclass(frozen=True)
 class SparsePtf(MaskConcept):
@@ -535,6 +587,9 @@ class SparsePtf(MaskConcept):
         total, denom = self.poly._parts(mask)
         theta = self.theta
         return 1 if total * theta.denominator >= theta.numerator * denom else 0
+
+    def label_columns(self, columns: Sequence[int], full: int) -> int:
+        return self.poly.compare_columns(columns, full, [(self.theta, full)])[0]
 
 
 def maj_poly(k: int) -> SparsePoly:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
-from functools import cache
+from itertools import chain, islice
 from typing import Callable, NamedTuple, Sequence
 
 from .concepts import (
@@ -423,11 +423,12 @@ class ReductionReport:
 def verify_reduction(reduction: QReduction, concept: Concept) -> ReductionReport:
     """Exhaustively check a reduction against one source concept.
 
-    Confirms value agreement on the whole image, then checks every point
+    Confirms value agreement on the whole image and checks every point
     obtained by flipping 1..min(q, FLIP_RADIUS_CAP) coordinates of an image
-    point, once, as one bitset per ball over ``ball_columns``, labelled by
-    ``label_columns`` (a polynomial, by exact ``value``, or a threshold
-    function is read point by point). Kind A requires label 1 off the image.
+    point, once, as one point set per row, labelled by one ``label_columns``
+    call (a polynomial by ``compare_columns``, for exact equality with each
+    image's value). Image s holds bits s * B .. (s + 1) * B - 1, B = ball_size:
+    its centre, then its flips in ``ball_columns`` order. Kind A requires label 1 off the image.
     Kind B requires the centre's value: ``QReduction`` enforces 2q < k, so every
     ball point decodes to its centre, and ``anchor_failures`` stays 0.
     FLIP_ENUM_BUDGET bounds the check count, as the target cube is astronomically large.
@@ -452,36 +453,39 @@ def verify_reduction(reduction: QReduction, concept: Concept) -> ReductionReport
     values = [read(m) for m in range(1 << n)]
     image_masks = [phi.encode(m) for m in range(1 << n)]
 
-    for expected, z in zip(values, image_masks):
-        got = read_transformed(z)
-        report.image_checked += 1
-        if got != expected:
-            report.image_failures += 1
-            report._note("image", z, expected, got)
-
-    columns = ball_columns(n_target, radius)
-    full = (1 << (ball_size(n_target, radius) - 1)) - 1
-    # The flip patterns themselves, listed only once some point is read alone.
-    flips = cache(lambda: [m for r in range(1, radius + 1) for m in masks_at_distance(0, n_target, r)])
+    # One point set per row, image-major (see above): the ball's columns, shifted past the centre and
+    # complemented where phi.encode(s) is set, tile by doubling over the source bits.
+    columns, size = ball_columns(n_target, radius), ball_size(n_target, radius)
+    full, row, centres = (1 << size) - 1, [c << 1 for c in columns], 1
+    for b in range(n):
+        width = size << b
+        row = [c | (c ^ (1 << width) - 1 if i // k == b else c) << width for i, c in enumerate(row)]
+        centres |= centres << width
+    everything = (1 << (size << n)) - 1
+    fresh = everything ^ centres
     for source, centre in enumerate(image_masks):
-        ball, fresh = recentre(columns, full, centre), full
         # Images lie k apart, so balls meet only where 2 * radius >= k: a shared point belongs to the earlier image.
         for near in (s for w in range(1, 2 * radius // k + 1) for s in masks_at_distance(source, n, w) if s < source):
-            fresh &= count_above(recentre(columns, full, centre ^ image_masks[near]), radius)
-        report.ball_checked += fresh.bit_count()
+            shared = full >> 1 ^ count_above(recentre(columns, full >> 1, centre ^ image_masks[near]), radius)
+            fresh &= ~(shared << source * size + 1)
 
-        expected = values[source] if reduction.kind == "B" else 1
-        if hasattr(transformed, "label_columns") and expected in (0, 1):
-            wrong = transformed.label_columns(ball, full) ^ (full if expected else 0)
-        else:
-            wrong = sum(1 << p for p, flip in enumerate(flips()) if read_transformed(centre ^ flip) != expected)
-        wrong &= fresh
-        report.ball_failures += wrong.bit_count()
-        for p in iter_bits(wrong):
-            if len(report.counterexamples) >= 10:
-                break
-            m = centre ^ flips()[p]
-            report._note("ball", m, expected, read_transformed(m))
+    # Each centre expects its source's value; kind A expects 1 on the balls, kind B the centre's value throughout.
+    targets = {1: everything ^ centres} if reduction.kind == "A" else {}
+    for source, value in enumerate(values):
+        targets[value] = targets.get(value, 0) | (full if reduction.kind == "B" else 1) << source * size
+    if isinstance(transformed, SparsePoly):
+        right = transformed.compare_columns(row, everything, targets.items())[1]
+    else:
+        ones = transformed.label_columns(row, everything)
+        right = targets.get(1, 0) & ones | targets.get(0, 0) & ~ones
+    images, wrong = centres & ~right, fresh & ~right
+    report.image_checked, report.image_failures = 1 << n, images.bit_count()
+    report.ball_checked, report.ball_failures = fresh.bit_count(), wrong.bit_count()
+    flips = [0] + [m for r in range(1, radius + 1) for m in masks_at_distance(0, n_target, r)] if wrong else [0]
+    for source, p in (divmod(bit, size) for bit in islice(chain(iter_bits(images), iter_bits(wrong)), 10)):
+        m = image_masks[source] ^ flips[p]
+        expected = values[source] if p == 0 or reduction.kind == "B" else 1
+        report._note("ball" if p else "image", m, expected, read_transformed(m))
     return report
 
 

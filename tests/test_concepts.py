@@ -573,11 +573,40 @@ def test_dnf_flip_labels_edge_formulas():
 # ---------------------------------------------------------------------------
 # Bit-sliced labels against pointwise ``label``
 
+def _random_poly(n: int, rng: random.Random) -> SparsePoly:
+    """Up to 6 monomials of degree <= 3, coefficients in thirds from -2 to 2; a constant term, or none, may occur."""
+    return SparsePoly(n, {
+        frozenset(rng.sample(range(1, n + 1), rng.randint(0, min(n, 3)))): Fraction(rng.randint(-6, 6), 3)
+        for _ in range(rng.randint(0, 6))
+    })
+
+
+def _random_ptf(n: int, rng: random.Random) -> SparsePtf:
+    """Half the thresholds are the polynomial's value somewhere, so ties at theta occur."""
+    poly = _random_poly(n, rng)
+    theta = poly.value(rng.getrandbits(n)) if rng.random() < 0.5 else Fraction(rng.randint(-9, 9), 4)
+    return SparsePtf(poly, theta)
+
+
+def _random_signed_poly(n: int, rng: random.Random) -> PolyConcept:
+    """A ±1-valued polynomial: a signed parity times a majority over variables disjoint from it."""
+    free = rng.sample(range(1, n + 1), n)
+    k = rng.choice([k for k in (1, 3, 5) if k <= n])
+    block, rest = free[:k], free[k:]
+    parity = frozenset(rng.sample(rest, rng.randint(0, min(len(rest), 4))))
+    sign = rng.choice((1, -1))
+    return PolyConcept(SparsePoly(n, {
+        parity | frozenset(block[i - 1] for i in us): sign * c for us, c in maj_poly(k).monomials.items()
+    }))
+
+
 COLUMN_CONCEPTS = {
     "dnf": lambda n, rng: random_dnf(n, rng.randint(0, 6), 4, rng),
     "dfa": lambda n, rng: random_dfa(n, rng.randint(1, 6), rng),
     "tree": lambda n, rng: random_tree(n, rng.randint(1, 12), rng),
     "junta": lambda n, rng: random_junta(n, rng.randint(0, min(n, 5)), rng),
+    "ptf": _random_ptf,
+    "poly": _random_signed_poly,
 }
 
 
@@ -601,3 +630,84 @@ def test_label_columns_over_the_whole_cube_are_truth_tables(kind, n, rng):
     concept = COLUMN_CONCEPTS[kind](n, rng)
     ones = concept.label_columns(cube_columns(n), (1 << (1 << n)) - 1)
     assert ones == sum(concept.label(m) << m for m in range(1 << n))
+
+
+def _point_sets(n: int, r: int | None, rng: random.Random) -> tuple[list[int], int, list[int]]:
+    """(masks, full, columns): the ball of radius r around a random centre, or with r None the whole cube."""
+    if r is None:
+        return list(range(1 << n)), (1 << (1 << n)) - 1, list(cube_columns(n))
+    flips = [m for w in range(1, r + 1) for m in masks_at_distance(0, n, w)]
+    full, centre = (1 << len(flips)) - 1, rng.getrandbits(n)
+    return [centre ^ f for f in flips], full, recentre(ball_columns(n, r), full, centre)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.sampled_from([1, 2, 5, 9, 20, 63, 64, 65]),
+    r=st.sampled_from([None, 0, 1, 2, 3]),
+    shift=st.sampled_from([None, 0, 1]),
+    rng=st.randoms(use_true_random=False),
+)
+def test_poly_compare_columns_match_value(n, r, shift, rng):
+    # Balls across 64-bit word edges, or the whole cube. With a shift, the constant term moves the
+    # value at one listed point to 0 or 1, so an equality is never read as a 0/1 label.
+    n, r = (min(n, 7), None) if r is None else (n, min(r, 3 if n <= 20 else 2))
+    masks, full, columns = _point_sets(n, r, rng)
+    poly = _random_poly(n, rng)
+    if shift is not None and masks:
+        constant = poly.monomials.get(frozenset(), 0) + shift - poly.value(rng.choice(masks))
+        poly = SparsePoly(n, {**poly.monomials, frozenset(): constant})
+    values = [poly.value(m) for m in masks]
+    # Three interleaved parts, each with a target: a listed value, just below one, 0, ±1 or a fraction.
+    parts = [sum(1 << p for p in range(i, len(masks), 3)) for i in range(3)]
+    pool = values + [v - Fraction(1, 997) for v in values] + [0, 1, -1, Fraction(rng.randint(-20, 20), 6)]
+    targets = [rng.choice(pool) for _ in parts]
+    at_least, equal = poly.compare_columns(columns, full, zip(targets, parts))
+    assert at_least == sum((v >= targets[p % 3]) << p for p, v in enumerate(values))
+    assert equal == sum((v == targets[p % 3]) << p for p, v in enumerate(values))
+
+
+@pytest.mark.parametrize("n", [1, 8, 9])
+@pytest.mark.parametrize(
+    "monomials",
+    [{}, {frozenset(): Fraction(-5, 3)}, {frozenset(): 2, frozenset({1}): Fraction(-1, 3)},
+     {frozenset({1}): -1, frozenset(): Fraction(1, 2)}],
+    ids=["empty", "constant", "negative-linear", "negative-half"],
+)
+def test_poly_compare_columns_edge_polys_over_the_cube(n, monomials):
+    poly = SparsePoly(n, monomials)
+    masks, full, columns = _point_sets(n, None, random.Random(0))
+    values = [poly.value(m) for m in masks]
+    # Each value, and just below it, so that the integer ceiling of a target meets a value.
+    below = [v - Fraction(1, 1000) for v in set(values)]
+    for target in sorted(set(values)) + below + [0, 1, -1, Fraction(1, 7), -10, 10]:
+        at_least, equal = poly.compare_columns(columns, full, [(target, full)])
+        assert at_least == sum((v >= target) << m for m, v in enumerate(values))
+        assert equal == sum((v == target) << m for m, v in enumerate(values))
+        assert SparsePtf(poly, target).label_columns(columns, full) == at_least
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), r=st.sampled_from([None, 0, 1, 2]), rng=st.randoms(use_true_random=False))
+def test_poly_concept_label_columns_raise_at_the_first_point_off_pm1(data, r, rng):
+    # Any polynomial, or a ±1-valued one. Over a ball the first point in list order need not be the least mask.
+    poly = data.draw(_signed_polys())
+    masks, full, columns = _point_sets(poly.n, 1 if r is None and poly.n > 7 else r, rng)
+    c = PolyConcept(poly)
+    try:
+        expected = sum(c.label(m) << p for p, m in enumerate(masks))
+    except ValueError as error:
+        with pytest.raises(ValueError) as raised:
+            c.label_columns(columns, full)
+        assert str(raised.value) == str(error)
+    else:
+        assert c.label_columns(columns, full) == expected
+
+
+def test_poly_concept_label_columns_name_the_first_point_in_list_order():
+    # (x1 + x2) / 2 is 0 at -+ and +-; listed as the ball around ++, +- comes first.
+    c = PolyConcept(SparsePoly(2, {frozenset({1}): Fraction(1, 2), frozenset({2}): Fraction(1, 2)}))
+    with pytest.raises(ValueError, match=r"^polynomial value 0 at -\+ is not in \{-1,\+1\}$"):
+        c.label_columns(cube_columns(2), 0b1111)
+    with pytest.raises(ValueError, match=r"^polynomial value 0 at \+- is not in \{-1,\+1\}$"):
+        c.label_columns(recentre(ball_columns(2, 2), 0b111, 0b11), 0b111)

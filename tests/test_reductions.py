@@ -11,7 +11,7 @@ from unittest.mock import patch
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lmqlab import harness
+from lmqlab import harness, reductions
 from lmqlab.concepts import (
     DecisionTree,
     DnfFormula,
@@ -804,6 +804,30 @@ def test_poly_reduction_is_checked_by_exact_value():
     report = verify_reduction(broken, concept).to_dict()
     assert report["image_failures"] == 4 and report["ball_failures"] == report["ball_checked"]
     assert report["counterexamples"][0] == {"check": "image", "point": "------", "expected": "-1/6", "got": "-1/3"}
+    assert report == _reference_verify(broken, concept)
+
+
+BALL_ONLY_CONTROLS = [
+    ("poly", 4, 1, CONSTRUCTIONS["poly"].example(4, random.Random(0))),
+    ("poly", 4, 2, SparsePoly(4, {frozenset({1, 2}): 1, frozenset({3}): Fraction(-2, 3), frozenset(): 1})),
+    ("ptf", 4, 1, CONSTRUCTIONS["ptf"].example(4, random.Random(0))),
+    ("ptf", 6, 2, SparsePtf(SparsePoly(6, {frozenset({j}): 1 for j in range(1, 7)}), 0)),
+]
+
+
+@pytest.mark.parametrize(
+    "name, n, q0, concept", BALL_ONLY_CONTROLS, ids=[f"{c}-n{n}-q0={q}" for c, n, q, _ in BALL_ONLY_CONTROLS]
+)
+def test_first_copy_for_maj_poly_fails_only_on_the_ball(name, n, q0, concept, monkeypatch):
+    # Each block's first copy agrees with its majority on every image, and a flip of it
+    # moves the value, so only the bit-sliced ball check can catch the substitution.
+    monkeypatch.setattr(reductions, "maj_poly", lambda k: SparsePoly(k, {frozenset({1}): 1}))
+    broken = make_reduction(name, n, q0=q0)
+    report = verify_reduction(broken, concept).to_dict()
+    assert report["image_failures"] == 0 < report["ball_failures"] < report["ball_checked"]
+    # Kind-B balls are disjoint and all of one size, so more failures than one ball holds span images.
+    assert report["ball_failures"] > report["ball_checked"] >> n
+    assert len(report["counterexamples"]) == 10
     assert report == _reference_verify(broken, concept)
 
 
