@@ -3,6 +3,8 @@
 A query for point z is q-local when some anchor (a distinct training point)
 lies within Hamming distance q of z. The oracle refuses anything farther away
 and records every answer it gives, so learners can be audited after a run.
+Anchors are kept as int masks: ``for_samples`` reads them straight from the
+samples' masks, and only the public constructor takes ``CubePoint`` anchors.
 The core, ``ask(mask, times)``, checks and answers each distinct query once
 and counts its repeats. Locality is one scan: a mask's first asking computes
 its distance to the nearest anchor, which is both the recorded distance and
@@ -76,19 +78,22 @@ class LocalMQOracle:
         q: int,
         query_cap: int | None = None,
     ):
-        self.target = target
-        self.n = target.n
-        self.q = q
         anchors = tuple(anchors)
         for a in anchors:
-            if a.n != self.n:
-                raise DimensionMismatch(f"anchor dimension {a.n} differs from target {self.n}")
-        require_count(q, 0, "locality budget must be non-negative")
-        self._anchors = frozenset(a.mask for a in anchors)
+            if not isinstance(a, CubePoint):
+                raise ValueError(f"anchor {a!r} is not a CubePoint")
+            if a.n != target.n:
+                raise DimensionMismatch(f"anchor dimension {a.n} differs from target {target.n}")
         if query_cap is None:
-            query_cap = QUERY_BUDGET_FACTOR * self.n * max(1, len(anchors))
+            query_cap = QUERY_BUDGET_FACTOR * target.n * max(1, len(anchors))
+        self._setup(target, frozenset(a.mask for a in anchors), q, query_cap)
+
+    def _setup(self, target: Concept, anchors: frozenset[int], q: int, query_cap: int) -> None:
+        """The one initialiser: anchor masks in range, the cap already defaulted."""
+        require_count(q, 0, "locality budget must be non-negative")
         require_count(query_cap, 0, "query budget must be a non-negative integer")
-        self.query_cap = query_cap
+        self.target, self.n, self.q, self.query_cap = target, target.n, q, query_cap
+        self._anchors = anchors
         # One record in order of first asking: a single query's mask keys
         # [answer, distance, times]; a batch around an anchor keys ~centre
         # (negative, so never a mask) with [flip_labels bits, times, anchor flips].
@@ -104,14 +109,19 @@ class LocalMQOracle:
         *samples: LabeledSample,
         query_cap: int | None = None,
     ) -> "LocalMQOracle":
-        """Oracle anchored at the samples' distinct points; the default cap counts every draw."""
+        """Oracle anchored at the samples' distinct masks; the default cap counts every draw.
+
+        ``LabeledSample`` keeps every mask in range, so no ``CubePoint`` is built
+        and ``__init__`` is not called.
+        """
         for s in samples:
             if s.n != target.n:
                 raise DimensionMismatch(f"sample dimension {s.n} differs from target {target.n}")
         if query_cap is None:
             query_cap = QUERY_BUDGET_FACTOR * target.n * max(1, sum(map(len, samples)))
-        distinct = dict.fromkeys(chain.from_iterable(s.masks for s in samples))
-        return cls(target, [CubePoint(target.n, m) for m in distinct], q, query_cap=query_cap)
+        oracle = cls.__new__(cls)
+        oracle._setup(target, frozenset(chain.from_iterable(s.masks for s in samples)), q, query_cap)
+        return oracle
 
     def entries(self) -> list[tuple[int, int, int, int]]:
         """Each distinct query once, in order of first asking, as (mask, answer, distance, times).

@@ -217,6 +217,10 @@ def _oracle(**kwargs) -> LocalMQOracle:
     return LocalMQOracle(DnfFormula(2, ()), [P("+-")], **{"q": 1, **kwargs})
 
 
+def _oracle_for_samples(q=1, **kwargs) -> LocalMQOracle:
+    return LocalMQOracle.for_samples(DnfFormula(2, ()), q, distributions.LabeledSample(2, (0b10,), (0,)), **kwargs)
+
+
 def _config(**overrides) -> harness.ExperimentConfig:
     family = harness.opposite_literal_family(4, 5)
     fields = dict(name="t", family=family, trials=3, base_seed=0, epsilon=0.2, m1=1, m2=1)
@@ -274,6 +278,9 @@ COUNT_ROWS = [
     ("plan_samples.d", lambda v: learner.plan_samples(4, 0.1, v), 0, "term count must be positive"),
     ("LocalMQOracle.q", lambda v: _oracle(q=v), -1, _LOCALITY),
     ("LocalMQOracle.query_cap", lambda v: _oracle(query_cap=v), -1, "query budget must be a non-negative integer"),
+    ("LocalMQOracle.for_samples.q", lambda v: _oracle_for_samples(q=v), -1, _LOCALITY),
+    ("LocalMQOracle.for_samples.query_cap", lambda v: _oracle_for_samples(query_cap=v), -1,
+     "query budget must be a non-negative integer"),
     ("LocalMQOracle.ask", lambda v: _oracle().ask(0b10, v), 0, _TIMES),
     ("LocalMQOracle.ask_flips", lambda v: _oracle().ask_flips(0b10, v), 0, _TIMES),
     ("ExperimentConfig.trials", lambda v: _config(trials=v), 0, "trial count must be at least 1"),

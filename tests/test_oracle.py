@@ -153,6 +153,14 @@ def test_budget_that_is_not_an_int_rejected(cap):
         LocalMQOracle(TARGET, [P("+++")], q=1, query_cap=cap)
 
 
+@pytest.mark.parametrize("bad", [1, 1 << 40, "+++", None, (3, 5)], ids=["1", "2^40", "str", "None", "tuple"])
+def test_anchor_that_is_not_a_point_is_one_value_error(bad):
+    for anchors in ([bad, 2], [P("+++"), bad]):
+        with pytest.raises(ValueError) as exc:
+            LocalMQOracle(TARGET, anchors, 1)
+        assert exc.type is ValueError and str(exc.value) == f"anchor {bad!r} is not a CubePoint"
+
+
 @pytest.mark.parametrize("q", [1.5, 1.0, True, False, "1", None])
 def test_locality_budget_that_is_not_an_int_rejected(q):
     with pytest.raises(ValueError, match=f"^locality budget must be non-negative, got {q!r}$"):
