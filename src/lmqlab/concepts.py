@@ -18,6 +18,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
+from itertools import chain
 from operator import and_, or_, xor
 from typing import Iterable, Iterator, Mapping, Protocol, Sequence, Union
 
@@ -210,6 +211,8 @@ TreeNode = Union[Node, Leaf]
 
 @dataclass(frozen=True)
 class DecisionTree(MaskConcept):
+    """Immutable nodes, so subtrees may be shared (stacked replicas are); ``leaf_count`` counts root-to-leaf paths."""
+
     n: int
     root: TreeNode
 
@@ -219,18 +222,24 @@ class DecisionTree(MaskConcept):
             _require_variable(var, self.n, "node variable")
 
     @staticmethod
-    def _vars(node: TreeNode) -> Iterator[int]:
-        if isinstance(node, Node):
-            yield node.var
-            yield from DecisionTree._vars(node.low)
-            yield from DecisionTree._vars(node.high)
+    def _vars(root: TreeNode) -> Iterator[int]:
+        """Each distinct node's variable once, by id, in preorder."""
+        seen, stack = set(), [root]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, Node) and id(node) not in seen:
+                seen.add(id(node))
+                yield node.var
+                stack += (node.high, node.low)
 
     @property
     def leaf_count(self) -> int:
+        paths: dict[int, int] = {}
+
         def count(node: TreeNode) -> int:
-            if isinstance(node, Leaf):
-                return 1
-            return count(node.low) + count(node.high)
+            if id(node) not in paths:
+                paths[id(node)] = 1 if isinstance(node, Leaf) else count(node.low) + count(node.high)
+            return paths[id(node)]
 
         return count(self.root)
 
@@ -302,9 +311,16 @@ class Dfa(MaskConcept):
         states = range(len(self.delta))
         if self.start not in states or not all(s in states for s in self.accepting):
             raise ValueError(f"start and accepting states must lie in 0..{len(states) - 1}")
-        for s, row in enumerate(self.delta):
-            if len(row) != 2 or not all(t in states for t in row):
-                raise ValueError(f"state {s} needs two transitions into 0..{len(states) - 1}, got {row!r}")
+        try:  # one C-level pass over every row; only a failure walks the rows to name the first bad one
+            targets = tuple(chain.from_iterable(self.delta))
+            valid = set(map(len, self.delta)) == {2} and set(map(type, targets)) == {int}
+            valid = valid and 0 <= min(targets) and max(targets) < len(states)
+        except TypeError:
+            valid = False
+        if not valid:
+            for s, row in enumerate(self.delta):
+                if len(row) != 2 or not all(t in states for t in row):
+                    raise ValueError(f"state {s} needs two transitions into 0..{len(states) - 1}, got {row!r}")
         require_count(self.length, 1, "input length must be positive")
 
     @property

@@ -128,6 +128,7 @@ def cube_columns(n: int) -> tuple[int, ...]:
     return tuple((((1 << (1 << i)) - 1) << (1 << i)) * (full // ((1 << (2 << i)) - 1)) for i in range(n))
 
 
+@lru_cache(maxsize=None)
 def ball_columns(n: int, r: int) -> tuple[int, ...]:
     """Columns of the n-bit flip patterns of weight 1..r, weight ascending, then in ``masks_at_distance``
     order; ``recentre`` moves them onto the ball around a point. The weight-w patterns over bits

@@ -141,7 +141,7 @@ def parse_tree(text: str) -> DecisionTree:
         raise ValueError("tree expression nests too deeply") from None
     if end != len(tokens):
         raise ValueError(f"trailing tokens after tree expression: {tokens[end:]}")
-    max_var = max((v for v in DecisionTree._vars(root)), default=1)
+    max_var = max(DecisionTree._vars(root), default=1)
     return DecisionTree(n if n is not None else max_var, root)
 
 

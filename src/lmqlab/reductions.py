@@ -212,26 +212,33 @@ def reduce_junta_type_b(junta: Junta, phi: ReplicateMap) -> Junta:
     if not junta.relevant:  # a constant has no block to decode
         return Junta(phi.target_n, (), junta.table)
     relevant = tuple(c for i in junta.relevant for c in phi.block_coordinates(i))
-    decode = ReplicateMap(junta.k, phi.k).decode
-    return Junta(phi.target_n, relevant, tuple(junta.table[decode(m)] for m in range(1 << k_new)))
+    majority = [int(b.bit_count() > phi.k // 2) for b in range(1 << phi.k)]  # as ReplicateMap.decode reads a block
+    sources = [0]
+    for _ in junta.relevant:  # first block most significant
+        sources = [s << 1 | bit for s in sources for bit in majority]
+    return Junta(phi.target_n, relevant, tuple(junta.table[s] for s in sources))
 
 
 def _stack_tree(
     tree: DecisionTree, phi: ReplicateMap, label_rule: Callable[[tuple[int, ...]], int]
 ) -> DecisionTree:
-    """Chain phi.k renamed replicas of the tree; leaves combine path outcomes."""
+    """Chain phi.k renamed replicas of the tree; leaves combine path outcomes.
+
+    Replicas share immutable subtrees, one per (source node id, copy, outcomes so far): at most
+    (2^k - 1) * |source nodes| distinct nodes, however many paths. The live source keeps its ids stable.
+    """
+    built: dict[tuple[int, int, tuple[int, ...]], TreeNode] = {}
 
     def build(node: TreeNode, copy: int, outcomes: tuple[int, ...]) -> TreeNode:
-        if isinstance(node, Leaf):
-            collected = outcomes + (node.label,)
-            if copy == phi.k:
-                return Leaf(label_rule(collected))
-            return build(tree.root, copy + 1, collected)
-        return Node(
-            phi.block_coordinates(node.var)[copy - 1],
-            build(node.low, copy, outcomes),
-            build(node.high, copy, outcomes),
-        )
+        key = (id(node), copy, outcomes)
+        if key not in built:
+            if isinstance(node, Leaf):
+                collected = outcomes + (node.label,)
+                built[key] = Leaf(label_rule(collected)) if copy == phi.k else build(tree.root, copy + 1, collected)
+            else:
+                var = phi.block_coordinates(node.var)[copy - 1]
+                built[key] = Node(var, build(node.low, copy, outcomes), build(node.high, copy, outcomes))
+        return built[key]
 
     return DecisionTree(phi.target_n, build(tree.root, 1, ()))
 
@@ -239,7 +246,7 @@ def _stack_tree(
 def reduce_tree_type_b(tree: DecisionTree, phi: ReplicateMap) -> DecisionTree:
     """Decision tree over phi's target taking the majority over copies.
 
-    Leaf count is exactly leafcount(tree) ** k.
+    Leaf count (root-to-leaf paths) is exactly leafcount(tree) ** k; the copies share subtrees (``_stack_tree``).
     """
     if tree.leaf_count ** phi.k > TREE_LEAF_CAP:
         raise ValueError(
@@ -381,7 +388,8 @@ def simulate_pac_from_local(
     phi = reduction.phi
     if s1.n != phi.source_n or s2.n != phi.source_n:
         raise DimensionMismatch(f"map expects dimension {phi.source_n}, samples have {s1.n}/{s2.n}")
-    m1, m2 = (LabeledSample(phi.target_n, tuple(map(phi.encode, s.masks)), s.labels) for s in (s1, s2))
+    images = {m: phi.encode(m) for m in {*s1.masks, *s2.masks}}
+    m1, m2 = (LabeledSample(phi.target_n, tuple(map(images.__getitem__, s.masks)), s.labels) for s in (s1, s2))
     labels = SynthesizedLabels(reduction, m1, m2)
     oracle = LocalMQOracle.for_samples(labels, reduction.q, m1, m2)
     hypothesis = learner(m1, m2, oracle)

@@ -35,6 +35,7 @@ from lmqlab.cube import (
     recentre,
 )
 from lmqlab.distributions import LabeledSample
+from lmqlab.formats import parse_tree
 from lmqlab.reductions import ComposedConcept, SynthesizedLabels, make_reduction
 
 
@@ -144,6 +145,31 @@ class TestTree:
         t = self.tree()
         assert t.evaluate(P("-+")) == t.evaluate(P("-+"))
 
+    def test_shared_subtree_with_a_bad_variable_is_refused(self):
+        bad = Node(2, Leaf(0), Node(5, Leaf(1), Leaf(0)))
+        for root in (Node(1, bad, bad), Node(1, Leaf(0), Node(3, bad, Node(4, bad, Leaf(1))))):
+            with pytest.raises(ValueError, match=r"^node variable 5 out of range 1\.\.4$"):
+                DecisionTree(4, root)
+        first = Node(6, Leaf(0), Leaf(1))  # preorder names the first bad variable, as before
+        with pytest.raises(ValueError, match=r"^node variable 6 out of range 1\.\.4$"):
+            DecisionTree(4, Node(1, first, Node(7, first, Leaf(0))))
+
+    def test_vars_yield_each_distinct_node_once(self):
+        root = Leaf(1)
+        for var in range(1, 21):  # 2^20 + 1 root-to-leaf paths over 21 distinct nodes
+            root = Node(var, root, Node(var, root, Leaf(0)) if var == 20 else root)
+        assert list(DecisionTree._vars(root)) == list(range(20, 0, -1)) + [20]
+        # Only ints reach the asserts: a failing assert would print the tree path by path.
+        tree = DecisionTree(20, root)
+        leaves, top, bottom = tree.leaf_count, tree.label((1 << 20) - 1), tree.label(0)
+        assert (leaves, top, bottom) == (2 ** 20 + 1, 0, 1)
+
+    def test_parse_tree_infers_n_from_repeated_variables(self):
+        text = "(2 (3 (2 0 1) 1) (3 1 (2 1 0)))"
+        tree = parse_tree(text)
+        assert tree.n == 3 and tree.leaf_count == 6
+        assert parse_tree("dim 5\n" + text).n == 5
+
 
 class TestDfa:
     def test_parity_hand_run(self):
@@ -158,6 +184,44 @@ class TestDfa:
     def test_transition_totality_enforced(self):
         with pytest.raises(ValueError):
             Dfa(((0,),), 0, frozenset(), 2)
+
+    @pytest.mark.parametrize(
+        "delta",
+        [
+            ((0, 1), (1, 0)),
+            [[0, 1], [1, 0]],
+            ((0, 1), (1, 2)),
+            ((0, -1), (1, 0)),
+            ((0, 1), (1,)),
+            ((0, 1, 0), (1, 0)),
+            ((0, 1, 0), (1,)),
+            ((0, 1.5), (1, 0)),
+            ((0, 1.0), (1, 0)),
+            ((0, True), (1, 0)),
+            ((0, "1"), (1, 0)),
+            ((0, None), (1, 0)),
+            ((0, [1]), (1, 0)),
+            ((0, 1), (5, 0), (0, "x")),
+            ((0, 5), 3),
+            ((0, 1), 3),
+            ((0, 1), "ab"),
+        ],
+    )
+    def test_transition_check_matches_the_per_row_walk(self, delta):
+        def per_row(delta):
+            states = range(len(delta))
+            for s, row in enumerate(delta):
+                if len(row) != 2 or not all(t in states for t in row):
+                    raise ValueError(f"state {s} needs two transitions into 0..{len(states) - 1}, got {row!r}")
+
+        def outcome(check):
+            try:
+                check()
+            except Exception as error:
+                return type(error), str(error)
+            return None
+
+        assert outcome(lambda: Dfa(delta, 0, frozenset(), 2)) == outcome(lambda: per_row(delta))
 
     def test_parity_agrees_with_popcount(self):
         a = parity_dfa(4)

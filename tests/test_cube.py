@@ -202,6 +202,13 @@ def test_ball_columns_list_the_flips_in_walk_order(n, r):
     assert _points(columns, (1 << len(flips)) - 1) == flips
 
 
+def test_ball_columns_are_cached_and_equal_a_fresh_build():
+    assert ball_columns(9, 2) is ball_columns(9, 2)
+    for n in range(1, 13):
+        for r in range(4):
+            assert ball_columns(n, r) == ball_columns.__wrapped__(n, r)
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_cube_columns_list_every_mask_in_order(n):
     assert _points(cube_columns(n), (1 << (1 << n)) - 1) == list(range(1 << n))

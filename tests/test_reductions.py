@@ -241,6 +241,15 @@ class TestJuntaReduction:
         assert (hp.n, hp.relevant, hp.table) == (6, (), (1,))
         assert verify_reduction(make_reduction("junta", 2), Junta(2, (), (1,))).passed
 
+    @pytest.mark.parametrize("relevant", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_table_reads_each_block_majority_as_decode_does(self, relevant, k):
+        rng = random.Random(relevant * 10 + k)
+        for junta in (random_junta(relevant + 1, relevant, rng), Junta(relevant, (), (rng.randint(0, 1),))):
+            decode = ReplicateMap(max(junta.k, 1), k).decode
+            expected = tuple(junta.table[decode(m)] for m in range(1 << junta.k * k))
+            assert reduce_junta_type_b(junta, ReplicateMap(junta.n, k)).table == expected
+
 
 class TestTreeReduction:
     def test_leaf_count_power(self):
@@ -275,6 +284,50 @@ class TestTreeReduction:
     def test_verifier_passes(self):
         tree = random_tree(4, 4, random.Random(2))
         assert verify_reduction(make_reduction("tree", 4, q0=1), tree).passed
+
+
+def _reference_stack_tree(tree: DecisionTree, phi: ReplicateMap, label_rule) -> DecisionTree:
+    """The unshared builder: every root-to-leaf path of the stacked tree gets its own nodes."""
+
+    def build(node, copy: int, outcomes: tuple[int, ...]):
+        if isinstance(node, Leaf):
+            collected = outcomes + (node.label,)
+            if copy == phi.k:
+                return Leaf(label_rule(collected))
+            return build(tree.root, copy + 1, collected)
+        return Node(
+            phi.block_coordinates(node.var)[copy - 1],
+            build(node.low, copy, outcomes),
+            build(node.high, copy, outcomes),
+        )
+
+    return DecisionTree(phi.target_n, build(tree.root, 1, ()))
+
+
+def _distinct_nodes(root) -> int:
+    seen, stack = set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack += (node.low, node.high) if isinstance(node, Node) else ()
+    return len(seen)
+
+
+@pytest.mark.parametrize("n, q0", [(2, 1), (3, 1), (4, 2), (2, 3)])
+@pytest.mark.parametrize("rule", [majority_label, lambda outcomes: outcomes[0]], ids=["majority", "first-copy"])
+def test_shared_stacking_matches_the_unshared_builder(n, q0, rule):
+    phi = ReplicateMap(n, 2 * q0 + 1)
+    rng = random.Random(n * 100 + q0)
+    for _ in range(4):
+        leaves = rng.randint(1, min(1 << n, int(reductions.TREE_LEAF_CAP ** (1 / phi.k))))
+        tree = random_tree(n, leaves, rng)
+        shared, reference = reductions._stack_tree(tree, phi, rule), _reference_stack_tree(tree, phi, rule)
+        assert shared.root == reference.root
+        assert shared.leaf_count == reference.leaf_count == tree.leaf_count ** phi.k
+        if phi.target_n <= 16:
+            assert all(shared.label(m) == reference.label(m) for m in range(1 << phi.target_n))
+        assert _distinct_nodes(shared.root) <= ((1 << phi.k) - 1) * _distinct_nodes(tree.root)
 
 
 class TestPolyReduction:
@@ -351,6 +404,21 @@ class TestSimulation:
         assert len(oracle.log) == 27 * sum(s1.labels)
         for rec in oracle.log:
             assert rec.answer == transformed.evaluate(rec.point)
+
+    def test_samples_are_mapped_draw_by_draw(self):
+        # s2 holds masks that s1 lacks, and both repeat masks: each draw keeps its own image and label.
+        reduction = make_reduction("junta", 4, q0=1)
+        s1 = LabeledSample(4, (3, 5, 3, 0), (1, 0, 1, 0))
+        s2 = LabeledSample(4, (15, 3, 9, 15, 5), (1, 1, 0, 1, 0))
+        seen = []
+
+        def learner(m1, m2, oracle):
+            seen.extend((m1, m2))
+            return Junta(reduction.phi.target_n, (), (0,))
+
+        simulate_pac_from_local(learner, reduction, s1, s2)
+        encode = reduction.phi.encode
+        assert [(m.masks, m.labels) for m in seen] == [(tuple(map(encode, s.masks)), s.labels) for s in (s1, s2)]
 
     def test_kind_a_off_image_answer_is_one(self):
         reduction = make_reduction("dnf", 2)
