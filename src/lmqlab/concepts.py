@@ -6,8 +6,9 @@ in-range n-bit masks, ``flip_labels(mask)``, whose bit i is the label at
 depend on (``label(m) == label(m & reads)``), and ``evaluate(x)``: a
 dimension check, then ``label(x.mask)``. Hot paths call ``label``;
 ``CubePoint`` stays at the API boundary. Sparse polynomials additionally evaluate to exact rationals.
-Every concept class also labels a bit-sliced point list at once (see ``cube``): ``label_columns(columns, full)``,
-one bit of ``full`` per point, is the bitset of the points labelled 1 (polynomials: ``SparsePoly.compare_columns``).
+Every concept also labels a bit-sliced point list (a ball, the cube or a sample's lanes; see ``cube``) at once:
+``label_columns(columns, full)``, one bit of ``full`` per point, is the bitset of the points labelled 1
+(polynomials: ``SparsePoly.compare_columns``; ``MaskConcept``'s default: one ``label`` per distinct point).
 Variable indices are 1-based everywhere, matching the textual formats.
 """
 
@@ -35,7 +36,7 @@ def _require_variable(j: object, n: int, what: str) -> None:
 
 
 class Concept(Protocol):
-    """Anything labelling the points of {-1,+1}^n with 0 or 1."""
+    """Anything labelling the points of {-1,+1}^n with 0 or 1: a point (``label``) or a list (``label_columns``)."""
 
     n: int
     reads: int
@@ -44,11 +45,13 @@ class Concept(Protocol):
 
     def flip_labels(self, mask: int) -> int: ...
 
+    def label_columns(self, columns: Sequence[int], full: int) -> int: ...
+
     def evaluate(self, x: CubePoint) -> int: ...
 
 
 class MaskConcept:
-    """The one ``evaluate`` of every concept: a dimension check, then ``label(x.mask)``."""
+    """The one ``evaluate`` of every concept, and pointwise defaults for a concept that knows only ``label``."""
 
     __slots__ = ()
 
@@ -60,6 +63,19 @@ class MaskConcept:
     def flip_labels(self, mask: int) -> int:
         """Bit i is the label at ``mask ^ (1 << i)``: n ``label`` calls, unless a subclass knows better."""
         return sum(self.label(mask ^ 1 << i) << i for i in range(self.n))
+
+    def label_columns(self, columns: Sequence[int], full: int) -> int:
+        """The points labelled 1: one ``label`` per distinct point, in list order; each column is read once."""
+        digits = format(full, "b")
+        at = [k for k, digit in enumerate(digits) if digit == "1"]  # where the points' digits are, last point first
+        # A string per column, highest first, of its digits at the points: character j, read down, spells a mask.
+        rows = ["".join(map(format(c, f"0{len(digits)}b").__getitem__, at)) for c in reversed(columns)]
+        masks = [int("".join(bits), 2) for bits in zip(*rows)]
+        labels = {mask: self.label(mask) for mask in dict.fromkeys(reversed(masks))}
+        ones = list(digits)
+        for k, mask in zip(at, masks):
+            ones[k] = "01"[labels[mask]]
+        return int("".join(ones), 2)
 
     def evaluate(self, x: CubePoint) -> int:
         if x.n != self.n:
@@ -309,7 +325,9 @@ class Dfa(MaskConcept):
 
     def __post_init__(self) -> None:
         states = range(len(self.delta))
-        if self.start not in states or not all(s in states for s in self.accepting):
+        def is_state(s: object) -> bool:  # ``require_count``'s rule: an int, never a bool or a float
+            return isinstance(s, int) and not isinstance(s, bool) and s in states
+        if not is_state(self.start) or not all(map(is_state, self.accepting)):
             raise ValueError(f"start and accepting states must lie in 0..{len(states) - 1}")
         try:  # one C-level pass over every row; only a failure walks the rows to name the first bad one
             targets = tuple(chain.from_iterable(self.delta))
@@ -319,7 +337,7 @@ class Dfa(MaskConcept):
             valid = False
         if not valid:
             for s, row in enumerate(self.delta):
-                if len(row) != 2 or not all(t in states for t in row):
+                if len(row) != 2 or not all(map(is_state, row)):
                     raise ValueError(f"state {s} needs two transitions into 0..{len(states) - 1}, got {row!r}")
         require_count(self.length, 1, "input length must be positive")
 

@@ -7,7 +7,9 @@ arithmetic. Hot paths pass the bare int masks (the oracle's anchor scan,
 
 A point list can also be held bit-sliced, as columns: column i is the bitset
 of the list positions whose point has mask bit i set (``cube_columns``,
-``ball_columns``), so one bitset operation acts on every point at once.
+``ball_columns``), so one bitset operation acts on every point at once. Drawn
+masks are held as lanes (``lane_columns``, read back by ``lane_bits``): point p
+owns lane p of one packed integer; a column holds its bit at the lane's lowest.
 
 ``require_count`` is the package's one rule for a count, dimension or budget
 (an int, never a bool or a float, at least a bound); ``require_enumerable``
@@ -17,6 +19,7 @@ keeps its own comparison, because its message carries the ``use mc_loss`` hint.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
@@ -163,6 +166,24 @@ def count_above(columns: Sequence[int], t: int) -> int:
             above[s] |= above[s - 1] & c
         above[0] |= c
     return above[t]
+
+
+def lane_columns(masks: Sequence[int], n: int, reads: int) -> tuple[list[int], int, int]:
+    """(columns, full, width): mask p in lane p of ``width`` bytes (the least power of two >= n/8) of one
+    little-endian int; ``full`` holds each lane's lowest bit, column i (if i is in ``reads``, else 0) its bit i."""
+    width = 1 << max(0, (n - 1).bit_length() - 3)
+    if width <= 8:
+        packed = struct.pack(f"<{len(masks)}{'BHIQ'[width.bit_length() - 1]}", *masks)
+    else:
+        packed = b"".join(mask.to_bytes(width, "little") for mask in masks)
+    bits = int.from_bytes(packed, "little")
+    full = int.from_bytes((1).to_bytes(width, "little") * len(masks), "little")
+    return [bits >> i & full if reads >> i & 1 else 0 for i in range(n)], full, width
+
+
+def lane_bits(bitset: int, count: int, width: int) -> bytes:
+    """Each lane's lowest bit as a byte 0 or 1, for a ``bitset`` within ``full`` of ``count`` lanes."""
+    return bitset.to_bytes(count * width, "little")[::width]
 
 
 def iter_bits(bitset: int) -> Iterator[int]:

@@ -7,21 +7,21 @@ bit-exactly. Draws, supports (``(mask, Fraction)`` pairs, the form in which
 ``CubePoint`` is built only for an error message or an iterated sample.
 
 ``sample`` asks a distribution for all its draws in one ``draws(rng, m)``
-call. ``FiniteSupport`` reads the generator's 32-bit words in blocks and
-looks each draw up in a guide table (Chen & Asau, 1974) indexed by the top
-bits of its first word; it takes the same two words per draw as
-``random()`` and returns the masks the per-draw float bisection
+call; draws consume the generator in order, so two calls give one's stream.
+``UniformCube`` (n <= 32) and ``FiniteSupport`` read its 32-bit words in
+blocks. ``FiniteSupport`` looks each draw up in a guide table (Chen & Asau,
+1974) indexed by the top bits of its first word; it takes the same two words
+per draw as ``random()`` and returns the masks the per-draw float bisection
 ``bisect_right(cum, random() * cum[-1])`` would, leaving the generator in the
-same state. ``mc_loss`` counts the draws' projections onto the coordinates
-either concept reads and labels each distinct projection once.
+same state. ``mc_loss`` labels a block of draws at a time as lanes (``cube``).
 """
 
 from __future__ import annotations
 
 import random
+import struct
 import sys
 from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
@@ -32,10 +32,17 @@ from .cube import (
     CubePoint,
     DimensionMismatch,
     ReplicateMap,
+    lane_columns,
     require_count,
     require_enumerable,
 )
 from .concepts import Concept
+
+
+# A guide slot covers the random() values whose first word starts with these
+# many bits; draws are read from the generator, and labelled, this many at a time.
+_GUIDE_BITS = 12
+_DRAW_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -48,8 +55,15 @@ class UniformCube:
         require_count(self.n, 1, "dimension must be a positive integer")
 
     def draws(self, rng: random.Random, m: int) -> list[int]:
-        n, bits = self.n, rng.getrandbits
-        return [bits(n) for _ in range(m)]
+        """m ``getrandbits(n)`` masks; to n = 32, the top n bits of a block's 32-bit words (first lowest) at once."""
+        n, bits, out = self.n, rng.getrandbits, []
+        if n > 32:
+            return [bits(n) for _ in range(m)]
+        for start in range(0, m, _DRAW_BLOCK):
+            k = min(_DRAW_BLOCK, m - start)
+            keep = int.from_bytes(((1 << n) - 1).to_bytes(4, "little") * k, "little")
+            out += struct.unpack(f"<{k}I", (bits(32 * k) >> 32 - n & keep).to_bytes(4 * k, "little"))
+        return out
 
     def support(self) -> Iterator[tuple[int, Fraction]]:
         require_enumerable(self.n)
@@ -91,12 +105,6 @@ class ProductDist:
                 prob *= p if (mask >> (self.n - 1 - j)) & 1 else 1 - p
             if prob:
                 yield mask, prob
-
-
-# A guide slot covers the random() values whose first word starts with these
-# many bits; draws are read from the generator this many at a time.
-_GUIDE_BITS = 12
-_DRAW_BLOCK = 4096
 
 
 def _words(rng: random.Random, count: int) -> memoryview:
@@ -248,12 +256,12 @@ def exact_loss(dist: Distribution, h_star: Concept, h_hat: Concept) -> Fraction:
 
 
 def mc_loss(dist: Distribution, h_star: Concept, h_hat: Concept, m: int, seed: int) -> Fraction:
-    """Empirical disagreement frequency over m seeded draws.
-
-    Both labels depend only on the coordinates in ``reads``, so each draw is
-    projected onto them and each distinct projection labelled once.
-    """
+    """Empirical disagreement frequency over the m draws ``sample(dist, m, seed)`` gives, drawn ``_DRAW_BLOCK``
+    at a time and labelled by ``label_columns`` as lanes over the columns either concept ``reads``."""
     _check_loss_dims(dist, h_star, h_hat)
     require_count(m, 1, "sample count must be positive")
-    counts = Counter(map((h_star.reads | h_hat.reads).__and__, sample(dist, m, seed)))
-    return Fraction(sum(c for x, c in counts.items() if h_star.label(x) != h_hat.label(x)), m)
+    rng, reads, wrong = random.Random(seed), h_star.reads | h_hat.reads, 0
+    for start in range(0, m, _DRAW_BLOCK):
+        columns, full, _ = lane_columns(dist.draws(rng, min(_DRAW_BLOCK, m - start)), dist.n, reads)
+        wrong += (h_star.label_columns(columns, full) ^ h_hat.label_columns(columns, full)).bit_count()
+    return Fraction(wrong, m)

@@ -23,8 +23,8 @@ from itertools import chain
 from typing import Iterable
 
 from .concepts import Concept
-from .cube import CubePoint, DimensionMismatch, require_count
-from .distributions import Distribution, LabeledSample, sample
+from .cube import CubePoint, DimensionMismatch, lane_bits, lane_columns, require_count
+from .distributions import _DRAW_BLOCK, Distribution, LabeledSample, sample
 
 QUERY_BUDGET_FACTOR = 64
 
@@ -207,9 +207,12 @@ class LocalMQOracle:
 
 
 def draw_training_set(dist: Distribution, h_star: Concept, m: int, seed: int) -> LabeledSample:
-    """m i.i.d. points labeled by the target concept, each distinct point labelled once."""
+    """m i.i.d. points labeled by the target concept, ``_DRAW_BLOCK`` at a time as lanes (see ``cube``)."""
     if h_star.n != dist.n:
         raise DimensionMismatch(f"concept dimension {h_star.n} differs from distribution {dist.n}")
-    masks = sample(dist, m, seed)
-    labels = {mask: h_star.label(mask) for mask in dict.fromkeys(masks)}
-    return LabeledSample(dist.n, tuple(masks), tuple(map(labels.__getitem__, masks)))
+    masks, labels = sample(dist, m, seed), bytearray()
+    for start in range(0, m, _DRAW_BLOCK):
+        block = masks[start:start + _DRAW_BLOCK]
+        columns, full, width = lane_columns(block, dist.n, h_star.reads)
+        labels += lane_bits(h_star.label_columns(columns, full), len(block), width)
+    return LabeledSample(dist.n, tuple(masks), tuple(labels))

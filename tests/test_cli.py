@@ -141,6 +141,25 @@ def test_learn_output_is_pinned(pinned_target, capsys):
     assert json.loads(line)["terms_pruned"] == 1
 
 
+@pytest.mark.parametrize(
+    "n, loss, digest",
+    [
+        (28, "1137/100000", "6ae975d4c5bd3dbc7ae9cb632e37ca3b3735d702cefdd1aa9ab58c6331599c55"),
+        (40, "597/50000", "7e03020b1eb9cd467e8ec435646ad57e7716fefdccee25455b8673c73c621198"),
+    ],
+)
+def test_monte_carlo_learn_output_is_pinned(n, loss, digest, tmp_path, capsys):
+    # Above the exact-loss cutoff the loss is a Monte Carlo estimate over uniform draws: one 32-bit word per
+    # draw at n = 28, two per draw at n = 40. The learned hypothesis misses the second term.
+    path = tmp_path / "target.dnf"
+    path.write_text(f"dim {n}\n1 -2\n3 4 5 6 7 -{n}\n")
+    argv = ["learn", "--target", str(path), "--dist", f"uniform:{n}", "--m1", "20", "--m2", "200", "--seed", "7"]
+    assert main(argv) == 0
+    [line] = capsys.readouterr().out.splitlines()
+    assert json.loads(line)["estimator"] == "mc" and json.loads(line)["loss"] == loss
+    assert hashlib.sha256(line.encode()).hexdigest() == digest
+
+
 def test_learn_auto_plan_beyond_desk_scale_is_refused_before_any_draw(pinned_target, capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("run_trial was called")

@@ -11,6 +11,7 @@ from lmqlab.concepts import (
     DnfFormula,
     Junta,
     Leaf,
+    MaskConcept,
     Node,
     PolyConcept,
     SparsePoly,
@@ -34,8 +35,9 @@ from lmqlab.cube import (
     masks_at_distance,
     recentre,
 )
-from lmqlab.distributions import LabeledSample
+from lmqlab.distributions import _DRAW_BLOCK, FiniteSupport, LabeledSample, UniformCube, sample
 from lmqlab.formats import parse_tree
+from lmqlab.oracle import draw_training_set
 from lmqlab.reductions import ComposedConcept, SynthesizedLabels, make_reduction
 
 
@@ -196,8 +198,6 @@ class TestDfa:
             ((0, 1, 0), (1, 0)),
             ((0, 1, 0), (1,)),
             ((0, 1.5), (1, 0)),
-            ((0, 1.0), (1, 0)),
-            ((0, True), (1, 0)),
             ((0, "1"), (1, 0)),
             ((0, None), (1, 0)),
             ((0, [1]), (1, 0)),
@@ -222,6 +222,16 @@ class TestDfa:
             return None
 
         assert outcome(lambda: Dfa(delta, 0, frozenset(), 2)) == outcome(lambda: per_row(delta))
+
+    @pytest.mark.parametrize("bad", [1.0, True, 0.0, False])
+    def test_float_and_bool_states_are_refused(self, bad):
+        # Each equals a state (1.0 in range(2) holds), but a state is an int, as require_count has it.
+        delta = ((0, 1), (1, 0))
+        with pytest.raises(ValueError, match=rf"^state 0 needs two transitions into 0\.\.1, got \(0, {bad!r}\)$"):
+            Dfa(((0, bad), (1, 0)), 0, frozenset(), 2)
+        for start, accepting in ((bad, frozenset()), (0, frozenset({bad}))):
+            with pytest.raises(ValueError, match=r"^start and accepting states must lie in 0\.\.1$"):
+                Dfa(delta, start, accepting, 2)
 
     def test_parity_agrees_with_popcount(self):
         a = parity_dfa(4)
@@ -664,6 +674,16 @@ def _random_signed_poly(n: int, rng: random.Random) -> PolyConcept:
     }))
 
 
+class _LabelOnly(MaskConcept):
+    """A concept that knows only ``label``: its ``label_columns`` is ``MaskConcept``'s pointwise default."""
+
+    def __init__(self, concept):
+        self.n, self.concept = concept.n, concept
+
+    def label(self, mask):
+        return self.concept.label(mask)
+
+
 COLUMN_CONCEPTS = {
     "dnf": lambda n, rng: random_dnf(n, rng.randint(0, 6), 4, rng),
     "dfa": lambda n, rng: random_dfa(n, rng.randint(1, 6), rng),
@@ -671,6 +691,7 @@ COLUMN_CONCEPTS = {
     "junta": lambda n, rng: random_junta(n, rng.randint(0, min(n, 5)), rng),
     "ptf": _random_ptf,
     "poly": _random_signed_poly,
+    "label-only": lambda n, rng: _LabelOnly(random_tree(n, rng.randint(1, 12), rng)),
 }
 
 
@@ -694,6 +715,45 @@ def test_label_columns_over_the_whole_cube_are_truth_tables(kind, n, rng):
     concept = COLUMN_CONCEPTS[kind](n, rng)
     ones = concept.label_columns(cube_columns(n), (1 << (1 << n)) - 1)
     assert ones == sum(concept.label(m) << m for m in range(1 << n))
+
+
+TRAINING_COUNTS = [0, 1, _DRAW_BLOCK - 1, _DRAW_BLOCK, _DRAW_BLOCK + 1]
+
+
+@pytest.mark.parametrize("n", [8, 9, 16, 17, 32, 33, 64, 65])
+@pytest.mark.parametrize("kind", list(COLUMN_CONCEPTS))
+def test_draw_training_set_labels_each_draw_as_label_does(kind, n):
+    # Both sides of each lane width (1, 2, 4, 8, 16 bytes) and of a block of draws.
+    concept = COLUMN_CONCEPTS[kind](n, random.Random(n))
+    dist, seed = UniformCube(n), 31 * n
+    masks = sample(dist, max(TRAINING_COUNTS), seed)
+    labels = [concept.label(mask) for mask in masks]
+    for m in TRAINING_COUNTS:
+        s = draw_training_set(dist, concept, m, seed)
+        assert (s.n, s.masks, s.labels) == (n, tuple(masks[:m]), tuple(labels[:m]))
+
+
+def test_draw_training_set_names_the_first_draw_off_pm1():
+    # (x1 + x2) / 2 is 0 where x1 != x2. Those two points carry mass 1/10000 each, so the first of them
+    # drawn often lies past the first block; the error names it, as label does, whichever block it is in.
+    c = PolyConcept(SparsePoly(9, {frozenset({1}): Fraction(1, 2), frozenset({2}): Fraction(1, 2)}))
+    off, rare = (0b100000000, 0b010000000), Fraction(1, 20000)
+    half = Fraction(1, 2) - rare
+    dist = FiniteSupport(9, ((0, half), (0b110000000, half), *((x, rare) for x in off)))
+    m, firsts = 3 * _DRAW_BLOCK + 7, []
+    for seed in range(12):
+        masks = sample(dist, m, seed)
+        first = next((p for p, mask in enumerate(masks) if mask in off), None)
+        if first is None:
+            assert draw_training_set(dist, c, m, seed).labels == tuple(map(c.label, masks))
+            continue
+        firsts.append(first)
+        with pytest.raises(ValueError) as expected:
+            c.label(masks[first])
+        with pytest.raises(ValueError) as raised:
+            draw_training_set(dist, c, m, seed)
+        assert str(raised.value) == str(expected.value)
+    assert min(firsts) < _DRAW_BLOCK <= max(firsts)
 
 
 def _point_sets(n: int, r: int | None, rng: random.Random) -> tuple[list[int], int, list[int]]:

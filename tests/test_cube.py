@@ -14,6 +14,8 @@ from lmqlab.cube import (
     ball_size,
     cube_columns,
     enumerate_cube,
+    lane_bits,
+    lane_columns,
     masks_at_distance,
 )
 from lmqlab.oracle import LocalityViolation, LocalMQOracle
@@ -212,6 +214,22 @@ def test_ball_columns_are_cached_and_equal_a_fresh_build():
 @pytest.mark.parametrize("n", range(1, 9))
 def test_cube_columns_list_every_mask_in_order(n):
     assert _points(cube_columns(n), (1 << (1 << n)) - 1) == list(range(1 << n))
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.sampled_from([1, 7, 8, 9, 16, 17, 32, 33, 64, 65, 130]), data=st.data())
+def test_lane_columns_and_lane_bits_round_trip(n, data):
+    masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=40))
+    reads = data.draw(st.sampled_from([(1 << n) - 1, 0]) | st.integers(0, (1 << n) - 1))
+    columns, full, width = lane_columns(masks, n, reads)
+    assert width == next(w for w in (1, 2, 4, 8, 16, 32) if 8 * w >= n)
+    lows = [8 * width * p for p in range(len(masks))]
+    assert full == sum(1 << low for low in lows) and len(columns) == n
+    assert [sum((c >> low & 1) << i for i, c in enumerate(columns)) for low in lows] == [m & reads for m in masks]
+    for i, c in enumerate(columns):
+        assert c & ~full == 0 and lane_bits(c, len(masks), width) == bytes((m & reads) >> i & 1 for m in masks)
+    chosen = data.draw(st.lists(st.booleans(), min_size=len(masks), max_size=len(masks)))
+    assert lane_bits(sum(1 << low for low, y in zip(lows, chosen) if y), len(masks), width) == bytes(chosen)
 
 
 # ---------------------------------------------------------------------------

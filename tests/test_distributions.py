@@ -7,7 +7,7 @@ from itertools import accumulate
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lmqlab.concepts import DnfFormula, Term, random_dnf
+from lmqlab.concepts import DnfFormula, Term, random_dfa, random_dnf, random_tree
 from lmqlab.cube import CubePoint, DimensionMismatch, ReplicateMap, enumerate_cube
 from lmqlab.distributions import (
     FiniteSupport,
@@ -59,9 +59,13 @@ def test_seeded_sample_stream_is_pinned(dist, masks):
 
 
 def _reference_draws(dist, m: int, rng: random.Random) -> list[int]:
-    """The per-draw bisection bulk draws must reproduce, built from the support alone."""
-    if not isinstance(dist, FiniteSupport):
+    """The per-draw streams bulk draws must reproduce: one ``getrandbits(n)`` per uniform draw, one ``random()``
+    per coordinate of a product draw, and for a finite support the bisection built from the support alone."""
+    if isinstance(dist, UniformCube):
         return [rng.getrandbits(dist.n) for _ in range(m)]
+    if isinstance(dist, ProductDist):
+        n = dist.n
+        return [sum((rng.random() < p) << n - 1 - j for j, p in enumerate(dist.plus_probs)) for _ in range(m)]
     cum = list(accumulate(float(prob) for _, prob in dist.support()))
     # The last mask twice: a product that rounds up to the total bisects past the end.
     masks = [x for x, _ in dist.support()] + [dist.entries[-1][0]]
@@ -98,6 +102,38 @@ def test_finite_support_draws_match_per_draw_reference(dist, m, seed):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_doubled_uniform_draws_match_per_draw_reference(n, m):
     _assert_stream_identical(pushforward(UniformCube(n), ReplicateMap(n, 2)), m, seed=1000 * n + m)
+
+
+@pytest.mark.parametrize("m", DRAW_COUNTS)
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 17, 31, 32, 33, 64])
+def test_uniform_draws_match_per_draw_reference(n, m):
+    # Up to 32 bits a block of words is shifted and masked at once; 33 and 64 keep the per-draw loop.
+    _assert_stream_identical(UniformCube(n), m, seed=1000 * n + m)
+
+
+@pytest.mark.parametrize("m", [0, 1, 7, 100])
+def test_product_draws_match_per_draw_reference(m):
+    _assert_stream_identical(PINNED_STREAMS[1][0], m, seed=m)
+
+
+SPLIT_DISTS = [
+    pytest.param(UniformCube(5), id="uniform-5"),
+    pytest.param(UniformCube(28), id="uniform-28"),
+    pytest.param(UniformCube(40), id="uniform-40"),
+    pytest.param(PINNED_STREAMS[1][0], id="product"),
+    pytest.param(PINNED_STREAMS[2][0], id="finite"),
+]
+
+
+@pytest.mark.parametrize(
+    "a, b", [(1, _DRAW_BLOCK), (_DRAW_BLOCK - 1, 2), (3000, 3000), (_DRAW_BLOCK, _DRAW_BLOCK + 1)]
+)
+@pytest.mark.parametrize("dist", SPLIT_DISTS)
+def test_two_draws_calls_give_the_stream_of_one(dist, a, b):
+    """``mc_loss`` draws a block per call, so a + b draws in two calls must be the a + b of one call."""
+    rng, whole = random.Random(a + 2 * b), random.Random(a + 2 * b)
+    assert dist.draws(rng, a) + dist.draws(rng, b) == dist.draws(whole, a + b)
+    assert rng.getstate() == whole.getstate()
 
 
 @pytest.mark.parametrize("m", DRAW_COUNTS)
@@ -286,6 +322,38 @@ def test_mc_loss_matches_per_draw_reference(n, seed, m, kinds, finite):
         dist = UniformCube(n)
     points = [CubePoint(n, mask) for mask in _reference_draws(dist, m, random.Random(seed))]
     assert mc_loss(dist, f, g, m, seed) == Fraction(sum(f.evaluate(x) != g.evaluate(x) for x in points), m)
+
+
+MC_COUNTS = [_DRAW_BLOCK - 1, _DRAW_BLOCK, _DRAW_BLOCK + 1, 3 * _DRAW_BLOCK + 7]
+_rng = random.Random(25)
+LOSS_DISTS = [
+    *(pytest.param(UniformCube(n), id=f"uniform-{n}") for n in (21, 32, 33, 40)),
+    pytest.param(
+        FiniteSupport(36, tuple((x, Fraction(i + 1, 78)) for i, x in enumerate(_rng.sample(range(1 << 36), 12)))),
+        id="finite",
+    ),
+    # Few coordinates: each of a product draw's coordinates compares a float with a Fraction.
+    pytest.param(ProductDist(6, tuple(Fraction(_rng.randint(1, 9), 10) for _ in range(6))), id="product"),
+]
+LOSS_CLASSES = {
+    "dnf": lambda n, rng: random_dnf(n, 4, 3, rng),
+    "dfa": lambda n, rng: random_dfa(n, 4, rng),
+    "tree": lambda n, rng: random_tree(n, 10, rng),
+}
+
+
+@pytest.mark.parametrize("pair", [("dnf", "dfa"), ("dfa", "tree"), ("tree", "dnf")], ids="-".join)
+@pytest.mark.parametrize("dist", LOSS_DISTS)
+def test_mc_loss_across_blocks_matches_labels_at_every_draw(dist, pair):
+    """Block edges, one block and several, for concepts of two classes, against labels at each reference draw."""
+    rng = random.Random(f"{dist}-{pair}")
+    h_star, h_hat = (LOSS_CLASSES[kind](dist.n, rng) for kind in pair)
+    seed = rng.getrandbits(32)
+    draws = _reference_draws(dist, max(MC_COUNTS), random.Random(seed))
+    wrong = list(accumulate(h_star.label(x) != h_hat.label(x) for x in draws))
+    assert 0 < wrong[-1] < len(draws)
+    for m in MC_COUNTS:
+        assert mc_loss(dist, h_star, h_hat, m, seed) == Fraction(wrong[m - 1], m)
 
 
 def test_labeled_sample_validation():
