@@ -5,7 +5,8 @@ in-range n-bit masks, ``flip_labels(mask)``, whose bit i is the label at
 ``mask ^ (1 << i)``, ``reads``, the bit mask of the coordinates a label can
 depend on (``label(m) == label(m & reads)``), and ``evaluate(x)``: a
 dimension check, then ``label(x.mask)``. Hot paths call ``label``;
-``CubePoint`` stays at the API boundary. Sparse polynomials additionally evaluate to exact rationals.
+``CubePoint`` stays at the API boundary. Sparse polynomials additionally evaluate to exact rationals, pointwise
+and bit-sliced, from one integer form built on the first evaluation (``SparsePoly._scaled``).
 Every concept also labels a bit-sliced point list (a ball, the cube or a sample's lanes; see ``cube``) at once:
 ``label_columns(columns, full)``, one bit of ``full`` per point, is the bitset of the points labelled 1
 (polynomials: ``SparsePoly.compare_columns``; ``MaskConcept``'s default: one ``label`` per distinct point).
@@ -468,47 +469,18 @@ class SparsePoly:
         return len(self.monomials)
 
     @cached_property
-    def _tables(self) -> tuple:
-        """The pointwise evaluation tables, built on the first evaluation.
-
-        Monomial t is bit t. Over the common denominator ``denom`` each
-        coefficient is an integer v. For every 8-coordinate chunk of the mask
-        that some monomial reads, a 256-entry table maps the chunk's -1
-        coordinates to the monomials reading an odd number of them, built as
-        ``tab[b] = tab[b ^ low] ^ holders[low]``. ``classes`` pairs 2v with
-        the bitset of the monomials scaled to v, so a point's numerator is
-        ``base`` (the sum of all v) minus 2v per odd monomial of each class.
-        """
-        denom = math.lcm(*(c.denominator for c in self.monomials.values()))
-        holders: dict[int, int] = {}  # mask bit position -> monomials reading it
-        by_value: dict[int, int] = {}
-        for t, (vars_, c) in enumerate(self.monomials.items()):
-            for j in vars_:
-                holders[self.n - j] = holders.get(self.n - j, 0) | 1 << t
-            v = c.numerator * (denom // c.denominator)
-            by_value[v] = by_value.get(v, 0) | 1 << t
-        chunks = []
-        for shift in range(0, self.n, 8):
-            held = [holders.get(shift + i, 0) for i in range(8)]
-            if any(held):
-                tab = [0] * 256
-                for b in range(1, 256):
-                    low = b & -b
-                    tab[b] = tab[b ^ low] ^ held[low.bit_length() - 1]
-                chunks.append((shift, tab))
-        base = sum(v * bits.bit_count() for v, bits in by_value.items())
-        return denom, base, tuple(chunks), tuple((2 * v, bits) for v, bits in by_value.items())
+    def _scaled(self) -> tuple[int, tuple[tuple[frozenset[int], int, int], ...]]:
+        """(denom, terms), built on the first evaluation: over the common denominator ``denom`` each coefficient
+        is an integer v, and each monomial is a term (its variables, their mask bits, v)."""
+        denom, top = math.lcm(*(c.denominator for c in self.monomials.values())), 1 << self.n
+        return denom, tuple([(vars_, sum(map(top.__rshift__, vars_)), c.numerator * (denom // c.denominator))
+                             for vars_, c in self.monomials.items()])
 
     def _parts(self, mask: int) -> tuple[int, int]:
         """(total, denom), denom > 0: the polynomial at an in-range n-bit mask is total / denom."""
-        denom, total, chunks, classes = self._tables
+        denom, terms = self._scaled
         minus = ~mask
-        odd = 0
-        for shift, tab in chunks:
-            odd ^= tab[minus >> shift & 255]
-        for w, bits in classes:
-            total -= w * (odd & bits).bit_count()
-        return total, denom
+        return sum(-v if (minus & monomial).bit_count() & 1 else v for _, monomial, v in terms), denom
 
     def evaluate(self, x: CubePoint) -> Fraction:
         if x.n != self.n:
@@ -516,8 +488,8 @@ class SparsePoly:
         return self.value(x.mask)
 
     def value(self, mask: int) -> Fraction:
-        """The polynomial at an in-range n-bit mask, exactly: one parity-table lookup
-        per 8-coordinate chunk, then one popcount per distinct coefficient (see ``_tables``)."""
+        """The polynomial at an in-range n-bit mask, exactly: over the common denominator, the sum of each
+        monomial's integer coefficient v, negated where an odd number of its variables are -1 (see ``_scaled``)."""
         return Fraction(*self._parts(mask))
 
     def compare_columns(self, columns: Sequence[int], full: int, targets: Iterable[tuple]) -> tuple[int, int]:
@@ -525,9 +497,8 @@ class SparsePoly:
         rational target with the bitset of its points. Over the common denominator each coefficient is an integer
         v, and v times a monomial is -|v| plus 2|v| times its even (v > 0) or odd (v < 0) -1 parity: the value times
         the denominator is ``low`` plus their bit-sliced sum, compared with the targets from the top plane down."""
-        denom = math.lcm(*(c.denominator for c in self.monomials.values()))
-        scaled = {vars_: c.numerator * (denom // c.denominator) for vars_, c in self.monomials.items()}
-        low = -sum(map(abs, scaled.values()))
+        denom, terms = self._scaled
+        low = -sum(abs(v) for _, _, v in terms)
         heaps: list[list[int]] = [[] for _ in range((-2 * low).bit_length())]
 
         def file(j: int, bits: int) -> None:
@@ -540,9 +511,10 @@ class SparsePoly:
                 if carry := a & b | c & (a ^ b):
                     file(j + 1, carry)
 
-        for vars_, v in scaled.items():
+        by_var = [0, *columns[::-1]]  # variable j's column is by_var[j]
+        for vars_, _, v in terms:
             # The odd -1 parity is the XOR of the complemented columns; the even one, for v > 0, its complement.
-            parity = reduce(xor, (columns[self.n - j] for j in vars_), full if len(vars_) % 2 == (v < 0) else 0)
+            parity = reduce(xor, map(by_var.__getitem__, vars_), full if len(vars_) % 2 == (v < 0) else 0)
             for j in iter_bits(2 * abs(v)):
                 file(j, parity)
         for j in range(len(heaps)):

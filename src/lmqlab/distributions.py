@@ -18,6 +18,7 @@ same state. ``mc_loss`` labels a block of draws at a time as lanes (``cube``).
 
 from __future__ import annotations
 
+import math
 import random
 import struct
 import sys
@@ -89,11 +90,13 @@ class ProductDist:
         object.__setattr__(self, "plus_probs", probs)
 
     def draws(self, rng: random.Random, m: int) -> list[int]:
-        out = []
+        """m masks, coordinate 1 first, +1 where ``random() < p``. As random() is k / 2**53, that holds iff
+        k < ceil(p * 2**53): p is compared as that ceiling over 2**53, a float exact as its numerator is <= 2**53."""
+        cuts, draw, out = [math.ceil(p * 2**53) / 2**53 for p in self.plus_probs], rng.random, []
         for _ in range(m):
             mask = 0
-            for p in self.plus_probs:
-                mask = (mask << 1) | (rng.random() < p)
+            for cut in cuts:
+                mask = (mask << 1) | (draw() < cut)
             out.append(mask)
         return out
 

@@ -31,7 +31,7 @@ from .concepts import (
     random_junta,
     random_tree,
 )
-from .cube import CubePoint, ReplicateMap, iter_bits, require_count
+from .cube import CubePoint, ReplicateMap, count_above, cube_columns, iter_bits, require_count
 from .distributions import Distribution, UniformCube, exact_loss, mc_loss, pushforward
 from .evident import (
     doubling_dnf,
@@ -42,7 +42,7 @@ from .evident import (
     satisfies_evidently,
 )
 from .learner import LearnerRun, learn_evident_dnf, learn_evident_dnf_run, reconstruct_term, require_epsilon
-from .oracle import BudgetExhausted, LocalityViolation, LocalMQOracle, draw_training_set
+from .oracle import BudgetExhausted, LocalityViolation, LocalMQOracle, draw_training_set, label_masks
 from .reductions import (
     QReduction,
     build_block_checker,
@@ -475,9 +475,10 @@ def _audit_simulation(
     except LocalityViolation:
         report.uniqueness_errors += 1
         return
-    for mask, answer, _, times in oracle.entries():
+    entries = oracle.entries()
+    for (_, answer, _, times), label in zip(entries, label_masks(transformed, [mask for mask, *_ in entries])):
         report.simulation_queries += times
-        if answer != transformed.label(mask):
+        if answer != label:
             report.simulation_mismatches += times
 
 
@@ -574,8 +575,8 @@ def run_reduction_suite(base_seed: int = 0) -> ReductionSuiteReport:
             ),
         ]
     for k in (1, 3, 5, 7):
-        poly = maj_poly(k)
-        agrees = all(poly.value(m) == (1 if m.bit_count() > k // 2 else -1) for m in range(1 << k))
+        poly, full, maj = maj_poly(k), (1 << (1 << k)) - 1, count_above(cube_columns(k), k // 2)
+        agrees = poly.compare_columns(cube_columns(k), full, [(1, maj), (-1, full ^ maj)])[1] == full
         checks.append(
             (
                 f"majority expansion k={k}",

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .concepts import Concept
 from .cube import CubePoint, DimensionMismatch, lane_bits, lane_columns, require_count
@@ -206,13 +206,19 @@ class LocalMQOracle:
         return OracleStats(self._count, max(histogram, default=0), histogram)
 
 
+def label_masks(concept: Concept, masks: Sequence[int]) -> bytes:
+    """Each in-range mask's label as a byte 0 or 1: one ``label_columns`` call per ``_DRAW_BLOCK`` masks as lanes."""
+    labels = bytearray()
+    for start in range(0, len(masks), _DRAW_BLOCK):
+        block = masks[start:start + _DRAW_BLOCK]
+        columns, full, width = lane_columns(block, concept.n, concept.reads)
+        labels += lane_bits(concept.label_columns(columns, full), len(block), width)
+    return bytes(labels)
+
+
 def draw_training_set(dist: Distribution, h_star: Concept, m: int, seed: int) -> LabeledSample:
-    """m i.i.d. points labeled by the target concept, ``_DRAW_BLOCK`` at a time as lanes (see ``cube``)."""
+    """m i.i.d. points labeled by the target concept through ``label_masks``."""
     if h_star.n != dist.n:
         raise DimensionMismatch(f"concept dimension {h_star.n} differs from distribution {dist.n}")
-    masks, labels = sample(dist, m, seed), bytearray()
-    for start in range(0, m, _DRAW_BLOCK):
-        block = masks[start:start + _DRAW_BLOCK]
-        columns, full, width = lane_columns(block, dist.n, h_star.reads)
-        labels += lane_bits(h_star.label_columns(columns, full), len(block), width)
-    return LabeledSample(dist.n, tuple(masks), tuple(labels))
+    masks = sample(dist, m, seed)
+    return LabeledSample(dist.n, tuple(masks), tuple(label_masks(h_star, masks)))

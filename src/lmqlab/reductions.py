@@ -44,7 +44,7 @@ from .concepts import (
     random_tree,
 )
 from .cube import CubePoint, DimensionMismatch, ReplicateMap, ball_columns, ball_size, count_above, iter_bits
-from .cube import masks_at_distance, recentre, require_count
+from .cube import cube_columns, masks_at_distance, recentre, require_count
 from .distributions import LabeledSample
 from .formats import parse_dfa, parse_dnf, parse_junta, parse_poly, parse_tree
 from .oracle import LocalMQOracle
@@ -455,11 +455,13 @@ def verify_reduction(reduction: QReduction, concept: Concept) -> ReductionReport
         raise ValueError(f"flip enumeration needs {checks} checks, budget is {FLIP_ENUM_BUDGET}")
 
     report = ReductionReport(reduction.name, reduction.kind, n, n_target, reduction.q, radius)
-    read, read_transformed = (
-        c.value if isinstance(c, SparsePoly) else c.label for c in (concept, transformed)
-    )
-    values = [read(m) for m in range(1 << n)]
-    image_masks = [phi.encode(m) for m in range(1 << n)]
+    sources = range(1 << n)
+    if isinstance(concept, SparsePoly):  # a polynomial's images expect its exact values
+        values = [concept.value(m) for m in sources]
+    else:  # any other concept's images expect its labels, read off one truth table
+        truth = concept.label_columns(cube_columns(n), (1 << (1 << n)) - 1)
+        values = [truth >> m & 1 for m in sources]
+    image_masks = [phi.encode(m) for m in sources]
 
     # One point set per row, image-major (see above): the ball's columns, shifted past the centre and
     # complemented where phi.encode(s) is set, tile by doubling over the source bits.
@@ -490,10 +492,11 @@ def verify_reduction(reduction: QReduction, concept: Concept) -> ReductionReport
     report.image_checked, report.image_failures = 1 << n, images.bit_count()
     report.ball_checked, report.ball_failures = fresh.bit_count(), wrong.bit_count()
     flips = [0] + [m for r in range(1, radius + 1) for m in masks_at_distance(0, n_target, r)] if wrong else [0]
+    read = transformed.value if isinstance(transformed, SparsePoly) else transformed.label
     for source, p in (divmod(bit, size) for bit in islice(chain(iter_bits(images), iter_bits(wrong)), 10)):
         m = image_masks[source] ^ flips[p]
         expected = values[source] if p == 0 or reduction.kind == "B" else 1
-        report._note("ball" if p else "image", m, expected, read_transformed(m))
+        report._note("ball" if p else "image", m, expected, read(m))
     return report
 
 

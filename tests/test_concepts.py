@@ -37,7 +37,7 @@ from lmqlab.cube import (
 )
 from lmqlab.distributions import _DRAW_BLOCK, FiniteSupport, LabeledSample, UniformCube, sample
 from lmqlab.formats import parse_tree
-from lmqlab.oracle import draw_training_set
+from lmqlab.oracle import draw_training_set, label_masks
 from lmqlab.reductions import ComposedConcept, SynthesizedLabels, make_reduction
 
 
@@ -563,9 +563,9 @@ def test_poly_concept_label_matches_pointwise_sign(data):
 def test_poly_tables_built_on_first_evaluation():
     # Kind-B expansions build polynomials with tens of thousands of monomials that are never evaluated.
     poly = SparsePoly(20, {frozenset({j}): Fraction(1, j) for j in range(1, 21)})
-    assert "_tables" not in vars(poly)
+    assert "_scaled" not in vars(poly)
     assert poly.value(0) == -sum(Fraction(1, j) for j in range(1, 21))
-    assert "_tables" in vars(poly)
+    assert "_scaled" in vars(poly)
 
 
 @settings(max_examples=100, deadline=None)
@@ -692,6 +692,7 @@ COLUMN_CONCEPTS = {
     "ptf": _random_ptf,
     "poly": _random_signed_poly,
     "label-only": lambda n, rng: _LabelOnly(random_tree(n, rng.randint(1, 12), rng)),
+    "composed": lambda n, rng: ComposedConcept(random_dnf(2 * n, rng.randint(0, 6), 4, rng), ReplicateMap(n, 2)),
 }
 
 
@@ -731,6 +732,8 @@ def test_draw_training_set_labels_each_draw_as_label_does(kind, n):
     for m in TRAINING_COUNTS:
         s = draw_training_set(dist, concept, m, seed)
         assert (s.n, s.masks, s.labels) == (n, tuple(masks[:m]), tuple(labels[:m]))
+    # More than a block of masks, every third one repeated, as an audit's query list may hold them.
+    assert label_masks(concept, masks + masks[::3]) == bytes(labels + labels[::3])
 
 
 def test_draw_training_set_names_the_first_draw_off_pm1():

@@ -188,6 +188,41 @@ def test_product_distribution_bias():
     assert abs(f1 - 0.9) < 0.02 and abs(f2 - 0.1) < 0.02
 
 
+class _Ticks:
+    """A generator stand-in whose ``random()`` returns k / 2**53 for each listed k in turn."""
+
+    def __init__(self, ticks):
+        self.ticks = iter(ticks)
+
+    def random(self):
+        return next(self.ticks) / 2**53
+
+
+def _fraction_draws(dist, rng, m):
+    """The draw loop the float thresholds replace: each coordinate's ``random()`` compared with its Fraction."""
+    out = []
+    for _ in range(m):
+        mask = 0
+        for p in dist.plus_probs:
+            mask = (mask << 1) | (rng.random() < p)
+        out.append(mask)
+    return out
+
+
+def test_product_draws_match_the_fraction_comparison():
+    probs = (0, 1, Fraction(1, 3), Fraction(1, 2), Fraction(2, 7), Fraction(1, 2**53), Fraction(3, 2**53),
+             1 - Fraction(1, 2**53))
+    dist = ProductDist(len(probs), probs)
+    # Every coordinate reads each random() value next to every threshold, where p * 2**53 is an integer and not.
+    edges = sorted({min(max(math.floor(p * 2**53) + d, 0), 2**53 - 1) for p in probs for d in (-1, 0, 1)})
+    ticks = [k for k in edges for _ in probs]
+    assert dist.draws(_Ticks(ticks), len(edges)) == _fraction_draws(dist, _Ticks(ticks), len(edges))
+    for seed in range(3):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        assert dist.draws(ours, 5000) == _fraction_draws(dist, theirs, 5000)
+        assert ours.getstate() == theirs.getstate()
+
+
 @pytest.mark.parametrize("n", [0, -1])
 def test_product_and_uniform_reject_a_dimension_below_one(n):
     for make in (lambda: ProductDist(n, ()), lambda: UniformCube(n)):

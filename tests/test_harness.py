@@ -3,12 +3,15 @@ import hashlib
 import json
 import random
 import re
+from fractions import Fraction
 
 import pytest
 
 from lmqlab.concepts import (
     DnfFormula,
     Junta,
+    MaskConcept,
+    SparsePoly,
     Term,
     parity_dfa,
     random_dfa,
@@ -274,7 +277,7 @@ def test_reduction_suite_passes_and_reports_shape():
     assert all(c["counterexamples"] for c in d["negative_controls"])
 
 
-class _NeighbourShifted:
+class _NeighbourShifted(MaskConcept):
     """Answers what the wrapped concept says at the point with its last coordinate flipped."""
 
     def __init__(self, inner):
@@ -299,6 +302,22 @@ def test_simulation_audit_counts_a_neighbour_shifted_transform():
     assert counts["honest"][1:] == (0, 0)
     queries, mismatches, errors = counts["shifted"]
     assert queries == counts["honest"][0] and 0 < mismatches < queries and errors == 0
+
+
+def test_majority_expansion_check_fails_on_a_perturbed_coefficient(monkeypatch):
+    shipped = harness.maj_poly
+
+    def perturbed(k):
+        monomials = dict(shipped(k).monomials)
+        if k == 5:  # majority is odd, so its constant is 0; raised, every value is 1/64 high and only == can see it
+            monomials[frozenset()] = monomials.get(frozenset(), 0) + Fraction(1, 64)
+        return SparsePoly(k, monomials)
+
+    monkeypatch.setattr(harness, "maj_poly", perturbed)
+    report = run_reduction_suite(base_seed=0)
+    rows = {row["check"]: row["passed"] for row in report.size_checks}
+    assert rows.pop("majority expansion k=5") is False
+    assert all(rows.values()) and not report.passed and report.to_dict()["passed"] is False
 
 
 def test_parity_dfa_counts_minus_symbols():
