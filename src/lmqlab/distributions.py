@@ -26,7 +26,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
-from typing import Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .cube import (
     ENUMERATION_CAP,
@@ -123,7 +123,7 @@ def _words(rng: random.Random, count: int) -> memoryview:
 
 @dataclass(frozen=True)
 class FiniteSupport:
-    """Explicit point masses as ``(mask, prob)`` entries; probabilities must sum to exactly 1."""
+    """Explicit point masses as ``(mask, prob)`` entries, masks ints in [0, 2^n); probabilities sum to exactly 1."""
 
     n: int
     entries: tuple[tuple[int, Fraction], ...]
@@ -135,7 +135,7 @@ class FiniteSupport:
         require_count(self.n, 1, "dimension must be a positive integer")
         merged: dict[int, Fraction] = {}
         for mask, prob in self.entries:
-            if not 0 <= mask < 1 << self.n:
+            if isinstance(mask, bool) or not isinstance(mask, int) or not 0 <= mask < 1 << self.n:
                 raise DimensionMismatch(f"support mask {mask} out of range for dimension {self.n}")
             p = Fraction(prob)
             if p < 0:
@@ -210,9 +210,21 @@ def pushforward(dist: Distribution, phi: ReplicateMap) -> FiniteSupport:
     return FiniteSupport(phi.target_n, tuple((phi.encode(mask), prob) for mask, prob in dist.support()))
 
 
+def _all_ints(values: Iterable[object]) -> bool:
+    """``require_count``'s rule for every value (an int, never a bool or a float), read off the set of their types."""
+    types = set(map(type, values))
+    return bool not in types and all(issubclass(t, int) for t in types)
+
+
 @dataclass(frozen=True)
 class LabeledSample:
-    """An ordered sample over {-1,+1}^n: ``masks[i]`` labelled ``labels[i]``."""
+    """An ordered sample over {-1,+1}^n: ``masks[i]`` labelled ``labels[i]``.
+
+    The constructor refuses masks outside [0, 2^n) and labels other than 0 or
+    1, a bool or a float among either included. ``oracle.draw_training_set``
+    builds its samples without that check: its masks come from a distribution
+    and its labels from ``label_masks``, both in range by construction.
+    """
 
     n: int
     masks: tuple[int, ...]
@@ -222,9 +234,9 @@ class LabeledSample:
         require_count(self.n, 1, "dimension must be a positive integer")
         if len(self.masks) != len(self.labels):
             raise ValueError(f"{len(self.masks)} masks but {len(self.labels)} labels")
-        if self.masks and not (0 <= min(self.masks) and max(self.masks) < 1 << self.n):
+        if self.masks and not (_all_ints(self.masks) and 0 <= min(self.masks) and max(self.masks) < 1 << self.n):
             raise ValueError(f"sample masks must lie in [0, 2^{self.n})")
-        if not set(self.labels) <= {0, 1}:
+        if not (_all_ints(self.labels) and set(self.labels) <= {0, 1}):
             raise ValueError("labels must be 0 or 1")
 
     def __len__(self) -> int:

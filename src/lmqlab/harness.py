@@ -13,6 +13,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Optional
 
 from .concepts import (
@@ -98,15 +99,19 @@ def opposite_literal_family(n_lo: int = 4, n_hi: int = 8) -> Callable[[int], tup
 def doubled_tree_family(
     n_lo: int = 4, n_hi: int = 8, max_leaves: int = 16
 ) -> Callable[[int], tuple[DnfFormula, Distribution]]:
-    """Random trees pushed through coordinate doubling, with the image distribution."""
+    """Random trees pushed through coordinate doubling, with the image distribution.
+
+    The image of the uniform cube depends on n alone and a ``FiniteSupport`` is
+    frozen, so each family builds it once per n and every trial at that n shares it.
+    """
+
+    image = cache(lambda n: pushforward(UniformCube(n), ReplicateMap(n, 2)))
 
     def make(seed: int) -> tuple[DnfFormula, Distribution]:
         rng = random.Random(seed)
         n = rng.randint(n_lo, n_hi)
         tree = random_tree(n, rng.randint(2, max_leaves), rng)
-        formula = doubling_dnf(tree)
-        dist = pushforward(UniformCube(n), ReplicateMap(n, 2))
-        return formula, dist
+        return doubling_dnf(tree), image(n)
 
     return make
 

@@ -6,8 +6,9 @@ as one ``ask_flips`` batch, counting each query once per occurrence: an
 answer of 1 means the variable is absent from the term, an answer of 0 keeps
 the literal the example satisfies. Candidates stay int mask pairs.
 Phase 2 throws away every candidate that fires on a negative example of the
-second sample; only survivors become ``Term``s. On instances whose positives
-are evident, phase 1 recovers exact terms and phase 2 never removes a true one.
+second sample, both of its passes over that sample in C; only survivors become
+``Term``s. On instances whose positives are evident, phase 1 recovers exact
+terms and phase 2 never removes a true one.
 """
 
 from __future__ import annotations
@@ -23,6 +24,9 @@ from .concepts import DnfFormula, Term
 from .cube import DimensionMismatch, require_count
 from .distributions import LabeledSample
 from .oracle import LocalMQOracle, OracleStats
+
+# Label bytes 0 and 1 swapped: compressing s2's masks by it keeps the negatives.
+NEGATE = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
 @dataclass(frozen=True)
@@ -91,7 +95,11 @@ def learn_evident_dnf(s1: LabeledSample, s2: LabeledSample, oracle: LocalMQOracl
 
 
 def learn_evident_dnf_run(s1: LabeledSample, s2: LabeledSample, oracle: LocalMQOracle) -> LearnerRun:
-    """Like ``learn_evident_dnf`` but with query statistics and phase timings."""
+    """Like ``learn_evident_dnf`` but with query statistics and phase timings.
+
+    Phase 2 drops a candidate (pos, neg) when some distinct negative mask m of
+    s2 has m & (pos | neg) == pos: as pos and neg are disjoint, the term fires on m.
+    """
     n = oracle.n
     if s1.n != n or s2.n != n:
         raise DimensionMismatch(f"sample dimensions {s1.n}/{s2.n} differ from oracle {n}")
@@ -99,11 +107,9 @@ def learn_evident_dnf_run(s1: LabeledSample, s2: LabeledSample, oracle: LocalMQO
     occurrences = Counter(compress(s1.masks, s1.labels))
     collected = dict.fromkeys(reconstruct_term(x, oracle, times) for x, times in occurrences.items())
     t1 = time.perf_counter()
-    negative_masks = {m for m, y in zip(s2.masks, s2.labels) if y == 0}
+    negatives = set(compress(s2.masks, bytes(s2.labels).translate(NEGATE)))
     surviving = [
-        Term.from_masks(n, pos, neg)
-        for pos, neg in collected
-        if not any((m & pos) == pos and (m & neg) == 0 for m in negative_masks)
+        Term.from_masks(n, pos, neg) for pos, neg in collected if pos not in map((pos | neg).__and__, negatives)
     ]
     t2 = time.perf_counter()
     return LearnerRun(

@@ -217,8 +217,15 @@ def label_masks(concept: Concept, masks: Sequence[int]) -> bytes:
 
 
 def draw_training_set(dist: Distribution, h_star: Concept, m: int, seed: int) -> LabeledSample:
-    """m i.i.d. points labeled by the target concept through ``label_masks``."""
+    """m i.i.d. points labeled by the target concept through ``label_masks``.
+
+    Every ``Distribution`` draws int masks in range and ``label_masks`` gives
+    bytes 0/1, so the sample is built as ``for_samples`` builds its oracle:
+    without the constructor, whose check would walk the whole sample again.
+    """
     if h_star.n != dist.n:
         raise DimensionMismatch(f"concept dimension {h_star.n} differs from distribution {dist.n}")
     masks = sample(dist, m, seed)
-    return LabeledSample(dist.n, tuple(masks), tuple(label_masks(h_star, masks)))
+    drawn = LabeledSample.__new__(LabeledSample)
+    drawn.__dict__.update(n=dist.n, masks=tuple(masks), labels=tuple(label_masks(h_star, masks)))
+    return drawn

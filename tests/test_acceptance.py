@@ -132,6 +132,19 @@ def test_learning_families_reach_success_rate(learning):
             assert all(t.estimator == "exact" for t in report.trials)
 
 
+@pytest.mark.parametrize(
+    "name, digest",
+    [
+        ("doubled-tree", "7b514d2a2592433de1ddb9f6de654ab666a0db898da02a1d0a625ad3eef1d23e"),
+        ("opposite-literal", "4bddc485771dfda019883db439056312550a1ec0e4326d9d1c3f746ab9a9d501"),
+    ],
+)
+def test_benchmark_learning_digests_are_pinned(learning, name, digest):
+    # Seed 42 is perfbench's learn-dense verdict; these are its golden digests.
+    report, _ = learning[name]
+    assert hashlib.sha256(report.canonical_json().encode()).hexdigest() == digest
+
+
 def test_sample_planner_arithmetic():
     with criterion("sample-size planner matches the bounds exactly"):
         plan = plan_samples(2, 0.5)

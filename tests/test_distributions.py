@@ -230,7 +230,9 @@ def test_product_and_uniform_reject_a_dimension_below_one(n):
             make()
 
 
-@pytest.mark.parametrize("mask", [-1, 4])
+# A mask that is not an int (a bool or a float equal to one included) is refused, so every draw is an int:
+# draw_training_set relies on that when it skips LabeledSample's check.
+@pytest.mark.parametrize("mask", [-1, 4, 1.0, True, False, 2.5, Fraction(1)])
 def test_finite_support_rejects_a_mask_out_of_range(mask):
     with pytest.raises(DimensionMismatch, match=f"^support mask {mask} out of range for dimension 2$"):
         FiniteSupport(2, ((0, Fraction(1, 2)), (mask, Fraction(1, 2))))
@@ -412,6 +414,16 @@ def test_labeled_sample_validation():
         (2, (0, 1), (1, 2), "labels must be 0 or 1"),
         (2, (0, 1), (-1, 0), "labels must be 0 or 1"),
         (2, (0,), ("1",), "labels must be 0 or 1"),
+        # An int, never a bool or a float: require_count's rule, even for values equal to an int.
+        (2, (1.5, True), (1, 1.0), "must lie in"),
+        (2, (1.0, 0), (1, 0), "must lie in"),
+        (2, (True, 0), (1, 0), "must lie in"),
+        (2, (0, 3, False), (1, 0, 0), "must lie in"),
+        (2, (0, 1), (1, 1.0), "labels must be 0 or 1"),
+        (2, (0, 1), (0.0, 1), "labels must be 0 or 1"),
+        (2, (0, 1), (True, 0), "labels must be 0 or 1"),
+        (2, (0, 1), (1, False), "labels must be 0 or 1"),
+        (2, (0,), (Fraction(1),), "labels must be 0 or 1"),
     ],
 )
 def test_labeled_sample_rejects_bad_input(n, masks, labels, message):

@@ -20,8 +20,8 @@ from lmqlab.concepts import (
     random_tree,
 )
 from lmqlab import harness
-from lmqlab.cube import enumerate_cube
-from lmqlab.distributions import UniformCube
+from lmqlab.cube import ReplicateMap, enumerate_cube
+from lmqlab.distributions import UniformCube, pushforward
 from lmqlab.harness import (
     ExperimentConfig,
     ReductionSuiteReport,
@@ -217,6 +217,20 @@ def _sha256(text: str) -> str:
 def test_learning_suite_digest_is_pinned(name, family, m2, trials, digest):
     cfg = ExperimentConfig(name=name, family=family, trials=trials, base_seed=42, epsilon=0.1, m1=5000, m2=m2)
     assert _sha256(run_learning_suite(cfg).canonical_json()) == digest
+
+
+def test_doubled_tree_family_shares_one_image_distribution_per_dimension():
+    family, other = doubled_tree_family(4, 8), doubled_tree_family(4, 8)
+    images = {}
+    for seed in range(60):
+        target, dist = family(seed)
+        n = target.n // 2
+        assert dist is images.setdefault(n, dist)
+        assert other(seed)[1] is not dist
+    assert sorted(images) == [4, 5, 6, 7, 8]
+    for n, dist in images.items():
+        assert dist == pushforward(UniformCube(n), ReplicateMap(n, 2))
+        assert dist.n == 2 * n
 
 
 def test_corpus_digest_is_pinned():

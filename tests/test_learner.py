@@ -273,3 +273,59 @@ def test_reconstruct_term_matches_per_flip_reference(case, q, cap):
         assert reconstruct_term(x.mask, batched, times) == expected.masks(target.n)
     assert batched.entries() == reference.entries()
     assert batched.stats() == reference.stats()
+
+
+def _pointwise_phase2(candidates, s2):
+    """The pointwise pruning rule: drop a candidate that some negative mask of s2 satisfies."""
+    negatives = {m for m, y in zip(s2.masks, s2.labels) if y == 0}
+    return [(pos, neg) for pos, neg in candidates if not any((m & pos) == pos and (m & neg) == 0 for m in negatives)]
+
+
+def _candidates(target, q, s1, s2):
+    """Phase 1's candidates, one per distinct positive of s1 in order, from a fresh oracle."""
+    oracle = LocalMQOracle.for_samples(target, q, s1, s2)
+    positives = dict.fromkeys(m for m, y in zip(s1.masks, s1.labels) if y == 1)
+    return list(dict.fromkeys(reconstruct_term(x, oracle) for x in positives))
+
+
+def test_phase2_matches_the_pointwise_rule_on_random_samples():
+    # Labels drawn at random, not from the target, so s2 may label one mask both ways.
+    kept = pruned = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        n = rng.randint(1, 9)
+        target = random_dnf(n, rng.randint(1, 4), 3, rng)
+        s1, s2 = (
+            LabeledSample(n, tuple(rng.choices(range(1 << n), k=k)), tuple(rng.choices((0, 1), k=k)))
+            for k in (rng.randint(0, 30), rng.choice([0, 1, 3, 10, 60]))
+        )
+        candidates = _candidates(target, 1, s1, s2)
+        expected = _pointwise_phase2(candidates, s2)
+        run = learn_evident_dnf_run(s1, s2, LocalMQOracle.for_samples(target, 1, s1, s2))
+        assert run.formula.terms == tuple(Term.from_masks(n, pos, neg) for pos, neg in expected)
+        assert (run.terms_added, run.terms_pruned) == (len(candidates), len(candidates) - len(expected))
+        kept, pruned = kept + len(expected), pruned + len(candidates) - len(expected)
+    assert kept > 100 and pruned > 100
+
+
+@pytest.mark.parametrize(
+    "s2_pairs, survives",
+    [
+        ((), True),
+        ((("++-", 1),), True),
+        ((("++-", 1), ("++-", 0)), False),
+        ((("++-", 0), ("++-", 1)), False),
+        ((("+++", 1), ("+++", 0), ("-+-", 0)), False),
+        ((("-+-", 0), ("+-+", 0), ("---", 0)), True),
+    ],
+    ids=["empty", "positive", "both-labels", "both-labels-negative-first", "both-labels-other-point", "misses"],
+)
+def test_phase2_prunes_on_a_mask_that_carries_both_labels(s2_pairs, survives):
+    # x1 AND x2 is the one candidate; a negative occurrence prunes it whatever else its mask carries.
+    target = DnfFormula(3, (Term.of(1, 2),))
+    s1, s2 = S(3, ("++-", 1)), S(3, *s2_pairs)
+    assert _candidates(target, 1, s1, s2) == [Term.of(1, 2).masks(3)]
+    run = learn_evident_dnf_run(s1, s2, LocalMQOracle.for_samples(target, 1, s1, s2))
+    assert run.formula.terms == ((Term.of(1, 2),) if survives else ())
+    assert run.terms_pruned == (not survives)
+    assert bool(_pointwise_phase2(_candidates(target, 1, s1, s2), s2)) == survives

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lmqlab.concepts import DnfFormula, MaskConcept, Term, random_dnf
-from lmqlab.cube import CubePoint, DimensionMismatch, ball_size, enumerate_cube
-from lmqlab.distributions import FiniteSupport, LabeledSample, ProductDist, UniformCube, sample
+from lmqlab.cube import CubePoint, DimensionMismatch, ReplicateMap, ball_size, enumerate_cube
+from lmqlab.distributions import FiniteSupport, LabeledSample, ProductDist, UniformCube, pushforward, sample
 from lmqlab.learner import learn_evident_dnf_run
 from lmqlab.oracle import (
     BudgetExhausted,
@@ -463,3 +463,27 @@ def test_draw_training_set_matches_pointwise_reference(n, points, uniform, m, se
         dist = FiniteSupport(n, tuple((p, Fraction(1, len(masks))) for p in masks))
     reference = [(CubePoint(n, x), target.evaluate(CubePoint(n, x))) for x in sample(dist, m, seed)]
     assert list(draw_training_set(dist, target, m, seed)) == reference
+
+
+_SKIPPED_CHECK_DISTS = [
+    *(UniformCube(n) for n in (1, 8, 32, 33)),
+    ProductDist(5, (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(9, 10), Fraction(1))),
+    FiniteSupport(6, ((0, Fraction(1, 6)), (21, Fraction(1, 2)), (63, Fraction(1, 3)))),
+    pushforward(UniformCube(4), ReplicateMap(4, 2)),
+]
+
+
+@pytest.mark.parametrize("m", [0, 1, 4097])
+@pytest.mark.parametrize(
+    "dist",
+    _SKIPPED_CHECK_DISTS,
+    ids=["uniform1", "uniform8", "uniform32", "uniform33", "product", "finite", "pushforward"],
+)
+def test_draw_training_set_builds_only_samples_the_constructor_accepts(dist, m):
+    # draw_training_set skips LabeledSample's check; the validating constructor must accept what it builds.
+    target = random_dnf(dist.n, 3, 3, random.Random(dist.n * 7919 + m))
+    s = draw_training_set(dist, target, m, seed=m + 11)
+    assert len(s) == m and set(map(type, s.masks)) <= {int} and set(map(type, s.labels)) <= {int}
+    assert set(s.labels) <= {0, 1}
+    assert s == LabeledSample(dist.n, s.masks, s.labels)
+    assert s.masks == tuple(sample(dist, m, seed=m + 11))

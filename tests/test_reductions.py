@@ -64,11 +64,14 @@ def P(text: str) -> CubePoint:
 def _mapped_sample(reduction: QReduction, mapped):
     """Mapped training pairs (target point, label) as one target-cube sample.
 
-    A real-valued concept's values are no 0/1 labels, so they ride in a plain
-    record with the same fields: ``SynthesizedLabels`` reads only those.
+    A real-valued concept's values are no 0/1 labels, even a ``Fraction`` equal
+    to 0 or 1, which ``LabeledSample`` refuses as it refuses a float, so they ride
+    in a plain record with the same fields: ``SynthesizedLabels`` reads only those.
     """
     n, masks, labels = reduction.phi.target_n, tuple(z.mask for z, _ in mapped), tuple(y for _, y in mapped)
-    return LabeledSample(n, masks, labels) if set(labels) <= {0, 1} else SimpleNamespace(n=n, masks=masks, labels=labels)
+    if set(map(type, labels)) <= {int} and set(labels) <= {0, 1}:
+        return LabeledSample(n, masks, labels)
+    return SimpleNamespace(n=n, masks=masks, labels=labels)
 
 
 def _synthesized(reduction: QReduction, mapped) -> LocalMQOracle:
