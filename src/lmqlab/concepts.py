@@ -24,16 +24,11 @@ from itertools import chain
 from operator import and_, or_, xor
 from typing import Iterable, Iterator, Mapping, Protocol, Sequence, Union
 
-from .cube import CubePoint, DimensionMismatch, iter_bits, require_count
+from .cube import CubePoint, DimensionMismatch, exact_rational, first_bad_int, is_int, iter_bits, require_count
 
 JUNTA_CAP = 16
 MAJ_POLY_CAP = 15
-
-
-def _require_variable(j: object, n: int, what: str) -> None:
-    """Refuse a variable index that is not an int in 1..n (a bool is not an index)."""
-    if isinstance(j, bool) or not isinstance(j, int) or not 1 <= j <= n:
-        raise ValueError(f"{what} {j} out of range 1..{n}")
+_set = object.__setattr__  # a frozen dataclass's own field setter, bound once
 
 
 class Concept(Protocol):
@@ -164,10 +159,9 @@ class DnfFormula(MaskConcept):
 
     def __post_init__(self) -> None:
         require_count(self.n, 1, "dimension must be a positive integer")
-        for t in self.terms:
-            for j in t.variables:
-                if j > self.n:
-                    raise ValueError(f"variable {j} exceeds dimension {self.n}")
+        variables = tuple(chain.from_iterable(t.variables for t in self.terms))  # each an int >= 1, as ``Term`` has it
+        if (i := first_bad_int(variables, 1, self.n)) is not None:
+            raise ValueError(f"variable {variables[i]} exceeds dimension {self.n}")
         object.__setattr__(self, "_masks", tuple(t.masks(self.n) for t in self.terms))
         object.__setattr__(self, "reads", reduce(or_, (pos | neg for pos, neg in self._masks), 0))
 
@@ -194,24 +188,23 @@ class DnfFormula(MaskConcept):
 
     def satisfied_indices(self, mask: int) -> tuple[int, ...]:
         """0-based indices of all terms satisfied by the point with this mask."""
-        if not 0 <= mask < 1 << self.n:
-            raise DimensionMismatch(f"mask {mask} out of range for formula over {self.n} variables")
-        return tuple(
-            i for i, (pos, neg) in enumerate(self._masks) if (mask & pos) == pos and (mask & neg) == 0
-        )
+        if not is_int(mask, 0, (1 << self.n) - 1):
+            raise DimensionMismatch(f"mask {mask!r} out of range for formula over {self.n} variables")
+        return tuple([i for i, (pos, neg) in enumerate(self._masks) if (mask & pos) == pos and (mask & neg) == 0])
 
 
 # ---------------------------------------------------------------------------
 # Decision trees
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Leaf:
     label: int
 
-    def __post_init__(self) -> None:
-        if self.label not in (0, 1):
-            raise ValueError(f"leaf label must be 0 or 1, got {self.label!r}")
+    def __init__(self, label: int) -> None:  # as ``CubePoint``'s: it checks, then sets, with no ``__post_init__``
+        if not is_int(label, 0, 1):
+            raise ValueError(f"leaf label must be 0 or 1, got {label!r}")
+        _set(self, "label", label)
 
 
 @dataclass(frozen=True, slots=True)
@@ -235,12 +228,13 @@ class DecisionTree(MaskConcept):
 
     def __post_init__(self) -> None:
         require_count(self.n, 1, "dimension must be a positive integer")
-        for var in self._vars(self.root):
-            _require_variable(var, self.n, "node variable")
+        variables = tuple(self._vars(self.root))
+        if (i := first_bad_int(variables, 1, self.n)) is not None:
+            raise ValueError(f"node variable {variables[i]} out of range 1..{self.n}")
 
     @staticmethod
     def _vars(root: TreeNode) -> Iterator[int]:
-        """Each distinct node's variable once, by id, in preorder."""
+        """Each distinct node's variable once, by id, in preorder; refuses a node that is not a Node or a Leaf."""
         seen, stack = set(), [root]
         while stack:
             node = stack.pop()
@@ -248,6 +242,8 @@ class DecisionTree(MaskConcept):
                 seen.add(id(node))
                 yield node.var
                 stack += (node.high, node.low)
+            elif not isinstance(node, (Node, Leaf)):
+                raise ValueError(f"a tree node must be a Node or a Leaf, got {node!r}")
 
     @property
     def leaf_count(self) -> int:
@@ -325,21 +321,17 @@ class Dfa(MaskConcept):
     length: int
 
     def __post_init__(self) -> None:
-        states = range(len(self.delta))
-        def is_state(s: object) -> bool:  # ``require_count``'s rule: an int, never a bool or a float
-            return isinstance(s, int) and not isinstance(s, bool) and s in states
-        if not is_state(self.start) or not all(map(is_state, self.accepting)):
-            raise ValueError(f"start and accepting states must lie in 0..{len(states) - 1}")
-        try:  # one C-level pass over every row; only a failure walks the rows to name the first bad one
-            targets = tuple(chain.from_iterable(self.delta))
-            valid = set(map(len, self.delta)) == {2} and set(map(type, targets)) == {int}
-            valid = valid and 0 <= min(targets) and max(targets) < len(states)
-        except TypeError:
-            valid = False
-        if not valid:
-            for s, row in enumerate(self.delta):
-                if len(row) != 2 or not all(map(is_state, row)):
-                    raise ValueError(f"state {s} needs two transitions into 0..{len(states) - 1}, got {row!r}")
+        delta, last = self.delta, len(self.delta) - 1
+        if last < 0:
+            raise ValueError("an automaton needs at least one state, got an empty delta")
+        if not is_int(self.start, 0, last) or first_bad_int(self.accepting, 0, last) is not None:
+            raise ValueError(f"start and accepting states must lie in 0..{last}")
+        # Each row is a tuple or a list of two states: one C-level pass over every row; only a failure walks them.
+        pairs = set(map(type, delta)) <= {tuple, list} and set(map(len, delta)) == {2}
+        if not pairs or first_bad_int(tuple(chain.from_iterable(delta)), 0, last) is not None:
+            s = next(s for s, row in enumerate(delta)
+                     if type(row) not in (tuple, list) or len(row) != 2 or first_bad_int(row, 0, last) is not None)
+            raise ValueError(f"state {s} needs two transitions into 0..{last}, got {delta[s]!r}")
         require_count(self.length, 1, "input length must be positive")
 
     @property
@@ -392,11 +384,11 @@ class Junta(MaskConcept):
             raise ValueError(f"junta depends on {k} variables, cap is {JUNTA_CAP}")
         if len(set(self.relevant)) != k:
             raise ValueError("relevant variables must be distinct")
-        for j in self.relevant:
-            _require_variable(j, self.n, "relevant variable")
+        if (i := first_bad_int(self.relevant, 1, self.n)) is not None:
+            raise ValueError(f"relevant variable {self.relevant[i]} out of range 1..{self.n}")
         if len(self.table) != 1 << k:
             raise ValueError(f"table must have {1 << k} entries, got {len(self.table)}")
-        if any(v not in (0, 1) for v in self.table):
+        if first_bad_int(self.table, 0, 1) is not None:
             raise ValueError("table entries must be 0 or 1")
 
     @property
@@ -423,19 +415,6 @@ class Junta(MaskConcept):
 # Sparse multilinear polynomials and threshold functions
 
 
-def _exact_rational(value: object, what: str) -> Fraction:
-    """An int, a finite float or a Fraction as the exact Fraction it denotes.
-
-    A bool, nan, an infinity or any other type is refused: none of them is a
-    number a polynomial's coefficient or threshold could mean.
-    """
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int) and not isinstance(value, bool) or isinstance(value, float) and math.isfinite(value):
-        return Fraction(value)
-    raise ValueError(f"{what} must be an int, a finite float or a Fraction, got {value!r}")
-
-
 @dataclass(frozen=True)
 class SparsePoly:
     """Multilinear polynomial with exact rational coefficients.
@@ -450,14 +429,13 @@ class SparsePoly:
 
     def __post_init__(self) -> None:
         require_count(self.n, 1, "dimension must be a positive integer")
+        variables = tuple(chain.from_iterable(self.monomials))
+        if (i := first_bad_int(variables, 1, self.n)) is not None:
+            raise ValueError(f"monomial variable {variables[i]} out of range 1..{self.n}")
         cleaned: dict[frozenset[int], Fraction] = {}
         for vars_, coeff in self.monomials.items():
-            vs = frozenset(vars_)
-            for j in vs:
-                _require_variable(j, self.n, "monomial variable")
-            c = _exact_rational(coeff, "coefficient")
-            if c != 0:
-                cleaned[vs] = c
+            if c := exact_rational(coeff, "coefficient"):
+                cleaned[frozenset(vars_)] = c
         object.__setattr__(self, "monomials", cleaned)
 
     @property
@@ -583,7 +561,7 @@ class SparsePtf(MaskConcept):
     def __post_init__(self) -> None:
         if not isinstance(self.poly, SparsePoly):
             raise ValueError(f"threshold function needs a SparsePoly, got {type(self.poly).__name__}")
-        object.__setattr__(self, "theta", _exact_rational(self.theta, "threshold"))
+        object.__setattr__(self, "theta", exact_rational(self.theta, "threshold"))
 
     @property
     def n(self) -> int:

@@ -11,31 +11,60 @@ of the list positions whose point has mask bit i set (``cube_columns``,
 masks are held as lanes (``lane_columns``, read back by ``lane_bits``): point p
 owns lane p of one packed integer; a column holds its bit at the lane's lowest.
 
-``require_count`` is the package's one rule for a count, dimension or budget
-(an int, never a bool or a float, at least a bound); ``require_enumerable``
-holds every enumeration's comparison against ``ENUMERATION_CAP``. ``exact_loss``
-keeps its own comparison, because its message carries the ``use mc_loss`` hint.
+Every int the package takes obeys ``is_int`` (the type int itself, never a bool
+or a float, in a range), a whole tuple at once ``first_bad_int``, and every exact
+rational ``exact_rational``. ``require_enumerable`` holds every enumeration's
+comparison against ``ENUMERATION_CAP``; ``exact_loss`` keeps its own, for its hint.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterator, Sequence
+from operator import countOf
+from typing import Collection, Iterator, Optional, Sequence
 
 ENUMERATION_CAP = 24
+_set = object.__setattr__  # a frozen dataclass's own field setter, bound once
 
 
 class DimensionMismatch(ValueError):
     """Raised when cube values of different dimensions are combined."""
 
 
+def is_int(value: object, least: int, most: Optional[int] = None) -> bool:
+    """The one rule for an int: the type int itself (no bool, no float) in least..most, or from least up."""
+    return type(value) is int and least <= value and (most is None or value <= most)
+
+
+def first_bad_int(values: Collection[object], least: int, most: int) -> Optional[int]:
+    """The position of the first value ``is_int`` refuses, or None: one C-level pass over the types, then ``min``
+    and ``max`` (of the set of values if least..most is shorter than the list); only a failure walks the values."""
+    if values and countOf(map(type, values), int) == len(values):
+        span = set(values) if most - least < len(values) else values
+        if least <= min(span) and max(span) <= most:
+            return None
+    return next((i for i, value in enumerate(values) if not is_int(value, least, most)), None)
+
+
 def require_count(value: object, least: int, what: str) -> None:
-    """Refuse a count below ``least`` or one that is not an int (a bool is not a count)."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+    """Refuse a count, dimension or budget that ``is_int`` refuses, with ``what`` as the message."""
+    if not is_int(value, least):
         raise ValueError(f"{what}, got {value!r}")
+
+
+def exact_rational(value: object, what: str) -> Fraction:
+    """An int, a finite float or a Fraction as the exact Fraction it denotes; a bool, nan, an infinity or any
+    other type is refused, as no coefficient, threshold or probability could mean it."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int) and not isinstance(value, bool) or isinstance(value, float) and math.isfinite(value):
+        return Fraction(value)
+    raise ValueError(f"{what} must be an int, a finite float or a Fraction, got {value!r}")
 
 
 def require_enumerable(n: int) -> None:
@@ -44,21 +73,24 @@ def require_enumerable(n: int) -> None:
         raise ValueError(f"dimension {n} exceeds enumeration cap {ENUMERATION_CAP}")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class CubePoint:
     """A point of {-1,+1}^n.
 
     Bit (n - j) of ``mask`` is 1 iff coordinate j equals +1, i.e. masks
     ascend in lexicographic order of the coordinate tuple with -1 < +1.
+    The constructor checks both fields in one test before setting them: no ``__post_init__`` call.
     """
 
     n: int
     mask: int
 
-    def __post_init__(self) -> None:
-        require_count(self.n, 1, "dimension must be a positive integer")
-        if not 0 <= self.mask < (1 << self.n):
-            raise ValueError(f"mask {self.mask} out of range for dimension {self.n}")
+    def __init__(self, n: int, mask: int) -> None:
+        if not (is_int(n, 1) and is_int(mask, 0, (1 << n) - 1)):
+            require_count(n, 1, "dimension must be a positive integer")
+            raise ValueError(f"mask {mask!r} out of range for dimension {n}")
+        _set(self, "n", n)
+        _set(self, "mask", mask)
 
     @classmethod
     def from_bits(cls, bits: Sequence[int]) -> "CubePoint":
@@ -207,11 +239,8 @@ class ReplicateMap:
 
     def __post_init__(self) -> None:
         n, k = self.source_n, self.k
-        try:
-            require_count(n, 1, "n")
-            require_count(k, 1, "k")
-        except ValueError:
-            raise ValueError(f"need positive dimension and factor, got n={n}, k={k}") from None
+        if not (is_int(n, 1) and is_int(k, 1)):
+            raise ValueError(f"need positive dimension and factor, got n={n}, k={k}")
         block = (1 << k) - 1
         expand = tuple(block << ((n - i) * k) for i in range(1, n + 1))
         object.__setattr__(self, "_expand", expand)

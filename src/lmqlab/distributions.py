@@ -26,13 +26,16 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterator, Optional, Union
 
 from .cube import (
     ENUMERATION_CAP,
     CubePoint,
     DimensionMismatch,
     ReplicateMap,
+    exact_rational,
+    first_bad_int,
+    is_int,
     lane_columns,
     require_count,
     require_enumerable,
@@ -75,7 +78,7 @@ class UniformCube:
 
 @dataclass(frozen=True)
 class ProductDist:
-    """Independent coordinates; ``plus_probs[j-1]`` is the chance of +1 at j."""
+    """Independent coordinates; ``plus_probs[j-1]`` is the chance of +1 at j, an exact rational in [0, 1]."""
 
     n: int
     plus_probs: tuple[Fraction, ...]
@@ -84,7 +87,7 @@ class ProductDist:
         require_count(self.n, 1, "dimension must be a positive integer")
         if len(self.plus_probs) != self.n:
             raise ValueError(f"need {self.n} probabilities, got {len(self.plus_probs)}")
-        probs = tuple(Fraction(p) for p in self.plus_probs)
+        probs = tuple(exact_rational(p, "probability") for p in self.plus_probs)
         if any(p < 0 or p > 1 for p in probs):
             raise ValueError("coordinate probabilities must lie in [0,1]")
         object.__setattr__(self, "plus_probs", probs)
@@ -123,7 +126,7 @@ def _words(rng: random.Random, count: int) -> memoryview:
 
 @dataclass(frozen=True)
 class FiniteSupport:
-    """Explicit point masses as ``(mask, prob)`` entries, masks ints in [0, 2^n); probabilities sum to exactly 1."""
+    """Explicit point masses as ``(mask, prob)`` entries: int masks in [0, 2^n), exact rational masses summing to 1."""
 
     n: int
     entries: tuple[tuple[int, Fraction], ...]
@@ -135,10 +138,9 @@ class FiniteSupport:
         require_count(self.n, 1, "dimension must be a positive integer")
         merged: dict[int, Fraction] = {}
         for mask, prob in self.entries:
-            if isinstance(mask, bool) or not isinstance(mask, int) or not 0 <= mask < 1 << self.n:
+            if not is_int(mask, 0, (1 << self.n) - 1):
                 raise DimensionMismatch(f"support mask {mask} out of range for dimension {self.n}")
-            p = Fraction(prob)
-            if p < 0:
+            if (p := exact_rational(prob, "probability")) < 0:
                 raise ValueError(f"negative probability {p} at {CubePoint(self.n, mask).to_string()}")
             merged[mask] = merged.get(mask, Fraction(0)) + p
         total = sum(merged.values(), Fraction(0))
@@ -210,18 +212,12 @@ def pushforward(dist: Distribution, phi: ReplicateMap) -> FiniteSupport:
     return FiniteSupport(phi.target_n, tuple((phi.encode(mask), prob) for mask, prob in dist.support()))
 
 
-def _all_ints(values: Iterable[object]) -> bool:
-    """``require_count``'s rule for every value (an int, never a bool or a float), read off the set of their types."""
-    types = set(map(type, values))
-    return bool not in types and all(issubclass(t, int) for t in types)
-
-
 @dataclass(frozen=True)
 class LabeledSample:
     """An ordered sample over {-1,+1}^n: ``masks[i]`` labelled ``labels[i]``.
 
-    The constructor refuses masks outside [0, 2^n) and labels other than 0 or
-    1, a bool or a float among either included. ``oracle.draw_training_set``
+    The constructor refuses, by ``cube.first_bad_int``, masks outside [0, 2^n)
+    and labels other than 0 or 1. ``oracle.draw_training_set``
     builds its samples without that check: its masks come from a distribution
     and its labels from ``label_masks``, both in range by construction.
     """
@@ -234,9 +230,9 @@ class LabeledSample:
         require_count(self.n, 1, "dimension must be a positive integer")
         if len(self.masks) != len(self.labels):
             raise ValueError(f"{len(self.masks)} masks but {len(self.labels)} labels")
-        if self.masks and not (_all_ints(self.masks) and 0 <= min(self.masks) and max(self.masks) < 1 << self.n):
+        if first_bad_int(self.masks, 0, (1 << self.n) - 1) is not None:
             raise ValueError(f"sample masks must lie in [0, 2^{self.n})")
-        if not (_all_ints(self.labels) and set(self.labels) <= {0, 1}):
+        if first_bad_int(self.labels, 0, 1) is not None:
             raise ValueError("labels must be 0 or 1")
 
     def __len__(self) -> int:

@@ -32,7 +32,7 @@ from .concepts import (
     random_junta,
     random_tree,
 )
-from .cube import CubePoint, ReplicateMap, count_above, cube_columns, iter_bits, require_count
+from .cube import CubePoint, ReplicateMap, count_above, cube_columns, is_int, iter_bits, require_count
 from .distributions import Distribution, UniformCube, exact_loss, mc_loss, pushforward
 from .evident import (
     doubling_dnf,
@@ -135,17 +135,11 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         require_count(self.trials, 1, "trial count must be at least 1")
         require_epsilon(self.epsilon)
-        try:
-            require_count(self.m1, 0, "m1")
-            require_count(self.m2, 0, "m2")
-        except ValueError:
-            raise ValueError(f"sample sizes must be non-negative, got m1={self.m1}, m2={self.m2}") from None
+        if not (is_int(self.m1, 0) and is_int(self.m2, 0)):
+            raise ValueError(f"sample sizes must be non-negative, got m1={self.m1}, m2={self.m2}")
         require_count(self.q, 0, "locality budget must be non-negative")
-        if self.success_threshold is not None:
-            what = f"success threshold must lie in 0..{self.trials}"
-            require_count(self.success_threshold, 0, what)
-            if self.success_threshold > self.trials:
-                raise ValueError(f"{what}, got {self.success_threshold}")
+        if self.success_threshold is not None and not is_int(self.success_threshold, 0, self.trials):
+            raise ValueError(f"success threshold must lie in 0..{self.trials}, got {self.success_threshold!r}")
 
     @property
     def threshold(self) -> int:

@@ -23,7 +23,7 @@ from itertools import chain
 from typing import Iterable, Sequence
 
 from .concepts import Concept
-from .cube import CubePoint, DimensionMismatch, lane_bits, lane_columns, require_count
+from .cube import CubePoint, DimensionMismatch, is_int, lane_bits, lane_columns, require_count
 from .distributions import _DRAW_BLOCK, Distribution, LabeledSample, sample
 
 QUERY_BUDGET_FACTOR = 64
@@ -161,8 +161,8 @@ class LocalMQOracle:
         A count that does not fit the budget is refused whole.
         """
         require_count(times, 1, "a query is asked a whole number of times, at least once")
-        if not 0 <= mask < 1 << self.n:
-            raise DimensionMismatch(f"query mask {mask} out of range for dimension {self.n}")
+        if not is_int(mask, 0, (1 << self.n) - 1):
+            raise DimensionMismatch(f"query mask {mask!r} out of range for dimension {self.n}")
         entry = self._asked.get(mask)
         if entry is None:
             distance = min(((mask ^ a).bit_count() for a in self._anchors), default=None)

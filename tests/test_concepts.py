@@ -94,6 +94,11 @@ class TestDnf:
         with pytest.raises(ValueError):
             DnfFormula(2, (Term.of(3),))
 
+    def test_first_variable_beyond_dimension_is_named(self):
+        # The bulk check names the first such variable in term order, as the per-term walk did.
+        with pytest.raises(ValueError, match=r"^variable 3 exceeds dimension 2$"):
+            DnfFormula(2, (Term.of(1, -2), Term.of(-3), Term.of(4)))
+
     def test_dimension_mismatch(self):
         f = DnfFormula(3, (Term.of(1),))
         with pytest.raises(DimensionMismatch):
@@ -156,6 +161,20 @@ class TestTree:
         with pytest.raises(ValueError, match=r"^node variable 6 out of range 1\.\.4$"):
             DecisionTree(4, Node(1, first, Node(7, first, Leaf(0))))
 
+    @pytest.mark.parametrize(
+        "root, bad",
+        [
+            (Node(1, 0, 1), 0),  # built, then label(0) raised AttributeError
+            (Node(1, Leaf(0), Node(2, Leaf(1), True)), True),
+            (Node(1, Leaf(0), Node(2, None, Leaf(1))), None),
+            (1, 1),
+        ],
+    )
+    def test_node_that_is_neither_a_node_nor_a_leaf_is_refused(self, root, bad):
+        with pytest.raises(ValueError) as exc:
+            DecisionTree(2, root)
+        assert exc.type is ValueError and str(exc.value) == f"a tree node must be a Node or a Leaf, got {bad!r}"
+
     def test_vars_yield_each_distinct_node_once(self):
         root = Leaf(1)
         for var in range(1, 21):  # 2^20 + 1 root-to-leaf paths over 21 distinct nodes
@@ -187,6 +206,11 @@ class TestDfa:
         with pytest.raises(ValueError):
             Dfa(((0,),), 0, frozenset(), 2)
 
+    def test_automaton_without_states_is_refused(self):
+        # It used to say "start and accepting states must lie in 0..-1".
+        with pytest.raises(ValueError, match=r"^an automaton needs at least one state, got an empty delta$"):
+            Dfa((), 0, frozenset(), 2)
+
     @pytest.mark.parametrize(
         "delta",
         [
@@ -211,7 +235,7 @@ class TestDfa:
         def per_row(delta):
             states = range(len(delta))
             for s, row in enumerate(delta):
-                if len(row) != 2 or not all(t in states for t in row):
+                if not isinstance(row, (tuple, list)) or len(row) != 2 or not all(t in states for t in row):
                     raise ValueError(f"state {s} needs two transitions into 0..{len(states) - 1}, got {row!r}")
 
         def outcome(check):

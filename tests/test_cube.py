@@ -334,6 +334,72 @@ def test_counts_refuse_bools_and_floats_with_the_int_message(call, bad_int, mess
     assert exc.type is ValueError and str(exc.value) == expected
 
 
+# One rule for values: a mask, label, automaton state, junta table entry or leaf label is an int (never a
+# bool, a float or a string, even one equal to an in-range int) and each entry point says so in its message.
+_DFA = ((0, 1), (1, 0))
+_STATES = "start and accepting states must lie in 0..1"
+
+# id, call on the value, the error type, and the message (or the message per value).
+VALUE_ROWS = [
+    ("CubePoint.mask", lambda v: cube.CubePoint(2, v), ValueError,
+     lambda v: f"mask {v!r} out of range for dimension 2"),
+    ("LocalMQOracle.ask", lambda v: _oracle().ask(v), DimensionMismatch,
+     lambda v: f"query mask {v!r} out of range for dimension 2"),
+    ("DnfFormula.satisfied_indices", lambda v: DnfFormula(2, ()).satisfied_indices(v), DimensionMismatch,
+     lambda v: f"mask {v!r} out of range for formula over 2 variables"),
+    ("FiniteSupport.mask", lambda v: distributions.FiniteSupport(2, ((v, _HALF), (0, _HALF))), DimensionMismatch,
+     lambda v: f"support mask {v} out of range for dimension 2"),
+    ("LabeledSample.masks", lambda v: distributions.LabeledSample(2, (0, v), (0, 1)), ValueError,
+     "sample masks must lie in [0, 2^2)"),
+    ("LabeledSample.labels", lambda v: distributions.LabeledSample(2, (0, 1), (0, v)), ValueError,
+     "labels must be 0 or 1"),
+    ("Dfa.start", lambda v: concepts.Dfa(_DFA, v, frozenset(), 2), ValueError, _STATES),
+    ("Dfa.accepting", lambda v: concepts.Dfa(_DFA, 0, frozenset({0, v}), 2), ValueError, _STATES),
+    ("Dfa.delta", lambda v: concepts.Dfa(((0, 1), (v, 0)), 0, frozenset(), 2), ValueError,
+     lambda v: f"state 1 needs two transitions into 0..1, got ({v!r}, 0)"),
+    ("Junta.table", lambda v: concepts.Junta(2, (1,), (0, v)), ValueError, "table entries must be 0 or 1"),
+    ("Leaf", lambda v: concepts.Leaf(v), ValueError, lambda v: f"leaf label must be 0 or 1, got {v!r}"),
+]
+
+
+@pytest.mark.parametrize("value", [True, 2.5, "1", 1.0], ids=["bool", "float", "str", "integral-float"])
+@pytest.mark.parametrize("call, error, message", [r[1:] for r in VALUE_ROWS], ids=[r[0] for r in VALUE_ROWS])
+def test_values_refuse_anything_but_an_int_with_one_message(call, error, message, value):
+    with pytest.raises(ValueError) as exc:
+        call(value)
+    assert exc.type is error and str(exc.value) == (message(value) if callable(message) else message)
+
+
+# One rule for exact rationals: a coefficient, threshold or probability is an int, a finite float or a Fraction.
+RATIONAL_ROWS = [
+    ("SparsePoly.coefficient", lambda v: concepts.SparsePoly(2, {frozenset({1}): v}), "coefficient"),
+    ("SparsePtf.theta", lambda v: concepts.SparsePtf(concepts.SparsePoly(2, {frozenset({1}): 1}), v), "threshold"),
+    ("ProductDist.plus_probs", lambda v: distributions.ProductDist(2, (_HALF, v)), "probability"),
+    ("FiniteSupport.prob", lambda v: distributions.FiniteSupport(2, ((0, _HALF), (1, v))), "probability"),
+]
+
+
+@pytest.mark.parametrize(
+    "value", [True, float("nan"), float("inf"), "1/2", None], ids=["bool", "nan", "inf", "str", "None"]
+)
+@pytest.mark.parametrize("call, what", [r[1:] for r in RATIONAL_ROWS], ids=[r[0] for r in RATIONAL_ROWS])
+def test_rationals_refuse_anything_but_an_exact_number_with_one_message(call, what, value):
+    with pytest.raises(ValueError) as exc:
+        call(value)
+    assert exc.type is ValueError
+    assert str(exc.value) == f"{what} must be an int, a finite float or a Fraction, got {value!r}"
+
+
+def test_first_bad_int_names_the_first_value_is_int_refuses():
+    assert cube.first_bad_int((), 0, 1) is None and cube.first_bad_int((0, 1, 1), 0, 1) is None
+    assert [cube.first_bad_int(v, 0, 3) for v in ((0, 4, True), (1, 2.0, -1), (3, 2, "0"), (1, None))] == [1, 1, 2, 1]
+    # A range narrower than the values is read off their set; a wider one by min and max: both agree.
+    for values in ((0, 1) * 5, tuple(range(10)), (9, 0, 10), (0, 1, True, 1)):
+        for least, most in ((0, 1), (0, 9), (0, 100)):
+            expected = next((i for i, v in enumerate(values) if not cube.is_int(v, least, most)), None)
+            assert cube.first_bad_int(values, least, most) == expected
+
+
 EPSILON_ROWS = [
     ("plan_samples", lambda e: learner.plan_samples(4, e)),
     ("ExperimentConfig", lambda e: _config(epsilon=e)),

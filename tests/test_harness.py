@@ -19,8 +19,8 @@ from lmqlab.concepts import (
     random_junta,
     random_tree,
 )
-from lmqlab import harness
-from lmqlab.cube import ReplicateMap, enumerate_cube
+from lmqlab import distributions, evident, harness, learner, oracle, reductions
+from lmqlab.cube import CubePoint, ReplicateMap, enumerate_cube
 from lmqlab.distributions import UniformCube, pushforward
 from lmqlab.harness import (
     ExperimentConfig,
@@ -385,3 +385,50 @@ def test_point_mass_trial_has_zero_loss():
     trial = report.trials[0]
     assert trial.loss == 0 and trial.success
     assert trial.terms_added == 1
+
+
+# perfbench (perfbench/spans.py and workloads.py) times and counts each layer by replacing these names in
+# lmqlab.harness, and oracle.sample, and reads these fields. A rename would not fail a run: it would leave a
+# layer untimed, so the names are pinned here.
+PERFBENCH_HARNESS_NAMES = {
+    "random_dnf": random_dnf,
+    "verify_reduction": reductions.verify_reduction,
+    "simulate_pac_from_local": reductions.simulate_pac_from_local,
+    "draw_training_set": oracle.draw_training_set,
+    "LocalMQOracle": LocalMQOracle,
+    "learn_evident_dnf_run": learner.learn_evident_dnf_run,
+    "learn_evident_dnf": learner.learn_evident_dnf,
+    "exact_loss": distributions.exact_loss,
+    "mc_loss": distributions.mc_loss,
+    "reconstruct_term": learner.reconstruct_term,
+    "flips_reveal_term": evident.flips_reveal_term,
+    "satisfies_evidently": evident.satisfies_evidently,
+    "ExperimentConfig": ExperimentConfig,
+    "SuiteReport": harness.SuiteReport,
+    "doubled_tree_family": doubled_tree_family,
+    "opposite_literal_family": opposite_literal_family,
+    "run_learning_suite": run_learning_suite,
+    "run_reconstruction_corpus": run_reconstruction_corpus,
+    "run_reduction_suite": run_reduction_suite,
+}
+
+
+def test_names_and_fields_perfbench_relies_on():
+    for name, value in PERFBENCH_HARNESS_NAMES.items():
+        assert getattr(harness, name) is value, name
+    assert oracle.sample is distributions.sample
+    # Iterating a sample yields (CubePoint, label) pairs.
+    s = distributions.LabeledSample(3, (5, 0, 5), (1, 0, 1))
+    assert list(s) == [(CubePoint(3, 5), 1), (CubePoint(3, 0), 0), (CubePoint(3, 5), 1)]
+    # The constructor takes CubePoint anchors; query and log exist, and each record's point has a mask.
+    target = DnfFormula(3, (Term.of(1),))
+    built = LocalMQOracle(target, [CubePoint(3, 5)], 1)
+    assert built.query(CubePoint(3, 4)) == 1 and [record.point.mask for record in built.log] == [4]
+    # for_samples builds an instance of the class it is given, anchored at the samples' distinct masks.
+    traced = type("Traced", (LocalMQOracle,), {})
+    from_samples = traced.for_samples(target, 1, s)
+    assert type(from_samples) is traced and from_samples.query_cap == oracle.QUERY_BUDGET_FACTOR * 3 * len(s)
+    assert from_samples.query(CubePoint(3, 4)) == 1 and from_samples.stats().distance_histogram == {1: 1}
+    # The timing fields perfbench reads.
+    assert {"seconds_discovery", "seconds_reconstruct"} <= {f.name for f in dataclasses.fields(harness.CorpusReport)}
+    assert {"phase1_seconds", "phase2_seconds"} <= {f.name for f in dataclasses.fields(learner.LearnerRun)}

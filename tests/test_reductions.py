@@ -499,13 +499,13 @@ class TestSimulation:
         f = DnfFormula(3, (Term.of(1),))
         reduction = make_reduction("dnf", 3)
         built = []
-        original = CubePoint.__post_init__
+        original = CubePoint.__init__
 
-        def counting(point):
-            built.append(point.mask)
-            original(point)
+        def counting(point, n, mask):
+            built.append(mask)
+            original(point, n, mask)
 
-        monkeypatch.setattr(CubePoint, "__post_init__", counting)
+        monkeypatch.setattr(CubePoint, "__init__", counting)
         s1, s2 = self._samples(f, 3, 200, seed=900)
         assert built == [] and len(set(s1.masks + s2.masks)) < len(s1) + len(s2)
         oracle = LocalMQOracle.for_samples(f, 1, s1, s2)
