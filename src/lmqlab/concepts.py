@@ -582,10 +582,10 @@ def maj_poly(k: int) -> SparsePoly:
     Computed by a Walsh transform over all 2^k points; k must be odd so no
     tie-breaking is needed. Degree <= k and at most 2^k nonzero coefficients.
     """
+    if not is_int(k, 1, MAJ_POLY_CAP):
+        raise ValueError(f"variable count {k!r} out of range 1..{MAJ_POLY_CAP}")
     if k % 2 == 0:
         raise ValueError(f"majority needs an odd variable count, got {k}")
-    if not 1 <= k <= MAJ_POLY_CAP:
-        raise ValueError(f"variable count {k} out of range 1..{MAJ_POLY_CAP}")
     size = 1 << k
     half = k // 2
     vals = [1 if m.bit_count() > half else -1 for m in range(size)]

@@ -3,7 +3,8 @@
 Coordinates are 1-based throughout the package. A point is stored as a
 bit mask so that flips, distances and enumeration reduce to integer
 arithmetic. Hot paths pass the bare int masks (the oracle's anchor scan,
-``ReplicateMap.encode``/``decode``); ``CubePoint`` is the API form.
+``ReplicateMap.encode``/``decode``, which compute each block per call, so a
+map holds only n and k); ``CubePoint`` is the API form.
 
 A point list can also be held bit-sliced, as columns: column i is the bitset
 of the list positions whose point has mask bit i set (``cube_columns``,
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -62,7 +63,7 @@ def exact_rational(value: object, what: str) -> Fraction:
     other type is refused, as no coefficient, threshold or probability could mean it."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int) and not isinstance(value, bool) or isinstance(value, float) and math.isfinite(value):
+    if type(value) is int or isinstance(value, float) and math.isfinite(value):
         return Fraction(value)
     raise ValueError(f"{what} must be an int, a finite float or a Fraction, got {value!r}")
 
@@ -96,7 +97,7 @@ class CubePoint:
     def from_bits(cls, bits: Sequence[int]) -> "CubePoint":
         mask = 0
         for b in bits:
-            if b not in (-1, 1):
+            if type(b) is not int or b not in (-1, 1):
                 raise ValueError(f"cube entries must be -1 or +1, got {b!r}")
             mask = (mask << 1) | (b == 1)
         return cls(len(bits), mask)
@@ -113,8 +114,8 @@ class CubePoint:
 
     def bit(self, j: int) -> int:
         """Value (+1 or -1) of coordinate j, 1-based."""
-        if not 1 <= j <= self.n:
-            raise ValueError(f"coordinate {j} out of range 1..{self.n}")
+        if not is_int(j, 1, self.n):
+            raise ValueError(f"coordinate {j!r} out of range 1..{self.n}")
         return 1 if (self.mask >> (self.n - j)) & 1 else -1
 
     @property
@@ -125,8 +126,8 @@ class CubePoint:
         return "".join("+" if (self.mask >> (self.n - j)) & 1 else "-" for j in range(1, self.n + 1))
 
     def flip(self, j: int) -> "CubePoint":
-        if not 1 <= j <= self.n:
-            raise ValueError(f"coordinate {j} out of range 1..{self.n}")
+        if not is_int(j, 1, self.n):
+            raise ValueError(f"coordinate {j!r} out of range 1..{self.n}")
         return CubePoint(self.n, self.mask ^ (1 << (self.n - j)))
 
     def hamming(self, other: "CubePoint") -> int:
@@ -235,15 +236,11 @@ class ReplicateMap:
 
     source_n: int
     k: int
-    _expand: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n, k = self.source_n, self.k
         if not (is_int(n, 1) and is_int(k, 1)):
             raise ValueError(f"need positive dimension and factor, got n={n}, k={k}")
-        block = (1 << k) - 1
-        expand = tuple(block << ((n - i) * k) for i in range(1, n + 1))
-        object.__setattr__(self, "_expand", expand)
 
     @property
     def target_n(self) -> int:
@@ -255,11 +252,11 @@ class ReplicateMap:
         return CubePoint(self.target_n, self.encode(x.mask))
 
     def encode(self, mask: int) -> int:
-        """Target mask of the image of a source mask: each bit copied across its block."""
-        image = 0
-        for i, block in enumerate(self._expand, 1):
-            if (mask >> (self.source_n - i)) & 1:
-                image |= block
+        """Target mask of the image of a source mask: each bit copied across its block, computed per call."""
+        k, block, image = self.k, (1 << self.k) - 1, 0
+        for i in range(self.source_n):
+            if mask >> i & 1:
+                image |= block << i * k
         return image
 
     def decode(self, mask: int) -> int:

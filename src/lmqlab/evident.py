@@ -22,7 +22,9 @@ from fractions import Fraction
 from typing import Optional
 
 from .concepts import DecisionTree, DnfFormula, Term, dnf_of_tree
-from .cube import DimensionMismatch, ReplicateMap, cube_columns, require_count, require_enumerable
+from .cube import (
+    DimensionMismatch, ReplicateMap, cube_columns, exact_rational, is_int, require_count, require_enumerable
+)
 from .distributions import Distribution
 
 
@@ -33,8 +35,8 @@ def satisfies_evidently(formula: DnfFormula, i: int, x: int) -> bool:
     every one-flip neighbor that still satisfies the formula satisfies
     term i and only term i.
     """
-    if not 0 <= i < len(formula.terms):
-        raise ValueError(f"term index {i} out of range for {len(formula.terms)} terms")
+    if not is_int(i, 0, len(formula.terms) - 1):
+        raise ValueError(f"term index {i!r} out of range for {len(formula.terms)} terms")
     if formula.satisfied_indices(x) != (i,):
         return False
     for j in range(1, formula.n + 1):
@@ -136,12 +138,11 @@ def evidence_report(
 
     A term passes when its conditional evident probability reaches beta
     (default 1/n); terms the distribution never satisfies pass vacuously.
-    A beta outside (0, 1] is a ValueError.
+    Beta follows ``exact_rational``'s rule, and a beta outside (0, 1] is a ValueError.
     """
     if dist.n != formula.n:
         raise DimensionMismatch(f"formula over {formula.n} variables, distribution over {dist.n}")
-    if beta is None:
-        beta = Fraction(1, formula.n)
+    beta = Fraction(1, formula.n) if beta is None else exact_rational(beta, "beta")
     if not 0 < beta <= 1:
         raise ValueError(f"beta must lie in (0, 1], got {beta}")
     # Bit ``mask`` of a table is bit ``mask & 7`` of byte ``mask >> 3`` of its little-endian bytes.
@@ -160,7 +161,7 @@ def evidence_report(
     for i, (p_sat, p_evi) in enumerate(zip(sat, evi)):
         cond = p_evi / p_sat if p_sat else None
         entries.append(TermEvidence(i, p_sat, p_evi, cond, cond is None, cond is None or cond >= beta))
-    return EvidenceReport(Fraction(beta), tuple(entries))
+    return EvidenceReport(beta, tuple(entries))
 
 
 def gen_opposite_literal_dnf(n: int, d: int, term_width: int, seed: int) -> DnfFormula:

@@ -2,7 +2,8 @@
 
 Per-trial seeds come from the base seed through SHA-256, so any trial
 replays alone; the corpus reads evident points from ``evident``'s truth
-tables. Timings stay out of canonical JSON, which replays byte for byte.
+tables. Each report renders its own dataclass fields and merges in only what
+differs; timings are a named exclusion, so canonical JSON replays byte for byte.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import hashlib
 import json
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cache
 from typing import Callable, Optional
@@ -76,6 +77,16 @@ def derive_seed(base: int, *parts) -> int:
     text = ":".join([str(base), *map(str, parts)])
     digest = hashlib.sha256(text.encode()).digest()
     return int.from_bytes(digest[:8], "big") >> 1
+
+
+def _fields(record, *excluded: str) -> dict:
+    """A dataclass's fields by name, less ``excluded``: each canonical renderer merges in only what differs."""
+    return {f.name: getattr(record, f.name) for f in fields(record) if f.name not in excluded}
+
+
+def _keyed(histogram: dict[int, int]) -> dict[str, int]:
+    """An int-keyed histogram as JSON holds it: string keys, in ascending int order."""
+    return {str(k): v for k, v in sorted(histogram.items())}
 
 
 # ---------------------------------------------------------------------------
@@ -148,16 +159,7 @@ class ExperimentConfig:
         return (3 * self.trials) // 4
 
     def describe(self) -> dict:
-        return {
-            "name": self.name,
-            "trials": self.trials,
-            "base_seed": self.base_seed,
-            "epsilon": self.epsilon,
-            "m1": self.m1,
-            "m2": self.m2,
-            "q": self.q,
-            "threshold": self.threshold,
-        }
+        return _fields(self, "family", "success_threshold") | {"threshold": self.threshold}
 
 
 @dataclass(frozen=True)
@@ -176,21 +178,8 @@ class TrialReport:
     terms_pruned: int
 
     def canonical_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "seed": self.seed,
-            "n": self.n,
-            "loss": str(self.loss),
-            "loss_float": float(self.loss),
-            "estimator": self.estimator,
-            "success": self.success,
-            "queries": self.queries,
-            "max_locality": self.max_locality,
-            "distance_histogram": {str(k): v for k, v in sorted(self.distance_histogram.items())},
-            "positives": self.positives,
-            "terms_added": self.terms_added,
-            "terms_pruned": self.terms_pruned,
-        }
+        loss = {"loss": str(self.loss), "loss_float": float(self.loss)}
+        return _fields(self) | loss | {"distance_histogram": _keyed(self.distance_histogram)}
 
 
 @dataclass(frozen=True)
@@ -208,13 +197,9 @@ class SuiteReport:
         return self.success_count >= self.config["threshold"]
 
     def canonical_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "trials": [t.canonical_dict() for t in self.trials],
-            "success_count": self.success_count,
-            "trial_count": len(self.trials),
-            "passed": self.passed,
-            "threshold_note": self.threshold_note,
+        trials = [t.canonical_dict() for t in self.trials]
+        return _fields(self) | {
+            "trials": trials, "success_count": self.success_count, "trial_count": len(trials), "passed": self.passed
         }
 
     def canonical_json(self) -> str:
@@ -313,21 +298,8 @@ class CorpusReport:
             self.failures.append({"kind": kind, **info})
 
     def to_dict(self) -> dict:
-        return {
-            "formulas": self.formulas,
-            "evident_points": self.evident_points,
-            "biconditional_checks": self.biconditional_checks,
-            "biconditional_failures": self.biconditional_failures,
-            "reveal_checked": self.reveal_checked,
-            "reveal_failures": self.reveal_failures,
-            "recon_checked": self.recon_checked,
-            "recon_failures": self.recon_failures,
-            "crosscheck_formulas": self.crosscheck_formulas,
-            "crosscheck_mismatches": self.crosscheck_mismatches,
-            "locality_histogram": {str(k): v for k, v in sorted(self.locality_histogram.items())},
-            "passed": self.passed,
-            "failures": self.failures,
-        }
+        canonical = _fields(self, "seconds_discovery", "seconds_reconstruct")
+        return canonical | {"locality_histogram": _keyed(self.locality_histogram), "passed": self.passed}
 
 
 def run_reconstruction_corpus(count: int = 1000, base_seed: int = 0) -> CorpusReport:
@@ -446,15 +418,7 @@ class ReductionSuiteReport:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "constructions": self.constructions,
-            "size_checks": self.size_checks,
-            "simulation_queries": self.simulation_queries,
-            "simulation_mismatches": self.simulation_mismatches,
-            "uniqueness_errors": self.uniqueness_errors,
-            "negative_controls": self.negative_controls,
-            "passed": self.passed,
-        }
+        return _fields(self) | {"passed": self.passed}
 
 
 def _audit_simulation(
@@ -603,11 +567,6 @@ def run_reduction_suite(base_seed: int = 0) -> ReductionSuiteReport:
     ]
     for label, broken, concept in controls:
         result = verify_reduction(broken, concept)
-        report.negative_controls.append(
-            {
-                "name": label,
-                "detected": not result.passed,
-                "counterexamples": result.counterexamples,
-            }
-        )
+        entry = {"name": label, "detected": not result.passed, "counterexamples": result.counterexamples}
+        report.negative_controls.append(entry)
     return report

@@ -187,6 +187,8 @@ class LocalMQOracle:
         """
         require_count(times, 1, "a query is asked a whole number of times, at least once")
         n, anchors = self.n, self._anchors
+        if not is_int(mask, 0, (1 << n) - 1):  # ``ask``'s rule: True or 1.0 would pass as an anchor mask below
+            raise DimensionMismatch(f"query mask {mask!r} out of range for dimension {n}")
         if self.q < 1 or mask not in anchors or self._count + n * times > self.query_cap:
             return sum(self.ask(mask ^ 1 << i, times) << i for i in range(n - 1, -1, -1))
         batch = self._asked.get(~mask)

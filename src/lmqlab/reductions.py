@@ -439,20 +439,20 @@ def verify_reduction(reduction: QReduction, concept: Concept) -> ReductionReport
     its centre, then its flips in ``ball_columns`` order. Kind A requires label 1 off the image.
     Kind B requires the centre's value: ``QReduction`` enforces 2q < k, so every
     ball point decodes to its centre, and ``anchor_failures`` stays 0.
-    FLIP_ENUM_BUDGET bounds the check count, as the target cube is astronomically large.
+    FLIP_ENUM_BUDGET bounds the check count, as the target cube is astronomically large; a row over it is
+    refused before its transform is built.
     """
     phi = reduction.phi
     n, n_target, k = phi.source_n, phi.target_n, phi.k
     if concept.n != n:  # the negative controls' transforms skip make_reduction's check
         raise DimensionMismatch(f"{reduction.name} reduction maps dimension {n}, concept has {concept.n}")
+    radius = min(reduction.q, FLIP_RADIUS_CAP)
+    checks = ball_size(n_target, radius) << n
+    if checks > FLIP_ENUM_BUDGET:  # refused before the transform, which can be as large as the checks
+        raise ValueError(f"flip enumeration needs {checks} checks, budget is {FLIP_ENUM_BUDGET}")
     transformed = reduction.transform(concept)
     if transformed.n != n_target:
         raise DimensionMismatch(f"transformed concept has dimension {transformed.n}, target is {n_target}")
-    radius = min(reduction.q, FLIP_RADIUS_CAP)
-
-    checks = ball_size(n_target, radius) << n
-    if checks > FLIP_ENUM_BUDGET:
-        raise ValueError(f"flip enumeration needs {checks} checks, budget is {FLIP_ENUM_BUDGET}")
 
     report = ReductionReport(reduction.name, reduction.kind, n, n_target, reduction.q, radius)
     sources = range(1 << n)

@@ -346,6 +346,13 @@ def test_zero_denominator_is_a_json_error(tmp_path, capsys, argv):
     assert error == {"error": "zero denominator in '1/0'", "type": "ValueError"}
 
 
+def test_verify_reduction_beyond_the_flip_budget_is_refused_before_the_transform(capsys):
+    # The refusal used to come after a 128k-term detector at n=40, and after a MemoryError at n=300.
+    for n in ("40", "300"):
+        error = _usage_error(capsys, ["verify-reduction", "--construction", "dnf", "--n", n])
+        assert error["type"] == "ValueError" and error["error"].endswith("checks, budget is 5000000")
+
+
 def test_negative_q0_is_a_json_error_naming_the_budget(capsys):
     # It used to blame a replication factor never passed: "need positive dimension and factor, got n=4, k=-1".
     error = _usage_error(capsys, ["verify-reduction", "--construction", "junta", "--n", "4", "--q0", "-1"])

@@ -334,8 +334,9 @@ def test_counts_refuse_bools_and_floats_with_the_int_message(call, bad_int, mess
     assert exc.type is ValueError and str(exc.value) == expected
 
 
-# One rule for values: a mask, label, automaton state, junta table entry or leaf label is an int (never a
-# bool, a float or a string, even one equal to an in-range int) and each entry point says so in its message.
+# One rule for values: a mask, label, automaton state, junta table entry, leaf label, coordinate, cube
+# entry, term index or variable count is an int (never a bool, a float or a string, even one equal to an
+# in-range int) and each entry point says so in its message.
 _DFA = ((0, 1), (1, 0))
 _STATES = "start and accepting states must lie in 0..1"
 
@@ -345,6 +346,15 @@ VALUE_ROWS = [
      lambda v: f"mask {v!r} out of range for dimension 2"),
     ("LocalMQOracle.ask", lambda v: _oracle().ask(v), DimensionMismatch,
      lambda v: f"query mask {v!r} out of range for dimension 2"),
+    ("LocalMQOracle.ask_flips", lambda v: _oracle().ask_flips(v), DimensionMismatch,
+     lambda v: f"query mask {v!r} out of range for dimension 2"),
+    ("CubePoint.bit", lambda v: P("+-").bit(v), ValueError, lambda v: f"coordinate {v!r} out of range 1..2"),
+    ("CubePoint.flip", lambda v: P("+-").flip(v), ValueError, lambda v: f"coordinate {v!r} out of range 1..2"),
+    ("CubePoint.from_bits", lambda v: CubePoint.from_bits((v, -1)), ValueError,
+     lambda v: f"cube entries must be -1 or +1, got {v!r}"),
+    ("satisfies_evidently.i", lambda v: evident.satisfies_evidently(DnfFormula(2, (Term.of(1), Term.of(2))), v, 0),
+     ValueError, lambda v: f"term index {v!r} out of range for 2 terms"),
+    ("maj_poly", lambda v: concepts.maj_poly(v), ValueError, lambda v: f"variable count {v!r} out of range 1..15"),
     ("DnfFormula.satisfied_indices", lambda v: DnfFormula(2, ()).satisfied_indices(v), DimensionMismatch,
      lambda v: f"mask {v!r} out of range for formula over 2 variables"),
     ("FiniteSupport.mask", lambda v: distributions.FiniteSupport(2, ((v, _HALF), (0, _HALF))), DimensionMismatch,
@@ -379,15 +389,35 @@ RATIONAL_ROWS = [
 ]
 
 
-@pytest.mark.parametrize(
-    "value", [True, float("nan"), float("inf"), "1/2", None], ids=["bool", "nan", "inf", "str", "None"]
-)
+class _Int(int):
+    """An int subclass: ``is_int`` refuses it, and so does ``exact_rational``."""
+
+
+_NOT_RATIONAL = [True, float("nan"), float("inf"), "1/2", _Int(1)]
+_NOT_RATIONAL_IDS = ["bool", "nan", "inf", "str", "int-subclass"]
+
+
+@pytest.mark.parametrize("value", [*_NOT_RATIONAL, None], ids=[*_NOT_RATIONAL_IDS, "None"])
 @pytest.mark.parametrize("call, what", [r[1:] for r in RATIONAL_ROWS], ids=[r[0] for r in RATIONAL_ROWS])
 def test_rationals_refuse_anything_but_an_exact_number_with_one_message(call, what, value):
     with pytest.raises(ValueError) as exc:
         call(value)
     assert exc.type is ValueError
     assert str(exc.value) == f"{what} must be an int, a finite float or a Fraction, got {value!r}"
+
+
+# evidence_report reads beta=None as its default 1/n, so None is the one value it takes that the rule refuses.
+@pytest.mark.parametrize("value", _NOT_RATIONAL, ids=_NOT_RATIONAL_IDS)
+def test_evidence_beta_follows_the_rational_rule(value):
+    with pytest.raises(ValueError) as exc:
+        evident.evidence_report(DnfFormula(2, (Term.of(1),)), distributions.UniformCube(2), value)
+    assert exc.type is ValueError
+    assert str(exc.value) == f"beta must be an int, a finite float or a Fraction, got {value!r}"
+
+
+def test_exact_rational_keeps_what_it_accepts_exact():
+    assert [cube.exact_rational(v, "x") for v in (3, 0.5, Fraction(1, 3))] == [3, Fraction(1, 2), Fraction(1, 3)]
+    assert evident.evidence_report(DnfFormula(2, (Term.of(1),)), distributions.UniformCube(2), 0.5).beta == _HALF
 
 
 def test_first_bad_int_names_the_first_value_is_int_refuses():

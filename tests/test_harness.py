@@ -271,6 +271,35 @@ def test_learning_and_corpus_never_reach_the_anchor_scan(monkeypatch):
     assert _learning_and_corpus_results() == expected
 
 
+def test_timings_never_enter_the_corpus_report():
+    report = run_reconstruction_corpus(count=3)
+    report.seconds_discovery, report.seconds_reconstruct = 1.5, 2.5
+    assert not any("seconds" in key for key in report.to_dict())
+    assert report.to_dict() == run_reconstruction_corpus(count=3).to_dict()
+
+
+def _field_names(cls) -> set[str]:
+    return {f.name for f in dataclasses.fields(cls)}
+
+
+def test_each_canonical_renderer_states_its_fields_less_the_named_exclusions_plus_its_derived_keys():
+    # A field added later reaches canonical output only by editing these sets.
+    suite = run_learning_suite(small_config(trials=1))
+    corpus, reductions_report = run_reconstruction_corpus(count=2), ReductionSuiteReport()
+    rendered = [
+        (suite.config, ExperimentConfig, {"family", "success_threshold"}, {"threshold"}),
+        (suite.trials[0].canonical_dict(), harness.TrialReport, set(), {"loss_float"}),
+        (suite.canonical_dict(), harness.SuiteReport, set(), {"success_count", "trial_count", "passed"}),
+        (corpus.to_dict(), harness.CorpusReport, {"seconds_discovery", "seconds_reconstruct"}, {"passed"}),
+        (reductions_report.to_dict(), ReductionSuiteReport, set(), {"passed"}),
+    ]
+    for canonical, cls, excluded, derived in rendered:
+        assert set(canonical) == _field_names(cls) - excluded | derived, cls.__name__
+    trial = suite.trials[0].canonical_dict()
+    assert trial["loss"] == str(suite.trials[0].loss) and trial["loss_float"] == float(suite.trials[0].loss)
+    assert all(type(k) is str for k in (*trial["distance_histogram"], *corpus.to_dict()["locality_histogram"]))
+
+
 def test_corpus_deterministic():
     a = run_reconstruction_corpus(count=15, base_seed=8)
     b = run_reconstruction_corpus(count=15, base_seed=8)

@@ -138,6 +138,16 @@ def test_ask_rejects_bad_masks_and_counts():
     assert o.log == ()
 
 
+@pytest.mark.parametrize("mask", [True, 1.0])
+def test_ask_flips_refuses_a_mask_ask_refuses(mask):
+    # Anchored at mask 1, where True and 1.0 would match the anchor and be answered as mask 1.
+    o = LocalMQOracle(TARGET, [P("--+")], q=1)
+    for ask in (o.ask, o.ask_flips):
+        with pytest.raises(DimensionMismatch, match=f"query mask {mask!r} out of range for dimension 3"):
+            ask(mask)
+    assert o.log == () and o.stats().query_count == 0
+
+
 @pytest.mark.parametrize("times", [1.5, 2.0, True, "2", None])
 def test_ask_and_ask_flips_reject_a_count_that_is_not_an_int(times):
     o = LocalMQOracle(TARGET, [P("+++")], q=1)

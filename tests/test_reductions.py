@@ -100,6 +100,23 @@ class TestReplicateMap:
         phi = ReplicateMap(2, 4)
         assert list(phi.block_coordinates(2)) == [5, 6, 7, 8]
 
+    def test_encode_computes_its_blocks_and_stores_only_n_and_k(self):
+        phi = ReplicateMap(300, 90_000)  # a table of blocks would hold 300 * 27,000,000 bits
+        assert vars(phi) == {"source_n": 300, "k": 90_000}
+        assert phi.encode(1) == (1 << 90_000) - 1 and phi.encode(1 << 299) == (1 << 90_000) - 1 << 299 * 90_000
+        small = ReplicateMap(3, 2)
+        blocks = [sum(3 << 2 * i for i in range(3) if m >> i & 1) for m in range(8)]
+        assert [small.encode(m) for m in range(8)] == blocks
+
+
+def test_an_over_budget_row_is_refused_before_its_transform_is_built():
+    def transform(concept):
+        raise AssertionError("the transform ran")
+
+    reduction = replace(make_reduction("dnf", 40), transform=transform)
+    with pytest.raises(ValueError, match=r"^flip enumeration needs \d+ checks, budget is 5000000$"):
+        verify_reduction(reduction, DnfFormula(40, (Term.of(1),)))
+
 
 class TestDnfReduction:
     def test_detector_term_count(self):
