@@ -4,7 +4,7 @@ All concepts expose ``n`` (input dimension), ``label(mask) -> {0,1}`` on
 in-range n-bit masks, ``flip_labels(mask)``, whose bit i is the label at
 ``mask ^ (1 << i)``, ``reads``, the bit mask of the coordinates a label can
 depend on (``label(m) == label(m & reads)``), and ``evaluate(x)``: a
-dimension check, then ``label(x.mask)``. Hot paths call ``label``;
+dimension check, then ``label(x.mask)``. Hot paths call ``label``, which checks no mask;
 ``CubePoint`` stays at the API boundary. Sparse polynomials additionally evaluate to exact rationals, pointwise
 and bit-sliced, from one integer form built on the first evaluation (``SparsePoly._scaled``).
 Every concept also labels a bit-sliced point list (a ball, the cube or a sample's lanes; see ``cube``) at once:
@@ -37,7 +37,11 @@ class Concept(Protocol):
     n: int
     reads: int
 
-    def label(self, mask: int) -> int: ...
+    def label(self, mask: int) -> int:
+        """The label of an in-range n-bit mask, read unchecked, as the hot paths call it: an int out of range, a
+        bool or a float is not refused (a formula over 2 variables reads mask 4 as mask 0). The checked forms are
+        ``evaluate``, ``DnfFormula.satisfied_indices`` and the oracle's ``ask``."""
+        ...
 
     def flip_labels(self, mask: int) -> int: ...
 
@@ -166,6 +170,7 @@ class DnfFormula(MaskConcept):
         object.__setattr__(self, "reads", reduce(or_, (pos | neg for pos, neg in self._masks), 0))
 
     def label(self, mask: int) -> int:
+        """Unchecked, as ``Concept.label``; ``satisfied_indices`` is the checked form."""
         for pos, neg in self._masks:
             if (mask & pos) == pos and (mask & neg) == 0:
                 return 1
@@ -610,8 +615,10 @@ def maj_poly(k: int) -> SparsePoly:
 
 
 def random_tree(n: int, leaves: int, rng: random.Random) -> DecisionTree:
-    """Random tree with the exact leaf count, never re-testing a path variable."""
-    leaves = max(1, min(leaves, 1 << n))
+    """Random tree with the exact leaf count (at most 2^n), never re-testing a path variable."""
+    require_count(n, 1, "dimension must be a positive integer")
+    require_count(leaves, 1, "leaf count must be a positive integer")
+    leaves = min(leaves, 1 << n)
 
     def build(available: frozenset[int], budget: int):
         if budget == 1 or not available:
@@ -626,6 +633,10 @@ def random_tree(n: int, leaves: int, rng: random.Random) -> DecisionTree:
 
 
 def random_dnf(n: int, d: int, max_width: int, rng: random.Random) -> DnfFormula:
+    """Random formula of d terms, each of 1..min(max_width, n) distinct variables with random signs."""
+    require_count(n, 1, "dimension must be a positive integer")
+    require_count(d, 0, "term count must be a non-negative integer")
+    require_count(max_width, 1, "term width must be a positive integer")
     terms = []
     for _ in range(d):
         width = rng.randint(1, min(max_width, n))

@@ -209,9 +209,13 @@ def lane_columns(masks: Sequence[int], n: int, reads: int) -> tuple[list[int], i
         packed = struct.pack(f"<{len(masks)}{'BHIQ'[width.bit_length() - 1]}", *masks)
     else:
         packed = b"".join(mask.to_bytes(width, "little") for mask in masks)
-    bits = int.from_bytes(packed, "little")
     full = int.from_bytes((1).to_bytes(width, "little") * len(masks), "little")
-    return [bits >> i & full if reads >> i & 1 else 0 for i in range(n)], full, width
+    return lane_split(int.from_bytes(packed, "little"), full, n, reads), full, width
+
+
+def lane_split(bits: int, full: int, n: int, reads: int) -> list[int]:
+    """The columns of packed lanes: column i (if i is in ``reads``, else 0) holds each lane's bit i at its lowest."""
+    return [bits >> i & full if reads >> i & 1 else 0 for i in range(n)]
 
 
 def lane_bits(bitset: int, count: int, width: int) -> bytes:
@@ -252,7 +256,11 @@ class ReplicateMap:
         return CubePoint(self.target_n, self.encode(x.mask))
 
     def encode(self, mask: int) -> int:
-        """Target mask of the image of a source mask: each bit copied across its block, computed per call."""
+        """Target mask of the image of a source mask: each bit copied across its block, computed per call.
+
+        A hot path, so the mask is read unchecked: ``ReplicateMap(2, 3).encode(4)`` is mask 0's image, and a
+        bool reads as 0 or 1. ``apply`` is the checked form.
+        """
         k, block, image = self.k, (1 << self.k) - 1, 0
         for i in range(self.source_n):
             if mask >> i & 1:
@@ -262,7 +270,8 @@ class ReplicateMap:
     def decode(self, mask: int) -> int:
         """Source mask whose image is nearest to the target mask: each block's majority bit.
 
-        A tied block (even k) decodes to 0; no point within k/2 of an image has one.
+        A tied block (even k) decodes to 0; no point within k/2 of an image has one. Like ``encode``, it reads
+        its mask unchecked (bits beyond the target's are ignored, a bool reads as 0 or 1); ``apply`` checks.
         """
         k, half, block = self.k, self.k // 2, (1 << self.k) - 1
         source = 0

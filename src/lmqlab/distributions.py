@@ -13,7 +13,9 @@ blocks. ``FiniteSupport`` looks each draw up in a guide table (Chen & Asau,
 1974) indexed by the top bits of its first word; it takes the same two words
 per draw as ``random()`` and returns the masks the per-draw float bisection
 ``bisect_right(cum, random() * cum[-1])`` would, leaving the generator in the
-same state. ``mc_loss`` labels a block of draws at a time as lanes (``cube``).
+same state. ``mc_loss`` labels a block of draws at a time as lanes (``cube``):
+a ``UniformCube`` block straight from the packed int its words make
+(``UniformCube._lanes``), with no list of masks between (``_lane_blocks``).
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .cube import (
     first_bad_int,
     is_int,
     lane_columns,
+    lane_split,
     require_count,
     require_enumerable,
 )
@@ -59,15 +62,20 @@ class UniformCube:
         require_count(self.n, 1, "dimension must be a positive integer")
 
     def draws(self, rng: random.Random, m: int) -> list[int]:
-        """m ``getrandbits(n)`` masks; to n = 32, the top n bits of a block's 32-bit words (first lowest) at once."""
-        n, bits, out = self.n, rng.getrandbits, []
+        """m ``getrandbits(n)`` masks; to n = 32, a block's ``_lanes`` unpacked at once."""
+        n = self.n
         if n > 32:
-            return [bits(n) for _ in range(m)]
+            return [rng.getrandbits(n) for _ in range(m)]
+        keep, out = _lane_ones(n, min(m, _DRAW_BLOCK)), []
         for start in range(0, m, _DRAW_BLOCK):
             k = min(_DRAW_BLOCK, m - start)
-            keep = int.from_bytes(((1 << n) - 1).to_bytes(4, "little") * k, "little")
-            out += struct.unpack(f"<{k}I", (bits(32 * k) >> 32 - n & keep).to_bytes(4 * k, "little"))
+            out += struct.unpack(f"<{k}I", self._lanes(rng, k, keep).to_bytes(4 * k, "little"))
         return out
+
+    def _lanes(self, rng: random.Random, k: int, keep: int) -> int:
+        """The next k draws (n <= 32) as one int of 4-byte little-endian lanes, draw p in lane p: the top n bits
+        of the generator's p-th 32-bit word, which is ``getrandbits(n)``. ``keep`` is ``_lane_ones(n, j)``, j >= k."""
+        return rng.getrandbits(32 * k) >> 32 - self.n & keep
 
     def support(self) -> Iterator[tuple[int, Fraction]]:
         require_enumerable(self.n)
@@ -111,6 +119,11 @@ class ProductDist:
                 prob *= p if (mask >> (self.n - 1 - j)) & 1 else 1 - p
             if prob:
                 yield mask, prob
+
+
+def _lane_ones(bits: int, lanes: int) -> int:
+    """``bits`` low ones in each of ``lanes`` 4-byte little-endian lanes."""
+    return int.from_bytes(((1 << bits) - 1).to_bytes(4, "little") * lanes, "little")
 
 
 def _words(rng: random.Random, count: int) -> memoryview:
@@ -266,13 +279,28 @@ def exact_loss(dist: Distribution, h_star: Concept, h_hat: Concept) -> Fraction:
     return loss
 
 
+def _lane_blocks(dist: Distribution, rng: random.Random, m: int, reads: int) -> Iterator[tuple[list[int], int]]:
+    """(columns, full) of the next m draws, ``_DRAW_BLOCK`` at a time: a ``UniformCube`` to n = 32 split straight
+    from its packed ``_lanes`` (``keep`` and ``full`` built once), any other through ``lane_columns`` of ``draws``."""
+    n = dist.n
+    if isinstance(dist, UniformCube) and n <= 32:
+        keep, ones = _lane_ones(n, min(m, _DRAW_BLOCK)), _lane_ones(1, min(m, _DRAW_BLOCK))
+        for start in range(0, m, _DRAW_BLOCK):
+            k = min(_DRAW_BLOCK, m - start)
+            full = ones & (1 << 32 * k) - 1  # the last block may be short
+            yield lane_split(dist._lanes(rng, k, keep), full, n, reads), full
+        return
+    for start in range(0, m, _DRAW_BLOCK):
+        columns, full, _ = lane_columns(dist.draws(rng, min(_DRAW_BLOCK, m - start)), n, reads)
+        yield columns, full
+
+
 def mc_loss(dist: Distribution, h_star: Concept, h_hat: Concept, m: int, seed: int) -> Fraction:
-    """Empirical disagreement frequency over the m draws ``sample(dist, m, seed)`` gives, drawn ``_DRAW_BLOCK``
-    at a time and labelled by ``label_columns`` as lanes over the columns either concept ``reads``."""
+    """Empirical disagreement frequency over the m draws ``sample(dist, m, seed)`` gives, labelled by
+    ``label_columns`` a block of lanes (``_lane_blocks``) at a time over the columns either concept ``reads``."""
     _check_loss_dims(dist, h_star, h_hat)
     require_count(m, 1, "sample count must be positive")
-    rng, reads, wrong = random.Random(seed), h_star.reads | h_hat.reads, 0
-    for start in range(0, m, _DRAW_BLOCK):
-        columns, full, _ = lane_columns(dist.draws(rng, min(_DRAW_BLOCK, m - start)), dist.n, reads)
+    wrong = 0
+    for columns, full in _lane_blocks(dist, random.Random(seed), m, h_star.reads | h_hat.reads):
         wrong += (h_star.label_columns(columns, full) ^ h_hat.label_columns(columns, full)).bit_count()
     return Fraction(wrong, m)

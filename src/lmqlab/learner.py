@@ -1,10 +1,11 @@
 """The 1-local-query DNF learner and its sample-size planner.
 
 Phase 1 rebuilds one candidate term per distinct positive mask of the
-first sample by flipping each coordinate and asking the oracle, the n flips
-as one ``ask_flips`` batch, counting each query once per occurrence: an
-answer of 1 means the variable is absent from the term, an answer of 0 keeps
-the literal the example satisfies. Candidates stay int mask pairs.
+first sample by flipping each coordinate and asking the oracle, every
+positive's n flips in one ``ask_flips_many`` call, counting each query once
+per occurrence: an answer of 1 means the variable is absent from the term,
+an answer of 0 keeps the literal the example satisfies (``reconstruct_term``
+is the one-positive form). Candidates stay int mask pairs.
 Phase 2 throws away every candidate that fires on a negative example of the
 second sample, both of its passes over that sample in C; only survivors become
 ``Term``s. On instances whose positives are evident, phase 1 recovers exact
@@ -105,7 +106,8 @@ def learn_evident_dnf_run(s1: LabeledSample, s2: LabeledSample, oracle: LocalMQO
         raise DimensionMismatch(f"sample dimensions {s1.n}/{s2.n} differ from oracle {n}")
     t0 = time.perf_counter()
     occurrences = Counter(compress(s1.masks, s1.labels))
-    collected = dict.fromkeys(reconstruct_term(x, oracle, times) for x, times in occurrences.items())
+    full, answers = (1 << n) - 1, oracle.ask_flips_many(occurrences)
+    collected = dict.fromkeys((x & kept, ~x & kept) for x, kept in zip(occurrences, [~bits & full for bits in answers]))
     t1 = time.perf_counter()
     negatives = set(compress(s2.masks, bytes(s2.labels).translate(NEGATE)))
     surviving = [

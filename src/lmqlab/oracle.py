@@ -12,18 +12,20 @@ a refusal's ``min_distance``. ``ask_flips(mask, times)`` asks the n one-flip
 neighbours of a point as one batch and returns their answers as one int in
 ``flip_labels`` form: around an anchor with q >= 1 every neighbour is
 1-local, so no anchor is scanned, one ``flip_labels`` call answers them all,
-and the batch is stored whole. ``entries()`` and ``log`` expand the record
-on demand, each distinct mask once, by first asking.
+and the batch is stored whole. ``ask_flips_many(counts)`` asks many centres'
+flips at once, checking the whole map once; a map it cannot prove is the
+``ask_flips`` loop. ``entries()`` and ``log`` expand the record on demand,
+each distinct mask once, by first asking.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .concepts import Concept
-from .cube import CubePoint, DimensionMismatch, is_int, lane_bits, lane_columns, require_count
+from .cube import CubePoint, DimensionMismatch, first_bad_int, is_int, lane_bits, lane_columns, require_count
 from .distributions import _DRAW_BLOCK, Distribution, LabeledSample, sample
 
 QUERY_BUDGET_FACTOR = 64
@@ -201,6 +203,50 @@ class LocalMQOracle:
         for distance, flips in ((0, near), (1, n - near)):
             self._histogram[distance] = self._histogram.get(distance, 0) + flips * times
         return bits
+
+    def ask_flips_many(self, counts: Mapping[int, int]) -> list[int]:
+        """``ask_flips(x, times)`` for each (x, times) of ``counts``, in order, as one batch.
+
+        A batch whose masks are in range, whose times are at least 1, whose
+        centres are all anchors (with q >= 1) and whose n * sum(times) fits the
+        budget is checked once and answered without a per-centre call: the
+        flips of the new centres that are anchors come from n set
+        intersections, one per coordinate (XOR with a fixed bit is injective,
+        so each hit names one centre). Any other batch is exactly the loop of
+        ``ask_flips``, with its partial record and its error at the same centre.
+        """
+        n, anchors = self.n, self._anchors
+        if not (
+            self.q >= 1
+            and first_bad_int(counts.keys(), 0, (1 << n) - 1) is None
+            and first_bad_int(counts.values(), 1, self.query_cap) is None
+            and anchors.issuperset(counts)
+            and self._count + n * sum(counts.values()) <= self.query_cap
+        ):
+            return [self.ask_flips(x, times) for x, times in counts.items()]
+        asked, label = self._asked, self.target.flip_labels
+        new = [x for x in counts if ~x not in asked]
+        near = dict.fromkeys(new, 0)
+        for i in range(n):
+            bit = 1 << i
+            for z in anchors.intersection([x ^ bit for x in new]):
+                near[z ^ bit] += 1
+        answers, asked_times, at_anchors = [], 0, 0
+        try:  # a target that raises leaves the centres before it recorded and counted, as the loop would
+            for x, times in counts.items():
+                batch = asked.get(~x)
+                if batch is None:
+                    batch = asked[~x] = [label(x), 0, near[x]]
+                batch[1] += times
+                asked_times += times
+                at_anchors += batch[2] * times
+                answers.append(batch[0])
+        finally:
+            if asked_times:
+                self._count += n * asked_times
+                for distance, flips in ((0, at_anchors), (1, n * asked_times - at_anchors)):
+                    self._histogram[distance] = self._histogram.get(distance, 0) + flips
+        return answers
 
     def stats(self) -> OracleStats:
         """Counts so far; the histogram is a copy, so editing it changes nothing here."""

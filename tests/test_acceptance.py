@@ -145,6 +145,16 @@ def test_benchmark_learning_digests_are_pinned(learning, name, digest):
     assert hashlib.sha256(report.canonical_json().encode()).hexdigest() == digest
 
 
+def test_benchmark_wide_learning_digest_is_pinned():
+    # Seed 42 is perfbench's learn-wide verdict, its config perfbench's own; this is its golden digest.
+    cfg = ExperimentConfig(
+        name="opposite-literal-wide", family=opposite_literal_family(24, 32),
+        trials=10, base_seed=42, epsilon=0.1, m1=5000, m2=20000,
+    )
+    digest = "b23ca612cab71ef57ff1df2951b736f32ffb699256c881169c636c1c09ac59a1"
+    assert hashlib.sha256(run_learning_suite(cfg).canonical_json().encode()).hexdigest() == digest
+
+
 def test_sample_planner_arithmetic():
     with criterion("sample-size planner matches the bounds exactly"):
         plan = plan_samples(2, 0.5)

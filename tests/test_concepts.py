@@ -374,6 +374,34 @@ class TestMajPoly:
 
 
 # ---------------------------------------------------------------------------
+# Seeded random instances take their counts by the one int rule
+
+_RANDOM_COUNTS = {
+    "tree-n": lambda v: random_tree(v, 2, random.Random(0)),
+    "tree-leaves": lambda v: random_tree(3, v, random.Random(0)),
+    "dnf-n": lambda v: random_dnf(v, 1, 1, random.Random(0)),
+    "dnf-d": lambda v: random_dnf(3, v, 1, random.Random(0)),
+    "dnf-max_width": lambda v: random_dnf(3, 1, v, random.Random(0)),
+}
+
+
+@pytest.mark.parametrize("value", [True, 2.0, "2", None], ids=["bool", "float", "str", "None"])
+@pytest.mark.parametrize("build", _RANDOM_COUNTS.values(), ids=_RANDOM_COUNTS.keys())
+def test_random_instances_refuse_a_count_that_is_not_an_int(build, value):
+    with pytest.raises(ValueError) as exc:
+        build(value)
+    assert exc.type is ValueError and str(exc.value).endswith(f", got {value!r}")
+
+
+def test_random_tree_clamps_an_int_leaf_count_to_the_cube_and_refuses_one_below_1():
+    assert random_tree(3, 100, random.Random(5)) == random_tree(3, 8, random.Random(5))
+    assert random_tree(3, 8, random.Random(5)).leaf_count == 8
+    for leaves in (0, -3):
+        with pytest.raises(ValueError, match=f"^leaf count must be a positive integer, got {leaves}$"):
+            random_tree(3, leaves, random.Random(5))
+
+
+# ---------------------------------------------------------------------------
 # label(mask) against evaluate and a pointwise reference
 
 

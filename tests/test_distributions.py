@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lmqlab.concepts import DnfFormula, Term, random_dfa, random_dnf, random_tree
-from lmqlab.cube import CubePoint, DimensionMismatch, ReplicateMap, enumerate_cube
+from lmqlab.cube import CubePoint, DimensionMismatch, ReplicateMap, enumerate_cube, lane_bits, lane_columns
 from lmqlab.distributions import (
     FiniteSupport,
     LabeledSample,
@@ -20,6 +20,7 @@ from lmqlab.distributions import (
     sample,
     _DRAW_BLOCK,
     _GUIDE_BITS,
+    _lane_blocks,
 )
 
 
@@ -359,6 +360,26 @@ def test_mc_loss_matches_per_draw_reference(n, seed, m, kinds, finite):
         dist = UniformCube(n)
     points = [CubePoint(n, mask) for mask in _reference_draws(dist, m, random.Random(seed))]
     assert mc_loss(dist, f, g, m, seed) == Fraction(sum(f.evaluate(x) != g.evaluate(x) for x in points), m)
+
+
+@pytest.mark.parametrize("m", [0, 1, _DRAW_BLOCK - 1, _DRAW_BLOCK + 1])
+@pytest.mark.parametrize("n", range(1, 33))
+def test_packed_uniform_blocks_label_as_the_lane_columns_of_their_draws(n, m):
+    """Each packed block (4-byte lanes) labels lane for lane as ``lane_columns`` of the same block's ``draws``
+    (lanes of 1, 2 or 4 bytes), and leaves the generator where ``draws`` does."""
+    rng = random.Random(7919 * n + m)
+    dist, concepts = UniformCube(n), (random_dfa(n, 4, rng), random_dnf(n, 3, 3, rng))
+    packed, drawn, reads = random.Random(m), random.Random(m), concepts[0].reads | concepts[1].reads
+    blocks = list(_lane_blocks(dist, packed, m, reads))
+    assert len(blocks) == math.ceil(m / _DRAW_BLOCK)
+    for start, (columns, full) in zip(range(0, m, _DRAW_BLOCK), blocks):
+        k = min(_DRAW_BLOCK, m - start)
+        ref_columns, ref_full, width = lane_columns(dist.draws(drawn, k), n, reads)
+        assert full.bit_count() == k and [c.bit_count() for c in columns] == [c.bit_count() for c in ref_columns]
+        for concept in concepts:
+            got = lane_bits(concept.label_columns(columns, full), k, 4)
+            assert got == lane_bits(concept.label_columns(ref_columns, ref_full), k, width)
+    assert packed.getstate() == drawn.getstate()
 
 
 MC_COUNTS = [_DRAW_BLOCK - 1, _DRAW_BLOCK, _DRAW_BLOCK + 1, 3 * _DRAW_BLOCK + 7]

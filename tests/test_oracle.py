@@ -325,6 +325,111 @@ def test_ask_flips_matches_sequential_asks(dense, data):
     assert _state(batched) == _state(sequential)
 
 
+def _batch_state(oracle):
+    stats = oracle.stats()
+    return oracle.entries(), stats, list(stats.distance_histogram.items()), stats.query_count
+
+
+def _assert_many_is_the_loop(target, anchors, q, cap, rounds):
+    """``ask_flips_many`` on one oracle against the ``ask_flips`` loop on its twin, round by round: the same
+    answers and state, or the same error with the same state recorded up to it."""
+    many = LocalMQOracle(target, anchors, q, query_cap=cap)
+    loop = LocalMQOracle(target, anchors, q, query_cap=cap)
+    for counts in rounds:
+        try:
+            expected = [loop.ask_flips(x, times) for x, times in counts.items()]
+        except (BudgetExhausted, LocalityViolation, ValueError) as err:
+            with pytest.raises(type(err)) as raised:
+                many.ask_flips_many(counts)
+            assert raised.type is type(err) and str(raised.value) == str(err)
+            assert _batch_state(many) == _batch_state(loop)
+            return
+        assert many.ask_flips_many(counts) == expected
+        assert _batch_state(many) == _batch_state(loop)
+
+
+@st.composite
+def flip_count_rounds(draw):
+    """An oracle setting and rounds of centre -> times maps, often all anchors, sometimes with one bad key or value.
+
+    Anchors fill up to the whole cube, so centres often neighbour anchors (distance-0 rows); the cap may run out
+    in any round, and q = 0 refuses every flip.
+    """
+    q = draw(st.sampled_from((0, 1, 1, 2)))
+    n = draw(st.integers(3, 6))
+    cube = st.integers(0, (1 << n) - 1)
+    anchors = sorted(draw(st.sets(cube, min_size=1, max_size=1 << n)))
+    rounds = []
+    for _ in range(draw(st.integers(1, 3))):
+        centre = st.sampled_from(anchors) if draw(st.booleans()) else st.sampled_from(anchors) | cube
+        items = draw(st.lists(st.tuples(centre, st.integers(1, 3)), max_size=5, unique_by=lambda item: item[0]))
+        spoil = draw(st.sampled_from((None, None, "mask", "times")))
+        at = draw(st.integers(0, len(items)))
+        if spoil == "mask":
+            items.insert(at, (draw(st.sampled_from((True, False, 1.0, 2.5, -1, 1 << n))), 1))
+        elif spoil == "times" and items:
+            items[at - 1] = (items[at - 1][0], draw(st.sampled_from((0, -1, True, 2.0, "2"))))
+        rounds.append(dict(items))
+    total = sum(times for counts in rounds for times in counts.values() if type(times) is int and times > 0)
+    cap = draw(st.none() | st.integers(0, n * total))
+    target = random_dnf(n, 2, 3, random.Random(draw(st.integers(0, 1 << 30))))
+    return target, [CubePoint(n, m) for m in anchors], q, cap, rounds
+
+
+@settings(max_examples=150, deadline=None)
+@given(setting=flip_count_rounds())
+def test_ask_flips_many_is_the_ask_flips_loop(setting):
+    _assert_many_is_the_loop(*setting)
+
+
+class RaisingAt(MaskConcept):
+    """A concept whose ``label`` raises at one mask, as a polynomial off +-1 does."""
+
+    def __init__(self, concept, bad):
+        self.n, self.concept, self.bad = concept.n, concept, bad
+
+    def label(self, mask):
+        if mask == self.bad:
+            raise ValueError(f"no label at {mask}")
+        return self.concept.label(mask)
+
+
+# Masks of TARGET's 3-cube: +++ is 7, ++- is 6, -++ is 3, --+ is 1, --- is 0.
+BATCH_CASES = {
+    "q0": (TARGET, [7, 6], 0, None, [{7: 1}]),
+    "non-anchor-answered": (TARGET, [7, 6, 0], 1, None, [{7: 1, 3: 2}]),
+    "non-anchor-refused": (TARGET, [7], 1, None, [{7: 1, 0: 2, 6: 1}]),
+    "budget-mid-batch": (TARGET, [7, 6], 1, 5, [{7: 1, 6: 1}]),
+    "budget-next-round": (TARGET, [7, 6], 1, 10, [{7: 2}, {6: 1, 7: 1}]),
+    "neighbouring-anchors": (TARGET, [7, 6, 0], 1, None, [{7: 2, 6: 1, 0: 3}, {6: 2, 1: 1}]),
+    "bool-mask": (TARGET, [1, 7], 1, None, [{7: 1, True: 1}]),
+    "float-mask": (TARGET, [1, 7], 1, None, [{7: 1, 1.0: 1}]),
+    "bool-times": (TARGET, [1, 7], 1, None, [{7: 1, 1: True}]),
+    "float-times": (TARGET, [1, 7], 1, None, [{7: 1, 1: 2.0}]),
+    "target-raises": (RaisingAt(TARGET, 7), [7, 6, 0], 1, None, [{0: 1, 7: 2, 6: 1}]),  # 7 is a flip of 6 alone
+    "empty": (TARGET, [7], 0, 0, [{}]),
+}
+
+
+@pytest.mark.parametrize("case", BATCH_CASES.values(), ids=BATCH_CASES.keys())
+def test_ask_flips_many_named_cases_are_the_ask_flips_loop(case):
+    target, anchors, q, cap, rounds = case
+    _assert_many_is_the_loop(target, [CubePoint(3, m) for m in anchors], q, cap, rounds)
+
+
+def test_ask_flips_many_answers_an_anchored_batch_in_one_pass():
+    target = CountingTarget(TARGET)
+    o = LocalMQOracle(target, [P("+++"), P("++-"), P("---")], q=1)
+    o.ask, o.ask_flips = None, None  # a proven batch calls neither
+    assert o.ask_flips_many({7: 2, 6: 1, 0: 3}) == [TARGET.flip_labels(m) for m in (7, 6, 0)]
+    assert target.calls == 3 * 3  # one flip_labels per new centre, n labels each
+    # +++ and ++- are each other's flip; --- neighbours no anchor.
+    assert o.stats() == OracleStats(18, 1, {0: 3, 1: 15})
+    assert list(o.stats().distance_histogram) == [0, 1]
+    assert o.ask_flips_many({6: 1}) == [TARGET.flip_labels(6)] and target.calls == 9
+    assert o.stats() == OracleStats(21, 1, {0: 4, 1: 17})
+
+
 def test_ask_flips_records_anchor_neighbours_at_distance_zero():
     o = LocalMQOracle(TARGET, [P("+++"), P("++-")], q=1)
     assert o.ask_flips(P("+++").mask, 2) == 0b001
