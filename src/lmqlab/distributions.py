@@ -191,10 +191,11 @@ class FiniteSupport:
 
     def draws(self, rng: random.Random, m: int) -> list[int]:
         guide, shift, out = self._guide, 32 - _GUIDE_BITS, []
+        ambiguous = None in guide  # with no ambiguous slot, no block needs the scan below
         for start in range(0, m, _DRAW_BLOCK):
             words = _words(rng, 2 * min(_DRAW_BLOCK, m - start))
             block = [guide[a >> shift] for a in words[::2]]
-            if None in block:
+            if ambiguous and None in block:
                 # random()'s own 53 bits: the top 27 of the first word, then the top 26 of the second.
                 for i, mask in enumerate(block):
                     if mask is None:

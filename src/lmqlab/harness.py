@@ -310,7 +310,7 @@ def run_reconstruction_corpus(count: int = 1000, base_seed: int = 0) -> CorpusRe
     coordinate. The pointwise operations are exercised too: the flip check on
     a deterministic per-formula subsample, the pointwise evident test on a
     deterministic subset of formulas, and term reconstruction through a real
-    1-local oracle on every evident point.
+    1-local oracle on every evident point, anchored at the point's mask.
     """
     require_count(count, 1, "formula count must be at least 1")
     report = CorpusReport()
@@ -374,7 +374,7 @@ def run_reconstruction_corpus(count: int = 1000, base_seed: int = 0) -> CorpusRe
         t1 = time.perf_counter()
         term_masks = [t.masks(n) for t in formula.terms]
         for i, mask in evident_pairs:
-            oracle = LocalMQOracle(formula, [CubePoint(n, mask)], q=1)
+            oracle = LocalMQOracle.from_masks(formula, (mask,), 1)
             got = reconstruct_term(mask, oracle)
             report.recon_checked += 1
             if got != term_masks[i]:

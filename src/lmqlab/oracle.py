@@ -3,8 +3,10 @@
 A query for point z is q-local when some anchor (a distinct training point)
 lies within Hamming distance q of z. The oracle refuses anything farther away
 and records every answer it gives, so learners can be audited after a run.
-Anchors are kept as int masks: ``for_samples`` reads them straight from the
-samples' masks, and only the public constructor takes ``CubePoint`` anchors.
+Anchors are kept as int masks. There are three constructors: ``__init__``
+takes ``CubePoint`` anchors, ``from_masks`` takes int masks and refuses any
+that is not an int in [0, 2^n), and ``for_samples`` reads the samples' masks
+unchecked, as ``LabeledSample`` keeps them in range. All three call ``_setup``.
 The core, ``ask(mask, times)``, checks and answers each distinct query once
 and counts its repeats. Locality is one scan: a mask's first asking computes
 its distance to the nearest anchor, which is both the recorded distance and
@@ -12,9 +14,10 @@ a refusal's ``min_distance``. ``ask_flips(mask, times)`` asks the n one-flip
 neighbours of a point as one batch and returns their answers as one int in
 ``flip_labels`` form: around an anchor with q >= 1 every neighbour is
 1-local, so no anchor is scanned, one ``flip_labels`` call answers them all,
-and the batch is stored whole. ``ask_flips_many(counts)`` asks many centres'
-flips at once, checking the whole map once; a map it cannot prove is the
-``ask_flips`` loop. ``entries()`` and ``log`` expand the record on demand,
+and the batch is stored whole; with one anchor, the centre, no flip is at
+distance 0 and no anchor is intersected. ``ask_flips_many(counts)`` asks many
+centres' flips at once, checking the whole map once; a map it cannot prove is
+the ``ask_flips`` loop. ``entries()`` and ``log`` expand the record on demand,
 each distinct mask once, by first asking.
 """
 
@@ -86,12 +89,22 @@ class LocalMQOracle:
                 raise ValueError(f"anchor {a!r} is not a CubePoint")
             if a.n != target.n:
                 raise DimensionMismatch(f"anchor dimension {a.n} differs from target {target.n}")
-        if query_cap is None:
-            query_cap = QUERY_BUDGET_FACTOR * target.n * max(1, len(anchors))
-        self._setup(target, frozenset(a.mask for a in anchors), q, query_cap)
+        self._setup(target, frozenset(a.mask for a in anchors), q, query_cap, len(anchors))
 
-    def _setup(self, target: Concept, anchors: frozenset[int], q: int, query_cap: int) -> None:
-        """The one initialiser: anchor masks in range, the cap already defaulted."""
+    @classmethod
+    def from_masks(cls, target: Concept, anchors: Iterable[int], q: int, query_cap: int | None = None) -> LocalMQOracle:
+        """Oracle anchored at int masks, with ``__init__``'s default cap; a mask ``is_int`` refuses is one error."""
+        anchors = tuple(anchors)
+        if (bad := first_bad_int(anchors, 0, (1 << target.n) - 1)) is not None:
+            raise DimensionMismatch(f"anchor mask {anchors[bad]!r} out of range for dimension {target.n}")
+        oracle = cls.__new__(cls)
+        oracle._setup(target, frozenset(anchors), q, query_cap, len(anchors))
+        return oracle
+
+    def _setup(self, target: Concept, anchors: frozenset[int], q: int, query_cap: int | None, count: int) -> None:
+        """The one initialiser: anchor masks in range; the cap defaults to 64 * n * max(1, anchors or draws given)."""
+        if query_cap is None:
+            query_cap = QUERY_BUDGET_FACTOR * target.n * max(1, count)
         require_count(q, 0, "locality budget must be non-negative")
         require_count(query_cap, 0, "query budget must be a non-negative integer")
         self.target, self.n, self.q, self.query_cap = target, target.n, q, query_cap
@@ -119,10 +132,9 @@ class LocalMQOracle:
         for s in samples:
             if s.n != target.n:
                 raise DimensionMismatch(f"sample dimension {s.n} differs from target {target.n}")
-        if query_cap is None:
-            query_cap = QUERY_BUDGET_FACTOR * target.n * max(1, sum(map(len, samples)))
+        anchors = frozenset(chain.from_iterable(s.masks for s in samples))
         oracle = cls.__new__(cls)
-        oracle._setup(target, frozenset(chain.from_iterable(s.masks for s in samples)), q, query_cap)
+        oracle._setup(target, anchors, q, query_cap, sum(map(len, samples)))
         return oracle
 
     def entries(self) -> list[tuple[int, int, int, int]]:
@@ -195,7 +207,7 @@ class LocalMQOracle:
             return sum(self.ask(mask ^ 1 << i, times) << i for i in range(n - 1, -1, -1))
         batch = self._asked.get(~mask)
         if batch is None:
-            near = len(anchors.intersection([mask ^ 1 << i for i in range(n)]))
+            near = 0 if len(anchors) == 1 else len(anchors.intersection([mask ^ 1 << i for i in range(n)]))
             batch = self._asked[~mask] = [self.target.flip_labels(mask), 0, near]
         bits, _, near = batch
         batch[1] += times
@@ -227,7 +239,7 @@ class LocalMQOracle:
         asked, label = self._asked, self.target.flip_labels
         new = [x for x in counts if ~x not in asked]
         near = dict.fromkeys(new, 0)
-        for i in range(n):
+        for i in range(n if len(anchors) > 1 else 0):  # one anchor: every centre is it, and no flip of it is one
             bit = 1 << i
             for z in anchors.intersection([x ^ bit for x in new]):
                 near[z ^ bit] += 1

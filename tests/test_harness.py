@@ -174,6 +174,15 @@ def test_corpus_small_run_is_clean():
     assert set(report.locality_histogram) <= {1}
 
 
+def test_corpus_builds_a_cube_point_only_for_a_failure_note(monkeypatch):
+    def refuse(*args):
+        raise AssertionError(f"CubePoint{args} built on the corpus's passing path")
+
+    monkeypatch.setattr(harness, "CubePoint", refuse)
+    report = run_reconstruction_corpus(count=40, base_seed=6)
+    assert report.passed and report.recon_checked == report.evident_points > 0
+
+
 def test_corpus_notes_a_wrong_reconstruction_as_signed_literals(monkeypatch):
     real = harness.reconstruct_term
     formulas = []

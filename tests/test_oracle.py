@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -559,6 +560,93 @@ def test_for_samples_refuses_a_sample_of_another_dimension(n):
     for samples in ((other,), (good, other), (other, good)):
         with pytest.raises(DimensionMismatch, match=f"sample dimension {n} differs from target 3"):
             LocalMQOracle.for_samples(TARGET, 1, *samples)
+
+
+@st.composite
+def mask_anchored_calls(draw):
+    """An oracle setting with anchor masks (repeats allowed) and a run of ask, ask_flips and ask_flips_many calls.
+
+    Centres are often anchors, a call may carry a bad mask or times, q and the cap may be refused, and the cap may
+    run out at any call.
+    """
+    n = draw(st.integers(1, 6))
+    cube = st.integers(0, (1 << n) - 1)
+    masks = draw(st.lists(cube, max_size=6))
+    point = st.sampled_from(masks) | cube if masks else cube
+    mask = point | st.sampled_from((True, 1.0, -1, 1 << n))
+    times = st.integers(1, 3) | st.sampled_from((0, True, 2.0))
+    call = st.one_of(
+        st.tuples(st.sampled_from(("ask", "ask_flips")), mask, times),
+        st.tuples(st.just("ask_flips_many"), st.dictionaries(point, times, max_size=4)),
+    )
+    calls = draw(st.lists(call, min_size=1, max_size=8))
+    q = draw(st.sampled_from((0, 1, 1, 2, -1, 1.0)))
+    cap = draw(st.none() | st.integers(0, 8 * n) | st.sampled_from((-1, 2.5, False)))
+    target = random_dnf(n, 2, 3, random.Random(draw(st.integers(0, 1 << 30))))
+    return target, masks, q, cap, calls
+
+
+def _outcome(call):
+    try:
+        return call(), None
+    except (BudgetExhausted, LocalityViolation, ValueError) as err:
+        return None, (type(err), str(err))
+
+
+@settings(max_examples=100, deadline=None)
+@given(setting=mask_anchored_calls())
+def test_from_masks_is_the_constructor_on_cube_points(setting):
+    target, masks, q, cap, calls = setting
+    by_masks, refused = _outcome(lambda: LocalMQOracle.from_masks(target, masks, q, cap))
+    by_points, expected = _outcome(lambda: LocalMQOracle(target, [CubePoint(target.n, m) for m in masks], q, cap))
+    assert refused == expected
+    if expected:
+        return
+    assert by_masks.query_cap == by_points.query_cap
+    for name, *args in calls:
+        assert _outcome(lambda: getattr(by_masks, name)(*args)) == _outcome(lambda: getattr(by_points, name)(*args))
+        assert _batch_state(by_masks) == _batch_state(by_points)
+
+
+def test_from_masks_default_cap_counts_every_anchor_given():
+    assert [LocalMQOracle.from_masks(TARGET, masks, 1).query_cap for masks in ([], [7], [7, 7, 0])] == [192, 192, 576]
+    assert LocalMQOracle.from_masks(TARGET, [7], 1, query_cap=5).query_cap == 5
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, -1, 1 << 3, "3"], ids=["True", "1.0", "-1", "2^n", "str"])
+def test_from_masks_refuses_an_anchor_that_is_not_a_mask_in_range(bad):
+    target = CountingTarget(TARGET)
+    message = f"anchor mask {bad!r} out of range for dimension 3"
+    with pytest.raises(DimensionMismatch, match=re.escape(message)):
+        LocalMQOracle.from_masks(target, [7, bad, 0], 1)
+    assert target.calls == 0
+
+
+class NoIntersection(frozenset):
+    """An anchor set that fails the test if a one-anchor oracle intersects it."""
+
+    def intersection(self, *others):
+        raise AssertionError("a one-anchor oracle intersected its anchors")
+
+
+ONE_FLIP_BATCHES = {
+    "ask_flips": lambda o, x: o.ask_flips(x),
+    "ask_flips_many": lambda o, x: o.ask_flips_many({x: 1})[0],
+}
+
+
+@pytest.mark.parametrize("batch", ONE_FLIP_BATCHES.values(), ids=ONE_FLIP_BATCHES.keys())
+def test_one_anchor_oracle_counts_its_flips_at_distance_one_without_intersecting(batch):
+    o = LocalMQOracle.from_masks(TARGET, [7], 1)
+    o._anchors = NoIntersection(o._anchors)
+    assert batch(o, 7) == TARGET.flip_labels(7)
+    assert o.stats() == OracleStats(3, 1, {1: 3})
+    # The batch recorded 0 flips at distance 0, so that key still comes first once the centre is asked.
+    assert o.ask(7) == 1 and list(o.stats().distance_histogram.items()) == [(0, 1), (1, 3)]
+    # Anchored at a point and one neighbour, the neighbour is still counted at distance 0.
+    o = LocalMQOracle.from_masks(TARGET, [7, 6], 1)
+    assert batch(o, 7) == TARGET.flip_labels(7)
+    assert list(o.stats().distance_histogram.items()) == [(0, 1), (1, 2)]
 
 
 @settings(max_examples=60, deadline=None)
