@@ -8,27 +8,30 @@ bit-exactly. Draws, supports (``(mask, Fraction)`` pairs, the form in which
 
 ``sample`` asks a distribution for all its draws in one ``draws(rng, m)``
 call; draws consume the generator in order, so two calls give one's stream.
-``UniformCube`` (n <= 32) and ``FiniteSupport`` read its 32-bit words in
-blocks. ``FiniteSupport`` looks each draw up in a guide table (Chen & Asau,
-1974) indexed by the top bits of its first word; it takes the same two words
-per draw as ``random()`` and returns the masks the per-draw float bisection
-``bisect_right(cum, random() * cum[-1])`` would, leaving the generator in the
-same state. ``mc_loss`` labels a block of draws at a time as lanes (``cube``):
-a ``UniformCube`` block straight from the packed int its words make
-(``UniformCube._lanes``), with no list of masks between (``_lane_blocks``).
+Each class reads the generator in one place: ``UniformCube`` (n <= 32) a
+block of 32-bit words at a time in ``_lanes``, ``FiniteSupport`` the two words
+``random()`` takes per draw in ``_indices``, which gives each draw's entry as
+the per-draw float bisection ``bisect_right(cum, random() * cum[-1])`` would,
+by the top byte of its first word (to 256 entries), else a guide table (Chen &
+Asau, 1974) on its top bits, else that bisection. ``sample_indices`` draws a
+distribution on at most 256 points as point indices in ``bytes``, which
+``oracle.draw_training_set`` labels by one ``translate``. ``mc_loss`` labels a
+block of draws at a time as lanes (``cube``): a ``UniformCube`` block straight
+from the packed int of ``_lanes``, with no list of masks between
+(``_lane_blocks``).
 """
 
 from __future__ import annotations
 
 import math
 import random
+import re
 import struct
-import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .cube import (
     ENUMERATION_CAP,
@@ -54,7 +57,7 @@ _DRAW_BLOCK = 4096
 
 @dataclass(frozen=True)
 class UniformCube:
-    """Uniform distribution on {-1,+1}^n."""
+    """Uniform distribution on {-1,+1}^n. To n = 8 a draw's mask is its point index, a byte (``_indices``)."""
 
     n: int
 
@@ -62,20 +65,26 @@ class UniformCube:
         require_count(self.n, 1, "dimension must be a positive integer")
 
     def draws(self, rng: random.Random, m: int) -> list[int]:
-        """m ``getrandbits(n)`` masks; to n = 32, a block's ``_lanes`` unpacked at once."""
+        """m ``getrandbits(n)`` masks; to n = 32, each block of ``_lanes`` unpacked at once."""
         n = self.n
         if n > 32:
             return [rng.getrandbits(n) for _ in range(m)]
-        keep, out = _lane_ones(n, min(m, _DRAW_BLOCK)), []
-        for start in range(0, m, _DRAW_BLOCK):
-            k = min(_DRAW_BLOCK, m - start)
-            out += struct.unpack(f"<{k}I", self._lanes(rng, k, keep).to_bytes(4 * k, "little"))
+        out: list[int] = []
+        for k, lanes in self._lanes(rng, m):
+            out += struct.unpack(f"<{k}I", lanes.to_bytes(4 * k, "little"))
         return out
 
-    def _lanes(self, rng: random.Random, k: int, keep: int) -> int:
-        """The next k draws (n <= 32) as one int of 4-byte little-endian lanes, draw p in lane p: the top n bits
-        of the generator's p-th 32-bit word, which is ``getrandbits(n)``. ``keep`` is ``_lane_ones(n, j)``, j >= k."""
-        return rng.getrandbits(32 * k) >> 32 - self.n & keep
+    def _indices(self, rng: random.Random, m: int) -> bytes:
+        """The next m draws (n <= 8) as bytes: each mask is its own point index, the low byte of its lane."""
+        return b"".join(lanes.to_bytes(4 * k, "little")[::4] for k, lanes in self._lanes(rng, m))
+
+    def _lanes(self, rng: random.Random, m: int) -> Iterator[tuple[int, int]]:
+        """(k, lanes) for the next m draws (n <= 32), ``_DRAW_BLOCK`` at a time: k draws as one int of 4-byte
+        little-endian lanes, draw p in lane p: the top n bits of the generator's p-th word, ``getrandbits(n)``."""
+        keep = _lane_ones(self.n, min(m, _DRAW_BLOCK))
+        for start in range(0, m, _DRAW_BLOCK):
+            k = min(_DRAW_BLOCK, m - start)
+            yield k, rng.getrandbits(32 * k) >> 32 - self.n & keep
 
     def support(self) -> Iterator[tuple[int, Fraction]]:
         require_enumerable(self.n)
@@ -126,26 +135,17 @@ def _lane_ones(bits: int, lanes: int) -> int:
     return int.from_bytes(((1 << bits) - 1).to_bytes(4, "little") * lanes, "little")
 
 
-def _words(rng: random.Random, count: int) -> memoryview:
-    """The generator's next ``count`` 32-bit outputs, in the order it makes them.
-
-    ``getrandbits`` puts its first output in the lowest 32 bits on every host,
-    so a big-endian host reads the native-order words back to front. (A
-    memoryview, not an ``array``: importing that extension raised peak RSS.)
-    """
-    words = memoryview(rng.getrandbits(32 * count).to_bytes(4 * count, sys.byteorder)).cast("I")
-    return words if sys.byteorder == "little" else words[::-1]
-
-
 @dataclass(frozen=True)
 class FiniteSupport:
-    """Explicit point masses as ``(mask, prob)`` entries: int masks in [0, 2^n), exact rational masses summing to 1."""
+    """Point masses as ``(mask, prob)`` entries (int masks in [0, 2^n), exact masses summing to 1), drawn as indices."""
 
     n: int
     entries: tuple[tuple[int, Fraction], ...]
     _cum: tuple[float, ...] = field(init=False, repr=False, compare=False)
     _masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _guide: tuple[Optional[int], ...] = field(init=False, repr=False, compare=False)
+    _top: bytes = field(init=False, repr=False, compare=False)
+    _vague: Optional[re.Pattern[bytes]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         require_count(self.n, 1, "dimension must be a positive integer")
@@ -162,19 +162,25 @@ class FiniteSupport:
         canonical = tuple((mask, merged[mask]) for mask in sorted(merged) if merged[mask])
         object.__setattr__(self, "entries", canonical)
         object.__setattr__(self, "_cum", tuple(accumulate(float(prob) for _, prob in canonical)))
-        # The last mask twice: a product that rounds up to the total bisects past the end.
-        object.__setattr__(self, "_masks", tuple(mask for mask, _ in canonical + canonical[-1:]))
+        object.__setattr__(self, "_masks", tuple(mask for mask, _ in canonical))
         object.__setattr__(self, "_guide", self._build_guide())
+        # Top byte t names entry _top[t] if all the guide slots under it do, else it is _vague (to 256 entries).
+        per = 1 << _GUIDE_BITS - 8
+        names = [set(self._guide[s:s + per]) for s in range(0, 1 << _GUIDE_BITS, per) if len(canonical) <= 256]
+        tops = [s.pop() if len(s) == 1 else None for s in names]
+        vague = b"".join(b"\\x%02x" % t for t, i in enumerate(tops) if i is None)
+        object.__setattr__(self, "_top", bytes(0 if i is None else i for i in tops))
+        object.__setattr__(self, "_vague", re.compile(b"[" + vague + b"]") if vague else None)
 
     def _pick(self, value: int) -> int:
-        """The mask drawn when ``random()`` returns ``value / 2**53``."""
-        return self._masks[bisect_right(self._cum, value * 2**-53 * self._cum[-1])]
+        """The entry drawn when ``random()`` returns ``value / 2**53``; the last if the product rounds to the total."""
+        return bisect_right(self._cum, value * 2**-53 * self._cum[-1], 0, len(self._cum) - 1)
 
     def _build_guide(self) -> tuple[Optional[int], ...]:
-        """Slot s: the mask every 53-bit value with prefix s draws, or None if they differ.
+        """Slot s: the entry every 53-bit value with prefix s draws, or None if they differ.
 
         ``_pick`` is monotone in the value, so a run of slots whose lowest and
-        highest values pick the same mask picks it throughout; runs that do
+        highest values pick the same entry picks it throughout; runs that do
         not are halved until single slots are left ambiguous.
         """
         shift = 53 - _GUIDE_BITS
@@ -182,26 +188,40 @@ class FiniteSupport:
         runs = [(0, 1 << _GUIDE_BITS)]
         while runs:
             lo, hi = runs.pop()
-            mask = self._pick(lo << shift)
-            if mask == self._pick((hi << shift) - 1):
-                guide[lo:hi] = [mask] * (hi - lo)
+            entry = self._pick(lo << shift)
+            if entry == self._pick((hi << shift) - 1):
+                guide[lo:hi] = [entry] * (hi - lo)
             elif hi - lo > 1:
                 runs += (lo, (lo + hi) // 2), ((lo + hi) // 2, hi)
         return tuple(guide)
 
-    def draws(self, rng: random.Random, m: int) -> list[int]:
-        guide, shift, out = self._guide, 32 - _GUIDE_BITS, []
-        ambiguous = None in guide  # with no ambiguous slot, no block needs the scan below
+    def _indices(self, rng: random.Random, m: int) -> Union[bytes, list[int]]:
+        """The next m draws' entries, as bytes through ``_top`` (to 256 entries) or a list through ``_guide``. A draw
+        that one leaves open (a ``_vague`` top byte, an ambiguous slot) goes on to ``_guide``, then to ``_pick`` of
+        random()'s own 53 bits: the top 27 of the first word, then the top 26 of the second."""
+        small, guide, shift, out = bool(self._top), self._guide, 32 - _GUIDE_BITS, bytearray() if self._top else []
         for start in range(0, m, _DRAW_BLOCK):
-            words = _words(rng, 2 * min(_DRAW_BLOCK, m - start))
-            block = [guide[a >> shift] for a in words[::2]]
-            if ambiguous and None in block:
-                # random()'s own 53 bits: the top 27 of the first word, then the top 26 of the second.
-                for i, mask in enumerate(block):
-                    if mask is None:
-                        block[i] = self._pick((words[2 * i] >> 5) << 26 | words[2 * i + 1] >> 6)
+            k = min(_DRAW_BLOCK, m - start)
+            # getrandbits puts its first 32-bit output lowest on every host: word j is bytes 4j to 4j + 3 here.
+            words = rng.getrandbits(64 * k).to_bytes(8 * k, "little")
+            if small:
+                tops = words[3::8]  # each draw's first word's top byte
+                block = bytearray(tops.translate(self._top))
+                open_ = [hit.start() for hit in self._vague.finditer(tops)] if self._vague else ()
+            else:
+                block = [guide[a >> shift] for a in struct.unpack(f"<{2 * k}I", words)[::2]]
+                open_ = [i for i, entry in enumerate(block) if entry is None] if None in block else ()
+            for i in open_:
+                a, b = struct.unpack_from("<2I", words, 8 * i)
+                entry = guide[a >> shift]
+                block[i] = self._pick((a >> 5) << 26 | b >> 6) if entry is None else entry
             out += block
-        return out
+        return bytes(out) if small else out
+
+    def draws(self, rng: random.Random, m: int) -> list[int]:
+        """m masks: the entries ``_indices`` draws, read through the entry masks."""
+        masks = self._masks
+        return [masks[i] for i in self._indices(rng, m)]
 
     def support(self) -> Iterator[tuple[int, Fraction]]:
         return iter(self.entries)
@@ -214,6 +234,21 @@ def sample(dist: Distribution, m: int, seed: int) -> list[int]:
     """m i.i.d. draws as point masks, reproducible from the seed."""
     require_count(m, 0, "sample count must be non-negative")
     return dist.draws(random.Random(seed), m)
+
+
+def sample_indices(dist: Distribution, m: int, seed: int) -> Optional[tuple[Sequence[int], bytes, tuple[int, ...]]]:
+    """``sample`` of a distribution on at most 256 points (a ``UniformCube`` to n = 8, a ``FiniteSupport`` of at
+    most 256 entries) as (points, idx, masks): draw i is ``masks[i] == points[idx[i]]``, from the generator words
+    ``sample`` reads. None, with m unchecked, for any other distribution."""
+    if isinstance(dist, UniformCube) and dist.n <= 8:
+        points: Sequence[int] = range(1 << dist.n)
+    elif isinstance(dist, FiniteSupport) and dist._top:
+        points = dist._masks
+    else:
+        return None
+    require_count(m, 0, "sample count must be non-negative")
+    idx = dist._indices(random.Random(seed), m)
+    return points, idx, tuple(idx) if isinstance(dist, UniformCube) else tuple([points[i] for i in idx])
 
 
 def pushforward(dist: Distribution, phi: ReplicateMap) -> FiniteSupport:
@@ -282,14 +317,13 @@ def exact_loss(dist: Distribution, h_star: Concept, h_hat: Concept) -> Fraction:
 
 def _lane_blocks(dist: Distribution, rng: random.Random, m: int, reads: int) -> Iterator[tuple[list[int], int]]:
     """(columns, full) of the next m draws, ``_DRAW_BLOCK`` at a time: a ``UniformCube`` to n = 32 split straight
-    from its packed ``_lanes`` (``keep`` and ``full`` built once), any other through ``lane_columns`` of ``draws``."""
+    from its packed ``_lanes`` (``full`` built once), any other through ``lane_columns`` of ``draws``."""
     n = dist.n
     if isinstance(dist, UniformCube) and n <= 32:
-        keep, ones = _lane_ones(n, min(m, _DRAW_BLOCK)), _lane_ones(1, min(m, _DRAW_BLOCK))
-        for start in range(0, m, _DRAW_BLOCK):
-            k = min(_DRAW_BLOCK, m - start)
+        ones = _lane_ones(1, min(m, _DRAW_BLOCK))
+        for k, lanes in dist._lanes(rng, m):
             full = ones & (1 << 32 * k) - 1  # the last block may be short
-            yield lane_split(dist._lanes(rng, k, keep), full, n, reads), full
+            yield lane_split(lanes, full, n, reads), full
         return
     for start in range(0, m, _DRAW_BLOCK):
         columns, full, _ = lane_columns(dist.draws(rng, min(_DRAW_BLOCK, m - start)), n, reads)

@@ -29,7 +29,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .concepts import Concept
 from .cube import CubePoint, DimensionMismatch, first_bad_int, is_int, lane_bits, lane_columns, require_count
-from .distributions import _DRAW_BLOCK, Distribution, LabeledSample, sample
+from .distributions import _DRAW_BLOCK, Distribution, LabeledSample, sample, sample_indices
 
 QUERY_BUDGET_FACTOR = 64
 
@@ -277,15 +277,25 @@ def label_masks(concept: Concept, masks: Sequence[int]) -> bytes:
 
 
 def draw_training_set(dist: Distribution, h_star: Concept, m: int, seed: int) -> LabeledSample:
-    """m i.i.d. points labeled by the target concept through ``label_masks``.
+    """m i.i.d. points labeled by the target concept, as ``sample`` draws and ``label`` labels them.
 
-    Every ``Distribution`` draws int masks in range and ``label_masks`` gives
-    bytes 0/1, so the sample is built as ``for_samples`` builds its oracle:
-    without the constructor, whose check would walk the whole sample again.
+    On at most 256 points (``sample_indices``) the support is labelled once by ``label_masks`` and the draws by
+    one ``translate``. If a support point has no label (a ``PolyConcept`` off ±1, a table without the point), the
+    drawn masks are labelled instead, so an error names the first draw without one. Any other distribution's
+    ``sample`` is labelled by ``label_masks``. Masks and labels are in range by construction: no check is redone.
     """
     if h_star.n != dist.n:
         raise DimensionMismatch(f"concept dimension {h_star.n} differs from distribution {dist.n}")
-    masks = sample(dist, m, seed)
+    indexed = sample_indices(dist, m, seed)
+    if indexed is None:
+        masks = tuple(sample(dist, m, seed))
+        labels = label_masks(h_star, masks)
+    else:
+        points, idx, masks = indexed
+        try:
+            labels = idx.translate(label_masks(h_star, points).ljust(256, b"\0"))
+        except (ValueError, LookupError):
+            labels = label_masks(h_star, masks)
     drawn = LabeledSample.__new__(LabeledSample)
-    drawn.__dict__.update(n=dist.n, masks=tuple(masks), labels=tuple(label_masks(h_star, masks)))
+    drawn.__dict__.update(n=dist.n, masks=masks, labels=tuple(labels))
     return drawn

@@ -141,6 +141,19 @@ def test_learn_output_is_pinned(pinned_target, capsys):
     assert json.loads(line)["terms_pruned"] == 1
 
 
+def test_learn_on_a_support_with_ambiguous_top_bytes_is_pinned(pinned_target, tmp_path, capsys):
+    # Masses 1/3, 1/3, 1/7 and 4/21 leave 3 top bytes that name no one entry and 3 guide slots that only the
+    # float bisection resolves, so this learn line draws through every fallback of the index path.
+    path = tmp_path / "support.txt"
+    path.write_text("++-- 1/3\n+-+- 1/3\n-++- 1/7\n---- 4/21\n")
+    argv = ["learn", "--target", pinned_target, "--dist", f"file:{path}", "--m1", "2000", "--m2", "10000"]
+    assert main([*argv, "--seed", "7"]) == 0
+    [line] = capsys.readouterr().out.splitlines()
+    assert hashlib.sha256(line.encode()).hexdigest() == (
+        "6b9ab38082f8978830adb17b1590ada630d13a5c79a0b053df56bfac04335d35"
+    )
+
+
 @pytest.mark.parametrize(
     "n, loss, digest",
     [

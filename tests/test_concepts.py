@@ -1,6 +1,7 @@
 import random
 from decimal import Decimal
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -809,6 +810,54 @@ def test_draw_training_set_names_the_first_draw_off_pm1():
             draw_training_set(dist, c, m, seed)
         assert str(raised.value) == str(expected.value)
     assert min(firsts) < _DRAW_BLOCK <= max(firsts)
+
+
+class _TableConcept(MaskConcept):
+    """Labels from a dict: a mask missing from it raises ``KeyError``."""
+
+    def __init__(self, n, table):
+        self.n, self.table = n, table
+
+    def label(self, mask):
+        return self.table[mask]
+
+
+@pytest.mark.parametrize("support", ["finite", "uniform", "table"])
+def test_draw_training_set_labels_pointwise_when_no_draw_is_unlabelled(support):
+    # A support point has no label, so labelling the support raises, but samples that never draw it are labelled
+    # pointwise, and the error of one that does is the first such draw's.
+    if support == "table":
+        rare = Fraction(1, 20000)
+        dist = FiniteSupport(5, ((3, Fraction(1, 3)), (9, rare), (17, Fraction(2, 3) - rare)))
+        c, m = _TableConcept(5, {3: 1, 17: 0}), 2 * _DRAW_BLOCK
+    elif support == "finite":
+        # (x1 + x2) / 2 is 0 at the two points of mass 1/20000 each.
+        c = PolyConcept(SparsePoly(9, {frozenset({1}): Fraction(1, 2), frozenset({2}): Fraction(1, 2)}))
+        rare = Fraction(1, 20000)
+        dist = FiniteSupport(9, ((0, Fraction(1, 2) - rare), (0b110000000, Fraction(1, 2) - rare),
+                                 (0b100000000, rare), (0b010000000, rare)))
+        m = 2 * _DRAW_BLOCK
+    else:
+        # 1 - (1 + x1)(1 + x2)(1 + x3) / 8 is 0 at +++ and 1 at the seven other points of the cube.
+        products = [frozenset(s) for k in range(4) for s in combinations((1, 2, 3), k)]
+        c = PolyConcept(SparsePoly(3, {s: Fraction(7 if not s else -1, 8) for s in products}))
+        dist, m = UniformCube(3), 4
+    with pytest.raises((ValueError, KeyError)):
+        label_masks(c, [x for x, _ in dist.support()])
+    outcomes = set()
+    for seed in range(16):
+        masks = sample(dist, m, seed)
+        try:
+            labels = tuple(map(c.label, masks))
+        except (ValueError, KeyError) as expected:
+            with pytest.raises(type(expected)) as raised:
+                draw_training_set(dist, c, m, seed)
+            assert str(raised.value) == str(expected)
+            outcomes.add("raised")
+            continue
+        assert draw_training_set(dist, c, m, seed) == LabeledSample(dist.n, tuple(masks), labels)
+        outcomes.add("labelled")
+    assert outcomes == {"raised", "labelled"}
 
 
 def _point_sets(n: int, r: int | None, rng: random.Random) -> tuple[list[int], int, list[int]]:

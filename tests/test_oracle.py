@@ -7,7 +7,15 @@ from hypothesis import given, settings, strategies as st
 
 from lmqlab.concepts import DnfFormula, MaskConcept, Term, random_dnf
 from lmqlab.cube import CubePoint, DimensionMismatch, ReplicateMap, ball_size, enumerate_cube
-from lmqlab.distributions import FiniteSupport, LabeledSample, ProductDist, UniformCube, pushforward, sample
+from lmqlab.distributions import (
+    FiniteSupport,
+    LabeledSample,
+    ProductDist,
+    UniformCube,
+    pushforward,
+    sample,
+    sample_indices,
+)
 from lmqlab.learner import learn_evident_dnf_run
 from lmqlab.oracle import (
     BudgetExhausted,
@@ -17,6 +25,8 @@ from lmqlab.oracle import (
     draw_training_set,
 )
 from fractions import Fraction
+
+from test_distributions import _reference_draws, finite_supports
 
 
 def P(text: str) -> CubePoint:
@@ -690,3 +700,69 @@ def test_draw_training_set_builds_only_samples_the_constructor_accepts(dist, m):
     assert set(s.labels) <= {0, 1}
     assert s == LabeledSample(dist.n, s.masks, s.labels)
     assert s.masks == tuple(sample(dist, m, seed=m + 11))
+
+
+def _weighted_support(n: int, count: int, seed: int) -> FiniteSupport:
+    """``count`` distinct points of the n-cube with weights 1-20, so masses such as 7/2593 leave vague top bytes."""
+    rng = random.Random(seed)
+    weights = {x: rng.randint(1, 20) for x in rng.sample(range(1 << n), count)}
+    total = sum(weights.values())
+    return FiniteSupport(n, tuple((x, Fraction(w, total)) for x, w in weights.items()))
+
+
+_RARE = Fraction(1, 20000)
+# Supports whose masses leave top bytes that name no one entry and guide slots only the bisection resolves.
+AMBIGUOUS_SUPPORTS = [
+    FiniteSupport(4, ((0b1100, Fraction(1, 3)), (0b1010, Fraction(1, 3)), (0b0110, Fraction(1, 7)),
+                      (0, Fraction(4, 21)))),
+    FiniteSupport(5, ((3, Fraction(1, 3)), (9, _RARE), (17, Fraction(1, 7)), (30, Fraction(11, 21) - _RARE))),
+]
+INDEX_PATH_DISTS = st.one_of(
+    st.integers(1, 10).map(UniformCube),
+    st.integers(1, 8).map(lambda n: pushforward(UniformCube(n), ReplicateMap(n, 2))),
+    finite_supports(),
+    st.sampled_from([_weighted_support(9, 256, 1), _weighted_support(9, 257, 2), *AMBIGUOUS_SUPPORTS]),
+)
+
+
+def test_ambiguous_supports_leave_vague_top_bytes_and_slots():
+    for dist in AMBIGUOUS_SUPPORTS:
+        assert dist._vague is not None and None in dist._guide
+
+
+@settings(max_examples=80, deadline=None)
+@given(dist=INDEX_PATH_DISTS, m=st.sampled_from([0, 1, 2, 4095, 4096, 4097]), seed=st.integers(0, 2**32))
+def test_index_path_draws_and_labels_as_the_per_draw_reference(dist, m, seed):
+    target = random_dnf(dist.n, 3, 3, random.Random(seed))
+    masks = _reference_draws(dist, m, random.Random(seed))
+    expected = LabeledSample(dist.n, tuple(masks), tuple(map(target.label, masks)))
+    assert draw_training_set(dist, target, m, seed) == expected
+    small = len(dist.entries) <= 256 if isinstance(dist, FiniteSupport) else dist.n <= 8
+    indexed = sample_indices(dist, m, seed)
+    assert (indexed is not None) == small
+    if small:
+        points, idx, drawn = indexed
+        assert type(idx) is bytes and drawn == tuple(masks) == tuple(points[i] for i in idx)
+    if small or isinstance(dist, FiniteSupport):
+        # The index routine reads the generator as the per-draw reference does, to the same state.
+        rng, ref = random.Random(seed), random.Random(seed)
+        _reference_draws(dist, m, ref)
+        dist._indices(rng, m)
+        assert rng.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [UniformCube(3), AMBIGUOUS_SUPPORTS[0], _weighted_support(9, 257, 2), ProductDist(3, (Fraction(1, 3),) * 3)],
+    ids=["uniform", "finite", "finite257", "product"],
+)
+def test_draw_training_set_refusals_keep_their_type_message_and_order(dist):
+    target = random_dnf(dist.n, 2, 2, random.Random(0))
+    for m in (-1, True, 2.0):
+        with pytest.raises(ValueError) as raised:
+            draw_training_set(dist, target, m, seed=0)
+        assert type(raised.value) is ValueError and str(raised.value) == f"sample count must be non-negative, got {m!r}"
+        # The dimension is checked first.
+        with pytest.raises(DimensionMismatch) as raised:
+            draw_training_set(dist, random_dnf(dist.n + 1, 2, 2, random.Random(0)), m, seed=0)
+        assert str(raised.value) == f"concept dimension {dist.n + 1} differs from distribution {dist.n}"
