@@ -5,7 +5,6 @@ Each test prints one "[acceptance] ...: PASS/FAIL" line; run with
 run once per session and are shared across the checks they back.
 """
 
-import hashlib
 import json
 import math
 import time
@@ -13,6 +12,7 @@ from contextlib import contextmanager
 
 import pytest
 
+import goldens
 from lmqlab.harness import (
     ExperimentConfig,
     doubled_tree_family,
@@ -84,10 +84,8 @@ def test_flip_biconditional_corpus(corpus):
 
 
 def test_benchmark_corpus_digest_is_pinned(corpus):
-    # Count 1000 at seed 20260811 is perfbench's corpus verdict; this is its golden digest.
-    payload = json.dumps(corpus.to_dict(), sort_keys=True)
-    digest = "d0b7cf446ae9f6541355106de2db6e2934759cc91d8c3358591e8243f4bfbc68"
-    assert hashlib.sha256(payload.encode()).hexdigest() == digest
+    # Count 1000 at seed 20260811 is perfbench's corpus verdict (perfbench/golden.json).
+    goldens.assert_pinned("acceptance-corpus-1000-seed20260811", json.dumps(corpus.to_dict(), sort_keys=True))
 
 
 def test_term_reconstruction_exact_on_corpus(corpus):
@@ -133,26 +131,22 @@ def test_learning_families_reach_success_rate(learning):
 
 
 @pytest.mark.parametrize(
-    "name, digest",
-    [
-        ("doubled-tree", "7b514d2a2592433de1ddb9f6de654ab666a0db898da02a1d0a625ad3eef1d23e"),
-        ("opposite-literal", "4bddc485771dfda019883db439056312550a1ec0e4326d9d1c3f746ab9a9d501"),
-    ],
+    "name, ident",
+    [("doubled-tree", "acceptance-learning-doubled-seed42"), ("opposite-literal", "acceptance-learning-opposite-seed42")],
 )
-def test_benchmark_learning_digests_are_pinned(learning, name, digest):
-    # Seed 42 is perfbench's learn-dense verdict; these are its golden digests.
+def test_benchmark_learning_digests_are_pinned(learning, name, ident):
+    # Seed 42 is perfbench's learn-dense verdict (perfbench/golden.json).
     report, _ = learning[name]
-    assert hashlib.sha256(report.canonical_json().encode()).hexdigest() == digest
+    goldens.assert_pinned(ident, report.canonical_json())
 
 
 def test_benchmark_wide_learning_digest_is_pinned():
-    # Seed 42 is perfbench's learn-wide verdict, its config perfbench's own; this is its golden digest.
+    # Seed 42 is perfbench's learn-wide verdict, its config perfbench's own.
     cfg = ExperimentConfig(
         name="opposite-literal-wide", family=opposite_literal_family(24, 32),
         trials=10, base_seed=42, epsilon=0.1, m1=5000, m2=20000,
     )
-    digest = "b23ca612cab71ef57ff1df2951b736f32ffb699256c881169c636c1c09ac59a1"
-    assert hashlib.sha256(run_learning_suite(cfg).canonical_json().encode()).hexdigest() == digest
+    goldens.assert_pinned("acceptance-learning-wide-seed42", run_learning_suite(cfg).canonical_json())
 
 
 def test_sample_planner_arithmetic():
@@ -192,11 +186,9 @@ def test_synthesized_answers_match_ground_truth(reductions):
 
 
 def test_benchmark_reduction_seed_digest_is_pinned(reductions):
-    # Seed 3 is perfbench's reduce-matrix verdict; this is its golden digest.
+    # Seed 3 is perfbench's reduce-matrix verdict (perfbench/golden.json).
     report, _ = reductions
-    payload = json.dumps(report.to_dict(), sort_keys=True)
-    digest = "34e0884f4d7acfb576bb02cf30871ece96a1599b951edd2aee6f697aa5e31942"
-    assert hashlib.sha256(payload.encode()).hexdigest() == digest
+    goldens.assert_pinned("acceptance-reductions-seed3", json.dumps(report.to_dict(), sort_keys=True))
 
 
 def test_negative_controls_detected(reductions):

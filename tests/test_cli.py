@@ -1,4 +1,3 @@
-import hashlib
 import json
 
 import pytest
@@ -120,80 +119,12 @@ def test_learn_without_sample_sizes_is_a_json_error(formula_file, capsys):
     assert "--m1" in error["error"]
 
 
-PINNED_TARGET = "dim 4\n1 -2\n3\n"
-
-
-@pytest.fixture
-def pinned_target(tmp_path):
-    path = tmp_path / "pinned.dnf"
-    path.write_text(PINNED_TARGET)
-    return str(path)
-
-
-def test_learn_output_is_pinned(pinned_target, capsys):
-    argv = ["learn", "--target", pinned_target, "--dist", "uniform:4", "--m1", "2000", "--m2", "10000", "--seed", "7"]
-    assert main(argv) == 0
-    [line] = capsys.readouterr().out.splitlines()
-    assert hashlib.sha256(line.encode()).hexdigest() == (
-        "d62225f8cf9ce38080f57b431d844e9f6124ff3678cbd9d37c33212ea4f9ad0f"
-    )
-    # Phase 2 removes one candidate here, so the pin covers pruning.
-    assert json.loads(line)["terms_pruned"] == 1
-
-
-def test_learn_on_a_support_with_ambiguous_top_bytes_is_pinned(pinned_target, tmp_path, capsys):
-    # Masses 1/3, 1/3, 1/7 and 4/21 leave 3 top bytes that name no one entry and 3 guide slots that only the
-    # float bisection resolves, so this learn line draws through every fallback of the index path.
-    path = tmp_path / "support.txt"
-    path.write_text("++-- 1/3\n+-+- 1/3\n-++- 1/7\n---- 4/21\n")
-    argv = ["learn", "--target", pinned_target, "--dist", f"file:{path}", "--m1", "2000", "--m2", "10000"]
-    assert main([*argv, "--seed", "7"]) == 0
-    [line] = capsys.readouterr().out.splitlines()
-    assert hashlib.sha256(line.encode()).hexdigest() == (
-        "6b9ab38082f8978830adb17b1590ada630d13a5c79a0b053df56bfac04335d35"
-    )
-
-
-@pytest.mark.parametrize(
-    "n, loss, digest",
-    [
-        (28, "1137/100000", "6ae975d4c5bd3dbc7ae9cb632e37ca3b3735d702cefdd1aa9ab58c6331599c55"),
-        (32, "1109/100000", "a6b47c0928f6a969157049604c5ba969723b76d2cb46b28b406e114b24aef327"),
-        (40, "597/50000", "7e03020b1eb9cd467e8ec435646ad57e7716fefdccee25455b8673c73c621198"),
-    ],
-)
-def test_monte_carlo_learn_output_is_pinned(n, loss, digest, tmp_path, capsys):
-    # Above the exact-loss cutoff the loss is a Monte Carlo estimate over uniform draws: one 32-bit word per
-    # draw at n = 28 and 32 (whose words are kept whole, shifted by 0), two per draw at n = 40. The learned
-    # hypothesis misses the second term.
-    path = tmp_path / "target.dnf"
-    path.write_text(f"dim {n}\n1 -2\n3 4 5 6 7 -{n}\n")
-    argv = ["learn", "--target", str(path), "--dist", f"uniform:{n}", "--m1", "20", "--m2", "200", "--seed", "7"]
-    assert main(argv) == 0
-    [line] = capsys.readouterr().out.splitlines()
-    assert json.loads(line)["estimator"] == "mc" and json.loads(line)["loss"] == loss
-    assert hashlib.sha256(line.encode()).hexdigest() == digest
-
-
-def test_exact_loss_learn_output_on_two_byte_lanes_is_pinned(tmp_path, capsys):
-    # At n = 12 a training draw is a 2-byte lane when it is labelled, and the loss is exact.
-    path = tmp_path / "target.dnf"
-    path.write_text("dim 12\n1 -2\n3 4 5 6 7 -12\n")
-    argv = ["learn", "--target", str(path), "--dist", "uniform:12", "--m1", "200", "--m2", "2000", "--seed", "7"]
-    assert main(argv) == 0
-    [line] = capsys.readouterr().out.splitlines()
-    assert json.loads(line)["estimator"] == "exact" and json.loads(line)["terms_added"] == 2
-    assert hashlib.sha256(line.encode()).hexdigest() == (
-        "fe96e82553c25a50f8a0b29d974338180b6da673a9a82855fa3e0324c0ffdcb5"
-    )
-
-
-def test_learn_auto_plan_beyond_desk_scale_is_refused_before_any_draw(pinned_target, capsys, monkeypatch):
+def test_learn_auto_plan_beyond_desk_scale_is_refused_before_any_draw(formula_file, capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("run_trial was called")
 
     monkeypatch.setattr("lmqlab.cli.run_trial", refuse)
-    error = _usage_error(capsys, ["learn", "--target", pinned_target, "--dist", "uniform:4", "--auto-plan"])
+    error = _usage_error(capsys, ["learn", "--target", formula_file, "--dist", "uniform:4", "--auto-plan"])
     assert error["type"] == "ValueError"
     assert "m1=174918" in error["error"] and "m2=998593908" in error["error"]
     assert "--m1" in error["error"] and "--m2" in error["error"]

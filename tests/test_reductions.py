@@ -1,5 +1,3 @@
-import hashlib
-import json
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -924,14 +922,8 @@ def test_verify_reduction_refuses_transform_into_another_dimension():
         verify_reduction(identity, DnfFormula(2, (Term.of(1),)))
 
 
-@pytest.mark.parametrize(
-    "seed, digest",
-    [
-        (0, "5204f51fba6b61fcdf21e8ac412dc88dda151b8d643275b9a7fa6729783203ff"),
-        (1, "6104f894f6f0484d5afc9bd386353a9dede7487389e29c33c9472a8c4ab946ac"),
-    ],
-)
-def test_reduction_suite_digest_is_pinned(seed, digest, monkeypatch):
+@pytest.mark.parametrize("seed", [0, 1])
+def test_reduction_suite_calls_what_perfbench_replaces(seed, monkeypatch):
     # perfbench times its items by replacing these names in lmqlab.harness, so the
     # suite must call them there: one verify per row, then the controls, and one
     # simulation per audit.
@@ -948,8 +940,6 @@ def test_reduction_suite_digest_is_pinned(seed, digest, monkeypatch):
     monkeypatch.setattr(harness, "verify_reduction", verify)
     monkeypatch.setattr(harness, "simulate_pac_from_local", simulate)
     report = run_reduction_suite(seed)
-    payload = json.dumps(report.to_dict(), sort_keys=True)
-    assert hashlib.sha256(payload.encode()).hexdigest() == digest
     shipped = [c["name"] for c in report.constructions]
     assert len(shipped) == 19
     assert verified == shipped + ["dnf-no-detector", "dfa-stuck-simulator", "tree-first-copy"]
