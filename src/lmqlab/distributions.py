@@ -11,21 +11,20 @@ call; draws consume the generator in order, so two calls give one's stream.
 Each class reads the generator in one place: ``UniformCube`` (n <= 32) a
 block of 32-bit words at a time in ``_lanes``, ``FiniteSupport`` the two words
 ``random()`` takes per draw in ``_indices``, which gives each draw's entry as
-the per-draw float bisection ``bisect_right(cum, random() * cum[-1])`` would,
-by the top byte of its first word (to 256 entries), else a guide table (Chen &
-Asau, 1974) on its top bits, else that bisection. ``sample_indices`` draws a
-distribution on at most 256 points as point indices in ``bytes``, which
-``oracle.draw_training_set`` labels by one ``translate``. ``mc_loss`` labels a
-block of draws at a time as lanes (``cube``): a ``UniformCube`` block straight
-from the packed int of ``_lanes``, with no list of masks between
-(``_lane_blocks``).
+the per-draw float bisection ``bisect_right(cum, random() * cum[-1])`` would:
+by the top byte of its first word if every top byte names one entry (a table
+of at most 256 entries), else by that bisection of its two words.
+``sample_indices`` gives the draws of such a table, or of a ``UniformCube``
+to n = 8, as point indices in ``bytes``, which ``oracle.draw_training_set``
+labels by one ``translate``. ``mc_loss`` labels a block of draws at a time as
+lanes (``cube``): a ``UniformCube`` block straight from the packed int of
+``_lanes``, with no list of masks between (``_lane_blocks``).
 """
 
 from __future__ import annotations
 
 import math
 import random
-import re
 import struct
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -49,9 +48,7 @@ from .cube import (
 from .concepts import Concept
 
 
-# A guide slot covers the random() values whose first word starts with these
-# many bits; draws are read from the generator, and labelled, this many at a time.
-_GUIDE_BITS = 12
+# Draws are read from the generator, and labelled, this many at a time.
 _DRAW_BLOCK = 4096
 
 
@@ -137,22 +134,21 @@ def _lane_ones(bits: int, lanes: int) -> int:
 
 @dataclass(frozen=True)
 class FiniteSupport:
-    """Point masses as ``(mask, prob)`` entries (int masks in [0, 2^n), exact masses summing to 1), drawn as indices."""
+    """Point masses as ``(mask, prob)`` entries (int masks in [0, 2^n), exact masses summing to 1), drawn as indices:
+    by the table ``_top`` if every top byte of random()'s first word names one entry, else by bisection."""
 
     n: int
     entries: tuple[tuple[int, Fraction], ...]
     _cum: tuple[float, ...] = field(init=False, repr=False, compare=False)
     _masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _guide: tuple[Optional[int], ...] = field(init=False, repr=False, compare=False)
     _top: bytes = field(init=False, repr=False, compare=False)
-    _vague: Optional[re.Pattern[bytes]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         require_count(self.n, 1, "dimension must be a positive integer")
         merged: dict[int, Fraction] = {}
         for mask, prob in self.entries:
             if not is_int(mask, 0, (1 << self.n) - 1):
-                raise DimensionMismatch(f"support mask {mask} out of range for dimension {self.n}")
+                raise DimensionMismatch(f"support mask {mask!r} out of range for dimension {self.n}")
             if (p := exact_rational(prob, "probability")) < 0:
                 raise ValueError(f"negative probability {p} at {CubePoint(self.n, mask).to_string()}")
             merged[mask] = merged.get(mask, Fraction(0)) + p
@@ -163,60 +159,30 @@ class FiniteSupport:
         object.__setattr__(self, "entries", canonical)
         object.__setattr__(self, "_cum", tuple(accumulate(float(prob) for _, prob in canonical)))
         object.__setattr__(self, "_masks", tuple(mask for mask, _ in canonical))
-        object.__setattr__(self, "_guide", self._build_guide())
-        # Top byte t names entry _top[t] if all the guide slots under it do, else it is _vague (to 256 entries).
-        per = 1 << _GUIDE_BITS - 8
-        names = [set(self._guide[s:s + per]) for s in range(0, 1 << _GUIDE_BITS, per) if len(canonical) <= 256]
-        tops = [s.pop() if len(s) == 1 else None for s in names]
-        vague = b"".join(b"\\x%02x" % t for t, i in enumerate(tops) if i is None)
-        object.__setattr__(self, "_top", bytes(0 if i is None else i for i in tops))
-        object.__setattr__(self, "_vague", re.compile(b"[" + vague + b"]") if vague else None)
+        # Top byte t holds the 53-bit values t << 45 to (t + 1 << 45) - 1; _pick is monotone, so if both ends pick
+        # one entry, every value under t does.
+        top = bytes(self._pick(t << 45) for t in range(256)) if len(canonical) <= 256 else b""
+        exact = all(self._pick((t + 1 << 45) - 1) == entry for t, entry in enumerate(top))
+        object.__setattr__(self, "_top", top if exact else b"")
 
     def _pick(self, value: int) -> int:
         """The entry drawn when ``random()`` returns ``value / 2**53``; the last if the product rounds to the total."""
         return bisect_right(self._cum, value * 2**-53 * self._cum[-1], 0, len(self._cum) - 1)
 
-    def _build_guide(self) -> tuple[Optional[int], ...]:
-        """Slot s: the entry every 53-bit value with prefix s draws, or None if they differ.
-
-        ``_pick`` is monotone in the value, so a run of slots whose lowest and
-        highest values pick the same entry picks it throughout; runs that do
-        not are halved until single slots are left ambiguous.
-        """
-        shift = 53 - _GUIDE_BITS
-        guide: list[Optional[int]] = [None] * (1 << _GUIDE_BITS)
-        runs = [(0, 1 << _GUIDE_BITS)]
-        while runs:
-            lo, hi = runs.pop()
-            entry = self._pick(lo << shift)
-            if entry == self._pick((hi << shift) - 1):
-                guide[lo:hi] = [entry] * (hi - lo)
-            elif hi - lo > 1:
-                runs += (lo, (lo + hi) // 2), ((lo + hi) // 2, hi)
-        return tuple(guide)
-
     def _indices(self, rng: random.Random, m: int) -> Union[bytes, list[int]]:
-        """The next m draws' entries, as bytes through ``_top`` (to 256 entries) or a list through ``_guide``. A draw
-        that one leaves open (a ``_vague`` top byte, an ambiguous slot) goes on to ``_guide``, then to ``_pick`` of
-        random()'s own 53 bits: the top 27 of the first word, then the top 26 of the second."""
-        small, guide, shift, out = bool(self._top), self._guide, 32 - _GUIDE_BITS, bytearray() if self._top else []
+        """The next m draws' entries, two generator words each: as bytes, one ``translate`` of the first words' top
+        bytes through ``_top``, or without one as a list, ``_pick`` of random()'s own 53 bits: the top 27 of the
+        first word, then the top 26 of the second."""
+        top, out = self._top, bytearray() if self._top else []
         for start in range(0, m, _DRAW_BLOCK):
             k = min(_DRAW_BLOCK, m - start)
             # getrandbits puts its first 32-bit output lowest on every host: word j is bytes 4j to 4j + 3 here.
             words = rng.getrandbits(64 * k).to_bytes(8 * k, "little")
-            if small:
-                tops = words[3::8]  # each draw's first word's top byte
-                block = bytearray(tops.translate(self._top))
-                open_ = [hit.start() for hit in self._vague.finditer(tops)] if self._vague else ()
+            if top:
+                out += words[3::8].translate(top)  # each draw's first word's top byte
             else:
-                block = [guide[a >> shift] for a in struct.unpack(f"<{2 * k}I", words)[::2]]
-                open_ = [i for i, entry in enumerate(block) if entry is None] if None in block else ()
-            for i in open_:
-                a, b = struct.unpack_from("<2I", words, 8 * i)
-                entry = guide[a >> shift]
-                block[i] = self._pick((a >> 5) << 26 | b >> 6) if entry is None else entry
-            out += block
-        return bytes(out) if small else out
+                out += [self._pick((a >> 5) << 26 | b >> 6) for a, b in struct.iter_unpack("<2I", words)]
+        return bytes(out) if top else out
 
     def draws(self, rng: random.Random, m: int) -> list[int]:
         """m masks: the entries ``_indices`` draws, read through the entry masks."""
@@ -237,9 +203,9 @@ def sample(dist: Distribution, m: int, seed: int) -> list[int]:
 
 
 def sample_indices(dist: Distribution, m: int, seed: int) -> Optional[tuple[Sequence[int], bytes, tuple[int, ...]]]:
-    """``sample`` of a distribution on at most 256 points (a ``UniformCube`` to n = 8, a ``FiniteSupport`` of at
-    most 256 entries) as (points, idx, masks): draw i is ``masks[i] == points[idx[i]]``, from the generator words
-    ``sample`` reads. None, with m unchecked, for any other distribution."""
+    """``sample`` of a distribution drawn by point index (a ``UniformCube`` to n = 8, a ``FiniteSupport`` with a
+    top-byte table ``_top``) as (points, idx, masks): draw i is ``masks[i] == points[idx[i]]``, from the generator
+    words ``sample`` reads. None, with m unchecked, for any other distribution."""
     if isinstance(dist, UniformCube) and dist.n <= 8:
         points: Sequence[int] = range(1 << dist.n)
     elif isinstance(dist, FiniteSupport) and dist._top:

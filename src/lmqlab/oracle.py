@@ -279,10 +279,11 @@ def label_masks(concept: Concept, masks: Sequence[int]) -> bytes:
 def draw_training_set(dist: Distribution, h_star: Concept, m: int, seed: int) -> LabeledSample:
     """m i.i.d. points labeled by the target concept, as ``sample`` draws and ``label`` labels them.
 
-    On at most 256 points (``sample_indices``) the support is labelled once by ``label_masks`` and the draws by
-    one ``translate``. If a support point has no label (a ``PolyConcept`` off ±1, a table without the point), the
-    drawn masks are labelled instead, so an error names the first draw without one. Any other distribution's
-    ``sample`` is labelled by ``label_masks``. Masks and labels are in range by construction: no check is redone.
+    Drawn by point index (``sample_indices``: a ``UniformCube`` to n = 8, a ``FiniteSupport`` with a top-byte
+    table), the support is labelled once by ``label_masks`` and the draws by one ``translate``; if a support point
+    has no label (a ``PolyConcept`` off ±1, a table without the point), the drawn masks are labelled instead, so an
+    error names the first draw without one. Any other ``sample`` (a bisecting ``FiniteSupport`` too) is labelled by
+    ``label_masks``. Masks and labels are in range by construction: no check is redone.
     """
     if h_star.n != dist.n:
         raise DimensionMismatch(f"concept dimension {h_star.n} differs from distribution {dist.n}")

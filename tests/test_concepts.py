@@ -36,7 +36,7 @@ from lmqlab.cube import (
     masks_at_distance,
     recentre,
 )
-from lmqlab.distributions import _DRAW_BLOCK, FiniteSupport, LabeledSample, UniformCube, sample
+from lmqlab.distributions import _DRAW_BLOCK, FiniteSupport, LabeledSample, UniformCube, sample, sample_indices
 from lmqlab.formats import parse_tree
 from lmqlab.oracle import draw_training_set, label_masks
 from lmqlab.reductions import ComposedConcept, SynthesizedLabels, make_reduction
@@ -822,26 +822,28 @@ class _TableConcept(MaskConcept):
         return self.table[mask]
 
 
-@pytest.mark.parametrize("support", ["finite", "uniform", "table"])
+@pytest.mark.parametrize("support", ["finite", "finite-exact", "uniform", "table", "table-exact"])
 def test_draw_training_set_labels_pointwise_when_no_draw_is_unlabelled(support):
     # A support point has no label, so labelling the support raises, but samples that never draw it are labelled
-    # pointwise, and the error of one that does is the first such draw's.
-    if support == "table":
-        rare = Fraction(1, 20000)
-        dist = FiniteSupport(5, ((3, Fraction(1, 3)), (9, rare), (17, Fraction(2, 3) - rare)))
-        c, m = _TableConcept(5, {3: 1, 17: 0}), 2 * _DRAW_BLOCK
-    elif support == "finite":
-        # (x1 + x2) / 2 is 0 at the two points of mass 1/20000 each.
+    # pointwise, and the error of one that does is the first such draw's. Masses of 1/20000 split top bytes, so
+    # those supports are drawn by bisection and labelled by ``sample``; masses in 256ths are drawn by index.
+    exact = support.endswith("exact")
+    rare, m = (Fraction(1, 256), 128) if exact else (Fraction(1, 20000), 2 * _DRAW_BLOCK)
+    if support.startswith("table"):
+        third = Fraction(85, 256) if exact else Fraction(1, 3)
+        dist = FiniteSupport(5, ((3, third), (9, rare), (17, 1 - third - rare)))
+        c = _TableConcept(5, {3: 1, 17: 0})
+    elif support.startswith("finite"):
+        # (x1 + x2) / 2 is 0 at the two points of mass ``rare`` each.
         c = PolyConcept(SparsePoly(9, {frozenset({1}): Fraction(1, 2), frozenset({2}): Fraction(1, 2)}))
-        rare = Fraction(1, 20000)
         dist = FiniteSupport(9, ((0, Fraction(1, 2) - rare), (0b110000000, Fraction(1, 2) - rare),
                                  (0b100000000, rare), (0b010000000, rare)))
-        m = 2 * _DRAW_BLOCK
     else:
         # 1 - (1 + x1)(1 + x2)(1 + x3) / 8 is 0 at +++ and 1 at the seven other points of the cube.
         products = [frozenset(s) for k in range(4) for s in combinations((1, 2, 3), k)]
         c = PolyConcept(SparsePoly(3, {s: Fraction(7 if not s else -1, 8) for s in products}))
         dist, m = UniformCube(3), 4
+    assert (sample_indices(dist, m, 0) is None) == (support in ("finite", "table"))
     with pytest.raises((ValueError, KeyError)):
         label_masks(c, [x for x, _ in dist.support()])
     outcomes = set()

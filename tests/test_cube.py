@@ -358,7 +358,7 @@ VALUE_ROWS = [
     ("DnfFormula.satisfied_indices", lambda v: DnfFormula(2, ()).satisfied_indices(v), DimensionMismatch,
      lambda v: f"mask {v!r} out of range for formula over 2 variables"),
     ("FiniteSupport.mask", lambda v: distributions.FiniteSupport(2, ((v, _HALF), (0, _HALF))), DimensionMismatch,
-     lambda v: f"support mask {v} out of range for dimension 2"),
+     lambda v: f"support mask {v!r} out of range for dimension 2"),
     ("LabeledSample.masks", lambda v: distributions.LabeledSample(2, (0, v), (0, 1)), ValueError,
      "sample masks must lie in [0, 2^2)"),
     ("LabeledSample.labels", lambda v: distributions.LabeledSample(2, (0, 1), (0, v)), ValueError,

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate
@@ -19,7 +20,6 @@ from lmqlab.distributions import (
     pushforward,
     sample,
     _DRAW_BLOCK,
-    _GUIDE_BITS,
     _lane_blocks,
 )
 
@@ -144,13 +144,14 @@ def test_one_point_and_uniform_draws_match_per_draw_reference(m):
 
 
 def test_draws_take_the_ambiguous_slots_path():
-    """Masses 1/3 and 1/18 leave guide slots that only the per-draw expression resolves."""
+    """Masses 1/3 and 1/18 leave top bytes whose draws only the per-draw expression resolves."""
     masses = (Fraction(1, 3), Fraction(1, 18), Fraction(11, 18))
     dist = FiniteSupport(2, tuple(enumerate(masses)))
-    ambiguous = [s for s, mask in enumerate(dist._guide) if mask is None]
+    # Top byte t holds the 53-bit random() values t << 45 to (t + 1 << 45) - 1: here its two ends pick apart.
+    ambiguous = [t for t in range(256) if dist._pick(t << 45) != dist._pick((t + 1 << 45) - 1)]
     assert ambiguous
-    # Seeds whose first draw lands in an ambiguous slot: the top bits of the first word pick it.
-    seeds = [s for s in range(20_000) if random.Random(s).getrandbits(32) >> 32 - _GUIDE_BITS in ambiguous]
+    # Seeds whose first draw lands in an ambiguous top byte: the top byte of the first word picks it.
+    seeds = [s for s in range(20_000) if random.Random(s).getrandbits(32) >> 24 in ambiguous]
     assert seeds
     for seed in seeds:
         _assert_stream_identical(dist, 3, seed)
@@ -163,7 +164,7 @@ def test_draw_on_a_mass_boundary_reads_both_words(seed):
     for cut, first in ((value, 1), (value + 1, 0)):
         p = Fraction(cut, 2**53)
         dist = FiniteSupport(1, ((0, p), (1, 1 - p)))
-        assert dist._guide[value >> 53 - _GUIDE_BITS] is None
+        assert dist._top == b""  # the bisection path
         assert sample(dist, 1, seed) == [first]
         _assert_stream_identical(dist, 5, seed)
 
@@ -235,7 +236,7 @@ def test_product_and_uniform_reject_a_dimension_below_one(n):
 # draw_training_set relies on that when it skips LabeledSample's check.
 @pytest.mark.parametrize("mask", [-1, 4, 1.0, True, False, 2.5, Fraction(1)])
 def test_finite_support_rejects_a_mask_out_of_range(mask):
-    with pytest.raises(DimensionMismatch, match=f"^support mask {mask} out of range for dimension 2$"):
+    with pytest.raises(DimensionMismatch, match=f"^support mask {re.escape(repr(mask))} out of range for dimension 2$"):
         FiniteSupport(2, ((0, Fraction(1, 2)), (mask, Fraction(1, 2))))
 
 
