@@ -101,6 +101,8 @@ class Term:
             )
         for j in self.positives | self.negatives:
             require_count(j, 1, "variable indices must be positive integers")
+        _set(self, "positives", frozenset(self.positives))
+        _set(self, "negatives", frozenset(self.negatives))
 
     @classmethod
     def of(cls, *literals: int) -> "Term":
@@ -166,6 +168,7 @@ class DnfFormula(MaskConcept):
         variables = tuple(chain.from_iterable(t.variables for t in self.terms))  # each an int >= 1, as ``Term`` has it
         if (i := first_bad_int(variables, 1, self.n)) is not None:
             raise ValueError(f"variable {variables[i]} exceeds dimension {self.n}")
+        object.__setattr__(self, "terms", tuple(self.terms))
         object.__setattr__(self, "_masks", tuple(t.masks(self.n) for t in self.terms))
         object.__setattr__(self, "reads", reduce(or_, (pos | neg for pos, neg in self._masks), 0))
 
@@ -338,6 +341,8 @@ class Dfa(MaskConcept):
                      if type(row) not in (tuple, list) or len(row) != 2 or first_bad_int(row, 0, last) is not None)
             raise ValueError(f"state {s} needs two transitions into 0..{last}, got {delta[s]!r}")
         require_count(self.length, 1, "input length must be positive")
+        _set(self, "delta", tuple(map(tuple, delta)))
+        _set(self, "accepting", frozenset(self.accepting))
 
     @property
     def n(self) -> int:
@@ -395,6 +400,8 @@ class Junta(MaskConcept):
             raise ValueError(f"table must have {1 << k} entries, got {len(self.table)}")
         if first_bad_int(self.table, 0, 1) is not None:
             raise ValueError("table entries must be 0 or 1")
+        _set(self, "relevant", tuple(self.relevant))
+        _set(self, "table", tuple(self.table))
 
     @property
     def k(self) -> int:

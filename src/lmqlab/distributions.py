@@ -3,8 +3,8 @@
 Probabilities are exact rationals wherever a distribution is enumerated;
 sampling uses a seeded ``random.Random`` stream so every draw replays
 bit-exactly. Draws, supports (``(mask, Fraction)`` pairs, the form in which
-``FiniteSupport`` takes its entries) and ``LabeledSample`` hold int masks; a
-``CubePoint`` is built only for an error message or an iterated sample.
+``FiniteSupport`` takes its entries) and ``LabeledSample`` (a tuple of masks, labels as ``bytes``) hold int
+masks; a ``CubePoint`` is built only for an error message or an iterated sample.
 
 ``sample`` asks a distribution for all its draws in one ``draws(rng, m)``
 call; draws consume the generator in order, so two calls give one's stream.
@@ -229,17 +229,17 @@ def pushforward(dist: Distribution, phi: ReplicateMap) -> FiniteSupport:
 
 @dataclass(frozen=True)
 class LabeledSample:
-    """An ordered sample over {-1,+1}^n: ``masks[i]`` labelled ``labels[i]``.
+    """An ordered sample over {-1,+1}^n: ``masks[i]`` labelled ``labels[i]``, a tuple of ints and ``bytes`` of 0/1.
 
     The constructor refuses, by ``cube.first_bad_int``, masks outside [0, 2^n)
-    and labels other than 0 or 1. ``oracle.draw_training_set``
-    builds its samples without that check: its masks come from a distribution
-    and its labels from ``label_masks``, both in range by construction.
+    and labels other than 0 or 1, then stores any sequence given in that one form.
+    ``oracle.draw_training_set`` builds its samples without either step: its masks
+    are a tuple of draws and its labels the bytes ``label_masks`` returns.
     """
 
     n: int
     masks: tuple[int, ...]
-    labels: tuple[int, ...]
+    labels: bytes
 
     def __post_init__(self) -> None:
         require_count(self.n, 1, "dimension must be a positive integer")
@@ -249,6 +249,8 @@ class LabeledSample:
             raise ValueError(f"sample masks must lie in [0, 2^{self.n})")
         if first_bad_int(self.labels, 0, 1) is not None:
             raise ValueError("labels must be 0 or 1")
+        object.__setattr__(self, "masks", tuple(self.masks))  # after the checks: bytes((True,)) would be b"\x01"
+        object.__setattr__(self, "labels", bytes(self.labels))
 
     def __len__(self) -> int:
         return len(self.masks)

@@ -156,7 +156,7 @@ class ExperimentConfig:
     def threshold(self) -> int:
         if self.success_threshold is not None:
             return self.success_threshold
-        return (3 * self.trials) // 4
+        return max(1, (3 * self.trials) // 4)
 
     def describe(self) -> dict:
         return _fields(self, "family", "success_threshold") | {"threshold": self.threshold}

@@ -7,9 +7,9 @@ per occurrence: an answer of 1 means the variable is absent from the term,
 an answer of 0 keeps the literal the example satisfies (``reconstruct_term``
 is the one-positive form). Candidates stay int mask pairs.
 Phase 2 throws away every candidate that fires on a negative example of the
-second sample, both of its passes over that sample in C; only survivors become
-``Term``s. On instances whose positives are evident, phase 1 recovers exact
-terms and phase 2 never removes a true one.
+second sample, both of its passes over that sample (its label bytes swapped,
+then its masks compressed by them) in C; only survivors become ``Term``s. On
+instances whose positives are evident, phase 1 recovers exact terms and phase 2 never removes a true one.
 """
 
 from __future__ import annotations
@@ -98,8 +98,8 @@ def learn_evident_dnf(s1: LabeledSample, s2: LabeledSample, oracle: LocalMQOracl
 def learn_evident_dnf_run(s1: LabeledSample, s2: LabeledSample, oracle: LocalMQOracle) -> LearnerRun:
     """Like ``learn_evident_dnf`` but with query statistics and phase timings.
 
-    Phase 2 drops a candidate (pos, neg) when some distinct negative mask m of
-    s2 has m & (pos | neg) == pos: as pos and neg are disjoint, the term fires on m.
+    Phase 2 drops a candidate (pos, neg) when some distinct negative mask m of s2 (read by ``NEGATE`` from its
+    label bytes as they are) has m & (pos | neg) == pos: as pos and neg are disjoint, the term fires on m.
     """
     n = oracle.n
     if s1.n != n or s2.n != n:
@@ -109,7 +109,7 @@ def learn_evident_dnf_run(s1: LabeledSample, s2: LabeledSample, oracle: LocalMQO
     full, answers = (1 << n) - 1, oracle.ask_flips_many(occurrences)
     collected = dict.fromkeys((x & kept, ~x & kept) for x, kept in zip(occurrences, [~bits & full for bits in answers]))
     t1 = time.perf_counter()
-    negatives = set(compress(s2.masks, bytes(s2.labels).translate(NEGATE)))
+    negatives = set(compress(s2.masks, s2.labels.translate(NEGATE)))
     surviving = [
         Term.from_masks(n, pos, neg) for pos, neg in collected if pos not in map((pos | neg).__and__, negatives)
     ]

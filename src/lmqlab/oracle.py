@@ -283,7 +283,7 @@ def draw_training_set(dist: Distribution, h_star: Concept, m: int, seed: int) ->
     table), the support is labelled once by ``label_masks`` and the draws by one ``translate``; if a support point
     has no label (a ``PolyConcept`` off ±1, a table without the point), the drawn masks are labelled instead, so an
     error names the first draw without one. Any other ``sample`` (a bisecting ``FiniteSupport`` too) is labelled by
-    ``label_masks``. Masks and labels are in range by construction: no check is redone.
+    ``label_masks``. The sample keeps those bytes and the masks' tuple as they are: in range by construction, unchecked.
     """
     if h_star.n != dist.n:
         raise DimensionMismatch(f"concept dimension {h_star.n} differs from distribution {dist.n}")
@@ -298,5 +298,5 @@ def draw_training_set(dist: Distribution, h_star: Concept, m: int, seed: int) ->
         except (ValueError, LookupError):
             labels = label_masks(h_star, masks)
     drawn = LabeledSample.__new__(LabeledSample)
-    drawn.__dict__.update(n=dist.n, masks=masks, labels=tuple(labels))
+    drawn.__dict__.update(n=dist.n, masks=masks, labels=labels)
     return drawn

@@ -403,6 +403,28 @@ def test_random_tree_clamps_an_int_leaf_count_to_the_cube_and_refuses_one_below_
 
 
 # ---------------------------------------------------------------------------
+# Value types built from lists or sets hold tuples and frozensets
+
+_LOOSE_BUILDS = {
+    "Term": (lambda: Term({1}, set()), lambda: Term(frozenset({1}), frozenset())),
+    "DnfFormula": (lambda: DnfFormula(2, [Term.of(1)]), lambda: DnfFormula(2, (Term.of(1),))),
+    "Junta": (lambda: Junta(2, [1], [0, 1]), lambda: Junta(2, (1,), (0, 1))),
+    "Dfa": (lambda: Dfa([[1, 0], [0, 1]], 0, {1}, 2), lambda: Dfa(((1, 0), (0, 1)), 0, frozenset({1}), 2)),
+    "LabeledSample": (lambda: LabeledSample(2, [0, 3], [0, 1]), lambda: LabeledSample(2, (0, 3), b"\0\1")),
+}
+
+
+@pytest.mark.parametrize("loose, canonical", _LOOSE_BUILDS.values(), ids=_LOOSE_BUILDS.keys())
+def test_value_types_built_from_lists_or_sets_equal_and_hash_as_their_canonical_twins(loose, canonical):
+    a, b = loose(), canonical()
+    assert a == b and hash(a) == hash(b)
+    for name in a.__dataclass_fields__:
+        assert type(getattr(a, name)) is type(getattr(b, name)), name
+    if isinstance(a, Dfa):
+        assert {type(row) for row in a.delta} == {tuple}
+
+
+# ---------------------------------------------------------------------------
 # label(mask) against evaluate and a pointwise reference
 
 
@@ -784,7 +806,7 @@ def test_draw_training_set_labels_each_draw_as_label_does(kind, n):
     labels = [concept.label(mask) for mask in masks]
     for m in TRAINING_COUNTS:
         s = draw_training_set(dist, concept, m, seed)
-        assert (s.n, s.masks, s.labels) == (n, tuple(masks[:m]), tuple(labels[:m]))
+        assert (s.n, s.masks, s.labels) == (n, tuple(masks[:m]), bytes(labels[:m]))
     # More than a block of masks, every third one repeated, as an audit's query list may hold them.
     assert label_masks(concept, masks + masks[::3]) == bytes(labels + labels[::3])
 
@@ -801,7 +823,7 @@ def test_draw_training_set_names_the_first_draw_off_pm1():
         masks = sample(dist, m, seed)
         first = next((p for p, mask in enumerate(masks) if mask in off), None)
         if first is None:
-            assert draw_training_set(dist, c, m, seed).labels == tuple(map(c.label, masks))
+            assert draw_training_set(dist, c, m, seed).labels == bytes(map(c.label, masks))
             continue
         firsts.append(first)
         with pytest.raises(ValueError) as expected:

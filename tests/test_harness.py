@@ -153,6 +153,11 @@ def test_success_threshold_outside_trial_count_rejected(threshold):
         assert small_config(trials=3, success_threshold=edge).threshold == edge
 
 
+def test_default_threshold_is_three_quarters_of_the_trials_and_at_least_one():
+    # At one trial, 3 // 4 = 0 passed a suite with no success.
+    assert [small_config(trials=t).threshold for t in range(1, 6)] == [1, 1, 2, 3, 3]
+
+
 def test_opposite_family_instances_are_fully_evident():
     family = opposite_literal_family()
     from lmqlab.evident import evidence_report
@@ -432,6 +437,9 @@ def test_names_and_fields_perfbench_relies_on():
     # Iterating a sample yields (CubePoint, label) pairs.
     s = distributions.LabeledSample(3, (5, 0, 5), (1, 0, 1))
     assert list(s) == [(CubePoint(3, 5), 1), (CubePoint(3, 0), 0), (CubePoint(3, 5), 1)]
+    drawn = oracle.draw_training_set(UniformCube(3), DnfFormula(3, (Term.of(1),)), 8, 0)
+    assert [(type(x), type(y)) for x, y in drawn] == [(CubePoint, int)] * 8
+    assert [(x.mask, y) for x, y in drawn] == list(zip(drawn.masks, drawn.labels))
     # The constructor takes CubePoint anchors; query and log exist, and each record's point has a mask.
     target = DnfFormula(3, (Term.of(1),))
     built = LocalMQOracle(target, [CubePoint(3, 5)], 1)

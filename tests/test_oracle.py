@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import re
 from collections import Counter
@@ -24,6 +25,7 @@ from lmqlab.oracle import (
     LocalMQOracle,
     OracleStats,
     draw_training_set,
+    label_masks,
 )
 from fractions import Fraction
 
@@ -45,7 +47,7 @@ def test_draw_empty():
 def test_draw_point_mass():
     dist = FiniteSupport(3, ((P("++-").mask, Fraction(1)),))
     s = draw_training_set(dist, TARGET, 4, seed=1)
-    assert (s.n, s.masks, s.labels) == (3, (P("++-").mask,) * 4, (1,) * 4)
+    assert (s.n, s.masks, s.labels) == (3, (P("++-").mask,) * 4, b"\x01" * 4)
     assert tuple(s) == ((P("++-"), 1),) * 4
 
 
@@ -72,6 +74,66 @@ def test_draw_pairs_are_the_sampled_points_labelled(dist):
     assert s.masks == tuple(masks)
     # Repeated draws are labelled once.
     assert target.calls == len(set(masks))
+
+
+TARGET4 = DnfFormula(4, (Term.of(1, 2),))
+
+
+class _PartialTarget(MaskConcept):
+    """TARGET4's labels, except at mask 9, which has none: labelling it raises ``KeyError``."""
+
+    n = 4
+
+    def label(self, mask):
+        if mask == 9:
+            raise KeyError(mask)
+        return TARGET4.label(mask)
+
+
+# Dyadic masses in 256ths give a top-byte table; thirds split top bytes, so those draws bisect.
+_TABLE = FiniteSupport(4, ((3, Fraction(127, 256)), (9, Fraction(1, 256)), (12, Fraction(1, 2))))
+_DRAWN = {  # (distribution, labeller, drawn by point index)
+    "uniform-index": (UniformCube(4), DnfFormula(4, (Term.of(1, -2),)), True),
+    "uniform-sample": (UniformCube(9), DnfFormula(9, (Term.of(1, -2),)), False),
+    "finite-table": (_TABLE, DnfFormula(4, (Term.of(3),)), True),
+    "finite-bisection": (FiniteSupport(4, tuple((x, Fraction(1, 3)) for x in (3, 5, 12))), TARGET4, False),
+    "unlabelled-fallback": (_TABLE, _PartialTarget(), True),
+}
+_BUILT = {
+    "built-list": lambda: LabeledSample(4, [3, 12, 3], [1, 0, 1]),
+    "built-tuple": lambda: LabeledSample(4, (3, 12, 3), (1, 0, 1)),
+    "built-bytes": lambda: LabeledSample(4, (3, 12, 3), b"\1\0\1"),
+}
+
+
+def _drawn_sample(dist, labeller, indexed):
+    """64 draws at the first seed that never draws mask 9, by the path ``indexed`` names."""
+    seed = next(seed for seed in range(64) if 9 not in sample(dist, 64, seed))
+    assert (sample_indices(dist, 64, seed) is not None) == indexed
+    return draw_training_set(dist, labeller, 64, seed)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda source=source: _drawn_sample(*source) for source in _DRAWN.values()] + list(_BUILT.values()),
+    ids=[*_DRAWN, *_BUILT],
+)
+def test_every_sample_holds_a_mask_tuple_and_label_bytes(build):
+    s = build()
+    assert type(s.masks) is tuple and type(s.labels) is bytes and len(s.labels) == len(s.masks)
+    twins = LabeledSample(s.n, list(s.masks), list(s.labels)), LabeledSample(s.n, s.masks, tuple(s.labels))
+    for twin in twins:
+        assert twin == s and hash(twin) == hash(s)
+    # The learner gives one run on the sample and on its twin rebuilt from tuple labels.
+    target = DnfFormula(s.n, (Term.of(1, -2), Term.of(3)))
+    runs = [learn_evident_dnf_run(t, t, LocalMQOracle.for_samples(target, 1, t)) for t in (s, twins[1])]
+    untimed = [dataclasses.replace(run, phase1_seconds=0, phase2_seconds=0) for run in runs]
+    assert untimed[0] == untimed[1]
+
+
+def test_the_unlabelled_fallback_source_cannot_label_its_support():
+    with pytest.raises(KeyError):
+        label_masks(_PartialTarget(), [x for x, _ in _TABLE.support()])
 
 
 def test_query_at_distance_one():
