@@ -95,14 +95,15 @@ class Term:
     negatives: frozenset[int]
 
     def __post_init__(self) -> None:
-        if self.positives & self.negatives:
-            raise ValueError(
-                f"term contains a variable and its negation: {sorted(self.positives & self.negatives)}"
-            )
+        try:
+            _set(self, "positives", frozenset(self.positives))
+            _set(self, "negatives", frozenset(self.negatives))
+        except TypeError:
+            raise ValueError(f"term literals must be collections of variable indices, got {self!r}") from None
+        if both := self.positives & self.negatives:
+            raise ValueError(f"term contains a variable and its negation: {sorted(both)}")
         for j in self.positives | self.negatives:
             require_count(j, 1, "variable indices must be positive integers")
-        _set(self, "positives", frozenset(self.positives))
-        _set(self, "negatives", frozenset(self.negatives))
 
     @classmethod
     def of(cls, *literals: int) -> "Term":
@@ -392,8 +393,8 @@ class Junta(MaskConcept):
         k = len(self.relevant)
         if k > JUNTA_CAP:
             raise ValueError(f"junta depends on {k} variables, cap is {JUNTA_CAP}")
-        if len(set(self.relevant)) != k:
-            raise ValueError("relevant variables must be distinct")
+        if isinstance(self.relevant, (set, frozenset)) or len(set(self.relevant)) != k:
+            raise ValueError(f"relevant variables must be distinct, in table order (not a set), got {self.relevant!r}")
         if (i := first_bad_int(self.relevant, 1, self.n)) is not None:
             raise ValueError(f"relevant variable {self.relevant[i]} out of range 1..{self.n}")
         if len(self.table) != 1 << k:

@@ -1,24 +1,22 @@
 """Distributions over the cube: sampling, pushforward, labelled samples, loss.
 
-Probabilities are exact rationals wherever a distribution is enumerated;
-sampling uses a seeded ``random.Random`` stream so every draw replays
-bit-exactly. Draws, supports (``(mask, Fraction)`` pairs, the form in which
-``FiniteSupport`` takes its entries) and ``LabeledSample`` (a tuple of masks, labels as ``bytes``) hold int
-masks; a ``CubePoint`` is built only for an error message or an iterated sample.
+Probabilities are exact, and ``support_weights`` is each distribution's one
+enumerated form: its support's masks ascending, each mass a positive int
+weight over one denominator, a ``ProductDist``'s weights read lazily off one
+``itertools.product``. ``exact_loss``, ``ProductDist.support`` and
+``evident.evidence_report`` sum those weights, with no ``Fraction`` step per
+point. Draws, supports and ``LabeledSample`` (a tuple of masks, labels as
+``bytes``) hold int masks; a ``CubePoint`` is built only for an error message
+or an iterated sample.
 
-``sample`` asks a distribution for all its draws in one ``draws(rng, m)``
-call; draws consume the generator in order, so two calls give one's stream.
-Each class reads the generator in one place: ``UniformCube`` (n <= 32) a
-block of 32-bit words at a time in ``_lanes``, ``FiniteSupport`` the two words
-``random()`` takes per draw in ``_indices``, which gives each draw's entry as
-the per-draw float bisection ``bisect_right(cum, random() * cum[-1])`` would:
-by the top byte of its first word if every top byte names one entry (a table
-of at most 256 entries), else by that bisection of its two words.
-``sample_indices`` gives the draws of such a table, or of a ``UniformCube``
-to n = 8, as point indices in ``bytes``, which ``oracle.draw_training_set``
-labels by one ``translate``. ``mc_loss`` labels a block of draws at a time as
-lanes (``cube``): a ``UniformCube`` block straight from the packed int of
-``_lanes``, with no list of masks between (``_lane_blocks``).
+``sample`` reads a seeded ``random.Random`` in one ``draws(rng, m)`` call, so
+each draw replays bit-exactly. Each class reads the generator in one place:
+``UniformCube`` (n <= 32) a block of 32-bit words at a time in ``_lanes``,
+``FiniteSupport`` two words a draw in ``_indices``. ``sample_indices`` gives
+the draws of a ``UniformCube`` to n = 8, or of a ``FiniteSupport`` with a
+top-byte table, as point indices, which ``oracle.draw_training_set`` labels
+by one ``translate``. ``label_masks`` and ``mc_loss`` label masks a block at
+a time as lanes (``cube``), ``mc_loss`` a ``UniformCube`` block from ``_lanes``.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ import struct
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, compress, product, repeat
 from typing import Iterator, Optional, Sequence, Union
 
 from .cube import (
@@ -40,6 +38,7 @@ from .cube import (
     exact_rational,
     first_bad_int,
     is_int,
+    lane_bits,
     lane_columns,
     lane_split,
     require_count,
@@ -85,9 +84,7 @@ class UniformCube:
 
     def support(self) -> Iterator[tuple[int, Fraction]]:
         require_enumerable(self.n)
-        p = Fraction(1, 1 << self.n)
-        for mask in range(1 << self.n):
-            yield mask, p
+        return zip(range(1 << self.n), repeat(Fraction(1, 1 << self.n)))
 
 
 @dataclass(frozen=True)
@@ -118,13 +115,8 @@ class ProductDist:
         return out
 
     def support(self) -> Iterator[tuple[int, Fraction]]:
-        require_enumerable(self.n)
-        for mask in range(1 << self.n):
-            prob = Fraction(1)
-            for j, p in enumerate(self.plus_probs):
-                prob *= p if (mask >> (self.n - 1 - j)) & 1 else 1 - p
-            if prob:
-                yield mask, prob
+        masks, weights, denominator = support_weights(self)
+        return zip(masks, map(Fraction, weights, repeat(denominator)))
 
 
 def _lane_ones(bits: int, lanes: int) -> int:
@@ -194,6 +186,23 @@ class FiniteSupport:
 
 
 Distribution = Union[UniformCube, ProductDist, FiniteSupport]
+
+
+def support_weights(dist: Distribution) -> tuple[Sequence[int], Iterator[int], int]:
+    """(masks, weights, denominator): the mass at ``masks[i]``, ascending, is the i-th positive int weight over the
+    denominator. A ``FiniteSupport``'s entries at any n, else the cube (n <= ``ENUMERATION_CAP``) less its points of
+    mass 0. The weights are an iterator, read once; a ``ProductDist``'s come lazily off one ``product`` of int pairs."""
+    if isinstance(dist, FiniteSupport):
+        denominator = math.lcm(*(p.denominator for _, p in dist.entries))
+        return dist._masks, (p.numerator * (denominator // p.denominator) for _, p in dist.entries), denominator
+    require_enumerable(dist.n)
+    cube = range(1 << dist.n)
+    if isinstance(dist, UniformCube):
+        return cube, repeat(1, len(cube)), len(cube)
+    denominator = math.lcm(*(p.denominator for p in dist.plus_probs))
+    pairs = [(denominator - int(p * denominator), int(p * denominator)) for p in dist.plus_probs]
+    masks = cube if all(map(all, pairs)) else tuple(compress(cube, map(math.prod, product(*pairs))))
+    return masks, filter(None, map(math.prod, product(*pairs))), denominator**dist.n
 
 
 def sample(dist: Distribution, m: int, seed: int) -> list[int]:
@@ -266,21 +275,26 @@ def _check_loss_dims(dist: Distribution, h_star: Concept, h_hat: Concept) -> Non
         )
 
 
-def exact_loss(dist: Distribution, h_star: Concept, h_hat: Concept) -> Fraction:
-    """Exact disagreement mass between two concepts under the distribution.
+def label_masks(concept: Concept, masks: Sequence[int]) -> bytes:
+    """Each in-range mask's label as a byte 0 or 1: one ``label_columns`` call per ``_DRAW_BLOCK`` masks as lanes."""
+    labels = bytearray()
+    for start in range(0, len(masks), _DRAW_BLOCK):
+        block = masks[start:start + _DRAW_BLOCK]
+        columns, full, width = lane_columns(block, concept.n, concept.reads)
+        labels += lane_bits(concept.label_columns(columns, full), len(block), width)
+    return bytes(labels)
 
-    Requires an enumerable distribution; above ``ENUMERATION_CAP`` use ``mc_loss``.
-    """
+
+def exact_loss(dist: Distribution, h_star: Concept, h_hat: Concept) -> Fraction:
+    """Exact disagreement mass between two concepts: the ``support_weights`` where their ``label_masks`` differ,
+    for a ``FiniteSupport`` at any n and a cube distribution to ``ENUMERATION_CAP`` (above it, ``mc_loss``). A support
+    point h_star cannot label raises its ``label`` error, at the first such point in mask order."""
     _check_loss_dims(dist, h_star, h_hat)
     if isinstance(dist, (UniformCube, ProductDist)) and dist.n > ENUMERATION_CAP:
-        raise ValueError(
-            f"dimension {dist.n} exceeds enumeration cap {ENUMERATION_CAP}; use mc_loss for an estimate"
-        )
-    loss = Fraction(0)
-    for mask, prob in dist.support():
-        if h_star.label(mask) != h_hat.label(mask):
-            loss += prob
-    return loss
+        raise ValueError(f"dimension {dist.n} exceeds enumeration cap {ENUMERATION_CAP}; use mc_loss for an estimate")
+    masks, weights, denominator = support_weights(dist)
+    differ = map(int.__ne__, label_masks(h_star, masks), label_masks(h_hat, masks))
+    return Fraction(sum(compress(weights, differ)), denominator)
 
 
 def _lane_blocks(dist: Distribution, rng: random.Random, m: int, reads: int) -> Iterator[tuple[list[int], int]]:

@@ -8,10 +8,10 @@ rests on.
 
 This module owns the evident truth tables: ``evident_tables`` holds each set
 as a 2^n-bit int whose bit ``mask`` is the entry at that point, built with
-``Term.table`` over the whole cube's columns; the harness's corpus and
-``evidence_report`` read it. ``satisfies_evidently`` and
-``flips_reveal_term`` are its reference: pointwise on masks, one flip at a
-time, and the tests cross-check both.
+``Term.table`` over the whole cube's columns. The harness's corpus reads them,
+and ``evidence_report`` sums ``support_weights`` at their set bits, iterating
+no distribution. Their reference, pointwise on masks one flip at a time, is
+``satisfies_evidently`` and ``flips_reveal_term``; the tests cross-check both.
 """
 
 from __future__ import annotations
@@ -19,13 +19,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Optional
 
 from .concepts import DecisionTree, DnfFormula, Term, dnf_of_tree
 from .cube import (
     DimensionMismatch, ReplicateMap, cube_columns, exact_rational, is_int, require_count, require_enumerable
 )
-from .distributions import Distribution
+from .distributions import Distribution, support_weights
 
 
 def satisfies_evidently(formula: DnfFormula, i: int, x: int) -> bool:
@@ -134,7 +135,7 @@ class EvidenceReport:
 def evidence_report(
     formula: DnfFormula, dist: Distribution, beta: Optional[Fraction] = None
 ) -> EvidenceReport:
-    """Exact per-term evidence rates under an enumerable distribution.
+    """Exact per-term evidence rates under an enumerable distribution: the ``support_weights`` at each table's bits.
 
     A term passes when its conditional evident probability reaches beta
     (default 1/n); terms the distribution never satisfies pass vacuously.
@@ -145,20 +146,14 @@ def evidence_report(
     beta = Fraction(1, formula.n) if beta is None else exact_rational(beta, "beta")
     if not 0 < beta <= 1:
         raise ValueError(f"beta must lie in (0, 1], got {beta}")
-    # Bit ``mask`` of a table is bit ``mask & 7`` of byte ``mask >> 3`` of its little-endian bytes.
-    size = max(1, (1 << formula.n) // 8)
-    sat_tables, _, evident = evident_tables(formula)
-    tables = [(s.to_bytes(size, "little"), e.to_bytes(size, "little")) for s, e in zip(sat_tables, evident)]
-    sat, evi = [Fraction(0)] * len(tables), [Fraction(0)] * len(tables)
-    for mask, prob in dist.support():
-        byte, bit = mask >> 3, 1 << (mask & 7)
-        for i, (s, e) in enumerate(tables):
-            if s[byte] & bit:
-                sat[i] += prob
-                if e[byte] & bit:
-                    evi[i] += prob
+    sat, _, evident = evident_tables(formula)
+    masks, _, denominator = support_weights(dist)
+
+    def mass(table: int) -> Fraction:  # the weights at the masks set in the table: byte m of bits is its bit m
+        bits = format(table, f"0{1 << formula.n}b")[::-1].encode().translate(bytes.maketrans(b"01", b"\0\1"))
+        return Fraction(sum(compress(support_weights(dist)[1], map(bits.__getitem__, masks))), denominator)
     entries = []
-    for i, (p_sat, p_evi) in enumerate(zip(sat, evi)):
+    for i, (p_sat, p_evi) in enumerate(zip(map(mass, sat), map(mass, evident))):
         cond = p_evi / p_sat if p_sat else None
         entries.append(TermEvidence(i, p_sat, p_evi, cond, cond is None, cond is None or cond >= beta))
     return EvidenceReport(beta, tuple(entries))

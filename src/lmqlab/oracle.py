@@ -25,11 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .concepts import Concept
-from .cube import CubePoint, DimensionMismatch, first_bad_int, is_int, lane_bits, lane_columns, require_count
-from .distributions import _DRAW_BLOCK, Distribution, LabeledSample, sample, sample_indices
+from .cube import CubePoint, DimensionMismatch, first_bad_int, is_int, require_count
+from .distributions import Distribution, LabeledSample, label_masks, sample, sample_indices
 
 QUERY_BUDGET_FACTOR = 64
 
@@ -264,16 +264,6 @@ class LocalMQOracle:
         """Counts so far; the histogram is a copy, so editing it changes nothing here."""
         histogram = {distance: count for distance, count in self._histogram.items() if count}
         return OracleStats(self._count, max(histogram, default=0), histogram)
-
-
-def label_masks(concept: Concept, masks: Sequence[int]) -> bytes:
-    """Each in-range mask's label as a byte 0 or 1: one ``label_columns`` call per ``_DRAW_BLOCK`` masks as lanes."""
-    labels = bytearray()
-    for start in range(0, len(masks), _DRAW_BLOCK):
-        block = masks[start:start + _DRAW_BLOCK]
-        columns, full, width = lane_columns(block, concept.n, concept.reads)
-        labels += lane_bits(concept.label_columns(columns, full), len(block), width)
-    return bytes(labels)
 
 
 def draw_training_set(dist: Distribution, h_star: Concept, m: int, seed: int) -> LabeledSample:

@@ -90,6 +90,13 @@ class TestDnf:
     def test_contradictory_term_rejected(self):
         with pytest.raises(ValueError):
             Term(frozenset({1}), frozenset({1}))
+        # Lists are read as sets before the check; a field that is no collection is one ValueError, not a TypeError.
+        with pytest.raises(ValueError, match=r"^term contains a variable and its negation: \[1\]$"):
+            Term([1], [1])
+        with pytest.raises(ValueError) as exc:
+            Term(1, 2)
+        message = "term literals must be collections of variable indices, got Term(positives=1, negatives=2)"
+        assert exc.type is ValueError and str(exc.value) == message
 
     def test_variable_beyond_dimension_rejected(self):
         with pytest.raises(ValueError):
@@ -279,6 +286,10 @@ class TestJunta:
     def test_relevant_distinct(self):
         with pytest.raises(ValueError):
             Junta(3, (1, 1), (0, 1, 1, 0))
+        # The table is indexed in relevant's order, which a set does not keep: {3, 1} iterates as (1, 3).
+        for relevant in ({3, 1}, frozenset({3, 1})):
+            with pytest.raises(ValueError, match=r"^relevant variables must be distinct, in table order \(not a set\)"):
+                Junta(3, relevant, (0, 1, 0, 0))
 
 
 class TestPoly:
@@ -407,6 +418,7 @@ def test_random_tree_clamps_an_int_leaf_count_to_the_cube_and_refuses_one_below_
 
 _LOOSE_BUILDS = {
     "Term": (lambda: Term({1}, set()), lambda: Term(frozenset({1}), frozenset())),
+    "Term-lists": (lambda: Term([1], []), lambda: Term.of(1)),
     "DnfFormula": (lambda: DnfFormula(2, [Term.of(1)]), lambda: DnfFormula(2, (Term.of(1),))),
     "Junta": (lambda: Junta(2, [1], [0, 1]), lambda: Junta(2, (1,), (0, 1))),
     "Dfa": (lambda: Dfa([[1, 0], [0, 1]], 0, {1}, 2), lambda: Dfa(((1, 0), (0, 1)), 0, frozenset({1}), 2)),

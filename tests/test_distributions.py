@@ -8,7 +8,7 @@ from itertools import accumulate
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lmqlab.concepts import DnfFormula, Term, random_dfa, random_dnf, random_tree
+from lmqlab.concepts import DnfFormula, PolyConcept, SparsePoly, Term, random_dfa, random_dnf, random_tree
 from lmqlab.cube import CubePoint, DimensionMismatch, ReplicateMap, enumerate_cube, lane_bits, lane_columns
 from lmqlab.distributions import (
     FiniteSupport,
@@ -16,9 +16,11 @@ from lmqlab.distributions import (
     ProductDist,
     UniformCube,
     exact_loss,
+    label_masks,
     mc_loss,
     pushforward,
     sample,
+    support_weights,
     _DRAW_BLOCK,
     _lane_blocks,
 )
@@ -304,6 +306,114 @@ def test_exact_loss_caps_enumeration():
     f = DnfFormula(25, (Term.of(1),))
     with pytest.raises(ValueError, match="mc_loss"):
         exact_loss(UniformCube(25), f, f)
+
+
+def _reference_support(dist):
+    """Each point of positive mass in mask order, a cube distribution's mass the n-factor product at the point."""
+    if isinstance(dist, FiniteSupport):
+        yield from dist.entries
+        return
+    probs = dist.plus_probs if isinstance(dist, ProductDist) else (Fraction(1, 2),) * dist.n
+    for mask in range(1 << dist.n):
+        prob = Fraction(1)
+        for j, p in enumerate(probs):
+            prob *= p if (mask >> (dist.n - 1 - j)) & 1 else 1 - p
+        if prob:
+            yield mask, prob
+
+
+def _reference_loss(dist, h_star, h_hat):
+    """exact_loss read pointwise: one ``label`` per concept and one Fraction sum per support point."""
+    loss = Fraction(0)
+    for mask, prob in _reference_support(dist):
+        if h_star.label(mask) != h_hat.label(mask):
+            loss += prob
+    return loss
+
+
+@st.composite
+def dnf_pairs_under_distributions(draw):
+    """Two random DNFs at n <= 10 under a uniform, product (masses 0, 1/3, 1/2, 1) or non-dyadic finite support."""
+    kind = draw(st.sampled_from(["uniform", "product", "finite"]))
+    n, seed = draw(st.integers(1, 10)), draw(st.integers(0, 2**32))
+    rng = random.Random(seed)
+    star, hat = (random_dnf(n, rng.randint(0, 4), rng.randint(1, 4), rng) for _ in range(2))
+    if kind == "uniform":
+        return UniformCube(n), star, hat
+    if kind == "product":
+        probs = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1)]
+        return ProductDist(n, tuple(draw(st.lists(st.sampled_from(probs), min_size=n, max_size=n)))), star, hat
+    masks = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=12, unique=True))
+    weights = draw(st.lists(st.integers(1, 20), min_size=len(masks), max_size=len(masks)))
+    return FiniteSupport(n, tuple((m, Fraction(w, sum(weights))) for m, w in zip(masks, weights))), star, hat
+
+
+@settings(max_examples=150, deadline=None)
+@given(dnf_pairs_under_distributions())
+def test_exact_loss_and_support_match_pointwise_references(case):
+    dist, star, hat = case
+    assert exact_loss(dist, star, hat) == _reference_loss(dist, star, hat)
+    assert list(dist.support()) == list(_reference_support(dist))
+    masks, weights, denominator = support_weights(dist)
+    weights = list(weights)
+    assert list(masks) == sorted(masks) and len(weights) == len(masks) and min(weights) > 0
+    assert sum(weights) == denominator
+
+
+@pytest.mark.parametrize(
+    "dist, denominator", [(UniformCube(12), 1 << 12), (ProductDist(12, (Fraction(1, 3),) * 12), 3**12)],
+    ids=["uniform", "product"],
+)
+def test_cube_weights_are_read_lazily(dist, denominator):
+    masks, weights, got = support_weights(dist)
+    assert masks == range(1 << 12) and iter(weights) is weights and got == denominator
+
+
+def test_exact_loss_of_a_finite_support_has_no_cap():
+    # 2^30 points, beyond ENUMERATION_CAP; the loss reads only the five entries. x1 OR (NOT x2 AND x30) and x30
+    # differ at +---...- and at ++...+-, of masses 1/5 and 1/11.
+    masses = (Fraction(1, 3), Fraction(1, 7), Fraction(1, 5), Fraction(1, 11))
+    masks = (0, 1, 1 << 29, (1 << 30) - 2, (1 << 30) - 1)
+    dist = FiniteSupport(30, tuple(zip(masks, (*masses, 1 - sum(masses)))))
+    star, hat = DnfFormula(30, (Term.of(1), Term.of(-2, 30))), DnfFormula(30, (Term.of(30),))
+    assert exact_loss(dist, star, hat) == _reference_loss(dist, star, hat) == Fraction(16, 55)
+
+
+# x1/2 + x2/2 is +1 at ++, -1 at -- and 0, off ±1, wherever x1 and x2 differ.
+_HALF_SUM = PolyConcept(SparsePoly(3, {frozenset({1}): Fraction(1, 2), frozenset({2}): Fraction(1, 2)}))
+
+
+@pytest.mark.parametrize(
+    "dist, first",
+    [
+        (UniformCube(3), "-+-"),
+        # -+-, the cube's first point off ±1, has mass 0 here and is not labelled.
+        (ProductDist(3, (Fraction(1), Fraction(0), Fraction(1, 3))), "+--"),
+        (FiniteSupport(3, ((0, Fraction(1, 2)), (0b101, Fraction(1, 4)), (0b110, Fraction(1, 4)))), "+-+"),
+    ],
+    ids=["uniform", "product", "finite"],
+)
+def test_exact_loss_names_the_first_support_point_a_concept_cannot_label(dist, first):
+    other = DnfFormula(3, (Term.of(1),))
+    for h_star, h_hat in ((_HALF_SUM, other), (other, _HALF_SUM)):
+        with pytest.raises(ValueError) as got:
+            exact_loss(dist, h_star, h_hat)
+        with pytest.raises(ValueError) as reference:
+            _reference_loss(dist, h_star, h_hat)
+        assert got.type is reference.type is ValueError
+        assert str(got.value) == str(reference.value) == f"polynomial value 0 at {first} is not in {{-1,+1}}"
+
+
+def test_exact_loss_labels_no_point_of_mass_zero():
+    # Off ±1 only where x1 and x2 differ, all of mass 0 when both are +1 surely.
+    dist, other = ProductDist(3, (Fraction(1), Fraction(1), Fraction(1, 3))), DnfFormula(3, (Term.of(3),))
+    assert exact_loss(dist, _HALF_SUM, other) == _reference_loss(dist, _HALF_SUM, other) == Fraction(2, 3)
+
+
+def test_label_masks_lives_in_distributions_and_still_resolves_from_oracle_and_harness():
+    from lmqlab import harness, oracle
+
+    assert oracle.label_masks is harness.label_masks is label_masks
 
 
 def test_mc_loss_tracks_exact_loss():
