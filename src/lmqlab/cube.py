@@ -159,9 +159,14 @@ def masks_at_distance(mask: int, n: int, r: int) -> Iterator[int]:
 
 @lru_cache(maxsize=None)
 def cube_columns(n: int) -> tuple[int, ...]:
-    """Columns of all 2^n points in mask order: bit m of column i is bit i of mask m."""
-    full = (1 << (1 << n)) - 1  # column i repeats 2^i zeros then 2^i ones, a geometric series
-    return tuple((((1 << (1 << i)) - 1) << (1 << i)) * (full // ((1 << (2 << i)) - 1)) for i in range(n))
+    """Columns of all 2^n points in mask order: bit m of column i is bit i of mask m. Built by doubling: the
+    2^(k+1) points are the 2^k twice, the second copy with bit k set, so each column is ORed with itself shifted
+    by 2^k and the new column k is 2^k ones shifted by 2^k; no big-int division."""
+    columns: tuple[int, ...] = ()
+    for k in range(n):
+        half = 1 << k
+        columns = (*(c | c << half for c in columns), ((1 << half) - 1) << half)
+    return columns
 
 
 @lru_cache(maxsize=None)

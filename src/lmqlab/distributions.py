@@ -7,7 +7,10 @@ weight over one denominator, a ``ProductDist``'s weights read lazily off one
 ``evident.evidence_report`` sum those weights, with no ``Fraction`` step per
 point. Draws, supports and ``LabeledSample`` (a tuple of masks, labels as
 ``bytes``) hold int masks; a ``CubePoint`` is built only for an error message
-or an iterated sample.
+or an iterated sample. A sample's ``cover`` names its labelled support: each
+distinct (mask, label) pair at least once. It is the sample itself unless
+``oracle.draw_training_set`` drew it by index and stored the drawn support
+points; ``LocalMQOracle.for_samples`` and learner phase 2 read only it.
 
 ``sample`` reads a seeded ``random.Random`` in one ``draws(rng, m)`` call, so
 each draw replays bit-exactly. Each class reads the generator in one place:
@@ -27,6 +30,7 @@ import struct
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate, compress, product, repeat
 from typing import Iterator, Optional, Sequence, Union
 
@@ -244,6 +248,12 @@ class LabeledSample:
     and labels other than 0 or 1, then stores any sequence given in that one form.
     ``oracle.draw_training_set`` builds its samples without either step: its masks
     are a tuple of draws and its labels the bytes ``label_masks`` returns.
+
+    ``cover`` is a derived view, not a field (equality, hash and ``repr`` ignore
+    it): a (masks, labels) pair holding every distinct (mask, label) pair of the
+    sample at least once and no other, repeats allowed, for readers that dedupe.
+    It defaults to the sample itself; a sample drawn by index stores the drawn
+    support points and their labels instead, at most 256 pairs for any m.
     """
 
     n: int
@@ -260,6 +270,10 @@ class LabeledSample:
             raise ValueError("labels must be 0 or 1")
         object.__setattr__(self, "masks", tuple(self.masks))  # after the checks: bytes((True,)) would be b"\x01"
         object.__setattr__(self, "labels", bytes(self.labels))
+
+    @cached_property
+    def cover(self) -> tuple[Sequence[int], bytes]:
+        return self.masks, self.labels
 
     def __len__(self) -> int:
         return len(self.masks)

@@ -7,9 +7,11 @@ per occurrence: an answer of 1 means the variable is absent from the term,
 an answer of 0 keeps the literal the example satisfies (``reconstruct_term``
 is the one-positive form). Candidates stay int mask pairs.
 Phase 2 throws away every candidate that fires on a negative example of the
-second sample, both of its passes over that sample (its label bytes swapped,
-then its masks compressed by them) in C; only survivors become ``Term``s. On
-instances whose positives are evident, phase 1 recovers exact terms and phase 2 never removes a true one.
+second sample. It reads only that sample's ``cover``, its labelled support
+(at most 256 points when drawn by index, however many the draws), in two
+passes in C (the cover's label bytes swapped, then its masks compressed by
+them); only survivors become ``Term``s. On instances whose positives are
+evident, phase 1 recovers exact terms and phase 2 never removes a true one.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .cube import DimensionMismatch, require_count
 from .distributions import LabeledSample
 from .oracle import LocalMQOracle, OracleStats
 
-# Label bytes 0 and 1 swapped: compressing s2's masks by it keeps the negatives.
+# Label bytes 0 and 1 swapped: compressing s2's cover masks by it keeps the negatives.
 NEGATE = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
@@ -98,8 +100,9 @@ def learn_evident_dnf(s1: LabeledSample, s2: LabeledSample, oracle: LocalMQOracl
 def learn_evident_dnf_run(s1: LabeledSample, s2: LabeledSample, oracle: LocalMQOracle) -> LearnerRun:
     """Like ``learn_evident_dnf`` but with query statistics and phase timings.
 
-    Phase 2 drops a candidate (pos, neg) when some distinct negative mask m of s2 (read by ``NEGATE`` from its
-    label bytes as they are) has m & (pos | neg) == pos: as pos and neg are disjoint, the term fires on m.
+    Phase 2 drops a candidate (pos, neg) when some distinct negative mask m of s2 (read by ``NEGATE`` from the
+    label bytes of its ``cover``, and nothing else of s2) has m & (pos | neg) == pos: as pos and neg are disjoint,
+    the term fires on m.
     """
     n = oracle.n
     if s1.n != n or s2.n != n:
@@ -109,7 +112,7 @@ def learn_evident_dnf_run(s1: LabeledSample, s2: LabeledSample, oracle: LocalMQO
     full, answers = (1 << n) - 1, oracle.ask_flips_many(occurrences)
     collected = dict.fromkeys((x & kept, ~x & kept) for x, kept in zip(occurrences, [~bits & full for bits in answers]))
     t1 = time.perf_counter()
-    negatives = set(compress(s2.masks, s2.labels.translate(NEGATE)))
+    negatives = set(compress(s2.cover[0], s2.cover[1].translate(NEGATE)))
     surviving = [
         Term.from_masks(n, pos, neg) for pos, neg in collected if pos not in map((pos | neg).__and__, negatives)
     ]

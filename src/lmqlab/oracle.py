@@ -5,8 +5,10 @@ lies within Hamming distance q of z. The oracle refuses anything farther away
 and records every answer it gives, so learners can be audited after a run.
 Anchors are kept as int masks. There are three constructors: ``__init__``
 takes ``CubePoint`` anchors, ``from_masks`` takes int masks and refuses any
-that is not an int in [0, 2^n), and ``for_samples`` reads the samples' masks
-unchecked, as ``LabeledSample`` keeps them in range. All three call ``_setup``.
+that is not an int in [0, 2^n), and ``for_samples`` reads the masks of the
+samples' ``cover`` unchecked, as ``LabeledSample`` keeps them in range: a
+sample ``draw_training_set`` drew by index covers at most 256 support points,
+whatever its length. All three call ``_setup``.
 The core, ``ask(mask, times)``, checks and answers each distinct query once
 and counts its repeats. Locality is one scan: a mask's first asking computes
 its distance to the nearest anchor, which is both the recorded distance and
@@ -24,7 +26,7 @@ each distinct mask once, by first asking.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress
 from typing import Iterable, Mapping
 
 from .concepts import Concept
@@ -124,7 +126,7 @@ class LocalMQOracle:
         *samples: LabeledSample,
         query_cap: int | None = None,
     ) -> "LocalMQOracle":
-        """Oracle anchored at the samples' distinct masks; the default cap counts every draw.
+        """Oracle anchored at the distinct masks of the samples' ``cover``; the default cap counts every draw.
 
         ``LabeledSample`` keeps every mask in range, so no ``CubePoint`` is built
         and ``__init__`` is not called.
@@ -132,7 +134,7 @@ class LocalMQOracle:
         for s in samples:
             if s.n != target.n:
                 raise DimensionMismatch(f"sample dimension {s.n} differs from target {target.n}")
-        anchors = frozenset(chain.from_iterable(s.masks for s in samples))
+        anchors = frozenset(chain.from_iterable(s.cover[0] for s in samples))
         oracle = cls.__new__(cls)
         oracle._setup(target, anchors, q, query_cap, sum(map(len, samples)))
         return oracle
@@ -274,19 +276,24 @@ def draw_training_set(dist: Distribution, h_star: Concept, m: int, seed: int) ->
     has no label (a ``PolyConcept`` off ±1, a table without the point), the drawn masks are labelled instead, so an
     error names the first draw without one. Any other ``sample`` (a bisecting ``FiniteSupport`` too) is labelled by
     ``label_masks``. The sample keeps those bytes and the masks' tuple as they are: in range by construction, unchecked.
+    A labelled support also sets the sample's ``cover``: the support points that occur in the draws, with their labels.
     """
     if h_star.n != dist.n:
         raise DimensionMismatch(f"concept dimension {h_star.n} differs from distribution {dist.n}")
-    indexed = sample_indices(dist, m, seed)
+    indexed, cached = sample_indices(dist, m, seed), {}
     if indexed is None:
         masks = tuple(sample(dist, m, seed))
         labels = label_masks(h_star, masks)
     else:
         points, idx, masks = indexed
         try:
-            labels = idx.translate(label_masks(h_star, points).ljust(256, b"\0"))
+            table = label_masks(h_star, points)
         except (ValueError, LookupError):
             labels = label_masks(h_star, masks)
+        else:
+            labels = idx.translate(table.ljust(256, b"\0"))
+            seen = [bytes((i,)) in idx for i in range(len(points))]
+            cached["cover"] = tuple(compress(points, seen)), bytes(compress(table, seen))
     drawn = LabeledSample.__new__(LabeledSample)
-    drawn.__dict__.update(n=dist.n, masks=masks, labels=labels)
+    drawn.__dict__.update(n=dist.n, masks=masks, labels=labels, **cached)
     return drawn

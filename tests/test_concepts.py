@@ -891,7 +891,10 @@ def test_draw_training_set_labels_pointwise_when_no_draw_is_unlabelled(support):
             assert str(raised.value) == str(expected)
             outcomes.add("raised")
             continue
-        assert draw_training_set(dist, c, m, seed) == LabeledSample(dist.n, tuple(masks), labels)
+        drawn = draw_training_set(dist, c, m, seed)
+        assert drawn == LabeledSample(dist.n, tuple(masks), labels)
+        # No support table, so no cover of the drawn support: the default, the sample itself.
+        assert "cover" not in vars(drawn) and drawn.cover == (drawn.masks, drawn.labels)
         outcomes.add("labelled")
     assert outcomes == {"raised", "labelled"}
 

@@ -259,6 +259,46 @@ def test_learning_and_corpus_never_reach_the_anchor_scan(monkeypatch):
     assert _learning_and_corpus_results() == expected
 
 
+class _UnwalkableDraws:
+    """A stand-in for a sample's masks that has a length but refuses to be walked or indexed."""
+
+    def __init__(self, length):
+        self.length = length
+
+    def __len__(self):
+        return self.length
+
+    def __iter__(self):
+        raise AssertionError("a reader walked the draws of s2")
+
+    def __getitem__(self, index):
+        raise AssertionError(f"a reader indexed draw {index} of s2")
+
+
+def test_learn_dense_trial_reads_only_the_cover_of_s2(monkeypatch):
+    # One learn-dense trial (doubled tree, m1 5000, m2 50000, drawn by index): the oracle build and phase 2
+    # read s2's cover, its at most 256 support points; a reader that walks the 50,000 draws again fails here.
+    target, dist = doubled_tree_family(4, 8)(derive_seed(42, "trial", 0, "instance"))
+    seeds = (derive_seed(42, "trial", 0, "s1"), derive_seed(42, "trial", 0, "s2"), 0)
+    expected, loss, estimator = run_trial(target, dist, 5000, 50000, 1, seeds)
+    draws = []
+
+    def draw_then_hide_s2(dist_, target_, m, seed):
+        drawn = oracle.draw_training_set(dist_, target_, m, seed)
+        if seed == seeds[1]:
+            assert len(drawn.cover[0]) <= 256 < m
+            drawn.__dict__["masks"] = _UnwalkableDraws(m)
+        draws.append(drawn)
+        return drawn
+
+    monkeypatch.setattr(harness, "draw_training_set", draw_then_hide_s2)
+    run, *rest = run_trial(target, dist, 5000, 50000, 1, seeds)
+    assert type(draws[1].masks) is _UnwalkableDraws
+    assert expected.terms_added > 0 and 0 in draws[1].cover[1]  # phase 2 has candidates and negatives to test
+    zeroed = {"phase1_seconds": 0, "phase2_seconds": 0}
+    assert (dataclasses.replace(run, **zeroed), *rest) == (dataclasses.replace(expected, **zeroed), loss, estimator)
+
+
 def test_timings_never_enter_the_corpus_report():
     report = run_reconstruction_corpus(count=3)
     report.seconds_discovery, report.seconds_reconstruct = 1.5, 2.5

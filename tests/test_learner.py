@@ -8,7 +8,15 @@ from hypothesis import given, settings, strategies as st
 
 from lmqlab.concepts import DnfFormula, Term, random_dnf
 from lmqlab.cube import CubePoint, DimensionMismatch, enumerate_cube
-from lmqlab.distributions import FiniteSupport, LabeledSample, UniformCube, exact_loss
+from lmqlab.distributions import (
+    _DRAW_BLOCK,
+    FiniteSupport,
+    LabeledSample,
+    ProductDist,
+    UniformCube,
+    exact_loss,
+    sample_indices,
+)
 from lmqlab.evident import gen_opposite_literal_dnf, satisfies_evidently
 from lmqlab.learner import (
     learn_evident_dnf,
@@ -241,6 +249,59 @@ def test_learner_matches_pointwise_reference(case, q):
     assert run.oracle_stats == reference.stats()
     assert run.oracle_stats.query_count == target.n * positives
     assert Counter(oracle.log) == Counter(reference.log)
+
+
+# Every way ``draw_training_set`` draws, and whether it draws by index (and so stores a cover of the drawn support).
+COVER_PATHS = {"uniform-index": True, "uniform-wide": False, "table": True, "bisection": False, "product": False}
+
+
+@st.composite
+def cover_cases(draw):
+    """A random DNF under a distribution of one draw path, and two samples' sizes and seeds: 0, 1, a few, or more
+    than a block of draws."""
+    path = draw(st.sampled_from(sorted(COVER_PATHS)))
+    n = draw(st.integers(1, 8) if path == "uniform-index" else st.integers(9, 12) if path == "uniform-wide"
+             else st.integers(1, 10))
+    target = random_dnf(n, draw(st.integers(1, 4)), draw(st.integers(1, 4)), random.Random(draw(st.integers(0, 99))))
+    if path.startswith("uniform"):
+        dist = UniformCube(n)
+    elif path == "product":
+        dist = ProductDist(n, tuple(Fraction(draw(st.integers(0, d)), d) for d in draw(
+            st.lists(st.sampled_from([2, 3, 4]), min_size=n, max_size=n))))
+    else:
+        least = 1 if path == "table" else 2
+        masks = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=least, max_size=8, unique=True))
+        if path == "table":  # masses in 256ths: every top byte of a draw names one entry
+            cuts = sorted(draw(st.sets(st.integers(1, 255), min_size=len(masks) - 1, max_size=len(masks) - 1)))
+            weights, total = [b - a for a, b in zip([0, *cuts], [*cuts, 256])], 256
+        else:  # an odd total: the first boundary is not dyadic, so some top byte straddles it
+            weights = draw(st.lists(st.integers(1, 5), min_size=len(masks), max_size=len(masks)))
+            weights[-1] += 1 - sum(weights) % 2
+            total = sum(weights)
+        dist = FiniteSupport(n, tuple((m, Fraction(w, total)) for m, w in zip(masks, weights)))
+    size = st.sampled_from([0, 1]) | st.integers(2, 200) | st.integers(_DRAW_BLOCK + 1, _DRAW_BLOCK + 64)
+    sizes, seeds = draw(st.tuples(size, size)), draw(st.tuples(st.integers(0, 1 << 30), st.integers(0, 1 << 30)))
+    return path, target, dist, sizes, seeds
+
+
+@settings(max_examples=80, deadline=None)
+@given(cover_cases(), st.integers(1, 2))
+def test_cover_oracle_and_learner_match_the_constructor_built_twins(case, q):
+    path, target, dist, sizes, seeds = case
+    assert (sample_indices(dist, 0, 0) is not None) == COVER_PATHS[path]
+    drawn = [draw_training_set(dist, target, m, seed) for m, seed in zip(sizes, seeds)]
+    twins = [LabeledSample(s.n, s.masks, s.labels) for s in drawn]
+    for s, twin in zip(drawn, twins):
+        assert ("cover" in vars(s)) == COVER_PATHS[path] and s == twin
+        assert set(zip(*s.cover)) == set(zip(s.masks, s.labels))
+        assert twin.cover == (twin.masks, twin.labels)
+    oracle, twin_oracle = (LocalMQOracle.for_samples(target, q, *samples) for samples in (drawn, twins))
+    assert (oracle._anchors, oracle.query_cap) == (twin_oracle._anchors, twin_oracle.query_cap)
+    run, twin_run = learn_evident_dnf_run(*drawn, oracle), learn_evident_dnf_run(*twins, twin_oracle)
+    assert run.formula.terms == twin_run.formula.terms
+    assert (run.oracle_stats, run.positives_seen, run.terms_added, run.terms_pruned) == (
+        twin_run.oracle_stats, twin_run.positives_seen, twin_run.terms_added, twin_run.terms_pruned)
+    assert oracle.entries() == twin_oracle.entries()
 
 
 def _reference_reconstruct(x, oracle, times=1):
