@@ -10,7 +10,10 @@ point. Draws, supports and ``LabeledSample`` (a tuple of masks, labels as
 or an iterated sample. A sample's ``cover`` names its labelled support: each
 distinct (mask, label) pair at least once. It is the sample itself unless
 ``oracle.draw_training_set`` drew it by index and stored the drawn support
-points; ``LocalMQOracle.for_samples`` and learner phase 2 read only it.
+points; ``LocalMQOracle.for_samples`` and learner phase 2 read only it. A
+sample drawn by index keeps its (points, idx) and builds its masks tuple on
+the first read of ``masks``, so a sample read only through ``cover`` and
+``len`` (s2 in a learning trial) never builds it.
 
 ``sample`` reads a seeded ``random.Random`` in one ``draws(rng, m)`` call, so
 each draw replays bit-exactly. Each class reads the generator in one place:
@@ -32,7 +35,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, compress, product, repeat
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Sized, Union
 
 from .cube import (
     ENUMERATION_CAP,
@@ -215,10 +218,10 @@ def sample(dist: Distribution, m: int, seed: int) -> list[int]:
     return dist.draws(random.Random(seed), m)
 
 
-def sample_indices(dist: Distribution, m: int, seed: int) -> Optional[tuple[Sequence[int], bytes, tuple[int, ...]]]:
+def sample_indices(dist: Distribution, m: int, seed: int) -> Optional[tuple[Sequence[int], bytes]]:
     """``sample`` of a distribution drawn by point index (a ``UniformCube`` to n = 8, a ``FiniteSupport`` with a
-    top-byte table ``_top``) as (points, idx, masks): draw i is ``masks[i] == points[idx[i]]``, from the generator
-    words ``sample`` reads. None, with m unchecked, for any other distribution."""
+    top-byte table ``_top``) as (points, idx): draw i is ``points[idx[i]]``, from the generator words ``sample``
+    reads; no tuple of masks is built. None, with m unchecked, for any other distribution."""
     if isinstance(dist, UniformCube) and dist.n <= 8:
         points: Sequence[int] = range(1 << dist.n)
     elif isinstance(dist, FiniteSupport) and dist._top:
@@ -226,8 +229,7 @@ def sample_indices(dist: Distribution, m: int, seed: int) -> Optional[tuple[Sequ
     else:
         return None
     require_count(m, 0, "sample count must be non-negative")
-    idx = dist._indices(random.Random(seed), m)
-    return points, idx, tuple(idx) if isinstance(dist, UniformCube) else tuple([points[i] for i in idx])
+    return points, dist._indices(random.Random(seed), m)
 
 
 def pushforward(dist: Distribution, phi: ReplicateMap) -> FiniteSupport:
@@ -244,16 +246,23 @@ def pushforward(dist: Distribution, phi: ReplicateMap) -> FiniteSupport:
 class LabeledSample:
     """An ordered sample over {-1,+1}^n: ``masks[i]`` labelled ``labels[i]``, a tuple of ints and ``bytes`` of 0/1.
 
-    The constructor refuses, by ``cube.first_bad_int``, masks outside [0, 2^n)
-    and labels other than 0 or 1, then stores any sequence given in that one form.
-    ``oracle.draw_training_set`` builds its samples without either step: its masks
-    are a tuple of draws and its labels the bytes ``label_masks`` returns.
+    The constructor refuses masks or labels without a length, then, by
+    ``cube.first_bad_int``, masks outside [0, 2^n) and labels other than 0 or 1,
+    then stores any sequence given in that one form. ``oracle.draw_training_set``
+    builds its samples without either step: its masks are a tuple of draws, or
+    their indices (below), and its labels the bytes ``label_masks`` returns.
 
     ``cover`` is a derived view, not a field (equality, hash and ``repr`` ignore
     it): a (masks, labels) pair holding every distinct (mask, label) pair of the
     sample at least once and no other, repeats allowed, for readers that dedupe.
     It defaults to the sample itself; a sample drawn by index stores the drawn
     support points and their labels instead, at most 256 pairs for any m.
+
+    A sample drawn by index also stores ``_indexed``, the (points, idx) pair of
+    ``sample_indices``, and no masks: ``__getattr__`` builds the masks tuple on
+    the first read, ``points[idx[i]]`` for each draw i, and stores it, so every
+    later read, ``==``, ``hash`` and ``repr`` see the one tuple form. ``len``
+    reads the labels, of equal length, and builds nothing.
     """
 
     n: int
@@ -262,6 +271,8 @@ class LabeledSample:
 
     def __post_init__(self) -> None:
         require_count(self.n, 1, "dimension must be a positive integer")
+        if not (isinstance(self.masks, Sized) and isinstance(self.labels, Sized)):
+            raise ValueError("sample masks and labels must be sequences with a length")
         if len(self.masks) != len(self.labels):
             raise ValueError(f"{len(self.masks)} masks but {len(self.labels)} labels")
         if first_bad_int(self.masks, 0, (1 << self.n) - 1) is not None:
@@ -275,8 +286,17 @@ class LabeledSample:
     def cover(self) -> tuple[Sequence[int], bytes]:
         return self.masks, self.labels
 
+    def __getattr__(self, name: str) -> tuple[int, ...]:
+        # Runs only for a name not in __dict__: the masks of a sample drawn by index, built once from its indices.
+        state = self.__dict__
+        if name != "masks" or "_indexed" not in state:
+            raise AttributeError(name)
+        points, idx = state["_indexed"]
+        masks = state["masks"] = tuple(idx) if isinstance(points, range) else tuple([points[i] for i in idx])
+        return masks
+
     def __len__(self) -> int:
-        return len(self.masks)
+        return len(self.labels)
 
     def __iter__(self) -> Iterator[tuple[CubePoint, int]]:
         return ((CubePoint(self.n, m), y) for m, y in zip(self.masks, self.labels))

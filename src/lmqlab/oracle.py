@@ -272,28 +272,31 @@ def draw_training_set(dist: Distribution, h_star: Concept, m: int, seed: int) ->
     """m i.i.d. points labeled by the target concept, as ``sample`` draws and ``label`` labels them.
 
     Drawn by point index (``sample_indices``: a ``UniformCube`` to n = 8, a ``FiniteSupport`` with a top-byte
-    table), the support is labelled once by ``label_masks`` and the draws by one ``translate``; if a support point
-    has no label (a ``PolyConcept`` off ±1, a table without the point), the drawn masks are labelled instead, so an
-    error names the first draw without one. Any other ``sample`` (a bisecting ``FiniteSupport`` too) is labelled by
-    ``label_masks``. The sample keeps those bytes and the masks' tuple as they are: in range by construction, unchecked.
-    A labelled support also sets the sample's ``cover``: the support points that occur in the draws, with their labels.
+    table), the support is labelled once by ``label_masks`` and the draws by one ``translate``; the sample keeps
+    the (points, idx) pair as ``_indexed`` and builds its masks tuple only when ``masks`` is first read (see
+    ``LabeledSample``). A labelled support also sets the sample's ``cover``: the support points that occur in the
+    draws, with their labels. If a support point has no label (a ``PolyConcept`` off ±1, a table without the
+    point), the drawn masks are built at once and labelled instead, so an error names the first draw without one.
+    Any other ``sample`` (a bisecting ``FiniteSupport`` too) is kept as a tuple and labelled by ``label_masks``.
+    The sample keeps the labels' bytes as they are and its draws unchecked: in range by construction.
     """
     if h_star.n != dist.n:
         raise DimensionMismatch(f"concept dimension {h_star.n} differs from distribution {dist.n}")
-    indexed, cached = sample_indices(dist, m, seed), {}
+    drawn, indexed = LabeledSample.__new__(LabeledSample), sample_indices(dist, m, seed)
+    state = drawn.__dict__
+    state["n"] = dist.n
     if indexed is None:
-        masks = tuple(sample(dist, m, seed))
-        labels = label_masks(h_star, masks)
+        state["masks"] = tuple(sample(dist, m, seed))
     else:
-        points, idx, masks = indexed
+        points, idx = state["_indexed"] = indexed
         try:
             table = label_masks(h_star, points)
         except (ValueError, LookupError):
-            labels = label_masks(h_star, masks)
+            pass  # the draws' masks are labelled below, and so built now
         else:
-            labels = idx.translate(table.ljust(256, b"\0"))
             seen = [bytes((i,)) in idx for i in range(len(points))]
-            cached["cover"] = tuple(compress(points, seen)), bytes(compress(table, seen))
-    drawn = LabeledSample.__new__(LabeledSample)
-    drawn.__dict__.update(n=dist.n, masks=masks, labels=labels, **cached)
+            cover = tuple(compress(points, seen)), bytes(compress(table, seen))
+            state.update(labels=idx.translate(table.ljust(256, b"\0")), cover=cover)
+            return drawn
+    state["labels"] = label_masks(h_star, drawn.masks)
     return drawn

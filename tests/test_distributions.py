@@ -538,6 +538,9 @@ def test_labeled_sample_validation():
     [
         (0, (), (), "dimension"),
         (-2, (0,), (1,), "dimension"),
+        (2, (x for x in [1]), b"\x01", "^sample masks and labels must be sequences with a length$"),
+        (2, (1,), iter(b"\x01"), "^sample masks and labels must be sequences with a length$"),
+        (2, 3, (1,), "^sample masks and labels must be sequences with a length$"),
         (2, (0, 1), (1,), "2 masks but 1 labels"),
         (2, (0,), (1, 0), "1 masks but 2 labels"),
         (2, (1, -1), (0, 0), "must lie in"),

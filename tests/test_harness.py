@@ -280,7 +280,19 @@ def test_learn_dense_trial_reads_only_the_cover_of_s2(monkeypatch):
     # read s2's cover, its at most 256 support points; a reader that walks the 50,000 draws again fails here.
     target, dist = doubled_tree_family(4, 8)(derive_seed(42, "trial", 0, "instance"))
     seeds = (derive_seed(42, "trial", 0, "s1"), derive_seed(42, "trial", 0, "s2"), 0)
+    plain = []
+
+    def draw_and_keep(*args):
+        plain.append(oracle.draw_training_set(*args))
+        return plain[-1]
+
+    monkeypatch.setattr(harness, "draw_training_set", draw_and_keep)
     expected, loss, estimator = run_trial(target, dist, 5000, 50000, 1, seeds)
+    # Phase 1 counts s1's draws, so it builds s1's masks tuple; nothing in the trial builds s2's.
+    s1, s2 = plain
+    assert "masks" in s1.__dict__ and "masks" not in s2.__dict__
+    cap = LocalMQOracle.for_samples(target, 1, s1, s2).query_cap
+    assert cap == oracle.QUERY_BUDGET_FACTOR * target.n * (5000 + 50000) and "masks" not in s2.__dict__
     draws = []
 
     def draw_then_hide_s2(dist_, target_, m, seed):

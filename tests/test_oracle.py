@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 import random
 import re
 from collections import Counter
@@ -9,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from lmqlab.concepts import DnfFormula, MaskConcept, Term, random_dnf
 from lmqlab.cube import CubePoint, DimensionMismatch, ReplicateMap, ball_size, enumerate_cube
 from lmqlab.distributions import (
+    _DRAW_BLOCK,
     FiniteSupport,
     LabeledSample,
     ProductDist,
@@ -821,7 +824,8 @@ def test_index_path_draws_and_labels_as_the_per_draw_reference(dist, m, seed):
     indexed = sample_indices(dist, m, seed)
     assert (indexed is not None) == small
     if small:
-        points, idx, drawn = indexed
+        points, idx = indexed
+        drawn = draw_training_set(dist, target, m, seed).masks
         assert type(idx) is bytes and drawn == tuple(masks) == tuple(points[i] for i in idx)
     if small or isinstance(dist, FiniteSupport):
         # The index routine reads the generator as the per-draw reference does, to the same state.
@@ -829,6 +833,38 @@ def test_index_path_draws_and_labels_as_the_per_draw_reference(dist, m, seed):
         _reference_draws(dist, m, ref)
         dist._indices(rng, m)
         assert rng.getstate() == ref.getstate()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dist=INDEX_PATH_DISTS.filter(lambda dist: sample_indices(dist, 0, 0) is not None),
+    m=st.sampled_from([0, 1, _DRAW_BLOCK + 5]) | st.integers(2, 40),
+    seed=st.integers(0, 2**32),
+)
+def test_index_path_sample_builds_its_masks_on_first_read_as_its_constructor_twin(dist, m, seed):
+    # A sample drawn by index holds its draws' indices and builds the masks tuple on the first read; each operation
+    # below runs on a fresh draw, so that it is the one to build them, and sees the constructor-built twin's form.
+    # The index path: a UniformCube to n = 8, or a FiniteSupport with a top-byte table (a doubled cube, say).
+    target = random_dnf(dist.n, 3, 3, random.Random(seed))
+    masks = sample(dist, m, seed)
+    twin = LabeledSample(dist.n, masks, tuple(map(target.label, masks)))
+
+    def fresh() -> LabeledSample:
+        drawn = draw_training_set(dist, target, m, seed)
+        assert "masks" not in vars(drawn)
+        return drawn
+
+    assert fresh() == twin and twin == fresh() and hash(fresh()) == hash(twin)
+    assert repr(fresh()) == repr(twin)
+    drawn = fresh()
+    assert len(drawn) == len(twin) == m and "masks" not in vars(drawn)
+    assert list(iter(fresh())) == list(iter(twin))
+    for copied in (pickle.loads(pickle.dumps(fresh())), copy.deepcopy(fresh()), dataclasses.replace(fresh())):
+        assert copied == twin and hash(copied) == hash(twin) and repr(copied) == repr(twin)
+    assert type(drawn.masks) is tuple and drawn.masks is drawn.masks and drawn.__dict__["masks"] is drawn.masks
+    with pytest.raises(AttributeError, match="^nope$"):
+        getattr(fresh(), "nope")
+    assert not hasattr(fresh(), "__deepcopy__")
 
 
 @pytest.mark.parametrize(
