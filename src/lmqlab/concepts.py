@@ -485,14 +485,9 @@ class SparsePoly:
 
     def compare_columns(self, columns: Sequence[int], full: int, targets: Iterable[tuple]) -> tuple[int, int]:
         """Bitsets of the listed points where the polynomial is >= and == their target; ``targets`` pairs each
-        rational target with the bitset of its points. The value times the denominator is ``low`` plus the
-        bit-sliced sum of ``_sum_planes``, compared with the targets from the top plane down."""
-        return _compare_planes(*self._sum_planes(columns, full), targets)
-
-    def _sum_planes(self, columns: Sequence[int], full: int) -> tuple[list[int], int, int]:
-        """(planes, low, denom): at each listed point the polynomial is (low + sum of 2^j over the planes j holding
-        it) / denom. Over the common denominator each coefficient is an integer v, and v times a monomial is -|v|
-        plus 2|v| times its even (v > 0) or odd (v < 0) -1 parity; the parities are summed by full adders."""
+        rational target with the bitset of its points. Over the common denominator each coefficient is an integer
+        v, and v times a monomial is -|v| plus 2|v| times its even (v > 0) or odd (v < 0) -1 parity: the value times
+        the denominator is ``low`` plus their bit-sliced sum, compared with the targets from the top plane down."""
         denom, terms = self._scaled
         low = -sum(abs(v) for _, _, v in terms)
         heaps: list[list[int]] = [[] for _ in range((-2 * low).bit_length())]
@@ -516,26 +511,22 @@ class SparsePoly:
         for j in range(len(heaps)):
             if len(heaps[j]) == 2:  # a half adder: a full adder with a zero third
                 file(j, 0)
-        return [heap[0] if heap else 0 for heap in heaps], low, denom
-
-
-def _compare_planes(planes: list[int], low: int, denom: int, targets: Iterable[tuple]) -> tuple[int, int]:
-    """``compare_columns`` against a sum ``_sum_planes`` gave: the points >= and == their rational target."""
-    at_least = exact = live = 0
-    digits = [0] * len(planes)  # digits[j]: the points whose integer target has bit j set
-    for target, points in targets:
-        c = math.ceil(t := target * denom - low)
-        if c < 0:
-            at_least |= points
-        elif not c >> len(planes):
-            live, exact = live | points, exact | (points if c == t else 0)
-            for j in iter_bits(c):
-                digits[j] |= points
-    above, equal = 0, live
-    for plane, digit in zip(reversed(planes), reversed(digits)):
-        above |= equal & plane & ~digit
-        equal &= ~(plane ^ digit)
-    return at_least | above | equal, equal & exact
+        planes = [heap[0] if heap else 0 for heap in heaps]
+        at_least = exact = live = 0
+        digits = [0] * len(planes)  # digits[j]: the points whose integer target has bit j set
+        for target, points in targets:
+            c = math.ceil(t := target * denom - low)
+            if c < 0:
+                at_least |= points
+            elif not c >> len(planes):
+                live, exact = live | points, exact | (points if c == t else 0)
+                for j in iter_bits(c):
+                    digits[j] |= points
+        above, equal = 0, live
+        for plane, digit in zip(reversed(planes), reversed(digits)):
+            above |= equal & plane & ~digit
+            equal &= ~(plane ^ digit)
+        return at_least | above | equal, equal & exact
 
 
 @dataclass(frozen=True)
@@ -564,8 +555,7 @@ class PolyConcept(MaskConcept):
 
     def label_columns(self, columns: Sequence[int], full: int) -> int:
         """The points where the polynomial is +1; ``label``'s error at the first point, in list order, off ±1."""
-        summed = self.poly._sum_planes(columns, full)
-        ones, zeros = (_compare_planes(*summed, [(t, full)])[1] for t in (1, -1))
+        ones, zeros = (self.poly.compare_columns(columns, full, [(t, full)])[1] for t in (1, -1))
         if bad := full & ~(ones | zeros):
             self.label(sum((c & bad & -bad != 0) << i for i, c in enumerate(columns)))
         return ones

@@ -258,11 +258,11 @@ class LabeledSample:
     It defaults to the sample itself; a sample drawn by index stores the drawn
     support points and their labels instead, at most 256 pairs for any m.
 
-    A sample drawn by index also stores ``_indexed``, the (points, idx) pair of
-    ``sample_indices``, and no masks: ``__getattr__`` builds the masks tuple on
-    the first read, ``points[idx[i]]`` for each draw i, and stores it, so every
-    later read, ``==``, ``hash`` and ``repr`` see the one tuple form. ``len``
-    reads the labels, of equal length, and builds nothing.
+    A sample drawn by index stores ``_indexed``, the (points, idx) pair of
+    ``sample_indices``, in place of masks: ``__getattr__`` builds the masks tuple
+    on the first read, ``points[idx[i]]`` for each draw i, and stores it in place
+    of the pair, so every later read, ``==``, ``hash`` and ``repr`` see the one
+    tuple form. ``len`` reads the labels, of equal length, and builds nothing.
     """
 
     n: int
@@ -287,12 +287,17 @@ class LabeledSample:
         return self.masks, self.labels
 
     def __getattr__(self, name: str) -> tuple[int, ...]:
-        # Runs only for a name not in __dict__: the masks of a sample drawn by index, built once from its indices.
+        # Runs only for a name not in __dict__: the masks of a sample drawn by index, built once from its indices and
+        # stored in their place. The pair is dropped after the store, so a first read racing another in a second
+        # thread finds the pair or, once it is gone, the masks.
         state = self.__dict__
-        if name != "masks" or "_indexed" not in state:
+        if name != "masks" or (indexed := state.get("_indexed")) is None:
+            if name == "masks" and "masks" in state:
+                return state["masks"]
             raise AttributeError(name)
-        points, idx = state["_indexed"]
+        points, idx = indexed
         masks = state["masks"] = tuple(idx) if isinstance(points, range) else tuple([points[i] for i in idx])
+        state.pop("_indexed", None)
         return masks
 
     def __len__(self) -> int:

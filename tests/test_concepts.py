@@ -979,18 +979,3 @@ def test_poly_concept_label_columns_name_the_first_point_in_list_order():
         c.label_columns(cube_columns(2), 0b1111)
     with pytest.raises(ValueError, match=r"^polynomial value 0 at \+- is not in \{-1,\+1\}$"):
         c.label_columns(recentre(ball_columns(2, 2), 0b111, 0b11), 0b111)
-
-
-@pytest.mark.parametrize("concept", [PolyConcept(maj_poly(7)), PolyConcept(SparsePoly(7, {frozenset({1}): 1}))])
-def test_poly_concept_label_columns_sum_the_polynomial_once(concept, monkeypatch):
-    # The +1 and -1 comparisons read one bit-sliced sum: one adder pass per call, whatever the labels.
-    passes, sum_planes = [], SparsePoly._sum_planes
-
-    def counted(self, columns, full):
-        passes.append(full)
-        return sum_planes(self, columns, full)
-
-    monkeypatch.setattr(SparsePoly, "_sum_planes", counted)
-    full = (1 << 128) - 1
-    ones = concept.label_columns(cube_columns(7), full)
-    assert passes == [full] and ones == sum(concept.label(m) << m for m in range(128))

@@ -3,6 +3,8 @@ import dataclasses
 import pickle
 import random
 import re
+import sys
+import threading
 from collections import Counter
 
 import pytest
@@ -862,9 +864,40 @@ def test_index_path_sample_builds_its_masks_on_first_read_as_its_constructor_twi
     for copied in (pickle.loads(pickle.dumps(fresh())), copy.deepcopy(fresh()), dataclasses.replace(fresh())):
         assert copied == twin and hash(copied) == hash(twin) and repr(copied) == repr(twin)
     assert type(drawn.masks) is tuple and drawn.masks is drawn.masks and drawn.__dict__["masks"] is drawn.masks
+    # Built, the tuple replaces the indices: a pickle or a copy carries one form.
+    assert vars(drawn).keys() == {"n", "masks", "labels", "cover"} == vars(pickle.loads(pickle.dumps(drawn))).keys()
     with pytest.raises(AttributeError, match="^nope$"):
         getattr(fresh(), "nope")
     assert not hasattr(fresh(), "__deepcopy__")
+
+
+def test_index_path_sample_first_read_racing_in_threads_always_finds_the_masks():
+    # Four threads (more than the cores the suite targets) read a fresh sample's masks at once, with the interpreter
+    # switching threads every microsecond; a reader that finds neither the index pair nor the stored tuple raises.
+    dist, target = UniformCube(8), random_dnf(8, 3, 3, random.Random(0))
+    want, found = tuple(sample(dist, 2000, 1)), []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(600):
+            drawn, start = draw_training_set(dist, target, 2000, 1), threading.Barrier(4, timeout=10)
+
+            def read() -> None:
+                start.wait()
+                try:
+                    found.append(drawn.masks == want)
+                except AttributeError as exc:
+                    found.append(exc)
+
+            threads = [threading.Thread(target=read) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(10)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert found == [True] * 2400
 
 
 @pytest.mark.parametrize(
