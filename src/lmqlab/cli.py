@@ -131,19 +131,16 @@ def _cmd_suite(args: argparse.Namespace) -> int:
     lines: list[dict] = []
     all_passed = True
     if args.which in ("learning", "all"):
-        families = {
-            "opposite": [("opposite-literal", opposite_literal_family())],
-            "doubled": [("doubled-tree", doubled_tree_family())],
-            "both": [
-                ("opposite-literal", opposite_literal_family()),
-                ("doubled-tree", doubled_tree_family()),
-            ],
-        }[args.family]
-        for name, family in families:
+        for flag, name, factory in (
+            ("opposite", "opposite-literal", opposite_literal_family),
+            ("doubled", "doubled-tree", doubled_tree_family),
+        ):
+            if args.family not in (flag, "both"):
+                continue
             report = run_learning_suite(
                 ExperimentConfig(
                     name=name,
-                    family=family,
+                    family=factory(),
                     trials=args.trials,
                     base_seed=args.seed,
                     epsilon=args.epsilon,

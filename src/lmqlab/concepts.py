@@ -9,7 +9,8 @@ dimension check, then ``label(x.mask)``. Hot paths call ``label``, which checks 
 and bit-sliced, from one integer form built on the first evaluation (``SparsePoly._scaled``).
 Every concept also labels a bit-sliced point list (a ball, the cube or a sample's lanes; see ``cube``) at once:
 ``label_columns(columns, full)``, one bit of ``full`` per point, is the bitset of the points labelled 1
-(polynomials: ``SparsePoly.compare_columns``; ``MaskConcept``'s default: one ``label`` per distinct point).
+(a threshold function: ``SparsePoly.compare_columns``; ``MaskConcept``'s default, a ``PolyConcept``'s too: one
+``label`` per distinct point).
 Variable indices are 1-based everywhere, matching the textual formats.
 """
 
@@ -552,13 +553,6 @@ class PolyConcept(MaskConcept):
         raise ValueError(
             f"polynomial value {Fraction(total, denom)} at {CubePoint(self.n, mask).to_string()} is not in {{-1,+1}}"
         )
-
-    def label_columns(self, columns: Sequence[int], full: int) -> int:
-        """The points where the polynomial is +1; ``label``'s error at the first point, in list order, off ±1."""
-        ones, zeros = (self.poly.compare_columns(columns, full, [(t, full)])[1] for t in (1, -1))
-        if bad := full & ~(ones | zeros):
-            self.label(sum((c & bad & -bad != 0) << i for i, c in enumerate(columns)))
-        return ones
 
 
 @dataclass(frozen=True)

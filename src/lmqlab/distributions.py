@@ -8,19 +8,21 @@ weight over one denominator, a ``ProductDist``'s weights read lazily off one
 point. Draws, supports and ``LabeledSample`` (a tuple of masks, labels as
 ``bytes``) hold int masks; a ``CubePoint`` is built only for an error message
 or an iterated sample. A sample's ``cover`` names its labelled support: each
-distinct (mask, label) pair at least once. It is the sample itself unless
-``oracle.draw_training_set`` drew it by index and stored the drawn support
-points; ``LocalMQOracle.for_samples`` and learner phase 2 read only it. A
-sample drawn by index keeps its (points, idx) and builds its masks tuple on
-the first read of ``masks``, so a sample read only through ``cover`` and
-``len`` (s2 in a learning trial) never builds it.
+distinct (mask, label) pair at least once; ``LocalMQOracle.for_samples`` and
+learner phase 2 read only it. A drawn sample takes one of two forms, both
+built here and picked by ``oracle.draw_training_set``: ``LabeledSample._drawn``
+stores a masks tuple, with the sample itself as its cover;
+``LabeledSample._by_index`` stores the (points, idx) pair of
+``sample_indices`` and the drawn support points as its cover, and builds its
+masks tuple on the first read of ``masks``, so a sample read only through
+``cover`` and ``len`` (s2 in a learning trial) never builds it.
 
 ``sample`` reads a seeded ``random.Random`` in one ``draws(rng, m)`` call, so
 each draw replays bit-exactly. Each class reads the generator in one place:
 ``UniformCube`` (n <= 32) a block of 32-bit words at a time in ``_lanes``,
 ``FiniteSupport`` two words a draw in ``_indices``. ``sample_indices`` gives
 the draws of a ``UniformCube`` to n = 8, or of a ``FiniteSupport`` with a
-top-byte table, as point indices, which ``oracle.draw_training_set`` labels
+top-byte table, as point indices, which ``LabeledSample._by_index`` labels
 by one ``translate``. ``label_masks`` and ``mc_loss`` label masks a block at
 a time as lanes (``cube``), ``mc_loss`` a ``UniformCube`` block from ``_lanes``.
 """
@@ -248,9 +250,9 @@ class LabeledSample:
 
     The constructor refuses masks or labels without a length, then, by
     ``cube.first_bad_int``, masks outside [0, 2^n) and labels other than 0 or 1,
-    then stores any sequence given in that one form. ``oracle.draw_training_set``
-    builds its samples without either step: its masks are a tuple of draws, or
-    their indices (below), and its labels the bytes ``label_masks`` returns.
+    then stores any sequence given in that one form. A drawn sample skips both
+    steps, as its draws are in range and its labels are ``label_masks`` bytes:
+    ``_drawn`` stores a tuple of draws, ``_by_index`` their indices (below).
 
     ``cover`` is a derived view, not a field (equality, hash and ``repr`` ignore
     it): a (masks, labels) pair holding every distinct (mask, label) pair of the
@@ -258,7 +260,7 @@ class LabeledSample:
     It defaults to the sample itself; a sample drawn by index stores the drawn
     support points and their labels instead, at most 256 pairs for any m.
 
-    A sample drawn by index stores ``_indexed``, the (points, idx) pair of
+    ``_by_index`` stores ``_indexed``, the (points, idx) pair of
     ``sample_indices``, in place of masks: ``__getattr__`` builds the masks tuple
     on the first read, ``points[idx[i]]`` for each draw i, and stores it in place
     of the pair, so every later read, ``==``, ``hash`` and ``repr`` see the one
@@ -281,6 +283,23 @@ class LabeledSample:
             raise ValueError("labels must be 0 or 1")
         object.__setattr__(self, "masks", tuple(self.masks))  # after the checks: bytes((True,)) would be b"\x01"
         object.__setattr__(self, "labels", bytes(self.labels))
+
+    @classmethod
+    def _drawn(cls, n: int, masks: tuple[int, ...], labels: bytes) -> LabeledSample:
+        """A drawn sample, stored unchecked: in-range draws and the bytes ``label_masks`` gave them."""
+        drawn = cls.__new__(cls)
+        drawn.__dict__.update(n=n, masks=masks, labels=labels)
+        return drawn
+
+    @classmethod
+    def _by_index(cls, n: int, points: Sequence[int], idx: bytes, table: bytes) -> LabeledSample:
+        """A sample drawn by index, stored unchecked: draw i is ``points[idx[i]]``, labelled ``table[idx[i]]``,
+        with the ``cover`` of the support points ``idx`` names."""
+        seen = [bytes((i,)) in idx for i in range(len(points))]
+        drawn = cls.__new__(cls)
+        drawn.__dict__.update(n=n, _indexed=(points, idx), labels=idx.translate(table.ljust(256, b"\0")),
+                              cover=(tuple(compress(points, seen)), bytes(compress(table, seen))))
+        return drawn
 
     @cached_property
     def cover(self) -> tuple[Sequence[int], bytes]:

@@ -6,9 +6,8 @@ and records every answer it gives, so learners can be audited after a run.
 Anchors are kept as int masks. There are three constructors: ``__init__``
 takes ``CubePoint`` anchors, ``from_masks`` takes int masks and refuses any
 that is not an int in [0, 2^n), and ``for_samples`` reads the masks of the
-samples' ``cover`` unchecked, as ``LabeledSample`` keeps them in range: a
-sample ``draw_training_set`` drew by index covers at most 256 support points,
-whatever its length. All three call ``_setup``.
+samples' ``cover`` unchecked, as ``LabeledSample`` keeps them in range. All
+three call ``_setup``.
 The core, ``ask(mask, times)``, checks and answers each distinct query once
 and counts its repeats. Locality is one scan: a mask's first asking computes
 its distance to the nearest anchor, which is both the recorded distance and
@@ -26,7 +25,7 @@ each distinct mask once, by first asking.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import chain
 from typing import Iterable, Mapping
 
 from .concepts import Concept
@@ -271,32 +270,16 @@ class LocalMQOracle:
 def draw_training_set(dist: Distribution, h_star: Concept, m: int, seed: int) -> LabeledSample:
     """m i.i.d. points labeled by the target concept, as ``sample`` draws and ``label`` labels them.
 
-    Drawn by point index (``sample_indices``: a ``UniformCube`` to n = 8, a ``FiniteSupport`` with a top-byte
-    table), the support is labelled once by ``label_masks`` and the draws by one ``translate``; the sample keeps
-    the (points, idx) pair as ``_indexed`` and builds its masks tuple only when ``masks`` is first read (see
-    ``LabeledSample``). A labelled support also sets the sample's ``cover``: the support points that occur in the
-    draws, with their labels. If a support point has no label (a ``PolyConcept`` off ±1, a table without the
-    point), the drawn masks are built at once and labelled instead, so an error names the first draw without one.
-    Any other ``sample`` (a bisecting ``FiniteSupport`` too) is kept as a tuple and labelled by ``label_masks``.
-    The sample keeps the labels' bytes as they are and its draws unchecked: in range by construction.
+    A distribution drawn by point index (``sample_indices``) has its support labelled once by ``label_masks``.
+    If a support point has no label (a ``PolyConcept`` off ±1, a table without the point), or the distribution
+    is not drawn by index, ``sample``'s draws are labelled instead, so an error names the first draw without one.
     """
     if h_star.n != dist.n:
         raise DimensionMismatch(f"concept dimension {h_star.n} differs from distribution {dist.n}")
-    drawn, indexed = LabeledSample.__new__(LabeledSample), sample_indices(dist, m, seed)
-    state = drawn.__dict__
-    state["n"] = dist.n
-    if indexed is None:
-        state["masks"] = tuple(sample(dist, m, seed))
-    else:
-        points, idx = state["_indexed"] = indexed
+    if (indexed := sample_indices(dist, m, seed)) is not None:
         try:
-            table = label_masks(h_star, points)
+            return LabeledSample._by_index(dist.n, *indexed, label_masks(h_star, indexed[0]))
         except (ValueError, LookupError):
-            pass  # the draws' masks are labelled below, and so built now
-        else:
-            seen = [bytes((i,)) in idx for i in range(len(points))]
-            cover = tuple(compress(points, seen)), bytes(compress(table, seen))
-            state.update(labels=idx.translate(table.ljust(256, b"\0")), cover=cover)
-            return drawn
-    state["labels"] = label_masks(h_star, drawn.masks)
-    return drawn
+            pass  # a support point has no label: the draws are labelled below
+    masks = tuple(sample(dist, m, seed))
+    return LabeledSample._drawn(dist.n, masks, label_masks(h_star, masks))

@@ -212,7 +212,7 @@ def reduce_junta_type_b(junta: Junta, phi: ReplicateMap) -> Junta:
     if not junta.relevant:  # a constant has no block to decode
         return Junta(phi.target_n, (), junta.table)
     relevant = tuple(c for i in junta.relevant for c in phi.block_coordinates(i))
-    majority = [int(b.bit_count() > phi.k // 2) for b in range(1 << phi.k)]  # as ReplicateMap.decode reads a block
+    majority = list(map(ReplicateMap(1, phi.k).decode, range(1 << phi.k)))
     sources = [0]
     for _ in junta.relevant:  # first block most significant
         sources = [s << 1 | bit for s in sources for bit in majority]

@@ -38,6 +38,7 @@ from lmqlab.cube import (
 )
 from lmqlab.distributions import _DRAW_BLOCK, FiniteSupport, LabeledSample, UniformCube, sample, sample_indices
 from lmqlab.formats import parse_tree
+from lmqlab import oracle
 from lmqlab.oracle import draw_training_set, label_masks
 from lmqlab.reductions import ComposedConcept, SynthesizedLabels, make_reduction
 
@@ -898,6 +899,21 @@ def test_draw_training_set_labels_pointwise_when_no_draw_is_unlabelled(support):
         assert "masks" in vars(drawn) and "cover" not in vars(drawn) and drawn.cover == (drawn.masks, drawn.labels)
         outcomes.add("labelled")
     assert outcomes == {"raised", "labelled"}
+
+
+@pytest.mark.parametrize("table", [{3: 1, 9: 1, 17: 0}, {3: 1, 17: 0}], ids=["labelled", "unlabelled-point"])
+def test_draw_training_set_calls_sample_only_when_a_support_point_has_no_label(table, monkeypatch):
+    # Masses in 256ths, so drawn by index. A labelled support never calls ``oracle.sample``; a support point without
+    # a label falls through to it once a draw, raising or not, for the same stream the index draw read.
+    dist, calls = FiniteSupport(5, ((3, Fraction(85, 256)), (9, Fraction(1, 256)), (17, Fraction(170, 256)))), []
+    monkeypatch.setattr(oracle, "sample", lambda *args: calls.append(args) or sample(*args))
+    assert sample_indices(dist, 64, 0) is not None
+    for seed in range(16):
+        try:
+            draw_training_set(dist, _TableConcept(5, table), 64, seed)
+        except KeyError:
+            pass
+    assert calls == ([] if 9 in table else [(dist, 64, seed) for seed in range(16)])
 
 
 def _point_sets(n: int, r: int | None, rng: random.Random) -> tuple[list[int], int, list[int]]:

@@ -1,15 +1,20 @@
+import ast
 import copy
 import dataclasses
+import inspect
 import pickle
 import random
 import re
 import sys
 import threading
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import lmqlab
+from lmqlab import oracle
 from lmqlab.concepts import DnfFormula, MaskConcept, Term, random_dnf
 from lmqlab.cube import CubePoint, DimensionMismatch, ReplicateMap, ball_size, enumerate_cube
 from lmqlab.distributions import (
@@ -898,6 +903,17 @@ def test_index_path_sample_first_read_racing_in_threads_always_finds_the_masks()
     finally:
         sys.setswitchinterval(interval)
     assert found == [True] * 2400
+
+
+def test_drawn_sample_storage_lives_only_in_distributions():
+    # ``distributions`` alone builds a drawn sample's two forms; ``draw_training_set`` only picks one and labels it.
+    sources = sorted(Path(lmqlab.__file__).parent.glob("*.py"))
+    pattern = re.compile(r"_indexed|LabeledSample\.__new__")
+    assert [path.name for path in sources if pattern.search(path.read_text())] == ["distributions.py"]
+    assert "__dict__" not in inspect.getsource(oracle)
+    lines = inspect.getsource(draw_training_set).splitlines()
+    body = lines[ast.parse("\n".join(lines)).body[0].body[0].end_lineno:]  # after the docstring
+    assert len([lines[0], *(line for line in body if line.strip()[:1] not in ("", "#"))]) <= 10
 
 
 @pytest.mark.parametrize(
