@@ -12,7 +12,6 @@ from .cube import (
     CubePoint,
     DimensionMismatch,
     ReplicateMap,
-    enumerate_cube,
 )
 from .concepts import (
     Concept,

@@ -1,10 +1,13 @@
 """Points of the boolean cube {-1,+1}^n, their Hamming geometry, and the replication map.
 
 Coordinates are 1-based throughout the package. A point is stored as a
-bit mask so that flips, distances and enumeration reduce to integer
-arithmetic. Hot paths pass the bare int masks (the oracle's anchor scan,
-``ReplicateMap.encode``/``decode``, which compute each block per call, so a
-map holds only n and k); ``CubePoint`` is the API form.
+bit mask so that flips and distances reduce to integer arithmetic: the
+distance of two points is the popcount of their masks' XOR, and the cube in
+lexicographic order is the masks ``range(1 << n)``, enumerated as masks only
+(``distributions.support_weights``, ``cube_columns``). Hot paths pass the
+bare int masks (the oracle's anchor scan, ``ReplicateMap.encode``/``decode``,
+which compute each block per call, so a map holds only n and k);
+``CubePoint`` is the API form.
 
 A point list can also be held bit-sliced, as columns: column i is the bitset
 of the list positions whose point has mask bit i set (``cube_columns``,
@@ -94,15 +97,6 @@ class CubePoint:
         _set(self, "mask", mask)
 
     @classmethod
-    def from_bits(cls, bits: Sequence[int]) -> "CubePoint":
-        mask = 0
-        for b in bits:
-            if type(b) is not int or b not in (-1, 1):
-                raise ValueError(f"cube entries must be -1 or +1, got {b!r}")
-            mask = (mask << 1) | (b == 1)
-        return cls(len(bits), mask)
-
-    @classmethod
     def from_string(cls, text: str) -> "CubePoint":
         """Parse a point from a string over {'+','-'}, e.g. "+-+" = (+1,-1,+1)."""
         if not text or any(c not in "+-" for c in text):
@@ -129,11 +123,6 @@ class CubePoint:
         if not is_int(j, 1, self.n):
             raise ValueError(f"coordinate {j!r} out of range 1..{self.n}")
         return CubePoint(self.n, self.mask ^ (1 << (self.n - j)))
-
-    def hamming(self, other: "CubePoint") -> int:
-        if self.n != other.n:
-            raise DimensionMismatch(f"dimensions differ: {self.n} vs {other.n}")
-        return (self.mask ^ other.mask).bit_count()
 
     def __repr__(self) -> str:
         return f"CubePoint({self.to_string()!r})"
@@ -288,10 +277,3 @@ class ReplicateMap:
         """Target coordinates carrying source coordinate i."""
         return range((i - 1) * self.k + 1, i * self.k + 1)
 
-
-def enumerate_cube(n: int) -> Iterator[CubePoint]:
-    """Yield all 2^n points in lexicographic order of coordinates (-1 < +1), n <= ``ENUMERATION_CAP``."""
-    require_count(n, 1, "dimension must be a positive integer")
-    require_enumerable(n)
-    for mask in range(1 << n):
-        yield CubePoint(n, mask)

@@ -3,19 +3,19 @@
 Probabilities are exact, and ``support_weights`` is each distribution's one
 enumerated form: its support's masks ascending, each mass a positive int
 weight over one denominator, a ``ProductDist``'s weights read lazily off one
-``itertools.product``. ``exact_loss``, ``ProductDist.support`` and
-``evident.evidence_report`` sum those weights, with no ``Fraction`` step per
-point. Draws, supports and ``LabeledSample`` (a tuple of masks, labels as
-``bytes``) hold int masks; a ``CubePoint`` is built only for an error message
-or an iterated sample. A sample's ``cover`` names its labelled support: each
-distinct (mask, label) pair at least once; ``LocalMQOracle.for_samples`` and
-learner phase 2 read only it. A drawn sample takes one of two forms, both
-built here and picked by ``oracle.draw_training_set``: ``LabeledSample._drawn``
-stores a masks tuple, with the sample itself as its cover;
-``LabeledSample._by_index`` stores the (points, idx) pair of
-``sample_indices`` and the drawn support points as its cover, and builds its
-masks tuple on the first read of ``masks``, so a sample read only through
-``cover`` and ``len`` (s2 in a learning trial) never builds it.
+``itertools.product``. ``exact_loss`` and ``evident.evidence_report`` sum
+those weights, with no ``Fraction`` step per point; the one ``support()`` the
+three classes share reads them as (mask, ``Fraction``) pairs. Draws, supports
+and ``LabeledSample`` (a tuple of masks, labels as ``bytes``) hold int masks;
+a ``CubePoint`` is built only for an error message or an iterated sample. A
+sample's ``cover`` names its labelled support: each distinct (mask, label)
+pair at least once; ``LocalMQOracle.for_samples`` and learner phase 2 read
+only it. A drawn sample takes one of two forms, both built here and picked by
+``oracle.draw_training_set``: ``LabeledSample._drawn`` stores a masks tuple,
+with the sample itself as its cover; ``LabeledSample._by_index`` stores the
+(points, idx) pair of ``sample_indices`` and the drawn support points as its
+cover, and builds its masks tuple on the first read of ``masks``: a sample read
+only through ``cover`` and ``len`` (s2 in a learning trial) never builds it.
 
 ``sample`` reads a seeded ``random.Random`` in one ``draws(rng, m)`` call, so
 each draw replays bit-exactly. Each class reads the generator in one place:
@@ -60,8 +60,17 @@ from .concepts import Concept
 _DRAW_BLOCK = 4096
 
 
+class _Supported:
+    """The one ``support()`` of every distribution."""
+
+    def support(self) -> Iterator[tuple[int, Fraction]]:
+        """(mask, mass) for each point of positive mass, masks ascending: each ``support_weights`` weight."""
+        masks, weights, denominator = support_weights(self)
+        return zip(masks, map(Fraction, weights, repeat(denominator)))
+
+
 @dataclass(frozen=True)
-class UniformCube:
+class UniformCube(_Supported):
     """Uniform distribution on {-1,+1}^n. To n = 8 a draw's mask is its point index, a byte (``_indices``)."""
 
     n: int
@@ -91,13 +100,9 @@ class UniformCube:
             k = min(_DRAW_BLOCK, m - start)
             yield k, rng.getrandbits(32 * k) >> 32 - self.n & keep
 
-    def support(self) -> Iterator[tuple[int, Fraction]]:
-        require_enumerable(self.n)
-        return zip(range(1 << self.n), repeat(Fraction(1, 1 << self.n)))
-
 
 @dataclass(frozen=True)
-class ProductDist:
+class ProductDist(_Supported):
     """Independent coordinates; ``plus_probs[j-1]`` is the chance of +1 at j, an exact rational in [0, 1]."""
 
     n: int
@@ -123,10 +128,6 @@ class ProductDist:
             out.append(mask)
         return out
 
-    def support(self) -> Iterator[tuple[int, Fraction]]:
-        masks, weights, denominator = support_weights(self)
-        return zip(masks, map(Fraction, weights, repeat(denominator)))
-
 
 def _lane_ones(bits: int, lanes: int) -> int:
     """``bits`` low ones in each of ``lanes`` 4-byte little-endian lanes."""
@@ -134,7 +135,7 @@ def _lane_ones(bits: int, lanes: int) -> int:
 
 
 @dataclass(frozen=True)
-class FiniteSupport:
+class FiniteSupport(_Supported):
     """Point masses as ``(mask, prob)`` entries (int masks in [0, 2^n), exact masses summing to 1), drawn as indices:
     by the table ``_top`` if every top byte of random()'s first word names one entry, else by bisection."""
 
@@ -189,9 +190,6 @@ class FiniteSupport:
         """m masks: the entries ``_indices`` draws, read through the entry masks."""
         masks = self._masks
         return [masks[i] for i in self._indices(rng, m)]
-
-    def support(self) -> Iterator[tuple[int, Fraction]]:
-        return iter(self.entries)
 
 
 Distribution = Union[UniformCube, ProductDist, FiniteSupport]

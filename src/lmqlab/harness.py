@@ -34,7 +34,7 @@ from .concepts import (
     random_tree,
 )
 from .cube import CubePoint, ReplicateMap, count_above, cube_columns, is_int, iter_bits, require_count
-from .distributions import Distribution, UniformCube, exact_loss, mc_loss, pushforward
+from .distributions import Distribution, FiniteSupport, UniformCube, exact_loss, mc_loss, pushforward
 from .evident import (
     doubling_dnf,
     evident_tables,
@@ -58,7 +58,7 @@ from .reductions import (
     verify_reduction,
 )
 
-# Losses are exact up to this dimension and Monte Carlo estimates above it.
+# Losses are exact on a finite support, and on the cube up to this dimension; Monte Carlo estimates above it.
 EXACT_LOSS_MAX_N = 20
 MC_SAMPLES = 100_000
 
@@ -212,14 +212,15 @@ def run_trial(
     """One learning trial: draw s1 and s2, learn with q-local queries, score the loss.
 
     ``seeds`` seed s1, s2 and the Monte Carlo loss, in that order. Returns
-    the learner's run, the loss and its estimator ("exact" or "mc").
+    the learner's run, the loss and its estimator: "exact" for a
+    ``FiniteSupport`` or n <= ``EXACT_LOSS_MAX_N``, else "mc".
     """
     s1_seed, s2_seed, loss_seed = seeds
     s1 = draw_training_set(dist, target, m1, s1_seed)
     s2 = draw_training_set(dist, target, m2, s2_seed)
     oracle = LocalMQOracle.for_samples(target, q, s1, s2)
     run = learn_evident_dnf_run(s1, s2, oracle)
-    if target.n <= EXACT_LOSS_MAX_N:
+    if isinstance(dist, FiniteSupport) or target.n <= EXACT_LOSS_MAX_N:
         return run, exact_loss(dist, target, run.formula), "exact"
     return run, mc_loss(dist, target, run.formula, MC_SAMPLES, loss_seed), "mc"
 
@@ -426,12 +427,11 @@ def _audit_simulation(
     reduction: QReduction,
     concept,
     dist: Distribution,
-    m1: int,
-    m2: int,
+    m: int,
     seed: int,
 ) -> None:
-    s1 = draw_training_set(dist, concept, m1, derive_seed(seed, "sim-s1"))
-    s2 = draw_training_set(dist, concept, m2, derive_seed(seed, "sim-s2"))
+    s1 = draw_training_set(dist, concept, m, derive_seed(seed, "sim-s1"))
+    s2 = draw_training_set(dist, concept, m, derive_seed(seed, "sim-s2"))
     transformed = reduction.transform(concept)
     try:
         _, oracle = simulate_pac_from_local(learn_evident_dnf, reduction, s1, s2)
@@ -557,7 +557,7 @@ def run_reduction_suite(base_seed: int = 0) -> ReductionSuiteReport:
     )
     for name, n, q0, concept, m, tag in audits:
         reduction = make_reduction(name, n, q0=q0)
-        _audit_simulation(report, reduction, concept, UniformCube(n), m, m, derive_seed(base_seed, tag))
+        _audit_simulation(report, reduction, concept, UniformCube(n), m, derive_seed(base_seed, tag))
 
     controls = [
         ("detector dropped", corrupted_dnf_reduction_without_detector(2), DnfFormula(2, (Term.of(1),))),

@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cubes import cube_points
 from lmqlab.concepts import (
     DecisionTree,
     Dfa,
@@ -32,7 +33,6 @@ from lmqlab.cube import (
     ReplicateMap,
     ball_columns,
     cube_columns,
-    enumerate_cube,
     masks_at_distance,
     recentre,
 )
@@ -59,7 +59,7 @@ class TestDnf:
     def test_empty_formula_and_empty_term_conventions(self):
         empty_formula = DnfFormula(2, ())
         always = DnfFormula(2, (Term(frozenset(), frozenset()),))
-        for x in enumerate_cube(2):
+        for x in cube_points(2):
             assert empty_formula.evaluate(x) == 0
             assert always.evaluate(x) == 1
 
@@ -142,7 +142,7 @@ class TestTree:
         t = DecisionTree(2, Leaf(1))
         f = dnf_of_tree(t)
         assert len(f.terms) == 1 and f.terms[0].width == 0
-        assert all(f.evaluate(x) == 1 for x in enumerate_cube(2))
+        assert all(f.evaluate(x) == 1 for x in cube_points(2))
 
     def test_dnf_of_tree_equivalence_random(self):
         rng = random.Random(99)
@@ -151,7 +151,7 @@ class TestTree:
             tree = random_tree(n, rng.randint(2, min(64, 1 << n)), rng)
             f = dnf_of_tree(tree)
             assert len(f.terms) <= tree.leaf_count
-            for x in enumerate_cube(n):
+            for x in cube_points(n):
                 label = tree.evaluate(x)
                 assert f.evaluate(x) == label
                 if label == 1:
@@ -268,7 +268,7 @@ class TestDfa:
 
     def test_parity_agrees_with_popcount(self):
         a = parity_dfa(4)
-        for x in enumerate_cube(4):
+        for x in cube_points(4):
             minus_count = sum(1 for b in x.bits if b == -1)
             assert a.evaluate(x) == (minus_count % 2)
 
@@ -276,7 +276,7 @@ class TestDfa:
 class TestJunta:
     def test_xor_junta(self):
         h = Junta(4, (1, 2), (0, 1, 1, 0))
-        for x in enumerate_cube(4):
+        for x in cube_points(4):
             expected = 1 if x.bit(1) != x.bit(2) else 0
             assert h.evaluate(x) == expected
 
@@ -330,7 +330,7 @@ class TestPoly:
         p = SparsePoly(3, {frozenset({1}): Fraction(1, 10), frozenset({2, 3}): -2})
         f = SparsePtf(p, theta)
         assert type(f.theta) is Fraction and f.theta == theta
-        for x in enumerate_cube(3):
+        for x in cube_points(3):
             assert f.evaluate(x) == int(_ref_value(p, x) >= Fraction(theta))
 
     @pytest.mark.parametrize(
@@ -377,7 +377,7 @@ class TestMajPoly:
         assert poly.degree <= k
         assert poly.coefficient_count <= 1 << k
         half = k // 2
-        for x in enumerate_cube(k):
+        for x in cube_points(k):
             brute = 1 if sum(1 for b in x.bits if b == 1) > half else -1
             assert poly.evaluate(x) == brute
 
@@ -475,7 +475,7 @@ def _reference(c, x: CubePoint) -> int:
     if isinstance(c, SparsePtf):
         return int(_ref_value(c.poly, x) >= c.theta)
     if isinstance(c, ComposedConcept):
-        return _reference(c.inner, CubePoint.from_bits([b for b in x.bits for _ in range(c.phi.k)]))
+        return _reference(c.inner, CubePoint.from_string("".join(sign * c.phi.k for sign in x.to_string())))
     raise TypeError(f"no reference for {type(c).__name__}")
 
 
@@ -517,14 +517,14 @@ def _instance(kind: str, rng: random.Random):
             reduction = make_reduction("junta", source_n, q0=rng.randint(1, 2))
             h = random_junta(source_n, rng.randint(0, source_n), rng)
         phi = reduction.phi
-        mapped = [(phi.apply(x), h.evaluate(x)) for x in enumerate_cube(source_n)]
+        mapped = [(phi.apply(x), h.evaluate(x)) for x in cube_points(source_n)]
         if kind == "synthesized-A":
             mapped = rng.sample(mapped, rng.randint(0, len(mapped)))
             labels, cut = dict(mapped), rng.randint(0, len(mapped))
             samples = _sample(phi.target_n, mapped[:cut]), _sample(phi.target_n, mapped[cut:])
             return SynthesizedLabels(reduction, *samples), lambda z: labels.get(z, 1)
         synthesized = SynthesizedLabels(reduction, _sample(phi.target_n, mapped))
-        return synthesized, lambda z: min(mapped, key=lambda p: z.hamming(p[0]))[1]
+        return synthesized, lambda z: min(mapped, key=lambda p: (z.mask ^ p[0].mask).bit_count())[1]
     return c, lambda x: _reference(c, x)
 
 

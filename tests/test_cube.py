@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cubes import cube_points
 from lmqlab import concepts, cube, distributions, evident, harness, learner, reductions
 from lmqlab.concepts import DnfFormula, Term
 from lmqlab.cube import (
@@ -14,7 +15,6 @@ from lmqlab.cube import (
     ball_columns,
     ball_size,
     cube_columns,
-    enumerate_cube,
     lane_bits,
     lane_columns,
     masks_at_distance,
@@ -24,25 +24,6 @@ from lmqlab.oracle import LocalityViolation, LocalMQOracle
 
 def P(text: str) -> CubePoint:
     return CubePoint.from_string(text)
-
-
-def test_hamming_identity():
-    assert P("+++").hamming(P("+++")) == 0
-
-
-def test_hamming_counts_differing_coordinates():
-    assert P("+-+").hamming(P("---")) == 2
-
-
-def test_hamming_full_complement():
-    x = P("+-+-+")
-    y = CubePoint.from_bits([-b for b in x.bits])
-    assert x.hamming(y) == 5
-
-
-def test_hamming_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        P("++").hamming(P("+++"))
 
 
 def test_flip_definition():
@@ -61,21 +42,7 @@ def test_flip_involution_and_distance(case):
     n, mask, j = case
     x = CubePoint(n, mask)
     assert x.flip(j).flip(j) == x
-    assert x.hamming(x.flip(j)) == 1
-
-
-@given(
-    st.integers(1, 10).flatmap(
-        lambda n: st.tuples(*(st.integers(0, 2 ** n - 1),) * 3).map(
-            lambda ms: tuple(CubePoint(n, m) for m in ms)
-        )
-    )
-)
-def test_hamming_is_a_metric(points):
-    x, y, z = points
-    assert x.hamming(y) == y.hamming(x)
-    assert (x.hamming(y) == 0) == (x == y)
-    assert x.hamming(z) <= x.hamming(y) + y.hamming(z)
+    assert (x.mask ^ x.flip(j).mask).bit_count() == 1
 
 
 def _anchor_sets(n: int):
@@ -128,8 +95,8 @@ def test_in_ball_basic_cases():
 
 def test_in_ball_matches_min_distance_exhaustively():
     anchors = [P("++-"), P("---")]
-    for z in enumerate_cube(3):
-        best = min(z.hamming(a) for a in anchors)
+    for z in cube_points(3):
+        best = min((z.mask ^ a.mask).bit_count() for a in anchors)
         for q in range(4):
             assert _in_ball(z, anchors, q) == (best <= q)
 
@@ -146,35 +113,22 @@ def test_ball_size_counts_points_within_radius():
             assert ball_size(n, q) == within
 
 
-def test_enumerate_base_case_and_order():
-    assert [p.bits for p in enumerate_cube(1)] == [(-1,), (1,)]
-    two = [p.to_string() for p in enumerate_cube(2)]
+def test_masks_ascend_in_lexicographic_order():
+    assert [CubePoint(1, m).bits for m in range(2)] == [(-1,), (1,)]
+    two = [CubePoint(2, m).to_string() for m in range(4)]
     assert two == ["--", "-+", "+-", "++"]
 
 
-def test_enumerate_cardinality():
-    points = list(enumerate_cube(6))
-    assert len(points) == 64
-    assert len(set(points)) == 64
-
-
-def test_enumerate_large_stream_count():
-    assert sum(1 for _ in enumerate_cube(20)) == 1_048_576
-
-
-def test_enumerate_cap_error_names_cap():
-    with pytest.raises(ValueError, match=str(ENUMERATION_CAP)):
-        list(enumerate_cube(ENUMERATION_CAP + 1))
+def test_points_of_distinct_masks_are_distinct():
+    assert len(set(cube_points(6))) == 64
 
 
 def test_string_round_trip():
-    for p in enumerate_cube(4):
+    for p in cube_points(4):
         assert CubePoint.from_string(p.to_string()) == p
 
 
-def test_from_bits_validation():
-    with pytest.raises(ValueError):
-        CubePoint.from_bits([1, 0, -1])
+def test_from_string_validation():
     with pytest.raises(ValueError):
         CubePoint.from_string("+x-")
 
@@ -297,7 +251,6 @@ COUNT_ROWS = [
     ("CubePoint", lambda v: cube.CubePoint(v, 0), 0, _DIMENSION),
     ("ReplicateMap.n", lambda v: cube.ReplicateMap(v, 3), 0, _bad_n),
     ("ReplicateMap.k", lambda v: cube.ReplicateMap(2, v), 0, _bad_k),
-    ("enumerate_cube", lambda v: list(cube.enumerate_cube(v)), 0, _DIMENSION),
     ("Term", lambda v: Term(frozenset({v}), frozenset()), 0, "variable indices must be positive integers"),
     ("DnfFormula", lambda v: DnfFormula(v, ()), 0, _DIMENSION),
     ("DecisionTree", lambda v: concepts.DecisionTree(v, concepts.Leaf(1)), 0, _DIMENSION),
@@ -356,8 +309,8 @@ def test_counts_refuse_bools_and_floats_with_the_int_message(call, bad_int, mess
     assert exc.type is ValueError and str(exc.value) == expected
 
 
-# One rule for values: a mask, label, automaton state, junta table entry, leaf label, coordinate, cube
-# entry, term index or variable count is an int (never a bool, a float or a string, even one equal to an
+# One rule for values: a mask, label, automaton state, junta table entry, leaf label, coordinate, term
+# index or variable count is an int (never a bool, a float or a string, even one equal to an
 # in-range int) and each entry point says so in its message.
 _DFA = ((0, 1), (1, 0))
 _STATES = "start and accepting states must lie in 0..1"
@@ -372,8 +325,6 @@ VALUE_ROWS = [
      lambda v: f"query mask {v!r} out of range for dimension 2"),
     ("CubePoint.bit", lambda v: P("+-").bit(v), ValueError, lambda v: f"coordinate {v!r} out of range 1..2"),
     ("CubePoint.flip", lambda v: P("+-").flip(v), ValueError, lambda v: f"coordinate {v!r} out of range 1..2"),
-    ("CubePoint.from_bits", lambda v: CubePoint.from_bits((v, -1)), ValueError,
-     lambda v: f"cube entries must be -1 or +1, got {v!r}"),
     ("satisfies_evidently.i", lambda v: evident.satisfies_evidently(DnfFormula(2, (Term.of(1), Term.of(2))), v, 0),
      ValueError, lambda v: f"term index {v!r} out of range for 2 terms"),
     ("maj_poly", lambda v: concepts.maj_poly(v), ValueError, lambda v: f"variable count {v!r} out of range 1..15"),
@@ -484,12 +435,11 @@ _ABOVE_CAP = ENUMERATION_CAP + 1
     "call",
     [
         lambda: cube.require_enumerable(_ABOVE_CAP),
-        lambda: list(cube.enumerate_cube(_ABOVE_CAP)),
         lambda: list(distributions.UniformCube(_ABOVE_CAP).support()),
         lambda: list(distributions.ProductDist(_ABOVE_CAP, (_HALF,) * _ABOVE_CAP).support()),
         lambda: evident.evident_tables(DnfFormula(_ABOVE_CAP, ())),
     ],
-    ids=["require_enumerable", "enumerate_cube", "UniformCube.support", "ProductDist.support", "evident_tables"],
+    ids=["require_enumerable", "UniformCube.support", "ProductDist.support", "evident_tables"],
 )
 def test_enumeration_cap_has_one_message(call):
     message = f"^dimension {_ABOVE_CAP} exceeds enumeration cap {ENUMERATION_CAP}$"

@@ -8,8 +8,9 @@ from itertools import accumulate
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cubes import cube_points
 from lmqlab.concepts import DnfFormula, PolyConcept, SparsePoly, Term, random_dfa, random_dnf, random_tree
-from lmqlab.cube import CubePoint, DimensionMismatch, ReplicateMap, enumerate_cube, lane_bits, lane_columns
+from lmqlab.cube import CubePoint, DimensionMismatch, ReplicateMap, lane_bits, lane_columns
 from lmqlab.distributions import (
     FiniteSupport,
     LabeledSample,
@@ -290,7 +291,7 @@ def test_pushforward_uniform_two_variables():
     got = pushforward(UniformCube(2), ReplicateMap(2, 2))
     assert len(got.entries) == 4
     assert all(prob == Fraction(1, 4) for _, prob in got.entries)
-    images = {ReplicateMap(2, 2).apply(x).mask for x in enumerate_cube(2)}
+    images = {ReplicateMap(2, 2).apply(x).mask for x in cube_points(2)}
     assert {x for x, _ in got.entries} == images
 
 

@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cubes import cube_points
 from lmqlab.concepts import DecisionTree, DnfFormula, Leaf, Node, Term, random_dnf, random_tree
-from lmqlab.cube import CubePoint, DimensionMismatch, ReplicateMap, enumerate_cube
+from lmqlab.cube import CubePoint, DimensionMismatch, ReplicateMap
 from lmqlab.distributions import FiniteSupport, ProductDist, UniformCube, pushforward
 from lmqlab.evident import (
     doubling_dnf,
@@ -61,7 +62,7 @@ class TestFlipsRevealTerm:
 
     def test_constant_one_formula_vacuous(self):
         f = DnfFormula(2, (Term(frozenset(), frozenset()),))
-        for x in enumerate_cube(2):
+        for x in cube_points(2):
             assert flips_reveal_term(f, 0, x.mask) is True
 
     def test_requires_evident_point(self):
@@ -81,7 +82,7 @@ class TestFlipsRevealTerm:
                 pos = frozenset(j for j in variables if rng.random() < 0.5)
                 terms.append(Term(pos, frozenset(variables) - pos))
             f = DnfFormula(n, tuple(terms))
-            for x in enumerate_cube(n):
+            for x in cube_points(n):
                 hit = f.satisfied_indices(x.mask)
                 if len(hit) == 1 and satisfies_evidently(f, hit[0], x.mask):
                     assert flips_reveal_term(f, hit[0], x.mask) is True
@@ -113,7 +114,7 @@ def test_truth_table_kernel_matches_pointwise_code(n, d, width, seed):
     sat, h_table, evident = evident_tables(formula)
     tables = sat + [h_table]
     flipped = {j: [flip_table(t, n, j) for t in tables] for j in range(1, n + 1)}
-    for x in enumerate_cube(n):
+    for x in cube_points(n):
         hit = formula.satisfied_indices(x.mask)
         assert [(t >> x.mask) & 1 for t in sat] == [int(i in hit) for i in range(d)]
         assert (h_table >> x.mask) & 1 == formula.evaluate(x)
@@ -236,7 +237,7 @@ class TestGenerator:
             f = gen_opposite_literal_dnf(6, 3, 3, seed=seed)
             report = evidence_report(f, UniformCube(6), beta=Fraction(1))
             assert report.verdict is True
-            for x in enumerate_cube(6):
+            for x in cube_points(6):
                 hit = f.satisfied_indices(x.mask)
                 if hit:
                     assert len(hit) == 1
@@ -244,7 +245,7 @@ class TestGenerator:
 
     def test_single_term_always_evident(self):
         f = gen_opposite_literal_dnf(4, 1, 2, seed=5)
-        for x in enumerate_cube(4):
+        for x in cube_points(4):
             hit = f.satisfied_indices(x.mask)
             if hit:
                 assert satisfies_evidently(f, 0, x.mask)
@@ -276,7 +277,7 @@ class TestDoubling:
         tree = DecisionTree(2, Node(1, Node(2, Leaf(1), Leaf(0)), Leaf(1)))
         f = doubling_dnf(tree)
         assert set(t.signed() for t in f.terms) == {(1, 2), (-1, -2, -3, -4)}
-        for x in enumerate_cube(2):
+        for x in cube_points(2):
             assert tree.evaluate(x) == f.evaluate(ReplicateMap(2, 2).apply(x))
 
     def test_doubling_makes_positives_evident(self):
@@ -286,7 +287,7 @@ class TestDoubling:
             tree = random_tree(n, rng.randint(2, min(32, 1 << n)), rng)
             f = doubling_dnf(tree)
             assert len(f.terms) <= tree.leaf_count
-            for x in enumerate_cube(n):
+            for x in cube_points(n):
                 if tree.evaluate(x) == 1:
                     z = ReplicateMap(n, 2).apply(x)
                     hit = f.satisfied_indices(z.mask)

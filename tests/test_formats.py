@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from cubes import cube_points
 from lmqlab.concepts import (
     Dfa,
     DnfFormula,
@@ -14,7 +15,7 @@ from lmqlab.concepts import (
     random_junta,
     random_tree,
 )
-from lmqlab.cube import CubePoint, ReplicateMap, enumerate_cube
+from lmqlab.cube import CubePoint, ReplicateMap
 from lmqlab.distributions import FiniteSupport, ProductDist, UniformCube
 from lmqlab.formats import (
     dump_dfa,
@@ -89,7 +90,7 @@ def test_tree_round_trip_and_semantics():
         tree = random_tree(rng.randint(2, 5), rng.randint(2, 8), rng)
         parsed = parse_tree(dump_tree(tree))
         assert parsed.n == tree.n
-        for x in enumerate_cube(tree.n):
+        for x in cube_points(tree.n):
             assert parsed.evaluate(x) == tree.evaluate(x)
 
 
@@ -110,7 +111,7 @@ def test_dfa_round_trip():
     a = parity_dfa(3)
     parsed = parse_dfa(dump_dfa(a))
     assert parsed.length == 3
-    for x in enumerate_cube(3):
+    for x in cube_points(3):
         assert parsed.evaluate(x) == a.evaluate(x)
     # Parity started in the odd state: the product's start is state 3, and
     # the file renumbers it 0 by first mention.
@@ -119,7 +120,7 @@ def test_dfa_round_trip():
     assert product.start != 0
     parsed = parse_dfa(dump_dfa(product))
     assert parsed.start == 0
-    for z in enumerate_cube(6):
+    for z in cube_points(6):
         assert parsed.evaluate(z) == product.evaluate(z)
 
 

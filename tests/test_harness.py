@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import goldens
+from cubes import cube_points
 from lmqlab.concepts import (
     DnfFormula,
     Junta,
@@ -19,8 +20,8 @@ from lmqlab.concepts import (
     random_tree,
 )
 from lmqlab import distributions, evident, harness, learner, oracle, reductions
-from lmqlab.cube import CubePoint, ReplicateMap, enumerate_cube
-from lmqlab.distributions import UniformCube, pushforward
+from lmqlab.cube import CubePoint, ReplicateMap
+from lmqlab.distributions import FiniteSupport, UniformCube, pushforward
 from lmqlab.harness import (
     ExperimentConfig,
     ReductionSuiteReport,
@@ -238,7 +239,7 @@ def _learning_and_corpus_results():
     for name, concept in (("dnf", DnfFormula(3, (Term.of(1),))), ("junta", Junta(4, (1, 2), (0, 1, 1, 0)))):
         report = ReductionSuiteReport()
         reduction = make_reduction(name, concept.n)
-        _audit_simulation(report, reduction, concept, UniformCube(concept.n), 200, 200, derive_seed(13, name))
+        _audit_simulation(report, reduction, concept, UniformCube(concept.n), 200, derive_seed(13, name))
         audits.append((reduction.kind, report.to_dict()))
     return trials, run_reconstruction_corpus(count=5).to_dict(), audits
 
@@ -380,7 +381,7 @@ def test_simulation_audit_counts_a_neighbour_shifted_transform():
     counts = {}
     for name, reduction in (("honest", honest), ("shifted", shifted)):
         report = ReductionSuiteReport()
-        _audit_simulation(report, reduction, parity, UniformCube(4), 200, 200, derive_seed(0, "sim-parity"))
+        _audit_simulation(report, reduction, parity, UniformCube(4), 200, derive_seed(0, "sim-parity"))
         counts[name] = (report.simulation_queries, report.simulation_mismatches, report.uniqueness_errors)
     assert counts["honest"][1:] == (0, 0)
     queries, mismatches, errors = counts["shifted"]
@@ -405,19 +406,21 @@ def test_majority_expansion_check_fails_on_a_perturbed_coefficient(monkeypatch):
 
 def test_parity_dfa_counts_minus_symbols():
     a = parity_dfa(5)
-    for x in enumerate_cube(5):
+    for x in cube_points(5):
         assert a.evaluate(x) == sum(1 for b in x.bits if b == -1) % 2
 
 
-# Whole trials on the Monte Carlo path, pinned so that a drift in the
-# distance histogram or the estimated loss shows. Both have more distinct
-# anchors than a 1-ball has points; the opposite-literal trial at n=25
-# misses a term, so its loss is not 0.
-MC_TRIALS = [
+# Whole trials above the cube's exact-loss cutoff, pinned so that a drift in
+# the distance histogram or the loss shows. Both have more distinct anchors
+# than a 1-ball has points. The doubled-tree trial at n=22 draws from its
+# image, a finite support, so its loss is exact; the opposite-literal trial
+# at n=25 draws from the cube, so its loss is a Monte Carlo estimate, and it
+# misses a term, so that loss is not 0.
+WIDE_TRIALS = [
     (
         doubled_tree_family(11, 11, max_leaves=8), 300, 600,
         {
-            "distance_histogram": {"1": 1782}, "estimator": "mc", "index": 0, "loss": "0",
+            "distance_histogram": {"1": 1782}, "estimator": "exact", "index": 0, "loss": "0",
             "loss_float": 0.0, "max_locality": 1, "n": 22, "positives": 81, "queries": 1782,
             "seed": 6011654802197052586, "success": True, "terms_added": 1, "terms_pruned": 0,
         },
@@ -433,20 +436,24 @@ MC_TRIALS = [
 ]
 
 
-def test_monte_carlo_estimator_above_enumeration_bound():
-    for family, m1, m2, expected in MC_TRIALS:
+def test_trials_above_the_exact_loss_cutoff():
+    for family, m1, m2, expected in WIDE_TRIALS:
         report = run_learning_suite(small_config(family=family, trials=1, m1=m1, m2=m2))
-        trial = report.trials[0]
-        assert trial.estimator == "mc"
-        assert trial.canonical_dict() == expected
+        assert report.trials[0].canonical_dict() == expected
+
+
+def test_run_trial_sums_a_finite_support_exactly_at_any_n():
+    # Four points at n = 24; s1 misses the one point of the second term, of mass 1/64.
+    target = DnfFormula(24, (Term.of(1, -2), Term.of(3, 4, 24)))
+    points = {"+" + "-" * 23: Fraction(1, 2), "--++" + "-" * 19 + "+": Fraction(1, 64),
+              "-+" + "-" * 22: Fraction(15, 64), "++" + "-" * 22: Fraction(1, 4)}
+    support = FiniteSupport(24, tuple((CubePoint.from_string(p).mask, mass) for p, mass in points.items()))
+    run, loss, estimator = run_trial(target, support, 20, 200, 1, (2, 3, 4))
+    assert (estimator, loss, len(run.formula.terms)) == ("exact", Fraction(1, 64), 1)
+    assert run_trial(target, UniformCube(24), 20, 200, 1, (2, 3, 4))[2] == "mc"
 
 
 def test_point_mass_trial_has_zero_loss():
-    from fractions import Fraction
-
-    from lmqlab.cube import CubePoint
-    from lmqlab.distributions import FiniteSupport
-
     target = DnfFormula(3, (Term.of(1, 2),))
     dist = FiniteSupport(3, ((CubePoint.from_string("+++").mask, Fraction(1)),))
     cfg = small_config(family=lambda seed: (target, dist), trials=1, m1=20, m2=20)

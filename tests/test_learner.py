@@ -6,8 +6,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cubes import cube_points
 from lmqlab.concepts import DnfFormula, Term, random_dnf
-from lmqlab.cube import CubePoint, DimensionMismatch, enumerate_cube
+from lmqlab.cube import CubePoint, DimensionMismatch
 from lmqlab.distributions import (
     _DRAW_BLOCK,
     FiniteSupport,
@@ -80,7 +81,7 @@ class TestReconstruction:
             width = rng.randint(2, min(4, n))
             d = rng.randint(1, 1 << (width - 1))
             f = gen_opposite_literal_dnf(n, d, width, seed=rng.randrange(1 << 30))
-            for x in enumerate_cube(n):
+            for x in cube_points(n):
                 hit = f.satisfied_indices(x.mask)
                 if len(hit) == 1 and satisfies_evidently(f, hit[0], x.mask):
                     o = LocalMQOracle(f, [x], q=1)
@@ -120,7 +121,7 @@ class TestLearner:
         s2 = draw_training_set(dist, target, 10000, seed=102)
         oracle = LocalMQOracle.for_samples(target, 1, s1, s2)
         learned = learn_evident_dnf(s1, s2, oracle)
-        for x in enumerate_cube(4):
+        for x in cube_points(4):
             assert learned.evaluate(x) == target.evaluate(x)
         assert exact_loss(dist, target, learned) == 0
         # Pruning soundness: nothing in the output fires on a known negative.
@@ -184,7 +185,7 @@ class TestLearner:
         target = gen_opposite_literal_dnf(6, 4, 3, seed=14)
         dist = UniformCube(6)
         s1_points = []
-        for x in enumerate_cube(6):
+        for x in cube_points(6):
             hit = target.satisfied_indices(x.mask)
             if len(hit) == 1 and satisfies_evidently(target, hit[0], x.mask):
                 s1_points.append(x)

@@ -14,9 +14,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lmqlab
+from cubes import cube_points
 from lmqlab import oracle
 from lmqlab.concepts import DnfFormula, MaskConcept, Term, random_dnf
-from lmqlab.cube import CubePoint, DimensionMismatch, ReplicateMap, ball_size, enumerate_cube
+from lmqlab.cube import CubePoint, DimensionMismatch, ReplicateMap, ball_size
 from lmqlab.distributions import (
     _DRAW_BLOCK,
     FiniteSupport,
@@ -351,7 +352,7 @@ def test_min_distance_strategies_agree():
     assert 2 <= ball_size(6, 2) < len(anchors)
     for subset in (anchors[:2], anchors):
         oracle = LocalMQOracle(target, subset, q=2, query_cap=1 << 10)
-        for z in enumerate_cube(6):
+        for z in cube_points(6):
             brute = min((z.mask ^ a.mask).bit_count() for a in subset)
             if brute <= 2:
                 assert oracle.query(z) == target.evaluate(z)

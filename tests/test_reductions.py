@@ -9,6 +9,7 @@ from unittest.mock import patch
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cubes import cube_points
 from lmqlab import harness, reductions
 from lmqlab.concepts import (
     DecisionTree,
@@ -26,7 +27,7 @@ from lmqlab.concepts import (
     random_junta,
     random_tree,
 )
-from lmqlab.cube import CubePoint, DimensionMismatch, ReplicateMap, enumerate_cube, masks_at_distance
+from lmqlab.cube import CubePoint, DimensionMismatch, ReplicateMap, masks_at_distance
 from lmqlab.distributions import LabeledSample, UniformCube
 from lmqlab.learner import learn_evident_dnf, reconstruct_term
 from lmqlab.oracle import LocalityViolation, LocalMQOracle, draw_training_set
@@ -84,15 +85,15 @@ class TestReplicateMap:
 
     def test_identity_factor(self):
         phi = ReplicateMap(3, 1)
-        for x in enumerate_cube(3):
+        for x in cube_points(3):
             assert phi.apply(x) == x
 
     def test_distance_scaling(self):
         phi = ReplicateMap(4, 3)
-        points = list(enumerate_cube(4))
+        points = cube_points(4)
         for x in points:
             for y in points:
-                assert phi.apply(x).hamming(phi.apply(y)) == 3 * x.hamming(y)
+                assert (phi.apply(x).mask ^ phi.apply(y).mask).bit_count() == 3 * (x.mask ^ y.mask).bit_count()
 
     def test_block_coordinates(self):
         phi = ReplicateMap(2, 4)
@@ -123,7 +124,7 @@ class TestDnfReduction:
     def test_detector_silent_on_constant_blocks(self):
         phi = ReplicateMap(2, 4)
         g = build_detector(phi)
-        for x in enumerate_cube(2):
+        for x in cube_points(2):
             assert g.evaluate(phi.apply(x)) == 0
 
     def test_detector_fires_on_one_internal_flip(self):
@@ -136,7 +137,7 @@ class TestDnfReduction:
         f = DnfFormula(2, (Term.of(1),))
         phi = ReplicateMap(2, 4)
         fp = reduce_dnf_type_a(f, phi)
-        for x in enumerate_cube(2):
+        for x in cube_points(2):
             assert fp.evaluate(phi.apply(x)) == f.evaluate(x)
 
     def test_verifier_passes(self):
@@ -172,13 +173,13 @@ class TestDfaReduction:
         a = parity_dfa(2)
         phi = ReplicateMap(2, 4)
         sim = build_block_simulator(a, phi)
-        for x in enumerate_cube(2):
+        for x in cube_points(2):
             assert sim.evaluate(phi.apply(x)) == a.evaluate(x)
 
     def test_checker_rejects_images_accepts_flips(self):
         phi = ReplicateMap(2, 4)
         checker = build_block_checker(phi)
-        for x in enumerate_cube(2):
+        for x in cube_points(2):
             z = phi.apply(x)
             assert checker.evaluate(z) == 0
             for j in range(1, 9):
@@ -193,7 +194,7 @@ class TestDfaReduction:
         s = build_block_simulator(parity_dfa(2), phi)
         both = dfa_product_or(c, s)
         assert both.num_states == c.num_states * s.num_states
-        for z in enumerate_cube(8):
+        for z in cube_points(8):
             assert both.evaluate(z) == (c.evaluate(z) | s.evaluate(z))
 
     def test_verifier_passes(self):
@@ -216,7 +217,7 @@ class TestJuntaReduction:
         assert hp.k == 3
         assert hp.relevant == (1, 2, 3)
         maj = maj_poly(3)
-        for z in enumerate_cube(3):
+        for z in cube_points(3):
             expected = 1 if maj.evaluate(z) == 1 else 0
             assert hp.evaluate(z) == expected
 
@@ -231,7 +232,7 @@ class TestJuntaReduction:
         for q0 in (1, 2):
             phi = ReplicateMap(4, 2 * q0 + 1)
             hp = reduce_junta_type_b(h, phi)
-            for x in enumerate_cube(4):
+            for x in cube_points(4):
                 z = phi.apply(x)
                 base = hp.evaluate(z)
                 assert base == h.evaluate(x)
@@ -278,7 +279,7 @@ class TestTreeReduction:
     def test_zero_budget_is_renaming(self):
         tree = DecisionTree(2, Node(1, Leaf(0), Node(2, Leaf(1), Leaf(0))))
         reduced = reduce_tree_type_b(tree, ReplicateMap(2, 1))
-        for x in enumerate_cube(2):
+        for x in cube_points(2):
             assert reduced.evaluate(x) == tree.evaluate(x)
 
     def test_semantics_is_majority_over_copies(self):
@@ -286,11 +287,11 @@ class TestTreeReduction:
         tree = random_tree(3, 4, rng)
         q0 = 1
         reduced = reduce_tree_type_b(tree, ReplicateMap(3, 2 * q0 + 1))
-        for z in enumerate_cube(9):
+        for z in cube_points(9):
             copies = []
             for c in range(1, 2 * q0 + 2):
-                bits = [z.bit((i - 1) * (2 * q0 + 1) + c) for i in range(1, 4)]
-                copies.append(tree.evaluate(CubePoint.from_bits(bits)))
+                # Copy c of source coordinate i is target coordinate (i - 1) * (2 q0 + 1) + c.
+                copies.append(tree.evaluate(CubePoint.from_string(z.to_string()[c - 1::2 * q0 + 1])))
             assert reduced.evaluate(z) == majority_label(copies)
 
     def test_leaf_cap_enforced(self):
@@ -367,7 +368,7 @@ class TestPolyReduction:
         for q0 in (0, 1):
             phi = ReplicateMap(4, 2 * q0 + 1)
             grown = reduce_poly_type_b(p, phi)
-            for x in enumerate_cube(4):
+            for x in cube_points(4):
                 assert grown.evaluate(phi.apply(x)) == p.evaluate(x)
 
     def test_degree_two_expansion_is_product_of_supports(self):
@@ -395,7 +396,7 @@ class TestPolyReduction:
         grown = make_reduction("ptf", 3, q0=1).transform(f)
         assert grown.theta == f.theta
         phi = ReplicateMap(3, 3)
-        for x in enumerate_cube(3):
+        for x in cube_points(3):
             assert grown.evaluate(phi.apply(x)) == f.evaluate(x)
 
     def test_verifier_passes_linear_and_ptf(self):
@@ -471,7 +472,7 @@ class TestSimulation:
         assert len(oracle.log) == 12 * sum(s1.labels)
         for rec in oracle.log:
             assert rec.answer == transformed.evaluate(rec.point)
-        for x in enumerate_cube(4):
+        for x in cube_points(4):
             assert composed.evaluate(x) in (0, 1)
 
     def test_kind_b_unique_anchor_at_distance_zero(self):
@@ -559,7 +560,7 @@ def test_kind_b_synthesis_answers_within_q_and_refuses_beyond(name, n, q0, seed,
     phi, q, target_n = reduction.phi, reduction.q, reduction.phi.target_n
     h = _kind_b_concept(name, n, rng)
     transformed = reduction.transform(h)
-    sources = list(enumerate_cube(n))
+    sources = cube_points(n)
     mapped = [(phi.apply(x), h.evaluate(x)) for x in sources if subset >> x.mask & 1]
     trained = [z for z, _ in mapped]
     oracle = _synthesized(reduction, mapped)
@@ -593,10 +594,10 @@ def test_kind_a_synthesis_answers_within_q_and_refuses_beyond(name, n, k, seed, 
     phi, q, target_n = reduction.phi, reduction.q, reduction.phi.target_n
     h = random_dnf(n, 2, 2, rng) if name == "dnf" else random_dfa(n, 3, rng)
     transformed = reduction.transform(h)
-    mapped = [(phi.apply(x), h.evaluate(x)) for x in enumerate_cube(n) if subset >> x.mask & 1]
+    mapped = [(phi.apply(x), h.evaluate(x)) for x in cube_points(n) if subset >> x.mask & 1]
     oracle = _synthesized(reduction, mapped)
-    for z in enumerate_cube(target_n):
-        if any(z.hamming(image) <= q for image, _ in mapped):
+    for z in cube_points(target_n):
+        if any((z.mask ^ image.mask).bit_count() <= q for image, _ in mapped):
             assert oracle.query(z) == transformed.evaluate(z)
         else:
             with pytest.raises(LocalityViolation):
@@ -610,7 +611,7 @@ def test_synthesized_labels_refuse_another_dimension(name, n, wrong):
     # Kind A over 8 target bits and kind B over 12: neither may answer a point of another dimension.
     reduction = make_reduction(name, n)
     h = CONSTRUCTIONS[name].example(n, random.Random(0))
-    mapped = [(reduction.phi.apply(x), h.evaluate(x)) for x in enumerate_cube(n)]
+    mapped = [(reduction.phi.apply(x), h.evaluate(x)) for x in cube_points(n)]
     labels = SynthesizedLabels(reduction, _mapped_sample(reduction, mapped))
     for z in wrong:
         with pytest.raises(DimensionMismatch):
@@ -619,7 +620,7 @@ def test_synthesized_labels_refuse_another_dimension(name, n, wrong):
 
 def _nearest_sources(phi: ReplicateMap, z: int) -> list[int]:
     """Brute force: the source masks whose images are nearest to z, over all 2^n images."""
-    distances = {x.mask: (phi.apply(x).mask ^ z).bit_count() for x in enumerate_cube(phi.source_n)}
+    distances = {x.mask: (phi.apply(x).mask ^ z).bit_count() for x in cube_points(phi.source_n)}
     best = min(distances.values())
     return [src for src, d in distances.items() if d == best]
 
@@ -750,7 +751,7 @@ def _reference_verify(reduction: QReduction, concept) -> dict:
                 {"check": kind, "point": z.to_string(), "expected": str(expected), "got": str(got)}
             )
 
-    source_points = list(enumerate_cube(n))
+    source_points = cube_points(n)
     values = [concept.evaluate(x) for x in source_points]
     image_masks = [phi.apply(x).mask for x in source_points]
     images = set(image_masks)
