@@ -26,6 +26,50 @@ def P(text: str) -> CubePoint:
     return CubePoint.from_string(text)
 
 
+def _distance(x: CubePoint, y: CubePoint) -> int:
+    """Hamming distance as the package reads it: the distance an oracle anchored at x alone logs for y."""
+    oracle = _locality_oracle([x.mask], x.n, x.n)
+    oracle.query(y)
+    return oracle.entries()[0][2]
+
+
+def test_hamming_identity():
+    assert _distance(P("+++"), P("+++")) == 0
+
+
+def test_hamming_counts_differing_coordinates():
+    assert _distance(P("+-+"), P("---")) == 2
+
+
+def test_hamming_full_complement():
+    x = P("+-+-+")
+    y = P(x.to_string().translate(str.maketrans("+-", "-+")))
+    assert _distance(x, y) == 5
+    assert list(masks_at_distance(x.mask, 5, 5)) == [y.mask]
+
+
+def test_hamming_dimension_mismatch():
+    with pytest.raises(DimensionMismatch, match="^query dimension 3 differs from oracle 2$"):
+        _distance(P("++"), P("+++"))
+    with pytest.raises(DimensionMismatch, match="^anchor dimension 2 differs from target 3$"):
+        LocalMQOracle(DnfFormula(3, ()), [P("++")], 1)
+
+
+@given(
+    st.integers(1, 10).flatmap(
+        lambda n: st.tuples(*(st.integers(0, 2 ** n - 1),) * 3).map(
+            lambda ms: tuple(CubePoint(n, m) for m in ms)
+        )
+    )
+)
+def test_hamming_is_a_metric(points):
+    x, y, z = points
+    assert _distance(x, y) == _distance(y, x)
+    assert (_distance(x, y) == 0) == (x == y)
+    assert _distance(x, z) <= _distance(x, y) + _distance(y, z)
+    assert y.mask in set(masks_at_distance(x.mask, x.n, _distance(x, y)))
+
+
 def test_flip_definition():
     assert P("++").flip(1) == P("-+")
 
@@ -121,6 +165,12 @@ def test_masks_ascend_in_lexicographic_order():
 
 def test_points_of_distinct_masks_are_distinct():
     assert len(set(cube_points(6))) == 64
+
+
+def test_enumerate_large_stream_count():
+    support = distributions.UniformCube(20).support()
+    assert next(support) == (0, Fraction(1, 1 << 20))
+    assert 1 + sum(1 for _ in support) == 1_048_576
 
 
 def test_string_round_trip():
@@ -292,6 +342,7 @@ COUNT_ROWS = [
     ("run_reconstruction_corpus", harness.run_reconstruction_corpus, 0, "formula count must be at least 1"),
     ("QReduction.q", lambda v: reductions.QReduction("junta", "B", cube.ReplicateMap(2, 3), v, None), -1,
      _LOCALITY),
+    ("make_reduction.n", lambda v: reductions.make_reduction("junta", v), 0, _bad_n),
     ("make_reduction.q0", lambda v: reductions.make_reduction("junta", 2, q0=v), -1, _LOCALITY),
     ("make_reduction.k", lambda v: reductions.make_reduction("dnf", 2, k=v), 0, _bad_k),
 ]
@@ -323,6 +374,8 @@ VALUE_ROWS = [
      lambda v: f"query mask {v!r} out of range for dimension 2"),
     ("LocalMQOracle.ask_flips", lambda v: _oracle().ask_flips(v), DimensionMismatch,
      lambda v: f"query mask {v!r} out of range for dimension 2"),
+    ("LocalMQOracle.from_masks", lambda v: LocalMQOracle.from_masks(DnfFormula(2, ()), [0, v], 1), DimensionMismatch,
+     lambda v: f"anchor mask {v!r} out of range for dimension 2"),
     ("CubePoint.bit", lambda v: P("+-").bit(v), ValueError, lambda v: f"coordinate {v!r} out of range 1..2"),
     ("CubePoint.flip", lambda v: P("+-").flip(v), ValueError, lambda v: f"coordinate {v!r} out of range 1..2"),
     ("satisfies_evidently.i", lambda v: evident.satisfies_evidently(DnfFormula(2, (Term.of(1), Term.of(2))), v, 0),
@@ -437,9 +490,12 @@ _ABOVE_CAP = ENUMERATION_CAP + 1
         lambda: cube.require_enumerable(_ABOVE_CAP),
         lambda: list(distributions.UniformCube(_ABOVE_CAP).support()),
         lambda: list(distributions.ProductDist(_ABOVE_CAP, (_HALF,) * _ABOVE_CAP).support()),
+        lambda: distributions.support_weights(distributions.ProductDist(_ABOVE_CAP, (_HALF,) * _ABOVE_CAP)),
+        lambda: distributions.pushforward(distributions.UniformCube(_ABOVE_CAP), cube.ReplicateMap(_ABOVE_CAP, 3)),
         lambda: evident.evident_tables(DnfFormula(_ABOVE_CAP, ())),
     ],
-    ids=["require_enumerable", "UniformCube.support", "ProductDist.support", "evident_tables"],
+    ids=["require_enumerable", "UniformCube.support", "ProductDist.support", "support_weights", "pushforward",
+         "evident_tables"],
 )
 def test_enumeration_cap_has_one_message(call):
     message = f"^dimension {_ABOVE_CAP} exceeds enumeration cap {ENUMERATION_CAP}$"
