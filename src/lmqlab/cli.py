@@ -1,4 +1,8 @@
-"""Command-line interface: learn, check-evident, verify-reduction, suite."""
+"""Command-line interface: learn, check-evident, verify-reduction, suite.
+
+``learn`` runs one ``harness.run_trial`` and prints the fields its ``TrialReport`` shares with a suite trial, plus
+its inputs; explicit and planned sample sizes alike are held to ``harness.require_desk_scale``.
+"""
 
 from __future__ import annotations
 
@@ -10,13 +14,15 @@ from pathlib import Path
 from typing import NoReturn
 
 from .concepts import SparsePtf
-from .cube import ENUMERATION_CAP, DimensionMismatch
+from .cube import DimensionMismatch
 from .evident import evidence_report
 from .formats import dump_dnf, parse_distribution, parse_dnf, parse_fraction
 from .harness import (
     ExperimentConfig,
+    TrialReport,
     doubled_tree_family,
     opposite_literal_family,
+    require_desk_scale,
     run_learning_suite,
     run_reconstruction_corpus,
     run_reduction_suite,
@@ -28,6 +34,8 @@ from .reductions import CONSTRUCTIONS, make_reduction, verify_reduction
 
 # Keys a suite config file may set; each stands for the suite flag of that name.
 CONFIG_KEYS = ("which", "family", "trials", "seed", "epsilon", "m1", "m2", "q", "corpus_count")
+# Keys of a trial record (``TrialReport.canonical_dict``) that a learn line shares with a suite trial.
+LEARN_KEYS = ("loss", "loss_float", "estimator", "queries", "max_locality", "positives", "terms_added", "terms_pruned")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -53,34 +61,16 @@ def _cmd_learn(args: argparse.Namespace) -> int:
     if args.auto_plan:
         plan = plan_samples(target.n, args.epsilon)
         m1, m2 = plan.m1, plan.m2
-        if m1 + m2 > 1 << ENUMERATION_CAP:
-            raise ValueError(
-                f"--auto-plan sizes m1={m1} and m2={m2} exceed the desk-scale cap of 2^{ENUMERATION_CAP} draws;"
-                " pass --m1 and --m2"
-            )
+        require_desk_scale(m1, m2, "--auto-plan sizes", "; pass --m1 and --m2")
+    elif args.m1 is None or args.m2 is None:
+        raise ValueError("provide --m1 and --m2, or --auto-plan")
     else:
-        if args.m1 is None or args.m2 is None:
-            raise ValueError("provide --m1 and --m2, or --auto-plan")
         m1, m2 = args.m1, args.m2
-    seeds = (args.seed, args.seed + 1, args.seed + 2)
-    run, loss, estimator = run_trial(target, dist, m1, m2, args.q, seeds)
-    _emit(
-        {
-            "hypothesis": dump_dnf(run.formula).splitlines(),
-            "loss": str(loss),
-            "loss_float": float(loss),
-            "estimator": estimator,
-            "epsilon": args.epsilon,
-            "m1": m1,
-            "m2": m2,
-            "queries": run.oracle_stats.query_count,
-            "max_locality": run.oracle_stats.max_locality,
-            "positives": run.positives_seen,
-            "terms_added": run.terms_added,
-            "terms_pruned": run.terms_pruned,
-        },
-        args.out,
-    )
+        require_desk_scale(m1, m2)
+    run, loss, estimator = run_trial(target, dist, m1, m2, args.q, (args.seed, args.seed + 1, args.seed + 2))
+    record = TrialReport.of(0, args.seed, run, loss, estimator, args.epsilon).canonical_dict()
+    inputs = {"hypothesis": dump_dnf(run.formula).splitlines(), "epsilon": args.epsilon, "m1": m1, "m2": m2}
+    _emit({key: record[key] for key in LEARN_KEYS} | inputs, args.out)
     return 0
 
 

@@ -36,7 +36,8 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, compress, product, repeat
+from itertools import accumulate, compress, product, repeat, starmap
+from operator import mul
 from typing import Iterator, Optional, Sequence, Sized, Union
 
 from .cube import (
@@ -198,7 +199,8 @@ Distribution = Union[UniformCube, ProductDist, FiniteSupport]
 def support_weights(dist: Distribution) -> tuple[Sequence[int], Iterator[int], int]:
     """(masks, weights, denominator): the mass at ``masks[i]``, ascending, is the i-th positive int weight over the
     denominator. A ``FiniteSupport``'s entries at any n, else the cube (n <= ``ENUMERATION_CAP``) less its points of
-    mass 0. The weights are an iterator, read once; a ``ProductDist``'s come lazily off one ``product`` of int pairs."""
+    mass 0. The weights are an iterator, read once; a ``ProductDist``'s come lazily, one multiplication a point, off
+    the ``product`` of two lists: the weights of coordinates 1..n//2 (the high bits) and those of the rest."""
     if isinstance(dist, FiniteSupport):
         denominator = math.lcm(*(p.denominator for _, p in dist.entries))
         return dist._masks, (p.numerator * (denominator // p.denominator) for _, p in dist.entries), denominator
@@ -208,8 +210,9 @@ def support_weights(dist: Distribution) -> tuple[Sequence[int], Iterator[int], i
         return cube, repeat(1, len(cube)), len(cube)
     denominator = math.lcm(*(p.denominator for p in dist.plus_probs))
     pairs = [(denominator - int(p * denominator), int(p * denominator)) for p in dist.plus_probs]
-    masks = cube if all(map(all, pairs)) else tuple(compress(cube, map(math.prod, product(*pairs))))
-    return masks, filter(None, map(math.prod, product(*pairs))), denominator**dist.n
+    halves = [[math.prod(w) for w in product(*part)] for part in (pairs[: dist.n // 2], pairs[dist.n // 2 :])]
+    masks = cube if all(map(all, pairs)) else tuple(compress(cube, starmap(mul, product(*halves))))
+    return masks, filter(None, starmap(mul, product(*halves))), denominator**dist.n
 
 
 def sample(dist: Distribution, m: int, seed: int) -> list[int]:

@@ -2,7 +2,8 @@
 
 Per-trial seeds come from the base seed through SHA-256, so any trial
 replays alone; the corpus reads evident points from ``evident``'s truth
-tables. Each report renders its own dataclass fields and merges in only what
+tables. ``TrialReport.of`` is a trial's one record, for the suites and ``lmqlab learn`` alike.
+Each report renders its own dataclass fields and merges in only what
 differs; timings are a named exclusion, so canonical JSON replays byte for byte.
 """
 
@@ -33,7 +34,7 @@ from .concepts import (
     random_junta,
     random_tree,
 )
-from .cube import CubePoint, ReplicateMap, count_above, cube_columns, is_int, iter_bits, require_count
+from .cube import ENUMERATION_CAP, CubePoint, ReplicateMap, count_above, cube_columns, is_int, iter_bits, require_count
 from .distributions import Distribution, FiniteSupport, UniformCube, exact_loss, mc_loss, pushforward
 from .evident import (
     doubling_dnf,
@@ -131,6 +132,12 @@ def doubled_tree_family(
 # Learning suite
 
 
+def require_desk_scale(m1: int, m2: int, sizes: str = "sample sizes", hint: str = "") -> None:
+    """Refuse sample sizes whose m1 + m2 draws exceed the desk-scale cap of 2^``ENUMERATION_CAP``, before any draw."""
+    if m1 + m2 > 1 << ENUMERATION_CAP:
+        raise ValueError(f"{sizes} m1={m1} and m2={m2} exceed the desk-scale cap of 2^{ENUMERATION_CAP} draws{hint}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     name: str
@@ -148,6 +155,7 @@ class ExperimentConfig:
         require_epsilon(self.epsilon)
         if not (is_int(self.m1, 0) and is_int(self.m2, 0)):
             raise ValueError(f"sample sizes must be non-negative, got m1={self.m1}, m2={self.m2}")
+        require_desk_scale(self.m1, self.m2)
         require_count(self.q, 0, "locality budget must be non-negative")
         if self.success_threshold is not None and not is_int(self.success_threshold, 0, self.trials):
             raise ValueError(f"success threshold must lie in 0..{self.trials}, got {self.success_threshold!r}")
@@ -176,6 +184,15 @@ class TrialReport:
     positives: int
     terms_added: int
     terms_pruned: int
+
+    @classmethod
+    def of(cls, index: int, seed: int, run: LearnerRun, loss: Fraction, estimator: str, epsilon: float) -> TrialReport:
+        """The record of ``run_trial``'s (run, loss, estimator): the one map of a ``LearnerRun`` onto trial fields."""
+        stats = run.oracle_stats
+        return cls(
+            index, seed, run.formula.n, loss, estimator, float(loss) < epsilon, stats.query_count,
+            stats.max_locality, stats.distance_histogram, run.positives_seen, run.terms_added, run.terms_pruned,
+        )
 
     def canonical_dict(self) -> dict:
         loss = {"loss": str(self.loss), "loss_float": float(self.loss)}
@@ -240,23 +257,7 @@ def run_learning_suite(cfg: ExperimentConfig) -> SuiteReport:
             raise
         except Exception as exc:
             raise RuntimeError(f"trial {i} (seed {seed}) failed: {exc}") from exc
-        stats = run.oracle_stats
-        trials.append(
-            TrialReport(
-                index=i,
-                seed=seed,
-                n=target.n,
-                loss=loss,
-                estimator=estimator,
-                success=float(loss) < cfg.epsilon,
-                queries=stats.query_count,
-                max_locality=stats.max_locality,
-                distance_histogram=stats.distance_histogram,
-                positives=run.positives_seen,
-                terms_added=run.terms_added,
-                terms_pruned=run.terms_pruned,
-            )
-        )
+        trials.append(TrialReport.of(i, seed, run, loss, estimator, cfg.epsilon))
     note = (
         f"require >= {cfg.threshold}/{cfg.trials} trials with loss < {cfg.epsilon}; "
         "the per-trial guarantee is 3/4, and a fixed sub-3/4 bar absorbs finite-trial variance"

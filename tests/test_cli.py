@@ -4,9 +4,10 @@ import pytest
 
 from lmqlab.cli import main
 from lmqlab.concepts import DnfFormula, Term
+from lmqlab.cube import ENUMERATION_CAP
 from lmqlab.distributions import UniformCube
-from lmqlab.formats import dump_dnf, parse_dnf
-from lmqlab.harness import derive_seed, run_trial
+from lmqlab.formats import dump_dnf, parse_distribution, parse_dnf
+from lmqlab.harness import TrialReport, derive_seed, run_trial
 from lmqlab.reductions import CONSTRUCTIONS
 
 
@@ -369,3 +370,71 @@ def test_support_points_of_two_lengths_are_a_json_error(formula_file, tmp_path, 
     support.write_text("+-+ 1/2\n+- 1/2\n")
     error = _usage_error(capsys, ["check-evident", "--formula", formula_file, "--dist", f"file:{support}"])
     assert error == {"error": "support point has dimension 2, expected 3", "type": "DimensionMismatch"}
+
+
+# (target, --dist, m1, m2): the index path (uniform n <= 8), a product distribution, a support file and a
+# Monte Carlo loss (n = 28); "{support}" names the support file.
+LEARN_RECORD_CASES = {
+    "uniform-index-path": ("dim 6\n1 -2\n3 4\n", "uniform:6", 400, 3000),
+    "product": ("dim 10\n1 -2\n3 4 -5\n", "product:1/3,1/2,2/3,1,1/2,2/5,1/2,0,1/2,3/4", 60, 600),
+    "support-file": ("dim 4\n1 -2\n3\n", "file:{support}", 200, 2000),
+    "monte-carlo-n28": ("dim 28\n1 -2\n3 4 5 -28\n", "uniform:28", 20, 200),
+}
+
+
+@pytest.mark.parametrize("case", LEARN_RECORD_CASES.values(), ids=LEARN_RECORD_CASES.keys())
+def test_learn_line_is_the_trial_record_shared_fields_plus_its_inputs(tmp_path, capsys, case):
+    text, spec, m1, m2 = case
+    target, support = tmp_path / "target.dnf", tmp_path / "support.txt"
+    target.write_text(text)
+    support.write_text("++-- 1/3\n+-+- 1/6\n-+++ 1/4\n---- 1/4\n")
+    spec, seed, epsilon = spec.format(support=support), 13, 0.25
+    argv = ["learn", "--target", str(target), "--dist", spec, "--m1", str(m1), "--m2", str(m2)]
+    assert main(argv + ["--seed", str(seed), "--epsilon", str(epsilon)]) == 0
+    line = json.loads(capsys.readouterr().out)
+    run, loss, estimator = run_trial(parse_dnf(text), parse_distribution(spec), m1, m2, 1, (seed, seed + 1, seed + 2))
+    record = TrialReport.of(0, seed, run, loss, estimator, epsilon).canonical_dict()
+    shared = ("loss", "loss_float", "estimator", "queries", "max_locality", "positives", "terms_added", "terms_pruned")
+    inputs = {"hypothesis": dump_dnf(run.formula).splitlines(), "epsilon": epsilon, "m1": m1, "m2": m2}
+    assert line == {key: record[key] for key in shared} | inputs
+    assert record["estimator"] == ("mc" if spec == "uniform:28" else "exact") and record["positives"] > 0
+
+
+class DrawReached(Exception):
+    """Raised by a patched ``sample`` or ``sample_indices``: the run got as far as a draw."""
+
+
+@pytest.fixture
+def draws_refused(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise DrawReached
+
+    for name in ("sample", "sample_indices"):
+        monkeypatch.setattr(f"lmqlab.oracle.{name}", refuse)
+
+
+CAP = 1 << ENUMERATION_CAP
+
+
+@pytest.mark.parametrize("command", ["learn", "suite"])
+@pytest.mark.parametrize("m1, m2", [(CAP - 9, 10), (1, CAP), (99999999999, 1)], ids=["just-over", "m2-over", "huge"])
+def test_explicit_sample_sizes_over_the_desk_scale_cap_are_refused_before_any_draw(
+    formula_file, capsys, draws_refused, command, m1, m2
+):
+    flags = {"learn": ["--target", formula_file, "--dist", "uniform:4"], "suite": ["--which", "learning"]}[command]
+    error = _usage_error(capsys, [command, *flags, "--m1", str(m1), "--m2", str(m2)])
+    message = f"sample sizes m1={m1} and m2={m2} exceed the desk-scale cap of 2^{ENUMERATION_CAP} draws"
+    assert error == {"error": message, "type": "ValueError"}
+
+
+@pytest.mark.parametrize("n", [4, 12], ids=["sample_indices", "sample"])
+@pytest.mark.parametrize("m1, m2", [(CAP - 10, 10), (0, CAP)], ids=["sum-at-cap", "m2-at-cap"])
+def test_explicit_sample_sizes_at_the_desk_scale_cap_reach_the_draws(tmp_path, draws_refused, n, m1, m2):
+    target = tmp_path / "target.dnf"
+    target.write_text(f"dim {n}\n1 -2\n3\n")
+    sizes = ["--m1", str(m1), "--m2", str(m2)]
+    with pytest.raises(DrawReached):
+        main(["learn", "--target", str(target), "--dist", f"uniform:{n}"] + sizes)
+    with pytest.raises(RuntimeError, match="trial 0 .* failed") as raised:
+        main(["suite", "--which", "learning", "--trials", "1", "--family", "opposite"] + sizes)
+    assert isinstance(raised.value.__cause__, DrawReached)

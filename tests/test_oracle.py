@@ -502,6 +502,44 @@ def test_ask_flips_many_named_cases_are_the_ask_flips_loop(case):
     _assert_many_is_the_loop(target, [CubePoint(3, m) for m in anchors], q, cap, rounds)
 
 
+@st.composite
+def accounting_runs(draw):
+    """An oracle setting and a run of ``ask``, ``ask_flips`` and ``ask_flips_many`` calls on any mask of the cube,
+    so some are refused as not q-local; the cap may run out at any call, and the target may raise at one mask."""
+    n = draw(st.integers(2, 6))
+    q = draw(st.sampled_from((0, 1, 1, 2)))
+    cube = st.integers(0, (1 << n) - 1)
+    anchors = sorted(draw(st.sets(cube, min_size=1, max_size=1 << n)))
+    point, times = st.sampled_from(anchors) | cube, st.integers(1, 3)
+    call = st.one_of(
+        st.tuples(st.sampled_from(("ask", "ask_flips")), point, times),
+        st.tuples(st.just("ask_flips_many"), st.dictionaries(point, times, max_size=5)),
+    )
+    calls = draw(st.lists(call, min_size=1, max_size=10))
+    cap = draw(st.none() | st.integers(0, 3 * n * len(calls)))
+    target = random_dnf(n, 2, 3, random.Random(draw(st.integers(0, 1 << 30))))
+    bad = draw(st.none() | cube)
+    return target if bad is None else RaisingAt(target, bad), anchors, q, cap, calls
+
+
+@settings(max_examples=100, deadline=None)
+@given(setting=accounting_runs())
+def test_stats_are_the_sums_of_entries_after_every_call_refused_or_not(setting):
+    target, anchors, q, cap, calls = setting
+    oracle = LocalMQOracle.from_masks(target, anchors, q, query_cap=cap)
+    for name, *args in calls:
+        try:
+            getattr(oracle, name)(*args)
+        except (LocalityViolation, BudgetExhausted, ValueError):
+            pass  # a refusal, a spent budget or the target raising: whatever was recorded must still add up
+        stats, histogram = oracle.stats(), Counter()
+        for _, _, distance, times in oracle.entries():
+            histogram[distance] += times
+        assert stats.query_count == sum(histogram.values())
+        assert stats.distance_histogram == histogram
+        assert stats.max_locality == max(histogram, default=0)
+
+
 def test_ask_flips_many_answers_an_anchored_batch_in_one_pass():
     target = CountingTarget(TARGET)
     o = LocalMQOracle(target, [P("+++"), P("++-"), P("---")], q=1)
