@@ -1,7 +1,9 @@
 """Command-line interface: learn, check-evident, verify-reduction, suite.
 
 ``learn`` runs one ``harness.run_trial`` and prints the fields its ``TrialReport`` shares with a suite trial, plus
-its inputs; explicit and planned sample sizes alike are held to ``harness.require_desk_scale``.
+its inputs; explicit and planned sample sizes alike are held to ``harness.require_desk_scale``, and ``run_trial``
+refuses a negative size or ``--q`` before any draw. ``suite`` builds every config ``--family`` selects and checks
+``--corpus-count`` before any suite runs, whatever ``--which`` selects, then prints each report's ``to_dict()``.
 """
 
 from __future__ import annotations
@@ -10,11 +12,12 @@ import argparse
 import json
 import random
 import sys
+from functools import partial
 from pathlib import Path
 from typing import NoReturn
 
 from .concepts import SparsePtf
-from .cube import DimensionMismatch
+from .cube import DimensionMismatch, require_count
 from .evident import evidence_report
 from .formats import dump_dnf, parse_distribution, parse_dnf, parse_fraction
 from .harness import (
@@ -34,7 +37,9 @@ from .reductions import CONSTRUCTIONS, make_reduction, verify_reduction
 
 # Keys a suite config file may set; each stands for the suite flag of that name.
 CONFIG_KEYS = ("which", "family", "trials", "seed", "epsilon", "m1", "m2", "q", "corpus_count")
-# Keys of a trial record (``TrialReport.canonical_dict``) that a learn line shares with a suite trial.
+# Suite families: (--family value, report name, factory).
+FAMILIES = (("opposite", "opposite-literal", opposite_literal_family), ("doubled", "doubled-tree", doubled_tree_family))
+# Keys of a trial record (``TrialReport.to_dict``) that a learn line shares with a suite trial.
 LEARN_KEYS = ("loss", "loss_float", "estimator", "queries", "max_locality", "positives", "terms_added", "terms_pruned")
 
 
@@ -68,7 +73,7 @@ def _cmd_learn(args: argparse.Namespace) -> int:
         m1, m2 = args.m1, args.m2
         require_desk_scale(m1, m2)
     run, loss, estimator = run_trial(target, dist, m1, m2, args.q, (args.seed, args.seed + 1, args.seed + 2))
-    record = TrialReport.of(0, args.seed, run, loss, estimator, args.epsilon).canonical_dict()
+    record = TrialReport.of(0, args.seed, run, loss, estimator, args.epsilon).to_dict()
     inputs = {"hypothesis": dump_dnf(run.formula).splitlines(), "epsilon": args.epsilon, "m1": m1, "m2": m2}
     _emit({key: record[key] for key in LEARN_KEYS} | inputs, args.out)
     return 0
@@ -118,39 +123,19 @@ def _config_flags(path: str) -> list[str]:
 
 
 def _cmd_suite(args: argparse.Namespace) -> int:
-    lines: list[dict] = []
-    all_passed = True
-    if args.which in ("learning", "all"):
-        for flag, name, factory in (
-            ("opposite", "opposite-literal", opposite_literal_family),
-            ("doubled", "doubled-tree", doubled_tree_family),
-        ):
-            if args.family not in (flag, "both"):
-                continue
-            report = run_learning_suite(
-                ExperimentConfig(
-                    name=name,
-                    family=factory(),
-                    trials=args.trials,
-                    base_seed=args.seed,
-                    epsilon=args.epsilon,
-                    m1=args.m1,
-                    m2=args.m2,
-                    q=args.q,
-                )
-            )
-            lines.append(report.canonical_dict())
-            all_passed &= report.passed
-    if args.which in ("corpus", "all"):
-        report = run_reconstruction_corpus(count=args.corpus_count, base_seed=args.seed)
-        lines.append(report.to_dict())
-        all_passed &= report.passed
-    if args.which in ("reductions", "all"):
-        report = run_reduction_suite(base_seed=args.seed)
-        lines.append(report.to_dict())
-        all_passed &= report.passed
-    _emit(lines, args.out)
-    return 0 if all_passed else 1
+    configs = [
+        ExperimentConfig(name, factory(), args.trials, args.seed, args.epsilon, args.m1, args.m2, args.q)
+        for flag, name, factory in FAMILIES
+        if args.family in (flag, "both")
+    ]
+    require_count(args.corpus_count, 1, "formula count must be at least 1")  # run_reconstruction_corpus's rule
+    suites = [("learning", partial(run_learning_suite, cfg)) for cfg in configs] + [
+        ("corpus", partial(run_reconstruction_corpus, args.corpus_count, args.seed)),
+        ("reductions", partial(run_reduction_suite, args.seed)),
+    ]
+    reports = [run() for which, run in suites if args.which in (which, "all")]
+    _emit([report.to_dict() for report in reports], args.out)
+    return 0 if all(report.passed for report in reports) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

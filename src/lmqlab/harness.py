@@ -3,7 +3,7 @@
 Per-trial seeds come from the base seed through SHA-256, so any trial
 replays alone; the corpus reads evident points from ``evident``'s truth
 tables. ``TrialReport.of`` is a trial's one record, for the suites and ``lmqlab learn`` alike.
-Each report renders its own dataclass fields and merges in only what
+Each report's ``to_dict()`` renders its own dataclass fields and merges in only what
 differs; timings are a named exclusion, so canonical JSON replays byte for byte.
 """
 
@@ -194,7 +194,7 @@ class TrialReport:
             stats.max_locality, stats.distance_histogram, run.positives_seen, run.terms_added, run.terms_pruned,
         )
 
-    def canonical_dict(self) -> dict:
+    def to_dict(self) -> dict:
         loss = {"loss": str(self.loss), "loss_float": float(self.loss)}
         return _fields(self) | loss | {"distance_histogram": _keyed(self.distance_histogram)}
 
@@ -213,14 +213,14 @@ class SuiteReport:
     def passed(self) -> bool:
         return self.success_count >= self.config["threshold"]
 
-    def canonical_dict(self) -> dict:
-        trials = [t.canonical_dict() for t in self.trials]
+    def to_dict(self) -> dict:
+        trials = [t.to_dict() for t in self.trials]
         return _fields(self) | {
             "trials": trials, "success_count": self.success_count, "trial_count": len(trials), "passed": self.passed
         }
 
     def canonical_json(self) -> str:
-        return json.dumps(self.canonical_dict(), sort_keys=True)
+        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def run_trial(
@@ -232,6 +232,9 @@ def run_trial(
     the learner's run, the loss and its estimator: "exact" for a
     ``FiniteSupport`` or n <= ``EXACT_LOSS_MAX_N``, else "mc".
     """
+    for m in (m1, m2):  # every input is refused before s1 is drawn, with the message its draw or the oracle gives
+        require_count(m, 0, "sample count must be non-negative")
+    require_count(q, 0, "locality budget must be non-negative")
     s1_seed, s2_seed, loss_seed = seeds
     s1 = draw_training_set(dist, target, m1, s1_seed)
     s2 = draw_training_set(dist, target, m2, s2_seed)

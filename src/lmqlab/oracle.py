@@ -20,6 +20,8 @@ distance 0 and no anchor is intersected. ``ask_flips_many(counts)`` asks many
 centres' flips at once, checking the whole map once; a map it cannot prove is
 the ``ask_flips`` loop. ``entries()`` and ``log`` expand the record on demand,
 each distinct mask once, by first asking.
+``draw_training_set`` reads the generator once per sample: when a support
+point has no label, it labels the index draws' own masks and draws no more.
 """
 
 from __future__ import annotations
@@ -271,8 +273,9 @@ def draw_training_set(dist: Distribution, h_star: Concept, m: int, seed: int) ->
     """m i.i.d. points labeled by the target concept, as ``sample`` draws and ``label`` labels them.
 
     A distribution drawn by point index (``sample_indices``) has its support labelled once by ``label_masks``.
-    If a support point has no label (a ``PolyConcept`` off ±1, a table without the point), or the distribution
-    is not drawn by index, ``sample``'s draws are labelled instead, so an error names the first draw without one.
+    If a support point has no label (a ``PolyConcept`` off ±1, a table without the point), the indexed draws'
+    masks, which are ``sample``'s, are labelled instead, so an error names the first draw without one; a
+    distribution not drawn by index has ``sample``'s draws labelled. Either way the generator is read once.
     """
     if h_star.n != dist.n:
         raise DimensionMismatch(f"concept dimension {h_star.n} differs from distribution {dist.n}")
@@ -281,5 +284,5 @@ def draw_training_set(dist: Distribution, h_star: Concept, m: int, seed: int) ->
             return LabeledSample._by_index(dist.n, *indexed, label_masks(h_star, indexed[0]))
         except (ValueError, LookupError):
             pass  # a support point has no label: the draws are labelled below
-    masks = tuple(sample(dist, m, seed))
+    masks = tuple(sample(dist, m, seed) if indexed is None else map(indexed[0].__getitem__, indexed[1]))
     return LabeledSample._drawn(dist.n, masks, label_masks(h_star, masks))

@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -7,7 +8,17 @@ from lmqlab.concepts import DnfFormula, Term
 from lmqlab.cube import ENUMERATION_CAP
 from lmqlab.distributions import UniformCube
 from lmqlab.formats import dump_dnf, parse_distribution, parse_dnf
-from lmqlab.harness import TrialReport, derive_seed, run_trial
+from lmqlab.harness import (
+    ExperimentConfig,
+    TrialReport,
+    derive_seed,
+    doubled_tree_family,
+    opposite_literal_family,
+    run_learning_suite,
+    run_reconstruction_corpus,
+    run_reduction_suite,
+    run_trial,
+)
 from lmqlab.reductions import CONSTRUCTIONS
 
 
@@ -393,7 +404,7 @@ def test_learn_line_is_the_trial_record_shared_fields_plus_its_inputs(tmp_path, 
     assert main(argv + ["--seed", str(seed), "--epsilon", str(epsilon)]) == 0
     line = json.loads(capsys.readouterr().out)
     run, loss, estimator = run_trial(parse_dnf(text), parse_distribution(spec), m1, m2, 1, (seed, seed + 1, seed + 2))
-    record = TrialReport.of(0, seed, run, loss, estimator, epsilon).canonical_dict()
+    record = TrialReport.of(0, seed, run, loss, estimator, epsilon).to_dict()
     shared = ("loss", "loss_float", "estimator", "queries", "max_locality", "positives", "terms_added", "terms_pruned")
     inputs = {"hypothesis": dump_dnf(run.formula).splitlines(), "epsilon": epsilon, "m1": m1, "m2": m2}
     assert line == {key: record[key] for key in shared} | inputs
@@ -438,3 +449,100 @@ def test_explicit_sample_sizes_at_the_desk_scale_cap_reach_the_draws(tmp_path, d
     with pytest.raises(RuntimeError, match="trial 0 .* failed") as raised:
         main(["suite", "--which", "learning", "--trials", "1", "--family", "opposite"] + sizes)
     assert isinstance(raised.value.__cause__, DrawReached)
+
+
+def _refuse_suites(monkeypatch) -> None:
+    def refuse(*args, **kwargs):
+        raise AssertionError("a suite ran")
+
+    for name in ("run_learning_suite", "run_reconstruction_corpus", "run_reduction_suite"):
+        monkeypatch.setattr(f"lmqlab.cli.{name}", refuse)
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (
+            ["--which", "corpus", "--corpus-count", "1", "--trials", "0", "--epsilon", "7", "--m1", "-1",
+             "--m2", "99999999999"],
+            "trial count must be at least 1, got 0",
+        ),
+        (["--which", "reductions", "--m1", "-1"], "sample sizes must be non-negative, got m1=-1, m2=50000"),
+        (
+            ["--which", "learning", "--family", "opposite", "--corpus-count", "0"],
+            "formula count must be at least 1, got 0",
+        ),
+    ],
+    ids=["corpus-bad-learning-flags", "reductions-bad-m1", "learning-bad-corpus-count"],
+)
+def test_suite_checks_every_flag_before_any_suite_runs(capsys, monkeypatch, flags, message):
+    _refuse_suites(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        main(["suite", *flags])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert err.splitlines() == [json.dumps({"error": message, "type": "ValueError"})]
+
+
+def _stub_report(name: str, passed: bool):
+    return SimpleNamespace(to_dict=lambda: {"name": name}, passed=passed)
+
+
+@pytest.mark.parametrize("which", ["corpus", "reductions"])
+@pytest.mark.parametrize("family", ["opposite", "doubled", "both"])
+def test_suite_builds_the_selected_configs_without_drawing_an_instance(capsys, monkeypatch, which, family):
+    _refuse_suites(monkeypatch)
+    runner = {"corpus": "run_reconstruction_corpus", "reductions": "run_reduction_suite"}[which]
+    monkeypatch.setattr(f"lmqlab.cli.{runner}", lambda *args: _stub_report(which, True))
+    built = []
+
+    def factory(name):
+        def make(seed):
+            raise AssertionError(f"{name}'s make was called")
+
+        return lambda: built.append(name) or make
+
+    families = [("opposite", "opposite-literal", factory("opposite-literal")),
+                ("doubled", "doubled-tree", factory("doubled-tree"))]
+    monkeypatch.setattr("lmqlab.cli.FAMILIES", families)
+    assert main(["suite", "--which", which, "--family", family]) == 0
+    assert [json.loads(line) for line in capsys.readouterr().out.splitlines()] == [{"name": which}]
+    both = ["opposite-literal", "doubled-tree"]
+    assert built == {"opposite": both[:1], "doubled": both[1:], "both": both}[family]
+
+
+@pytest.mark.parametrize("failing", [None, "opposite-literal", "doubled-tree", "corpus", "reductions"])
+def test_suite_all_prints_four_lines_in_order_and_exits_1_iff_one_failed(capsys, monkeypatch, failing):
+    monkeypatch.setattr("lmqlab.cli.run_learning_suite", lambda cfg: _stub_report(cfg.name, cfg.name != failing))
+    for runner, name in (("run_reconstruction_corpus", "corpus"), ("run_reduction_suite", "reductions")):
+        monkeypatch.setattr(f"lmqlab.cli.{runner}", lambda *args, name=name: _stub_report(name, name != failing))
+    assert main(["suite", "--which", "all", "--family", "both"]) == (0 if failing is None else 1)
+    names = [json.loads(line)["name"] for line in capsys.readouterr().out.splitlines()]
+    assert names == ["opposite-literal", "doubled-tree", "corpus", "reductions"]
+
+
+def test_suite_all_lines_are_each_suites_report(capsys):
+    # A small --which all run prints the harness's own four reports, in order, and exits 1 iff one failed.
+    seed, trials, m1, m2, count = 3, 1, 40, 200, 2
+    sizes = ["--trials", str(trials), "--m1", str(m1), "--m2", str(m2), "--corpus-count", str(count)]
+    code = main(["suite", "--which", "all", "--family", "both", "--seed", str(seed), *sizes])
+    reports = [
+        run_learning_suite(ExperimentConfig(name, factory(), trials, seed, 0.1, m1, m2))
+        for name, factory in (("opposite-literal", opposite_literal_family), ("doubled-tree", doubled_tree_family))
+    ] + [run_reconstruction_corpus(count, seed), run_reduction_suite(seed)]
+    assert capsys.readouterr().out == "".join(json.dumps(r.to_dict(), sort_keys=True) + "\n" for r in reports)
+    assert code == (0 if all(r.passed for r in reports) else 1)
+
+
+@pytest.mark.parametrize(
+    "sizes, message",
+    [
+        (["--m1", "2000", "--m2", "10000", "--q", "-1"], "locality budget must be non-negative, got -1"),
+        (["--m1", "2000", "--m2", "-1"], "sample count must be non-negative, got -1"),
+        (["--m1", "-1", "--m2", "-1", "--q", "-1"], "sample count must be non-negative, got -1"),
+    ],
+    ids=["q", "m2", "m1-first"],
+)
+def test_learn_refuses_a_negative_size_or_locality_before_any_draw(formula_file, capsys, draws_refused, sizes, message):
+    error = _usage_error(capsys, ["learn", "--target", formula_file, "--dist", "uniform:4", *sizes])
+    assert error == {"error": message, "type": "ValueError"}

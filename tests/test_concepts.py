@@ -901,19 +901,41 @@ def test_draw_training_set_labels_pointwise_when_no_draw_is_unlabelled(support):
     assert outcomes == {"raised", "labelled"}
 
 
-@pytest.mark.parametrize("table", [{3: 1, 9: 1, 17: 0}, {3: 1, 17: 0}], ids=["labelled", "unlabelled-point"])
-def test_draw_training_set_calls_sample_only_when_a_support_point_has_no_label(table, monkeypatch):
-    # Masses in 256ths, so drawn by index. A labelled support never calls ``oracle.sample``; a support point without
-    # a label falls through to it once a draw, raising or not, for the same stream the index draw read.
-    dist, calls = FiniteSupport(5, ((3, Fraction(85, 256)), (9, Fraction(1, 256)), (17, Fraction(170, 256)))), []
-    monkeypatch.setattr(oracle, "sample", lambda *args: calls.append(args) or sample(*args))
-    assert sample_indices(dist, 64, 0) is not None
-    for seed in range(16):
+_SUPPORT_256THS = FiniteSupport(5, ((3, Fraction(85, 256)), (9, Fraction(1, 256)), (17, Fraction(170, 256))))
+
+
+@pytest.mark.parametrize(
+    "dist, concept",
+    [
+        (_SUPPORT_256THS, _TableConcept(5, {3: 1, 9: 1, 17: 0})),
+        (_SUPPORT_256THS, _TableConcept(5, {3: 1, 17: 0})),
+        # (x1 + x2) / 2 is 0 at -+ and +-, half the cube.
+        (UniformCube(2), PolyConcept(SparsePoly(2, {frozenset({1}): Fraction(1, 2), frozenset({2}): Fraction(1, 2)}))),
+    ],
+    ids=["labelled", "unlabelled-point", "poly-off-pm1"],
+)
+def test_draw_training_set_reads_a_distribution_drawn_by_index_once(dist, concept, monkeypatch):
+    # Masses in 256ths and the cube to n = 8 are drawn by index, and ``oracle.sample`` is never called: a support
+    # point without a label sends the index draws' own masks, which are ``sample``'s, to be labelled, so a sample is
+    # ``sample``'s draws labelled, and an error names the first draw without a label, as ``label`` does.
+    def outcome(draw):
         try:
-            draw_training_set(dist, _TableConcept(5, table), 64, seed)
-        except KeyError:
-            pass
-    assert calls == ([] if 9 in table else [(dist, 64, seed) for seed in range(16)])
+            return draw()
+        except (ValueError, KeyError) as error:
+            return type(error), str(error)
+
+    def pointwise(seed):
+        masks = tuple(sample(dist, 64, seed))
+        return LabeledSample(dist.n, masks, bytes(map(concept.label, masks)))
+
+    assert sample_indices(dist, 64, 0) is not None
+    expected = [outcome(lambda: pointwise(seed)) for seed in range(16)]
+
+    def refuse(*args):
+        raise AssertionError("oracle.sample was called")
+
+    monkeypatch.setattr(oracle, "sample", refuse)
+    assert [outcome(lambda: draw_training_set(dist, concept, 64, seed)) for seed in range(16)] == expected
 
 
 def _point_sets(n: int, r: int | None, rng: random.Random) -> tuple[list[int], int, list[int]]:

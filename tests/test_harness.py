@@ -329,14 +329,14 @@ def test_each_canonical_renderer_states_its_fields_less_the_named_exclusions_plu
     corpus, reductions_report = run_reconstruction_corpus(count=2), ReductionSuiteReport()
     rendered = [
         (suite.config, ExperimentConfig, {"family", "success_threshold"}, {"threshold"}),
-        (suite.trials[0].canonical_dict(), harness.TrialReport, set(), {"loss_float"}),
-        (suite.canonical_dict(), harness.SuiteReport, set(), {"success_count", "trial_count", "passed"}),
+        (suite.trials[0].to_dict(), harness.TrialReport, set(), {"loss_float"}),
+        (suite.to_dict(), harness.SuiteReport, set(), {"success_count", "trial_count", "passed"}),
         (corpus.to_dict(), harness.CorpusReport, {"seconds_discovery", "seconds_reconstruct"}, {"passed"}),
         (reductions_report.to_dict(), ReductionSuiteReport, set(), {"passed"}),
     ]
     for canonical, cls, excluded, derived in rendered:
         assert set(canonical) == _field_names(cls) - excluded | derived, cls.__name__
-    trial = suite.trials[0].canonical_dict()
+    trial = suite.trials[0].to_dict()
     assert trial["loss"] == str(suite.trials[0].loss) and trial["loss_float"] == float(suite.trials[0].loss)
     assert all(type(k) is str for k in (*trial["distance_histogram"], *corpus.to_dict()["locality_histogram"]))
 
@@ -439,7 +439,7 @@ WIDE_TRIALS = [
 def test_trials_above_the_exact_loss_cutoff():
     for family, m1, m2, expected in WIDE_TRIALS:
         report = run_learning_suite(small_config(family=family, trials=1, m1=m1, m2=m2))
-        assert report.trials[0].canonical_dict() == expected
+        assert report.trials[0].to_dict() == expected
 
 
 def test_run_trial_sums_a_finite_support_exactly_at_any_n():
