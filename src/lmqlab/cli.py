@@ -1,9 +1,10 @@
 """Command-line interface: learn, check-evident, verify-reduction, suite.
 
 ``learn`` runs one ``harness.run_trial`` and prints the fields its ``TrialReport`` shares with a suite trial, plus
-its inputs; explicit and planned sample sizes alike are held to ``harness.require_desk_scale``, and ``run_trial``
-refuses a negative size or ``--q`` before any draw. ``suite`` builds every config ``--family`` selects and checks
-``--corpus-count`` before any suite runs, whatever ``--which`` selects, then prints each report's ``to_dict()``.
+its inputs; it refuses ``--auto-plan`` with ``--m1`` or ``--m2`` before reading anything, holds explicit and planned
+sample sizes alike to ``harness.require_desk_scale``, and ``run_trial`` refuses a negative size or ``--q`` before any
+draw. ``suite`` builds every config ``--family`` selects and checks ``--corpus-count`` before any suite runs,
+whatever ``--which`` selects, then prints each report's ``to_dict()``.
 """
 
 from __future__ import annotations
@@ -60,6 +61,8 @@ def _emit(payload: dict | list, out: str | None) -> None:
 
 
 def _cmd_learn(args: argparse.Namespace) -> int:
+    if args.auto_plan and (args.m1, args.m2) != (None, None):
+        raise ValueError("--auto-plan derives m1 and m2: pass --auto-plan or --m1 and --m2, not both")
     target = parse_dnf(Path(args.target).read_text())
     dist = parse_distribution(args.dist)
     require_epsilon(args.epsilon)

@@ -18,8 +18,9 @@ neighbours of a point as one batch and returns their answers as one int in
 and the batch is stored whole; with one anchor, the centre, no flip is at
 distance 0 and no anchor is intersected. ``ask_flips_many(counts)`` asks many
 centres' flips at once, checking the whole map once; a map it cannot prove is
-the ``ask_flips`` loop. ``entries()`` and ``log`` expand the record on demand,
-each distinct mask once, by first asking.
+the ``ask_flips`` loop. Answers are kept in one record: ``entries()`` and
+``log`` expand it on demand, each distinct mask once, by first asking, and
+``stats()`` sums it into a histogram in ascending distance.
 ``draw_training_set`` reads the generator once per sample: when a support
 point has no label, it labels the index draws' own masks and draws no more.
 """
@@ -112,11 +113,9 @@ class LocalMQOracle:
         require_count(query_cap, 0, "query budget must be a non-negative integer")
         self.target, self.n, self.q, self.query_cap = target, target.n, q, query_cap
         self._anchors = anchors
-        # One record in order of first asking: a single query's mask keys
-        # [answer, distance, times]; a batch around an anchor keys ~centre
-        # (negative, so never a mask) with [flip_labels bits, times, anchor flips].
+        # The one record, in order of first asking; stats() sums it. A query's mask keys [answer, distance,
+        # times]; a batch around an anchor keys ~centre (negative, never a mask) with [bits, times, anchor flips].
         self._asked: dict[int, list[int]] = {}
-        self._histogram: dict[int, int] = {}
         self._count = 0
 
     @classmethod
@@ -191,7 +190,6 @@ class LocalMQOracle:
             entry = self._asked[mask] = [self.target.label(mask), distance, 0]
         entry[2] += times
         self._count += times
-        self._histogram[entry[1]] = self._histogram.get(entry[1], 0) + times
         return entry[0]
 
     def ask_flips(self, mask: int, times: int = 1) -> int:
@@ -212,12 +210,9 @@ class LocalMQOracle:
         if batch is None:
             near = 0 if len(anchors) == 1 else len(anchors.intersection([mask ^ 1 << i for i in range(n)]))
             batch = self._asked[~mask] = [self.target.flip_labels(mask), 0, near]
-        bits, _, near = batch
         batch[1] += times
         self._count += n * times
-        for distance, flips in ((0, near), (1, n - near)):
-            self._histogram[distance] = self._histogram.get(distance, 0) + flips * times
-        return bits
+        return batch[0]
 
     def ask_flips_many(self, counts: Mapping[int, int]) -> list[int]:
         """``ask_flips(x, times)`` for each (x, times) of ``counts``, in order, as one batch.
@@ -246,26 +241,26 @@ class LocalMQOracle:
             bit = 1 << i
             for z in anchors.intersection([x ^ bit for x in new]):
                 near[z ^ bit] += 1
-        answers, asked_times, at_anchors = [], 0, 0
-        try:  # a target that raises leaves the centres before it recorded and counted, as the loop would
-            for x, times in counts.items():
-                batch = asked.get(~x)
-                if batch is None:
-                    batch = asked[~x] = [label(x), 0, near[x]]
-                batch[1] += times
-                asked_times += times
-                at_anchors += batch[2] * times
-                answers.append(batch[0])
-        finally:
-            if asked_times:
-                self._count += n * asked_times
-                for distance, flips in ((0, at_anchors), (1, n * asked_times - at_anchors)):
-                    self._histogram[distance] = self._histogram.get(distance, 0) + flips
+        answers = []
+        for x, times in counts.items():  # counted as recorded: a target that raises stops here as the loop would
+            batch = asked.get(~x)
+            if batch is None:
+                batch = asked[~x] = [label(x), 0, near[x]]
+            batch[1] += times
+            self._count += n * times
+            answers.append(batch[0])
         return answers
 
     def stats(self) -> OracleStats:
-        """Counts so far; the histogram is a copy, so editing it changes nothing here."""
-        histogram = {distance: count for distance, count in self._histogram.items() if count}
+        """Counts so far, summed from the record in one pass: a new histogram in ascending distance, no zero counts."""
+        histogram, n = {0: 0, 1: 0}, self.n
+        for key, record in self._asked.items():
+            if key >= 0:  # a query: [answer, distance, times]
+                histogram[record[1]] = histogram.get(record[1], 0) + record[2]
+            else:  # a batch: [bits, times, anchor flips], so anchor flips * times at 0 and the rest at 1
+                histogram[0] += record[2] * record[1]
+                histogram[1] += (n - record[2]) * record[1]
+        histogram = {distance: histogram[distance] for distance in sorted(histogram) if histogram[distance]}
         return OracleStats(self._count, max(histogram, default=0), histogram)
 
 

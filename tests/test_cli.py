@@ -451,6 +451,25 @@ def test_explicit_sample_sizes_at_the_desk_scale_cap_reach_the_draws(tmp_path, d
     assert isinstance(raised.value.__cause__, DrawReached)
 
 
+@pytest.mark.parametrize(
+    "n, sizes",
+    [(1, ["--m1", "3", "--m2", "4"]), (4, ["--m1", "10", "--m2", "20"]), (1, ["--m1", "3"]), (4, ["--m2", "20"])],
+    ids=["both-n1", "both-n4", "m1-only", "m2-only"],
+)
+def test_learn_auto_plan_with_explicit_sizes_is_refused_before_planning_or_drawing(
+    tmp_path, capsys, monkeypatch, draws_refused, n, sizes
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("plan_samples was called")
+
+    monkeypatch.setattr("lmqlab.cli.plan_samples", refuse)
+    target = tmp_path / "target.dnf"
+    target.write_text(f"dim {n}\n1\n")
+    argv = ["learn", "--target", str(target), "--dist", f"uniform:{n}", "--auto-plan", "--epsilon", "0.5"]
+    message = "--auto-plan derives m1 and m2: pass --auto-plan or --m1 and --m2, not both"
+    assert _usage_error(capsys, argv + sizes) == {"error": message, "type": "ValueError"}
+
+
 def _refuse_suites(monkeypatch) -> None:
     def refuse(*args, **kwargs):
         raise AssertionError("a suite ran")

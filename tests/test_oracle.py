@@ -11,7 +11,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import lmqlab
 from cubes import cube_points
@@ -524,6 +524,7 @@ def accounting_runs(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(setting=accounting_runs())
+@example(setting=(TARGET, [0], 2, None, [("ask", 0b011, 1), ("ask", 0b001, 1)]))  # distance 2 asked before 1
 def test_stats_are_the_sums_of_entries_after_every_call_refused_or_not(setting):
     target, anchors, q, cap, calls = setting
     oracle = LocalMQOracle.from_masks(target, anchors, q, query_cap=cap)
@@ -537,6 +538,7 @@ def test_stats_are_the_sums_of_entries_after_every_call_refused_or_not(setting):
             histogram[distance] += times
         assert stats.query_count == sum(histogram.values())
         assert stats.distance_histogram == histogram
+        assert list(stats.distance_histogram) == sorted(histogram)
         assert stats.max_locality == max(histogram, default=0)
 
 
@@ -763,7 +765,8 @@ def test_one_anchor_oracle_counts_its_flips_at_distance_one_without_intersecting
     o._anchors = NoIntersection(o._anchors)
     assert batch(o, 7) == TARGET.flip_labels(7)
     assert o.stats() == OracleStats(3, 1, {1: 3})
-    # The batch recorded 0 flips at distance 0, so that key still comes first once the centre is asked.
+    # The batch recorded 0 flips at distance 0, and keys come out in ascending distance, so 0 comes first
+    # once the centre is asked.
     assert o.ask(7) == 1 and list(o.stats().distance_histogram.items()) == [(0, 1), (1, 3)]
     # Anchored at a point and one neighbour, the neighbour is still counted at distance 0.
     o = LocalMQOracle.from_masks(TARGET, [7, 6], 1)
