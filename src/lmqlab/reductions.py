@@ -1,9 +1,9 @@
 """Locality-neutralizing reductions between concept classes, with verifiers.
 
-A reduction here is an injective coordinate map phi from {-1,+1}^n into a
-larger cube together with a concept transform h -> h' such that
-h = h' o phi. Two kinds are distinguished by how h' behaves on points
-near the image of phi:
+A reduction here is an injective coordinate map phi from {-1,+1}^n into a larger cube
+together with a concept transform h -> h' such that h = h' o phi, applied only by
+``QReduction.transform``, which checks both dimensions. Two kinds are distinguished
+by how h' behaves on points near the image of phi:
 
 * kind "A": every point within distance q of the image, other than image
   points themselves, is labeled 1;
@@ -72,7 +72,7 @@ class ComposedConcept(MaskConcept):
 
 @dataclass(frozen=True)
 class QReduction:
-    """A coordinate map with its locality budget, kind, and concept transform.
+    """A coordinate map with its locality budget, kind, and ``reduce(h, phi)``, as in ``Construction``.
 
     Images lie at least k (the replication factor) apart. Kind A needs q < k,
     so no image is within q of another; kind B needs 2q < k, so no point is
@@ -83,7 +83,7 @@ class QReduction:
     kind: str
     phi: ReplicateMap
     q: int
-    transform: Callable[[Concept], Concept]
+    reduce: Callable[[Concept, ReplicateMap], Concept]
 
     def __post_init__(self) -> None:
         if self.kind not in ("A", "B"):
@@ -92,6 +92,15 @@ class QReduction:
         spread = self.q if self.kind == "A" else 2 * self.q
         if spread >= self.phi.k:
             raise ValueError(f"kind {self.kind} at q={self.q} needs k > {spread}, got k={self.phi.k}")
+
+    def transform(self, h: Concept) -> Concept:
+        """``reduce(h, phi)``; an h off the source dimension, or a result off the target's, is refused."""
+        if h.n != self.phi.source_n:
+            raise DimensionMismatch(f"{self.name} reduction maps dimension {self.phi.source_n}, concept has {h.n}")
+        transformed = self.reduce(h, self.phi)
+        if transformed.n != self.phi.target_n:
+            raise DimensionMismatch(f"transformed concept has dimension {transformed.n}, target is {self.phi.target_n}")
+        return transformed
 
 
 # ---------------------------------------------------------------------------
@@ -113,13 +122,13 @@ def build_detector(phi: ReplicateMap) -> DnfFormula:
     return DnfFormula(phi.target_n, tuple(terms))
 
 
-def _lift_terms_to_block_heads(formula: DnfFormula, phi: ReplicateMap) -> tuple[Term, ...]:
-    """Re-index each term onto the first coordinate of its variable's block."""
+def _lift_to_block_heads(formula: DnfFormula, phi: ReplicateMap) -> DnfFormula:
+    """The formula over phi's target, each term re-indexed onto the first coordinate of its variables' blocks."""
 
     def heads(variables: frozenset[int]) -> frozenset[int]:
         return frozenset(phi.block_coordinates(i)[0] for i in variables)
 
-    return tuple(Term(heads(t.positives), heads(t.negatives)) for t in formula.terms)
+    return DnfFormula(phi.target_n, tuple(Term(heads(t.positives), heads(t.negatives)) for t in formula.terms))
 
 
 def reduce_dnf_type_a(formula: DnfFormula, phi: ReplicateMap) -> DnfFormula:
@@ -129,7 +138,7 @@ def reduce_dnf_type_a(formula: DnfFormula, phi: ReplicateMap) -> DnfFormula:
     terms force label 1 on any point with a non-constant block, which
     covers the whole near-image region.
     """
-    return DnfFormula(phi.target_n, _lift_terms_to_block_heads(formula, phi) + build_detector(phi).terms)
+    return DnfFormula(phi.target_n, _lift_to_block_heads(formula, phi).terms + build_detector(phi).terms)
 
 
 # ---------------------------------------------------------------------------
@@ -322,9 +331,10 @@ def make_reduction(name: str, n: int, *, k: int | None = None, q0: int = 1) -> Q
 
     Kind A replicates each coordinate k times (default n^2) and tolerates
     q = k - 1 flips; kind B takes 2*q0+1 copies and tolerates q = q0. Kind A
-    ignores q0, and kind B refuses a k, which q0 fixes. The transform refuses
-    a concept whose dimension is not n.
+    ignores q0, and kind B refuses a k, which q0 fixes. The reduction's
+    ``reduce`` is the construction's, applied through ``QReduction.transform``.
     """
+    require_count(n, 1, "dimension must be a positive integer")
     if name not in CONSTRUCTIONS:
         raise ValueError(f"unknown construction {name!r}, expected one of {sorted(CONSTRUCTIONS)}")
     construction = CONSTRUCTIONS[name]
@@ -336,13 +346,7 @@ def make_reduction(name: str, n: int, *, k: int | None = None, q0: int = 1) -> Q
             raise ValueError(f"{name} is a kind-B construction, whose replication factor is 2*q0+1; got k={k}")
         require_count(q0, 0, "locality budget must be non-negative")
         phi, q = ReplicateMap(n, 2 * q0 + 1), q0
-
-    def transform(h: Concept) -> Concept:
-        if h.n != phi.source_n:
-            raise DimensionMismatch(f"{name} reduction maps dimension {phi.source_n}, concept has {h.n}")
-        return construction.reduce(h, phi)
-
-    return QReduction(name, construction.kind, phi, q, transform)
+    return QReduction(name, construction.kind, phi, q, construction.reduce)
 
 
 # ---------------------------------------------------------------------------
@@ -440,19 +444,15 @@ def verify_reduction(reduction: QReduction, concept: Concept) -> ReductionReport
     Kind B requires the centre's value: ``QReduction`` enforces 2q < k, so every
     ball point decodes to its centre, and ``anchor_failures`` stays 0.
     FLIP_ENUM_BUDGET bounds the check count, as the target cube is astronomically large; a row over it is
-    refused before its transform is built.
+    refused before its transform is built, and ``reduction.transform`` checks the concept's dimension and its own.
     """
     phi = reduction.phi
     n, n_target, k = phi.source_n, phi.target_n, phi.k
-    if concept.n != n:  # the negative controls' transforms skip make_reduction's check
-        raise DimensionMismatch(f"{reduction.name} reduction maps dimension {n}, concept has {concept.n}")
     radius = min(reduction.q, FLIP_RADIUS_CAP)
     checks = ball_size(n_target, radius) << n
     if checks > FLIP_ENUM_BUDGET:  # refused before the transform, which can be as large as the checks
         raise ValueError(f"flip enumeration needs {checks} checks, budget is {FLIP_ENUM_BUDGET}")
     transformed = reduction.transform(concept)
-    if transformed.n != n_target:
-        raise DimensionMismatch(f"transformed concept has dimension {transformed.n}, target is {n_target}")
 
     report = ReductionReport(reduction.name, reduction.kind, n, n_target, reduction.q, radius)
     sources = range(1 << n)
@@ -506,38 +506,24 @@ def verify_reduction(reduction: QReduction, concept: Concept) -> ReductionReport
 
 def corrupted_dnf_reduction_without_detector(n: int) -> QReduction:
     """DNF reduction missing the non-constant-block detector terms."""
-    shipped = make_reduction("dnf", n)
-    phi = shipped.phi
+    return replace(make_reduction("dnf", n), name="dnf-no-detector", reduce=_lift_to_block_heads)
 
-    def transform(formula: DnfFormula) -> DnfFormula:
-        return DnfFormula(phi.target_n, _lift_terms_to_block_heads(formula, phi))
 
-    return replace(shipped, name="dnf-no-detector", transform=transform)
+def _stuck_simulator(automaton: Dfa, phi: ReplicateMap) -> Dfa:
+    """The checker paired with a simulator whose block ends go back to their own block start, whatever the symbol."""
+    good, k = build_block_simulator(automaton, phi), phi.k
+    delta = tuple((s - k + 1,) * 2 if s % k == k - 1 else row for s, row in enumerate(good.delta))
+    return dfa_product_or(build_block_checker(phi), replace(good, delta=delta))
 
 
 def corrupted_dfa_reduction_stuck_simulator(n: int) -> QReduction:
     """DFA reduction whose simulator wraps blocks without ever stepping."""
-    shipped = make_reduction("dfa", n)
-    phi = shipped.phi
-
-    def broken_simulator(automaton: Dfa) -> Dfa:
-        good = build_block_simulator(automaton, phi)
-        k = phi.k
-        # Each block end goes back to its own block start, whatever the symbol.
-        delta = tuple((s - k + 1,) * 2 if s % k == k - 1 else row for s, row in enumerate(good.delta))
-        return replace(good, delta=delta)
-
-    def transform(automaton: Dfa) -> Dfa:
-        return dfa_product_or(build_block_checker(phi), broken_simulator(automaton))
-
-    return replace(shipped, name="dfa-stuck-simulator", transform=transform)
+    return replace(make_reduction("dfa", n), name="dfa-stuck-simulator", reduce=_stuck_simulator)
 
 
 def corrupted_tree_reduction_first_copy(n: int, q0: int) -> QReduction:
     """Tree reduction labeling leaves by the first copy instead of the majority."""
-    shipped = make_reduction("tree", n, q0=q0)
-
-    def transform(tree: DecisionTree) -> DecisionTree:
-        return _stack_tree(tree, shipped.phi, lambda outcomes: outcomes[0])
-
-    return replace(shipped, name="tree-first-copy", transform=transform)
+    return replace(
+        make_reduction("tree", n, q0=q0), name="tree-first-copy",
+        reduce=lambda tree, phi: _stack_tree(tree, phi, lambda outcomes: outcomes[0]),
+    )

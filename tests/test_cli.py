@@ -330,6 +330,14 @@ def test_negative_q0_is_a_json_error_naming_the_budget(capsys):
     assert error == {"error": "locality budget must be non-negative, got -1", "type": "ValueError"}
 
 
+@pytest.mark.parametrize("construction", ["dnf", "junta"])
+def test_zero_dimension_is_a_json_error_naming_the_dimension(capsys, construction):
+    # It used to blame a replication factor never passed: "need positive dimension and factor, got n=0, k=0"
+    # for dnf, whose default k is n^2, and "..., k=3" for junta.
+    error = _usage_error(capsys, ["verify-reduction", "--construction", construction, "--n", "0"])
+    assert error == {"error": "dimension must be a positive integer, got 0", "type": "ValueError"}
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

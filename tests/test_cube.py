@@ -342,7 +342,7 @@ COUNT_ROWS = [
     ("run_reconstruction_corpus", harness.run_reconstruction_corpus, 0, "formula count must be at least 1"),
     ("QReduction.q", lambda v: reductions.QReduction("junta", "B", cube.ReplicateMap(2, 3), v, None), -1,
      _LOCALITY),
-    ("make_reduction.n", lambda v: reductions.make_reduction("junta", v), 0, _bad_n),
+    ("make_reduction.n", lambda v: reductions.make_reduction("junta", v), 0, _DIMENSION),
     ("make_reduction.q0", lambda v: reductions.make_reduction("junta", 2, q0=v), -1, _LOCALITY),
     ("make_reduction.k", lambda v: reductions.make_reduction("dnf", 2, k=v), 0, _bad_k),
 ]

@@ -376,7 +376,7 @@ def test_simulation_audit_counts_a_neighbour_shifted_transform():
     # shifted onto the last target coordinate agrees with them wherever the
     # learner asks. A parity over every source variable does not.
     honest = make_reduction("junta", 4, q0=1)
-    shifted = dataclasses.replace(honest, transform=lambda h: _NeighbourShifted(honest.transform(h)))
+    shifted = dataclasses.replace(honest, reduce=lambda h, phi: _NeighbourShifted(honest.transform(h)))
     parity = Junta(4, (1, 2, 3, 4), tuple(bin(i).count("1") % 2 for i in range(16)))
     counts = {}
     for name, reduction in (("honest", honest), ("shifted", shifted)):
@@ -511,3 +511,14 @@ def test_names_and_fields_perfbench_relies_on():
     # The timing fields perfbench reads.
     assert {"seconds_discovery", "seconds_reconstruct"} <= {f.name for f in dataclasses.fields(harness.CorpusReport)}
     assert {"phase1_seconds", "phase2_seconds"} <= {f.name for f in dataclasses.fields(learner.LearnerRun)}
+    # Its traced verify reads each reduction's name and kind, and these report fields of a shipped row.
+    read = {"kind", "ball_checked", "image_checked", "flip_radius", "q", "source_n"}
+    assert read <= {f.name for f in dataclasses.fields(reductions.ReductionReport)}
+    # A control is a shipped row under its own name, which tells it from the rows, and with the row's kind.
+    controls = [
+        reductions.corrupted_dnf_reduction_without_detector(2),
+        reductions.corrupted_dfa_reduction_stuck_simulator(2),
+        reductions.corrupted_tree_reduction_first_copy(2, 1),
+    ]
+    named = [("dnf-no-detector", "A"), ("dfa-stuck-simulator", "A"), ("tree-first-copy", "B")]
+    assert [(c.name, c.kind) for c in controls] == named

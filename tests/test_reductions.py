@@ -112,7 +112,7 @@ def test_an_over_budget_row_is_refused_before_its_transform_is_built():
     def transform(concept):
         raise AssertionError("the transform ran")
 
-    reduction = replace(make_reduction("dnf", 40), transform=transform)
+    reduction = replace(make_reduction("dnf", 40), reduce=lambda h, phi: transform(h))
     with pytest.raises(ValueError, match=r"^flip enumeration needs \d+ checks, budget is 5000000$"):
         verify_reduction(reduction, DnfFormula(40, (Term.of(1),)))
 
@@ -873,9 +873,14 @@ def test_negative_controls_match_reference(broken, concept):
     ids=["dnf", "dfa", "tree"],
 )
 def test_negative_control_refuses_concept_of_another_dimension(broken, concept):
-    # These transforms skip make_reduction's check; read on masks, the concept would answer anyway.
-    with pytest.raises(DimensionMismatch):
+    # A control replaces only its reduction's reduce, so QReduction.transform still checks the
+    # dimension: read on masks, the concept would answer anyway, and two controls used to return
+    # a transformed concept and the third a plain ValueError.
+    message = rf"^{broken.name} reduction maps dimension 2, concept has {concept.n}$"
+    with pytest.raises(DimensionMismatch, match=message):
         verify_reduction(broken, concept)
+    with pytest.raises(DimensionMismatch, match=message):
+        broken.transform(concept)
 
 
 def test_poly_reduction_is_checked_by_exact_value():
@@ -885,7 +890,7 @@ def test_poly_reduction_is_checked_by_exact_value():
     def doubled(p: SparsePoly) -> SparsePoly:
         return shipped.transform(SparsePoly(p.n, {v: 2 * c for v, c in p.monomials.items()}))
 
-    broken = replace(shipped, transform=doubled)
+    broken = replace(shipped, reduce=lambda h, phi: doubled(h))
     concept = SparsePoly(2, {frozenset({1}): Fraction(1, 2), frozenset(): Fraction(1, 3)})
     report = verify_reduction(broken, concept).to_dict()
     assert report["image_failures"] == 4 and report["ball_failures"] == report["ball_checked"]
@@ -918,9 +923,12 @@ def test_first_copy_for_maj_poly_fails_only_on_the_ball(name, n, q0, concept, mo
 
 
 def test_verify_reduction_refuses_transform_into_another_dimension():
-    identity = replace(make_reduction("dnf", 2), transform=lambda h: h)
+    identity = replace(make_reduction("dnf", 2), reduce=lambda h, phi: h)
     with pytest.raises(DimensionMismatch):
         verify_reduction(identity, DnfFormula(2, (Term.of(1),)))
+    # The refusal is the transform's own, so no other caller gets the source-dimension concept back.
+    with pytest.raises(DimensionMismatch, match=r"^transformed concept has dimension 2, target is 8$"):
+        identity.transform(DnfFormula(2, (Term.of(1),)))
 
 
 @pytest.mark.parametrize("seed", [0, 1])
