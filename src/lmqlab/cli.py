@@ -1,10 +1,11 @@
 """Command-line interface: learn, check-evident, verify-reduction, suite.
 
 ``learn`` runs one ``harness.run_trial`` and prints the fields its ``TrialReport`` shares with a suite trial, plus
-its inputs; it refuses ``--auto-plan`` with ``--m1`` or ``--m2`` before reading anything, holds explicit and planned
-sample sizes alike to ``harness.require_desk_scale``, and ``run_trial`` refuses a negative size or ``--q`` before any
-draw. ``suite`` builds every config ``--family`` selects and checks ``--corpus-count`` before any suite runs,
-whatever ``--which`` selects, then prints each report's ``to_dict()``.
+its inputs; it refuses ``--auto-plan`` with ``--m1`` or ``--m2`` before reading anything, and ``run_trial``'s gate,
+``harness.require_trial_inputs``, refuses a negative size, ``--q`` or seed and sizes over the desk-scale cap before
+any draw (``--auto-plan`` calls it first, to point at ``--m1`` and ``--m2``). ``suite`` builds every config
+``--family`` selects, each through the same gate, and checks ``--corpus-count`` before any suite runs, whatever
+``--which`` selects, then prints each report's ``to_dict()``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from functools import partial
 from pathlib import Path
 from typing import NoReturn
 
-from .concepts import SparsePtf
 from .cube import DimensionMismatch, require_count
 from .evident import evidence_report
 from .formats import dump_dnf, parse_distribution, parse_dnf, parse_fraction
@@ -26,7 +26,7 @@ from .harness import (
     TrialReport,
     doubled_tree_family,
     opposite_literal_family,
-    require_desk_scale,
+    require_trial_inputs,
     run_learning_suite,
     run_reconstruction_corpus,
     run_reduction_suite,
@@ -66,15 +66,13 @@ def _cmd_learn(args: argparse.Namespace) -> int:
     target = parse_dnf(Path(args.target).read_text())
     dist = parse_distribution(args.dist)
     require_epsilon(args.epsilon)
+    m1, m2 = args.m1, args.m2
     if args.auto_plan:
         plan = plan_samples(target.n, args.epsilon)
         m1, m2 = plan.m1, plan.m2
-        require_desk_scale(m1, m2, "--auto-plan sizes", "; pass --m1 and --m2")
-    elif args.m1 is None or args.m2 is None:
+        require_trial_inputs(m1, m2, args.q, sizes="--auto-plan sizes", hint="; pass --m1 and --m2")
+    elif m1 is None or m2 is None:
         raise ValueError("provide --m1 and --m2, or --auto-plan")
-    else:
-        m1, m2 = args.m1, args.m2
-        require_desk_scale(m1, m2)
     run, loss, estimator = run_trial(target, dist, m1, m2, args.q, (args.seed, args.seed + 1, args.seed + 2))
     record = TrialReport.of(0, args.seed, run, loss, estimator, args.epsilon).to_dict()
     inputs = {"hypothesis": dump_dnf(run.formula).splitlines(), "epsilon": args.epsilon, "m1": m1, "m2": m2}
@@ -100,8 +98,6 @@ def _cmd_verify_reduction(args: argparse.Namespace) -> int:
         concept = construction.parse(Path(args.concept).read_text())
         if concept.n != args.n:
             raise DimensionMismatch(f"concept file has dimension {concept.n}, --n is {args.n}")
-        if isinstance(concept, SparsePtf) != (args.construction == "ptf"):
-            raise ValueError("a 'theta:' line belongs in ptf concept files and only there")
     else:
         concept = construction.example(args.n, random.Random(args.seed))
     report = verify_reduction(reduction, concept)

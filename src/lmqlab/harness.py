@@ -2,7 +2,9 @@
 
 Per-trial seeds come from the base seed through SHA-256, so any trial
 replays alone; the corpus reads evident points from ``evident``'s truth
-tables. ``TrialReport.of`` is a trial's one record, for the suites and ``lmqlab learn`` alike.
+tables. ``require_trial_inputs`` is a trial's one gate (sample sizes, locality budget, seeds and the desk-scale cap),
+called by ``run_trial`` before any draw and by ``ExperimentConfig`` before any trial.
+``TrialReport.of`` is a trial's one record, for the suites and ``lmqlab learn`` alike.
 Each report's ``to_dict()`` renders its own dataclass fields and merges in only what
 differs; timings are a named exclusion, so canonical JSON replays byte for byte.
 """
@@ -132,8 +134,15 @@ def doubled_tree_family(
 # Learning suite
 
 
-def require_desk_scale(m1: int, m2: int, sizes: str = "sample sizes", hint: str = "") -> None:
-    """Refuse sample sizes whose m1 + m2 draws exceed the desk-scale cap of 2^``ENUMERATION_CAP``, before any draw."""
+def require_trial_inputs(m1: int, m2: int, q: int, seeds: tuple = (), sizes="sample sizes", hint="") -> None:
+    """The one gate for a trial's inputs, each rule once and in this order: sample sizes, with ``sample``'s message;
+    the locality budget, with the oracle's; seeds, non-negative ints, as ``random.Random`` reads -s as s, so a
+    negative seed would replay another stream; m1 + m2 draws at most the desk-scale cap of 2^``ENUMERATION_CAP``."""
+    for m in (m1, m2):
+        require_count(m, 0, "sample count must be non-negative")
+    require_count(q, 0, "locality budget must be non-negative")
+    for seed in seeds:
+        require_count(seed, 0, "seed must be a non-negative int, as random.Random reads -s as s")
     if m1 + m2 > 1 << ENUMERATION_CAP:
         raise ValueError(f"{sizes} m1={m1} and m2={m2} exceed the desk-scale cap of 2^{ENUMERATION_CAP} draws{hint}")
 
@@ -153,10 +162,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         require_count(self.trials, 1, "trial count must be at least 1")
         require_epsilon(self.epsilon)
-        if not (is_int(self.m1, 0) and is_int(self.m2, 0)):
-            raise ValueError(f"sample sizes must be non-negative, got m1={self.m1}, m2={self.m2}")
-        require_desk_scale(self.m1, self.m2)
-        require_count(self.q, 0, "locality budget must be non-negative")
+        require_trial_inputs(self.m1, self.m2, self.q)  # run_trial's gate, so a suite refuses before any trial
         if self.success_threshold is not None and not is_int(self.success_threshold, 0, self.trials):
             raise ValueError(f"success threshold must lie in 0..{self.trials}, got {self.success_threshold!r}")
 
@@ -228,13 +234,11 @@ def run_trial(
 ) -> tuple[LearnerRun, Fraction, str]:
     """One learning trial: draw s1 and s2, learn with q-local queries, score the loss.
 
-    ``seeds`` seed s1, s2 and the Monte Carlo loss, in that order. Returns
-    the learner's run, the loss and its estimator: "exact" for a
+    ``seeds`` seed s1, s2 and the Monte Carlo loss, in that order; ``require_trial_inputs`` refuses any bad
+    input before s1 is drawn. Returns the learner's run, the loss and its estimator: "exact" for a
     ``FiniteSupport`` or n <= ``EXACT_LOSS_MAX_N``, else "mc".
     """
-    for m in (m1, m2):  # every input is refused before s1 is drawn, with the message its draw or the oracle gives
-        require_count(m, 0, "sample count must be non-negative")
-    require_count(q, 0, "locality budget must be non-negative")
+    require_trial_inputs(m1, m2, q, seeds)
     s1_seed, s2_seed, loss_seed = seeds
     s1 = draw_training_set(dist, target, m1, s1_seed)
     s2 = draw_training_set(dist, target, m2, s2_seed)

@@ -2,7 +2,7 @@
 
 A reduction here is an injective coordinate map phi from {-1,+1}^n into a larger cube
 together with a concept transform h -> h' such that h = h' o phi, applied only by
-``QReduction.transform``, which checks both dimensions. Two kinds are distinguished
+``QReduction.transform``, which checks the concept's class and both dimensions. Two kinds are distinguished
 by how h' behaves on points near the image of phi:
 
 * kind "A": every point within distance q of the image, other than image
@@ -72,7 +72,7 @@ class ComposedConcept(MaskConcept):
 
 @dataclass(frozen=True)
 class QReduction:
-    """A coordinate map with its locality budget, kind, and ``reduce(h, phi)``, as in ``Construction``.
+    """A coordinate map with its locality budget, kind, concept class and ``reduce(h, phi)``, as in ``Construction``.
 
     Images lie at least k (the replication factor) apart. Kind A needs q < k,
     so no image is within q of another; kind B needs 2q < k, so no point is
@@ -83,6 +83,7 @@ class QReduction:
     kind: str
     phi: ReplicateMap
     q: int
+    concept: type
     reduce: Callable[[Concept, ReplicateMap], Concept]
 
     def __post_init__(self) -> None:
@@ -94,7 +95,10 @@ class QReduction:
             raise ValueError(f"kind {self.kind} at q={self.q} needs k > {spread}, got k={self.phi.k}")
 
     def transform(self, h: Concept) -> Concept:
-        """``reduce(h, phi)``; an h off the source dimension, or a result off the target's, is refused."""
+        """``reduce(h, phi)``; an h of another class first, then one off the source dimension, or a result off the
+        target's, is refused."""
+        if not isinstance(h, self.concept):
+            raise ValueError(f"{self.name} reduction transforms a {self.concept.__name__}, got a {type(h).__name__}")
         if h.n != self.phi.source_n:
             raise DimensionMismatch(f"{self.name} reduction maps dimension {self.phi.source_n}, concept has {h.n}")
         transformed = self.reduce(h, self.phi)
@@ -300,9 +304,11 @@ def reduce_ptf_type_b(ptf: SparsePtf, phi: ReplicateMap) -> SparsePtf:
 
 
 class Construction(NamedTuple):
-    """What one concept class needs: its reduction kind and transform, file parser and seeded example."""
+    """What one concept class needs: its reduction kind, the class itself, its transform, file parser and seeded
+    example."""
 
     kind: str
+    concept: type
     reduce: Callable[[Concept, ReplicateMap], Concept]
     parse: Callable[[str], Concept]
     example: Callable[[int, random.Random], Concept]
@@ -313,15 +319,15 @@ def _example_poly(n: int, rng: random.Random) -> SparsePoly:
 
 
 CONSTRUCTIONS: dict[str, Construction] = {
-    "dnf": Construction("A", reduce_dnf_type_a, parse_dnf, lambda n, rng: random_dnf(n, 2, 2, rng)),
-    "dfa": Construction("A", reduce_dfa_type_a, parse_dfa, lambda n, rng: parity_dfa(n)),
+    "dnf": Construction("A", DnfFormula, reduce_dnf_type_a, parse_dnf, lambda n, rng: random_dnf(n, 2, 2, rng)),
+    "dfa": Construction("A", Dfa, reduce_dfa_type_a, parse_dfa, lambda n, rng: parity_dfa(n)),
     "junta": Construction(
-        "B", reduce_junta_type_b, parse_junta, lambda n, rng: random_junta(n, min(2, n), rng)
+        "B", Junta, reduce_junta_type_b, parse_junta, lambda n, rng: random_junta(n, min(2, n), rng)
     ),
-    "tree": Construction("B", reduce_tree_type_b, parse_tree, lambda n, rng: random_tree(n, 4, rng)),
-    "poly": Construction("B", reduce_poly_type_b, parse_poly, _example_poly),
+    "tree": Construction("B", DecisionTree, reduce_tree_type_b, parse_tree, lambda n, rng: random_tree(n, 4, rng)),
+    "poly": Construction("B", SparsePoly, reduce_poly_type_b, parse_poly, _example_poly),
     "ptf": Construction(
-        "B", reduce_ptf_type_b, parse_poly, lambda n, rng: SparsePtf(_example_poly(n, rng), Fraction(0))
+        "B", SparsePtf, reduce_ptf_type_b, parse_poly, lambda n, rng: SparsePtf(_example_poly(n, rng), Fraction(0))
     ),
 }
 
@@ -332,7 +338,7 @@ def make_reduction(name: str, n: int, *, k: int | None = None, q0: int = 1) -> Q
     Kind A replicates each coordinate k times (default n^2) and tolerates
     q = k - 1 flips; kind B takes 2*q0+1 copies and tolerates q = q0. Kind A
     ignores q0, and kind B refuses a k, which q0 fixes. The reduction's
-    ``reduce`` is the construction's, applied through ``QReduction.transform``.
+    ``concept`` and ``reduce`` are the construction's, applied through ``QReduction.transform``.
     """
     require_count(n, 1, "dimension must be a positive integer")
     if name not in CONSTRUCTIONS:
@@ -346,7 +352,7 @@ def make_reduction(name: str, n: int, *, k: int | None = None, q0: int = 1) -> Q
             raise ValueError(f"{name} is a kind-B construction, whose replication factor is 2*q0+1; got k={k}")
         require_count(q0, 0, "locality budget must be non-negative")
         phi, q = ReplicateMap(n, 2 * q0 + 1), q0
-    return QReduction(name, construction.kind, phi, q, construction.reduce)
+    return QReduction(name, construction.kind, phi, q, construction.concept, construction.reduce)
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +450,8 @@ def verify_reduction(reduction: QReduction, concept: Concept) -> ReductionReport
     Kind B requires the centre's value: ``QReduction`` enforces 2q < k, so every
     ball point decodes to its centre, and ``anchor_failures`` stays 0.
     FLIP_ENUM_BUDGET bounds the check count, as the target cube is astronomically large; a row over it is
-    refused before its transform is built, and ``reduction.transform`` checks the concept's dimension and its own.
+    refused before its transform is built, and ``reduction.transform`` checks the concept's class, its dimension
+    and its own.
     """
     phi = reduction.phi
     n, n_target, k = phi.source_n, phi.target_n, phi.k

@@ -227,13 +227,17 @@ def test_verify_reduction_repeated_single_valued_line_is_a_json_error(tmp_path, 
 
 
 def test_verify_reduction_theta_line_must_match_construction(tmp_path, capsys):
+    # A 'theta:' line makes a SparsePtf, which only the ptf reduction transforms: QReduction.transform refuses it.
     poly = tmp_path / "p.poly"
     poly.write_text("dim 2\n1: 1\n")
     ptf = tmp_path / "t.poly"
     ptf.write_text("dim 2\n1: 1\ntheta: 0\n")
-    for construction, path in (("ptf", poly), ("poly", ptf)):
+    for construction, path, message in (
+        ("ptf", poly, "ptf reduction transforms a SparsePtf, got a SparsePoly"),
+        ("poly", ptf, "poly reduction transforms a SparsePoly, got a SparsePtf"),
+    ):
         argv = ["verify-reduction", "--construction", construction, "--n", "2", "--concept", str(path)]
-        assert "theta" in _usage_error(capsys, argv)["error"]
+        assert _usage_error(capsys, argv) == {"error": message, "type": "ValueError"}
 
 
 @pytest.mark.parametrize(
@@ -283,7 +287,7 @@ def test_argument_error_is_a_json_error(capsys):
 def test_suite_negative_sample_size_is_a_json_error(capsys):
     argv = ["suite", "--which", "learning", "--trials", "1", "--m1", "-1", "--m2", "10"]
     error = _usage_error(capsys, argv)
-    assert error == {"error": "sample sizes must be non-negative, got m1=-1, m2=10", "type": "ValueError"}
+    assert error == {"error": "sample count must be non-negative, got -1", "type": "ValueError"}
 
 
 def test_suite_negative_locality_is_a_json_error(capsys):
@@ -494,7 +498,7 @@ def _refuse_suites(monkeypatch) -> None:
              "--m2", "99999999999"],
             "trial count must be at least 1, got 0",
         ),
-        (["--which", "reductions", "--m1", "-1"], "sample sizes must be non-negative, got m1=-1, m2=50000"),
+        (["--which", "reductions", "--m1", "-1"], "sample count must be non-negative, got -1"),
         (
             ["--which", "learning", "--family", "opposite", "--corpus-count", "0"],
             "formula count must be at least 1, got 0",
@@ -559,6 +563,14 @@ def test_suite_all_lines_are_each_suites_report(capsys):
     ] + [run_reconstruction_corpus(count, seed), run_reduction_suite(seed)]
     assert capsys.readouterr().out == "".join(json.dumps(r.to_dict(), sort_keys=True) + "\n" for r in reports)
     assert code == (0 if all(r.passed for r in reports) else 1)
+
+
+@pytest.mark.parametrize("seed", ["-1", "-2"])
+def test_learn_negative_seed_is_refused_before_any_draw(formula_file, capsys, draws_refused, seed):
+    # random.Random(-s) replays Random(s): at --seed -1, s1 drew from Random(1), the loss's stream (seed + 2).
+    argv = ["learn", "--target", formula_file, "--dist", "uniform:4", "--m1", "40", "--m2", "200", "--seed", seed]
+    message = f"seed must be a non-negative int, as random.Random reads -s as s, got {seed}"
+    assert _usage_error(capsys, argv) == {"error": message, "type": "ValueError"}
 
 
 @pytest.mark.parametrize(

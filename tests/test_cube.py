@@ -334,14 +334,13 @@ COUNT_ROWS = [
     ("LocalMQOracle.ask", lambda v: _oracle().ask(0b10, v), 0, _TIMES),
     ("LocalMQOracle.ask_flips", lambda v: _oracle().ask_flips(0b10, v), 0, _TIMES),
     ("ExperimentConfig.trials", lambda v: _config(trials=v), 0, "trial count must be at least 1"),
-    ("ExperimentConfig.m1", lambda v: _config(m1=v), -1,
-     lambda v: f"sample sizes must be non-negative, got m1={v!r}, m2=1"),
+    ("ExperimentConfig.m1", lambda v: _config(m1=v), -1, "sample count must be non-negative"),
     ("ExperimentConfig.q", lambda v: _config(q=v), -1, _LOCALITY),
     ("ExperimentConfig.success_threshold", lambda v: _config(success_threshold=v), -1,
      "success threshold must lie in 0..3"),
     ("run_reconstruction_corpus", harness.run_reconstruction_corpus, 0, "formula count must be at least 1"),
-    ("QReduction.q", lambda v: reductions.QReduction("junta", "B", cube.ReplicateMap(2, 3), v, None), -1,
-     _LOCALITY),
+    ("QReduction.q", lambda v: reductions.QReduction("junta", "B", cube.ReplicateMap(2, 3), v, concepts.Junta, None),
+     -1, _LOCALITY),
     ("make_reduction.n", lambda v: reductions.make_reduction("junta", v), 0, _DIMENSION),
     ("make_reduction.q0", lambda v: reductions.make_reduction("junta", 2, q0=v), -1, _LOCALITY),
     ("make_reduction.k", lambda v: reductions.make_reduction("dnf", 2, k=v), 0, _bad_k),

@@ -2,8 +2,10 @@ import dataclasses
 import random
 import re
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import goldens
 from cubes import cube_points
@@ -20,7 +22,7 @@ from lmqlab.concepts import (
     random_tree,
 )
 from lmqlab import distributions, evident, harness, learner, oracle, reductions
-from lmqlab.cube import CubePoint, ReplicateMap
+from lmqlab.cube import ENUMERATION_CAP, CubePoint, ReplicateMap
 from lmqlab.distributions import FiniteSupport, UniformCube, pushforward
 from lmqlab.harness import (
     ExperimentConfig,
@@ -132,9 +134,9 @@ def test_config_validation():
     [
         ("trials", True, "trial count must be at least 1, got True"),
         ("trials", 2.5, "trial count must be at least 1, got 2.5"),
-        ("m1", True, "sample sizes must be non-negative, got m1=True, m2=1500"),
-        ("m1", 2.5, "sample sizes must be non-negative, got m1=2.5, m2=1500"),
-        ("m2", False, "sample sizes must be non-negative, got m1=400, m2=False"),
+        ("m1", True, "sample count must be non-negative, got True"),
+        ("m1", 2.5, "sample count must be non-negative, got 2.5"),
+        ("m2", False, "sample count must be non-negative, got False"),
         ("q", True, "locality budget must be non-negative, got True"),
         ("q", 1.0, "locality budget must be non-negative, got 1.0"),
     ],
@@ -451,6 +453,79 @@ def test_run_trial_sums_a_finite_support_exactly_at_any_n():
     run, loss, estimator = run_trial(target, support, 20, 200, 1, (2, 3, 4))
     assert (estimator, loss, len(run.formula.terms)) == ("exact", Fraction(1, 64), 1)
     assert run_trial(target, UniformCube(24), 20, 200, 1, (2, 3, 4))[2] == "mc"
+
+
+class DrawReached(Exception):
+    """Raised by a patched ``sample`` or ``sample_indices``: the trial got as far as a draw."""
+
+
+def _refusing_draws():
+    """Both draw paths of ``draw_training_set`` patched to raise ``DrawReached``."""
+
+    def refuse(*args, **kwargs):
+        raise DrawReached
+
+    return patch.multiple("lmqlab.oracle", sample=refuse, sample_indices=refuse)
+
+
+CAP = 1 << ENUMERATION_CAP
+_SEED_MESSAGE = "seed must be a non-negative int, as random.Random reads -s as s, got {!r}"
+
+
+def _trial(n, m1=10, m2=10, q=1, seeds=(0, 1, 2)):
+    return run_trial(DnfFormula(n, (Term.of(1, -2),)), UniformCube(n), m1, m2, q, seeds)
+
+
+@pytest.mark.parametrize("n", [4, 12], ids=["sample_indices", "sample"])
+@pytest.mark.parametrize("position", [0, 1, 2], ids=["s1", "s2", "loss"])
+@pytest.mark.parametrize("seed", [-1, True, 2.0], ids=["negative", "bool", "float"])
+def test_run_trial_refuses_a_bad_seed_in_any_position_before_any_draw(n, position, seed):
+    # random.Random(-s) replays Random(s): learn --seed -1 seeded s1 with -1 and its loss with 1, one stream.
+    seeds = [3, 4, 5]
+    seeds[position] = seed
+    with _refusing_draws(), pytest.raises(ValueError) as exc:
+        _trial(n, seeds=tuple(seeds))
+    assert exc.type is ValueError and str(exc.value) == _SEED_MESSAGE.format(seed)
+
+
+@pytest.mark.parametrize("n", [4, 12], ids=["sample_indices", "sample"])
+@pytest.mark.parametrize("m1, m2", [(CAP - 9, 10), (1, CAP), (99999999999, 1)], ids=["just-over", "m2-over", "huge"])
+def test_run_trial_refuses_sizes_over_the_desk_scale_cap_before_any_draw(n, m1, m2):
+    message = f"sample sizes m1={m1} and m2={m2} exceed the desk-scale cap of 2^{ENUMERATION_CAP} draws"
+    with _refusing_draws(), pytest.raises(ValueError) as exc:
+        _trial(n, m1, m2)
+    assert exc.type is ValueError and str(exc.value) == message
+    with _refusing_draws(), pytest.raises(DrawReached):  # at the cap, and with seed 0, the trial draws
+        _trial(n, CAP - 10, 10, seeds=(0, 0, 0))
+
+
+_SIZES = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from([CAP - 1, CAP, CAP + 1, 2 * CAP]),
+    st.integers(-(1 << 40), 1 << 40),
+    st.booleans(),
+    st.floats(-3, 3),
+    st.just(float(CAP)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(m1=_SIZES, m2=_SIZES, q=_SIZES)
+def test_experiment_config_and_run_trial_share_one_gate(m1, m2, q):
+    # A suite refuses its sizes and budget up front with run_trial's own gate: both refuse alike, or both go on.
+    def outcome(call):
+        try:
+            call()
+        except ValueError as exc:
+            return type(exc), str(exc)
+        except DrawReached:  # run_trial accepted its inputs and drew
+            pass
+        return "accepted"
+
+    with _refusing_draws():
+        config = outcome(lambda: small_config(m1=m1, m2=m2, q=q))
+        trial = outcome(lambda: _trial(4, m1, m2, q))
+    assert config == trial
 
 
 def test_point_mass_trial_has_zero_loss():

@@ -651,7 +651,7 @@ def test_decode_matches_brute_force_nearest_image(case):
 @given(kind=st.sampled_from("AB"), n=st.integers(1, 4), k=st.integers(1, 9), q=st.integers(0, 9))
 def test_qreduction_requires_image_spacing(kind, n, k, q):
     def build():
-        return QReduction("spacing", kind, ReplicateMap(n, k), q, lambda h: h)
+        return QReduction("spacing", kind, ReplicateMap(n, k), q, DnfFormula, lambda h: h)
 
     if k > (q if kind == "A" else 2 * q):
         assert build().q == q
@@ -881,6 +881,34 @@ def test_negative_control_refuses_concept_of_another_dimension(broken, concept):
         verify_reduction(broken, concept)
     with pytest.raises(DimensionMismatch, match=message):
         broken.transform(concept)
+
+
+_OTHER_CLASS = [(a, b) for a in CONSTRUCTIONS for b in CONSTRUCTIONS if a != b]
+
+
+@pytest.mark.parametrize("name, other", _OTHER_CLASS, ids=[f"{a}-given-{b}" for a, b in _OTHER_CLASS])
+def test_transform_refuses_a_concept_of_another_construction(name, other):
+    # Each reduce reads its own class's fields (a DnfFormula's terms, a SparsePoly's monomials), so another
+    # class's concept used to raise a bare AttributeError from inside it, through verify_reduction too.
+    reduction = make_reduction(name, 2)
+    concept = CONSTRUCTIONS[other].example(2, random.Random(0))
+    message = f"{name} reduction transforms a {CONSTRUCTIONS[name].concept.__name__}, got a {type(concept).__name__}"
+    for call in (reduction.transform, lambda h: verify_reduction(reduction, h)):
+        with pytest.raises(ValueError) as exc:
+            call(concept)
+        assert exc.type is ValueError and str(exc.value) == message
+
+
+def test_negative_controls_keep_their_rows_concept_class():
+    controls = {
+        "dnf": corrupted_dnf_reduction_without_detector(2),
+        "dfa": corrupted_dfa_reduction_stuck_simulator(2),
+        "tree": corrupted_tree_reduction_first_copy(2, 1),
+    }
+    for row, broken in controls.items():
+        assert broken.concept is CONSTRUCTIONS[row].concept
+        with pytest.raises(ValueError, match=f"^{broken.name} reduction transforms a .*, got a SparsePoly$"):
+            broken.transform(CONSTRUCTIONS["poly"].example(2, random.Random(0)))
 
 
 def test_poly_reduction_is_checked_by_exact_value():
