@@ -1,11 +1,11 @@
 """Command-line interface: learn, check-evident, verify-reduction, suite.
 
 ``learn`` runs one ``harness.run_trial`` and prints the fields its ``TrialReport`` shares with a suite trial, plus
-its inputs; it refuses ``--auto-plan`` with ``--m1`` or ``--m2`` before reading anything, and ``run_trial``'s gate,
-``harness.require_trial_inputs``, refuses a negative size, ``--q`` or seed and sizes over the desk-scale cap before
-any draw (``--auto-plan`` calls it first, to point at ``--m1`` and ``--m2``). ``suite`` builds every config
-``--family`` selects, each through the same gate, and checks ``--corpus-count`` before any suite runs, whatever
-``--which`` selects, then prints each report's ``to_dict()``.
+its inputs, so ``learn --seed T`` replays suite trial T; it refuses ``--auto-plan`` with ``--m1`` or ``--m2`` first,
+and ``harness.require_trial_inputs`` refuses a negative size, ``--q`` or seed and sizes over the desk-scale cap
+before any draw (``--auto-plan`` calls it first, to point at ``--m1`` and ``--m2``); ``verify-reduction`` refuses a
+negative seed by the same rule. ``suite`` builds every config ``--family`` selects, each through the same gate, and
+checks ``--corpus-count`` before any suite runs, whatever ``--which`` selects, then prints each ``to_dict()``.
 """
 
 from __future__ import annotations
@@ -22,8 +22,10 @@ from .cube import DimensionMismatch, require_count
 from .evident import evidence_report
 from .formats import dump_dnf, parse_distribution, parse_dnf, parse_fraction
 from .harness import (
+    SEED_RULE,
     ExperimentConfig,
     TrialReport,
+    derive_seed,
     doubled_tree_family,
     opposite_literal_family,
     require_trial_inputs,
@@ -73,7 +75,7 @@ def _cmd_learn(args: argparse.Namespace) -> int:
         require_trial_inputs(m1, m2, args.q, sizes="--auto-plan sizes", hint="; pass --m1 and --m2")
     elif m1 is None or m2 is None:
         raise ValueError("provide --m1 and --m2, or --auto-plan")
-    run, loss, estimator = run_trial(target, dist, m1, m2, args.q, (args.seed, args.seed + 1, args.seed + 2))
+    run, loss, estimator = run_trial(target, dist, m1, m2, args.q, args.seed)
     record = TrialReport.of(0, args.seed, run, loss, estimator, args.epsilon).to_dict()
     inputs = {"hypothesis": dump_dnf(run.formula).splitlines(), "epsilon": args.epsilon, "m1": m1, "m2": m2}
     _emit({key: record[key] for key in LEARN_KEYS} | inputs, args.out)
@@ -90,16 +92,15 @@ def _cmd_check_evident(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_reduction(args: argparse.Namespace) -> int:
+    require_count(args.seed, 0, SEED_RULE)
     construction = CONSTRUCTIONS[args.construction]
-    if args.q0 is not None and construction.kind == "A":
-        raise ValueError(f"{args.construction} is a kind-A construction, whose budget is k-1; --q0 is for kind B")
-    reduction = make_reduction(args.construction, args.n, k=args.k, q0=1 if args.q0 is None else args.q0)
+    reduction = make_reduction(args.construction, args.n, k=args.k, q0=args.q0)
     if args.concept:
         concept = construction.parse(Path(args.concept).read_text())
         if concept.n != args.n:
             raise DimensionMismatch(f"concept file has dimension {concept.n}, --n is {args.n}")
     else:
-        concept = construction.example(args.n, random.Random(args.seed))
+        concept = construction.example(args.n, random.Random(derive_seed(args.seed, "fixture")))
     report = verify_reduction(reduction, concept)
     _emit(report.to_dict(), args.out)
     return 0 if report.passed else 1

@@ -1,9 +1,9 @@
 """Experiment orchestration only: seeded trials, suites and JSON reports.
 
-Per-trial seeds come from the base seed through SHA-256, so any trial
-replays alone; the corpus reads evident points from ``evident``'s truth
-tables. ``require_trial_inputs`` is a trial's one gate (sample sizes, locality budget, seeds and the desk-scale cap),
-called by ``run_trial`` before any draw and by ``ExperimentConfig`` before any trial.
+Per-trial seeds come from the base seed through SHA-256, and ``run_trial`` derives a trial's streams from its one
+seed, so any trial replays alone (``lmqlab learn --seed T`` replays suite trial T); the corpus reads evident points
+from ``evident``'s truth tables. ``require_trial_inputs`` is a trial's one gate (sample sizes, locality budget, seed
+and the desk-scale cap), called by ``run_trial`` before any draw and by ``ExperimentConfig`` before any trial.
 ``TrialReport.of`` is a trial's one record, for the suites and ``lmqlab learn`` alike.
 Each report's ``to_dict()`` renders its own dataclass fields and merges in only what
 differs; timings are a named exclusion, so canonical JSON replays byte for byte.
@@ -64,6 +64,8 @@ from .reductions import (
 # Losses are exact on a finite support, and on the cube up to this dimension; Monte Carlo estimates above it.
 EXACT_LOSS_MAX_N = 20
 MC_SAMPLES = 100_000
+# A seed a command takes lies where derive_seed's do, so a negative one names no suite trial.
+SEED_RULE = "seed must be a non-negative int, as every derived seed is"
 
 # Random-DNF corpus shape: dimension range, term count and width caps, how
 # many evident points get the pointwise flip check, and how often a formula
@@ -76,7 +78,7 @@ CORPUS_CROSSCHECK_EVERY = 37
 
 
 def derive_seed(base: int, *parts) -> int:
-    """Stable 63-bit seed derived from a base seed and labels."""
+    """Stable 63-bit seed from a base seed and labels: trial T's instance and streams are ``derive_seed(T, role)``."""
     text = ":".join([str(base), *map(str, parts)])
     digest = hashlib.sha256(text.encode()).digest()
     return int.from_bytes(digest[:8], "big") >> 1
@@ -134,15 +136,13 @@ def doubled_tree_family(
 # Learning suite
 
 
-def require_trial_inputs(m1: int, m2: int, q: int, seeds: tuple = (), sizes="sample sizes", hint="") -> None:
+def require_trial_inputs(m1: int, m2: int, q: int, seed: int = 0, sizes="sample sizes", hint="") -> None:
     """The one gate for a trial's inputs, each rule once and in this order: sample sizes, with ``sample``'s message;
-    the locality budget, with the oracle's; seeds, non-negative ints, as ``random.Random`` reads -s as s, so a
-    negative seed would replay another stream; m1 + m2 draws at most the desk-scale cap of 2^``ENUMERATION_CAP``."""
+    the locality budget, with the oracle's; the seed, by ``SEED_RULE``; m1 + m2 at most the desk-scale cap."""
     for m in (m1, m2):
         require_count(m, 0, "sample count must be non-negative")
     require_count(q, 0, "locality budget must be non-negative")
-    for seed in seeds:
-        require_count(seed, 0, "seed must be a non-negative int, as random.Random reads -s as s")
+    require_count(seed, 0, SEED_RULE)
     if m1 + m2 > 1 << ENUMERATION_CAP:
         raise ValueError(f"{sizes} m1={m1} and m2={m2} exceed the desk-scale cap of 2^{ENUMERATION_CAP} draws{hint}")
 
@@ -230,23 +230,21 @@ class SuiteReport:
 
 
 def run_trial(
-    target: DnfFormula, dist: Distribution, m1: int, m2: int, q: int, seeds: tuple[int, int, int]
+    target: DnfFormula, dist: Distribution, m1: int, m2: int, q: int, seed: int
 ) -> tuple[LearnerRun, Fraction, str]:
     """One learning trial: draw s1 and s2, learn with q-local queries, score the loss.
 
-    ``seeds`` seed s1, s2 and the Monte Carlo loss, in that order; ``require_trial_inputs`` refuses any bad
-    input before s1 is drawn. Returns the learner's run, the loss and its estimator: "exact" for a
-    ``FiniteSupport`` or n <= ``EXACT_LOSS_MAX_N``, else "mc".
+    ``seed`` derives s1, s2 and the Monte Carlo loss, each its own stream ``derive_seed(seed, "s1" | "s2" | "loss")``;
+    ``require_trial_inputs`` refuses any bad input before s1 is drawn. Returns the learner's run, the loss and its
+    estimator: "exact" for a ``FiniteSupport`` or n <= ``EXACT_LOSS_MAX_N``, else "mc".
     """
-    require_trial_inputs(m1, m2, q, seeds)
-    s1_seed, s2_seed, loss_seed = seeds
-    s1 = draw_training_set(dist, target, m1, s1_seed)
-    s2 = draw_training_set(dist, target, m2, s2_seed)
-    oracle = LocalMQOracle.for_samples(target, q, s1, s2)
-    run = learn_evident_dnf_run(s1, s2, oracle)
+    require_trial_inputs(m1, m2, q, seed)
+    s1 = draw_training_set(dist, target, m1, derive_seed(seed, "s1"))
+    s2 = draw_training_set(dist, target, m2, derive_seed(seed, "s2"))
+    run = learn_evident_dnf_run(s1, s2, LocalMQOracle.for_samples(target, q, s1, s2))
     if isinstance(dist, FiniteSupport) or target.n <= EXACT_LOSS_MAX_N:
         return run, exact_loss(dist, target, run.formula), "exact"
-    return run, mc_loss(dist, target, run.formula, MC_SAMPLES, loss_seed), "mc"
+    return run, mc_loss(dist, target, run.formula, MC_SAMPLES, derive_seed(seed, "loss")), "mc"
 
 
 def run_learning_suite(cfg: ExperimentConfig) -> SuiteReport:
@@ -255,9 +253,7 @@ def run_learning_suite(cfg: ExperimentConfig) -> SuiteReport:
     for i in range(cfg.trials):
         seed = derive_seed(cfg.base_seed, "trial", i)
         try:
-            target, dist = cfg.family(derive_seed(seed, "instance"))
-            seeds = (derive_seed(seed, "s1"), derive_seed(seed, "s2"), derive_seed(seed, "loss"))
-            run, loss, estimator = run_trial(target, dist, cfg.m1, cfg.m2, cfg.q, seeds)
+            run, loss, estimator = run_trial(*cfg.family(derive_seed(seed, "instance")), cfg.m1, cfg.m2, cfg.q, seed)
         except (LocalityViolation, BudgetExhausted) as exc:
             # A refused query stays a refusal, so the CLI reports it as bad input.
             exc.args = (f"trial {i} (seed {seed}) failed: {exc}",)
@@ -479,16 +475,16 @@ def run_reduction_suite(base_seed: int = 0) -> ReductionSuiteReport:
     quadratic = SparsePoly(4, {frozenset({1, 2}): Fraction(1), frozenset({3}): Fraction(2)})
     vote = SparsePtf(SparsePoly(6, {frozenset({j}): Fraction(1) for j in range(1, 7)}), Fraction(0))
     # (construction, n, q0, concept, fixture): replicated-coordinate DNFs and automata
-    # (kind A, which ignores q0), then the majority-of-copies constructions (kind B).
+    # (kind A, which takes no q0), then the majority-of-copies constructions (kind B).
     rows = (
-        ("dnf", 2, 1, DnfFormula(2, (Term.of(1),)), "x1 over n=2"),
-        ("dnf", 2, 1, dnf2, "random dnf n=2"),
-        ("dnf", 3, 1, DnfFormula(3, (Term.of(1),)), "x1 over n=3"),
-        ("dnf", 3, 1, dnf3, "random dnf n=3"),
-        ("dfa", 2, 1, parity_dfa(2), "parity n=2"),
-        ("dfa", 2, 1, dfa2, "random dfa n=2"),
-        ("dfa", 3, 1, parity_dfa(3), "parity n=3"),
-        ("dfa", 3, 1, dfa3, "random dfa n=3"),
+        ("dnf", 2, None, DnfFormula(2, (Term.of(1),)), "x1 over n=2"),
+        ("dnf", 2, None, dnf2, "random dnf n=2"),
+        ("dnf", 3, None, DnfFormula(3, (Term.of(1),)), "x1 over n=3"),
+        ("dnf", 3, None, dnf3, "random dnf n=3"),
+        ("dfa", 2, None, parity_dfa(2), "parity n=2"),
+        ("dfa", 2, None, dfa2, "random dfa n=2"),
+        ("dfa", 3, None, parity_dfa(3), "parity n=3"),
+        ("dfa", 3, None, dfa3, "random dfa n=3"),
         ("junta", 4, 1, xor_junta, "xor junta n=4 q0=1"),
         ("junta", 4, 2, xor_junta, "xor junta n=4 q0=2"),
         ("junta", 6, 1, junta6, "random junta n=6 q0=1"),
@@ -559,7 +555,7 @@ def run_reduction_suite(base_seed: int = 0) -> ReductionSuiteReport:
 
     # Query synthesis audit over both kinds: (construction, n, q0, concept, m1 = m2, seed tag).
     audits = (
-        ("dnf", 3, 1, DnfFormula(3, (Term.of(1),)), 600, "sim-dnf"),
+        ("dnf", 3, None, DnfFormula(3, (Term.of(1),)), 600, "sim-dnf"),
         ("junta", 4, 1, xor_junta, 500, "sim-junta"),
         ("ptf", 4, 2, ptf, 500, "sim-ptf"),
     )

@@ -332,12 +332,12 @@ CONSTRUCTIONS: dict[str, Construction] = {
 }
 
 
-def make_reduction(name: str, n: int, *, k: int | None = None, q0: int = 1) -> QReduction:
+def make_reduction(name: str, n: int, *, k: int | None = None, q0: int | None = None) -> QReduction:
     """The named construction over source dimension n.
 
     Kind A replicates each coordinate k times (default n^2) and tolerates
-    q = k - 1 flips; kind B takes 2*q0+1 copies and tolerates q = q0. Kind A
-    ignores q0, and kind B refuses a k, which q0 fixes. The reduction's
+    q = k - 1 flips; kind B takes 2*q0+1 copies (q0 default 1) and tolerates q = q0.
+    Each kind refuses the other's parameter: kind A a q0, which k fixes, and kind B a k. The reduction's
     ``concept`` and ``reduce`` are the construction's, applied through ``QReduction.transform``.
     """
     require_count(n, 1, "dimension must be a positive integer")
@@ -345,11 +345,14 @@ def make_reduction(name: str, n: int, *, k: int | None = None, q0: int = 1) -> Q
         raise ValueError(f"unknown construction {name!r}, expected one of {sorted(CONSTRUCTIONS)}")
     construction = CONSTRUCTIONS[name]
     if construction.kind == "A":
+        if q0 is not None:
+            raise ValueError(f"{name} is a kind-A construction, whose budget is k-1; got q0={q0}")
         k = n * n if k is None else k
         phi, q = ReplicateMap(n, k), k - 1
     else:
         if k is not None:
             raise ValueError(f"{name} is a kind-B construction, whose replication factor is 2*q0+1; got k={k}")
+        q0 = 1 if q0 is None else q0
         require_count(q0, 0, "locality budget must be non-negative")
         phi, q = ReplicateMap(n, 2 * q0 + 1), q0
     return QReduction(name, construction.kind, phi, q, construction.concept, construction.reduce)

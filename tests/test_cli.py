@@ -1,13 +1,14 @@
 import json
+import random
 from types import SimpleNamespace
 
 import pytest
 
-from lmqlab.cli import main
+from lmqlab.cli import LEARN_KEYS, main
 from lmqlab.concepts import DnfFormula, Term
 from lmqlab.cube import ENUMERATION_CAP
-from lmqlab.distributions import UniformCube
-from lmqlab.formats import dump_dnf, parse_distribution, parse_dnf
+from lmqlab.distributions import FiniteSupport, UniformCube
+from lmqlab.formats import dump_dnf, dump_finite_support, parse_distribution, parse_dnf
 from lmqlab.harness import (
     ExperimentConfig,
     TrialReport,
@@ -249,7 +250,7 @@ def test_learn_is_one_trial(tmp_path, capsys, text, n):
     argv = ["learn", "--target", str(path), "--dist", f"uniform:{n}", "--m1", "300", "--m2", "600"]
     assert main(argv + ["--seed", "9"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    run, loss, estimator = run_trial(parse_dnf(text), UniformCube(n), 300, 600, 1, (9, 10, 11))
+    run, loss, estimator = run_trial(parse_dnf(text), UniformCube(n), 300, 600, 1, 9)
     assert payload["estimator"] == estimator == ("exact" if n <= 20 else "mc")
     assert payload["loss"] == str(loss)
     assert payload["hypothesis"] == dump_dnf(run.formula).splitlines()
@@ -351,11 +352,11 @@ def test_zero_dimension_is_a_json_error_naming_the_dimension(capsys, constructio
         ),
         (
             ["--construction", "dnf", "--n", "2", "--q0", "1"],
-            "dnf is a kind-A construction, whose budget is k-1; --q0 is for kind B",
+            "dnf is a kind-A construction, whose budget is k-1; got q0=1",
         ),
         (
             ["--construction", "dfa", "--n", "2", "--k", "3", "--q0", "2"],
-            "dfa is a kind-A construction, whose budget is k-1; --q0 is for kind B",
+            "dfa is a kind-A construction, whose budget is k-1; got q0=2",
         ),
     ],
     ids=["k-for-kind-b", "q0-for-kind-a", "q0-beside-k"],
@@ -415,7 +416,7 @@ def test_learn_line_is_the_trial_record_shared_fields_plus_its_inputs(tmp_path, 
     argv = ["learn", "--target", str(target), "--dist", spec, "--m1", str(m1), "--m2", str(m2)]
     assert main(argv + ["--seed", str(seed), "--epsilon", str(epsilon)]) == 0
     line = json.loads(capsys.readouterr().out)
-    run, loss, estimator = run_trial(parse_dnf(text), parse_distribution(spec), m1, m2, 1, (seed, seed + 1, seed + 2))
+    run, loss, estimator = run_trial(parse_dnf(text), parse_distribution(spec), m1, m2, 1, seed)
     record = TrialReport.of(0, seed, run, loss, estimator, epsilon).to_dict()
     shared = ("loss", "loss_float", "estimator", "queries", "max_locality", "positives", "terms_added", "terms_pruned")
     inputs = {"hypothesis": dump_dnf(run.formula).splitlines(), "epsilon": epsilon, "m1": m1, "m2": m2}
@@ -567,10 +568,77 @@ def test_suite_all_lines_are_each_suites_report(capsys):
 
 @pytest.mark.parametrize("seed", ["-1", "-2"])
 def test_learn_negative_seed_is_refused_before_any_draw(formula_file, capsys, draws_refused, seed):
-    # random.Random(-s) replays Random(s): at --seed -1, s1 drew from Random(1), the loss's stream (seed + 2).
+    # Every trial seed a suite derives is non-negative, so a negative --seed names no trial to replay.
     argv = ["learn", "--target", formula_file, "--dist", "uniform:4", "--m1", "40", "--m2", "200", "--seed", seed]
-    message = f"seed must be a non-negative int, as random.Random reads -s as s, got {seed}"
+    message = f"seed must be a non-negative int, as every derived seed is, got {seed}"
     assert _usage_error(capsys, argv) == {"error": message, "type": "ValueError"}
+
+
+@pytest.mark.parametrize("construction", list(CONSTRUCTIONS))
+def test_verify_reduction_negative_seed_is_refused_before_any_fixture(capsys, monkeypatch, construction):
+    # --seed -1 used to build --seed 1's fixture, as random.Random reads -s as s.
+    def refuse(n, rng):
+        raise AssertionError("a fixture was built")
+
+    monkeypatch.setitem(CONSTRUCTIONS, construction, CONSTRUCTIONS[construction]._replace(example=refuse))
+    argv = ["verify-reduction", "--construction", construction, "--n", "2", "--seed", "-1"]
+    message = "seed must be a non-negative int, as every derived seed is, got -1"
+    assert _usage_error(capsys, argv) == {"error": message, "type": "ValueError"}
+
+
+# Suites whose trials learn --seed T replays: (name, family, trials, m1, m2, estimator). The dense families
+# at the acceptance sizes, then one wide trial whose loss is Monte Carlo, so its loss stream is replayed too.
+REPLAYED_SUITES = [
+    ("opposite-literal", opposite_literal_family(), 3, 5000, 50000, "exact"),
+    ("doubled-tree", doubled_tree_family(), 3, 5000, 50000, "exact"),
+    ("opposite-literal-wide", opposite_literal_family(24, 32), 1, 5000, 20000, "mc"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, family, trials, m1, m2, estimator", REPLAYED_SUITES, ids=[row[0] for row in REPLAYED_SUITES]
+)
+def test_learn_seed_t_replays_suite_trial_t(tmp_path, capsys, name, family, trials, m1, m2, estimator):
+    cfg = ExperimentConfig(name, family, trials, 42, 0.1, m1, m2)
+    target_file, support_file = tmp_path / "target.dnf", tmp_path / "support.txt"
+    for trial in run_learning_suite(cfg).trials:
+        target, dist = cfg.family(derive_seed(trial.seed, "instance"))
+        target_file.write_text(dump_dnf(target))
+        if isinstance(dist, FiniteSupport):
+            support_file.write_text(dump_finite_support(dist))
+            spec = f"file:{support_file}"
+        else:
+            assert dist == UniformCube(target.n)
+            spec = f"uniform:{target.n}"
+        sizes = ["--m1", str(m1), "--m2", str(m2), "--seed", str(trial.seed)]
+        assert main(["learn", "--target", str(target_file), "--dist", spec, *sizes]) == 0
+        line, record = json.loads(capsys.readouterr().out), trial.to_dict()
+        assert {key: line[key] for key in LEARN_KEYS} == {key: record[key] for key in LEARN_KEYS}
+        assert record["estimator"] == estimator
+
+
+def test_learn_seeds_share_no_stream(tmp_path, capsys, monkeypatch):
+    # learn --seed S used to draw s1, s2 and the loss from S, S+1 and S+2: --seed 5's s2 and loss were --seed 6's
+    # s1 and s2. At n = 28 the Monte Carlo loss is drawn too, so each run builds three streams.
+    built = []
+
+    class Recording(random.Random):
+        def __init__(self, seed=None):
+            built.append(seed)
+            super().__init__(seed)
+
+    monkeypatch.setattr("lmqlab.distributions.random.Random", Recording)
+    target = tmp_path / "target28.dnf"
+    target.write_text("dim 28\n1 -2\n3 4 5 -28\n")
+    streams = []
+    for seed in ("5", "6"):
+        built.clear()
+        argv = ["learn", "--target", str(target), "--dist", "uniform:28", "--m1", "20", "--m2", "200", "--seed", seed]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["estimator"] == "mc"
+        streams.append(set(built))
+        assert len(built) == len(streams[-1]) == 3
+    assert streams[0].isdisjoint(streams[1])
 
 
 @pytest.mark.parametrize(

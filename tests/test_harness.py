@@ -234,7 +234,7 @@ def _learning_and_corpus_results():
     trials = []
     for family in (opposite_literal_family(24, 32), doubled_tree_family(4, 8)):
         target, dist = family(derive_seed(13, "instance"))
-        run, loss, estimator = run_trial(target, dist, 300, 600, 1, (1, 2, 3))
+        run, loss, estimator = run_trial(target, dist, 300, 600, 1, 1)
         trials.append((dataclasses.replace(run, phase1_seconds=0, phase2_seconds=0), loss, estimator))
     # One kind-A and one kind-B query synthesis audit, as run_reduction_suite runs them.
     audits = []
@@ -279,10 +279,10 @@ class _UnwalkableDraws:
 
 
 def test_learn_dense_trial_reads_only_the_cover_of_s2(monkeypatch):
-    # One learn-dense trial (doubled tree, m1 5000, m2 50000, drawn by index): the oracle build and phase 2
+    # Trial 0 of learn-dense's doubled-tree suite (m1 5000, m2 50000, drawn by index): the oracle build and phase 2
     # read s2's cover, its at most 256 support points; a reader that walks the 50,000 draws again fails here.
-    target, dist = doubled_tree_family(4, 8)(derive_seed(42, "trial", 0, "instance"))
-    seeds = (derive_seed(42, "trial", 0, "s1"), derive_seed(42, "trial", 0, "s2"), 0)
+    trial_seed = derive_seed(42, "trial", 0)
+    target, dist = doubled_tree_family(4, 8)(derive_seed(trial_seed, "instance"))
     plain = []
 
     def draw_and_keep(*args):
@@ -290,7 +290,7 @@ def test_learn_dense_trial_reads_only_the_cover_of_s2(monkeypatch):
         return plain[-1]
 
     monkeypatch.setattr(harness, "draw_training_set", draw_and_keep)
-    expected, loss, estimator = run_trial(target, dist, 5000, 50000, 1, seeds)
+    expected, loss, estimator = run_trial(target, dist, 5000, 50000, 1, trial_seed)
     # Phase 1 counts s1's draws, so it builds s1's masks tuple; nothing in the trial builds s2's.
     s1, s2 = plain
     assert "masks" in s1.__dict__ and "masks" not in s2.__dict__
@@ -300,14 +300,14 @@ def test_learn_dense_trial_reads_only_the_cover_of_s2(monkeypatch):
 
     def draw_then_hide_s2(dist_, target_, m, seed):
         drawn = oracle.draw_training_set(dist_, target_, m, seed)
-        if seed == seeds[1]:
+        if seed == derive_seed(trial_seed, "s2"):
             assert len(drawn.cover[0]) <= 256 < m
             drawn.__dict__["masks"] = _UnwalkableDraws(m)
         draws.append(drawn)
         return drawn
 
     monkeypatch.setattr(harness, "draw_training_set", draw_then_hide_s2)
-    run, *rest = run_trial(target, dist, 5000, 50000, 1, seeds)
+    run, *rest = run_trial(target, dist, 5000, 50000, 1, trial_seed)
     assert type(draws[1].masks) is _UnwalkableDraws
     assert expected.terms_added > 0 and 0 in draws[1].cover[1]  # phase 2 has candidates and negatives to test
     zeroed = {"phase1_seconds": 0, "phase2_seconds": 0}
@@ -450,9 +450,9 @@ def test_run_trial_sums_a_finite_support_exactly_at_any_n():
     points = {"+" + "-" * 23: Fraction(1, 2), "--++" + "-" * 19 + "+": Fraction(1, 64),
               "-+" + "-" * 22: Fraction(15, 64), "++" + "-" * 22: Fraction(1, 4)}
     support = FiniteSupport(24, tuple((CubePoint.from_string(p).mask, mass) for p, mass in points.items()))
-    run, loss, estimator = run_trial(target, support, 20, 200, 1, (2, 3, 4))
+    run, loss, estimator = run_trial(target, support, 20, 200, 1, 2)
     assert (estimator, loss, len(run.formula.terms)) == ("exact", Fraction(1, 64), 1)
-    assert run_trial(target, UniformCube(24), 20, 200, 1, (2, 3, 4))[2] == "mc"
+    assert run_trial(target, UniformCube(24), 20, 200, 1, 2)[2] == "mc"
 
 
 class DrawReached(Exception):
@@ -469,22 +469,19 @@ def _refusing_draws():
 
 
 CAP = 1 << ENUMERATION_CAP
-_SEED_MESSAGE = "seed must be a non-negative int, as random.Random reads -s as s, got {!r}"
+_SEED_MESSAGE = "seed must be a non-negative int, as every derived seed is, got {!r}"
 
 
-def _trial(n, m1=10, m2=10, q=1, seeds=(0, 1, 2)):
-    return run_trial(DnfFormula(n, (Term.of(1, -2),)), UniformCube(n), m1, m2, q, seeds)
+def _trial(n, m1=10, m2=10, q=1, seed=0):
+    return run_trial(DnfFormula(n, (Term.of(1, -2),)), UniformCube(n), m1, m2, q, seed)
 
 
 @pytest.mark.parametrize("n", [4, 12], ids=["sample_indices", "sample"])
-@pytest.mark.parametrize("position", [0, 1, 2], ids=["s1", "s2", "loss"])
 @pytest.mark.parametrize("seed", [-1, True, 2.0], ids=["negative", "bool", "float"])
-def test_run_trial_refuses_a_bad_seed_in_any_position_before_any_draw(n, position, seed):
-    # random.Random(-s) replays Random(s): learn --seed -1 seeded s1 with -1 and its loss with 1, one stream.
-    seeds = [3, 4, 5]
-    seeds[position] = seed
+def test_run_trial_refuses_a_bad_seed_before_any_draw(n, seed):
+    # The one trial seed derives s1, s2 and the loss; a seed no suite derives is refused before s1 is drawn.
     with _refusing_draws(), pytest.raises(ValueError) as exc:
-        _trial(n, seeds=tuple(seeds))
+        _trial(n, seed=seed)
     assert exc.type is ValueError and str(exc.value) == _SEED_MESSAGE.format(seed)
 
 
@@ -496,7 +493,26 @@ def test_run_trial_refuses_sizes_over_the_desk_scale_cap_before_any_draw(n, m1, 
         _trial(n, m1, m2)
     assert exc.type is ValueError and str(exc.value) == message
     with _refusing_draws(), pytest.raises(DrawReached):  # at the cap, and with seed 0, the trial draws
-        _trial(n, CAP - 10, 10, seeds=(0, 0, 0))
+        _trial(n, CAP - 10, 10, seed=0)
+
+
+@pytest.mark.parametrize("n, roles", [(4, ("s1", "s2")), (28, ("s1", "s2", "loss"))], ids=["exact", "mc"])
+def test_run_trial_derives_each_stream_from_its_one_seed(monkeypatch, n, roles):
+    # The suites and lmqlab learn pass one trial seed; run_trial alone derives s1, s2 and the Monte Carlo loss.
+    seeds = []
+    draw, loss = harness.draw_training_set, harness.mc_loss
+
+    def recorded(call):
+        def record(*args):
+            seeds.append(args[-1])
+            return call(*args)
+
+        return record
+
+    monkeypatch.setattr(harness, "draw_training_set", recorded(draw))
+    monkeypatch.setattr(harness, "mc_loss", recorded(loss))
+    _trial(n, seed=11)
+    assert seeds == [derive_seed(11, role) for role in roles]
 
 
 _SIZES = st.one_of(

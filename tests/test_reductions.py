@@ -663,8 +663,11 @@ def test_qreduction_requires_image_spacing(kind, n, k, q):
 class TestMakeReduction:
     def test_kind_a_replicates_k_times(self):
         assert make_reduction("dnf", 3).phi == ReplicateMap(3, 9)
-        r = make_reduction("dfa", 2, k=5, q0=7)
+        r = make_reduction("dfa", 2, k=5)
         assert (r.kind, r.phi, r.q) == ("A", ReplicateMap(2, 5), 4)
+        # k fixes kind A's budget at k-1; a q0 it would ignore is refused instead.
+        with pytest.raises(ValueError, match=r"^dfa is a kind-A construction, whose budget is k-1; got q0=7$"):
+            make_reduction("dfa", 2, k=5, q0=7)
 
     def test_kind_b_takes_odd_copies(self):
         r = make_reduction("tree", 3, q0=2)
@@ -795,7 +798,7 @@ def _reference_verify(reduction: QReduction, concept) -> dict:
 
 # The reduction matrix's sizes: (construction, n, q0); kind A ignores q0.
 MATRIX_SIZES = [
-    ("dnf", 2, 1), ("dnf", 3, 1), ("dfa", 2, 1), ("dfa", 3, 1),
+    ("dnf", 2, None), ("dnf", 3, None), ("dfa", 2, None), ("dfa", 3, None),
     ("junta", 4, 1), ("junta", 4, 2), ("junta", 6, 1),
     ("tree", 4, 1), ("tree", 4, 2), ("tree", 6, 1),
     ("poly", 4, 1), ("poly", 4, 2), ("ptf", 4, 1), ("ptf", 4, 2), ("ptf", 6, 2),
