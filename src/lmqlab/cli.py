@@ -11,16 +11,15 @@ checks ``--corpus-count`` before any suite runs, whatever ``--which`` selects, t
 from __future__ import annotations
 
 import argparse
-import json
 import random
 import sys
 from functools import partial
 from pathlib import Path
 from typing import NoReturn
 
-from .cube import DimensionMismatch, require_count
+from .cube import require_count
 from .evident import evidence_report
-from .formats import dump_dnf, parse_distribution, parse_dnf, parse_fraction
+from .formats import canonical_json, dump_dnf, parse_distribution, parse_dnf, parse_fraction
 from .harness import (
     SEED_RULE,
     ExperimentConfig,
@@ -50,12 +49,12 @@ class _Parser(argparse.ArgumentParser):
     """Bad input, a malformed command line included, ends in one JSON line on stderr and exit 2."""
 
     def error(self, message: str, kind: str = "ArgumentError") -> NoReturn:
-        self.exit(2, json.dumps({"error": message, "type": kind}) + "\n")
+        self.exit(2, canonical_json({"error": message, "type": kind}) + "\n")
 
 
 def _emit(payload: dict | list, out: str | None) -> None:
     lines = payload if isinstance(payload, list) else [payload]
-    text = "\n".join(json.dumps(line, sort_keys=True) for line in lines) + "\n"
+    text = "\n".join(map(canonical_json, lines)) + "\n"
     if out:
         Path(out).write_text(text)
     else:
@@ -97,8 +96,6 @@ def _cmd_verify_reduction(args: argparse.Namespace) -> int:
     reduction = make_reduction(args.construction, args.n, k=args.k, q0=args.q0)
     if args.concept:
         concept = construction.parse(Path(args.concept).read_text())
-        if concept.n != args.n:
-            raise DimensionMismatch(f"concept file has dimension {concept.n}, --n is {args.n}")
     else:
         concept = construction.example(args.n, random.Random(derive_seed(args.seed, "fixture")))
     report = verify_reduction(reduction, concept)

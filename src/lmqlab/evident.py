@@ -27,6 +27,7 @@ from .cube import (
     DimensionMismatch, ReplicateMap, cube_columns, exact_rational, is_int, require_count, require_enumerable
 )
 from .distributions import Distribution, support_weights
+from .formats import canonical
 
 
 def satisfies_evidently(formula: DnfFormula, i: int, x: int) -> bool:
@@ -97,22 +98,15 @@ def evident_tables(formula: DnfFormula) -> tuple[list[int], int, list[int]]:
 
 @dataclass(frozen=True)
 class TermEvidence:
-    index: int
-    satisfaction_probability: Fraction
-    evident_probability: Fraction
+    term: int
+    p_satisfied: Fraction
+    p_evident: Fraction
     conditional: Optional[Fraction]
     vacuous: bool
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "term": self.index,
-            "p_satisfied": str(self.satisfaction_probability),
-            "p_evident": str(self.evident_probability),
-            "conditional": None if self.conditional is None else str(self.conditional),
-            "vacuous": self.vacuous,
-            "passed": self.passed,
-        }
+        return canonical(self)
 
 
 @dataclass(frozen=True)
@@ -125,11 +119,7 @@ class EvidenceReport:
         return all(t.passed for t in self.terms)
 
     def to_dict(self) -> dict:
-        return {
-            "beta": str(self.beta),
-            "verdict": self.verdict,
-            "terms": [t.to_dict() for t in self.terms],
-        }
+        return canonical(self, verdict=self.verdict)
 
 
 def evidence_report(

@@ -21,10 +21,18 @@ Junta        "dim N", "relevant: v1 v2 ...", "table: 0110..." (row-major,
              line is refused; "accept:" lines accumulate.
 Distribution "uniform:N", "product:p1,...,pN", or "file:PATH" where the
              file holds "POINT PROB" lines like "+-+ 1/4".
+
+Reports have one canonical line each. ``canonical(record, *excluded, **derived)`` renders a report's dataclass
+fields less ``excluded``, plus ``derived``: a ``Fraction`` as its string, a mapping with string keys (an int-keyed
+histogram's too), a sequence as a list and a nested report as its ``to_dict()``. ``canonical_json`` dumps such a
+dict with sorted keys; it is the one serializer of every line lmqlab prints. Timings are a named exclusion, so
+canonical lines replay byte for byte.
 """
 
 from __future__ import annotations
 
+import json
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Optional
@@ -43,6 +51,31 @@ from .concepts import (
 )
 from .cube import CubePoint, DimensionMismatch
 from .distributions import Distribution, FiniteSupport, ProductDist, UniformCube
+
+
+# A report notes only its first NOTE_CAP failures, so a failing line stays short.
+NOTE_CAP = 10
+
+
+def _rendered(value: Any) -> Any:
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, dict):
+        return {str(k): _rendered(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_rendered(v) for v in value]
+    to_dict = getattr(value, "to_dict", None)
+    return value if to_dict is None else to_dict()
+
+
+def canonical(record: Any, *excluded: str, **derived: Any) -> dict:
+    """A report's canonical dict: its dataclass fields less ``excluded``, each rendered, plus ``derived``."""
+    return {f.name: _rendered(getattr(record, f.name)) for f in fields(record) if f.name not in excluded} | derived
+
+
+def canonical_json(payload: Any) -> str:
+    """A canonical line: ``payload`` as JSON with sorted keys."""
+    return json.dumps(payload, sort_keys=True)
 
 
 def _content_lines(text: str) -> list[str]:

@@ -5,17 +5,15 @@ seed, so any trial replays alone (``lmqlab learn --seed T`` replays suite trial 
 from ``evident``'s truth tables. ``require_trial_inputs`` is a trial's one gate (sample sizes, locality budget, seed
 and the desk-scale cap), called by ``run_trial`` before any draw and by ``ExperimentConfig`` before any trial.
 ``TrialReport.of`` is a trial's one record, for the suites and ``lmqlab learn`` alike.
-Each report's ``to_dict()`` renders its own dataclass fields and merges in only what
-differs; timings are a named exclusion, so canonical JSON replays byte for byte.
+Each report's ``to_dict()`` is one ``formats.canonical`` call.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import random
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from typing import Callable, Optional
@@ -46,6 +44,7 @@ from .evident import (
     gen_opposite_literal_dnf,
     satisfies_evidently,
 )
+from .formats import NOTE_CAP, canonical, canonical_json
 from .learner import LearnerRun, learn_evident_dnf, learn_evident_dnf_run, reconstruct_term, require_epsilon
 from .oracle import BudgetExhausted, LocalityViolation, LocalMQOracle, draw_training_set, label_masks
 from .reductions import (
@@ -82,16 +81,6 @@ def derive_seed(base: int, *parts) -> int:
     text = ":".join([str(base), *map(str, parts)])
     digest = hashlib.sha256(text.encode()).digest()
     return int.from_bytes(digest[:8], "big") >> 1
-
-
-def _fields(record, *excluded: str) -> dict:
-    """A dataclass's fields by name, less ``excluded``: each canonical renderer merges in only what differs."""
-    return {f.name: getattr(record, f.name) for f in fields(record) if f.name not in excluded}
-
-
-def _keyed(histogram: dict[int, int]) -> dict[str, int]:
-    """An int-keyed histogram as JSON holds it: string keys, in ascending int order."""
-    return {str(k): v for k, v in sorted(histogram.items())}
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +162,7 @@ class ExperimentConfig:
         return max(1, (3 * self.trials) // 4)
 
     def describe(self) -> dict:
-        return _fields(self, "family", "success_threshold") | {"threshold": self.threshold}
+        return canonical(self, "family", "success_threshold", threshold=self.threshold)
 
 
 @dataclass(frozen=True)
@@ -201,8 +190,7 @@ class TrialReport:
         )
 
     def to_dict(self) -> dict:
-        loss = {"loss": str(self.loss), "loss_float": float(self.loss)}
-        return _fields(self) | loss | {"distance_histogram": _keyed(self.distance_histogram)}
+        return canonical(self, loss_float=float(self.loss))
 
 
 @dataclass(frozen=True)
@@ -220,13 +208,10 @@ class SuiteReport:
         return self.success_count >= self.config["threshold"]
 
     def to_dict(self) -> dict:
-        trials = [t.to_dict() for t in self.trials]
-        return _fields(self) | {
-            "trials": trials, "success_count": self.success_count, "trial_count": len(trials), "passed": self.passed
-        }
+        return canonical(self, success_count=self.success_count, trial_count=len(self.trials), passed=self.passed)
 
     def canonical_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
+        return canonical_json(self.to_dict())
 
 
 def run_trial(
@@ -299,12 +284,11 @@ class CorpusReport:
         )
 
     def _note(self, kind: str, **info) -> None:
-        if len(self.failures) < 10:
+        if len(self.failures) < NOTE_CAP:
             self.failures.append({"kind": kind, **info})
 
     def to_dict(self) -> dict:
-        canonical = _fields(self, "seconds_discovery", "seconds_reconstruct")
-        return canonical | {"locality_histogram": _keyed(self.locality_histogram), "passed": self.passed}
+        return canonical(self, "seconds_discovery", "seconds_reconstruct", passed=self.passed)
 
 
 def run_reconstruction_corpus(count: int = 1000, base_seed: int = 0) -> CorpusReport:
@@ -423,7 +407,7 @@ class ReductionSuiteReport:
         )
 
     def to_dict(self) -> dict:
-        return _fields(self) | {"passed": self.passed}
+        return canonical(self, passed=self.passed)
 
 
 def _audit_simulation(

@@ -18,7 +18,7 @@ exploits to run a query-using learner without access to the target.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import chain, islice
 from typing import Callable, NamedTuple, Sequence
@@ -46,7 +46,7 @@ from .concepts import (
 from .cube import CubePoint, DimensionMismatch, ReplicateMap, ball_columns, ball_size, count_above, iter_bits
 from .cube import cube_columns, masks_at_distance, recentre, require_count
 from .distributions import LabeledSample
-from .formats import parse_dfa, parse_dnf, parse_junta, parse_poly, parse_tree
+from .formats import NOTE_CAP, canonical, parse_dfa, parse_dnf, parse_junta, parse_poly, parse_tree
 from .oracle import LocalMQOracle
 
 TREE_LEAF_CAP = 32768
@@ -433,12 +433,12 @@ class ReductionReport:
         return self.image_failures == 0 and self.ball_failures == 0 and self.anchor_failures == 0
 
     def _note(self, kind: str, mask: int, expected, got) -> None:
-        if len(self.counterexamples) < 10:
+        if len(self.counterexamples) < NOTE_CAP:
             point = CubePoint(self.target_n, mask).to_string()
             self.counterexamples.append(dict(check=kind, point=point, expected=str(expected), got=str(got)))
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "passed": self.passed}
+        return canonical(self, passed=self.passed)
 
 
 def verify_reduction(reduction: QReduction, concept: Concept) -> ReductionReport:
@@ -503,7 +503,7 @@ def verify_reduction(reduction: QReduction, concept: Concept) -> ReductionReport
     report.ball_checked, report.ball_failures = fresh.bit_count(), wrong.bit_count()
     flips = [0] + [m for r in range(1, radius + 1) for m in masks_at_distance(0, n_target, r)] if wrong else [0]
     read = transformed.value if isinstance(transformed, SparsePoly) else transformed.label
-    for source, p in (divmod(bit, size) for bit in islice(chain(iter_bits(images), iter_bits(wrong)), 10)):
+    for source, p in (divmod(bit, size) for bit in islice(chain(iter_bits(images), iter_bits(wrong)), NOTE_CAP)):
         m = image_masks[source] ^ flips[p]
         expected = values[source] if p == 0 or reduction.kind == "B" else 1
         report._note("ball" if p else "image", m, expected, read(m))

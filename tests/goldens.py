@@ -1,20 +1,21 @@
-"""The golden registry: every pinned verdict of lmqlab, each written once in ``goldens.json``.
+"""The golden registry: every pinned verdict of lmqlab, each written once.
 
-An entry names a verdict by ``id`` and pins the sha256 of its one output line. An entry with an
-``argv`` is a CLI run. It may hold the files to write first (``{dir}`` in the argv names their
-directory), the exit code (default 0), the ``type`` of a one-line JSON error on stderr, field
-equalities on the output line, and a bound in ``seconds``. Tier-1 runs each such entry through
-``lmqlab.cli.main`` in process (``tests/test_goldens.py``). Running this file runs each through the
-installed ``lmqlab`` script, one subprocess at a time, and exits 1 if any fails::
+``goldens.json`` names each verdict by ``id``, and ``goldens/<id>.json`` holds its one output line, byte for byte
+and without a trailing newline: a pin is byte equality with that file. An entry with an ``argv`` is a CLI run. It
+may hold the files to write first (``{dir}`` in the argv names their directory), the exit code (default 0), the
+``type`` of a one-line JSON error on stderr, field equalities on the output line, and a bound in ``seconds``.
+Tier-1 runs each such entry through ``lmqlab.cli.main`` in process (``tests/test_goldens.py``). Running this file
+runs each through the installed ``lmqlab`` script, one subprocess at a time, and exits 1 if any fails::
 
     python -m pip install . && python tests/goldens.py
 
 An entry without ``argv`` is a suite the CLI cannot select, or one a tier-1 fixture computes once for
-several checks; the test that computes it checks it with ``assert_pinned``. To re-baseline a verdict,
-edit its entry's sha256: a failure names the id with the expected and the actual digest.
+several checks; the test that computes it checks it with ``assert_pinned``. To re-baseline a verdict, replace its
+file with the new line, and ``git diff`` shows what moved. A failure names the first JSON path at which the line
+and the file differ, both values there, and how many paths differ. Both are read with the standard ``json``
+module, not with lmqlab's serializer, so a serializer fault cannot hide itself.
 """
 
-import hashlib
 import json
 import subprocess
 import sys
@@ -22,13 +23,48 @@ import tempfile
 import time
 from pathlib import Path
 
-ENTRIES = json.loads(Path(__file__).with_name("goldens.json").read_text())
+HERE = Path(__file__).parent
+ENTRIES = json.loads((HERE / "goldens.json").read_text())
 BY_ID = {entry["id"]: entry for entry in ENTRIES}
+ABSENT = "<absent>"
+
+
+def pinned(ident: str) -> str:
+    """The pinned line of ``ident``, as ``goldens/<id>.json`` holds it."""
+    return (HERE / "goldens" / f"{ident}.json").read_text()
+
+
+def differences(expected, actual, path: str = "$") -> list[tuple[str, object, object]]:
+    """Every JSON path at which two parsed values differ, in sorted-key order, as (path, expected, actual)."""
+    if isinstance(expected, dict) and isinstance(actual, dict):
+        return [
+            diff
+            for key in sorted({*expected, *actual})
+            for diff in differences(expected.get(key, ABSENT), actual.get(key, ABSENT), f"{path}.{key}")
+        ]
+    if isinstance(expected, list) and isinstance(actual, list):
+        padded = max(len(expected), len(actual))
+        expected, actual = (side + [ABSENT] * (padded - len(side)) for side in (expected, actual))
+        return [diff for i, pair in enumerate(zip(expected, actual)) for diff in differences(*pair, f"{path}[{i}]")]
+    # 1, 1.0 and true are equal in Python and not in JSON.
+    return [] if (type(expected), expected) == (type(actual), actual) else [(path, expected, actual)]
+
+
+def describe(expected: str, actual: str) -> str:
+    """Why two lines differ: the first differing JSON path with both values, and how many paths differ."""
+    try:
+        diffs = differences(json.loads(expected), json.loads(actual))
+    except ValueError as exc:
+        return f"not comparable as JSON ({exc})"
+    if not diffs:
+        return "the same JSON values in other bytes"
+    path, old, new = diffs[0]
+    return f"{len(diffs)} path(s) differ, first {path}: expected {json.dumps(old)}, got {json.dumps(new)}"
 
 
 def assert_pinned(ident: str, line: str) -> None:
-    actual, expected = hashlib.sha256(line.encode()).hexdigest(), BY_ID[ident]["sha256"]
-    assert actual == expected, f"sha256 {actual}, expected {expected}"
+    expected = pinned(ident)
+    assert line == expected, f"line differs from goldens/{ident}.json: {describe(expected, line)}"
 
 
 def check(entry: dict, lmqlab) -> None:

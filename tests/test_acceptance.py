@@ -5,7 +5,6 @@ Each test prints one "[acceptance] ...: PASS/FAIL" line; run with
 run once per session and are shared across the checks they back.
 """
 
-import json
 import math
 import time
 from contextlib import contextmanager
@@ -13,6 +12,7 @@ from contextlib import contextmanager
 import pytest
 
 import goldens
+from lmqlab.formats import canonical_json
 from lmqlab.harness import (
     ExperimentConfig,
     doubled_tree_family,
@@ -85,7 +85,7 @@ def test_flip_biconditional_corpus(corpus):
 
 def test_benchmark_corpus_digest_is_pinned(corpus):
     # Count 1000 at seed 20260811 is perfbench's corpus verdict (perfbench/golden.json).
-    goldens.assert_pinned("acceptance-corpus-1000-seed20260811", json.dumps(corpus.to_dict(), sort_keys=True))
+    goldens.assert_pinned("acceptance-corpus-1000-seed20260811", canonical_json(corpus.to_dict()))
 
 
 def test_term_reconstruction_exact_on_corpus(corpus):
@@ -188,7 +188,7 @@ def test_synthesized_answers_match_ground_truth(reductions):
 def test_benchmark_reduction_seed_digest_is_pinned(reductions):
     # Seed 3 is perfbench's reduce-matrix verdict (perfbench/golden.json).
     report, _ = reductions
-    goldens.assert_pinned("acceptance-reductions-seed3", json.dumps(report.to_dict(), sort_keys=True))
+    goldens.assert_pinned("acceptance-reductions-seed3", canonical_json(report.to_dict()))
 
 
 def test_negative_controls_detected(reductions):

@@ -167,7 +167,7 @@ def formulas_under_distributions(draw):
 def test_evidence_report_matches_pointwise_reference(case):
     formula, dist = case
     report = evidence_report(formula, dist)
-    got = [(t.satisfaction_probability, t.evident_probability) for t in report.terms]
+    got = [(t.p_satisfied, t.p_evident) for t in report.terms]
     assert got == _reference_evidence(formula, dist)
 
 
@@ -183,7 +183,7 @@ class TestEvidenceReport:
         # Each term is satisfied on two points; neither point is evident:
         # one fires both terms, the other flips into it.
         for t in report.terms:
-            assert t.satisfaction_probability == Fraction(1, 2)
+            assert t.p_satisfied == Fraction(1, 2)
             assert t.conditional == Fraction(0)
             assert t.passed is False
         assert report.verdict is False

@@ -1,5 +1,6 @@
 """The golden registry in tier-1: every CLI entry of tests/goldens.json through ``cli.main`` in process."""
 
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -33,14 +34,59 @@ def test_cli_verdict_is_pinned(entry, capsys):
     goldens.check(entry, lmqlab)
 
 
-def test_digests_live_only_in_the_registry():
+def test_every_pinned_line_lives_in_one_file():
+    files = {path.name for path in (ROOT / "tests" / "goldens").iterdir()}
+    assert len(goldens.BY_ID) == len(goldens.ENTRIES) and files == {f"{ident}.json" for ident in goldens.BY_ID}
+    lines = [goldens.pinned(ident) for ident in goldens.BY_ID]
+    assert len(set(lines)) == len(lines) and all("\n" not in line for line in lines)
+    # No digest stands in for a line: tests/*.py and the workflows hold no 64-hex string.
     sources = [*ROOT.glob("tests/*.py"), *ROOT.glob(".github/workflows/*.yml")]
     assert [path.name for path in sources if re.search("[0-9a-f]{64}", path.read_text())] == []
-    for key in ("id", "sha256"):
-        assert len({entry[key] for entry in goldens.ENTRIES}) == len(goldens.ENTRIES), key
 
 
-def test_perfbench_goldens_are_the_registry_entries():
+def test_perfbench_goldens_are_the_registry_lines():
     golden = json.loads((ROOT / "perfbench" / "golden.json").read_text())
     pinned = {(w, s, name): d for w, seeds in golden.items() for s, names in seeds.items() for name, d in names.items()}
-    assert pinned == {key: goldens.BY_ID[ident]["sha256"] for key, ident in PERFBENCH.items()}
+    hashed = {key: hashlib.sha256(goldens.pinned(ident).encode()).hexdigest() for key, ident in PERFBENCH.items()}
+    assert pinned == hashed
+
+
+def _edited(ident: str, edit) -> str:
+    report = json.loads(goldens.pinned(ident))
+    edit(report)
+    return json.dumps(report, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "ident, edit, message",
+    [
+        (
+            "verify-junta-n4-q0=1",
+            lambda r: r.update(ball_checked=r["ball_checked"] + 1),
+            "1 path(s) differ, first $.ball_checked: expected 192, got 193",
+        ),
+        (
+            "check-evident-thirds-support",
+            lambda r: r["terms"][1].update(p_evident="0"),
+            '1 path(s) differ, first $.terms[1].p_evident: expected "1/7", got "0"',
+        ),
+        (
+            "check-evident-thirds-support",
+            lambda r: r["terms"].pop(),
+            '1 path(s) differ, first $.terms[1]: expected {"conditional": "3/10", "p_evident": "1/7", ',
+        ),
+        ("verify-dfa-n4", lambda r: r.update(passed=1), "1 path(s) differ, first $.passed: expected true, got 1"),
+        ("verify-dfa-n4", lambda r: r.pop("kind"), '1 path(s) differ, first $.kind: expected "A", got "<absent>"'),
+    ],
+    ids=["field", "nested", "list-shorter", "type", "key-dropped"],
+)
+def test_an_edited_line_fails_naming_its_first_path_and_both_values(ident, edit, message):
+    with pytest.raises(AssertionError) as exc:
+        goldens.assert_pinned(ident, _edited(ident, edit))
+    assert str(exc.value).startswith(f"line differs from goldens/{ident}.json: {message}")
+
+
+def test_a_line_in_other_bytes_fails_though_its_values_match():
+    line = goldens.pinned("verify-dfa-n4")
+    with pytest.raises(AssertionError, match="the same JSON values in other bytes"):
+        goldens.assert_pinned("verify-dfa-n4", json.dumps(json.loads(line), sort_keys=True, indent=1))

@@ -24,6 +24,7 @@ from lmqlab.concepts import (
 from lmqlab import distributions, evident, harness, learner, oracle, reductions
 from lmqlab.cube import ENUMERATION_CAP, CubePoint, ReplicateMap
 from lmqlab.distributions import FiniteSupport, UniformCube, pushforward
+from lmqlab.formats import canonical_json
 from lmqlab.harness import (
     ExperimentConfig,
     ReductionSuiteReport,
@@ -329,18 +330,32 @@ def test_each_canonical_renderer_states_its_fields_less_the_named_exclusions_plu
     # A field added later reaches canonical output only by editing these sets.
     suite = run_learning_suite(small_config(trials=1))
     corpus, reductions_report = run_reconstruction_corpus(count=2), ReductionSuiteReport()
+    verified = reductions.verify_reduction(make_reduction("dnf", 2), DnfFormula(2, (Term.of(1),)))
+    evidence = evident.evidence_report(DnfFormula(2, (Term.of(1, 2), Term.of(-1, -2))), UniformCube(2))
     rendered = [
         (suite.config, ExperimentConfig, {"family", "success_threshold"}, {"threshold"}),
         (suite.trials[0].to_dict(), harness.TrialReport, set(), {"loss_float"}),
         (suite.to_dict(), harness.SuiteReport, set(), {"success_count", "trial_count", "passed"}),
         (corpus.to_dict(), harness.CorpusReport, {"seconds_discovery", "seconds_reconstruct"}, {"passed"}),
         (reductions_report.to_dict(), ReductionSuiteReport, set(), {"passed"}),
+        (verified.to_dict(), reductions.ReductionReport, set(), {"passed"}),
+        (evidence.terms[0].to_dict(), evident.TermEvidence, set(), set()),
+        (evidence.to_dict(), evident.EvidenceReport, set(), {"verdict"}),
     ]
     for canonical, cls, excluded, derived in rendered:
         assert set(canonical) == _field_names(cls) - excluded | derived, cls.__name__
     trial = suite.trials[0].to_dict()
     assert trial["loss"] == str(suite.trials[0].loss) and trial["loss_float"] == float(suite.trials[0].loss)
     assert all(type(k) is str for k in (*trial["distance_histogram"], *corpus.to_dict()["locality_histogram"]))
+    term = evidence.to_dict()["terms"][0]
+    assert (term["p_satisfied"], term["p_evident"], term["conditional"]) == ("1/4", "1/4", "1")
+    assert verified.to_dict()["counterexamples"] == verified.counterexamples == []
+
+
+def test_a_two_digit_histogram_key_is_stringified_before_json_sorts_it():
+    trial = dataclasses.replace(run_learning_suite(small_config(trials=1)).trials[0], distance_histogram={2: 3, 10: 1})
+    assert trial.to_dict()["distance_histogram"] == {"2": 3, "10": 1}
+    assert '"distance_histogram": {"10": 1, "2": 3}' in canonical_json(trial.to_dict())
 
 
 def test_corpus_deterministic():
