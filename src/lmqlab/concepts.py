@@ -25,7 +25,8 @@ from itertools import chain
 from operator import and_, or_, xor
 from typing import Iterable, Iterator, Mapping, Protocol, Sequence, Union
 
-from .cube import CubePoint, DimensionMismatch, exact_rational, first_bad_int, is_int, iter_bits, require_count
+from .cube import CubePoint, ReplicateMap, exact_rational, first_bad_int, is_int, iter_bits, require_count
+from .cube import require_dimension, require_masks, require_variables
 
 JUNTA_CAP = 16
 MAJ_POLY_CAP = 15
@@ -79,8 +80,7 @@ class MaskConcept:
         return int("".join(ones), 2)
 
     def evaluate(self, x: CubePoint) -> int:
-        if x.n != self.n:
-            raise DimensionMismatch(f"{type(self).__name__} over {self.n} variables, point has {x.n}")
+        require_dimension("point", x.n, self.n)
         return self.label(x.mask)
 
 
@@ -129,9 +129,10 @@ class Term:
 
     @classmethod
     def from_masks(cls, n: int, pos: int, neg: int) -> "Term":
-        """The inverse of ``masks``: the term whose masks over n variables are pos and neg."""
-        if (pos | neg) >> n:
-            raise DimensionMismatch(f"term masks {pos}, {neg} out of range for dimension {n}")
+        """The inverse of ``masks``: the term whose masks over n variables are pos and neg; a mask that is not an
+        int in 0..2^n - 1 (a bool or a float included) is ``require_masks``'s error."""
+        if type(pos) is not int or type(neg) is not int or (pos | neg) >> n:
+            require_masks("term mask", (pos, neg), n)
         return cls(*(frozenset(n - i for i in range(n) if m >> i & 1) for m in (pos, neg)))
 
     def table(self, columns: Sequence[int], full: int) -> int:
@@ -141,9 +142,7 @@ class Term:
 
     def satisfied_by(self, x: CubePoint) -> bool:
         """True iff x meets every literal of the term."""
-        for j in self.variables:
-            if j > x.n:
-                raise DimensionMismatch(f"term variable {j} exceeds point dimension {x.n}")
+        require_variables("term variable", self.variables, x.n)
         pos, neg = self.masks(x.n)
         return (x.mask & pos) == pos and (x.mask & neg) == 0
 
@@ -167,9 +166,8 @@ class DnfFormula(MaskConcept):
 
     def __post_init__(self) -> None:
         require_count(self.n, 1, "dimension must be a positive integer")
-        variables = tuple(chain.from_iterable(t.variables for t in self.terms))  # each an int >= 1, as ``Term`` has it
-        if (i := first_bad_int(variables, 1, self.n)) is not None:
-            raise ValueError(f"variable {variables[i]} exceeds dimension {self.n}")
+        # ``Term`` has made each an int >= 1, so only n can refuse one here
+        require_variables("variable", tuple(chain.from_iterable(t.variables for t in self.terms)), self.n)
         object.__setattr__(self, "terms", tuple(self.terms))
         object.__setattr__(self, "_masks", tuple(t.masks(self.n) for t in self.terms))
         object.__setattr__(self, "reads", reduce(or_, (pos | neg for pos, neg in self._masks), 0))
@@ -199,7 +197,7 @@ class DnfFormula(MaskConcept):
     def satisfied_indices(self, mask: int) -> tuple[int, ...]:
         """0-based indices of all terms satisfied by the point with this mask."""
         if not is_int(mask, 0, (1 << self.n) - 1):
-            raise DimensionMismatch(f"mask {mask!r} out of range for formula over {self.n} variables")
+            require_masks("mask", (mask,), self.n)
         return tuple([i for i, (pos, neg) in enumerate(self._masks) if (mask & pos) == pos and (mask & neg) == 0])
 
 
@@ -238,9 +236,7 @@ class DecisionTree(MaskConcept):
 
     def __post_init__(self) -> None:
         require_count(self.n, 1, "dimension must be a positive integer")
-        variables = tuple(self._vars(self.root))
-        if (i := first_bad_int(variables, 1, self.n)) is not None:
-            raise ValueError(f"node variable {variables[i]} out of range 1..{self.n}")
+        require_variables("node variable", tuple(self._vars(self.root)), self.n)
 
     @staticmethod
     def _vars(root: TreeNode) -> Iterator[int]:
@@ -396,8 +392,7 @@ class Junta(MaskConcept):
             raise ValueError(f"junta depends on {k} variables, cap is {JUNTA_CAP}")
         if isinstance(self.relevant, (set, frozenset)) or len(set(self.relevant)) != k:
             raise ValueError(f"relevant variables must be distinct, in table order (not a set), got {self.relevant!r}")
-        if (i := first_bad_int(self.relevant, 1, self.n)) is not None:
-            raise ValueError(f"relevant variable {self.relevant[i]} out of range 1..{self.n}")
+        require_variables("relevant variable", self.relevant, self.n)
         if len(self.table) != 1 << k:
             raise ValueError(f"table must have {1 << k} entries, got {len(self.table)}")
         if first_bad_int(self.table, 0, 1) is not None:
@@ -443,9 +438,7 @@ class SparsePoly:
 
     def __post_init__(self) -> None:
         require_count(self.n, 1, "dimension must be a positive integer")
-        variables = tuple(chain.from_iterable(self.monomials))
-        if (i := first_bad_int(variables, 1, self.n)) is not None:
-            raise ValueError(f"monomial variable {variables[i]} out of range 1..{self.n}")
+        require_variables("monomial variable", tuple(chain.from_iterable(self.monomials)), self.n)
         cleaned: dict[frozenset[int], Fraction] = {}
         for vars_, coeff in self.monomials.items():
             if c := exact_rational(coeff, "coefficient"):
@@ -475,8 +468,7 @@ class SparsePoly:
         return sum(-v if (minus & monomial).bit_count() & 1 else v for _, monomial, v in terms), denom
 
     def evaluate(self, x: CubePoint) -> Fraction:
-        if x.n != self.n:
-            raise DimensionMismatch(f"polynomial over {self.n} variables, point has {x.n}")
+        require_dimension("point", x.n, self.n)
         return self.value(x.mask)
 
     def value(self, mask: int) -> Fraction:
@@ -586,16 +578,15 @@ class SparsePtf(MaskConcept):
 def maj_poly(k: int) -> SparsePoly:
     """Exact multilinear expansion of majority on k variables, outputs in ±1.
 
-    Computed by a Walsh transform over all 2^k points; k must be odd so no
-    tie-breaking is needed. Degree <= k and at most 2^k nonzero coefficients.
+    Computed by a Walsh transform of the block majority ``ReplicateMap(1, k).decode``
+    over all 2^k points; k must be odd so no tie-breaking is needed. Degree <= k and at most 2^k nonzero coefficients.
     """
     if not is_int(k, 1, MAJ_POLY_CAP):
         raise ValueError(f"variable count {k!r} out of range 1..{MAJ_POLY_CAP}")
     if k % 2 == 0:
         raise ValueError(f"majority needs an odd variable count, got {k}")
     size = 1 << k
-    half = k // 2
-    vals = [1 if m.bit_count() > half else -1 for m in range(size)]
+    vals = [2 * bit - 1 for bit in map(ReplicateMap(1, k).decode, range(size))]
     # In-place butterfly: vals[s] becomes sum_x maj(x) * prod_{t in s} x_t.
     for b in range(k):
         step = 1 << b

@@ -19,6 +19,11 @@ Every int the package takes obeys ``is_int`` (the type int itself, never a bool
 or a float, in a range), a whole tuple at once ``first_bad_int``, and every exact
 rational ``exact_rational``. ``require_enumerable`` holds every enumeration's
 comparison against ``ENUMERATION_CAP``; ``exact_loss`` keeps its own, for its hint.
+
+Every value used on a cube must fit it, by one of three rules, each raising ``DimensionMismatch`` in one message
+shape: ``require_dimension`` (a point, sample, anchor, map or concept of another dimension), ``require_masks``
+(a mask that is not an int in 0..2^n - 1) and ``require_variables`` (a variable index outside 1..n). No other module
+builds a ``DimensionMismatch``; a hot path keeps its own inline test and calls the rule only to raise.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, islice
 from operator import countOf
 from typing import Collection, Iterator, Optional, Sequence
 
@@ -37,7 +42,8 @@ _set = object.__setattr__  # a frozen dataclass's own field setter, bound once
 
 
 class DimensionMismatch(ValueError):
-    """Raised when cube values of different dimensions are combined."""
+    """Raised when a value does not fit the cube it is used on: by ``require_dimension``, ``require_masks`` and
+    ``require_variables`` alone."""
 
 
 def is_int(value: object, least: int, most: Optional[int] = None) -> bool:
@@ -77,6 +83,24 @@ def require_enumerable(n: int) -> None:
         raise ValueError(f"dimension {n} exceeds enumeration cap {ENUMERATION_CAP}")
 
 
+def require_dimension(what: str, have: int, want: int) -> None:
+    """Refuse ``what`` of dimension ``have`` where the cube has dimension ``want``."""
+    if have != want:
+        raise DimensionMismatch(f"{what} has dimension {have}, expected {want}")
+
+
+def require_masks(what: str, masks: Collection[object], n: int) -> None:
+    """Refuse the first of ``masks`` that ``is_int`` refuses as an n-bit mask, in 0..2^n - 1."""
+    if (i := first_bad_int(masks, 0, (1 << n) - 1)) is not None:
+        raise DimensionMismatch(f"{what} {next(islice(masks, i, None))!r} out of range for dimension {n}")
+
+
+def require_variables(what: str, variables: Collection[object], n: int) -> None:
+    """Refuse the first of ``variables`` that ``is_int`` refuses as a 1-based variable index, in 1..n."""
+    if (i := first_bad_int(variables, 1, n)) is not None:
+        raise DimensionMismatch(f"{what} {next(islice(variables, i, None))!r} out of range 1..{n}")
+
+
 @dataclass(frozen=True, slots=True, init=False)
 class CubePoint:
     """A point of {-1,+1}^n.
@@ -92,7 +116,7 @@ class CubePoint:
     def __init__(self, n: int, mask: int) -> None:
         if not (is_int(n, 1) and is_int(mask, 0, (1 << n) - 1)):
             require_count(n, 1, "dimension must be a positive integer")
-            raise ValueError(f"mask {mask!r} out of range for dimension {n}")
+            require_masks("mask", (mask,), n)
         _set(self, "n", n)
         _set(self, "mask", mask)
 
@@ -108,8 +132,7 @@ class CubePoint:
 
     def bit(self, j: int) -> int:
         """Value (+1 or -1) of coordinate j, 1-based."""
-        if not is_int(j, 1, self.n):
-            raise ValueError(f"coordinate {j!r} out of range 1..{self.n}")
+        require_variables("coordinate", (j,), self.n)
         return 1 if (self.mask >> (self.n - j)) & 1 else -1
 
     @property
@@ -120,8 +143,7 @@ class CubePoint:
         return "".join("+" if (self.mask >> (self.n - j)) & 1 else "-" for j in range(1, self.n + 1))
 
     def flip(self, j: int) -> "CubePoint":
-        if not is_int(j, 1, self.n):
-            raise ValueError(f"coordinate {j!r} out of range 1..{self.n}")
+        require_variables("coordinate", (j,), self.n)
         return CubePoint(self.n, self.mask ^ (1 << (self.n - j)))
 
     def __repr__(self) -> str:
@@ -245,8 +267,7 @@ class ReplicateMap:
         return self.source_n * self.k
 
     def apply(self, x: CubePoint) -> CubePoint:
-        if x.n != self.source_n:
-            raise DimensionMismatch(f"map expects dimension {self.source_n}, point has {x.n}")
+        require_dimension("point", x.n, self.source_n)
         return CubePoint(self.target_n, self.encode(x.mask))
 
     def encode(self, mask: int) -> int:

@@ -8,14 +8,17 @@ those weights, with no ``Fraction`` step per point; the one ``support()`` the
 three classes share reads them as (mask, ``Fraction``) pairs. Draws, supports
 and ``LabeledSample`` (a tuple of masks, labels as ``bytes``) hold int masks;
 a ``CubePoint`` is built only for an error message or an iterated sample. A
-sample's ``cover`` names its labelled support: each distinct (mask, label)
-pair at least once; ``LocalMQOracle.for_samples`` and learner phase 2 read
-only it. A drawn sample takes one of two forms, both built here and picked by
-``oracle.draw_training_set``: ``LabeledSample._drawn`` stores a masks tuple,
-with the sample itself as its cover; ``LabeledSample._by_index`` stores the
-(points, idx) pair of ``sample_indices`` and the drawn support points as its
-cover, and builds its masks tuple on the first read of ``masks``: a sample read
-only through ``cover`` and ``len`` (s2 in a learning trial) never builds it.
+support or sample mask out of range is refused by ``cube.require_masks``, and
+a map, target or hypothesis off the distribution's dimension by
+``cube.require_dimension``. A sample's ``cover`` names its labelled support:
+each distinct (mask, label) pair at least once; ``LocalMQOracle.for_samples``
+and learner phase 2 read only it. A drawn sample takes one of two forms, both
+built here and picked by ``oracle.draw_training_set``: ``LabeledSample._drawn``
+stores a masks tuple, with the sample itself as its cover;
+``LabeledSample._by_index`` stores the (points, idx) pair of ``sample_indices``
+and the drawn support points as its cover, and builds its masks tuple on the
+first read of ``masks``: a sample read only through ``cover`` and ``len`` (s2
+in a learning trial) never builds it.
 
 ``sample`` reads a seeded ``random.Random`` in one ``draws(rng, m)`` call, so
 each draw replays bit-exactly. Each class reads the generator in one place:
@@ -43,16 +46,16 @@ from typing import Iterator, Optional, Sequence, Sized, Union
 from .cube import (
     ENUMERATION_CAP,
     CubePoint,
-    DimensionMismatch,
     ReplicateMap,
     exact_rational,
     first_bad_int,
-    is_int,
     lane_bits,
     lane_columns,
     lane_split,
     require_count,
+    require_dimension,
     require_enumerable,
+    require_masks,
 )
 from .concepts import Concept
 
@@ -150,8 +153,7 @@ class FiniteSupport(_Supported):
         require_count(self.n, 1, "dimension must be a positive integer")
         merged: dict[int, Fraction] = {}
         for mask, prob in self.entries:
-            if not is_int(mask, 0, (1 << self.n) - 1):
-                raise DimensionMismatch(f"support mask {mask!r} out of range for dimension {self.n}")
+            require_masks("support mask", (mask,), self.n)
             if (p := exact_rational(prob, "probability")) < 0:
                 raise ValueError(f"negative probability {p} at {CubePoint(self.n, mask).to_string()}")
             merged[mask] = merged.get(mask, Fraction(0)) + p
@@ -240,8 +242,7 @@ def pushforward(dist: Distribution, phi: ReplicateMap) -> FiniteSupport:
 
     A ``ReplicateMap`` is injective, so no two masses merge.
     """
-    if phi.source_n != dist.n:
-        raise DimensionMismatch(f"map expects dimension {phi.source_n}, distribution has {dist.n}")
+    require_dimension("distribution", dist.n, phi.source_n)
     return FiniteSupport(phi.target_n, tuple((phi.encode(mask), prob) for mask, prob in dist.support()))
 
 
@@ -249,8 +250,8 @@ def pushforward(dist: Distribution, phi: ReplicateMap) -> FiniteSupport:
 class LabeledSample:
     """An ordered sample over {-1,+1}^n: ``masks[i]`` labelled ``labels[i]``, a tuple of ints and ``bytes`` of 0/1.
 
-    The constructor refuses masks or labels without a length, then, by
-    ``cube.first_bad_int``, masks outside [0, 2^n) and labels other than 0 or 1,
+    The constructor refuses masks or labels without a length, then masks
+    outside [0, 2^n) (``cube.require_masks``) and labels other than 0 or 1,
     then stores any sequence given in that one form. A drawn sample skips both
     steps, as its draws are in range and its labels are ``label_masks`` bytes:
     ``_drawn`` stores a tuple of draws, ``_by_index`` their indices (below).
@@ -278,8 +279,7 @@ class LabeledSample:
             raise ValueError("sample masks and labels must be sequences with a length")
         if len(self.masks) != len(self.labels):
             raise ValueError(f"{len(self.masks)} masks but {len(self.labels)} labels")
-        if first_bad_int(self.masks, 0, (1 << self.n) - 1) is not None:
-            raise ValueError(f"sample masks must lie in [0, 2^{self.n})")
+        require_masks("sample mask", self.masks, self.n)
         if first_bad_int(self.labels, 0, 1) is not None:
             raise ValueError("labels must be 0 or 1")
         object.__setattr__(self, "masks", tuple(self.masks))  # after the checks: bytes((True,)) would be b"\x01"
@@ -327,13 +327,6 @@ class LabeledSample:
         return ((CubePoint(self.n, m), y) for m, y in zip(self.masks, self.labels))
 
 
-def _check_loss_dims(dist: Distribution, h_star: Concept, h_hat: Concept) -> None:
-    if h_star.n != dist.n or h_hat.n != dist.n:
-        raise DimensionMismatch(
-            f"dimensions disagree: distribution {dist.n}, concepts {h_star.n}/{h_hat.n}"
-        )
-
-
 def label_masks(concept: Concept, masks: Sequence[int]) -> bytes:
     """Each in-range mask's label as a byte 0 or 1: one ``label_columns`` call per ``_DRAW_BLOCK`` masks as lanes."""
     labels = bytearray()
@@ -348,7 +341,8 @@ def exact_loss(dist: Distribution, h_star: Concept, h_hat: Concept) -> Fraction:
     """Exact disagreement mass between two concepts: the ``support_weights`` where their ``label_masks`` differ,
     for a ``FiniteSupport`` at any n and a cube distribution to ``ENUMERATION_CAP`` (above it, ``mc_loss``). A support
     point h_star cannot label raises its ``label`` error, at the first such point in mask order."""
-    _check_loss_dims(dist, h_star, h_hat)
+    require_dimension("target", h_star.n, dist.n)
+    require_dimension("hypothesis", h_hat.n, dist.n)
     if isinstance(dist, (UniformCube, ProductDist)) and dist.n > ENUMERATION_CAP:
         raise ValueError(f"dimension {dist.n} exceeds enumeration cap {ENUMERATION_CAP}; use mc_loss for an estimate")
     masks, weights, denominator = support_weights(dist)
@@ -374,7 +368,8 @@ def _lane_blocks(dist: Distribution, rng: random.Random, m: int, reads: int) -> 
 def mc_loss(dist: Distribution, h_star: Concept, h_hat: Concept, m: int, seed: int) -> Fraction:
     """Empirical disagreement frequency over the m draws ``sample(dist, m, seed)`` gives, labelled by
     ``label_columns`` a block of lanes (``_lane_blocks``) at a time over the columns either concept ``reads``."""
-    _check_loss_dims(dist, h_star, h_hat)
+    require_dimension("target", h_star.n, dist.n)
+    require_dimension("hypothesis", h_hat.n, dist.n)
     require_count(m, 1, "sample count must be positive")
     wrong = 0
     for columns, full in _lane_blocks(dist, random.Random(seed), m, h_star.reads | h_hat.reads):

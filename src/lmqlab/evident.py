@@ -24,7 +24,7 @@ from typing import Optional
 
 from .concepts import DecisionTree, DnfFormula, Term, dnf_of_tree
 from .cube import (
-    DimensionMismatch, ReplicateMap, cube_columns, exact_rational, is_int, require_count, require_enumerable
+    ReplicateMap, cube_columns, exact_rational, is_int, require_count, require_dimension, require_enumerable
 )
 from .distributions import Distribution, support_weights
 from .formats import canonical
@@ -131,8 +131,7 @@ def evidence_report(
     (default 1/n); terms the distribution never satisfies pass vacuously.
     Beta follows ``exact_rational``'s rule, and a beta outside (0, 1] is a ValueError.
     """
-    if dist.n != formula.n:
-        raise DimensionMismatch(f"formula over {formula.n} variables, distribution over {dist.n}")
+    require_dimension("distribution", dist.n, formula.n)
     beta = Fraction(1, formula.n) if beta is None else exact_rational(beta, "beta")
     if not 0 < beta <= 1:
         raise ValueError(f"beta must lie in (0, 1], got {beta}")

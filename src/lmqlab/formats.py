@@ -49,7 +49,7 @@ from .concepts import (
     Term,
     TreeNode,
 )
-from .cube import CubePoint, DimensionMismatch
+from .cube import CubePoint, require_dimension
 from .distributions import Distribution, FiniteSupport, ProductDist, UniformCube
 
 
@@ -332,8 +332,7 @@ def parse_finite_support(text: str) -> FiniteSupport:
         raise ValueError("finite support file has no entries")
     n = entries[0][0].n
     for point, _ in entries:
-        if point.n != n:
-            raise DimensionMismatch(f"support point has dimension {point.n}, expected {n}")
+        require_dimension("support point", point.n, n)
     return FiniteSupport(n, tuple((point.mask, prob) for point, prob in entries))
 
 

@@ -24,7 +24,7 @@ from itertools import compress
 from typing import Optional
 
 from .concepts import DnfFormula, Term
-from .cube import DimensionMismatch, require_count
+from .cube import require_count, require_dimension
 from .distributions import LabeledSample
 from .oracle import LocalMQOracle, OracleStats
 
@@ -105,8 +105,8 @@ def learn_evident_dnf_run(s1: LabeledSample, s2: LabeledSample, oracle: LocalMQO
     the term fires on m.
     """
     n = oracle.n
-    if s1.n != n or s2.n != n:
-        raise DimensionMismatch(f"sample dimensions {s1.n}/{s2.n} differ from oracle {n}")
+    for s in (s1, s2):
+        require_dimension("sample", s.n, n)
     t0 = time.perf_counter()
     occurrences = Counter(compress(s1.masks, s1.labels))
     full, answers = (1 << n) - 1, oracle.ask_flips_many(occurrences)

@@ -7,7 +7,10 @@ Anchors are kept as int masks. There are three constructors: ``__init__``
 takes ``CubePoint`` anchors, ``from_masks`` takes int masks and refuses any
 that is not an int in [0, 2^n), and ``for_samples`` reads the masks of the
 samples' ``cover`` unchecked, as ``LabeledSample`` keeps them in range. All
-three call ``_setup``.
+three call ``_setup``. A misfit is refused by the cube's rules: an anchor,
+sample or query point of another dimension by ``cube.require_dimension``, a
+mask out of range by ``cube.require_masks``, which ``from_masks``, ``ask`` and
+``ask_flips`` call only once their own inline test has failed.
 The core, ``ask(mask, times)``, checks and answers each distinct query once
 and counts its repeats. Locality is one scan: a mask's first asking computes
 its distance to the nearest anchor, which is both the recorded distance and
@@ -32,7 +35,7 @@ from itertools import chain
 from typing import Iterable, Mapping
 
 from .concepts import Concept
-from .cube import CubePoint, DimensionMismatch, first_bad_int, is_int, require_count
+from .cube import CubePoint, first_bad_int, is_int, require_count, require_dimension, require_masks
 from .distributions import Distribution, LabeledSample, label_masks, sample, sample_indices
 
 QUERY_BUDGET_FACTOR = 64
@@ -91,16 +94,15 @@ class LocalMQOracle:
         for a in anchors:
             if not isinstance(a, CubePoint):
                 raise ValueError(f"anchor {a!r} is not a CubePoint")
-            if a.n != target.n:
-                raise DimensionMismatch(f"anchor dimension {a.n} differs from target {target.n}")
+            require_dimension("anchor", a.n, target.n)
         self._setup(target, frozenset(a.mask for a in anchors), q, query_cap, len(anchors))
 
     @classmethod
     def from_masks(cls, target: Concept, anchors: Iterable[int], q: int, query_cap: int | None = None) -> LocalMQOracle:
         """Oracle anchored at int masks, with ``__init__``'s default cap; a mask ``is_int`` refuses is one error."""
         anchors = tuple(anchors)
-        if (bad := first_bad_int(anchors, 0, (1 << target.n) - 1)) is not None:
-            raise DimensionMismatch(f"anchor mask {anchors[bad]!r} out of range for dimension {target.n}")
+        if first_bad_int(anchors, 0, (1 << target.n) - 1) is not None:  # a hot path: one oracle per corpus point
+            require_masks("anchor mask", anchors, target.n)
         oracle = cls.__new__(cls)
         oracle._setup(target, frozenset(anchors), q, query_cap, len(anchors))
         return oracle
@@ -132,8 +134,7 @@ class LocalMQOracle:
         and ``__init__`` is not called.
         """
         for s in samples:
-            if s.n != target.n:
-                raise DimensionMismatch(f"sample dimension {s.n} differs from target {target.n}")
+            require_dimension("sample", s.n, target.n)
         anchors = frozenset(chain.from_iterable(s.cover[0] for s in samples))
         oracle = cls.__new__(cls)
         oracle._setup(target, anchors, q, query_cap, sum(map(len, samples)))
@@ -166,8 +167,7 @@ class LocalMQOracle:
         return tuple(log)
 
     def query(self, z: CubePoint) -> int:
-        if z.n != self.n:
-            raise DimensionMismatch(f"query dimension {z.n} differs from oracle {self.n}")
+        require_dimension("query", z.n, self.n)
         return self.ask(z.mask)
 
     def ask(self, mask: int, times: int = 1) -> int:
@@ -178,7 +178,7 @@ class LocalMQOracle:
         """
         require_count(times, 1, "a query is asked a whole number of times, at least once")
         if not is_int(mask, 0, (1 << self.n) - 1):
-            raise DimensionMismatch(f"query mask {mask!r} out of range for dimension {self.n}")
+            require_masks("query mask", (mask,), self.n)
         entry = self._asked.get(mask)
         if entry is None:
             distance = min(((mask ^ a).bit_count() for a in self._anchors), default=None)
@@ -203,7 +203,7 @@ class LocalMQOracle:
         require_count(times, 1, "a query is asked a whole number of times, at least once")
         n, anchors = self.n, self._anchors
         if not is_int(mask, 0, (1 << n) - 1):  # ``ask``'s rule: True or 1.0 would pass as an anchor mask below
-            raise DimensionMismatch(f"query mask {mask!r} out of range for dimension {n}")
+            require_masks("query mask", (mask,), n)
         if self.q < 1 or mask not in anchors or self._count + n * times > self.query_cap:
             return sum(self.ask(mask ^ 1 << i, times) << i for i in range(n - 1, -1, -1))
         batch = self._asked.get(~mask)
@@ -272,8 +272,7 @@ def draw_training_set(dist: Distribution, h_star: Concept, m: int, seed: int) ->
     masks, which are ``sample``'s, are labelled instead, so an error names the first draw without one; a
     distribution not drawn by index has ``sample``'s draws labelled. Either way the generator is read once.
     """
-    if h_star.n != dist.n:
-        raise DimensionMismatch(f"concept dimension {h_star.n} differs from distribution {dist.n}")
+    require_dimension("concept", h_star.n, dist.n)
     if (indexed := sample_indices(dist, m, seed)) is not None:
         try:
             return LabeledSample._by_index(dist.n, *indexed, label_masks(h_star, indexed[0]))

@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import chain, islice
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 from .concepts import (
     Concept,
@@ -43,8 +43,8 @@ from .concepts import (
     random_junta,
     random_tree,
 )
-from .cube import CubePoint, DimensionMismatch, ReplicateMap, ball_columns, ball_size, count_above, iter_bits
-from .cube import cube_columns, masks_at_distance, recentre, require_count
+from .cube import CubePoint, ReplicateMap, ball_columns, ball_size, count_above, iter_bits
+from .cube import cube_columns, masks_at_distance, recentre, require_count, require_dimension
 from .distributions import LabeledSample
 from .formats import NOTE_CAP, canonical, parse_dfa, parse_dnf, parse_junta, parse_poly, parse_tree
 from .oracle import LocalMQOracle
@@ -57,10 +57,13 @@ FLIP_ENUM_BUDGET = 5_000_000
 
 @dataclass(frozen=True)
 class ComposedConcept(MaskConcept):
-    """h' composed with a coordinate map: labels x with h'(phi(x))."""
+    """h' composed with a coordinate map: labels x with h'(phi(x)); an h' off phi's target dimension is refused."""
 
     inner: Concept
     phi: ReplicateMap
+
+    def __post_init__(self) -> None:
+        require_dimension("inner concept", self.inner.n, self.phi.target_n)
 
     @property
     def n(self) -> int:
@@ -99,11 +102,9 @@ class QReduction:
         target's, is refused."""
         if not isinstance(h, self.concept):
             raise ValueError(f"{self.name} reduction transforms a {self.concept.__name__}, got a {type(h).__name__}")
-        if h.n != self.phi.source_n:
-            raise DimensionMismatch(f"{self.name} reduction maps dimension {self.phi.source_n}, concept has {h.n}")
+        require_dimension(f"{self.name} concept", h.n, self.phi.source_n)
         transformed = self.reduce(h, self.phi)
-        if transformed.n != self.phi.target_n:
-            raise DimensionMismatch(f"transformed concept has dimension {transformed.n}, target is {self.phi.target_n}")
+        require_dimension("transformed concept", transformed.n, self.phi.target_n)
         return transformed
 
 
@@ -174,8 +175,7 @@ def build_block_simulator(automaton: Dfa, phi: ReplicateMap) -> Dfa:
     replicated inputs the run agrees with the source automaton. Exactly
     |states| * k states.
     """
-    if automaton.length != phi.source_n:
-        raise ValueError(f"source automaton reads length {automaton.length}, expected {phi.source_n}")
+    require_dimension("source automaton", automaton.length, phi.source_n)
     k = phi.k
     delta = tuple(
         (s * k + i + 1, s * k + i + 1) if i < k - 1 else (minus * k, plus * k)
@@ -191,8 +191,7 @@ def dfa_product_or(a1: Dfa, a2: Dfa) -> Dfa:
 
     Every pair is kept, reachable or not, so the state count is |a1| * |a2|.
     """
-    if a1.length != a2.length:
-        raise DimensionMismatch(f"input lengths differ: {a1.length} vs {a2.length}")
+    require_dimension("second automaton", a2.length, a1.length)
     size = a2.num_states
     delta = tuple((m1 * size + m2, p1 * size + p2) for m1, p1 in a1.delta for m2, p2 in a2.delta)
     accepting = frozenset(
@@ -210,13 +209,6 @@ def reduce_dfa_type_a(automaton: Dfa, phi: ReplicateMap) -> Dfa:
 # Kind-B constructions: majority over 2*q0+1 copies absorbs q0 flips
 
 
-def majority_label(labels: Sequence[int]) -> int:
-    """Majority of an odd-length 0/1 sequence."""
-    if len(labels) % 2 == 0:
-        raise ValueError(f"need an odd count for a strict majority, got {len(labels)}")
-    return 1 if sum(labels) * 2 > len(labels) else 0
-
-
 def reduce_junta_type_b(junta: Junta, phi: ReplicateMap) -> Junta:
     """Junta over phi's target applying the source to block majorities."""
     k_new = junta.k * phi.k
@@ -232,40 +224,41 @@ def reduce_junta_type_b(junta: Junta, phi: ReplicateMap) -> Junta:
     return Junta(phi.target_n, relevant, tuple(junta.table[s] for s in sources))
 
 
-def _stack_tree(
-    tree: DecisionTree, phi: ReplicateMap, label_rule: Callable[[tuple[int, ...]], int]
-) -> DecisionTree:
-    """Chain phi.k renamed replicas of the tree; leaves combine path outcomes.
+def _stack_tree(tree: DecisionTree, phi: ReplicateMap, label_rule: Callable[[int], int]) -> DecisionTree:
+    """Chain phi.k renamed replicas of the tree; a leaf's label is ``label_rule`` of its path's copy outcomes, a
+    k-bit mask with copy 1's leaf label highest.
 
     Replicas share immutable subtrees, one per (source node id, copy, outcomes so far): at most
     (2^k - 1) * |source nodes| distinct nodes, however many paths. The live source keeps its ids stable.
     """
-    built: dict[tuple[int, int, tuple[int, ...]], TreeNode] = {}
+    built: dict[tuple[int, int, int], TreeNode] = {}
 
-    def build(node: TreeNode, copy: int, outcomes: tuple[int, ...]) -> TreeNode:
+    def build(node: TreeNode, copy: int, outcomes: int) -> TreeNode:
         key = (id(node), copy, outcomes)
         if key not in built:
             if isinstance(node, Leaf):
-                collected = outcomes + (node.label,)
+                collected = outcomes << 1 | node.label
                 built[key] = Leaf(label_rule(collected)) if copy == phi.k else build(tree.root, copy + 1, collected)
             else:
                 var = phi.block_coordinates(node.var)[copy - 1]
                 built[key] = Node(var, build(node.low, copy, outcomes), build(node.high, copy, outcomes))
         return built[key]
 
-    return DecisionTree(phi.target_n, build(tree.root, 1, ()))
+    return DecisionTree(phi.target_n, build(tree.root, 1, 0))
 
 
 def reduce_tree_type_b(tree: DecisionTree, phi: ReplicateMap) -> DecisionTree:
-    """Decision tree over phi's target taking the majority over copies.
+    """Decision tree over phi's target taking the majority over copies: a leaf's copy outcomes decode as one block.
 
-    Leaf count (root-to-leaf paths) is exactly leafcount(tree) ** k; the copies share subtrees (``_stack_tree``).
+    phi.k must be odd, so no block ties (an even k is one ``ValueError``, as for ``maj_poly``). Leaf count (root-to-leaf paths) is exactly leafcount(tree) ** k; the copies share subtrees (``_stack_tree``).
     """
     if tree.leaf_count ** phi.k > TREE_LEAF_CAP:
         raise ValueError(
             f"stacked tree would have {tree.leaf_count ** phi.k} leaves, cap is {TREE_LEAF_CAP}"
         )
-    return _stack_tree(tree, phi, majority_label)
+    if phi.k % 2 == 0:
+        raise ValueError(f"need an odd count for a strict majority, got {phi.k}")
+    return _stack_tree(tree, phi, ReplicateMap(1, phi.k).decode)
 
 
 def reduce_poly_type_b(poly: SparsePoly, phi: ReplicateMap) -> SparsePoly:
@@ -374,8 +367,7 @@ class SynthesizedLabels(MaskConcept):
     def __init__(self, reduction: QReduction, *mapped: LabeledSample):
         self.n = reduction.phi.target_n
         for s in mapped:
-            if s.n != self.n:
-                raise DimensionMismatch(f"mapped sample has dimension {s.n}, target cube has {self.n}")
+            require_dimension("mapped sample", s.n, self.n)
         self._decode = reduction.phi.decode if reduction.kind == "B" else None
         labels = {m: y for s in mapped for m, y in zip(s.masks, s.labels)}
         self._labels = labels if self._decode is None else {self._decode(m): y for m, y in labels.items()}
@@ -399,8 +391,8 @@ def simulate_pac_from_local(
     synthesized answer.
     """
     phi = reduction.phi
-    if s1.n != phi.source_n or s2.n != phi.source_n:
-        raise DimensionMismatch(f"map expects dimension {phi.source_n}, samples have {s1.n}/{s2.n}")
+    for s in (s1, s2):
+        require_dimension("sample", s.n, phi.source_n)
     images = {m: phi.encode(m) for m in {*s1.masks, *s2.masks}}
     m1, m2 = (LabeledSample(phi.target_n, tuple(map(images.__getitem__, s.masks)), s.labels) for s in (s1, s2))
     labels = SynthesizedLabels(reduction, m1, m2)
@@ -535,5 +527,5 @@ def corrupted_tree_reduction_first_copy(n: int, q0: int) -> QReduction:
     """Tree reduction labeling leaves by the first copy instead of the majority."""
     return replace(
         make_reduction("tree", n, q0=q0), name="tree-first-copy",
-        reduce=lambda tree, phi: _stack_tree(tree, phi, lambda outcomes: outcomes[0]),
+        reduce=lambda tree, phi: _stack_tree(tree, phi, lambda outcomes: outcomes >> phi.k - 1),
     )

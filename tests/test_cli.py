@@ -189,7 +189,7 @@ def test_verify_reduction_concept_dimension_mismatch(tmp_path, capsys):
     error = _usage_error(
         capsys, ["verify-reduction", "--construction", "dnf", "--n", "2", "--concept", str(path)]
     )
-    assert error == {"error": "dnf reduction maps dimension 2, concept has 3", "type": "DimensionMismatch"}
+    assert error == {"error": "dnf concept has dimension 3, expected 2", "type": "DimensionMismatch"}
 
 
 @pytest.mark.parametrize("trans", ["trans: a +", "trans: a + b c"])

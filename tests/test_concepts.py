@@ -105,7 +105,7 @@ class TestDnf:
 
     def test_first_variable_beyond_dimension_is_named(self):
         # The bulk check names the first such variable in term order, as the per-term walk did.
-        with pytest.raises(ValueError, match=r"^variable 3 exceeds dimension 2$"):
+        with pytest.raises(DimensionMismatch, match=r"^variable 3 out of range 1..2$"):
             DnfFormula(2, (Term.of(1, -2), Term.of(-3), Term.of(4)))
 
     def test_dimension_mismatch(self):

@@ -1,12 +1,15 @@
+import ast
 import time
+from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cubes import cube_points
-from lmqlab import concepts, cube, distributions, evident, harness, learner, reductions
+from lmqlab import concepts, cube, distributions, evident, formats, harness, learner, oracle, reductions
 from lmqlab.concepts import DnfFormula, Term
 from lmqlab.cube import (
     ENUMERATION_CAP,
@@ -49,9 +52,9 @@ def test_hamming_full_complement():
 
 
 def test_hamming_dimension_mismatch():
-    with pytest.raises(DimensionMismatch, match="^query dimension 3 differs from oracle 2$"):
+    with pytest.raises(DimensionMismatch, match="^query has dimension 3, expected 2$"):
         _distance(P("++"), P("+++"))
-    with pytest.raises(DimensionMismatch, match="^anchor dimension 2 differs from target 3$"):
+    with pytest.raises(DimensionMismatch, match="^anchor has dimension 2, expected 3$"):
         LocalMQOracle(DnfFormula(3, ()), [P("++")], 1)
 
 
@@ -306,12 +309,6 @@ COUNT_ROWS = [
     ("DecisionTree", lambda v: concepts.DecisionTree(v, concepts.Leaf(1)), 0, _DIMENSION),
     ("Junta", lambda v: concepts.Junta(v, (), (1,)), 0, _DIMENSION),
     ("SparsePoly", lambda v: concepts.SparsePoly(v, {}), 0, _DIMENSION),
-    ("DecisionTree.var", lambda v: concepts.DecisionTree(3, concepts.Node(v, concepts.Leaf(0), concepts.Leaf(1))), 0,
-     lambda v: f"node variable {v} out of range 1..3"),
-    ("Junta.relevant", lambda v: concepts.Junta(4, (v,), (0, 1)), 0,
-     lambda v: f"relevant variable {v} out of range 1..4"),
-    ("SparsePoly.monomial", lambda v: concepts.SparsePoly(3, {frozenset({v}): 1}), 0,
-     lambda v: f"monomial variable {v} out of range 1..3"),
     ("Dfa.length", lambda v: concepts.Dfa(((0, 0),), 0, frozenset({0}), v), 0, "input length must be positive"),
     ("UniformCube", lambda v: distributions.UniformCube(v), 0, _DIMENSION),
     ("ProductDist", lambda v: distributions.ProductDist(v, (_HALF, _HALF)), 0, _DIMENSION),
@@ -367,7 +364,7 @@ _STATES = "start and accepting states must lie in 0..1"
 
 # id, call on the value, the error type, and the message (or the message per value).
 VALUE_ROWS = [
-    ("CubePoint.mask", lambda v: cube.CubePoint(2, v), ValueError,
+    ("CubePoint.mask", lambda v: cube.CubePoint(2, v), DimensionMismatch,
      lambda v: f"mask {v!r} out of range for dimension 2"),
     ("LocalMQOracle.ask", lambda v: _oracle().ask(v), DimensionMismatch,
      lambda v: f"query mask {v!r} out of range for dimension 2"),
@@ -375,17 +372,23 @@ VALUE_ROWS = [
      lambda v: f"query mask {v!r} out of range for dimension 2"),
     ("LocalMQOracle.from_masks", lambda v: LocalMQOracle.from_masks(DnfFormula(2, ()), [0, v], 1), DimensionMismatch,
      lambda v: f"anchor mask {v!r} out of range for dimension 2"),
-    ("CubePoint.bit", lambda v: P("+-").bit(v), ValueError, lambda v: f"coordinate {v!r} out of range 1..2"),
-    ("CubePoint.flip", lambda v: P("+-").flip(v), ValueError, lambda v: f"coordinate {v!r} out of range 1..2"),
+    ("CubePoint.bit", lambda v: P("+-").bit(v), DimensionMismatch, lambda v: f"coordinate {v!r} out of range 1..2"),
+    ("CubePoint.flip", lambda v: P("+-").flip(v), DimensionMismatch, lambda v: f"coordinate {v!r} out of range 1..2"),
+    ("DecisionTree.var", lambda v: concepts.DecisionTree(3, concepts.Node(v, concepts.Leaf(0), concepts.Leaf(1))),
+     DimensionMismatch, lambda v: f"node variable {v!r} out of range 1..3"),
+    ("Junta.relevant", lambda v: concepts.Junta(4, (v,), (0, 1)), DimensionMismatch,
+     lambda v: f"relevant variable {v!r} out of range 1..4"),
+    ("SparsePoly.monomial", lambda v: concepts.SparsePoly(3, {frozenset({v}): 1}), DimensionMismatch,
+     lambda v: f"monomial variable {v!r} out of range 1..3"),
     ("satisfies_evidently.i", lambda v: evident.satisfies_evidently(DnfFormula(2, (Term.of(1), Term.of(2))), v, 0),
      ValueError, lambda v: f"term index {v!r} out of range for 2 terms"),
     ("maj_poly", lambda v: concepts.maj_poly(v), ValueError, lambda v: f"variable count {v!r} out of range 1..15"),
     ("DnfFormula.satisfied_indices", lambda v: DnfFormula(2, ()).satisfied_indices(v), DimensionMismatch,
-     lambda v: f"mask {v!r} out of range for formula over 2 variables"),
+     lambda v: f"mask {v!r} out of range for dimension 2"),
     ("FiniteSupport.mask", lambda v: distributions.FiniteSupport(2, ((v, _HALF), (0, _HALF))), DimensionMismatch,
      lambda v: f"support mask {v!r} out of range for dimension 2"),
-    ("LabeledSample.masks", lambda v: distributions.LabeledSample(2, (0, v), (0, 1)), ValueError,
-     "sample masks must lie in [0, 2^2)"),
+    ("LabeledSample.masks", lambda v: distributions.LabeledSample(2, (0, v), (0, 1)), DimensionMismatch,
+     lambda v: f"sample mask {v!r} out of range for dimension 2"),
     ("LabeledSample.labels", lambda v: distributions.LabeledSample(2, (0, 1), (0, v)), ValueError,
      "labels must be 0 or 1"),
     ("Dfa.start", lambda v: concepts.Dfa(_DFA, v, frozenset(), 2), ValueError, _STATES),
@@ -403,6 +406,120 @@ def test_values_refuse_anything_but_an_int_with_one_message(call, error, message
     with pytest.raises(ValueError) as exc:
         call(value)
     assert exc.type is error and str(exc.value) == (message(value) if callable(message) else message)
+
+
+# One misfit rule: a value used on a cube of another dimension, a mask that is not an int in 0..2^n - 1, or a variable
+# index outside 1..n is refused by ``cube.require_dimension``, ``require_masks`` or ``require_variables``, each a
+# ``DimensionMismatch`` in one message shape. Each row is one site of the package.
+_DNF2, _DNF3, _UNIFORM2 = DnfFormula(2, ()), DnfFormula(3, ()), distributions.UniformCube(2)
+
+
+def _sample(n: int) -> distributions.LabeledSample:
+    return distributions.LabeledSample(n, (0,), (1,))
+
+
+def _learn(s1_n: int, s2_n: int) -> None:
+    learner.learn_evident_dnf(_sample(s1_n), _sample(s2_n), LocalMQOracle.for_samples(_DNF3, 1, _sample(3)))
+
+
+def _simulate(s1_n: int, s2_n: int) -> None:
+    dnf = reductions.make_reduction("dnf", 2)
+    reductions.simulate_pac_from_local(learner.learn_evident_dnf, dnf, _sample(s1_n), _sample(s2_n))
+
+# id, the misfit call, its message.
+MISFIT_ROWS = [
+    # Dimensions.
+    ("MaskConcept.evaluate", lambda: _DNF3.evaluate(P("++")), "point has dimension 2, expected 3"),
+    ("SparsePoly.evaluate", lambda: concepts.SparsePoly(3, {}).evaluate(P("++")), "point has dimension 2, expected 3"),
+    ("ReplicateMap.apply", lambda: cube.ReplicateMap(3, 2).apply(P("++")), "point has dimension 2, expected 3"),
+    ("pushforward", lambda: distributions.pushforward(_UNIFORM2, cube.ReplicateMap(3, 2)),
+     "distribution has dimension 2, expected 3"),
+    ("exact_loss.target", lambda: distributions.exact_loss(_UNIFORM2, _DNF3, _DNF2),
+     "target has dimension 3, expected 2"),
+    ("exact_loss.hypothesis", lambda: distributions.exact_loss(_UNIFORM2, _DNF2, _DNF3),
+     "hypothesis has dimension 3, expected 2"),
+    ("mc_loss.target", lambda: distributions.mc_loss(_UNIFORM2, _DNF3, _DNF2, 10, 0),
+     "target has dimension 3, expected 2"),
+    ("mc_loss.hypothesis", lambda: distributions.mc_loss(_UNIFORM2, _DNF2, _DNF3, 10, 0),
+     "hypothesis has dimension 3, expected 2"),
+    ("evidence_report", lambda: evident.evidence_report(_DNF3, _UNIFORM2),
+     "distribution has dimension 2, expected 3"),
+    ("parse_finite_support", lambda: formats.parse_finite_support("++ 1/2\n+++ 1/2\n"),
+     "support point has dimension 3, expected 2"),
+    ("learn_evident_dnf.s1", lambda: _learn(2, 3), "sample has dimension 2, expected 3"),
+    ("learn_evident_dnf.s2", lambda: _learn(3, 2), "sample has dimension 2, expected 3"),
+    ("LocalMQOracle.anchor", lambda: LocalMQOracle(_DNF3, [P("++")], 1), "anchor has dimension 2, expected 3"),
+    ("LocalMQOracle.for_samples", lambda: LocalMQOracle.for_samples(_DNF3, 1, _sample(2)),
+     "sample has dimension 2, expected 3"),
+    ("LocalMQOracle.query", lambda: _oracle().query(P("+++")), "query has dimension 3, expected 2"),
+    ("draw_training_set", lambda: oracle.draw_training_set(_UNIFORM2, _DNF3, 5, 0),
+     "concept has dimension 3, expected 2"),
+    ("QReduction.transform.concept", lambda: reductions.make_reduction("dnf", 2).transform(_DNF3),
+     "dnf concept has dimension 3, expected 2"),
+    ("QReduction.transform.result",
+     lambda: replace(reductions.make_reduction("dnf", 2), reduce=lambda h, phi: h).transform(_DNF2),
+     "transformed concept has dimension 2, expected 8"),
+    ("build_block_simulator", lambda: reductions.build_block_simulator(concepts.parity_dfa(3), cube.ReplicateMap(2, 3)),
+     "source automaton has dimension 3, expected 2"),
+    ("dfa_product_or", lambda: reductions.dfa_product_or(concepts.parity_dfa(2), concepts.parity_dfa(3)),
+     "second automaton has dimension 3, expected 2"),
+    ("SynthesizedLabels", lambda: reductions.SynthesizedLabels(reductions.make_reduction("dnf", 2), _sample(2)),
+     "mapped sample has dimension 2, expected 8"),
+    ("simulate_pac_from_local.s1", lambda: _simulate(3, 2), "sample has dimension 3, expected 2"),
+    ("simulate_pac_from_local.s2", lambda: _simulate(2, 3), "sample has dimension 3, expected 2"),
+    ("ComposedConcept", lambda: reductions.ComposedConcept(_DNF3, cube.ReplicateMap(2, 2)),
+     "inner concept has dimension 3, expected 4"),
+    # Masks.
+    ("Term.from_masks", lambda: Term.from_masks(3, 8, 0), "term mask 8 out of range for dimension 3"),
+    ("Term.from_masks.negative", lambda: Term.from_masks(3, 1, -1), "term mask -1 out of range for dimension 3"),
+    ("Term.from_masks.bool", lambda: Term.from_masks(3, True, 0), "term mask True out of range for dimension 3"),
+    ("Term.from_masks.float", lambda: Term.from_masks(3, 1.0, 0), "term mask 1.0 out of range for dimension 3"),
+    ("DnfFormula.satisfied_indices", lambda: _DNF2.satisfied_indices(4), "mask 4 out of range for dimension 2"),
+    ("CubePoint", lambda: CubePoint(2, 4), "mask 4 out of range for dimension 2"),
+    ("FiniteSupport", lambda: distributions.FiniteSupport(2, ((4, Fraction(1)),)),
+     "support mask 4 out of range for dimension 2"),
+    ("LabeledSample", lambda: distributions.LabeledSample(2, (0, 4), (0, 1)),
+     "sample mask 4 out of range for dimension 2"),
+    ("LocalMQOracle.from_masks", lambda: LocalMQOracle.from_masks(_DNF2, [0, 4], 1),
+     "anchor mask 4 out of range for dimension 2"),
+    ("LocalMQOracle.ask", lambda: _oracle().ask(4), "query mask 4 out of range for dimension 2"),
+    ("LocalMQOracle.ask_flips", lambda: _oracle().ask_flips(-1), "query mask -1 out of range for dimension 2"),
+    # Variable indices.
+    ("Term.satisfied_by", lambda: Term.of(1, -3).satisfied_by(P("++")), "term variable 3 out of range 1..2"),
+    ("DnfFormula", lambda: DnfFormula(2, (Term.of(1), Term.of(-3))), "variable 3 out of range 1..2"),
+    ("DecisionTree", lambda: concepts.DecisionTree(2, concepts.Node(3, concepts.Leaf(0), concepts.Leaf(1))),
+     "node variable 3 out of range 1..2"),
+    ("DecisionTree.zero", lambda: concepts.DecisionTree(3, concepts.Node(0, concepts.Leaf(0), concepts.Leaf(1))),
+     "node variable 0 out of range 1..3"),
+    ("Junta", lambda: concepts.Junta(2, (3,), (0, 1)), "relevant variable 3 out of range 1..2"),
+    ("Junta.zero", lambda: concepts.Junta(4, (0,), (0, 1)), "relevant variable 0 out of range 1..4"),
+    ("SparsePoly", lambda: concepts.SparsePoly(2, {frozenset({1, 3}): 1}), "monomial variable 3 out of range 1..2"),
+    ("SparsePoly.zero", lambda: concepts.SparsePoly(3, {frozenset({0}): 1}), "monomial variable 0 out of range 1..3"),
+    ("CubePoint.bit", lambda: P("++").bit(3), "coordinate 3 out of range 1..2"),
+    ("CubePoint.flip", lambda: P("++").flip(0), "coordinate 0 out of range 1..2"),
+]
+
+
+@pytest.mark.parametrize("call, message", [r[1:] for r in MISFIT_ROWS], ids=[r[0] for r in MISFIT_ROWS])
+def test_every_misfit_is_one_dimension_mismatch_in_one_message(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert exc.type is DimensionMismatch and str(exc.value) == message
+
+
+def test_only_the_three_cube_rules_build_a_dimension_mismatch():
+    """In ``src/lmqlab``, a ``DimensionMismatch(...)`` is built in ``cube.py`` alone, once in each rule."""
+    builders = []
+    for path in sorted(Path(cube.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        functions = [node for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for node in ast.walk(tree):
+            name = getattr(node, "func", None)
+            if isinstance(node, ast.Call) and getattr(name, "id", getattr(name, "attr", None)) == "DimensionMismatch":
+                within = [f for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+                builders.append((path.name, max(within, key=lambda f: f.lineno).name if within else None))
+    rules = ["require_dimension", "require_masks", "require_variables"]
+    assert builders == [("cube.py", rule) for rule in rules]
 
 
 # One rule for exact rationals: a coefficient, threshold or probability is an int, a finite float or a Fraction.

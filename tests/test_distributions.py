@@ -544,17 +544,17 @@ def test_labeled_sample_validation():
         (2, 3, (1,), "^sample masks and labels must be sequences with a length$"),
         (2, (0, 1), (1,), "2 masks but 1 labels"),
         (2, (0,), (1, 0), "1 masks but 2 labels"),
-        (2, (1, -1), (0, 0), "must lie in"),
-        (2, (4, 0), (0, 0), "must lie in"),
-        (2, (3, 9), (0, 0), "must lie in"),
+        (2, (1, -1), (0, 0), "^sample mask -1 out of range for dimension 2$"),
+        (2, (4, 0), (0, 0), "^sample mask 4 out of range for dimension 2$"),
+        (2, (3, 9), (0, 0), "^sample mask 9 out of range for dimension 2$"),
         (2, (0, 1), (1, 2), "labels must be 0 or 1"),
         (2, (0, 1), (-1, 0), "labels must be 0 or 1"),
         (2, (0,), ("1",), "labels must be 0 or 1"),
         # An int, never a bool or a float: require_count's rule, even for values equal to an int.
-        (2, (1.5, True), (1, 1.0), "must lie in"),
-        (2, (1.0, 0), (1, 0), "must lie in"),
-        (2, (True, 0), (1, 0), "must lie in"),
-        (2, (0, 3, False), (1, 0, 0), "must lie in"),
+        (2, (1.5, True), (1, 1.0), "^sample mask 1.5 out of range for dimension 2$"),
+        (2, (1.0, 0), (1, 0), "^sample mask 1.0 out of range for dimension 2$"),
+        (2, (True, 0), (1, 0), "^sample mask True out of range for dimension 2$"),
+        (2, (0, 3, False), (1, 0, 0), "^sample mask False out of range for dimension 2$"),
         (2, (0, 1), (1, 1.0), "labels must be 0 or 1"),
         (2, (0, 1), (0.0, 1), "labels must be 0 or 1"),
         (2, (0, 1), (True, 0), "labels must be 0 or 1"),

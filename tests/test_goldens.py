@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import goldens
-from lmqlab.cli import main
+from lmqlab.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -32,6 +32,29 @@ def test_cli_verdict_is_pinned(entry, capsys):
         return (code, *capsys.readouterr())
 
     goldens.check(entry, lmqlab)
+
+
+# The flags no CLI entry passes, on purpose: a --q or --concept line does not name that input, so its pin could not
+# tell what it checked, and --out writes a file that tests/test_cli.py checks. A new flag fails here until a golden
+# passes it or it is listed.
+UNPINNED_FLAGS = {
+    "learn": {"--q", "--out"},
+    "check-evident": {"--out"},
+    "verify-reduction": {"--concept", "--out"},
+    "suite": {"--q", "--out"},
+}
+
+
+def test_every_cli_flag_but_the_unpinned_ones_is_passed_by_a_golden(capsys):
+    commands = re.search(r"\{(.+)\}", build_parser().format_usage()).group(1).split(",")
+    unpinned = {}
+    for command in commands:
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--help"])
+        usage = capsys.readouterr().out.split("\n\n")[0]
+        passed = {arg for e in goldens.ENTRIES if e.get("argv", [None])[0] == command for arg in e["argv"]}
+        unpinned[command] = set(re.findall(r"--[a-z0-9-]+", usage)) - passed
+    assert unpinned == UNPINNED_FLAGS
 
 
 def test_every_pinned_line_lives_in_one_file():

@@ -682,7 +682,7 @@ def test_for_samples_cap_counts_repeated_draws():
 def test_for_samples_refuses_a_sample_of_another_dimension(n):
     good, other = LabeledSample(3, (7,), (1,)), LabeledSample(n, (1,), (0,))
     for samples in ((other,), (good, other), (other, good)):
-        with pytest.raises(DimensionMismatch, match=f"sample dimension {n} differs from target 3"):
+        with pytest.raises(DimensionMismatch, match=f"^sample has dimension {n}, expected 3$"):
             LocalMQOracle.for_samples(TARGET, 1, *samples)
 
 
@@ -972,4 +972,4 @@ def test_draw_training_set_refusals_keep_their_type_message_and_order(dist):
         # The dimension is checked first.
         with pytest.raises(DimensionMismatch) as raised:
             draw_training_set(dist, random_dnf(dist.n + 1, 2, 2, random.Random(0)), m, seed=0)
-        assert str(raised.value) == f"concept dimension {dist.n + 1} differs from distribution {dist.n}"
+        assert str(raised.value) == f"concept has dimension {dist.n + 1}, expected {dist.n}"

@@ -44,7 +44,6 @@ from lmqlab.reductions import (
     corrupted_dnf_reduction_without_detector,
     corrupted_tree_reduction_first_copy,
     dfa_product_or,
-    majority_label,
     make_reduction,
     reduce_dnf_type_a,
     reduce_junta_type_b,
@@ -292,13 +291,20 @@ class TestTreeReduction:
             for c in range(1, 2 * q0 + 2):
                 # Copy c of source coordinate i is target coordinate (i - 1) * (2 q0 + 1) + c.
                 copies.append(tree.evaluate(CubePoint.from_string(z.to_string()[c - 1::2 * q0 + 1])))
-            assert reduced.evaluate(z) == majority_label(copies)
+            assert reduced.evaluate(z) == int(2 * sum(copies) > len(copies))
 
     def test_leaf_cap_enforced(self):
         # 16 ** 5 stacked leaves at q0=2, far above TREE_LEAF_CAP.
         tree = random_tree(4, 16, random.Random(1))
         with pytest.raises(ValueError):
             reduce_tree_type_b(tree, ReplicateMap(4, 5))
+
+    def test_even_copy_count_is_refused(self):
+        # A tied block has no strict majority, as maj_poly refuses an even k too.
+        tree = DecisionTree(2, Node(1, Leaf(0), Leaf(1)))
+        with pytest.raises(ValueError) as exc:
+            reduce_tree_type_b(tree, ReplicateMap(2, 2))
+        assert exc.type is ValueError and str(exc.value) == "need an odd count for a strict majority, got 2"
 
     def test_verifier_passes(self):
         tree = random_tree(4, 4, random.Random(2))
@@ -334,14 +340,24 @@ def _distinct_nodes(root) -> int:
 
 
 @pytest.mark.parametrize("n, q0", [(2, 1), (3, 1), (4, 2), (2, 3)])
-@pytest.mark.parametrize("rule", [majority_label, lambda outcomes: outcomes[0]], ids=["majority", "first-copy"])
-def test_shared_stacking_matches_the_unshared_builder(n, q0, rule):
+@pytest.mark.parametrize(
+    "rule, reference_rule",
+    [
+        (lambda k: ReplicateMap(1, k).decode, lambda outcomes: int(2 * sum(outcomes) > len(outcomes))),
+        (lambda k: lambda outcomes: outcomes >> k - 1, lambda outcomes: outcomes[0]),
+    ],
+    ids=["majority", "first-copy"],
+)
+def test_shared_stacking_matches_the_unshared_builder(n, q0, rule, reference_rule):
+    """The shared builder reads a leaf's copy outcomes as a k-bit mask, copy 1 highest; the reference keeps them as a
+    tuple and takes an inline majority or the first copy."""
     phi = ReplicateMap(n, 2 * q0 + 1)
     rng = random.Random(n * 100 + q0)
     for _ in range(4):
         leaves = rng.randint(1, min(1 << n, int(reductions.TREE_LEAF_CAP ** (1 / phi.k))))
         tree = random_tree(n, leaves, rng)
-        shared, reference = reductions._stack_tree(tree, phi, rule), _reference_stack_tree(tree, phi, rule)
+        shared = reductions._stack_tree(tree, phi, rule(phi.k))
+        reference = _reference_stack_tree(tree, phi, reference_rule)
         assert shared.root == reference.root
         assert shared.leaf_count == reference.leaf_count == tree.leaf_count ** phi.k
         if phi.target_n <= 16:
@@ -498,7 +514,7 @@ class TestSimulation:
         reduction = make_reduction("dnf", 2)
         good, other = LabeledSample(2, (3, 1), (1, 0)), LabeledSample(other_n, (1, 1), (1, 0))
         for s1, s2 in ((other, good), (good, other)):
-            with pytest.raises(DimensionMismatch, match="map expects dimension 2"):
+            with pytest.raises(DimensionMismatch, match=f"^sample has dimension {other_n}, expected 2$"):
                 simulate_pac_from_local(learn_evident_dnf, reduction, s1, s2)
 
     @pytest.mark.parametrize("kind, other_n", [("dnf", 3), ("dnf", 9), ("junta", 5), ("junta", 7)])
@@ -508,7 +524,8 @@ class TestSimulation:
         target_n = reduction.phi.target_n
         good, other = LabeledSample(target_n, (0,), (1,)), LabeledSample(other_n, (5,), (0,))
         for samples in ((other,), (good, other), (other, good)):
-            with pytest.raises(DimensionMismatch, match=f"dimension {other_n}, target cube has {target_n}"):
+            message = f"^mapped sample has dimension {other_n}, expected {target_n}$"
+            with pytest.raises(DimensionMismatch, match=message):
                 SynthesizedLabels(reduction, *samples)
 
     def test_sample_pipeline_builds_no_points(self, monkeypatch):
@@ -687,7 +704,7 @@ class TestMakeReduction:
     def test_transform_refuses_another_dimension(self, name):
         # phi maps dimension 2; a dimension-3 concept must not come out over a wrong-sized cube.
         concept = CONSTRUCTIONS[name].example(3, random.Random(0))
-        with pytest.raises(DimensionMismatch, match="maps dimension 2, concept has 3"):
+        with pytest.raises(DimensionMismatch, match=f"^{name} concept has dimension 3, expected 2$"):
             make_reduction(name, 2).transform(concept)
 
     def test_negative_controls_share_the_replication_policy(self):
@@ -879,7 +896,7 @@ def test_negative_control_refuses_concept_of_another_dimension(broken, concept):
     # A control replaces only its reduction's reduce, so QReduction.transform still checks the
     # dimension: read on masks, the concept would answer anyway, and two controls used to return
     # a transformed concept and the third a plain ValueError.
-    message = rf"^{broken.name} reduction maps dimension 2, concept has {concept.n}$"
+    message = rf"^{broken.name} concept has dimension {concept.n}, expected 2$"
     with pytest.raises(DimensionMismatch, match=message):
         verify_reduction(broken, concept)
     with pytest.raises(DimensionMismatch, match=message):
@@ -958,7 +975,7 @@ def test_verify_reduction_refuses_transform_into_another_dimension():
     with pytest.raises(DimensionMismatch):
         verify_reduction(identity, DnfFormula(2, (Term.of(1),)))
     # The refusal is the transform's own, so no other caller gets the source-dimension concept back.
-    with pytest.raises(DimensionMismatch, match=r"^transformed concept has dimension 2, target is 8$"):
+    with pytest.raises(DimensionMismatch, match=r"^transformed concept has dimension 2, expected 8$"):
         identity.transform(DnfFormula(2, (Term.of(1),)))
 
 
