@@ -41,7 +41,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, compress, product, repeat, starmap
 from operator import mul
-from typing import Iterator, Optional, Sequence, Sized, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .cube import (
     ENUMERATION_CAP,
@@ -250,7 +250,9 @@ def pushforward(dist: Distribution, phi: ReplicateMap) -> FiniteSupport:
 class LabeledSample:
     """An ordered sample over {-1,+1}^n: ``masks[i]`` labelled ``labels[i]``, a tuple of ints and ``bytes`` of 0/1.
 
-    The constructor refuses masks or labels without a length, then masks
+    The constructor refuses masks or labels that are not an ordered
+    ``Sequence`` (one without a length, or a set, frozenset, dict or dict
+    view, whose order would pair labels with the wrong masks), then masks
     outside [0, 2^n) (``cube.require_masks``) and labels other than 0 or 1,
     then stores any sequence given in that one form. A drawn sample skips both
     steps, as its draws are in range and its labels are ``label_masks`` bytes:
@@ -275,7 +277,7 @@ class LabeledSample:
 
     def __post_init__(self) -> None:
         require_count(self.n, 1, "dimension must be a positive integer")
-        if not (isinstance(self.masks, Sized) and isinstance(self.labels, Sized)):
+        if not (isinstance(self.masks, Sequence) and isinstance(self.labels, Sequence)):  # a set has no order
             raise ValueError("sample masks and labels must be sequences with a length")
         if len(self.masks) != len(self.labels):
             raise ValueError(f"{len(self.masks)} masks but {len(self.labels)} labels")

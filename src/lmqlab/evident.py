@@ -11,7 +11,10 @@ as a 2^n-bit int whose bit ``mask`` is the entry at that point, built with
 ``Term.table`` over the whole cube's columns. The harness's corpus reads them,
 and ``evidence_report`` sums ``support_weights`` at their set bits, iterating
 no distribution. Their reference, pointwise on masks one flip at a time, is
-``satisfies_evidently`` and ``flips_reveal_term``; the tests cross-check both.
+``satisfies_evidently`` and ``flips_reveal_term``; the tests cross-check both,
+and check both against the definition read through ``Term.satisfied_by`` and
+``CubePoint.flip``. Each checks its term index and mask once, then reads the
+flips of the mask unchecked.
 """
 
 from __future__ import annotations
@@ -35,16 +38,21 @@ def satisfies_evidently(formula: DnfFormula, i: int, x: int) -> bool:
 
     Three conditions: x satisfies term i; x satisfies no other term; and
     every one-flip neighbor that still satisfies the formula satisfies
-    term i and only term i.
+    term i and only term i. The index i and the mask x are checked once, x by
+    ``satisfied_indices(x)``; the n flips of x, in range as x is, are then
+    tested unchecked against the masks of the terms at every other position,
+    a duplicate of term i included.
     """
     if not is_int(i, 0, len(formula.terms) - 1):
         raise ValueError(f"term index {i!r} out of range for {len(formula.terms)} terms")
     if formula.satisfied_indices(x) != (i,):
         return False
-    for j in range(1, formula.n + 1):
-        hit = formula.satisfied_indices(x ^ (1 << (formula.n - j)))
-        if hit and hit != (i,):
-            return False
+    others = [masks for k, masks in enumerate(formula._masks) if k != i]
+    for b in range(formula.n):
+        z = x ^ 1 << b
+        for pos, neg in others:
+            if (z & pos) == pos and not z & neg:
+                return False
     return True
 
 

@@ -10,7 +10,11 @@ samples' ``cover`` unchecked, as ``LabeledSample`` keeps them in range. All
 three call ``_setup``. A misfit is refused by the cube's rules: an anchor,
 sample or query point of another dimension by ``cube.require_dimension``, a
 mask out of range by ``cube.require_masks``, which ``from_masks``, ``ask`` and
-``ask_flips`` call only once their own inline test has failed.
+``ask_flips`` call only once their own inline test has failed. Counts follow
+the same rule: ``_setup`` tests q and the query cap in one inline test, and
+``ask`` and ``ask_flips`` test times with the mask in one, so
+``cube.require_count`` is called only to raise and a corpus point's one-anchor
+oracle pays for each check once.
 The core, ``ask(mask, times)``, checks and answers each distinct query once
 and counts its repeats. Locality is one scan: a mask's first asking computes
 its distance to the nearest anchor, which is both the recorded distance and
@@ -23,7 +27,8 @@ distance 0 and no anchor is intersected. ``ask_flips_many(counts)`` asks many
 centres' flips at once, checking the whole map once; a map it cannot prove is
 the ``ask_flips`` loop. Answers are kept in one record: ``entries()`` and
 ``log`` expand it on demand, each distinct mask once, by first asking, and
-``stats()`` sums it into a histogram in ascending distance.
+``stats()`` sums it into a histogram in ascending distance, inserting no zero
+count and sorting only a histogram of more than one distance.
 ``draw_training_set`` reads the generator once per sample: when a support
 point has no label, it labels the index draws' own masks and draws no more.
 """
@@ -35,7 +40,7 @@ from itertools import chain
 from typing import Iterable, Mapping
 
 from .concepts import Concept
-from .cube import CubePoint, first_bad_int, is_int, require_count, require_dimension, require_masks
+from .cube import CubePoint, first_bad_int, require_count, require_dimension, require_masks
 from .distributions import Distribution, LabeledSample, label_masks, sample, sample_indices
 
 QUERY_BUDGET_FACTOR = 64
@@ -108,11 +113,15 @@ class LocalMQOracle:
         return oracle
 
     def _setup(self, target: Concept, anchors: frozenset[int], q: int, query_cap: int | None, count: int) -> None:
-        """The one initialiser: anchor masks in range; the cap defaults to 64 * n * max(1, anchors or draws given)."""
+        """The one initialiser: anchor masks in range; the cap defaults to 64 * n * max(1, anchors or draws given).
+
+        q and the cap are tested inline, ``type(v) is int and v >= 0``, and ``require_count`` is called only to
+        raise, q's refusal first."""
         if query_cap is None:
             query_cap = QUERY_BUDGET_FACTOR * target.n * max(1, count)
-        require_count(q, 0, "locality budget must be non-negative")
-        require_count(query_cap, 0, "query budget must be a non-negative integer")
+        if not (type(q) is int and q >= 0 and type(query_cap) is int and query_cap >= 0):
+            require_count(q, 0, "locality budget must be non-negative")
+            require_count(query_cap, 0, "query budget must be a non-negative integer")
         self.target, self.n, self.q, self.query_cap = target, target.n, q, query_cap
         self._anchors = anchors
         # The one record, in order of first asking; stats() sums it. A query's mask keys [answer, distance,
@@ -176,8 +185,8 @@ class LocalMQOracle:
         A first asking scans for the nearest anchor and evaluates the target.
         A count that does not fit the budget is refused whole.
         """
-        require_count(times, 1, "a query is asked a whole number of times, at least once")
-        if not is_int(mask, 0, (1 << self.n) - 1):
+        if not (type(times) is int and times >= 1 and type(mask) is int and 0 <= mask < 1 << self.n):
+            require_count(times, 1, "a query is asked a whole number of times, at least once")
             require_masks("query mask", (mask,), self.n)
         entry = self._asked.get(mask)
         if entry is None:
@@ -200,9 +209,10 @@ class LocalMQOracle:
         proves every neighbour 1-local (distance 0 if an anchor itself, else 1),
         so a batch that fits the budget scans no anchor and is recorded as one batch.
         """
-        require_count(times, 1, "a query is asked a whole number of times, at least once")
         n, anchors = self.n, self._anchors
-        if not is_int(mask, 0, (1 << n) - 1):  # ``ask``'s rule: True or 1.0 would pass as an anchor mask below
+        # ``ask``'s rule for the mask: True or 1.0 would pass as an anchor mask below
+        if not (type(times) is int and times >= 1 and type(mask) is int and 0 <= mask < 1 << n):
+            require_count(times, 1, "a query is asked a whole number of times, at least once")
             require_masks("query mask", (mask,), n)
         if self.q < 1 or mask not in anchors or self._count + n * times > self.query_cap:
             return sum(self.ask(mask ^ 1 << i, times) << i for i in range(n - 1, -1, -1))
@@ -252,15 +262,23 @@ class LocalMQOracle:
         return answers
 
     def stats(self) -> OracleStats:
-        """Counts so far, summed from the record in one pass: a new histogram in ascending distance, no zero counts."""
-        histogram, n = {0: 0, 1: 0}, self.n
-        for key, record in self._asked.items():
+        """Counts so far, summed from the record in one pass: a new histogram in ascending distance, no zero counts.
+
+        The batches add up to two sums, added after the pass. A zero count is never inserted, and only a histogram
+        of more than one distance is sorted, so a corpus point's one-batch oracle pays for neither."""
+        histogram: dict[int, int] = {}
+        times = near = 0  # summed over the batches, [bits, times, anchor flips]: anchor flips at 0, the rest at 1
+        for key, (_, middle, last) in self._asked.items():
             if key >= 0:  # a query: [answer, distance, times]
-                histogram[record[1]] = histogram.get(record[1], 0) + record[2]
-            else:  # a batch: [bits, times, anchor flips], so anchor flips * times at 0 and the rest at 1
-                histogram[0] += record[2] * record[1]
-                histogram[1] += (n - record[2]) * record[1]
-        histogram = {distance: histogram[distance] for distance in sorted(histogram) if histogram[distance]}
+                histogram[middle] = histogram.get(middle, 0) + last
+            else:
+                times, near = times + middle, near + last * middle
+        if near:
+            histogram[0] = histogram.get(0, 0) + near
+        if self.n * times > near:
+            histogram[1] = histogram.get(1, 0) + self.n * times - near
+        if len(histogram) > 1:
+            histogram = dict(sorted(histogram.items()))
         return OracleStats(self._count, max(histogram, default=0), histogram)
 
 

@@ -356,6 +356,40 @@ def test_counts_refuse_bools_and_floats_with_the_int_message(call, bad_int, mess
     assert exc.type is ValueError and str(exc.value) == expected
 
 
+# The oracle's counts are tested inline on its hot paths, with ``require_count`` called only to raise. These rows add
+# the sites and values COUNT_ROWS does not hold (it tries a bad int, True and 2.5): 1.0 at every site it names, -1 as
+# times, and every value at ``from_masks`` and ``ask_flips_many``, whose refusal comes from the ``ask_flips`` loop.
+_CAP = "query budget must be a non-negative integer"
+# site: (call on the value, message prefix)
+_ORACLE_SITES = {
+    "__init__.q": (lambda v: _oracle(q=v), _LOCALITY),
+    "__init__.query_cap": (lambda v: _oracle(query_cap=v), _CAP),
+    "for_samples.q": (lambda v: _oracle_for_samples(q=v), _LOCALITY),
+    "for_samples.query_cap": (lambda v: _oracle_for_samples(query_cap=v), _CAP),
+    "from_masks.q": (lambda v: LocalMQOracle.from_masks(DnfFormula(2, ()), [0b10], v), _LOCALITY),
+    "from_masks.query_cap": (lambda v: LocalMQOracle.from_masks(DnfFormula(2, ()), [0b10], 1, query_cap=v), _CAP),
+    "ask": (lambda v: _oracle().ask(0b10, v), _TIMES),
+    "ask_flips": (lambda v: _oracle().ask_flips(0b10, v), _TIMES),
+    "ask_flips_many": (lambda v: _oracle().ask_flips_many({0b10: v}), _TIMES),
+}
+ORACLE_COUNT_ROWS = (
+    [(site, 1.0) for site in ("__init__.q", "__init__.query_cap", "for_samples.q", "for_samples.query_cap")]
+    + [(site, value) for site in ("ask", "ask_flips") for value in (1.0, -1)]
+    + [(site, value) for site in ("from_masks.q", "from_masks.query_cap", "ask_flips_many")
+       for value in (True, 1.0, -1, 2.5)]
+)
+
+
+@pytest.mark.parametrize(
+    "site, value", ORACLE_COUNT_ROWS, ids=[f"{site}-{value!r}" for site, value in ORACLE_COUNT_ROWS]
+)
+def test_oracle_counts_refuse_with_the_int_message(site, value):
+    call, message = _ORACLE_SITES[site]
+    with pytest.raises(ValueError) as exc:
+        call(value)
+    assert exc.type is ValueError and str(exc.value) == f"{message}, got {value!r}"
+
+
 # One rule for values: a mask, label, automaton state, junta table entry, leaf label, coordinate, term
 # index or variable count is an int (never a bool, a float or a string, even one equal to an
 # in-range int) and each entry point says so in its message.

@@ -567,6 +567,25 @@ def test_labeled_sample_rejects_bad_input(n, masks, labels, message):
         LabeledSample(n, masks, labels)
 
 
+@pytest.mark.parametrize(
+    "masks, labels",
+    [
+        ({5, 2, 7}, (1, 0, 0)),  # stored as (2, 5, 7) with labels (1, 0, 0) before: mask 2 labelled 1
+        (frozenset({5, 2, 7}), (1, 0, 0)),
+        ({5: 1, 2: 0, 7: 0}, (1, 0, 0)),
+        ({5: 1, 2: 0, 7: 0}.keys(), (1, 0, 0)),
+        ((5, 2, 7), {5: 1, 2: 0, 7: 0}.values()),
+        ((5, 2), {0, 1}),
+    ],
+    ids=["set", "frozenset", "dict", "dict-keys", "dict-values", "label-set"],
+)
+def test_labeled_sample_refuses_unordered_masks_or_labels(masks, labels):
+    # A set or a dict has a length but no order of its own, so its masks could not keep their labels.
+    with pytest.raises(ValueError) as exc:
+        LabeledSample(3, masks, labels)
+    assert exc.type is ValueError and str(exc.value) == "sample masks and labels must be sequences with a length"
+
+
 def test_labeled_sample_iterates_point_label_pairs():
     s = LabeledSample(3, (5, 5, 0), (1, 1, 0))
     pairs = iter(s)

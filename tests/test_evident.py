@@ -1,5 +1,7 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -293,3 +295,82 @@ class TestDoubling:
                     hit = f.satisfied_indices(z.mask)
                     assert len(hit) == 1
                     assert satisfies_evidently(f, hit[0], z.mask)
+
+
+# ---------------------------------------------------------------------------
+# Differential reference for the pointwise evident checks: every term and every point at n <= 4, against the
+# definition read through Term.satisfied_by and CubePoint.flip alone. "Another term" means another position, so the
+# formulas include duplicate and empty terms.
+
+
+def _hits(formula: DnfFormula, x: CubePoint) -> list[int]:
+    return [k for k, term in enumerate(formula.terms) if term.satisfied_by(x)]
+
+
+def _evident_by_definition(formula: DnfFormula, i: int, x: CubePoint) -> bool:
+    flips = [x.flip(j) for j in range(1, formula.n + 1)]
+    return _hits(formula, x) == [i] and all(_hits(formula, z) in ([], [i]) for z in flips)
+
+
+def _reveals_by_definition(formula: DnfFormula, i: int, x: CubePoint) -> bool:
+    variables = formula.terms[i].variables
+    return all(bool(_hits(formula, x.flip(j))) == (j not in variables) for j in range(1, formula.n + 1))
+
+
+def _small_formulas(n: int) -> list[DnfFormula]:
+    """Every formula of at most 3 terms at n <= 2; at n = 3 and 4, 150 random ones, some with an empty term or a
+    term repeated at another position."""
+    if n <= 2:
+        terms = [Term.of(*(s * j for j, s in enumerate(signs, 1) if s)) for signs in product((1, -1, 0), repeat=n)]
+        return [DnfFormula(n, chosen) for d in range(4) for chosen in product(terms, repeat=d)]
+    rng, formulas = random.Random(4200 + n), []
+    for _ in range(150):
+        terms = list(random_dnf(n, rng.randint(0, 4), rng.randint(1, n), rng).terms)
+        if terms and rng.random() < 0.5:
+            terms.insert(rng.randint(0, len(terms)), rng.choice(terms))
+        if rng.random() < 0.3:
+            terms.insert(rng.randint(0, len(terms)), Term.of())
+        formulas.append(DnfFormula(n, tuple(terms)))
+    return formulas
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_evident_checks_match_the_definition_on_every_term_and_point(n):
+    seen = Counter()
+    for formula in _small_formulas(n):
+        duplicated = len(set(formula.terms)) < len(formula.terms)
+        for i in range(len(formula.terms)):
+            for x in cube_points(n):
+                evident = _evident_by_definition(formula, i, x)
+                assert satisfies_evidently(formula, i, x.mask) is evident
+                if evident:
+                    assert flips_reveal_term(formula, i, x.mask) is _reveals_by_definition(formula, i, x)
+                else:
+                    with pytest.raises(ValueError, match="^point is not evident for the given term$"):
+                        flips_reveal_term(formula, i, x.mask)
+                seen[evident, duplicated] += 1
+    # Not vacuous: evident and non-evident points both occur, and a formula with a repeated term is checked.
+    assert seen[True, False] and seen[False, False] and seen[False, True]
+
+
+@pytest.mark.parametrize(
+    "check", [satisfies_evidently, flips_reveal_term], ids=["satisfies_evidently", "flips_reveal_term"]
+)
+@pytest.mark.parametrize(
+    "i, x, error, message",
+    [
+        (2, 0, ValueError, "term index 2 out of range for 2 terms"),
+        (-1, 0, ValueError, "term index -1 out of range for 2 terms"),
+        (True, 0, ValueError, "term index True out of range for 2 terms"),
+        (1.0, 0, ValueError, "term index 1.0 out of range for 2 terms"),
+        (0, 4, DimensionMismatch, "mask 4 out of range for dimension 2"),
+        (0, -1, DimensionMismatch, "mask -1 out of range for dimension 2"),
+        (0, True, DimensionMismatch, "mask True out of range for dimension 2"),
+        (0, 1.0, DimensionMismatch, "mask 1.0 out of range for dimension 2"),
+        (2, 4, ValueError, "term index 2 out of range for 2 terms"),  # the index is checked first
+    ],
+)
+def test_evident_checks_refuse_a_bad_index_or_mask_with_one_message(check, i, x, error, message):
+    with pytest.raises(ValueError) as exc:
+        check(OPPOSITE, i, x)
+    assert exc.type is error and str(exc.value) == message

@@ -590,6 +590,18 @@ def test_ask_of_a_flip_a_batch_answered_merges_into_its_row():
     assert o.ask(0b1111) == 0
 
 
+def test_stats_insert_no_zero_count_at_either_batch_distance():
+    # Every flip of the centre 0 of the 1-cube is an anchor, so the batch is all at distance 0 and none at 1; a
+    # one-anchor batch is all at 1. A query at distance 2, asked first, is sorted behind them.
+    both = LocalMQOracle.from_masks(DnfFormula(1, (Term.of(1),)), [0, 1], 1)
+    both.ask_flips(0, 3)
+    assert both.stats() == OracleStats(3, 0, {0: 3})
+    one = LocalMQOracle.from_masks(TARGET, [0b000], 2)
+    one.ask(0b011)
+    one.ask_flips(0b000, 2)
+    assert one.stats() == OracleStats(7, 2, {1: 6, 2: 1}) and list(one.stats().distance_histogram) == [1, 2]
+
+
 def test_stats_histogram_is_a_copy():
     o = LocalMQOracle(TARGET, [P("+++")], q=1)
     o.ask_flips(P("+++").mask)
