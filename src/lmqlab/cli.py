@@ -71,7 +71,7 @@ def _cmd_learn(args: argparse.Namespace) -> int:
     if args.auto_plan:
         plan = plan_samples(target.n, args.epsilon)
         m1, m2 = plan.m1, plan.m2
-        require_trial_inputs(m1, m2, args.q, sizes="--auto-plan sizes", hint="; pass --m1 and --m2")
+        require_trial_inputs(m1, m2, args.q, what=f"--auto-plan sample sizes m1={m1} + m2={m2} (pass --m1 and --m2)")
     elif m1 is None or m2 is None:
         raise ValueError("provide --m1 and --m2, or --auto-plan")
     run, loss, estimator = run_trial(target, dist, m1, m2, args.q, args.seed)

@@ -25,8 +25,8 @@ from itertools import chain
 from operator import and_, or_, xor
 from typing import Iterable, Iterator, Mapping, Protocol, Sequence, Union
 
-from .cube import CubePoint, ReplicateMap, exact_rational, first_bad_int, is_int, iter_bits, require_count
-from .cube import require_dimension, require_masks, require_variables
+from .cube import CubePoint, ReplicateMap, exact_rational, first_bad_int, is_int, iter_bits, require_at_most
+from .cube import require_count, require_dimension, require_masks, require_sequence, require_variables
 
 JUNTA_CAP = 16
 MAJ_POLY_CAP = 15
@@ -327,6 +327,7 @@ class Dfa(MaskConcept):
     length: int
 
     def __post_init__(self) -> None:
+        require_sequence("automaton transition rows", self.delta)
         delta, last = self.delta, len(self.delta) - 1
         if last < 0:
             raise ValueError("an automaton needs at least one state, got an empty delta")
@@ -387,11 +388,12 @@ class Junta(MaskConcept):
 
     def __post_init__(self) -> None:
         require_count(self.n, 1, "dimension must be a positive integer")
+        require_sequence("junta relevant variables", self.relevant)  # the table is indexed in their order
+        require_sequence("junta table", self.table)
         k = len(self.relevant)
-        if k > JUNTA_CAP:
-            raise ValueError(f"junta depends on {k} variables, cap is {JUNTA_CAP}")
-        if isinstance(self.relevant, (set, frozenset)) or len(set(self.relevant)) != k:
-            raise ValueError(f"relevant variables must be distinct, in table order (not a set), got {self.relevant!r}")
+        require_at_most("junta relevant variables", k, JUNTA_CAP)
+        if len(set(self.relevant)) != k:
+            raise ValueError(f"relevant variables must be distinct, got {self.relevant!r}")
         require_variables("relevant variable", self.relevant, self.n)
         if len(self.table) != 1 << k:
             raise ValueError(f"table must have {1 << k} entries, got {len(self.table)}")

@@ -15,10 +15,12 @@ of the list positions whose point has mask bit i set (``cube_columns``,
 masks are held as lanes (``lane_columns``, read back by ``lane_bits``): point p
 owns lane p of one packed integer; a column holds its bit at the lane's lowest.
 
-Every int the package takes obeys ``is_int`` (the type int itself, never a bool
-or a float, in a range), a whole tuple at once ``first_bad_int``, and every exact
-rational ``exact_rational``. ``require_enumerable`` holds every enumeration's
-comparison against ``ENUMERATION_CAP``; ``exact_loss`` keeps its own, for its hint.
+Every int the package takes obeys ``is_int`` (the type int itself, never a bool or a float, in a range), a whole
+tuple at once ``first_bad_int``, and every exact rational ``exact_rational``. The one order rule,
+``require_sequence``, refuses a set, frozenset, dict or dict view where a value keeps an order (sample masks and
+labels, product probabilities, junta variables and table, automaton rows): none is silently reordered. The one cap
+rule, ``require_at_most`` (``{what}: {size} exceeds the cap of {cap}``), is every desk-scale limit's test, made
+before what it bounds is built; ``require_enumerable`` is its ``ENUMERATION_CAP`` form.
 
 Every value used on a cube must fit it, by one of three rules, each raising ``DimensionMismatch`` in one message
 shape: ``require_dimension`` (a point, sample, anchor, map or concept of another dimension), ``require_masks``
@@ -77,10 +79,21 @@ def exact_rational(value: object, what: str) -> Fraction:
     raise ValueError(f"{what} must be an int, a finite float or a Fraction, got {value!r}")
 
 
+def require_at_most(what: str, size: int, cap: int) -> None:
+    """The one cap rule: refuse a ``size`` above its desk-scale ``cap``, before what it bounds is built."""
+    if size > cap:
+        raise ValueError(f"{what}: {size} exceeds the cap of {cap}")
+
+
 def require_enumerable(n: int) -> None:
     """Refuse to enumerate 2^n points above ``ENUMERATION_CAP``, so exhaustive loops stay at desk scale."""
-    if n > ENUMERATION_CAP:
-        raise ValueError(f"dimension {n} exceeds enumeration cap {ENUMERATION_CAP}")
+    require_at_most("enumerated cube dimension", n, ENUMERATION_CAP)
+
+
+def require_sequence(what: str, values: object) -> None:
+    """The one order rule: refuse ``values`` that are not a ``Sequence``, as a set or a dict keeps no order given."""
+    if not isinstance(values, Sequence):
+        raise ValueError(f"{what} must be a sequence (ordered, with a length), got {type(values).__name__}")
 
 
 def require_dimension(what: str, have: int, want: int) -> None:

@@ -44,7 +44,6 @@ from operator import mul
 from typing import Iterator, Optional, Sequence, Union
 
 from .cube import (
-    ENUMERATION_CAP,
     CubePoint,
     ReplicateMap,
     exact_rational,
@@ -56,6 +55,7 @@ from .cube import (
     require_dimension,
     require_enumerable,
     require_masks,
+    require_sequence,
 )
 from .concepts import Concept
 
@@ -114,6 +114,7 @@ class ProductDist(_Supported):
 
     def __post_init__(self) -> None:
         require_count(self.n, 1, "dimension must be a positive integer")
+        require_sequence("coordinate probabilities", self.plus_probs)
         if len(self.plus_probs) != self.n:
             raise ValueError(f"need {self.n} probabilities, got {len(self.plus_probs)}")
         probs = tuple(exact_rational(p, "probability") for p in self.plus_probs)
@@ -277,8 +278,8 @@ class LabeledSample:
 
     def __post_init__(self) -> None:
         require_count(self.n, 1, "dimension must be a positive integer")
-        if not (isinstance(self.masks, Sequence) and isinstance(self.labels, Sequence)):  # a set has no order
-            raise ValueError("sample masks and labels must be sequences with a length")
+        require_sequence("sample masks", self.masks)
+        require_sequence("sample labels", self.labels)
         if len(self.masks) != len(self.labels):
             raise ValueError(f"{len(self.masks)} masks but {len(self.labels)} labels")
         require_masks("sample mask", self.masks, self.n)
@@ -341,12 +342,11 @@ def label_masks(concept: Concept, masks: Sequence[int]) -> bytes:
 
 def exact_loss(dist: Distribution, h_star: Concept, h_hat: Concept) -> Fraction:
     """Exact disagreement mass between two concepts: the ``support_weights`` where their ``label_masks`` differ,
-    for a ``FiniteSupport`` at any n and a cube distribution to ``ENUMERATION_CAP`` (above it, ``mc_loss``). A support
-    point h_star cannot label raises its ``label`` error, at the first such point in mask order."""
+    for a ``FiniteSupport`` at any n and a cube distribution to ``ENUMERATION_CAP``, above which ``support_weights``
+    refuses it (``mc_loss`` estimates there). A support point h_star cannot label raises its ``label`` error, at the
+    first such point in mask order."""
     require_dimension("target", h_star.n, dist.n)
     require_dimension("hypothesis", h_hat.n, dist.n)
-    if isinstance(dist, (UniformCube, ProductDist)) and dist.n > ENUMERATION_CAP:
-        raise ValueError(f"dimension {dist.n} exceeds enumeration cap {ENUMERATION_CAP}; use mc_loss for an estimate")
     masks, weights, denominator = support_weights(dist)
     differ = map(int.__ne__, label_masks(h_star, masks), label_masks(h_hat, masks))
     return Fraction(sum(compress(weights, differ)), denominator)

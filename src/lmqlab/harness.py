@@ -34,7 +34,8 @@ from .concepts import (
     random_junta,
     random_tree,
 )
-from .cube import ENUMERATION_CAP, CubePoint, ReplicateMap, count_above, cube_columns, is_int, iter_bits, require_count
+from .cube import ENUMERATION_CAP, CubePoint, ReplicateMap, count_above, cube_columns, is_int, iter_bits
+from .cube import require_at_most, require_count
 from .distributions import Distribution, FiniteSupport, UniformCube, exact_loss, mc_loss, pushforward
 from .evident import (
     doubling_dnf,
@@ -125,15 +126,14 @@ def doubled_tree_family(
 # Learning suite
 
 
-def require_trial_inputs(m1: int, m2: int, q: int, seed: int = 0, sizes="sample sizes", hint="") -> None:
+def require_trial_inputs(m1: int, m2: int, q: int, seed: int = 0, what="sample sizes m1 + m2") -> None:
     """The one gate for a trial's inputs, each rule once and in this order: sample sizes, with ``sample``'s message;
-    the locality budget, with the oracle's; the seed, by ``SEED_RULE``; m1 + m2 at most the desk-scale cap."""
+    the locality budget, with the oracle's; the seed, by ``SEED_RULE``; m1 + m2, named ``what``, at most 2^24 draws."""
     for m in (m1, m2):
         require_count(m, 0, "sample count must be non-negative")
     require_count(q, 0, "locality budget must be non-negative")
     require_count(seed, 0, SEED_RULE)
-    if m1 + m2 > 1 << ENUMERATION_CAP:
-        raise ValueError(f"{sizes} m1={m1} and m2={m2} exceed the desk-scale cap of 2^{ENUMERATION_CAP} draws{hint}")
+    require_at_most(what, m1 + m2, 1 << ENUMERATION_CAP)
 
 
 @dataclass(frozen=True)

@@ -67,17 +67,16 @@ def plan_samples(n: int, epsilon: float, d: Optional[int] = None) -> SampleSizeP
     return SampleSizePlan(n, epsilon, m1, m2)
 
 
-def reconstruct_term(x: int, oracle: LocalMQOracle, times: int = 1) -> tuple[int, int]:
+def reconstruct_term(x: int, oracle: LocalMQOracle) -> tuple[int, int]:
     """Recover the masks of the term a positive example's mask x satisfies, one flip per coordinate.
 
     Issues exactly n queries, each at distance 1 from x, as one
-    ``ask_flips`` batch, and counts each ``times`` times: once per
-    occurrence of x in the sample. An answer of 1 at a coordinate drops
+    ``ask_flips`` batch, each asked once. An answer of 1 at a coordinate drops
     both of its literals, and an answer of 0 keeps the literal x satisfies.
     Returns (must-be-+1 mask, must-be--1 mask), the form ``Term.masks(n)``
     gives. The oracle refuses a mask out of range.
     """
-    kept = ~oracle.ask_flips(x, times) & (1 << oracle.n) - 1
+    kept = ~oracle.ask_flips(x) & (1 << oracle.n) - 1
     return kept & x, kept & ~x
 
 

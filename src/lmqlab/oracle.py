@@ -1,36 +1,30 @@
 """Example oracle and the locality-enforcing membership-query oracle.
 
-A query for point z is q-local when some anchor (a distinct training point)
-lies within Hamming distance q of z. The oracle refuses anything farther away
-and records every answer it gives, so learners can be audited after a run.
-Anchors are kept as int masks. There are three constructors: ``__init__``
-takes ``CubePoint`` anchors, ``from_masks`` takes int masks and refuses any
-that is not an int in [0, 2^n), and ``for_samples`` reads the masks of the
-samples' ``cover`` unchecked, as ``LabeledSample`` keeps them in range. All
-three call ``_setup``. A misfit is refused by the cube's rules: an anchor,
-sample or query point of another dimension by ``cube.require_dimension``, a
-mask out of range by ``cube.require_masks``, which ``from_masks``, ``ask`` and
-``ask_flips`` call only once their own inline test has failed. Counts follow
-the same rule: ``_setup`` tests q and the query cap in one inline test, and
-``ask`` and ``ask_flips`` test times with the mask in one, so
-``cube.require_count`` is called only to raise and a corpus point's one-anchor
-oracle pays for each check once.
-The core, ``ask(mask, times)``, checks and answers each distinct query once
-and counts its repeats. Locality is one scan: a mask's first asking computes
-its distance to the nearest anchor, which is both the recorded distance and
-a refusal's ``min_distance``. ``ask_flips(mask, times)`` asks the n one-flip
-neighbours of a point as one batch and returns their answers as one int in
-``flip_labels`` form: around an anchor with q >= 1 every neighbour is
-1-local, so no anchor is scanned, one ``flip_labels`` call answers them all,
-and the batch is stored whole; with one anchor, the centre, no flip is at
-distance 0 and no anchor is intersected. ``ask_flips_many(counts)`` asks many
-centres' flips at once, checking the whole map once; a map it cannot prove is
-the ``ask_flips`` loop. Answers are kept in one record: ``entries()`` and
-``log`` expand it on demand, each distinct mask once, by first asking, and
-``stats()`` sums it into a histogram in ascending distance, inserting no zero
-count and sorting only a histogram of more than one distance.
-``draw_training_set`` reads the generator once per sample: when a support
-point has no label, it labels the index draws' own masks and draws no more.
+A query for point z is q-local when some anchor (a distinct training point) lies within Hamming distance q of z. The
+oracle refuses anything farther away and records every answer it gives, so learners can be audited after a run.
+Anchors are kept as int masks. There are three constructors: ``__init__`` takes ``CubePoint`` anchors,
+``from_masks`` takes int masks and refuses any that is not an int in [0, 2^n), and ``for_samples`` reads the masks
+of the samples' ``cover`` unchecked, as ``LabeledSample`` keeps them in range. All three call ``_setup``. A misfit
+is refused by the cube's rules: an anchor, sample or query point of another dimension by ``cube.require_dimension``,
+a mask out of range by ``cube.require_masks``, which ``from_masks``, ``ask`` and ``ask_flips`` call only once their
+own inline test has failed. Counts follow the same rule: ``_setup`` tests q and the query cap in one inline test,
+and ``ask`` and ``ask_flips`` test times with the mask in one, so ``cube.require_count`` is called only to raise and
+a corpus point's one-anchor oracle pays for each check once.
+
+``ask_flips(mask, times)`` asks the n one-flip neighbours of a point as one batch and returns their answers as one
+int in ``flip_labels`` form: around an anchor with q >= 1 every neighbour is 1-local, so no anchor is scanned, one
+``flip_labels`` call answers them all, and the batch is stored whole; with one anchor, the centre, no flip is at
+distance 0 and no anchor is intersected. ``ask_flips_many(counts)`` asks many centres' flips at once, checking the
+whole map once; a map it cannot prove is the ``ask_flips`` loop. ``ask(mask, times)`` is the reference and refusal
+path, which no benchmark workload reaches: ``query``, and a batch its centre cannot prove (q = 0, a centre that is
+not an anchor, a budget too small for the batch), ask each point through it. It answers each distinct query once and
+counts its repeats; a mask's first asking scans for the nearest anchor, whose distance is both the recorded one and
+a refusal's ``min_distance``. Answers are kept in one record: ``entries()`` and ``log`` expand it on demand, each
+distinct mask once, by first asking, and ``stats()`` sums it into a histogram in ascending distance, inserting no
+zero count and sorting only a histogram of more than one distance.
+
+``draw_training_set`` reads the generator once per sample: when a support point has no label, it labels the index
+draws' own masks and draws no more.
 """
 
 from __future__ import annotations
@@ -103,13 +97,13 @@ class LocalMQOracle:
         self._setup(target, frozenset(a.mask for a in anchors), q, query_cap, len(anchors))
 
     @classmethod
-    def from_masks(cls, target: Concept, anchors: Iterable[int], q: int, query_cap: int | None = None) -> LocalMQOracle:
+    def from_masks(cls, target: Concept, anchors: Iterable[int], q: int) -> LocalMQOracle:
         """Oracle anchored at int masks, with ``__init__``'s default cap; a mask ``is_int`` refuses is one error."""
         anchors = tuple(anchors)
         if first_bad_int(anchors, 0, (1 << target.n) - 1) is not None:  # a hot path: one oracle per corpus point
             require_masks("anchor mask", anchors, target.n)
         oracle = cls.__new__(cls)
-        oracle._setup(target, frozenset(anchors), q, query_cap, len(anchors))
+        oracle._setup(target, frozenset(anchors), q, None, len(anchors))
         return oracle
 
     def _setup(self, target: Concept, anchors: frozenset[int], q: int, query_cap: int | None, count: int) -> None:

@@ -44,7 +44,7 @@ from .concepts import (
     random_tree,
 )
 from .cube import CubePoint, ReplicateMap, ball_columns, ball_size, count_above, iter_bits
-from .cube import cube_columns, masks_at_distance, recentre, require_count, require_dimension
+from .cube import cube_columns, masks_at_distance, recentre, require_at_most, require_count, require_dimension
 from .distributions import LabeledSample
 from .formats import NOTE_CAP, canonical, parse_dfa, parse_dnf, parse_junta, parse_poly, parse_tree
 from .oracle import LocalMQOracle
@@ -211,9 +211,7 @@ def reduce_dfa_type_a(automaton: Dfa, phi: ReplicateMap) -> Dfa:
 
 def reduce_junta_type_b(junta: Junta, phi: ReplicateMap) -> Junta:
     """Junta over phi's target applying the source to block majorities."""
-    k_new = junta.k * phi.k
-    if k_new > JUNTA_CAP:
-        raise ValueError(f"reduced junta would depend on {k_new} variables, cap is {JUNTA_CAP}")
+    require_at_most("reduced junta relevant variables", junta.k * phi.k, JUNTA_CAP)
     if not junta.relevant:  # a constant has no block to decode
         return Junta(phi.target_n, (), junta.table)
     relevant = tuple(c for i in junta.relevant for c in phi.block_coordinates(i))
@@ -252,10 +250,7 @@ def reduce_tree_type_b(tree: DecisionTree, phi: ReplicateMap) -> DecisionTree:
 
     phi.k must be odd, so no block ties (an even k is one ``ValueError``, as for ``maj_poly``). Leaf count (root-to-leaf paths) is exactly leafcount(tree) ** k; the copies share subtrees (``_stack_tree``).
     """
-    if tree.leaf_count ** phi.k > TREE_LEAF_CAP:
-        raise ValueError(
-            f"stacked tree would have {tree.leaf_count ** phi.k} leaves, cap is {TREE_LEAF_CAP}"
-        )
+    require_at_most("stacked tree leaves", tree.leaf_count ** phi.k, TREE_LEAF_CAP)
     if phi.k % 2 == 0:
         raise ValueError(f"need an odd count for a strict majority, got {phi.k}")
     return _stack_tree(tree, phi, ReplicateMap(1, phi.k).decode)
@@ -265,7 +260,8 @@ def reduce_poly_type_b(poly: SparsePoly, phi: ReplicateMap) -> SparsePoly:
     """Substitute the block majority polynomial for every variable and expand.
 
     Blocks are disjoint, so the expansion stays multilinear; the degree
-    grows by a factor of at most k.
+    grows by a factor of at most k. For the same reason a variable's expansion has exactly (monomials so far) x
+    (monomials of Maj_k) distinct monomials, so the cap refuses it before it is built.
     """
     maj = maj_poly(phi.k)
     result: dict[frozenset[int], Fraction] = {}
@@ -274,17 +270,12 @@ def reduce_poly_type_b(poly: SparsePoly, phi: ReplicateMap) -> SparsePoly:
         for i in sorted(vars_):
             block = phi.block_coordinates(i)
             shifted = [(frozenset(block[c - 1] for c in u), cu) for u, cu in maj.monomials.items()]
-            grown: dict[frozenset[int], Fraction] = {}
-            for acc_vars, acc_coeff in partial.items():
-                for u_vars, u_coeff in shifted:
-                    grown[acc_vars | u_vars] = acc_coeff * u_coeff
-            partial = grown
-            if len(partial) > POLY_COEFF_CAP:
-                raise ValueError(f"expansion exceeds coefficient cap {POLY_COEFF_CAP}")
+            require_at_most("expanded polynomial monomials", len(partial) * len(shifted), POLY_COEFF_CAP)
+            partial = {acc_vars | u_vars: acc_coeff * u_coeff
+                       for acc_vars, acc_coeff in partial.items() for u_vars, u_coeff in shifted}
         for new_vars, new_coeff in partial.items():
             result[new_vars] = result.get(new_vars, Fraction(0)) + new_coeff
-        if len(result) > POLY_COEFF_CAP:
-            raise ValueError(f"expansion exceeds coefficient cap {POLY_COEFF_CAP}")
+        require_at_most("expanded polynomial monomials", len(result), POLY_COEFF_CAP)
     return SparsePoly(phi.target_n, result)
 
 
@@ -452,8 +443,7 @@ def verify_reduction(reduction: QReduction, concept: Concept) -> ReductionReport
     n, n_target, k = phi.source_n, phi.target_n, phi.k
     radius = min(reduction.q, FLIP_RADIUS_CAP)
     checks = ball_size(n_target, radius) << n
-    if checks > FLIP_ENUM_BUDGET:  # refused before the transform, which can be as large as the checks
-        raise ValueError(f"flip enumeration needs {checks} checks, budget is {FLIP_ENUM_BUDGET}")
+    require_at_most("flip checks", checks, FLIP_ENUM_BUDGET)  # before the transform, which grows with the checks
     transformed = reduction.transform(concept)
 
     report = ReductionReport(reduction.name, reduction.kind, n, n_target, reduction.q, radius)

@@ -289,7 +289,7 @@ class TestJunta:
             Junta(3, (1, 1), (0, 1, 1, 0))
         # The table is indexed in relevant's order, which a set does not keep: {3, 1} iterates as (1, 3).
         for relevant in ({3, 1}, frozenset({3, 1})):
-            with pytest.raises(ValueError, match=r"^relevant variables must be distinct, in table order \(not a set\)"):
+            with pytest.raises(ValueError, match=r"^junta relevant variables must be a sequence \(ordered, with a"):
                 Junta(3, relevant, (0, 1, 0, 0))
 
 

@@ -1,8 +1,11 @@
 import ast
+import random
 import time
+import tracemalloc
 from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -367,7 +370,6 @@ _ORACLE_SITES = {
     "for_samples.q": (lambda v: _oracle_for_samples(q=v), _LOCALITY),
     "for_samples.query_cap": (lambda v: _oracle_for_samples(query_cap=v), _CAP),
     "from_masks.q": (lambda v: LocalMQOracle.from_masks(DnfFormula(2, ()), [0b10], v), _LOCALITY),
-    "from_masks.query_cap": (lambda v: LocalMQOracle.from_masks(DnfFormula(2, ()), [0b10], 1, query_cap=v), _CAP),
     "ask": (lambda v: _oracle().ask(0b10, v), _TIMES),
     "ask_flips": (lambda v: _oracle().ask_flips(0b10, v), _TIMES),
     "ask_flips_many": (lambda v: _oracle().ask_flips_many({0b10: v}), _TIMES),
@@ -375,7 +377,7 @@ _ORACLE_SITES = {
 ORACLE_COUNT_ROWS = (
     [(site, 1.0) for site in ("__init__.q", "__init__.query_cap", "for_samples.q", "for_samples.query_cap")]
     + [(site, value) for site in ("ask", "ask_flips") for value in (1.0, -1)]
-    + [(site, value) for site in ("from_masks.q", "from_masks.query_cap", "ask_flips_many")
+    + [(site, value) for site in ("from_masks.q", "ask_flips_many")
        for value in (True, 1.0, -1, 2.5)]
 )
 
@@ -541,19 +543,144 @@ def test_every_misfit_is_one_dimension_mismatch_in_one_message(call, message):
     assert exc.type is DimensionMismatch and str(exc.value) == message
 
 
+def _name(node: ast.AST):
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
+def _src_trees() -> list[tuple[str, ast.Module]]:
+    return [(path.name, ast.parse(path.read_text())) for path in sorted(Path(cube.__file__).parent.glob("*.py"))]
+
+
+def _callers(callee: str) -> list[tuple[str, str | None]]:
+    """(module file, innermost enclosing function) of each call of ``callee`` in ``src/lmqlab``, in file order."""
+    callers = []
+    for file, tree in _src_trees():
+        functions = [node for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call) and _name(node.func) == callee]
+        for line in sorted(node.lineno for node in calls):
+            within = [f for f in functions if f.lineno <= line <= f.end_lineno]
+            callers.append((file, max(within, key=lambda f: f.lineno).name if within else None))
+    return callers
+
+
 def test_only_the_three_cube_rules_build_a_dimension_mismatch():
     """In ``src/lmqlab``, a ``DimensionMismatch(...)`` is built in ``cube.py`` alone, once in each rule."""
-    builders = []
-    for path in sorted(Path(cube.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        functions = [node for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
-        for node in ast.walk(tree):
-            name = getattr(node, "func", None)
-            if isinstance(node, ast.Call) and getattr(name, "id", getattr(name, "attr", None)) == "DimensionMismatch":
-                within = [f for f in functions if f.lineno <= node.lineno <= f.end_lineno]
-                builders.append((path.name, max(within, key=lambda f: f.lineno).name if within else None))
     rules = ["require_dimension", "require_masks", "require_variables"]
-    assert builders == [("cube.py", rule) for rule in rules]
+    assert _callers("DimensionMismatch") == [("cube.py", rule) for rule in rules]
+
+
+# One cap rule: every desk-scale limit is refused by ``cube.require_at_most``, in one message shape, before what it
+# bounds is built. Each row is one cap site of the package.
+def _pairs_poly(n: int) -> concepts.SparsePoly:
+    return concepts.SparsePoly(n, {frozenset(pair): 1 for pair in combinations(range(1, n + 1), 2)})
+
+
+CAP_ROWS = [
+    ("Junta", lambda: concepts.Junta(20, tuple(range(1, 18)), ()),
+     "junta relevant variables: 17 exceeds the cap of 16"),
+    ("reduce_junta_type_b",
+     lambda: reductions.reduce_junta_type_b(concepts.Junta(6, tuple(range(1, 7)), (0,) * 64), cube.ReplicateMap(6, 3)),
+     "reduced junta relevant variables: 18 exceeds the cap of 16"),
+    ("reduce_tree_type_b",  # 16 leaves stacked 5 times
+     lambda: reductions.reduce_tree_type_b(concepts.random_tree(4, 16, random.Random(1)), cube.ReplicateMap(4, 5)),
+     "stacked tree leaves: 1048576 exceeds the cap of 32768"),
+    ("reduce_poly_type_b.expansion",  # x2's expansion: 1024 monomials of x1's times the 1024 of Maj_11
+     lambda: reductions.reduce_poly_type_b(_pairs_poly(2), cube.ReplicateMap(2, 11)),
+     "expanded polynomial monomials: 1048576 exceeds the cap of 65536"),
+    ("reduce_poly_type_b.merge",  # the 4097th of 4950 pairs adds its 16 monomials to 65,536
+     lambda: reductions.reduce_poly_type_b(_pairs_poly(100), cube.ReplicateMap(100, 3)),
+     "expanded polynomial monomials: 65552 exceeds the cap of 65536"),
+    ("verify_reduction",  # ball_size(125, 3) << 5
+     lambda: reductions.verify_reduction(reductions.make_reduction("dnf", 5), DnfFormula(5, ())),
+     "flip checks: 10420032 exceeds the cap of 5000000"),
+    ("require_enumerable", lambda: cube.require_enumerable(25), "enumerated cube dimension: 25 exceeds the cap of 24"),
+    ("exact_loss",
+     lambda: distributions.exact_loss(distributions.UniformCube(25), DnfFormula(25, ()), DnfFormula(25, ())),
+     "enumerated cube dimension: 25 exceeds the cap of 24"),
+    ("require_trial_inputs", lambda: harness.require_trial_inputs(1 << 24, 1, 0),
+     "sample sizes m1 + m2: 16777217 exceeds the cap of 16777216"),
+    ("require_trial_inputs.what", lambda: harness.require_trial_inputs(0, 1 << 25, 0, what="planned draws"),
+     "planned draws: 33554432 exceeds the cap of 16777216"),
+]
+
+
+@pytest.mark.parametrize("call, message", [r[1:] for r in CAP_ROWS], ids=[r[0] for r in CAP_ROWS])
+def test_every_cap_refusal_is_one_value_error_in_one_message(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert exc.type is ValueError and str(exc.value) == message
+
+
+CAPS = {"JUNTA_CAP", "TREE_LEAF_CAP", "POLY_COEFF_CAP", "FLIP_ENUM_BUDGET", "ENUMERATION_CAP"}
+
+
+def test_every_cap_is_compared_by_the_one_cap_rule_alone():
+    """In ``src/lmqlab`` no comparison names a refusal cap, and ``require_at_most`` is called once per cap site."""
+    compared = [(file, node.lineno) for file, tree in _src_trees() for node in ast.walk(tree)
+                if isinstance(node, ast.Compare) and CAPS & {_name(inner) for inner in ast.walk(node)}]
+    assert compared == []
+    assert _callers("require_at_most") == [
+        ("concepts.py", "__post_init__"),
+        ("cube.py", "require_enumerable"),
+        ("harness.py", "require_trial_inputs"),
+        ("reductions.py", "reduce_junta_type_b"),
+        ("reductions.py", "reduce_tree_type_b"),
+        ("reductions.py", "reduce_poly_type_b"),
+        ("reductions.py", "reduce_poly_type_b"),
+        ("reductions.py", "verify_reduction"),
+    ]
+
+
+def test_a_polynomial_expansion_over_the_cap_is_refused_before_it_is_built():
+    # x1 * x2 with Maj_11 for each variable: x1's expansion has 1024 monomials, and x2's would have 1024 * 1024.
+    # Built, they took hundreds of MB; refused first, the peak is what x1's expansion and Maj_11 hold.
+    poly, phi = _pairs_poly(2), cube.ReplicateMap(2, 11)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="^expanded polynomial monomials: 1048576 exceeds the cap of 65536$"):
+            reductions.reduce_poly_type_b(poly, phi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
+
+
+def test_the_cap_rule_takes_its_cap_itself():
+    cube.require_at_most("size", 5, 5)
+    with pytest.raises(ValueError, match="^size: 6 exceeds the cap of 5$"):
+        cube.require_at_most("size", 6, 5)
+
+
+# One order rule: a collection whose order a value keeps is a ``Sequence``; a set, frozenset, dict or dict view
+# (or an iterator, without a length) is refused by ``cube.require_sequence``, never silently reordered.
+_ORDERED = "must be a sequence (ordered, with a length), got"
+ORDER_ROWS = [
+    ("ProductDist.plus_probs",  # stored as (1/2, 1/3) before
+     lambda: distributions.ProductDist(2, {Fraction(1, 3), _HALF}), f"coordinate probabilities {_ORDERED} set"),
+    ("ProductDist.plus_probs.dict-values",
+     lambda: distributions.ProductDist(2, {1: Fraction(1, 3), 2: _HALF}.values()),
+     f"coordinate probabilities {_ORDERED} dict_values"),
+    ("Junta.table",  # stored as the table (0, 1) before
+     lambda: concepts.Junta(3, (1,), {1, 0}), f"junta table {_ORDERED} set"),
+    ("Junta.relevant.dict-keys",  # taken as (1, 3) before
+     lambda: concepts.Junta(3, {1: 0, 3: 0}.keys(), (0, 1, 0, 0)), f"junta relevant variables {_ORDERED} dict_keys"),
+    ("Junta.relevant.dict", lambda: concepts.Junta(3, {3: 0}, (0, 1)), f"junta relevant variables {_ORDERED} dict"),
+    ("Dfa.delta",  # states numbered in set order before
+     lambda: concepts.Dfa({(1, 0), (0, 1)}, 0, {1}, 3), f"automaton transition rows {_ORDERED} set"),
+    ("Dfa.delta.frozenset", lambda: concepts.Dfa(frozenset({(0, 0)}), 0, {0}, 1),
+     f"automaton transition rows {_ORDERED} frozenset"),
+    ("LabeledSample.masks", lambda: distributions.LabeledSample(3, {5, 2, 7}, (1, 0, 0)),
+     f"sample masks {_ORDERED} set"),
+    ("LabeledSample.labels", lambda: distributions.LabeledSample(3, (5, 2), {5: 1, 2: 0}.values()),
+     f"sample labels {_ORDERED} dict_values"),
+]
+
+
+@pytest.mark.parametrize("call, message", [r[1:] for r in ORDER_ROWS], ids=[r[0] for r in ORDER_ROWS])
+def test_every_unordered_collection_is_refused_in_one_message(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert exc.type is ValueError and str(exc.value) == message
 
 
 # One rule for exact rationals: a coefficient, threshold or probability is an int, a finite float or a Fraction.
@@ -648,7 +775,7 @@ _ABOVE_CAP = ENUMERATION_CAP + 1
          "evident_tables"],
 )
 def test_enumeration_cap_has_one_message(call):
-    message = f"^dimension {_ABOVE_CAP} exceeds enumeration cap {ENUMERATION_CAP}$"
+    message = f"^enumerated cube dimension: {_ABOVE_CAP} exceeds the cap of {ENUMERATION_CAP}$"
     with pytest.raises(ValueError, match=message):
         call()
 

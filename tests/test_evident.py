@@ -209,7 +209,7 @@ class TestEvidenceReport:
     def test_finite_support_above_enumeration_cap_refused(self):
         # The truth tables have 2^n bits, so a wide support is refused before any is built.
         f = DnfFormula(25, (Term.of(1),))
-        with pytest.raises(ValueError, match="^dimension 25 exceeds enumeration cap 24$"):
+        with pytest.raises(ValueError, match="^enumerated cube dimension: 25 exceeds the cap of 24$"):
             evidence_report(f, FiniteSupport(25, ((0, Fraction(1)),)))
 
     def test_dimension_mismatch_fails_fast(self):

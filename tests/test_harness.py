@@ -503,7 +503,7 @@ def test_run_trial_refuses_a_bad_seed_before_any_draw(n, seed):
 @pytest.mark.parametrize("n", [4, 12], ids=["sample_indices", "sample"])
 @pytest.mark.parametrize("m1, m2", [(CAP - 9, 10), (1, CAP), (99999999999, 1)], ids=["just-over", "m2-over", "huge"])
 def test_run_trial_refuses_sizes_over_the_desk_scale_cap_before_any_draw(n, m1, m2):
-    message = f"sample sizes m1={m1} and m2={m2} exceed the desk-scale cap of 2^{ENUMERATION_CAP} draws"
+    message = f"sample sizes m1 + m2: {m1 + m2} exceeds the cap of {CAP}"
     with _refusing_draws(), pytest.raises(ValueError) as exc:
         _trial(n, m1, m2)
     assert exc.type is ValueError and str(exc.value) == message

@@ -315,6 +315,14 @@ def _reference_reconstruct(x, oracle, times=1):
     return Term(frozenset(positives), frozenset(negatives))
 
 
+def _asked_term(x, oracle, times):
+    """The masks ``reconstruct_term`` gives, its batch counted ``times`` times: past once, ``ask_flips(x, times)``."""
+    if times == 1:
+        return reconstruct_term(x.mask, oracle)
+    kept = ~oracle.ask_flips(x.mask, times) & (1 << x.n) - 1
+    return kept & x.mask, kept & ~x.mask
+
+
 @settings(max_examples=60, deadline=None)
 @given(repeated_samples(), st.integers(0, 2), st.none() | st.integers(0, 400))
 def test_reconstruct_term_matches_per_flip_reference(case, q, cap):
@@ -330,9 +338,9 @@ def test_reconstruct_term_matches_per_flip_reference(case, q, cap):
             expected = _reference_reconstruct(x, reference, times)
         except (BudgetExhausted, LocalityViolation) as err:
             with pytest.raises(type(err)):
-                reconstruct_term(x.mask, batched, times)
+                _asked_term(x, batched, times)
             break
-        assert reconstruct_term(x.mask, batched, times) == expected.masks(target.n)
+        assert _asked_term(x, batched, times) == expected.masks(target.n)
     assert batched.entries() == reference.entries()
     assert batched.stats() == reference.stats()
 

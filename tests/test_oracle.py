@@ -527,7 +527,7 @@ def accounting_runs(draw):
 @example(setting=(TARGET, [0], 2, None, [("ask", 0b011, 1), ("ask", 0b001, 1)]))  # distance 2 asked before 1
 def test_stats_are_the_sums_of_entries_after_every_call_refused_or_not(setting):
     target, anchors, q, cap, calls = setting
-    oracle = LocalMQOracle.from_masks(target, anchors, q, query_cap=cap)
+    oracle = LocalMQOracle(target, [CubePoint(target.n, m) for m in anchors], q, query_cap=cap)
     for name, *args in calls:
         try:
             getattr(oracle, name)(*args)
@@ -702,8 +702,8 @@ def test_for_samples_refuses_a_sample_of_another_dimension(n):
 def mask_anchored_calls(draw):
     """An oracle setting with anchor masks (repeats allowed) and a run of ask, ask_flips and ask_flips_many calls.
 
-    Centres are often anchors, a call may carry a bad mask or times, q and the cap may be refused, and the cap may
-    run out at any call.
+    Centres are often anchors, a call may carry a bad mask or times, and q may be refused; both oracles take the
+    default cap, which ``from_masks`` always does.
     """
     n = draw(st.integers(1, 6))
     cube = st.integers(0, (1 << n) - 1)
@@ -717,9 +717,8 @@ def mask_anchored_calls(draw):
     )
     calls = draw(st.lists(call, min_size=1, max_size=8))
     q = draw(st.sampled_from((0, 1, 1, 2, -1, 1.0)))
-    cap = draw(st.none() | st.integers(0, 8 * n) | st.sampled_from((-1, 2.5, False)))
     target = random_dnf(n, 2, 3, random.Random(draw(st.integers(0, 1 << 30))))
-    return target, masks, q, cap, calls
+    return target, masks, q, calls
 
 
 def _outcome(call):
@@ -732,9 +731,9 @@ def _outcome(call):
 @settings(max_examples=100, deadline=None)
 @given(setting=mask_anchored_calls())
 def test_from_masks_is_the_constructor_on_cube_points(setting):
-    target, masks, q, cap, calls = setting
-    by_masks, refused = _outcome(lambda: LocalMQOracle.from_masks(target, masks, q, cap))
-    by_points, expected = _outcome(lambda: LocalMQOracle(target, [CubePoint(target.n, m) for m in masks], q, cap))
+    target, masks, q, calls = setting
+    by_masks, refused = _outcome(lambda: LocalMQOracle.from_masks(target, masks, q))
+    by_points, expected = _outcome(lambda: LocalMQOracle(target, [CubePoint(target.n, m) for m in masks], q))
     assert refused == expected
     if expected:
         return
@@ -746,7 +745,7 @@ def test_from_masks_is_the_constructor_on_cube_points(setting):
 
 def test_from_masks_default_cap_counts_every_anchor_given():
     assert [LocalMQOracle.from_masks(TARGET, masks, 1).query_cap for masks in ([], [7], [7, 7, 0])] == [192, 192, 576]
-    assert LocalMQOracle.from_masks(TARGET, [7], 1, query_cap=5).query_cap == 5
+    assert LocalMQOracle(TARGET, [CubePoint(3, 7)], 1, query_cap=5).query_cap == 5
 
 
 @pytest.mark.parametrize("bad", [True, 1.0, -1, 1 << 3, "3"], ids=["True", "1.0", "-1", "2^n", "str"])

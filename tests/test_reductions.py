@@ -112,7 +112,7 @@ def test_an_over_budget_row_is_refused_before_its_transform_is_built():
         raise AssertionError("the transform ran")
 
     reduction = replace(make_reduction("dnf", 40), reduce=lambda h, phi: transform(h))
-    with pytest.raises(ValueError, match=r"^flip enumeration needs \d+ checks, budget is 5000000$"):
+    with pytest.raises(ValueError, match=r"^flip checks: \d+ exceeds the cap of 5000000$"):
         verify_reduction(reduction, DnfFormula(40, (Term.of(1),)))
 
 
@@ -743,7 +743,7 @@ class TestNegativeControls:
 class TestVerifierGuards:
     def test_flip_budget_guard(self):
         # Radius 3 over 216 target bits needs ~1.7M checks per source point.
-        with pytest.raises(ValueError, match="budget"):
+        with pytest.raises(ValueError, match="^flip checks: 107507008 exceeds the cap of 5000000$"):
             verify_reduction(make_reduction("dnf", 6), DnfFormula(6, (Term.of(1),)))
 
     def test_ball_radius_respects_cap(self):
