@@ -61,7 +61,7 @@ def _emit(payload: dict | list, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_learn(args: argparse.Namespace) -> int:
+def _cmd_learn(args: argparse.Namespace) -> list:
     if args.auto_plan and (args.m1, args.m2) != (None, None):
         raise ValueError("--auto-plan derives m1 and m2: pass --auto-plan or --m1 and --m2, not both")
     target = parse_dnf(Path(args.target).read_text())
@@ -78,19 +78,19 @@ def _cmd_learn(args: argparse.Namespace) -> int:
     record = TrialReport.of(0, args.seed, run, loss, estimator, args.epsilon).to_dict()
     inputs = {"hypothesis": dump_dnf(run.formula).splitlines(), "epsilon": args.epsilon, "m1": m1, "m2": m2}
     _emit({key: record[key] for key in LEARN_KEYS} | inputs, args.out)
-    return 0
+    return []
 
 
-def _cmd_check_evident(args: argparse.Namespace) -> int:
+def _cmd_check_evident(args: argparse.Namespace) -> list:
     formula = parse_dnf(Path(args.formula).read_text())
     dist = parse_distribution(args.dist)
     beta = parse_fraction(args.beta) if args.beta else None
     report = evidence_report(formula, dist, beta)
     _emit(report.to_dict(), args.out)
-    return 0 if report.verdict else 1
+    return [report]
 
 
-def _cmd_verify_reduction(args: argparse.Namespace) -> int:
+def _cmd_verify_reduction(args: argparse.Namespace) -> list:
     require_count(args.seed, 0, SEED_RULE)
     construction = CONSTRUCTIONS[args.construction]
     reduction = make_reduction(args.construction, args.n, k=args.k, q0=args.q0)
@@ -100,7 +100,7 @@ def _cmd_verify_reduction(args: argparse.Namespace) -> int:
         concept = construction.example(args.n, random.Random(derive_seed(args.seed, "fixture")))
     report = verify_reduction(reduction, concept)
     _emit(report.to_dict(), args.out)
-    return 0 if report.passed else 1
+    return [report]
 
 
 def _config_flags(path: str) -> list[str]:
@@ -119,7 +119,7 @@ def _config_flags(path: str) -> list[str]:
     return flags
 
 
-def _cmd_suite(args: argparse.Namespace) -> int:
+def _cmd_suite(args: argparse.Namespace) -> list:
     configs = [
         ExperimentConfig(name, factory(), args.trials, args.seed, args.epsilon, args.m1, args.m2, args.q)
         for flag, name, factory in FAMILIES
@@ -132,7 +132,7 @@ def _cmd_suite(args: argparse.Namespace) -> int:
     ]
     reports = [run() for which, run in suites if args.which in (which, "all")]
     _emit([report.to_dict() for report in reports], args.out)
-    return 0 if all(report.passed for report in reports) else 1
+    return reports
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -188,7 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command: exit 0 on a passed verdict, 1 on a failed one, 2 on bad input or a refused query."""
+    """Run one command, which returns the reports it printed (``learn`` none): exit 0 if every one passed, 1 if one
+    failed, 2 on bad input or a refused query."""
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
@@ -196,7 +197,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "suite" and args.config:
             # Config lines come last, so they override the flags.
             args = parser.parse_args(argv + _config_flags(args.config))
-        return args.func(args)
+        return 0 if all(report.passed for report in args.func(args)) else 1
     except (ValueError, OSError, LocalityViolation, BudgetExhausted) as exc:
         parser.error(str(exc), type(exc).__name__)
 

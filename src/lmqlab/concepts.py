@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import chain
 from operator import and_, or_, xor
-from typing import Iterable, Iterator, Mapping, Protocol, Sequence, Union
+from typing import Collection, Iterable, Iterator, Mapping, Protocol, Sequence, Union
 
 from .cube import CubePoint, ReplicateMap, exact_rational, first_bad_int, is_int, iter_bits, require_at_most
 from .cube import require_count, require_dimension, require_masks, require_sequence, require_variables
@@ -331,6 +331,8 @@ class Dfa(MaskConcept):
         delta, last = self.delta, len(self.delta) - 1
         if last < 0:
             raise ValueError("an automaton needs at least one state, got an empty delta")
+        if not isinstance(self.accepting, Collection):
+            raise ValueError(f"accepting states must be a collection, got {type(self.accepting).__name__}")
         if not is_int(self.start, 0, last) or first_bad_int(self.accepting, 0, last) is not None:
             raise ValueError(f"start and accepting states must lie in 0..{last}")
         # Each row is a tuple or a list of two states: one C-level pass over every row; only a failure walks them.
@@ -392,9 +394,9 @@ class Junta(MaskConcept):
         require_sequence("junta table", self.table)
         k = len(self.relevant)
         require_at_most("junta relevant variables", k, JUNTA_CAP)
+        require_variables("relevant variable", self.relevant, self.n)  # first, so the set test hashes ints alone
         if len(set(self.relevant)) != k:
             raise ValueError(f"relevant variables must be distinct, got {self.relevant!r}")
-        require_variables("relevant variable", self.relevant, self.n)
         if len(self.table) != 1 << k:
             raise ValueError(f"table must have {1 << k} entries, got {len(self.table)}")
         if first_bad_int(self.table, 0, 1) is not None:

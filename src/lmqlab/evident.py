@@ -30,7 +30,7 @@ from .cube import (
     ReplicateMap, cube_columns, exact_rational, is_int, require_count, require_dimension, require_enumerable
 )
 from .distributions import Distribution, support_weights
-from .formats import canonical
+from .formats import Verdict, canonical
 
 
 def satisfies_evidently(formula: DnfFormula, i: int, x: int) -> bool:
@@ -118,16 +118,15 @@ class TermEvidence:
 
 
 @dataclass(frozen=True)
-class EvidenceReport:
+class EvidenceReport(Verdict):
     beta: Fraction
     terms: tuple[TermEvidence, ...]
 
-    @property
-    def verdict(self) -> bool:
-        return all(t.passed for t in self.terms)
+    def clauses(self) -> dict[str, bool]:
+        return {"terms": all(t.passed for t in self.terms)}
 
     def to_dict(self) -> dict:
-        return canonical(self, verdict=self.verdict)
+        return canonical(self, verdict=self.passed)
 
 
 def evidence_report(

@@ -27,6 +27,11 @@ fields less ``excluded``, plus ``derived``: a ``Fraction`` as its string, a mapp
 histogram's too), a sequence as a list and a nested report as its ``to_dict()``. ``canonical_json`` dumps such a
 dict with sorted keys; it is the one serializer of every line lmqlab prints. Timings are a named exclusion, so
 canonical lines replay byte for byte.
+
+Reports have one verdict rule. A ``Verdict`` passes iff every clause it names holds: ``clauses()`` maps each check,
+named by the report field it reads, to whether it held, and ``passed`` is ``all`` over them. A line states
+``passed`` beside the fields its clauses read (``check-evident``'s line names it ``verdict``), and the CLI exits 0
+iff every report it printed passed.
 """
 
 from __future__ import annotations
@@ -76,6 +81,15 @@ def canonical(record: Any, *excluded: str, **derived: Any) -> dict:
 def canonical_json(payload: Any) -> str:
     """A canonical line: ``payload`` as JSON with sorted keys."""
     return json.dumps(payload, sort_keys=True)
+
+
+class Verdict:
+    """A report's verdict: it passed iff every clause holds. A subclass's ``clauses()`` maps each check it makes,
+    named by the field it reads, to whether that check held."""
+
+    @property
+    def passed(self) -> bool:
+        return all(self.clauses().values())
 
 
 def _content_lines(text: str) -> list[str]:

@@ -45,7 +45,7 @@ from .evident import (
     gen_opposite_literal_dnf,
     satisfies_evidently,
 )
-from .formats import NOTE_CAP, canonical, canonical_json
+from .formats import NOTE_CAP, Verdict, canonical, canonical_json
 from .learner import LearnerRun, learn_evident_dnf, learn_evident_dnf_run, reconstruct_term, require_epsilon
 from .oracle import BudgetExhausted, LocalityViolation, LocalMQOracle, draw_training_set, label_masks
 from .reductions import (
@@ -194,7 +194,7 @@ class TrialReport:
 
 
 @dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(Verdict):
     config: dict
     trials: tuple[TrialReport, ...]
     threshold_note: str
@@ -203,9 +203,8 @@ class SuiteReport:
     def success_count(self) -> int:
         return sum(1 for t in self.trials if t.success)
 
-    @property
-    def passed(self) -> bool:
-        return self.success_count >= self.config["threshold"]
+    def clauses(self) -> dict[str, bool]:
+        return {"success_count": self.success_count >= self.config["threshold"]}
 
     def to_dict(self) -> dict:
         return canonical(self, success_count=self.success_count, trial_count=len(self.trials), passed=self.passed)
@@ -258,7 +257,7 @@ def run_learning_suite(cfg: ExperimentConfig) -> SuiteReport:
 
 
 @dataclass
-class CorpusReport:
+class CorpusReport(Verdict):
     formulas: int = 0
     evident_points: int = 0
     biconditional_checks: int = 0
@@ -274,14 +273,9 @@ class CorpusReport:
     seconds_discovery: float = 0.0
     seconds_reconstruct: float = 0.0
 
-    @property
-    def passed(self) -> bool:
-        return (
-            self.biconditional_failures == 0
-            and self.reveal_failures == 0
-            and self.recon_failures == 0
-            and self.crosscheck_mismatches == 0
-        )
+    def clauses(self) -> dict[str, bool]:
+        failures = ("biconditional_failures", "reveal_failures", "recon_failures", "crosscheck_mismatches")
+        return {name: getattr(self, name) == 0 for name in failures}
 
     def _note(self, kind: str, **info) -> None:
         if len(self.failures) < NOTE_CAP:
@@ -388,7 +382,7 @@ def run_reconstruction_corpus(count: int = 1000, base_seed: int = 0) -> CorpusRe
 
 
 @dataclass
-class ReductionSuiteReport:
+class ReductionSuiteReport(Verdict):
     constructions: list[dict] = field(default_factory=list)
     size_checks: list[dict] = field(default_factory=list)
     simulation_queries: int = 0
@@ -396,15 +390,14 @@ class ReductionSuiteReport:
     uniqueness_errors: int = 0
     negative_controls: list[dict] = field(default_factory=list)
 
-    @property
-    def passed(self) -> bool:
-        return (
-            all(c["passed"] for c in self.constructions)
-            and all(c["passed"] for c in self.size_checks)
-            and self.simulation_mismatches == 0
-            and self.uniqueness_errors == 0
-            and all(c["detected"] for c in self.negative_controls)
-        )
+    def clauses(self) -> dict[str, bool]:
+        return {
+            "constructions": all(c["passed"] for c in self.constructions),
+            "size_checks": all(c["passed"] for c in self.size_checks),
+            "simulation_mismatches": self.simulation_mismatches == 0,
+            "uniqueness_errors": self.uniqueness_errors == 0,
+            "negative_controls": all(c["detected"] for c in self.negative_controls),
+        }
 
     def to_dict(self) -> dict:
         return canonical(self, passed=self.passed)

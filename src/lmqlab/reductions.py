@@ -46,7 +46,7 @@ from .concepts import (
 from .cube import CubePoint, ReplicateMap, ball_columns, ball_size, count_above, iter_bits
 from .cube import cube_columns, masks_at_distance, recentre, require_at_most, require_count, require_dimension
 from .distributions import LabeledSample
-from .formats import NOTE_CAP, canonical, parse_dfa, parse_dnf, parse_junta, parse_poly, parse_tree
+from .formats import NOTE_CAP, Verdict, canonical, parse_dfa, parse_dnf, parse_junta, parse_poly, parse_tree
 from .oracle import LocalMQOracle
 
 TREE_LEAF_CAP = 32768
@@ -265,14 +265,16 @@ def reduce_poly_type_b(poly: SparsePoly, phi: ReplicateMap) -> SparsePoly:
     """
     maj = maj_poly(phi.k)
     result: dict[frozenset[int], Fraction] = {}
+    shifted: dict[int, list[tuple[frozenset[int], Fraction]]] = {}  # Maj_k moved onto block i, built on i's first use
     for vars_, coeff in poly.monomials.items():
         partial: dict[frozenset[int], Fraction] = {frozenset(): coeff}
         for i in sorted(vars_):
-            block = phi.block_coordinates(i)
-            shifted = [(frozenset(block[c - 1] for c in u), cu) for u, cu in maj.monomials.items()]
-            require_at_most("expanded polynomial monomials", len(partial) * len(shifted), POLY_COEFF_CAP)
+            if i not in shifted:
+                block = phi.block_coordinates(i)
+                shifted[i] = [(frozenset(block[c - 1] for c in u), cu) for u, cu in maj.monomials.items()]
+            require_at_most("expanded polynomial monomials", len(partial) * len(shifted[i]), POLY_COEFF_CAP)
             partial = {acc_vars | u_vars: acc_coeff * u_coeff
-                       for acc_vars, acc_coeff in partial.items() for u_vars, u_coeff in shifted}
+                       for acc_vars, acc_coeff in partial.items() for u_vars, u_coeff in shifted[i]}
         for new_vars, new_coeff in partial.items():
             result[new_vars] = result.get(new_vars, Fraction(0)) + new_coeff
         require_at_most("expanded polynomial monomials", len(result), POLY_COEFF_CAP)
@@ -397,7 +399,7 @@ def simulate_pac_from_local(
 
 
 @dataclass
-class ReductionReport:
+class ReductionReport(Verdict):
     name: str
     kind: str
     source_n: int
@@ -411,9 +413,8 @@ class ReductionReport:
     anchor_failures: int = 0
     counterexamples: list[dict] = field(default_factory=list)
 
-    @property
-    def passed(self) -> bool:
-        return self.image_failures == 0 and self.ball_failures == 0 and self.anchor_failures == 0
+    def clauses(self) -> dict[str, bool]:
+        return {name: getattr(self, name) == 0 for name in ("image_failures", "ball_failures", "anchor_failures")}
 
     def _note(self, kind: str, mask: int, expected, got) -> None:
         if len(self.counterexamples) < NOTE_CAP:

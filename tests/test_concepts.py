@@ -256,6 +256,11 @@ class TestDfa:
 
         assert outcome(lambda: Dfa(delta, 0, frozenset(), 2)) == outcome(lambda: per_row(delta))
 
+    def test_accepting_states_that_are_not_a_collection_are_refused(self):
+        # It used to raise TypeError: 'int' object is not iterable.
+        with pytest.raises(ValueError, match=r"^accepting states must be a collection, got int$"):
+            Dfa(((0, 0),), 0, 5, 1)
+
     @pytest.mark.parametrize("bad", [1.0, True, 0.0, False])
     def test_float_and_bool_states_are_refused(self, bad):
         # Each equals a state (1.0 in range(2) holds), but a state is an int, as require_count has it.

@@ -529,6 +529,8 @@ MISFIT_ROWS = [
      "node variable 0 out of range 1..3"),
     ("Junta", lambda: concepts.Junta(2, (3,), (0, 1)), "relevant variable 3 out of range 1..2"),
     ("Junta.zero", lambda: concepts.Junta(4, (0,), (0, 1)), "relevant variable 0 out of range 1..4"),
+    ("Junta.unhashable",  # a TypeError from the distinct-variables test before
+     lambda: concepts.Junta(3, ([1],), (0, 1)), "relevant variable [1] out of range 1..3"),
     ("SparsePoly", lambda: concepts.SparsePoly(2, {frozenset({1, 3}): 1}), "monomial variable 3 out of range 1..2"),
     ("SparsePoly.zero", lambda: concepts.SparsePoly(3, {frozenset({0}): 1}), "monomial variable 0 out of range 1..3"),
     ("CubePoint.bit", lambda: P("++").bit(3), "coordinate 3 out of range 1..2"),

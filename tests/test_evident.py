@@ -176,7 +176,7 @@ def test_evidence_report_matches_pointwise_reference(case):
 class TestEvidenceReport:
     def test_opposite_terms_fully_evident(self):
         report = evidence_report(OPPOSITE, UniformCube(2), beta=Fraction(1, 2))
-        assert report.verdict is True
+        assert report.passed is True
         assert [t.conditional for t in report.terms] == [Fraction(1), Fraction(1)]
 
     def test_overlapping_terms_fail(self):
@@ -188,7 +188,7 @@ class TestEvidenceReport:
             assert t.p_satisfied == Fraction(1, 2)
             assert t.conditional == Fraction(0)
             assert t.passed is False
-        assert report.verdict is False
+        assert report.passed is False
 
     def test_zero_mass_term_passes_vacuously(self):
         f = DnfFormula(2, (Term.of(1), Term.of(-1)))
@@ -238,7 +238,7 @@ class TestGenerator:
         for seed in range(8):
             f = gen_opposite_literal_dnf(6, 3, 3, seed=seed)
             report = evidence_report(f, UniformCube(6), beta=Fraction(1))
-            assert report.verdict is True
+            assert report.passed is True
             for x in cube_points(6):
                 hit = f.satisfied_indices(x.mask)
                 if hit:

@@ -35,9 +35,10 @@ def test_cli_verdict_is_pinned(entry, capsys):
 
 
 # The flags no CLI entry passes, on purpose: a suite line does not name its --q, so its pin could not tell what it
-# checked, and --out writes a file that tests/test_cli.py checks. learn --q and verify-reduction --concept are pinned
-# by refusals (learn-q0-refused, verify-poly-n2-q0=5-cap-refused), whose error names what they checked. A new flag
-# fails here until a golden passes it or it is listed.
+# checked, and --out writes a file that tests/test_cli.py checks. learn --q is pinned by a refusal (learn-q0-refused),
+# whose error names what it checked; verify-reduction --concept by a refusal (verify-poly-n2-q0=5-cap-refused) and by
+# one passing line per junta, tree and dfa concept file, which pins the parse-and-verify path, not the parsed concept.
+# A new flag fails here until a golden passes it or it is listed.
 UNPINNED_FLAGS = {
     "learn": {"--out"},
     "check-evident": {"--out"},

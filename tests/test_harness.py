@@ -169,7 +169,7 @@ def test_opposite_family_instances_are_fully_evident():
 
     for seed in range(5):
         formula, dist = family(seed)
-        assert evidence_report(formula, dist, beta=Fraction(1)).verdict
+        assert evidence_report(formula, dist, beta=Fraction(1)).passed
 
 
 def test_corpus_small_run_is_clean():
