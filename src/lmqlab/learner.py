@@ -1,11 +1,14 @@
 """The 1-local-query DNF learner and its sample-size planner.
 
 Phase 1 rebuilds one candidate term per distinct positive mask of the
-first sample by flipping each coordinate and asking the oracle, every
-positive's n flips in one ``ask_flips_many`` call, counting each query once
-per occurrence: an answer of 1 means the variable is absent from the term,
-an answer of 0 keeps the literal the example satisfies (``reconstruct_term``
-is the one-positive form). Candidates stay int mask pairs.
+first sample by flipping each coordinate and asking the oracle:
+``reconstruct_terms`` asks every positive's n flips in one ``ask_flips_many``
+call, counting each query once per occurrence. An answer of 1 means the
+variable is absent from the term, an answer of 0 keeps the literal the
+example satisfies. The corpus audit (``harness.run_reconstruction_corpus``)
+calls ``reconstruct_terms`` too, once per parity class of a formula's evident
+points; ``reconstruct_term`` is its one-positive form. Candidates stay int
+mask pairs.
 Phase 2 throws away every candidate that fires on a negative example of the
 second sample. It reads only that sample's ``cover``, its labelled support
 (at most 256 points when drawn by index, however many the draws), in two
@@ -21,7 +24,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from itertools import compress
-from typing import Optional
+from typing import Mapping, Optional
 
 from .concepts import DnfFormula, Term
 from .cube import require_count, require_dimension
@@ -67,17 +70,21 @@ def plan_samples(n: int, epsilon: float, d: Optional[int] = None) -> SampleSizeP
     return SampleSizePlan(n, epsilon, m1, m2)
 
 
-def reconstruct_term(x: int, oracle: LocalMQOracle) -> tuple[int, int]:
-    """Recover the masks of the term a positive example's mask x satisfies, one flip per coordinate.
+def reconstruct_terms(oracle: LocalMQOracle, counts: Mapping[int, int]) -> list[tuple[int, int]]:
+    """Recover the masks of the term each positive mask x of ``counts`` satisfies, one flip per coordinate.
 
-    Issues exactly n queries, each at distance 1 from x, as one
-    ``ask_flips`` batch, each asked once. An answer of 1 at a coordinate drops
-    both of its literals, and an answer of 0 keeps the literal x satisfies.
-    Returns (must-be-+1 mask, must-be--1 mask), the form ``Term.masks(n)``
-    gives. The oracle refuses a mask out of range.
+    The one phase-1 step: a single ``ask_flips_many(counts)`` call, so each x's n queries, each at distance 1
+    from x, are counted ``counts[x]`` times. An answer of 1 at a coordinate drops both of its literals, and an
+    answer of 0 keeps the literal x satisfies. Returns one (must-be-+1 mask, must-be--1 mask) pair per x, in the
+    order of ``counts``, the form ``Term.masks(n)`` gives. The oracle refuses a mask out of range.
     """
-    kept = ~oracle.ask_flips(x) & (1 << oracle.n) - 1
-    return kept & x, kept & ~x
+    full = (1 << oracle.n) - 1  # x is in range, so x & ~bits is x & kept for kept = ~bits & full
+    return [(x & ~bits, full & ~(x | bits)) for x, bits in zip(counts, oracle.ask_flips_many(counts))]
+
+
+def reconstruct_term(x: int, oracle: LocalMQOracle) -> tuple[int, int]:
+    """``reconstruct_terms`` on the one positive mask x, asked once: exactly n queries, and x's term's masks."""
+    return reconstruct_terms(oracle, {x: 1})[0]
 
 
 @dataclass(frozen=True)
@@ -108,8 +115,7 @@ def learn_evident_dnf_run(s1: LabeledSample, s2: LabeledSample, oracle: LocalMQO
         require_dimension("sample", s.n, n)
     t0 = time.perf_counter()
     occurrences = Counter(compress(s1.masks, s1.labels))
-    full, answers = (1 << n) - 1, oracle.ask_flips_many(occurrences)
-    collected = dict.fromkeys((x & kept, ~x & kept) for x, kept in zip(occurrences, [~bits & full for bits in answers]))
+    collected = dict.fromkeys(reconstruct_terms(oracle, occurrences))
     t1 = time.perf_counter()
     negatives = set(compress(s2.cover[0], s2.cover[1].translate(NEGATE)))
     surviving = [

@@ -9,19 +9,20 @@ is refused by the cube's rules: an anchor, sample or query point of another dime
 a mask out of range by ``cube.require_masks``, which ``from_masks``, ``ask`` and ``ask_flips`` call only once their
 own inline test has failed. Counts follow the same rule: ``_setup`` tests q and the query cap in one inline test,
 and ``ask`` and ``ask_flips`` test times with the mask in one, so ``cube.require_count`` is called only to raise and
-a corpus point's one-anchor oracle pays for each check once.
+a corpus oracle (one per parity class of a formula's evident points) pays for each check once.
 
 ``ask_flips(mask, times)`` asks the n one-flip neighbours of a point as one batch and returns their answers as one
 int in ``flip_labels`` form: around an anchor with q >= 1 every neighbour is 1-local, so no anchor is scanned, one
-``flip_labels`` call answers them all, and the batch is stored whole; with one anchor, the centre, no flip is at
-distance 0 and no anchor is intersected. ``ask_flips_many(counts)`` asks many centres' flips at once, checking the
-whole map once; a map it cannot prove is the ``ask_flips`` loop. ``ask(mask, times)`` is the reference and refusal
-path, which no benchmark workload reaches: ``query``, and a batch its centre cannot prove (q = 0, a centre that is
-not an anchor, a budget too small for the batch), ask each point through it. It answers each distinct query once and
-counts its repeats; a mask's first asking scans for the nearest anchor, whose distance is both the recorded one and
-a refusal's ``min_distance``. Answers are kept in one record: ``entries()`` and ``log`` expand it on demand, each
-distinct mask once, by first asking, and ``stats()`` sums it into a histogram in ascending distance, inserting no
-zero count and sorting only a histogram of more than one distance.
+``flip_labels`` call answers them all, and the batch is stored whole. ``ask_flips_many(counts)`` asks many centres'
+flips at once, checking the whole map once, and is the one caller of ``ask_flips`` in the package: a map it cannot
+prove is the ``ask_flips`` loop. Its anchor flips come from n set intersections, none with one anchor, the centre, as
+no flip of it is at distance 0. ``ask(mask, times)`` is the reference and refusal path, which no benchmark workload
+reaches: ``query``, and a batch its centre cannot prove (q = 0, a centre that is not an anchor, a budget too small
+for the batch), ask each point through it. It answers each distinct query once and counts its repeats; a mask's
+first asking scans for the nearest anchor, whose distance is both the recorded one and a refusal's
+``min_distance``. Answers are kept in one record: ``entries()`` and ``log`` expand it on demand, each distinct mask
+once, by first asking, and ``stats()`` sums it into a histogram in ascending distance, inserting no zero count and
+sorting only a histogram of more than one distance.
 
 ``draw_training_set`` reads the generator once per sample: when a support point has no label, it labels the index
 draws' own masks and draws no more.
@@ -100,7 +101,7 @@ class LocalMQOracle:
     def from_masks(cls, target: Concept, anchors: Iterable[int], q: int) -> LocalMQOracle:
         """Oracle anchored at int masks, with ``__init__``'s default cap; a mask ``is_int`` refuses is one error."""
         anchors = tuple(anchors)
-        if first_bad_int(anchors, 0, (1 << target.n) - 1) is not None:  # a hot path: one oracle per corpus point
+        if first_bad_int(anchors, 0, (1 << target.n) - 1) is not None:  # hot path: at most two per corpus formula
             require_masks("anchor mask", anchors, target.n)
         oracle = cls.__new__(cls)
         oracle._setup(target, frozenset(anchors), q, None, len(anchors))
@@ -212,7 +213,7 @@ class LocalMQOracle:
             return sum(self.ask(mask ^ 1 << i, times) << i for i in range(n - 1, -1, -1))
         batch = self._asked.get(~mask)
         if batch is None:
-            near = 0 if len(anchors) == 1 else len(anchors.intersection([mask ^ 1 << i for i in range(n)]))
+            near = len(anchors.intersection([mask ^ 1 << i for i in range(n)]))
             batch = self._asked[~mask] = [self.target.flip_labels(mask), 0, near]
         batch[1] += times
         self._count += n * times
@@ -259,7 +260,8 @@ class LocalMQOracle:
         """Counts so far, summed from the record in one pass: a new histogram in ascending distance, no zero counts.
 
         The batches add up to two sums, added after the pass. A zero count is never inserted, and only a histogram
-        of more than one distance is sorted, so a corpus point's one-batch oracle pays for neither."""
+        of more than one distance is sorted, so a corpus oracle, whose queries are all at distance 1, pays for
+        neither."""
         histogram: dict[int, int] = {}
         times = near = 0  # summed over the batches, [bits, times, anchor flips]: anchor flips at 0, the rest at 1
         for key, (_, middle, last) in self._asked.items():

@@ -39,8 +39,23 @@ def criterion(name):
 
 
 @pytest.fixture(scope="module")
-def corpus():
-    return run_reconstruction_corpus(count=1000, base_seed=20260811)
+def corpus_run():
+    """The acceptance corpus's report and the number of oracles it built."""
+    builds, setup = [0], LocalMQOracle._setup
+
+    def counted(oracle, *args):
+        builds[0] += 1
+        setup(oracle, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(LocalMQOracle, "_setup", counted)
+        report = run_reconstruction_corpus(count=1000, base_seed=20260811)
+    return report, builds[0]
+
+
+@pytest.fixture(scope="module")
+def corpus(corpus_run):
+    return corpus_run[0]
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +107,12 @@ def test_term_reconstruction_exact_on_corpus(corpus):
     with criterion("term reconstruction exact on every evident corpus point"):
         assert corpus.recon_checked == corpus.evident_points
         assert corpus.recon_failures == 0
+
+
+def test_corpus_builds_one_oracle_per_parity_class(corpus_run):
+    with criterion("reconstruction builds at most two oracles per corpus formula, not one per evident point"):
+        report, builds = corpus_run
+        assert 0 < builds <= 2 * report.formulas == 2000 < report.evident_points
 
 
 def test_locality_discipline(corpus, learning):

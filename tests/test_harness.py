@@ -1,7 +1,9 @@
 import dataclasses
 import random
 import re
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 from unittest.mock import patch
 
 import pytest
@@ -22,7 +24,7 @@ from lmqlab.concepts import (
     random_tree,
 )
 from lmqlab import distributions, evident, harness, learner, oracle, reductions
-from lmqlab.cube import ENUMERATION_CAP, CubePoint, ReplicateMap
+from lmqlab.cube import ENUMERATION_CAP, CubePoint, ReplicateMap, iter_bits
 from lmqlab.distributions import FiniteSupport, UniformCube, pushforward
 from lmqlab.formats import canonical_json
 from lmqlab.harness import (
@@ -192,20 +194,53 @@ def test_corpus_builds_a_cube_point_only_for_a_failure_note(monkeypatch):
 
 
 def test_corpus_notes_a_wrong_reconstruction_as_signed_literals(monkeypatch):
-    real = harness.reconstruct_term
+    real = harness.reconstruct_terms
     formulas = []
 
-    def swapped(x, oracle):
+    def swapped(oracle, counts):
         formulas.append(oracle.target)
-        pos, neg = real(x, oracle)
-        return neg, pos
+        return [(neg, pos) for pos, neg in real(oracle, counts)]
 
-    monkeypatch.setattr(harness, "reconstruct_term", swapped)
+    monkeypatch.setattr(harness, "reconstruct_terms", swapped)
     report = run_reconstruction_corpus(count=1)
     assert report.recon_failures == report.recon_checked > 0 and not report.passed
     note = report.failures[0]
     assert note["kind"] == "reconstruction"
     assert note["got"] == str(sorted(-v for v in formulas[0].terms[note["term"]].signed()))
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 8), d=st.integers(1, 5), width=st.integers(1, 4), seed=st.integers(0, 1 << 32))
+def test_parity_class_oracles_reconstruct_as_one_anchor_oracles_do(n, d, width, seed):
+    formula = random_dnf(n, d, width, random.Random(seed))
+    masks = [m for ev in evident.evident_tables(formula)[2] for m in iter_bits(ev)]
+    terms, oracles = harness.reconstruct_evident(formula, masks)
+    singles = [LocalMQOracle.from_masks(formula, (m,), 1) for m in masks]
+    assert terms == {m: learner.reconstruct_term(m, o) for m, o in zip(masks, singles)}
+    assert len(oracles) == len({m.bit_count() & 1 for m in masks})
+
+    def summed(side):
+        stats = [o.stats() for o in side]
+        return sum(s.query_count for s in stats), sum((Counter(s.distance_histogram) for s in stats), Counter())
+
+    assert summed(oracles) == summed(singles) == (n * len(masks), Counter({1: n * len(masks)}))
+
+
+@given(st.lists(st.integers(0, (1 << 10) - 1), unique=True))
+def test_no_parity_class_holds_two_masks_one_flip_apart(masks):
+    classes = harness.parity_classes(masks)
+    assert all(classes) and sorted(sum(classes, [])) == sorted(masks)
+    for members in classes:
+        assert members == [m for m in masks if m in set(members)]
+        assert all((a ^ b).bit_count() != 1 for a, b in combinations(members, 2))
+
+
+def test_one_oracle_per_formula_would_ask_at_distance_zero(monkeypatch):
+    # The grouping mutant: every evident point of a formula anchors one oracle, so a neighbour's flip hits an anchor.
+    clean = run_reconstruction_corpus(40, 1).locality_histogram
+    monkeypatch.setattr(harness, "parity_classes", lambda masks: [list(masks)])
+    grouped = run_reconstruction_corpus(40, 1).locality_histogram
+    assert set(clean) == {1} and grouped[0] > 0 and sum(grouped.values()) == sum(clean.values())
 
 
 def test_wide_learning_suite_digest_is_pinned():

@@ -764,24 +764,18 @@ class NoIntersection(frozenset):
         raise AssertionError("a one-anchor oracle intersected its anchors")
 
 
-ONE_FLIP_BATCHES = {
-    "ask_flips": lambda o, x: o.ask_flips(x),
-    "ask_flips_many": lambda o, x: o.ask_flips_many({x: 1})[0],
-}
-
-
-@pytest.mark.parametrize("batch", ONE_FLIP_BATCHES.values(), ids=ONE_FLIP_BATCHES.keys())
-def test_one_anchor_oracle_counts_its_flips_at_distance_one_without_intersecting(batch):
+def test_one_anchor_oracle_counts_its_flips_at_distance_one_without_intersecting():
+    # ask_flips_many's shortcut, which a corpus parity class of one evident point takes; ask_flips has none.
     o = LocalMQOracle.from_masks(TARGET, [7], 1)
     o._anchors = NoIntersection(o._anchors)
-    assert batch(o, 7) == TARGET.flip_labels(7)
+    assert o.ask_flips_many({7: 1}) == [TARGET.flip_labels(7)]
     assert o.stats() == OracleStats(3, 1, {1: 3})
     # The batch recorded 0 flips at distance 0, and keys come out in ascending distance, so 0 comes first
     # once the centre is asked.
     assert o.ask(7) == 1 and list(o.stats().distance_histogram.items()) == [(0, 1), (1, 3)]
     # Anchored at a point and one neighbour, the neighbour is still counted at distance 0.
     o = LocalMQOracle.from_masks(TARGET, [7, 6], 1)
-    assert batch(o, 7) == TARGET.flip_labels(7)
+    assert o.ask_flips_many({7: 1}) == [TARGET.flip_labels(7)]
     assert list(o.stats().distance_histogram.items()) == [(0, 1), (1, 2)]
 
 

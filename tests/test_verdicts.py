@@ -93,8 +93,10 @@ CLAUSES = [
      _patched("flip_table", lambda table, n, j: table, _corpus)),
     (CorpusReport, "reveal_failures", "flips_reveal_term answers False",
      _patched("flips_reveal_term", lambda *args: False, _corpus)),
-    (CorpusReport, "recon_failures", "reconstruct_term returns the empty term",
-     _patched("reconstruct_term", lambda x, oracle: (0, 0), _corpus)),
+    (CorpusReport, "evident_points", "one formula with no evident point",
+     lambda monkeypatch: run_reconstruction_corpus(1, 5)),
+    (CorpusReport, "recon_failures", "reconstruct_terms returns the empty term at every point",
+     _patched("reconstruct_terms", lambda oracle, counts: [(0, 0)] * len(counts), _corpus)),
     (CorpusReport, "crosscheck_mismatches", "satisfies_evidently answers False",
      _patched("satisfies_evidently", lambda *args: False, _corpus)),
     (ReductionSuiteReport, "constructions", "verify_reduction counts an image failure on each shipped row only",
