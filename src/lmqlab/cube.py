@@ -4,7 +4,8 @@ Coordinates are 1-based throughout the package. A point is stored as a
 bit mask so that flips and distances reduce to integer arithmetic: the
 distance of two points is the popcount of their masks' XOR, and the cube in
 lexicographic order is the masks ``range(1 << n)``, enumerated as masks only
-(``distributions.support_weights``, ``cube_columns``). Hot paths pass the
+(``distributions.support_weights``, ``cube_columns``); ``restrict`` lays that cube over the coordinates a
+concept reads, so a concept's whole table costs 2^r points for r read coordinates, not 2^n. Hot paths pass the
 bare int masks (the oracle's anchor scan, ``ReplicateMap.encode``/``decode``,
 which compute each block per call, so a map holds only n and k);
 ``CubePoint`` is the API form.
@@ -37,7 +38,10 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, islice
 from operator import countOf
-from typing import Collection, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Collection, Iterator, Optional, Sequence
+
+if TYPE_CHECKING:
+    from .concepts import Concept
 
 ENUMERATION_CAP = 24
 _set = object.__setattr__  # a frozen dataclass's own field setter, bound once
@@ -191,6 +195,17 @@ def cube_columns(n: int) -> tuple[int, ...]:
         half = 1 << k
         columns = (*(c | c << half for c in columns), ((1 << half) - 1) << half)
     return columns
+
+
+def restrict(concept: Concept, reads: int) -> int:
+    """The bitset of the 2^r points over the r coordinates in ``reads`` that ``concept`` labels 1, in mask order of
+    those coordinates (r <= ``ENUMERATION_CAP``): one ``label_columns`` call on ``cube_columns(r)``, placed at the
+    read coordinates, every other column 0. For a concept reading within ``reads``, it is the concept's table."""
+    r = reads.bit_count()
+    require_enumerable(r)
+    table = iter(cube_columns(r))
+    columns = [next(table) if reads >> i & 1 else 0 for i in range(concept.n)]
+    return concept.label_columns(columns, (1 << (1 << r)) - 1)
 
 
 @lru_cache(maxsize=None)

@@ -28,6 +28,10 @@ the draws of a ``UniformCube`` to n = 8, or of a ``FiniteSupport`` with a
 top-byte table, as point indices, which ``LabeledSample._by_index`` labels
 by one ``translate``. ``label_masks`` and ``mc_loss`` label masks a block at
 a time as lanes (``cube``), ``mc_loss`` a ``UniformCube`` block from ``_lanes``.
+``mc_loss`` draws only when it must: two concepts whose ``cube.restrict``
+tables over the coordinates they read are equal, computed when the table has
+at most m points, agree at every draw, so their loss is 0 with no generator
+built.
 """
 
 from __future__ import annotations
@@ -56,6 +60,7 @@ from .cube import (
     require_enumerable,
     require_masks,
     require_sequence,
+    restrict,
 )
 from .concepts import Concept
 
@@ -369,11 +374,23 @@ def _lane_blocks(dist: Distribution, rng: random.Random, m: int, reads: int) -> 
 
 def mc_loss(dist: Distribution, h_star: Concept, h_hat: Concept, m: int, seed: int) -> Fraction:
     """Empirical disagreement frequency over the m draws ``sample(dist, m, seed)`` gives, labelled by
-    ``label_columns`` a block of lanes (``_lane_blocks``) at a time over the columns either concept ``reads``."""
+    ``label_columns`` a block of lanes (``_lane_blocks``) at a time over the columns either concept ``reads``.
+
+    It decides on those r read coordinates first: where the 2^r-point table costs no more than the draws (2^r <= m,
+    r <= ``ENUMERATION_CAP``), equal ``cube.restrict`` tables mean the concepts agree at every point, so every draw
+    agrees and the loss is 0 with no generator built. Tables that differ, or a table that raises (a point a concept
+    cannot label), leave it to the draws, which count the disagreements or raise the error the draws meet."""
     require_dimension("target", h_star.n, dist.n)
     require_dimension("hypothesis", h_hat.n, dist.n)
     require_count(m, 1, "sample count must be positive")
+    reads = h_star.reads | h_hat.reads
+    if 1 << reads.bit_count() <= m:
+        try:  # ``restrict`` refuses r above ``ENUMERATION_CAP``, and a concept a point it cannot label
+            if restrict(h_star, reads) == restrict(h_hat, reads):
+                return Fraction(0, m)
+        except ValueError:
+            pass
     wrong = 0
-    for columns, full in _lane_blocks(dist, random.Random(seed), m, h_star.reads | h_hat.reads):
+    for columns, full in _lane_blocks(dist, random.Random(seed), m, reads):
         wrong += (h_star.label_columns(columns, full) ^ h_hat.label_columns(columns, full)).bit_count()
     return Fraction(wrong, m)

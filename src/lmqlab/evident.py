@@ -123,7 +123,8 @@ class EvidenceReport(Verdict):
     terms: tuple[TermEvidence, ...]
 
     def clauses(self) -> dict[str, bool]:
-        return {"terms": all(t.passed for t in self.terms)}
+        return {"terms": all(t.passed for t in self.terms),
+                "some_term_satisfied": not all(t.vacuous for t in self.terms)}
 
     def to_dict(self) -> dict:
         return canonical(self, verdict=self.passed)
@@ -135,7 +136,8 @@ def evidence_report(
     """Exact per-term evidence rates under an enumerable distribution: the ``support_weights`` at each table's bits.
 
     A term passes when its conditional evident probability reaches beta
-    (default 1/n); terms the distribution never satisfies pass vacuously.
+    (default 1/n); terms the distribution never satisfies pass vacuously, but
+    the report fails if every term does, as it then checked no point.
     Beta follows ``exact_rational``'s rule, and a beta outside (0, 1] is a ValueError.
     """
     require_dimension("distribution", dist.n, formula.n)

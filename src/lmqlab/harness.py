@@ -221,7 +221,8 @@ def run_trial(
 
     ``seed`` derives s1, s2 and the Monte Carlo loss, each its own stream ``derive_seed(seed, "s1" | "s2" | "loss")``;
     ``require_trial_inputs`` refuses any bad input before s1 is drawn. Returns the learner's run, the loss and its
-    estimator: "exact" for a ``FiniteSupport`` or n <= ``EXACT_LOSS_MAX_N``, else "mc".
+    estimator: "exact" for a ``FiniteSupport`` or n <= ``EXACT_LOSS_MAX_N``, else "mc" (which draws its stream only
+    when the hypothesis and target differ on their read coordinates, or read more than log2 ``MC_SAMPLES``).
     """
     require_trial_inputs(m1, m2, q, seed)
     s1 = draw_training_set(dist, target, m1, derive_seed(seed, "s1"))
@@ -276,7 +277,8 @@ class CorpusReport(Verdict):
 
     def clauses(self) -> dict[str, bool]:
         failures = ("biconditional_failures", "reveal_failures", "recon_failures", "crosscheck_mismatches")
-        return {"evident_points": self.evident_points > 0, **{name: getattr(self, name) == 0 for name in failures}}
+        return {"evident_points": self.evident_points > 0, **{name: getattr(self, name) == 0 for name in failures},
+                "locality_histogram": set(self.locality_histogram) <= {1}}
 
     def _note(self, kind: str, **info) -> None:
         if len(self.failures) < NOTE_CAP:
@@ -323,7 +325,7 @@ def run_reconstruction_corpus(count: int = 1000, base_seed: int = 0) -> CorpusRe
     1-local oracle per popcount-parity class of the formula's evident points,
     anchored at their masks, so each query is at distance 1 from its point.
     A formula with no evident point builds no oracle. The report passes only
-    if some point was checked.
+    if some point was checked, and every query was at distance 1.
     """
     require_count(count, 1, "formula count must be at least 1")
     report = CorpusReport()

@@ -9,12 +9,14 @@ example satisfies. The corpus audit (``harness.run_reconstruction_corpus``)
 calls ``reconstruct_terms`` too, once per parity class of a formula's evident
 points; ``reconstruct_term`` is its one-positive form. Candidates stay int
 mask pairs.
-Phase 2 throws away every candidate that fires on a negative example of the
-second sample. It reads only that sample's ``cover``, its labelled support
-(at most 256 points when drawn by index, however many the draws), in two
-passes in C (the cover's label bytes swapped, then its masks compressed by
-them); only survivors become ``Term``s. On instances whose positives are
-evident, phase 1 recovers exact terms and phase 2 never removes a true one.
+Phase 2 (``prune_terms``) throws away every candidate that fires on a
+negative example of the second sample. It reads only that sample's ``cover``,
+its labelled support (at most 256 points when drawn by index, however many the
+draws), bit-sliced: a block of lanes at a time, as the draws are labelled in
+``distributions``, with the block's negatives one lane mask, so each candidate
+costs one ``Term.table`` per block until it is dropped. On instances whose
+positives are evident, phase 1 recovers exact terms and phase 2 never removes
+a true one.
 """
 
 from __future__ import annotations
@@ -23,15 +25,17 @@ import math
 import time
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
 from itertools import compress
-from typing import Mapping, Optional
+from operator import or_
+from typing import Collection, Mapping, Optional
 
 from .concepts import DnfFormula, Term
-from .cube import require_count, require_dimension
-from .distributions import LabeledSample
+from .cube import lane_columns, require_count, require_dimension
+from .distributions import _DRAW_BLOCK, LabeledSample
 from .oracle import LocalMQOracle, OracleStats
 
-# Label bytes 0 and 1 swapped: compressing s2's cover masks by it keeps the negatives.
+# Label bytes 0 and 1 swapped: a byte 1 at each of s2's cover's negatives.
 NEGATE = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
@@ -103,13 +107,34 @@ def learn_evident_dnf(s1: LabeledSample, s2: LabeledSample, oracle: LocalMQOracl
     return learn_evident_dnf_run(s1, s2, oracle).formula
 
 
-def learn_evident_dnf_run(s1: LabeledSample, s2: LabeledSample, oracle: LocalMQOracle) -> LearnerRun:
-    """Like ``learn_evident_dnf`` but with query statistics and phase timings.
+def prune_terms(candidates: Collection[tuple[int, int]], s2: LabeledSample) -> list[Term]:
+    """Phase 2: the ``Term`` of each candidate (pos, neg) mask pair over s2's n variables, in order, less every one
+    that fires on a negative example of s2, read from its ``cover`` alone.
 
-    Phase 2 drops a candidate (pos, neg) when some distinct negative mask m of s2 (read by ``NEGATE`` from the
-    label bytes of its ``cover``, and nothing else of s2) has m & (pos | neg) == pos: as pos and neg are disjoint,
-    the term fires on m.
+    The cover is read ``_DRAW_BLOCK`` lanes at a time (``lane_columns`` over the candidates' read coordinates).
+    A block's negatives are one lane mask, its label bytes swapped by ``NEGATE`` and spread to the lane width, and
+    a candidate is dropped at the first block where its ``Term.table`` over those lanes is not 0; the scan stops
+    once none is left.
     """
+    n = s2.n
+    surviving = [Term.from_masks(n, pos, neg) for pos, neg in candidates]
+    masks, labels = s2.cover
+    reads = reduce(or_, (pos | neg for pos, neg in candidates), 0)
+    for start in range(0, len(labels), _DRAW_BLOCK):
+        if not surviving:
+            break
+        columns, _, width = lane_columns(masks[start:start + _DRAW_BLOCK], n, reads)
+        block = labels[start:start + _DRAW_BLOCK].translate(NEGATE)
+        spread = bytearray(width * len(block))  # each label byte at its lane's lowest byte
+        spread[::width] = block
+        negatives = int.from_bytes(spread, "little")
+        surviving = [term for term in surviving if not term.table(columns, negatives)]
+    return surviving
+
+
+def learn_evident_dnf_run(s1: LabeledSample, s2: LabeledSample, oracle: LocalMQOracle) -> LearnerRun:
+    """Like ``learn_evident_dnf`` but with query statistics and phase timings: phase 1 is ``reconstruct_terms`` on
+    s1's positives, phase 2 ``prune_terms`` of its distinct candidates on s2."""
     n = oracle.n
     for s in (s1, s2):
         require_dimension("sample", s.n, n)
@@ -117,10 +142,7 @@ def learn_evident_dnf_run(s1: LabeledSample, s2: LabeledSample, oracle: LocalMQO
     occurrences = Counter(compress(s1.masks, s1.labels))
     collected = dict.fromkeys(reconstruct_terms(oracle, occurrences))
     t1 = time.perf_counter()
-    negatives = set(compress(s2.cover[0], s2.cover[1].translate(NEGATE)))
-    surviving = [
-        Term.from_masks(n, pos, neg) for pos, neg in collected if pos not in map((pos | neg).__and__, negatives)
-    ]
+    surviving = prune_terms(collected, s2)
     t2 = time.perf_counter()
     return LearnerRun(
         formula=DnfFormula(n, tuple(surviving)),

@@ -619,9 +619,9 @@ def test_learn_seed_t_replays_suite_trial_t(tmp_path, capsys, name, family, tria
         assert record["estimator"] == estimator
 
 
-def test_learn_seeds_share_no_stream(tmp_path, capsys, monkeypatch):
-    # learn --seed S used to draw s1, s2 and the loss from S, S+1 and S+2: --seed 5's s2 and loss were --seed 6's
-    # s1 and s2. At n = 28 the Monte Carlo loss is drawn too, so each run builds three streams.
+def _recorded_learn(monkeypatch, tmp_path, capsys, seed, m1):
+    """``learn`` on a 28-variable target under the uniform cube: its printed line and the seeds of every generator
+    ``distributions`` built for it, in order."""
     built = []
 
     class Recording(random.Random):
@@ -632,15 +632,34 @@ def test_learn_seeds_share_no_stream(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("lmqlab.distributions.random.Random", Recording)
     target = tmp_path / "target28.dnf"
     target.write_text("dim 28\n1 -2\n3 4 5 -28\n")
+    argv = ["learn", "--target", str(target), "--dist", "uniform:28", "--m1", m1, "--m2", "200", "--seed", seed]
+    assert main(argv) == 0
+    return json.loads(capsys.readouterr().out), built
+
+
+def test_learn_seeds_share_no_stream(tmp_path, capsys, monkeypatch):
+    # learn --seed S used to draw s1, s2 and the loss from S, S+1 and S+2: --seed 5's s2 and loss were --seed 6's
+    # s1 and s2. At n = 28 the Monte Carlo loss is drawn too when the hypothesis differs from the target (here the
+    # empty one, from --m1 0), so each run builds three streams.
     streams = []
     for seed in ("5", "6"):
-        built.clear()
-        argv = ["learn", "--target", str(target), "--dist", "uniform:28", "--m1", "20", "--m2", "200", "--seed", seed]
-        assert main(argv) == 0
-        assert json.loads(capsys.readouterr().out)["estimator"] == "mc"
+        line, built = _recorded_learn(monkeypatch, tmp_path, capsys, seed, "0")
+        assert line["estimator"] == "mc" and line["hypothesis"] == ["dim 28"] and line["loss"] != "0"
         streams.append(set(built))
         assert len(built) == len(streams[-1]) == 3
     assert streams[0].isdisjoint(streams[1])
+
+
+def test_learn_of_an_exact_hypothesis_draws_no_loss_stream(tmp_path, capsys, monkeypatch):
+    # --seed 5 learns the target's own terms: both tables over the 6 read coordinates agree, so the loss is 0 with
+    # no loss stream built, and the line is the one the 100,000 Monte Carlo draws gave.
+    line, built = _recorded_learn(monkeypatch, tmp_path, capsys, "5", "20")
+    assert len(set(built)) == len(built) == 2
+    assert line == {
+        "epsilon": 0.1, "estimator": "mc", "hypothesis": ["dim 28", "1 -2", "3 4 5 -28"], "loss": "0",
+        "loss_float": 0.0, "m1": 20, "m2": 200, "max_locality": 1, "positives": 8, "queries": 224,
+        "terms_added": 2, "terms_pruned": 0,
+    }
 
 
 @pytest.mark.parametrize(

@@ -264,6 +264,31 @@ def test_lane_columns_and_lane_bits_round_trip(n, data):
     assert lane_bits(sum(1 << low for low, y in zip(lows, chosen) if y), len(masks), width) == bytes(chosen)
 
 
+def _deposit(p: int, reads: int) -> int:
+    """The mask with bit k of p at the k-th lowest set bit of reads, and 0 at every other bit."""
+    read = [i for i in range(reads.bit_length()) if reads >> i & 1]
+    return sum((p >> k & 1) << i for k, i in enumerate(read))
+
+
+RESTRICT_CLASSES = {
+    "dnf": lambda n, rng: concepts.random_dnf(n, rng.randint(0, 4), 3, rng),
+    "dfa": lambda n, rng: concepts.random_dfa(n, 4, rng),
+    "tree": lambda n, rng: concepts.random_tree(n, 6, rng),
+    "junta": lambda n, rng: concepts.random_junta(n, rng.randint(1, n), rng),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 10), kind=st.sampled_from(sorted(RESTRICT_CLASSES)), seed=st.integers(0, 2**32),
+       data=st.data())
+def test_restrict_equals_a_pointwise_table(n, kind, seed, data):
+    """Bit p of the table is the label at the mask that puts p's bits at the read coordinates, lowest first."""
+    concept = RESTRICT_CLASSES[kind](n, random.Random(seed))
+    reads = data.draw(st.sampled_from([concept.reads, (1 << n) - 1, 0]) | st.integers(0, (1 << n) - 1))
+    points = range(1 << reads.bit_count())
+    assert cube.restrict(concept, reads) == sum(concept.label(_deposit(p, reads)) << p for p in points)
+
+
 # ---------------------------------------------------------------------------
 # One rule for counts: every entry point that takes a count, dimension or
 # budget refuses a bool or a float with the message it gives a bad int.
@@ -772,9 +797,10 @@ _ABOVE_CAP = ENUMERATION_CAP + 1
         lambda: distributions.support_weights(distributions.ProductDist(_ABOVE_CAP, (_HALF,) * _ABOVE_CAP)),
         lambda: distributions.pushforward(distributions.UniformCube(_ABOVE_CAP), cube.ReplicateMap(_ABOVE_CAP, 3)),
         lambda: evident.evident_tables(DnfFormula(_ABOVE_CAP, ())),
+        lambda: cube.restrict(DnfFormula(_ABOVE_CAP + 2, ()), (1 << _ABOVE_CAP) - 1 << 1),
     ],
     ids=["require_enumerable", "UniformCube.support", "ProductDist.support", "support_weights", "pushforward",
-         "evident_tables"],
+         "evident_tables", "restrict"],
 )
 def test_enumeration_cap_has_one_message(call):
     message = f"^enumerated cube dimension: {_ABOVE_CAP} exceeds the cap of {ENUMERATION_CAP}$"

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from cubes import cube_points
 from lmqlab.concepts import DnfFormula, PolyConcept, SparsePoly, Term, random_dfa, random_dnf, random_tree
-from lmqlab.cube import CubePoint, DimensionMismatch, ReplicateMap, lane_bits, lane_columns
+from lmqlab.cube import CubePoint, DimensionMismatch, ReplicateMap, lane_bits, lane_columns, restrict
 from lmqlab.distributions import (
     FiniteSupport,
     LabeledSample,
@@ -524,6 +524,104 @@ def test_mc_loss_across_blocks_matches_labels_at_every_draw(dist, pair):
     assert 0 < wrong[-1] < len(draws)
     for m in MC_COUNTS:
         assert mc_loss(dist, h_star, h_hat, m, seed) == Fraction(wrong[m - 1], m)
+
+
+def _written_otherwise(f: DnfFormula, kind: str, rng: random.Random) -> DnfFormula:
+    """A DNF labelling every point as f does but written otherwise (its terms reordered, one term twice, or a term
+    t and t AND a literal it lacks), or for "other" a fresh random DNF."""
+    n, terms = f.n, list(f.terms)
+    if kind == "reordered":
+        rng.shuffle(terms)
+    elif kind == "duplicated":
+        terms.insert(rng.randrange(len(terms) + 1), rng.choice(f.terms))
+    elif kind == "absorbed":
+        t = rng.choice(f.terms)
+        j = rng.choice([j for j in range(1, n + 1) if j not in t.variables])
+        wider = Term(t.positives | {j}, t.negatives) if rng.random() < 0.5 else Term(t.positives, t.negatives | {j})
+        terms.insert(rng.randrange(len(terms) + 1), wider)
+    else:
+        terms = list(random_dnf(n, rng.randint(0, 4), 4, rng).terms)
+    return DnfFormula(n, tuple(terms))
+
+
+def _recorded_mc_loss(dist, f, g, m, seed):
+    """``mc_loss(dist, f, g, m, seed)`` and the seeds of the generators it built, in order."""
+    built = []
+
+    class Recording(random.Random):
+        def __init__(self, seed=None):
+            built.append(seed)
+            super().__init__(seed)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("lmqlab.distributions.random.Random", Recording)
+        return mc_loss(dist, f, g, m, seed), built
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    n=st.integers(5, 20),
+    seed=st.integers(0, 2**32),
+    m=st.integers(1, 4200),
+    kind=st.sampled_from(["reordered", "duplicated", "absorbed", "other"]),
+    finite=st.booleans(),
+)
+def test_mc_loss_decided_on_the_read_coordinates_matches_the_per_draw_reference(n, seed, m, kind, finite):
+    """Pairs equal on their read coordinates but written otherwise, and pairs that differ, with 2^r on both sides
+    of m: the loss is the disagreement frequency at the reference draws, and a generator is built iff it draws."""
+    rng = random.Random(seed)
+    f = random_dnf(n, rng.randint(1, 4), 4, rng)
+    g = _written_otherwise(f, kind, rng)
+    reads = f.reads | g.reads
+    differ = restrict(f, reads) != restrict(g, reads)
+    assert kind == "other" or not differ
+    if finite:
+        masks = rng.sample(range(1 << n), 12)
+        dist = FiniteSupport(n, tuple((x, Fraction(i + 1, 78)) for i, x in enumerate(masks)))
+    else:
+        dist = UniformCube(n)
+    points = [CubePoint(n, mask) for mask in _reference_draws(dist, m, random.Random(seed))]
+    loss, built = _recorded_mc_loss(dist, f, g, m, seed)
+    assert loss == Fraction(sum(f.evaluate(x) != g.evaluate(x) for x in points), m)
+    assert built == ([seed] if differ or 1 << reads.bit_count() > m else [])
+
+
+# x1 AND x2 over 8 variables (r = 2), and the same concept with x1 AND x2 AND x8 written beside it (r = 3).
+_X12 = DnfFormula(8, (Term.of(1, 2),))
+_X12_ABSORBING = DnfFormula(8, (Term.of(1, 2), Term.of(1, 2, 8)))
+
+
+@pytest.mark.parametrize(
+    "f, g, m, draws",
+    [
+        (_X12, _X12, 4, False),
+        (_X12, _X12, 3, True),  # 2^2 > 3: the table would cost more than the draws
+        (_X12, _X12_ABSORBING, 8, False),
+        (_X12, _X12_ABSORBING, 7, True),
+        (_X12, DnfFormula(8, (Term.of(1, 2, 8),)), 100, True),  # the tables differ where x1, x2 hold and x8 does not
+        (DnfFormula(8, ()), DnfFormula(8, ()), 1, False),  # r = 0: one point
+        (DnfFormula(8, ()), DnfFormula(8, (Term.of(),)), 1, True),
+    ],
+    ids=["equal", "equal-m-below", "absorbed", "absorbed-m-below", "differ", "empty", "empty-vs-true"],
+)
+def test_mc_loss_builds_its_loss_stream_iff_the_tables_differ_or_cost_more_than_the_draws(f, g, m, draws):
+    loss, built = _recorded_mc_loss(UniformCube(8), f, g, m, 99)
+    assert built == ([99] if draws else [])
+    points = _reference_draws(UniformCube(8), m, random.Random(99))
+    assert loss == Fraction(sum(f.label(x) != g.label(x) for x in points), m)
+
+
+# _HALF_SUM cannot label the points where x1 and x2 differ, so its table raises and the draws decide.
+def test_mc_loss_raises_the_error_of_the_first_draw_a_concept_cannot_label():
+    with pytest.raises(ValueError, match=r"^polynomial value 0 at .* is not in \{-1,\+1\}$"):
+        _recorded_mc_loss(UniformCube(3), _HALF_SUM, DnfFormula(3, (Term.of(3),)), 64, 5)
+
+
+def test_mc_loss_draws_past_a_table_that_raises_on_points_of_mass_zero():
+    dist, other = ProductDist(3, (Fraction(1), Fraction(1), Fraction(1, 3))), DnfFormula(3, (Term.of(3),))
+    loss, built = _recorded_mc_loss(dist, _HALF_SUM, other, 64, 5)
+    points = _reference_draws(dist, 64, random.Random(5))
+    assert built == [5] and loss == Fraction(sum(_HALF_SUM.label(x) != other.label(x) for x in points), 64)
 
 
 def test_labeled_sample_validation():

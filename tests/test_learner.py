@@ -2,6 +2,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import compress
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,9 +21,11 @@ from lmqlab.distributions import (
 )
 from lmqlab.evident import gen_opposite_literal_dnf, satisfies_evidently
 from lmqlab.learner import (
+    NEGATE,
     learn_evident_dnf,
     learn_evident_dnf_run,
     plan_samples,
+    prune_terms,
     reconstruct_term,
 )
 from lmqlab.oracle import BudgetExhausted, LocalityViolation, LocalMQOracle, draw_training_set
@@ -376,6 +379,68 @@ def test_phase2_matches_the_pointwise_rule_on_random_samples():
         assert (run.terms_added, run.terms_pruned) == (len(candidates), len(candidates) - len(expected))
         kept, pruned = kept + len(expected), pruned + len(candidates) - len(expected)
     assert kept > 100 and pruned > 100
+
+
+def _set_scan_phase2(candidates, s2):
+    """Phase 2 as a set scan: the distinct negatives of s2's cover in a set, and a candidate dropped when pos is the
+    part of some negative m that pos | neg selects."""
+    negatives = set(compress(s2.cover[0], s2.cover[1].translate(NEGATE)))
+    n = s2.n
+    return [Term.from_masks(n, pos, neg) for pos, neg in candidates if pos not in map((pos | neg).__and__, negatives)]
+
+
+@st.composite
+def phase2_cases(draw):
+    """Candidate mask pairs, junk among them, and a second sample with random labels: none, one, a few, or three
+    blocks of lanes and more, at widths of 1 to 8 bytes (n = 64) and past them."""
+    n = draw(st.sampled_from([1, 5, 8, 9, 16, 17, 32, 33, 64, 65]))
+    rng = random.Random(draw(st.integers(0, 1 << 30)))
+    size = draw(st.just(3 * _DRAW_BLOCK + 5) | st.sampled_from([0, 1, 7]))
+    pool = [rng.getrandbits(n) for _ in range(draw(st.integers(1, 40)))]
+    masks = tuple(rng.choice(pool) if rng.random() < 0.5 else rng.getrandbits(n) for _ in range(size))
+    s2 = LabeledSample(n, masks, bytes(rng.random() < 0.7 for _ in range(size)))
+    candidates = []
+    for _ in range(draw(st.integers(1, 12) | st.just(0))):
+        kind = rng.choice(["random", "empty", "point", "wide"])
+        if kind == "random":  # junk: any disjoint pair
+            pos = rng.getrandbits(n)
+            candidates.append((pos, rng.getrandbits(n) & ~pos))
+        elif kind == "empty":
+            candidates.append((0, 0))
+        else:  # a term over every coordinate at a sampled point, or all but one: it fires there (and at one flip)
+            x = rng.choice(masks) if masks else rng.getrandbits(n)
+            keep = (1 << n) - 1 if kind == "point" else (1 << n) - 1 & ~(1 << rng.randrange(n))
+            candidates.append((x & keep, ~x & keep))
+    return list(dict.fromkeys(candidates)), s2
+
+
+@settings(max_examples=80, deadline=None)
+@given(phase2_cases())
+def test_phase2_on_lanes_matches_the_set_scan(case):
+    candidates, s2 = case
+    assert prune_terms(candidates, s2) == _set_scan_phase2(candidates, s2)
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_phase2_drops_a_candidate_at_the_last_block_of_three(n):
+    # Distinct masks, every one negative but the last: a term over every coordinate fires at its one point, so the
+    # term at the last mask survives, and the one at the last negative is dropped in the third block, a short one.
+    rng = random.Random(n)
+    masks = [rng.getrandbits(n - 16) << 16 | i for i in rng.sample(range(1 << 16), 2 * _DRAW_BLOCK + 3)]
+    s2 = LabeledSample(n, tuple(masks), bytes(len(masks) - 1) + b"\x01")
+    candidates = [(x, ~x & (1 << n) - 1) for x in (masks[-1], masks[-2], masks[0])]
+    assert prune_terms(candidates, s2) == _set_scan_phase2(candidates, s2) == [Term.from_masks(n, *candidates[0])]
+
+
+def test_phase2_at_64_variables_matches_the_set_scan_in_a_learning_trial():
+    # Lanes 8 bytes wide: the opposite-literal target's terms are learned and survive, as the set scan has it.
+    target = gen_opposite_literal_dnf(64, 3, 3, seed=5)
+    dist = UniformCube(64)
+    s1, s2 = draw_training_set(dist, target, 2000, 1), draw_training_set(dist, target, 3 * _DRAW_BLOCK, 2)
+    candidates = _candidates(target, 1, s1, s2)
+    run = learn_evident_dnf_run(s1, s2, LocalMQOracle.for_samples(target, 1, s1, s2))
+    assert list(run.formula.terms) == _set_scan_phase2(candidates, s2)
+    assert set(run.formula.terms) == set(target.terms)
 
 
 @pytest.mark.parametrize(

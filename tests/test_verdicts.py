@@ -13,7 +13,7 @@ import pytest
 
 from lmqlab import harness
 from lmqlab.concepts import DecisionTree, DnfFormula, Leaf, Node, Term
-from lmqlab.distributions import UniformCube
+from lmqlab.distributions import FiniteSupport, UniformCube
 from lmqlab.evident import EvidenceReport, evidence_report
 from lmqlab.formats import Verdict
 from lmqlab.harness import (
@@ -99,6 +99,8 @@ CLAUSES = [
      _patched("reconstruct_terms", lambda oracle, counts: [(0, 0)] * len(counts), _corpus)),
     (CorpusReport, "crosscheck_mismatches", "satisfies_evidently answers False",
      _patched("satisfies_evidently", lambda *args: False, _corpus)),
+    (CorpusReport, "locality_histogram", "parity_classes puts all of a formula's evident points in one class",
+     _patched("parity_classes", lambda masks: [list(masks)], _corpus)),
     (ReductionSuiteReport, "constructions", "verify_reduction counts an image failure on each shipped row only",
      _patched("verify_reduction", _shipped_rows_fail, _matrix)),
     (ReductionSuiteReport, "size_checks", "count_above sets no point, so no majority expansion agrees",
@@ -117,6 +119,8 @@ CLAUSES = [
     (ReductionReport, "anchor_failures", "none", None),
     (EvidenceReport, "terms", "beta = 1 on x1 OR x2, which has no evident point",
      lambda monkeypatch: evidence_report(OVERLAPPING, UniformCube(2), Fraction(1))),
+    (EvidenceReport, "some_term_satisfied", "x1 OR x2 under all mass at --, which satisfies neither term",
+     lambda monkeypatch: evidence_report(OVERLAPPING, FiniteSupport(2, ((0, 1),)))),
 ]
 
 
