@@ -15,23 +15,27 @@ each distinct (mask, label) pair at least once; ``LocalMQOracle.for_samples``
 and learner phase 2 read only it. A drawn sample takes one of two forms, both
 built here and picked by ``oracle.draw_training_set``: ``LabeledSample._drawn``
 stores a masks tuple, with the sample itself as its cover;
-``LabeledSample._by_index`` stores the (points, idx) pair of ``sample_indices``
-and the drawn support points as its cover, and builds its masks tuple on the
-first read of ``masks``: a sample read only through ``cover`` and ``len`` (s2
-in a learning trial) never builds it.
+``LabeledSample._by_index`` stores the draw of ``sample_indices`` and the
+drawn support points as its cover, and builds its masks tuple on the first
+read of ``masks``. That draw stops at the first block that has drawn every
+support point, and the rest is drawn, from the saved generator state, on the
+first read of ``labels`` or ``masks``: a sample read only through ``cover``
+and ``len`` (s2 in a learning trial) never draws past its covering block and
+never builds its masks.
 
 ``sample`` reads a seeded ``random.Random`` in one ``draws(rng, m)`` call, so
 each draw replays bit-exactly. Each class reads the generator in one place:
 ``UniformCube`` (n <= 32) a block of 32-bit words at a time in ``_lanes``,
 ``FiniteSupport`` two words a draw in ``_indices``. ``sample_indices`` gives
 the draws of a ``UniformCube`` to n = 8, or of a ``FiniteSupport`` with a
-top-byte table, as point indices, which ``LabeledSample._by_index`` labels
-by one ``translate``. ``label_masks`` and ``mc_loss`` label masks a block at
-a time as lanes (``cube``), ``mc_loss`` a ``UniformCube`` block from ``_lanes``.
-``mc_loss`` draws only when it must: two concepts whose ``cube.restrict``
-tables over the coordinates they read are equal, computed when the table has
-at most m points, agree at every draw, so their loss is 0 with no generator
-built.
+top-byte table, as point indices, a block at a time until every point is
+drawn, which ``LabeledSample._by_index`` labels by one ``translate``. Each
+generator word is read once, whether the draws stop or not. ``label_masks``
+and ``mc_loss`` label masks a block at a time as lanes (``cube``), ``mc_loss``
+a ``UniformCube`` block from ``_lanes``. ``mc_loss`` draws only when it must:
+two concepts whose ``cube.restrict`` tables over the coordinates they read are
+equal, computed when the table has at most m points, agree at every draw, so
+their loss is 0 with no generator built.
 """
 
 from __future__ import annotations
@@ -42,10 +46,10 @@ import struct
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import accumulate, compress, product, repeat, starmap
 from operator import mul
-from typing import Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .cube import (
     CubePoint,
@@ -229,10 +233,15 @@ def sample(dist: Distribution, m: int, seed: int) -> list[int]:
     return dist.draws(random.Random(seed), m)
 
 
-def sample_indices(dist: Distribution, m: int, seed: int) -> Optional[tuple[Sequence[int], bytes]]:
+def sample_indices(
+    dist: Distribution, m: int, seed: int
+) -> Optional[tuple[Sequence[int], bytes, Optional[Callable[[], bytes]]]]:
     """``sample`` of a distribution drawn by point index (a ``UniformCube`` to n = 8, a ``FiniteSupport`` with a
-    top-byte table ``_top``) as (points, idx): draw i is ``points[idx[i]]``, from the generator words ``sample``
-    reads; no tuple of masks is built. None, with m unchecked, for any other distribution."""
+    top-byte table ``_top``) as (points, idx, rest): draw i is ``points[idx[i]]``, from the generator words
+    ``sample`` reads, ``_DRAW_BLOCK`` at a time; no tuple of masks is built. It stops after the first block by which
+    every point has been drawn: ``rest`` then gives the indices of the draws left, read from the generator's state
+    at the stop, the same bytes at every call. ``rest`` is None once all m are drawn. None, with m unchecked, for
+    any other distribution."""
     if isinstance(dist, UniformCube) and dist.n <= 8:
         points: Sequence[int] = range(1 << dist.n)
     elif isinstance(dist, FiniteSupport) and dist._top:
@@ -240,7 +249,21 @@ def sample_indices(dist: Distribution, m: int, seed: int) -> Optional[tuple[Sequ
     else:
         return None
     require_count(m, 0, "sample count must be non-negative")
-    return points, dist._indices(random.Random(seed), m)
+    rng, blocks, missing = random.Random(seed), [], bytes(range(len(points)))
+    for start in range(0, m, _DRAW_BLOCK):
+        end = min(start + _DRAW_BLOCK, m)
+        blocks.append(dist._indices(rng, end - start))
+        missing = missing.translate(None, blocks[-1])  # the points no block has drawn yet
+        if not missing and end < m:
+            return points, b"".join(blocks), partial(_resume, dist, rng.getstate(), m - end)
+    return points, b"".join(blocks), None
+
+
+def _resume(dist: Distribution, state: tuple, k: int) -> bytes:
+    """The next k index draws of ``dist`` from a new generator set to ``state``: the same bytes at every call."""
+    rng = random.Random(0)  # a fixed seed costs less than one from the OS, and setstate replaces it
+    rng.setstate(state)
+    return dist._indices(rng, k)
 
 
 def pushforward(dist: Distribution, phi: ReplicateMap) -> FiniteSupport:
@@ -270,11 +293,14 @@ class LabeledSample:
     It defaults to the sample itself; a sample drawn by index stores the drawn
     support points and their labels instead, at most 256 pairs for any m.
 
-    ``_by_index`` stores ``_indexed``, the (points, idx) pair of
-    ``sample_indices``, in place of masks: ``__getattr__`` builds the masks tuple
+    ``_by_index`` stores ``_indexed``, the ``sample_indices`` draw with its
+    label table and m, in place of masks: ``__getattr__`` builds the masks tuple
     on the first read, ``points[idx[i]]`` for each draw i, and stores it in place
-    of the pair, so every later read, ``==``, ``hash`` and ``repr`` see the one
-    tuple form. ``len`` reads the labels, of equal length, and builds nothing.
+    of the draw, so every later read, ``==``, ``hash`` and ``repr`` see the one
+    tuple form. A draw that stopped at its covering block also waits for its
+    labels: the first read of ``masks`` or ``labels`` draws the rest from the
+    saved generator state, then stores both. ``len`` reads the labels, or m while
+    the draw is stored, and draws and builds nothing.
     """
 
     n: int
@@ -301,35 +327,47 @@ class LabeledSample:
         return drawn
 
     @classmethod
-    def _by_index(cls, n: int, points: Sequence[int], idx: bytes, table: bytes) -> LabeledSample:
-        """A sample drawn by index, stored unchecked: draw i is ``points[idx[i]]``, labelled ``table[idx[i]]``,
-        with the ``cover`` of the support points ``idx`` names."""
-        seen = [bytes((i,)) in idx for i in range(len(points))]
+    def _by_index(
+        cls, n: int, m: int, points: Sequence[int], idx: bytes, rest: Optional[Callable[[], bytes]], table: bytes
+    ) -> LabeledSample:
+        """m draws by index, stored unchecked: draw i is ``points[idx[i]]``, labelled ``table[idx[i]]``, with the
+        ``cover`` of the support points ``idx`` names. Without ``rest``, idx is every draw, labelled here by one
+        ``translate``; with it, idx stops at the first block by which every point was drawn, and the labels wait."""
+        # A draw that stopped did so because it had drawn every point; only a full draw is scanned for them.
+        seen = [True] * len(points) if rest is not None else [bytes((i,)) in idx for i in range(len(points))]
+        table = table.ljust(256, b"\0")
         drawn = cls.__new__(cls)
-        drawn.__dict__.update(n=n, _indexed=(points, idx), labels=idx.translate(table.ljust(256, b"\0")),
+        drawn.__dict__.update(n=n, _indexed=(points, idx, rest, table, m),
                               cover=(tuple(compress(points, seen)), bytes(compress(table, seen))))
+        if rest is None:
+            drawn.__dict__["labels"] = idx.translate(table)
         return drawn
 
     @cached_property
     def cover(self) -> tuple[Sequence[int], bytes]:
         return self.masks, self.labels
 
-    def __getattr__(self, name: str) -> tuple[int, ...]:
-        # Runs only for a name not in __dict__: the masks of a sample drawn by index, built once from its indices and
-        # stored in their place. The pair is dropped after the store, so a first read racing another in a second
-        # thread finds the pair or, once it is gone, the masks.
+    def __getattr__(self, name: str) -> Union[tuple[int, ...], bytes]:
+        # Runs only for a name not in __dict__: the masks of a sample drawn by index, and the labels of one whose draw
+        # stopped at its cover. The first read draws the rest from the saved state (the same bytes at every call),
+        # stores the labels, then the masks, and drops the draw last, so a first read racing another in a second
+        # thread finds the draw or, once it is gone, the masks and labels.
         state = self.__dict__
-        if name != "masks" or (indexed := state.get("_indexed")) is None:
-            if name == "masks" and "masks" in state:
-                return state["masks"]
+        if name not in ("masks", "labels") or (indexed := state.get("_indexed")) is None:
+            if name in state:
+                return state[name]
             raise AttributeError(name)
-        points, idx = indexed
-        masks = state["masks"] = tuple(idx) if isinstance(points, range) else tuple([points[i] for i in idx])
+        points, idx, rest, table, _ = indexed
+        if rest is not None:
+            idx += rest()
+            state["labels"] = idx.translate(table)
+        state["masks"] = tuple(idx) if isinstance(points, range) else tuple([points[i] for i in idx])
         state.pop("_indexed", None)
-        return masks
+        return state[name]
 
     def __len__(self) -> int:
-        return len(self.labels)
+        indexed = self.__dict__.get("_indexed")
+        return len(self.labels) if indexed is None else indexed[4]
 
     def __iter__(self) -> Iterator[tuple[CubePoint, int]]:
         return ((CubePoint(self.n, m), y) for m, y in zip(self.masks, self.labels))

@@ -9,14 +9,14 @@ example satisfies. The corpus audit (``harness.run_reconstruction_corpus``)
 calls ``reconstruct_terms`` too, once per parity class of a formula's evident
 points; ``reconstruct_term`` is its one-positive form. Candidates stay int
 mask pairs.
-Phase 2 (``prune_terms``) throws away every candidate that fires on a
-negative example of the second sample. It reads only that sample's ``cover``,
-its labelled support (at most 256 points when drawn by index, however many the
-draws), bit-sliced: a block of lanes at a time, as the draws are labelled in
-``distributions``, with the block's negatives one lane mask, so each candidate
-costs one ``Term.table`` per block until it is dropped. On instances whose
-positives are evident, phase 1 recovers exact terms and phase 2 never removes
-a true one.
+Phase 2 (``prune_terms``) throws away every candidate that fires on a negative
+example of the second sample. It reads only that sample's ``cover``, its
+labelled support (at most 256 points when drawn by index, however many the
+draws, and drawn by the first block that draws them all), bit-sliced: a block
+of lanes at a time, as the draws are labelled in ``distributions``, with the
+block's negatives one lane mask, so each candidate costs one ``Term.table``
+per block until it is dropped. On instances whose positives are evident, phase
+1 recovers exact terms and phase 2 never removes a true one.
 """
 
 from __future__ import annotations

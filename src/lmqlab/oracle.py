@@ -15,17 +15,19 @@ a corpus oracle (one per parity class of a formula's evident points) pays for ea
 int in ``flip_labels`` form: around an anchor with q >= 1 every neighbour is 1-local, so no anchor is scanned, one
 ``flip_labels`` call answers them all, and the batch is stored whole. ``ask_flips_many(counts)`` asks many centres'
 flips at once, checking the whole map once, and is the one caller of ``ask_flips`` in the package: a map it cannot
-prove is the ``ask_flips`` loop. Its anchor flips come from n set intersections, none with one anchor, the centre, as
-no flip of it is at distance 0. ``ask(mask, times)`` is the reference and refusal path, which no benchmark workload
-reaches: ``query``, and a batch its centre cannot prove (q = 0, a centre that is not an anchor, a budget too small
-for the batch), ask each point through it. It answers each distinct query once and counts its repeats; a mask's
-first asking scans for the nearest anchor, whose distance is both the recorded one and a refusal's
-``min_distance``. Answers are kept in one record: ``entries()`` and ``log`` expand it on demand, each distinct mask
-once, by first asking, and ``stats()`` sums it into a histogram in ascending distance, inserting no zero count and
-sorting only a histogram of more than one distance.
+prove is the ``ask_flips`` loop. Its anchor flips come from n set intersections, none when every anchor has one
+popcount parity (one anchor, or a corpus class), as a flip changes parity and so is no anchor. ``ask(mask, times)``
+is the reference and refusal path, which no benchmark workload reaches: ``query``, and a batch its centre cannot
+prove (q = 0, a centre that is not an anchor, a budget too small for the batch), ask each point through it. It
+answers each distinct query once and counts its repeats; a mask's first asking scans for the nearest anchor, whose
+distance is both the recorded one and a refusal's ``min_distance``. Answers are kept in one record: ``entries()`` and
+``log`` expand it on demand, each distinct mask once, by first asking, and ``stats()`` sums it into a histogram in
+ascending distance, inserting no zero count and sorting only a histogram of more than one distance.
 
-``draw_training_set`` reads the generator once per sample: when a support point has no label, it labels the index
-draws' own masks and draws no more.
+``draw_training_set`` reads each generator word once per sample. A sample drawn by index stops drawing at the first
+block that has drawn every support point, and draws the rest on the first read of its labels or masks, so a sample
+read only through ``cover`` and ``len`` (s2 in a learning trial) never draws past its covering block. When a support
+point has no label, it draws the rest at once and labels the index draws' own masks.
 """
 
 from __future__ import annotations
@@ -227,8 +229,9 @@ class LocalMQOracle:
         budget is checked once and answered without a per-centre call: the
         flips of the new centres that are anchors come from n set
         intersections, one per coordinate (XOR with a fixed bit is injective,
-        so each hit names one centre). Any other batch is exactly the loop of
-        ``ask_flips``, with its partial record and its error at the same centre.
+        so each hit names one centre), or none if every anchor has one popcount
+        parity. Any other batch is exactly the loop of ``ask_flips``, with its
+        partial record and its error at the same centre.
         """
         n, anchors = self.n, self._anchors
         if not (
@@ -242,7 +245,9 @@ class LocalMQOracle:
         asked, label = self._asked, self.target.flip_labels
         new = [x for x in counts if ~x not in asked]
         near = dict.fromkeys(new, 0)
-        for i in range(n if len(anchors) > 1 else 0):  # one anchor: every centre is it, and no flip of it is one
+        # A flip changes popcount parity, so anchors of one parity (one anchor, a corpus class) hold no anchor flip.
+        parity = next(iter(anchors), 0).bit_count() & 1
+        for i in range(n if any(a.bit_count() & 1 != parity for a in anchors) else 0):
             bit = 1 << i
             for z in anchors.intersection([x ^ bit for x in new]):
                 near[z ^ bit] += 1
@@ -281,16 +286,19 @@ class LocalMQOracle:
 def draw_training_set(dist: Distribution, h_star: Concept, m: int, seed: int) -> LabeledSample:
     """m i.i.d. points labeled by the target concept, as ``sample`` draws and ``label`` labels them.
 
-    A distribution drawn by point index (``sample_indices``) has its support labelled once by ``label_masks``.
-    If a support point has no label (a ``PolyConcept`` off ±1, a table without the point), the indexed draws'
-    masks, which are ``sample``'s, are labelled instead, so an error names the first draw without one; a
-    distribution not drawn by index has ``sample``'s draws labelled. Either way the generator is read once.
+    A distribution drawn by point index (``sample_indices``) has its support labelled once by ``label_masks``; its
+    draws may stop at the first block that has drawn every point, the rest drawn on the first read of the labels or
+    masks. If a support point has no label (a ``PolyConcept`` off ±1, a table without the point), the rest is drawn
+    at once and the index draws' masks, which are ``sample``'s, are labelled instead, so an error names the first
+    draw without one; a distribution not drawn by index has ``sample``'s draws labelled. Either way each generator
+    word is read once.
     """
     require_dimension("concept", h_star.n, dist.n)
     if (indexed := sample_indices(dist, m, seed)) is not None:
+        points, idx, rest = indexed
         try:
-            return LabeledSample._by_index(dist.n, *indexed, label_masks(h_star, indexed[0]))
+            return LabeledSample._by_index(dist.n, m, *indexed, label_masks(h_star, points))
         except (ValueError, LookupError):
-            pass  # a support point has no label: the draws are labelled below
-    masks = tuple(sample(dist, m, seed) if indexed is None else map(indexed[0].__getitem__, indexed[1]))
+            idx += rest() if rest else b""  # a support point has no label: every draw is labelled below
+    masks = tuple(sample(dist, m, seed) if indexed is None else map(points.__getitem__, idx))
     return LabeledSample._drawn(dist.n, masks, label_masks(h_star, masks))

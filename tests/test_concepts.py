@@ -852,6 +852,40 @@ def test_draw_training_set_names_the_first_draw_off_pm1():
     assert min(firsts) < _DRAW_BLOCK <= max(firsts)
 
 
+def test_index_path_fallback_draws_the_rest_once_and_names_the_first_draw_off_pm1(monkeypatch):
+    # As above, with masses in 256ths, so the draws go by index: the first block draws every support point, so the
+    # draws stop there. Labelling the support fails, so the rest is drawn at once, each generator word read once to
+    # the state one pass leaves, and the error names the first draw off +-1, as label does.
+    c = PolyConcept(SparsePoly(9, {frozenset({1}): Fraction(1, 2), frozenset({2}): Fraction(1, 2)}))
+    off, rare = (0b100000000, 0b010000000), Fraction(1, 256)
+    half = Fraction(1, 2) - rare
+    dist = FiniteSupport(9, ((0, half), (0b110000000, half), *((x, rare) for x in off)))
+    m, indices, firsts = 3 * _DRAW_BLOCK + 7, FiniteSupport._indices, set()
+    reads = []
+
+    def recorded(self, rng, k):
+        drawn = indices(self, rng, k)
+        reads.append((k, rng.getstate()))
+        return drawn
+
+    for seed in range(8):
+        masks, one_pass = sample(dist, m, seed), random.Random(seed)
+        indices(dist, one_pass, m)
+        first = next(p for p, mask in enumerate(masks) if mask in off)
+        firsts.add(masks[first])
+        with pytest.raises(ValueError) as expected:
+            c.label(masks[first])
+        with monkeypatch.context() as patched:
+            patched.setattr(FiniteSupport, "_indices", recorded)
+            assert sample_indices(dist, m, seed)[2] is not None  # stopped at the first block
+            del reads[:]
+            with pytest.raises(ValueError) as raised:
+                draw_training_set(dist, c, m, seed)
+        assert str(raised.value) == str(expected.value)
+        assert [k for k, _ in reads] == [_DRAW_BLOCK, m - _DRAW_BLOCK] and reads[-1][1] == one_pass.getstate()
+    assert firsts == set(off)  # each off point is the first drawn at some seed
+
+
 class _TableConcept(MaskConcept):
     """Labels from a dict: a mask missing from it raises ``KeyError``."""
 

@@ -25,7 +25,7 @@ from lmqlab.concepts import (
 )
 from lmqlab import distributions, evident, harness, learner, oracle, reductions
 from lmqlab.cube import ENUMERATION_CAP, CubePoint, ReplicateMap, iter_bits
-from lmqlab.distributions import FiniteSupport, UniformCube, pushforward
+from lmqlab.distributions import _DRAW_BLOCK, FiniteSupport, UniformCube, label_masks, pushforward
 from lmqlab.formats import canonical_json
 from lmqlab.harness import (
     ExperimentConfig,
@@ -348,6 +348,44 @@ def test_learn_dense_trial_reads_only_the_cover_of_s2(monkeypatch):
     assert expected.terms_added > 0 and 0 in draws[1].cover[1]  # phase 2 has candidates and negatives to test
     zeroed = {"phase1_seconds": 0, "phase2_seconds": 0}
     assert (dataclasses.replace(run, **zeroed), *rest) == (dataclasses.replace(expected, **zeroed), loss, estimator)
+
+
+def _one_pass_state(dist, m, seed):
+    """The generator's state after one pass over m index draws."""
+    rng = random.Random(seed)
+    dist._indices(rng, m)
+    return rng.getstate()
+
+
+def test_learn_dense_trial_reads_one_block_of_s2_until_its_labels_are_read(monkeypatch):
+    # Trial 0 of learn-dense's doubled-tree suite draws every support point in the first block of s1 and of s2, so
+    # each stops there. Phase 1 reads s1's masks, which draws s1's rest; nothing in the trial reads s2's labels, so
+    # its generator gives one block of words. The first read of the labels draws the rest, once, to the state one
+    # pass over all 50,000 draws leaves.
+    trial_seed = derive_seed(42, "trial", 0)
+    s1_seed, s2_seed = derive_seed(trial_seed, "s1"), derive_seed(trial_seed, "s2")
+    target, dist = doubled_tree_family(4, 8)(derive_seed(trial_seed, "instance"))
+    states = [_one_pass_state(dist, m, seed) for m, seed in ((_DRAW_BLOCK, s2_seed), (5000, s1_seed), (50000, s2_seed))]
+    indices, reads, samples = FiniteSupport._indices, [], []
+
+    def recorded(self, rng, k):  # each call's draw count and the generator's state after it
+        drawn = indices(self, rng, k)
+        reads.append((k, rng.getstate()))
+        return drawn
+
+    def draw_and_keep(*args):
+        samples.append(oracle.draw_training_set(*args))
+        return samples[-1]
+
+    monkeypatch.setattr(FiniteSupport, "_indices", recorded)
+    monkeypatch.setattr(harness, "draw_training_set", draw_and_keep)
+    run_trial(target, dist, 5000, 50000, 1, trial_seed)
+    s1, s2 = samples
+    assert [k for k, _ in reads] == [_DRAW_BLOCK, _DRAW_BLOCK, 5000 - _DRAW_BLOCK]  # s1, s2, then s1's rest
+    assert [state for _, state in reads[1:]] == states[:2]
+    assert vars(s1).keys() == {"n", "masks", "labels", "cover"} and "labels" not in vars(s2) and len(s2) == 50000
+    assert s2.labels == label_masks(target, s2.masks)
+    assert [k for k, _ in reads[3:]] == [50000 - _DRAW_BLOCK] and reads[3][1] == states[2]
 
 
 def test_timings_never_enter_the_corpus_report():

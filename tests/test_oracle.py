@@ -11,7 +11,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 import lmqlab
 from cubes import cube_points
@@ -758,10 +758,10 @@ def test_from_masks_refuses_an_anchor_that_is_not_a_mask_in_range(bad):
 
 
 class NoIntersection(frozenset):
-    """An anchor set that fails the test if a one-anchor oracle intersects it."""
+    """An anchor set that fails the test if an oracle intersects it: anchors of one parity, one anchor among them."""
 
     def intersection(self, *others):
-        raise AssertionError("a one-anchor oracle intersected its anchors")
+        raise AssertionError("an oracle intersected anchors of one parity")
 
 
 def test_one_anchor_oracle_counts_its_flips_at_distance_one_without_intersecting():
@@ -777,6 +777,39 @@ def test_one_anchor_oracle_counts_its_flips_at_distance_one_without_intersecting
     o = LocalMQOracle.from_masks(TARGET, [7, 6], 1)
     assert o.ask_flips_many({7: 1}) == [TARGET.flip_labels(7)]
     assert list(o.stats().distance_histogram.items()) == [(0, 1), (1, 2)]
+
+
+@st.composite
+def parity_anchored_rounds(draw):
+    """Anchor masks all of one popcount parity (a corpus class), or of both, and rounds of centre -> times maps over
+    the anchors, so every batch is answered in one pass."""
+    n = draw(st.integers(1, 6))
+    by_parity = [[x for x in range(1 << n) if x.bit_count() & 1 == parity] for parity in (0, 1)]
+    mixed = draw(st.booleans())
+    if mixed:  # one anchor of each parity, then any others
+        anchors = {draw(st.sampled_from(points)) for points in by_parity}
+        anchors |= draw(st.sets(st.integers(0, (1 << n) - 1), max_size=1 << n))
+    else:
+        anchors = draw(st.sets(st.sampled_from(by_parity[draw(st.integers(0, 1))]), min_size=1, max_size=1 << n))
+    anchors = sorted(anchors)
+    centre = st.tuples(st.sampled_from(anchors), st.integers(1, 3))
+    rounds = [dict(draw(st.lists(centre, max_size=6, unique_by=lambda item: item[0])))
+              for _ in range(draw(st.integers(1, 3)))]
+    return random_dnf(n, 2, 3, random.Random(draw(st.integers(0, 1 << 30)))), anchors, mixed, rounds
+
+
+@settings(max_examples=120, deadline=None)
+@given(setting=parity_anchored_rounds())
+def test_ask_flips_many_intersects_only_anchors_of_both_parities(setting):
+    # A flip changes popcount parity, so anchors of one parity hold no anchor flip: the batch intersects nothing and
+    # still gives the ask_flips loop's answers, entries and statistics; anchors of both parities are intersected.
+    target, anchors, mixed, rounds = setting
+    many, loop = LocalMQOracle.from_masks(target, anchors, 1), LocalMQOracle.from_masks(target, anchors, 1)
+    if not mixed:
+        many._anchors = NoIntersection(many._anchors)
+    for counts in rounds:
+        assert many.ask_flips_many(counts) == [loop.ask_flips(x, times) for x, times in counts.items()]
+        assert _batch_state(many) == _batch_state(loop)
 
 
 @settings(max_examples=60, deadline=None)
@@ -878,7 +911,8 @@ def test_index_path_draws_and_labels_as_the_per_draw_reference(dist, m, seed):
     indexed = sample_indices(dist, m, seed)
     assert (indexed is not None) == small
     if small:
-        points, idx = indexed
+        points, idx, rest = indexed
+        idx += rest() if rest else b""
         drawn = draw_training_set(dist, target, m, seed).masks
         assert type(idx) is bytes and drawn == tuple(masks) == tuple(points[i] for i in idx)
     if small or isinstance(dist, FiniteSupport):
@@ -950,6 +984,107 @@ def test_index_path_sample_first_read_racing_in_threads_always_finds_the_masks()
     finally:
         sys.setswitchinterval(interval)
     assert found == [True] * 2400
+
+
+def test_index_path_sample_stopped_at_its_cover_first_read_racing_in_threads_always_finds_the_draws():
+    # As above, on a sample whose draws stopped at their covering block: two threads read the labels and two the masks
+    # at once, so each may be the one to draw the rest; every reader finds the one-pass draw's values.
+    dist, target, m = UniformCube(8), random_dnf(8, 3, 3, random.Random(0)), 3 * _DRAW_BLOCK + 1
+    want = draw_training_set(dist, target, m, 1)
+    want = {"masks": want.masks, "labels": want.labels}
+    found = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(400):
+            drawn, start = draw_training_set(dist, target, m, 1), threading.Barrier(4, timeout=10)
+            assert "labels" not in vars(drawn) and len(drawn._indexed[1]) == _DRAW_BLOCK
+
+            def read(name) -> None:
+                start.wait()
+                try:
+                    found.append(getattr(drawn, name) == want[name])
+                except AttributeError as exc:
+                    found.append(exc)
+
+            threads = [threading.Thread(target=read, args=(name,)) for name in ("labels", "masks") * 2]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(10)
+            assert not any(t.is_alive() for t in threads)
+            assert vars(drawn).keys() == {"n", "masks", "labels", "cover"}
+    finally:
+        sys.setswitchinterval(interval)
+    assert found == [True] * 1600
+
+
+# A support point of mass 2^-80 has no float step of random() between its neighbours' cumulative masses, so no draw
+# ever names it: the support keeps its top-byte table, and a sample of any size never covers it.
+_NEVER_COVERED = FiniteSupport(4, ((3, Fraction(1, 2) - Fraction(1, 2**80)), (9, Fraction(1, 2**80)),
+                                   (12, Fraction(1, 2))))
+_BLOCK_EDGES = [k * _DRAW_BLOCK + d for k in (1, 2, 3) for d in (-1, 0, 1)]
+
+
+def _one_pass(dist, target, m, seed):
+    """The sample as one pass draws it: every index read by one ``_indices`` call, then labelled and built."""
+    points, _, _ = sample_indices(dist, 0, seed)
+    eager = LabeledSample._by_index(dist.n, m, points, dist._indices(random.Random(seed), m), None,
+                                    label_masks(target, points))
+    assert type(eager.masks) is tuple and vars(eager).keys() == {"n", "masks", "labels", "cover"}
+    return eager
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dist=st.one_of(
+        INDEX_PATH_DISTS.filter(lambda dist: sample_indices(dist, 0, 0) is not None),
+        st.integers(1, 8).map(lambda n: doubled_tree_family(n, n)(0)[1]),  # learn-dense's supports
+        st.just(_NEVER_COVERED),
+    ),
+    m=st.sampled_from([*_BLOCK_EDGES, 50_000]) | st.integers(0, 40),
+    seed=st.integers(0, 2**32),
+)
+@example(dist=_NEVER_COVERED, m=50_000, seed=0)
+@example(dist=UniformCube(8), m=50_000, seed=0)
+def test_index_path_sample_stopped_at_its_cover_completes_as_the_one_pass_draw(dist, m, seed):
+    # Drawn by index, a sample stops at the first block that has drawn every support point and draws the rest on the
+    # first read of its labels or masks; before that, len, cover, ==, hash, repr and every copy are the one-pass
+    # sample's, and after it the instance holds exactly the one-pass sample's n, masks, labels and cover.
+    target = random_dnf(dist.n, 3, 3, random.Random(seed))
+    eager = _one_pass(dist, target, m, seed)
+    points, idx, rest = sample_indices(dist, m, seed)
+    every = dist._indices(random.Random(seed), m)
+    # The end of the first block by which every point is drawn, if draws remain after it.
+    stop = next((end for end in range(_DRAW_BLOCK, m, _DRAW_BLOCK) if len(set(every[:end])) == len(points)), None)
+    pending = stop is not None
+    event(f"pending: {pending}")
+    assert (rest is not None) == pending and idx == every[:stop or m]
+    assert rest is None or rest() == rest() == every[stop:]
+    if dist is _NEVER_COVERED:
+        assert not pending and 9 not in eager.cover[0] and len(idx) == m
+
+    def fresh() -> LabeledSample:
+        drawn = draw_training_set(dist, target, m, seed)
+        assert ("labels" in vars(drawn)) != pending and "masks" not in vars(drawn)
+        return drawn
+
+    drawn = fresh()
+    assert len(drawn) == m and drawn.cover == eager.cover
+    assert ("labels" in vars(drawn)) != pending and "masks" not in vars(drawn)  # len and cover draw nothing
+    assert fresh() == eager and eager == fresh() and hash(fresh()) == hash(eager) and repr(fresh()) == repr(eager)
+    for copy_of in (lambda s: pickle.loads(pickle.dumps(s)), copy.copy, copy.deepcopy):
+        original = fresh()
+        copied = copy_of(original)
+        assert len(copied) == m and copied.cover == eager.cover and vars(copied).keys() == vars(original).keys()
+        assert copied == eager and hash(copied) == hash(eager) and repr(copied) == repr(eager)
+        assert ("labels" in vars(original)) != pending  # completing a copy leaves the original as it was
+    assert dataclasses.replace(fresh()) == eager
+    for first in ("labels", "masks"):
+        drawn = fresh()
+        assert getattr(drawn, first) == getattr(eager, first)
+        if pending or first == "masks":
+            assert vars(drawn) == vars(eager)
 
 
 def test_drawn_sample_storage_lives_only_in_distributions():
