@@ -76,8 +76,7 @@ def flips_reveal_term(formula: DnfFormula, i: int, x: int) -> bool:
 def flip_table(table: int, n: int, j: int) -> int:
     """Bitset whose entry at x is the entry of the input at x with j flipped."""
     stride = 1 << (n - j)
-    full = (1 << (1 << n)) - 1
-    low = full ^ cube_columns(n)[n - j]
+    low = ~cube_columns(n)[n - j]
     return ((table >> stride) & low) | ((table & low) << stride)
 
 

@@ -3,7 +3,10 @@
 Phase 1 rebuilds one candidate term per distinct positive mask of the
 first sample by flipping each coordinate and asking the oracle:
 ``reconstruct_terms`` asks every positive's n flips in one ``ask_flips_many``
-call, counting each query once per occurrence. An answer of 1 means the
+call, counting each query once per occurrence; the oracle stores that call
+as one batch record and calls the target's ``flip_labels`` once per read
+pattern (``x & reads``) of the positives, at most 2^r times for a target
+reading r coordinates. An answer of 1 means the
 variable is absent from the term, an answer of 0 keeps the literal the
 example satisfies. The corpus audit (``harness.run_reconstruction_corpus``)
 calls ``reconstruct_terms`` too, once per parity class of a formula's evident

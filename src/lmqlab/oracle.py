@@ -11,18 +11,23 @@ own inline test has failed. Counts follow the same rule: ``_setup`` tests q and 
 and ``ask`` and ``ask_flips`` test times with the mask in one, so ``cube.require_count`` is called only to raise and
 a corpus oracle (one per parity class of a formula's evident points) pays for each check once.
 
-``ask_flips(mask, times)`` asks the n one-flip neighbours of a point as one batch and returns their answers as one
-int in ``flip_labels`` form: around an anchor with q >= 1 every neighbour is 1-local, so no anchor is scanned, one
-``flip_labels`` call answers them all, and the batch is stored whole. ``ask_flips_many(counts)`` asks many centres'
-flips at once, checking the whole map once, and is the one caller of ``ask_flips`` in the package: a map it cannot
-prove is the ``ask_flips`` loop. Its anchor flips come from n set intersections, none when every anchor has one
-popcount parity (one anchor, or a corpus class), as a flip changes parity and so is no anchor. ``ask(mask, times)``
-is the reference and refusal path, which no benchmark workload reaches: ``query``, and a batch its centre cannot
-prove (q = 0, a centre that is not an anchor, a budget too small for the batch), ask each point through it. It
-answers each distinct query once and counts its repeats; a mask's first asking scans for the nearest anchor, whose
-distance is both the recorded one and a refusal's ``min_distance``. Answers are kept in one record: ``entries()`` and
-``log`` expand it on demand, each distinct mask once, by first asking, and ``stats()`` sums it into a histogram in
-ascending distance, inserting no zero count and sorting only a histogram of more than one distance.
+``ask_flips_many(counts)`` asks many centres' n one-flip neighbours at once and returns each centre's answers as
+one int in ``flip_labels`` form. Around anchors with q >= 1 every neighbour is 1-local, so a map whose centres are
+all anchors and whose queries fit the budget is checked once, scans no anchor, and is stored as one batch record:
+its centres and their times, and the sum over its centres of times times the centre's flips that are anchors (at
+distance 0; the rest are at 1). Those come from n set intersections, none when every anchor has one popcount parity
+(one anchor, or a corpus class), as a flip changes parity and so is no anchor; the parity test is made once, by
+``_setup``. ``ask_flips(mask, times)`` is its one-centre case, and a centre asked again is simply in another record.
+The answers come from one memo per oracle, ``flip_labels`` keyed by ``x & target.reads``: a concept's label reads
+only ``reads`` (``label(m) == label(m & reads)``), so the flip answers of x and of ``x & reads`` are equal, and a
+trial over a target reading r coordinates evaluates at most 2^r centres. A map it cannot prove is the ``ask_flips``
+loop. ``ask(mask, times)`` is the reference and refusal path, which no benchmark workload reaches: ``query``, and a
+batch its centre cannot prove (q = 0, a centre that is not an anchor, a budget too small for the batch), ask each
+point through it. It answers each distinct query once and counts its repeats; a mask's first asking scans for the
+nearest anchor, whose distance is both the recorded one and a refusal's ``min_distance``. ``entries()`` and ``log``
+expand the queries and the batch records on demand, in order of asking, each distinct mask once, by first asking,
+and ``stats()`` sums them into a histogram in ascending distance, inserting no zero count and sorting only a
+histogram of more than one distance.
 
 ``draw_training_set`` reads each generator word once per sample. A sample drawn by index stops drawing at the first
 block that has drawn every support point, and draws the rest on the first read of its labels or masks, so a sample
@@ -33,7 +38,7 @@ point has no label, it draws the rest at once and labels the index draws' own ma
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from typing import Iterable, Mapping
 
 from .concepts import Concept
@@ -121,9 +126,15 @@ class LocalMQOracle:
             require_count(query_cap, 0, "query budget must be a non-negative integer")
         self.target, self.n, self.q, self.query_cap = target, target.n, q, query_cap
         self._anchors = anchors
-        # The one record, in order of first asking; stats() sums it. A query's mask keys [answer, distance,
-        # times]; a batch around an anchor keys ~centre (negative, never a mask) with [bits, times, anchor flips].
+        # A flip changes popcount parity, so anchors of one parity (one anchor, a corpus class) hold no anchor flip.
+        parity = next(iter(anchors), 0).bit_count() & 1
+        self._mixed = len(anchors) > 1 and any(a.bit_count() & 1 != parity for a in anchors)
+        # The record, in order of asking, which stats() sums: _asked keys each query's mask to [answer, distance,
+        # times]; _flips holds each proven flip batch as (queries asked before it, {centre: times}, its anchor
+        # flips weighted by times), the centres' answers in _memo, flip_labels keyed by centre & target.reads.
         self._asked: dict[int, list[int]] = {}
+        self._flips: list[tuple[int, dict[int, int], int]] = []
+        self._memo: dict[int, int] = {}
         self._count = 0
 
     @classmethod
@@ -149,19 +160,22 @@ class LocalMQOracle:
     def entries(self) -> list[tuple[int, int, int, int]]:
         """Each distinct query once, in order of first asking, as (mask, answer, distance, times).
 
-        Batches expand coordinate 1 first; a mask asked again adds its times to its first row.
+        The queries and the batch records are merged in order of asking. A batch expands centre by centre,
+        coordinate 1 first, each centre's answers read from the memo; a mask asked again, in any query or batch,
+        adds its times to its first row.
         """
         rows: dict[int, list[int]] = {}
-        anchors = self._anchors
-        for key, record in self._asked.items():
-            if key >= 0:
-                expanded = [(key, *record)]
-            else:
-                centre, bits, times = ~key, record[0], record[1]
-                flips = [(centre ^ 1 << i, bits >> i & 1) for i in range(self.n - 1, -1, -1)]
-                expanded = [(z, answer, 0 if z in anchors else 1, times) for z, answer in flips]
-            for mask, answer, distance, times in expanded:
+        n, anchors, memo, reads = self.n, self._anchors, self._memo, self.target.reads
+        queries, done = iter(self._asked.items()), 0
+        for at, counts, _ in [*self._flips, (len(self._asked), {}, 0)]:  # the last queries follow every batch
+            for mask, (answer, distance, times) in islice(queries, at - done):
                 rows.setdefault(mask, [answer, distance, 0])[2] += times
+            done = at
+            for x, times in counts.items():
+                bits = memo[x & reads]
+                for i in range(n - 1, -1, -1):
+                    z = x ^ 1 << i
+                    rows.setdefault(z, [bits >> i & 1, 0 if z in anchors else 1, 0])[2] += times
         return [(mask, *row) for mask, row in rows.items()]
 
     @property
@@ -204,83 +218,95 @@ class LocalMQOracle:
         Answers, entries, statistics and errors are those of ``ask`` on each
         neighbour in turn, coordinate 1 first. An anchor centre with q >= 1
         proves every neighbour 1-local (distance 0 if an anchor itself, else 1),
-        so a batch that fits the budget scans no anchor and is recorded as one batch.
+        so a batch that fits the budget scans no anchor: it is the one-centre
+        batch of ``ask_flips_many``, one record answered from the memo.
         """
-        n, anchors = self.n, self._anchors
+        n = self.n
         # ``ask``'s rule for the mask: True or 1.0 would pass as an anchor mask below
         if not (type(times) is int and times >= 1 and type(mask) is int and 0 <= mask < 1 << n):
             require_count(times, 1, "a query is asked a whole number of times, at least once")
             require_masks("query mask", (mask,), n)
-        if self.q < 1 or mask not in anchors or self._count + n * times > self.query_cap:
+        if self.q < 1 or mask not in self._anchors or self._count + n * times > self.query_cap:
             return sum(self.ask(mask ^ 1 << i, times) << i for i in range(n - 1, -1, -1))
-        batch = self._asked.get(~mask)
-        if batch is None:
-            near = len(anchors.intersection([mask ^ 1 << i for i in range(n)]))
-            batch = self._asked[~mask] = [self.target.flip_labels(mask), 0, near]
-        batch[1] += times
-        self._count += n * times
-        return batch[0]
+        return self._record({mask: times}, times)[0]
 
     def ask_flips_many(self, counts: Mapping[int, int]) -> list[int]:
         """``ask_flips(x, times)`` for each (x, times) of ``counts``, in order, as one batch.
 
         A batch whose masks are in range, whose times are at least 1, whose
         centres are all anchors (with q >= 1) and whose n * sum(times) fits the
-        budget is checked once and answered without a per-centre call: the
-        flips of the new centres that are anchors come from n set
-        intersections, one per coordinate (XOR with a fixed bit is injective,
-        so each hit names one centre), or none if every anchor has one popcount
-        parity. Any other batch is exactly the loop of ``ask_flips``, with its
-        partial record and its error at the same centre.
+        budget is checked once and stored as one record (``_record``). Any
+        other batch is exactly the loop of ``ask_flips``, with its partial
+        record and its error at the same centre.
         """
-        n, anchors = self.n, self._anchors
+        n = self.n
         if not (
             self.q >= 1
             and first_bad_int(counts.keys(), 0, (1 << n) - 1) is None
             and first_bad_int(counts.values(), 1, self.query_cap) is None
-            and anchors.issuperset(counts)
-            and self._count + n * sum(counts.values()) <= self.query_cap
+            and self._anchors.issuperset(counts)
+            and self._count + n * (total := sum(counts.values())) <= self.query_cap
         ):
             return [self.ask_flips(x, times) for x, times in counts.items()]
-        asked, label = self._asked, self.target.flip_labels
-        new = [x for x in counts if ~x not in asked]
-        near = dict.fromkeys(new, 0)
-        # A flip changes popcount parity, so anchors of one parity (one anchor, a corpus class) hold no anchor flip.
-        parity = next(iter(anchors), 0).bit_count() & 1
-        for i in range(n if any(a.bit_count() & 1 != parity for a in anchors) else 0):
-            bit = 1 << i
-            for z in anchors.intersection([x ^ bit for x in new]):
-                near[z ^ bit] += 1
-        answers = []
-        for x, times in counts.items():  # counted as recorded: a target that raises stops here as the loop would
-            batch = asked.get(~x)
-            if batch is None:
-                batch = asked[~x] = [label(x), 0, near[x]]
-            batch[1] += times
-            self._count += n * times
-            answers.append(batch[0])
+        return self._record(dict(counts), total)
+
+    def _record(self, counts: dict[int, int], total: int) -> list[int]:
+        """Record a proven batch of centre -> times, with ``total`` its sum, and return the centres' answers.
+
+        Each answer is ``flip_labels`` memoised by ``x & target.reads``: ``label(m) == label(m & reads)`` makes
+        the flip answers of x and of ``x & reads`` equal, so a centre is evaluated only if no centre with its
+        read pattern was. The centres' flips that are anchors (at distance 0) are ``_anchor_flips``, none if
+        every anchor has one popcount parity. A target that raises at centre k leaves centres 0..k-1 recorded
+        and counted, as asking the centres one by one would, and its error propagates.
+        """
+        memo, label, reads = self._memo, self.target.flip_labels, self.target.reads
+        answers: list[int] = []
+        try:
+            for x in counts:
+                bits = memo.get(x & reads)
+                if bits is None:
+                    bits = memo[x & reads] = label(x)
+                answers.append(bits)
+        except BaseException:  # the target raised at the centre after the answered ones
+            counts = dict(islice(counts.items(), len(answers)))
+            total = sum(counts.values())
+            raise
+        finally:
+            if counts:  # a raise at the first centre records nothing
+                near = _anchor_flips(self._anchors, counts, self.n) if self._mixed else 0
+                self._flips.append((len(self._asked), counts, near))
+                self._count += self.n * total
         return answers
 
     def stats(self) -> OracleStats:
         """Counts so far, summed from the record in one pass: a new histogram in ascending distance, no zero counts.
 
-        The batches add up to two sums, added after the pass. A zero count is never inserted, and only a histogram
-        of more than one distance is sorted, so a corpus oracle, whose queries are all at distance 1, pays for
-        neither."""
+        The batch records add up to two sums, added after the pass: their flips, n times their times, and their
+        anchor flips, at distance 0, the rest at 1. A zero count is never inserted, and only a histogram of more
+        than one distance is sorted, so a corpus oracle, whose queries are all at distance 1, pays for neither."""
         histogram: dict[int, int] = {}
-        times = near = 0  # summed over the batches, [bits, times, anchor flips]: anchor flips at 0, the rest at 1
-        for key, (_, middle, last) in self._asked.items():
-            if key >= 0:  # a query: [answer, distance, times]
-                histogram[middle] = histogram.get(middle, 0) + last
-            else:
-                times, near = times + middle, near + last * middle
+        for _, distance, times in self._asked.values():
+            histogram[distance] = histogram.get(distance, 0) + times
+        flips = near = 0
+        for _, counts, anchor_flips in self._flips:
+            flips, near = flips + sum(counts.values()), near + anchor_flips
+        flips *= self.n
         if near:
             histogram[0] = histogram.get(0, 0) + near
-        if self.n * times > near:
-            histogram[1] = histogram.get(1, 0) + self.n * times - near
+        if flips > near:
+            histogram[1] = histogram.get(1, 0) + flips - near
         if len(histogram) > 1:
             histogram = dict(sorted(histogram.items()))
         return OracleStats(self._count, max(histogram, default=0), histogram)
+
+
+def _anchor_flips(anchors: frozenset[int], counts: dict[int, int], n: int) -> int:
+    """The sum over the centres of ``counts`` of times times the centre's one-flip neighbours in ``anchors``.
+
+    One set intersection per coordinate; XOR with a fixed bit is injective, so each hit names one centre.
+    """
+    bits = [1 << i for i in range(n)]
+    return sum(counts[z ^ bit] for bit in bits for z in anchors.intersection([x ^ bit for x in counts]))
 
 
 def draw_training_set(dist: Distribution, h_star: Concept, m: int, seed: int) -> LabeledSample:

@@ -680,6 +680,21 @@ def test_dnf_reads_only_its_terms_variables(n, d, width, empty_term, seed):
         assert f.label(mask) == f.label(mask | ~f.reads & (1 << n) - 1)
 
 
+@pytest.mark.parametrize(
+    "kind", ["dnf", "tree", "dfa", "junta", "poly", "ptf", "composed", "synthesized-A", "synthesized-B"]
+)
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32))
+def test_flip_labels_depend_only_on_the_read_coordinates(kind, seed):
+    # The oracle memoises flip answers by mask & reads: a mask's flips, its read pattern's and that pattern with
+    # every unread coordinate set are answered alike.
+    rng = random.Random(seed)
+    c, _ = _instance(kind, rng)
+    unread = ~c.reads & (1 << c.n) - 1
+    for mask in [0, (1 << c.n) - 1] + [rng.getrandbits(c.n) for _ in range(16)]:
+        assert c.flip_labels(mask) == c.flip_labels(mask & c.reads) == c.flip_labels(mask | unread)
+
+
 def _flips_one_by_one(c, mask):
     return [c.label(mask ^ 1 << i) for i in range(c.n)]
 

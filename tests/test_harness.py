@@ -41,6 +41,7 @@ from lmqlab.harness import (
 )
 from lmqlab.oracle import LocalMQOracle
 from lmqlab.reductions import make_reduction
+from test_oracle import ReadPatternTarget
 
 
 def small_config(**overrides):
@@ -386,6 +387,44 @@ def test_learn_dense_trial_reads_one_block_of_s2_until_its_labels_are_read(monke
     assert vars(s1).keys() == {"n", "masks", "labels", "cover"} and "labels" not in vars(s2) and len(s2) == 50000
     assert s2.labels == label_masks(target, s2.masks)
     assert [k for k, _ in reads[3:]] == [50000 - _DRAW_BLOCK] and reads[3][1] == states[2]
+
+
+def test_wide_trial_phase_one_records_every_positive_once_and_evaluates_each_read_pattern_once(monkeypatch):
+    # Trial 0 of the wide suite (n 24-32, m1 = 5000): thousands of distinct positives, a target reading a few
+    # coordinates. Phase 1 is one batch record of every positive with its count, and flip_labels runs once per read
+    # pattern among them, so at most 2^r times for r read coordinates.
+    trial_seed = derive_seed(42, "trial", 0)
+    target, dist = opposite_literal_family(24, 32)(derive_seed(trial_seed, "instance"))
+    runs = []
+
+    def counted(s1, s2, oracle):
+        oracle.target = ReadPatternTarget(oracle.target)
+        runs.append((s1, oracle))
+        return learner.learn_evident_dnf_run(s1, s2, oracle)
+
+    monkeypatch.setattr(harness, "learn_evident_dnf_run", counted)
+    run_trial(target, dist, 5000, 20000, 1, trial_seed)
+    (s1, oracle), = runs
+    positives = Counter(m for m, y in zip(s1.masks, s1.labels) if y)
+    assert len(positives) > 1000 and [counts for _, counts, _ in oracle._flips] == [positives]
+    assert oracle.target.calls == len({x & target.reads for x in positives}) <= 1 << target.reads.bit_count()
+    assert oracle.stats().query_count == target.n * sum(positives.values())
+
+
+def test_acceptance_corpus_holds_one_batch_record_per_parity_class_oracle(monkeypatch):
+    reconstruct, oracles = harness.reconstruct_evident, []
+
+    def kept(formula, masks):
+        terms, made = reconstruct(formula, masks)
+        oracles.extend(made)
+        return terms, made
+
+    monkeypatch.setattr(harness, "reconstruct_evident", kept)
+    run_reconstruction_corpus(1000, 20260811)
+    assert len(oracles) > 1000
+    for o in oracles:
+        (at, counts, near), = o._flips
+        assert (at, near, o._asked) == (0, 0, {}) and set(counts.values()) == {1}
 
 
 def test_timings_never_enter_the_corpus_report():

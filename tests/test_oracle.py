@@ -17,7 +17,7 @@ import lmqlab
 from cubes import cube_points
 from lmqlab import oracle
 from lmqlab.concepts import DnfFormula, MaskConcept, Term, random_dnf
-from lmqlab.cube import CubePoint, DimensionMismatch, ReplicateMap, ball_size
+from lmqlab.cube import CubePoint, DimensionMismatch, ReplicateMap, ball_size, require_count, require_masks
 from lmqlab.distributions import (
     _DRAW_BLOCK,
     FiniteSupport,
@@ -410,27 +410,45 @@ def test_ask_flips_matches_sequential_asks(dense, data):
     assert _state(batched) == _state(sequential)
 
 
-def _batch_state(oracle):
+def _flips_by_ask(oracle, anchors, x, times, proven=None):
+    """``ask_flips(x, times)`` through ``ask`` alone, coordinate 1 first. A centre the batch path proves (q >= 1, an
+    anchor, its n * times within the budget) has its read pattern added to ``proven``, if given, and every flip labelled before
+    any is recorded, as the batch path evaluates it whole: a target raising there records none of its flips."""
+    n = oracle.n
+    # ask_flips' rule for its arguments: True or 1.0 would pass as an anchor mask below
+    if not (type(times) is int and times >= 1 and type(x) is int and 0 <= x < 1 << n):
+        require_count(times, 1, "a query is asked a whole number of times, at least once")
+        require_masks("query mask", (x,), n)
+    if oracle.q >= 1 and x in anchors and oracle.stats().query_count + n * times <= oracle.query_cap:
+        if proven is not None:
+            proven.add(x & oracle.target.reads)
+        for i in range(n):
+            oracle.target.label(x ^ 1 << i)
+    return sum(oracle.ask(x ^ 1 << i, times) << i for i in range(n - 1, -1, -1))
+
+
+def _recorded(oracle):
     stats = oracle.stats()
-    return oracle.entries(), stats, list(stats.distance_histogram.items()), stats.query_count
+    return oracle.entries(), oracle.log, stats, list(stats.distance_histogram.items()), oracle._count
 
 
 def _assert_many_is_the_loop(target, anchors, q, cap, rounds):
-    """``ask_flips_many`` on one oracle against the ``ask_flips`` loop on its twin, round by round: the same
+    """``ask_flips_many`` on one oracle against the per-flip ``ask`` loop on its twin, round by round: the same
     answers and state, or the same error with the same state recorded up to it."""
     many = LocalMQOracle(target, anchors, q, query_cap=cap)
     loop = LocalMQOracle(target, anchors, q, query_cap=cap)
+    masks = {a.mask for a in anchors}
     for counts in rounds:
         try:
-            expected = [loop.ask_flips(x, times) for x, times in counts.items()]
+            expected = [_flips_by_ask(loop, masks, x, times) for x, times in counts.items()]
         except (BudgetExhausted, LocalityViolation, ValueError) as err:
             with pytest.raises(type(err)) as raised:
                 many.ask_flips_many(counts)
             assert raised.type is type(err) and str(raised.value) == str(err)
-            assert _batch_state(many) == _batch_state(loop)
+            assert _recorded(many) == _recorded(loop)
             return
         assert many.ask_flips_many(counts) == expected
-        assert _batch_state(many) == _batch_state(loop)
+        assert _recorded(many) == _recorded(loop)
 
 
 @st.composite
@@ -740,7 +758,7 @@ def test_from_masks_is_the_constructor_on_cube_points(setting):
     assert by_masks.query_cap == by_points.query_cap
     for name, *args in calls:
         assert _outcome(lambda: getattr(by_masks, name)(*args)) == _outcome(lambda: getattr(by_points, name)(*args))
-        assert _batch_state(by_masks) == _batch_state(by_points)
+        assert _recorded(by_masks) == _recorded(by_points)
 
 
 def test_from_masks_default_cap_counts_every_anchor_given():
@@ -765,7 +783,7 @@ class NoIntersection(frozenset):
 
 
 def test_one_anchor_oracle_counts_its_flips_at_distance_one_without_intersecting():
-    # ask_flips_many's shortcut, which a corpus parity class of one evident point takes; ask_flips has none.
+    # The one-parity shortcut, which a corpus parity class of one evident point takes.
     o = LocalMQOracle.from_masks(TARGET, [7], 1)
     o._anchors = NoIntersection(o._anchors)
     assert o.ask_flips_many({7: 1}) == [TARGET.flip_labels(7)]
@@ -777,6 +795,10 @@ def test_one_anchor_oracle_counts_its_flips_at_distance_one_without_intersecting
     o = LocalMQOracle.from_masks(TARGET, [7, 6], 1)
     assert o.ask_flips_many({7: 1}) == [TARGET.flip_labels(7)]
     assert list(o.stats().distance_histogram.items()) == [(0, 1), (1, 2)]
+    # ask_flips is the one-centre batch, so it takes the shortcut too.
+    o = LocalMQOracle.from_masks(TARGET, [7], 1)
+    o._anchors = NoIntersection(o._anchors)
+    assert o.ask_flips(7, 2) == TARGET.flip_labels(7) and o.stats() == OracleStats(6, 1, {1: 6})
 
 
 @st.composite
@@ -802,14 +824,128 @@ def parity_anchored_rounds(draw):
 @given(setting=parity_anchored_rounds())
 def test_ask_flips_many_intersects_only_anchors_of_both_parities(setting):
     # A flip changes popcount parity, so anchors of one parity hold no anchor flip: the batch intersects nothing and
-    # still gives the ask_flips loop's answers, entries and statistics; anchors of both parities are intersected.
+    # still gives the per-flip ask loop's answers, entries and statistics; anchors of both parities are intersected.
     target, anchors, mixed, rounds = setting
     many, loop = LocalMQOracle.from_masks(target, anchors, 1), LocalMQOracle.from_masks(target, anchors, 1)
     if not mixed:
         many._anchors = NoIntersection(many._anchors)
     for counts in rounds:
-        assert many.ask_flips_many(counts) == [loop.ask_flips(x, times) for x, times in counts.items()]
-        assert _batch_state(many) == _batch_state(loop)
+        assert many.ask_flips_many(counts) == [_flips_by_ask(loop, set(anchors), x, t) for x, t in counts.items()]
+        assert _recorded(many) == _recorded(loop)
+
+
+class ReadPatternTarget(MaskConcept):
+    """``concept``'s labels and ``reads``, counting ``flip_labels`` calls (the n-``label`` default). ``label`` raises on
+    the read pattern of ``bad``, so ``label(m) == label(m & reads)`` holds for its errors too."""
+
+    reads = 0  # shadows ``MaskConcept.reads``; each instance sets its own
+
+    def __init__(self, concept, bad=None):
+        self.n, self.reads, self.concept, self.bad, self.calls = concept.n, concept.reads, concept, bad, 0
+
+    def label(self, mask):
+        if self.bad is not None and (mask ^ self.bad) & self.reads == 0:
+            raise ValueError(f"no label at read pattern {mask & self.reads}")
+        return self.concept.label(mask)
+
+    def flip_labels(self, mask):
+        self.calls += 1
+        return super().flip_labels(mask)
+
+
+@st.composite
+def recorded_rounds(draw):
+    """Anchors of one popcount parity or of both over a random DNF at n <= 10, whose reads often leave coordinates
+    out, and rounds over a small pool of centres, so centres are asked again across calls and share read patterns.
+    A round is a centre -> times map, mostly anchors, or one ``ask``; the cap is the default, exactly n times the
+    rounds' times, or one below; the target may raise on one read pattern."""
+    n = draw(st.integers(1, 10))
+    cube = st.integers(0, (1 << n) - 1)
+    by_parity = [[x for x in range(1 << n) if x.bit_count() & 1 == parity] for parity in (0, 1)]
+    if draw(st.booleans()):
+        anchors = {draw(st.sampled_from(points)) for points in by_parity} | draw(st.sets(cube, max_size=12))
+    else:
+        anchors = draw(st.sets(st.sampled_from(by_parity[draw(st.integers(0, 1))]), min_size=1, max_size=12))
+    anchors = sorted(anchors)
+    pool = draw(st.lists(st.sampled_from(anchors) | cube, min_size=1, max_size=5))
+    rounds = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.integers(0, 4)) == 0:
+            rounds.append(draw(cube))
+        else:
+            rounds.append(dict(draw(st.lists(st.tuples(st.sampled_from(pool), st.integers(1, 3)), max_size=5))))
+    total = sum(sum(counts.values()) for counts in rounds if isinstance(counts, dict))
+    total += sum(1 for counts in rounds if isinstance(counts, int))
+    cap = draw(st.sampled_from((None, n * total, max(0, n * total - 1))))
+    rng = random.Random(draw(st.integers(0, 1 << 30)))
+    target = random_dnf(n, draw(st.integers(0, 3)), draw(st.integers(1, 3)), rng)
+    return target, anchors, draw(st.sampled_from((0, 1, 1, 2))), cap, rounds, draw(st.none() | cube)
+
+
+@settings(max_examples=200, deadline=None)
+@given(setting=recorded_rounds())
+# Centres 1000 and 1011 share the read pattern 1000, so only 1000 is evaluated; 0001 is an anchor flip of 0000.
+@example(setting=(DnfFormula(4, (Term.of(1),)), [0b0000, 0b0001, 0b1000, 0b1011], 1, None,
+                  [{0b1000: 2, 0b0000: 1}, 0b1001, {0b1011: 1, 0b1000: 1}], None))
+@example(setting=(DnfFormula(4, (Term.of(1),)), [0b0000, 0b1000, 0b1011], 1, 11,  # 1 below 4 * 3: round 2 is short
+                  [{0b1000: 1, 0b0000: 1}, {0b1011: 1}], None))
+@example(setting=(DnfFormula(4, (Term.of(1, -4),)), [0b0001, 0b1000, 0b1011], 1, None,  # raises at centre 1
+                  [{0b0001: 1, 0b1011: 2, 0b1000: 1}], 0b1000))
+def test_batch_record_is_the_per_flip_ask_reference(setting):
+    # Each round on a batch-recording oracle and, through ask alone, on its twin: the same answers, entries, log,
+    # statistics and count, or the same error with the same record up to it. flip_labels runs once per read pattern
+    # of the centres the batch path proves, however often they are asked.
+    concept, anchors, q, cap, rounds, bad = setting
+    many = LocalMQOracle(ReadPatternTarget(concept, bad), [CubePoint(concept.n, m) for m in anchors], q, cap)
+    ref = LocalMQOracle(ReadPatternTarget(concept, bad), [CubePoint(concept.n, m) for m in anchors], q, cap)
+    proven, anchor_set = set(), set(anchors)
+    for counts in rounds:
+        ask = isinstance(counts, int)
+        try:
+            if ask:
+                expected = ref.ask(counts)
+            else:
+                expected = [_flips_by_ask(ref, anchor_set, x, times, proven) for x, times in counts.items()]
+        except (BudgetExhausted, LocalityViolation, ValueError) as err:
+            with pytest.raises(type(err)) as raised:
+                many.ask(counts) if ask else many.ask_flips_many(counts)
+            assert str(raised.value) == str(err)
+            assert _recorded(many) == _recorded(ref)
+            return
+        assert (many.ask(counts) if ask else many.ask_flips_many(counts)) == expected
+        assert _recorded(many) == _recorded(ref)
+    assert many.target.calls == len(proven)
+
+
+def test_a_batch_raising_at_its_first_centre_records_nothing():
+    # Every flip of every centre here labels a mask reading x1 = 1, where the target raises; the anchors have both
+    # parities, so a record would also be intersected.
+    target = ReadPatternTarget(DnfFormula(4, (Term.of(1),)), bad=0b1000)
+    o = LocalMQOracle.from_masks(target, [0b1000, 0b0000], 1)
+    with pytest.raises(ValueError, match="no label at read pattern 8"):
+        o.ask_flips_many({0b1000: 1, 0b0000: 2})
+    with pytest.raises(ValueError, match="no label at read pattern 8"):
+        o.ask_flips(0b0000, 1)
+    assert o._flips == [] and o._count == 0 and o.entries() == [] and o.stats() == OracleStats(0, 0, {})
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.integers(1, 70))
+def test_batch_counts_anchor_flips_as_the_per_flip_ask_reference_at_any_width(data, n):
+    # A batch's anchor flips come from one set intersection per coordinate, at any n, past 64 bits included.
+    # Anchors of both parities: the centres, some of their flips and other points.
+    cube = st.integers(0, (1 << n) - 1)
+    counts = data.draw(st.dictionaries(cube, st.integers(1, 3), min_size=1, max_size=8))
+    flips = [x ^ 1 << i for x in counts for i in range(n)]
+    anchors = {*counts, *data.draw(st.lists(st.sampled_from(flips), max_size=12))}
+    anchors |= data.draw(st.sets(cube, max_size=6))
+    target = random_dnf(n, 2, 3, random.Random(data.draw(st.integers(0, 1 << 30))))
+    many, ref = LocalMQOracle.from_masks(target, anchors, 1), LocalMQOracle.from_masks(target, anchors, 1)
+    expected = [_flips_by_ask(ref, anchors, x, times) for x, times in counts.items()]
+    assert many.ask_flips_many(counts) == expected
+    assert _recorded(many) == _recorded(ref)
+    near = sum(times * sum(x ^ 1 << i in anchors for i in range(n)) for x, times in counts.items())
+    assert many.stats().distance_histogram.get(0, 0) == near
 
 
 @settings(max_examples=60, deadline=None)
