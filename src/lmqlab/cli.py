@@ -3,9 +3,9 @@
 ``learn`` runs one ``harness.run_trial`` and prints the fields its ``TrialReport`` shares with a suite trial, plus
 its inputs, so ``learn --seed T`` replays suite trial T; it refuses ``--auto-plan`` with ``--m1`` or ``--m2`` first,
 and ``harness.require_trial_inputs`` refuses a negative size, ``--q`` or seed and sizes over the desk-scale cap
-before any draw (``--auto-plan`` calls it first, to point at ``--m1`` and ``--m2``); ``verify-reduction`` refuses a
-negative seed by the same rule. ``suite`` builds every config ``--family`` selects, each through the same gate, and
-checks ``--corpus-count`` before any suite runs, whatever ``--which`` selects, then prints each ``to_dict()``.
+before any draw (``--auto-plan`` calls it first, to point at ``--m1`` and ``--m2``); ``verify-reduction`` and
+``suite`` refuse a negative seed by the same rule. ``suite`` builds every config ``--family`` selects, each through
+that gate, then checks ``--corpus-count`` and ``--seed`` before any suite runs, whatever ``--which`` selects.
 """
 
 from __future__ import annotations
@@ -53,8 +53,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(payload: dict | list, out: str | None) -> None:
-    lines = payload if isinstance(payload, list) else [payload]
-    text = "\n".join(map(canonical_json, lines)) + "\n"
+    text = "\n".join(map(canonical_json, payload if isinstance(payload, list) else [payload])) + "\n"
     if out:
         Path(out).write_text(text)
     else:
@@ -126,6 +125,7 @@ def _cmd_suite(args: argparse.Namespace) -> list:
         if args.family in (flag, "both")
     ]
     require_count(args.corpus_count, 1, "formula count must be at least 1")  # run_reconstruction_corpus's rule
+    require_count(args.seed, 0, SEED_RULE)
     suites = [("learning", partial(run_learning_suite, cfg)) for cfg in configs] + [
         ("corpus", partial(run_reconstruction_corpus, args.corpus_count, args.seed)),
         ("reductions", partial(run_reduction_suite, args.seed)),

@@ -13,8 +13,9 @@ which compute each block per call, so a map holds only n and k);
 A point list can also be held bit-sliced, as columns: column i is the bitset
 of the list positions whose point has mask bit i set (``cube_columns``,
 ``ball_columns``), so one bitset operation acts on every point at once. Drawn
-masks are held as lanes (``lane_columns``, read back by ``lane_bits``): point p
-owns lane p of one packed integer; a column holds its bit at the lane's lowest.
+masks are held as lanes, by ``lane_columns`` alone and read back by ``lane_bits``:
+point p owns lane p of one packed integer; a column holds its bit at the lane's
+lowest. Labels, Monte Carlo loss and learner phase 2 all read that one layout.
 
 Every int the package takes obeys ``is_int`` (the type int itself, never a bool or a float, in a range), a whole
 tuple at once ``first_bad_int``, and every exact rational ``exact_rational``. The one order rule,
@@ -26,7 +27,8 @@ before what it bounds is built; ``require_enumerable`` is its ``ENUMERATION_CAP`
 Every value used on a cube must fit it, by one of three rules, each raising ``DimensionMismatch`` in one message
 shape: ``require_dimension`` (a point, sample, anchor, map or concept of another dimension), ``require_masks``
 (a mask that is not an int in 0..2^n - 1) and ``require_variables`` (a variable index outside 1..n). No other module
-builds a ``DimensionMismatch``; a hot path keeps its own inline test and calls the rule only to raise.
+builds a ``DimensionMismatch``. Every caller calls its rule directly, except three hot paths that keep an inline
+test and call the rule only to raise: ``CubePoint``, ``Term.from_masks`` and ``DnfFormula.satisfied_indices``.
 """
 
 from __future__ import annotations
@@ -247,19 +249,16 @@ def count_above(columns: Sequence[int], t: int) -> int:
 
 def lane_columns(masks: Sequence[int], n: int, reads: int) -> tuple[list[int], int, int]:
     """(columns, full, width): mask p in lane p of ``width`` bytes (the least power of two >= n/8) of one
-    little-endian int; ``full`` holds each lane's lowest bit, column i (if i is in ``reads``, else 0) its bit i."""
+    little-endian int; ``full`` holds each lane's lowest bit, column i (if i is in ``reads``, else 0) each lane's
+    bit i at its lowest. The one owner of the lane layout: ``label_masks``, ``mc_loss`` and phase 2 call it."""
     width = 1 << max(0, (n - 1).bit_length() - 3)
     if width <= 8:
         packed = struct.pack(f"<{len(masks)}{'BHIQ'[width.bit_length() - 1]}", *masks)
     else:
         packed = b"".join(mask.to_bytes(width, "little") for mask in masks)
     full = int.from_bytes((1).to_bytes(width, "little") * len(masks), "little")
-    return lane_split(int.from_bytes(packed, "little"), full, n, reads), full, width
-
-
-def lane_split(bits: int, full: int, n: int, reads: int) -> list[int]:
-    """The columns of packed lanes: column i (if i is in ``reads``, else 0) holds each lane's bit i at its lowest."""
-    return [bits >> i & full if reads >> i & 1 else 0 for i in range(n)]
+    bits = int.from_bytes(packed, "little")
+    return [bits >> i & full if reads >> i & 1 else 0 for i in range(n)], full, width
 
 
 def lane_bits(bitset: int, count: int, width: int) -> bytes:

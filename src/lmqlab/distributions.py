@@ -31,8 +31,8 @@ the draws of a ``UniformCube`` to n = 8, or of a ``FiniteSupport`` with a
 top-byte table, as point indices, a block at a time until every point is
 drawn, which ``LabeledSample._by_index`` labels by one ``translate``. Each
 generator word is read once, whether the draws stop or not. ``label_masks``
-and ``mc_loss`` label masks a block at a time as lanes (``cube``), ``mc_loss``
-a ``UniformCube`` block from ``_lanes``. ``mc_loss`` draws only when it must:
+and ``mc_loss`` label masks a block at a time as lanes, each block one
+``cube.lane_columns`` call on its masks. ``mc_loss`` draws only when it must:
 two concepts whose ``cube.restrict`` tables over the coordinates they read are
 equal, computed when the table has at most m points, agree at every draw, so
 their loss is 0 with no generator built.
@@ -58,7 +58,6 @@ from .cube import (
     first_bad_int,
     lane_bits,
     lane_columns,
-    lane_split,
     require_count,
     require_dimension,
     require_enumerable,
@@ -108,7 +107,7 @@ class UniformCube(_Supported):
     def _lanes(self, rng: random.Random, m: int) -> Iterator[tuple[int, int]]:
         """(k, lanes) for the next m draws (n <= 32), ``_DRAW_BLOCK`` at a time: k draws as one int of 4-byte
         little-endian lanes, draw p in lane p: the top n bits of the generator's p-th word, ``getrandbits(n)``."""
-        keep = _lane_ones(self.n, min(m, _DRAW_BLOCK))
+        keep = int.from_bytes(((1 << self.n) - 1).to_bytes(4, "little") * min(m, _DRAW_BLOCK), "little")
         for start in range(0, m, _DRAW_BLOCK):
             k = min(_DRAW_BLOCK, m - start)
             yield k, rng.getrandbits(32 * k) >> 32 - self.n & keep
@@ -141,11 +140,6 @@ class ProductDist(_Supported):
                 mask = (mask << 1) | (draw() < cut)
             out.append(mask)
         return out
-
-
-def _lane_ones(bits: int, lanes: int) -> int:
-    """``bits`` low ones in each of ``lanes`` 4-byte little-endian lanes."""
-    return int.from_bytes(((1 << bits) - 1).to_bytes(4, "little") * lanes, "little")
 
 
 @dataclass(frozen=True)
@@ -395,24 +389,10 @@ def exact_loss(dist: Distribution, h_star: Concept, h_hat: Concept) -> Fraction:
     return Fraction(sum(compress(weights, differ)), denominator)
 
 
-def _lane_blocks(dist: Distribution, rng: random.Random, m: int, reads: int) -> Iterator[tuple[list[int], int]]:
-    """(columns, full) of the next m draws, ``_DRAW_BLOCK`` at a time: a ``UniformCube`` to n = 32 split straight
-    from its packed ``_lanes`` (``full`` built once), any other through ``lane_columns`` of ``draws``."""
-    n = dist.n
-    if isinstance(dist, UniformCube) and n <= 32:
-        ones = _lane_ones(1, min(m, _DRAW_BLOCK))
-        for k, lanes in dist._lanes(rng, m):
-            full = ones & (1 << 32 * k) - 1  # the last block may be short
-            yield lane_split(lanes, full, n, reads), full
-        return
-    for start in range(0, m, _DRAW_BLOCK):
-        columns, full, _ = lane_columns(dist.draws(rng, min(_DRAW_BLOCK, m - start)), n, reads)
-        yield columns, full
-
-
 def mc_loss(dist: Distribution, h_star: Concept, h_hat: Concept, m: int, seed: int) -> Fraction:
-    """Empirical disagreement frequency over the m draws ``sample(dist, m, seed)`` gives, labelled by
-    ``label_columns`` a block of lanes (``_lane_blocks``) at a time over the columns either concept ``reads``.
+    """Empirical disagreement frequency over the m draws ``sample(dist, m, seed)`` gives: each ``_DRAW_BLOCK`` of
+    ``draws`` is one ``lane_columns`` call over the coordinates either concept ``reads``, labelled by ``h_star``'s
+    ``label_columns``, then ``h_hat``'s, so a block's first error is h_star's.
 
     It decides on those r read coordinates first: where the 2^r-point table costs no more than the draws (2^r <= m,
     r <= ``ENUMERATION_CAP``), equal ``cube.restrict`` tables mean the concepts agree at every point, so every draw
@@ -428,7 +408,8 @@ def mc_loss(dist: Distribution, h_star: Concept, h_hat: Concept, m: int, seed: i
                 return Fraction(0, m)
         except ValueError:
             pass
-    wrong = 0
-    for columns, full in _lane_blocks(dist, random.Random(seed), m, reads):
+    rng, wrong = random.Random(seed), 0
+    for start in range(0, m, _DRAW_BLOCK):
+        columns, full, _ = lane_columns(dist.draws(rng, min(_DRAW_BLOCK, m - start)), dist.n, reads)
         wrong += (h_star.label_columns(columns, full) ^ h_hat.label_columns(columns, full)).bit_count()
     return Fraction(wrong, m)

@@ -13,12 +13,12 @@ calls ``reconstruct_terms`` too, once per parity class of a formula's evident
 points; ``reconstruct_term`` is its one-positive form. Candidates stay int
 mask pairs.
 Phase 2 (``prune_terms``) throws away every candidate that fires on a negative
-example of the second sample. It reads only that sample's ``cover``, its
-labelled support (at most 256 points when drawn by index, however many the
-draws, and drawn by the first block that draws them all), bit-sliced: a block
-of lanes at a time, as the draws are labelled in ``distributions``, with the
-block's negatives one lane mask, so each candidate costs one ``Term.table``
-per block until it is dropped. On instances whose positives are evident, phase
+example of the second sample. It reads only the negatives of that sample's
+``cover``, its labelled support (at most 256 points when drawn by index, however
+many the draws, and drawn by the first block that draws them all), bit-sliced
+by ``cube.lane_columns`` a block at a time, as the draws are labelled in
+``distributions``, so each candidate costs one ``Term.table`` per block of
+negatives until it is dropped. On instances whose positives are evident, phase
 1 recovers exact terms and phase 2 never removes a true one.
 """
 
@@ -114,24 +114,20 @@ def prune_terms(candidates: Collection[tuple[int, int]], s2: LabeledSample) -> l
     """Phase 2: the ``Term`` of each candidate (pos, neg) mask pair over s2's n variables, in order, less every one
     that fires on a negative example of s2, read from its ``cover`` alone.
 
-    The cover is read ``_DRAW_BLOCK`` lanes at a time (``lane_columns`` over the candidates' read coordinates).
-    A block's negatives are one lane mask, its label bytes swapped by ``NEGATE`` and spread to the lane width, and
-    a candidate is dropped at the first block where its ``Term.table`` over those lanes is not 0; the scan stops
-    once none is left.
+    Only the cover's negatives are read (its label bytes swapped by ``NEGATE`` select them), ``_DRAW_BLOCK`` at a
+    time as the lanes of ``lane_columns`` over the candidates' read coordinates. A candidate is dropped at the first
+    block where its ``Term.table`` over those lanes is not 0; the scan stops once none is left.
     """
     n = s2.n
     surviving = [Term.from_masks(n, pos, neg) for pos, neg in candidates]
     masks, labels = s2.cover
+    negatives = list(compress(masks, labels.translate(NEGATE)))
     reads = reduce(or_, (pos | neg for pos, neg in candidates), 0)
-    for start in range(0, len(labels), _DRAW_BLOCK):
+    for start in range(0, len(negatives), _DRAW_BLOCK):
         if not surviving:
             break
-        columns, _, width = lane_columns(masks[start:start + _DRAW_BLOCK], n, reads)
-        block = labels[start:start + _DRAW_BLOCK].translate(NEGATE)
-        spread = bytearray(width * len(block))  # each label byte at its lane's lowest byte
-        spread[::width] = block
-        negatives = int.from_bytes(spread, "little")
-        surviving = [term for term in surviving if not term.table(columns, negatives)]
+        columns, full, _ = lane_columns(negatives[start:start + _DRAW_BLOCK], n, reads)
+        surviving = [term for term in surviving if not term.table(columns, full)]
     return surviving
 
 

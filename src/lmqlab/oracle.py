@@ -5,11 +5,10 @@ oracle refuses anything farther away and records every answer it gives, so learn
 Anchors are kept as int masks. There are three constructors: ``__init__`` takes ``CubePoint`` anchors,
 ``from_masks`` takes int masks and refuses any that is not an int in [0, 2^n), and ``for_samples`` reads the masks
 of the samples' ``cover`` unchecked, as ``LabeledSample`` keeps them in range. All three call ``_setup``. A misfit
-is refused by the cube's rules: an anchor, sample or query point of another dimension by ``cube.require_dimension``,
-a mask out of range by ``cube.require_masks``, which ``from_masks``, ``ask`` and ``ask_flips`` call only once their
-own inline test has failed. Counts follow the same rule: ``_setup`` tests q and the query cap in one inline test,
-and ``ask`` and ``ask_flips`` test times with the mask in one, so ``cube.require_count`` is called only to raise and
-a corpus oracle (one per parity class of a formula's evident points) pays for each check once.
+is refused by the cube's rules, called directly: an anchor, sample or query point of another dimension by
+``cube.require_dimension``, a mask out of range by ``cube.require_masks`` (``from_masks``, once for its anchors;
+``ask`` and ``ask_flips``), and a count by ``cube.require_count`` (``_setup``, q before the cap; ``ask`` and
+``ask_flips``, times before the mask).
 
 ``ask_flips_many(counts)`` asks many centres' n one-flip neighbours at once and returns each centre's answers as
 one int in ``flip_labels`` form. Around anchors with q >= 1 every neighbour is 1-local, so a map whose centres are
@@ -26,8 +25,7 @@ batch its centre cannot prove (q = 0, a centre that is not an anchor, a budget t
 point through it. It answers each distinct query once and counts its repeats; a mask's first asking scans for the
 nearest anchor, whose distance is both the recorded one and a refusal's ``min_distance``. ``entries()`` and ``log``
 expand the queries and the batch records on demand, in order of asking, each distinct mask once, by first asking,
-and ``stats()`` sums them into a histogram in ascending distance, inserting no zero count and sorting only a
-histogram of more than one distance.
+and ``stats()`` sums them into a histogram, sorted by distance, inserting no zero count.
 
 ``draw_training_set`` reads each generator word once per sample. A sample drawn by index stops drawing at the first
 block that has drawn every support point, and draws the rest on the first read of its labels or masks, so a sample
@@ -108,8 +106,7 @@ class LocalMQOracle:
     def from_masks(cls, target: Concept, anchors: Iterable[int], q: int) -> LocalMQOracle:
         """Oracle anchored at int masks, with ``__init__``'s default cap; a mask ``is_int`` refuses is one error."""
         anchors = tuple(anchors)
-        if first_bad_int(anchors, 0, (1 << target.n) - 1) is not None:  # hot path: at most two per corpus formula
-            require_masks("anchor mask", anchors, target.n)
+        require_masks("anchor mask", anchors, target.n)
         oracle = cls.__new__(cls)
         oracle._setup(target, frozenset(anchors), q, None, len(anchors))
         return oracle
@@ -117,13 +114,11 @@ class LocalMQOracle:
     def _setup(self, target: Concept, anchors: frozenset[int], q: int, query_cap: int | None, count: int) -> None:
         """The one initialiser: anchor masks in range; the cap defaults to 64 * n * max(1, anchors or draws given).
 
-        q and the cap are tested inline, ``type(v) is int and v >= 0``, and ``require_count`` is called only to
-        raise, q's refusal first."""
+        q, then the cap, is refused by ``require_count`` unless it is an int at least 0."""
         if query_cap is None:
             query_cap = QUERY_BUDGET_FACTOR * target.n * max(1, count)
-        if not (type(q) is int and q >= 0 and type(query_cap) is int and query_cap >= 0):
-            require_count(q, 0, "locality budget must be non-negative")
-            require_count(query_cap, 0, "query budget must be a non-negative integer")
+        require_count(q, 0, "locality budget must be non-negative")
+        require_count(query_cap, 0, "query budget must be a non-negative integer")
         self.target, self.n, self.q, self.query_cap = target, target.n, q, query_cap
         self._anchors = anchors
         # A flip changes popcount parity, so anchors of one parity (one anchor, a corpus class) hold no anchor flip.
@@ -196,9 +191,8 @@ class LocalMQOracle:
         A first asking scans for the nearest anchor and evaluates the target.
         A count that does not fit the budget is refused whole.
         """
-        if not (type(times) is int and times >= 1 and type(mask) is int and 0 <= mask < 1 << self.n):
-            require_count(times, 1, "a query is asked a whole number of times, at least once")
-            require_masks("query mask", (mask,), self.n)
+        require_count(times, 1, "a query is asked a whole number of times, at least once")
+        require_masks("query mask", (mask,), self.n)
         entry = self._asked.get(mask)
         if entry is None:
             distance = min(((mask ^ a).bit_count() for a in self._anchors), default=None)
@@ -222,10 +216,9 @@ class LocalMQOracle:
         batch of ``ask_flips_many``, one record answered from the memo.
         """
         n = self.n
-        # ``ask``'s rule for the mask: True or 1.0 would pass as an anchor mask below
-        if not (type(times) is int and times >= 1 and type(mask) is int and 0 <= mask < 1 << n):
-            require_count(times, 1, "a query is asked a whole number of times, at least once")
-            require_masks("query mask", (mask,), n)
+        # ``ask``'s rules, times first: True or 1.0 would pass as an anchor mask below
+        require_count(times, 1, "a query is asked a whole number of times, at least once")
+        require_masks("query mask", (mask,), n)
         if self.q < 1 or mask not in self._anchors or self._count + n * times > self.query_cap:
             return sum(self.ask(mask ^ 1 << i, times) << i for i in range(n - 1, -1, -1))
         return self._record({mask: times}, times)[0]
@@ -282,8 +275,7 @@ class LocalMQOracle:
         """Counts so far, summed from the record in one pass: a new histogram in ascending distance, no zero counts.
 
         The batch records add up to two sums, added after the pass: their flips, n times their times, and their
-        anchor flips, at distance 0, the rest at 1. A zero count is never inserted, and only a histogram of more
-        than one distance is sorted, so a corpus oracle, whose queries are all at distance 1, pays for neither."""
+        anchor flips, at distance 0, the rest at 1. A zero count is never inserted, and the histogram is sorted."""
         histogram: dict[int, int] = {}
         for _, distance, times in self._asked.values():
             histogram[distance] = histogram.get(distance, 0) + times
@@ -295,8 +287,7 @@ class LocalMQOracle:
             histogram[0] = histogram.get(0, 0) + near
         if flips > near:
             histogram[1] = histogram.get(1, 0) + flips - near
-        if len(histogram) > 1:
-            histogram = dict(sorted(histogram.items()))
+        histogram = dict(sorted(histogram.items()))
         return OracleStats(self._count, max(histogram, default=0), histogram)
 
 

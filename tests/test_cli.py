@@ -506,8 +506,9 @@ def _refuse_suites(monkeypatch) -> None:
             ["--which", "learning", "--family", "opposite", "--corpus-count", "0"],
             "formula count must be at least 1, got 0",
         ),
+        (["--which", "reductions", "--seed", "-1"], "seed must be a non-negative int, as every derived seed is, got -1"),
     ],
-    ids=["corpus-bad-learning-flags", "reductions-bad-m1", "learning-bad-corpus-count"],
+    ids=["corpus-bad-learning-flags", "reductions-bad-m1", "learning-bad-corpus-count", "reductions-negative-seed"],
 )
 def test_suite_checks_every_flag_before_any_suite_runs(capsys, monkeypatch, flags, message):
     _refuse_suites(monkeypatch)

@@ -23,7 +23,6 @@ from lmqlab.distributions import (
     sample,
     support_weights,
     _DRAW_BLOCK,
-    _lane_blocks,
 )
 
 
@@ -474,20 +473,25 @@ def test_mc_loss_matches_per_draw_reference(n, seed, m, kinds, finite):
     assert mc_loss(dist, f, g, m, seed) == Fraction(sum(f.evaluate(x) != g.evaluate(x) for x in points), m)
 
 
+
 @pytest.mark.parametrize("m", [0, 1, _DRAW_BLOCK - 1, _DRAW_BLOCK + 1])
 @pytest.mark.parametrize("n", range(1, 33))
 def test_packed_uniform_blocks_label_as_the_lane_columns_of_their_draws(n, m):
-    """Each packed block (4-byte lanes) labels lane for lane as ``lane_columns`` of the same block's ``draws``
-    (lanes of 1, 2 or 4 bytes), and leaves the generator where ``draws`` does."""
+    """Each packed block of ``UniformCube._lanes`` (4-byte lanes), split into its columns, labels lane for lane as
+    ``lane_columns`` of the same block's ``draws`` (lanes of 1, 2 or 4 bytes), and leaves the generator where
+    ``draws`` does."""
     rng = random.Random(7919 * n + m)
     dist, concepts = UniformCube(n), (random_dfa(n, 4, rng), random_dnf(n, 3, 3, rng))
     packed, drawn, reads = random.Random(m), random.Random(m), concepts[0].reads | concepts[1].reads
-    blocks = list(_lane_blocks(dist, packed, m, reads))
+    blocks = list(dist._lanes(packed, m))
     assert len(blocks) == math.ceil(m / _DRAW_BLOCK)
-    for start, (columns, full) in zip(range(0, m, _DRAW_BLOCK), blocks):
-        k = min(_DRAW_BLOCK, m - start)
+    for start, (k, lanes) in zip(range(0, m, _DRAW_BLOCK), blocks):
+        assert k == min(_DRAW_BLOCK, m - start) and lanes >> 32 * k == 0
+        full = int.from_bytes((1).to_bytes(4, "little") * k, "little")
+        columns = [lanes >> i & full if reads >> i & 1 else 0 for i in range(n)]
         ref_columns, ref_full, width = lane_columns(dist.draws(drawn, k), n, reads)
-        assert full.bit_count() == k and [c.bit_count() for c in columns] == [c.bit_count() for c in ref_columns]
+        assert ref_full.bit_count() == k and [c.bit_count() for c in columns] == [c.bit_count() for c in ref_columns]
+        assert lanes & ~(full * ((1 << n) - 1)) == 0  # each lane holds n bits only
         for concept in concepts:
             got = lane_bits(concept.label_columns(columns, full), k, 4)
             assert got == lane_bits(concept.label_columns(ref_columns, ref_full), k, width)
@@ -544,18 +548,25 @@ def _written_otherwise(f: DnfFormula, kind: str, rng: random.Random) -> DnfFormu
     return DnfFormula(n, tuple(terms))
 
 
-def _recorded_mc_loss(dist, f, g, m, seed):
-    """``mc_loss(dist, f, g, m, seed)`` and the seeds of the generators it built, in order."""
+def _recorded_generators(call):
+    """``call()`` and every generator ``distributions`` built during it, in order, each with its seed as ``given``."""
     built = []
 
     class Recording(random.Random):
         def __init__(self, seed=None):
-            built.append(seed)
+            self.given = seed
+            built.append(self)
             super().__init__(seed)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr("lmqlab.distributions.random.Random", Recording)
-        return mc_loss(dist, f, g, m, seed), built
+        return call(), built
+
+
+def _recorded_mc_loss(dist, f, g, m, seed):
+    """``mc_loss(dist, f, g, m, seed)`` and the seeds of the generators it built, in order."""
+    loss, built = _recorded_generators(lambda: mc_loss(dist, f, g, m, seed))
+    return loss, [rng.given for rng in built]
 
 
 @settings(max_examples=120, deadline=None)
@@ -612,6 +623,37 @@ def test_mc_loss_builds_its_loss_stream_iff_the_tables_differ_or_cost_more_than_
 
 
 # _HALF_SUM cannot label the points where x1 and x2 differ, so its table raises and the draws decide.
+def _lane_edge_dist(kind: str, n: int, rng: random.Random):
+    if kind == "uniform":
+        return UniformCube(n)
+    if kind == "finite":  # 12 random masks, merged where they repeat (at n = 1 the two points)
+        return FiniteSupport(n, tuple((rng.getrandbits(n), Fraction(i + 1, 78)) for i in range(12)))
+    return ProductDist(n, tuple(Fraction(rng.randint(1, 9), 10) for _ in range(n)))
+
+
+@pytest.mark.parametrize("kind", ["uniform", "finite", "product"])
+@pytest.mark.parametrize("m", [1, _DRAW_BLOCK - 1, _DRAW_BLOCK + 1])
+@pytest.mark.parametrize("n", [1, 8, 9, 16, 17, 32, 33, 64, 65])
+def test_mc_loss_draws_label_as_the_per_draw_reference_at_every_lane_width(n, m, kind):
+    """At every lane-width edge (1, 2, 4, 8 bytes and past them) and across a block edge, a pair whose tables differ
+    is drawn: its loss is the disagreement frequency at the per-draw reference's draws, and its one generator ends
+    in the state ``sample(dist, m, seed)`` leaves."""
+    rng = random.Random(f"{n}-{m}-{kind}")
+    dist = _lane_edge_dist(kind, n, rng)
+    while True:  # a pair mc_loss cannot decide on its read coordinates' tables
+        h_star, h_hat = random_dnf(n, 3, 3, rng), random_dfa(n, 4, rng)
+        reads = h_star.reads | h_hat.reads
+        if 1 << reads.bit_count() > m or restrict(h_star, reads) != restrict(h_hat, reads):
+            break
+    seed = rng.getrandbits(32)
+    draws = _reference_draws(dist, m, random.Random(seed))
+    loss, built = _recorded_generators(lambda: mc_loss(dist, h_star, h_hat, m, seed))
+    assert loss == Fraction(sum(h_star.label(x) != h_hat.label(x) for x in draws), m)
+    drawn, sampled = _recorded_generators(lambda: sample(dist, m, seed))
+    assert drawn == draws and len(built) == len(sampled) == 1
+    assert built[0].getstate() == sampled[0].getstate()
+
+
 def test_mc_loss_raises_the_error_of_the_first_draw_a_concept_cannot_label():
     with pytest.raises(ValueError, match=r"^polynomial value 0 at .* is not in \{-1,\+1\}$"):
         _recorded_mc_loss(UniformCube(3), _HALF_SUM, DnfFormula(3, (Term.of(3),)), 64, 5)

@@ -20,6 +20,8 @@ from lmqlab.distributions import (
     sample_indices,
 )
 from lmqlab.evident import gen_opposite_literal_dnf, satisfies_evidently
+from lmqlab.harness import derive_seed, doubled_tree_family, opposite_literal_family
+from lmqlab import learner
 from lmqlab.learner import (
     NEGATE,
     learn_evident_dnf,
@@ -391,8 +393,9 @@ def _set_scan_phase2(candidates, s2):
 
 @st.composite
 def phase2_cases(draw):
-    """Candidate mask pairs, junk among them, and a second sample with random labels: none, one, a few, or three
-    blocks of lanes and more, at widths of 1 to 8 bytes (n = 64) and past them."""
+    """Candidate mask pairs, junk among them, and a second sample with random labels, about 30% negative: none, one,
+    a few, or three blocks' worth of masks and more (about one block of negatives, the lanes phase 2 lays out), at
+    widths of 1 to 8 bytes (n = 64) and past them."""
     n = draw(st.sampled_from([1, 5, 8, 9, 16, 17, 32, 33, 64, 65]))
     rng = random.Random(draw(st.integers(0, 1 << 30)))
     size = draw(st.just(3 * _DRAW_BLOCK + 5) | st.sampled_from([0, 1, 7]))
@@ -441,6 +444,43 @@ def test_phase2_at_64_variables_matches_the_set_scan_in_a_learning_trial():
     run = learn_evident_dnf_run(s1, s2, LocalMQOracle.for_samples(target, 1, s1, s2))
     assert list(run.formula.terms) == _set_scan_phase2(candidates, s2)
     assert set(run.formula.terms) == set(target.terms)
+
+
+def _lanes_given(monkeypatch) -> list[int]:
+    """The number of masks each call of phase 2's ``lane_columns`` is given, in order, from now on."""
+    given, lane_columns = [], learner.lane_columns
+
+    def counted(masks, n, reads):
+        given.append(len(masks))
+        return lane_columns(masks, n, reads)
+
+    monkeypatch.setattr(learner, "lane_columns", counted)
+    return given
+
+
+@pytest.mark.parametrize(
+    "family, m2",
+    [(opposite_literal_family(24, 32), 20000), (doubled_tree_family(4, 8, max_leaves=16), 50000)],
+    ids=["wide-trial-0", "doubled-tree-trial-0"],
+)
+def test_phase2_reads_only_the_negatives_of_s2s_cover(monkeypatch, family, m2):
+    # Trial 0 of the suite at seed 42, drawn as run_trial draws it: phase 2 lays out the cover's negatives alone.
+    seed = derive_seed(42, "trial", 0)
+    target, dist = family(derive_seed(seed, "instance"))
+    s1, s2 = (draw_training_set(dist, target, m, derive_seed(seed, role)) for role, m in (("s1", 5000), ("s2", m2)))
+    oracle = LocalMQOracle.for_samples(target, 1, s1, s2)
+    given = _lanes_given(monkeypatch)
+    run = learn_evident_dnf_run(s1, s2, oracle)
+    assert run.formula.terms and sum(given) == s2.cover[1].count(0) > 0
+
+
+def test_phase2_with_no_negative_in_the_cover_lays_out_nothing_and_keeps_every_candidate(monkeypatch):
+    n, rng = 9, random.Random(9)
+    s2 = LabeledSample(n, tuple(rng.getrandbits(n) for _ in range(50)), bytes([1]) * 50)
+    candidates = [(0, 0), (0b101, 0b010), (1 << n - 1, 0)]
+    given = _lanes_given(monkeypatch)
+    assert prune_terms(candidates, s2) == [Term.from_masks(n, *pair) for pair in candidates]
+    assert given == []
 
 
 @pytest.mark.parametrize(

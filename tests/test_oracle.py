@@ -242,6 +242,17 @@ def test_ask_and_ask_flips_reject_a_count_that_is_not_an_int(times):
     assert o.log == () and o.stats().query_count == 0
 
 
+@pytest.mark.parametrize("mask", [-1, 1 << 3, True, 1.0])
+def test_ask_and_ask_flips_refuse_times_before_the_mask(mask):
+    o = LocalMQOracle(TARGET, [P("+++")], q=1)
+    for ask in (o.ask, o.ask_flips):
+        with pytest.raises(ValueError) as exc:
+            ask(mask, 0)
+        assert exc.type is ValueError  # not the mask's DimensionMismatch
+        assert str(exc.value) == "a query is asked a whole number of times, at least once, got 0"
+    assert o.log == () and o.stats().query_count == 0
+
+
 @pytest.mark.parametrize("cap", [2.5, 10.0, False, "7"])
 def test_budget_that_is_not_an_int_rejected(cap):
     with pytest.raises(ValueError, match="non-negative integer"):
