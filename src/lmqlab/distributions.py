@@ -3,14 +3,16 @@
 Probabilities are exact, and ``support_weights`` is each distribution's one
 enumerated form: its support's masks ascending, each mass a positive int
 weight over one denominator, a ``ProductDist``'s weights read lazily off one
-``itertools.product``. ``exact_loss`` and ``evident.evidence_report`` sum
-those weights, with no ``Fraction`` step per point; the one ``support()`` the
-three classes share reads them as (mask, ``Fraction``) pairs. Draws, supports
-and ``LabeledSample`` (a tuple of masks, labels as ``bytes``) hold int masks;
-a ``CubePoint`` is built only for an error message or an iterated sample. A
-support or sample mask out of range is refused by ``cube.require_masks``, and
-a map, target or hypothesis off the distribution's dimension by
-``cube.require_dimension``. A sample's ``cover`` names its labelled support:
+``itertools.product``. A ``FiniteSupport`` weighs its entries once, on
+construction, as int numerators over the lcm of their denominators, and
+keeps them. ``exact_loss`` and ``evident.evidence_report`` sum those weights,
+with no ``Fraction`` step per point; the one ``support()`` the three classes
+share reads them as (mask, ``Fraction``) pairs, and ``pushforward`` builds one
+``Fraction`` per distinct weight. Draws, supports and ``LabeledSample`` (a
+tuple of masks, labels as ``bytes``) hold int masks; a ``CubePoint`` is built
+only for an error message or an iterated sample. A support or sample mask out
+of range is refused by ``cube.require_masks``, and a map, target or hypothesis
+off the distribution's dimension by ``cube.require_dimension``. A sample's ``cover`` names its labelled support:
 each distinct (mask, label) pair at least once; ``LocalMQOracle.for_samples``
 and learner phase 2 read only it. A drawn sample takes one of two forms, both
 built here and picked by ``oracle.draw_training_set``: ``LabeledSample._drawn``
@@ -21,7 +23,9 @@ read of ``masks``. That draw stops at the first block that has drawn every
 support point, and the rest is drawn, from the saved generator state, on the
 first read of ``labels`` or ``masks``: a sample read only through ``cover``
 and ``len`` (s2 in a learning trial) never draws past its covering block and
-never builds its masks.
+never builds its masks. ``positive_counts()`` (s1 in a learning trial) draws
+the rest and stores the labels, and counts the point indices, so it builds no
+masks either.
 
 ``sample`` reads a seeded ``random.Random`` in one ``draws(rng, m)`` call, so
 each draw replays bit-exactly. Each class reads the generator in one place:
@@ -44,11 +48,12 @@ import math
 import random
 import struct
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import accumulate, compress, product, repeat, starmap
-from operator import mul
+from operator import mul, not_
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .cube import (
@@ -56,6 +61,7 @@ from .cube import (
     ReplicateMap,
     exact_rational,
     first_bad_int,
+    is_int,
     lane_bits,
     lane_columns,
     require_count,
@@ -145,32 +151,53 @@ class ProductDist(_Supported):
 @dataclass(frozen=True)
 class FiniteSupport(_Supported):
     """Point masses as ``(mask, prob)`` entries (int masks in [0, 2^n), exact masses summing to 1), drawn as indices:
-    by the table ``_top`` if every top byte of random()'s first word names one entry, else by bisection."""
+    by the table ``_top`` if every top byte of random()'s first word names one entry, else by bisection.
+
+    Construction checks each entry in order, its mask before its mass, then sums the masses as int numerators over
+    the lcm of their denominators, duplicate masks merged. It stores those weights, reduced by any factor a merge
+    leaves, for ``support_weights``, and keeps the ``Fraction`` masses given unless two masks merged."""
 
     n: int
     entries: tuple[tuple[int, Fraction], ...]
     _cum: tuple[float, ...] = field(init=False, repr=False, compare=False)
     _masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _weights: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _denominator: int = field(init=False, repr=False, compare=False)
     _top: bytes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        require_count(self.n, 1, "dimension must be a positive integer")
-        merged: dict[int, Fraction] = {}
+        n = self.n
+        require_count(n, 1, "dimension must be a positive integer")
+        given = []
         for mask, prob in self.entries:
-            require_masks("support mask", (mask,), self.n)
-            if (p := exact_rational(prob, "probability")) < 0:
-                raise ValueError(f"negative probability {p} at {CubePoint(self.n, mask).to_string()}")
-            merged[mask] = merged.get(mask, Fraction(0)) + p
-        total = sum(merged.values(), Fraction(0))
-        if total != 1:
-            raise ValueError(f"probabilities sum to {total}, expected exactly 1")
-        canonical = tuple((mask, merged[mask]) for mask in sorted(merged) if merged[mask])
-        object.__setattr__(self, "entries", canonical)
-        object.__setattr__(self, "_cum", tuple(accumulate(float(prob) for _, prob in canonical)))
-        object.__setattr__(self, "_masks", tuple(mask for mask, _ in canonical))
+            if not is_int(mask, 0, (1 << n) - 1):
+                require_masks("support mask", (mask,), n)
+            if (p := exact_rational(prob, "probability")).numerator < 0:
+                raise ValueError(f"negative probability {p} at {CubePoint(n, mask).to_string()}")
+            given.append((mask, p))
+        # Each mass as an int numerator over the lcm of the denominators, duplicate masks summed.
+        denominator, weights = math.lcm(*{p.denominator for _, p in given}), {}
+        for mask, p in given:
+            weights[mask] = weights.get(mask, 0) + p.numerator * (denominator // p.denominator)
+        if (total := sum(weights.values())) != denominator:
+            raise ValueError(f"probabilities sum to {Fraction(total, denominator)}, expected exactly 1")
+        # Only a merge can leave a factor common to the denominator and every weight.
+        common = math.gcd(denominator, *weights.values())
+        masks, denominator = tuple(sorted(mask for mask, w in weights.items() if w)), denominator // common
+        numerators = tuple(weights[mask] // common for mask in masks)
+        if len(weights) == len(given):  # no two masks merged: the masses given
+            masses = map(dict(given).__getitem__, masks)
+        else:
+            masses = map(Fraction, numerators, repeat(denominator))
+        object.__setattr__(self, "entries", tuple(zip(masks, masses)))
+        object.__setattr__(self, "_masks", masks)
+        object.__setattr__(self, "_weights", numerators)
+        object.__setattr__(self, "_denominator", denominator)
+        # w / denominator is float(Fraction(w, denominator)), both correctly rounded: the float masses, summed.
+        object.__setattr__(self, "_cum", tuple(accumulate(w / denominator for w in numerators)))
         # Top byte t holds the 53-bit values t << 45 to (t + 1 << 45) - 1; _pick is monotone, so if both ends pick
         # one entry, every value under t does.
-        top = bytes(self._pick(t << 45) for t in range(256)) if len(canonical) <= 256 else b""
+        top = bytes(self._pick(t << 45) for t in range(256)) if len(masks) <= 256 else b""
         exact = all(self._pick((t + 1 << 45) - 1) == entry for t, entry in enumerate(top))
         object.__setattr__(self, "_top", top if exact else b"")
 
@@ -204,12 +231,12 @@ Distribution = Union[UniformCube, ProductDist, FiniteSupport]
 
 def support_weights(dist: Distribution) -> tuple[Sequence[int], Iterator[int], int]:
     """(masks, weights, denominator): the mass at ``masks[i]``, ascending, is the i-th positive int weight over the
-    denominator. A ``FiniteSupport``'s entries at any n, else the cube (n <= ``ENUMERATION_CAP``) less its points of
-    mass 0. The weights are an iterator, read once; a ``ProductDist``'s come lazily, one multiplication a point, off
-    the ``product`` of two lists: the weights of coordinates 1..n//2 (the high bits) and those of the rest."""
+    denominator. A ``FiniteSupport``'s entries at any n, as weighed on construction, else the cube (n <=
+    ``ENUMERATION_CAP``) less its points of mass 0. The weights are an iterator, read once; a ``ProductDist``'s come
+    lazily, one multiplication a point, off the ``product`` of two lists: the weights of coordinates 1..n//2 (the
+    high bits) and those of the rest."""
     if isinstance(dist, FiniteSupport):
-        denominator = math.lcm(*(p.denominator for _, p in dist.entries))
-        return dist._masks, (p.numerator * (denominator // p.denominator) for _, p in dist.entries), denominator
+        return dist._masks, iter(dist._weights), dist._denominator
     require_enumerable(dist.n)
     cube = range(1 << dist.n)
     if isinstance(dist, UniformCube):
@@ -261,12 +288,16 @@ def _resume(dist: Distribution, state: tuple, k: int) -> bytes:
 
 
 def pushforward(dist: Distribution, phi: ReplicateMap) -> FiniteSupport:
-    """Image distribution assigning each source mass to its mapped point.
+    """Image distribution assigning each source mass to its mapped point: each ``support_weights`` mask encoded, its
+    weight over the denominator as one ``Fraction`` per distinct weight.
 
     A ``ReplicateMap`` is injective, so no two masses merge.
     """
     require_dimension("distribution", dist.n, phi.source_n)
-    return FiniteSupport(phi.target_n, tuple((phi.encode(mask), prob) for mask, prob in dist.support()))
+    masks, weights, denominator = support_weights(dist)
+    weights = tuple(weights)
+    mass = {w: Fraction(w, denominator) for w in set(weights)}
+    return FiniteSupport(phi.target_n, tuple(zip(map(phi.encode, masks), map(mass.__getitem__, weights))))
 
 
 @dataclass(frozen=True)
@@ -294,7 +325,8 @@ class LabeledSample:
     tuple form. A draw that stopped at its covering block also waits for its
     labels: the first read of ``masks`` or ``labels`` draws the rest from the
     saved generator state, then stores both. ``len`` reads the labels, or m while
-    the draw is stored, and draws and builds nothing.
+    the draw is stored, and draws and builds nothing. ``positive_counts()`` also
+    reads the draw without building the masks tuple.
     """
 
     n: int
@@ -358,6 +390,23 @@ class LabeledSample:
         state["masks"] = tuple(idx) if isinstance(points, range) else tuple([points[i] for i in idx])
         state.pop("_indexed", None)
         return state[name]
+
+    def positive_counts(self) -> dict[int, int]:
+        """Each positive mask's number of draws, in order of first draw: ``Counter(compress(masks, labels))``.
+
+        A sample drawn by index counts its point indices instead, and builds no masks tuple: it draws the rest if its
+        draw stopped and stores the labels, then counts the indices its table labels 1 (one ``translate`` deleting
+        the rest). Its ``_indexed`` stays, so a later first read of ``masks`` draws the rest again, the same bytes.
+        """
+        indexed = self.__dict__.get("_indexed")
+        if indexed is None:
+            return Counter(compress(self.masks, self.labels))
+        points, idx, rest, table, _ = indexed
+        if rest is not None:
+            idx += rest()
+            self.__dict__["labels"] = idx.translate(table)
+        counts = Counter(idx.translate(None, bytes(compress(range(256), map(not_, table)))))
+        return {points[i]: count for i, count in counts.items()}
 
     def __len__(self) -> int:
         indexed = self.__dict__.get("_indexed")

@@ -1,7 +1,9 @@
 """The 1-local-query DNF learner and its sample-size planner.
 
 Phase 1 rebuilds one candidate term per distinct positive mask of the
-first sample by flipping each coordinate and asking the oracle:
+first sample by flipping each coordinate and asking the oracle. It reads the
+positives and their counts from ``LabeledSample.positive_counts()``, which a
+sample drawn by index counts on its point indices, building no masks tuple.
 ``reconstruct_terms`` asks every positive's n flips in one ``ask_flips_many``
 call, counting each query once per occurrence; the oracle stores that call
 as one batch record and calls the target's ``flip_labels`` once per read
@@ -26,7 +28,6 @@ from __future__ import annotations
 
 import math
 import time
-from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 from itertools import compress
@@ -133,12 +134,12 @@ def prune_terms(candidates: Collection[tuple[int, int]], s2: LabeledSample) -> l
 
 def learn_evident_dnf_run(s1: LabeledSample, s2: LabeledSample, oracle: LocalMQOracle) -> LearnerRun:
     """Like ``learn_evident_dnf`` but with query statistics and phase timings: phase 1 is ``reconstruct_terms`` on
-    s1's positives, phase 2 ``prune_terms`` of its distinct candidates on s2."""
+    s1's ``positive_counts()``, phase 2 ``prune_terms`` of its distinct candidates on s2."""
     n = oracle.n
     for s in (s1, s2):
         require_dimension("sample", s.n, n)
     t0 = time.perf_counter()
-    occurrences = Counter(compress(s1.masks, s1.labels))
+    occurrences = s1.positive_counts()
     collected = dict.fromkeys(reconstruct_terms(oracle, occurrences))
     t1 = time.perf_counter()
     surviving = prune_terms(collected, s2)

@@ -28,9 +28,10 @@ expand the queries and the batch records on demand, in order of asking, each dis
 and ``stats()`` sums them into a histogram, sorted by distance, inserting no zero count.
 
 ``draw_training_set`` reads each generator word once per sample. A sample drawn by index stops drawing at the first
-block that has drawn every support point, and draws the rest on the first read of its labels or masks, so a sample
-read only through ``cover`` and ``len`` (s2 in a learning trial) never draws past its covering block. When a support
-point has no label, it draws the rest at once and labels the index draws' own masks.
+block that has drawn every support point, and draws the rest on the first read of its labels or masks, or on
+``positive_counts()``, so a sample read only through ``cover`` and ``len`` (s2 in a learning trial) never draws past
+its covering block, and s1, read through ``positive_counts()``, never builds its masks tuple. When a support point
+has no label, it draws the rest at once and labels the index draws' own masks.
 """
 
 from __future__ import annotations

@@ -6,11 +6,13 @@ from fractions import Fraction
 from itertools import accumulate
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from cubes import cube_points
 from lmqlab.concepts import DnfFormula, PolyConcept, SparsePoly, Term, random_dfa, random_dnf, random_tree
-from lmqlab.cube import CubePoint, DimensionMismatch, ReplicateMap, lane_bits, lane_columns, restrict
+from lmqlab.cube import (
+    CubePoint, DimensionMismatch, ReplicateMap, exact_rational, lane_bits, lane_columns, require_masks, restrict,
+)
 from lmqlab.distributions import (
     FiniteSupport,
     LabeledSample,
@@ -269,6 +271,136 @@ def test_finite_support_must_sum_to_one():
 def test_finite_support_merges_duplicates():
     dist = FiniteSupport(2, ((P("++").mask, Fraction(1, 2)), (P("++").mask, Fraction(1, 2))))
     assert dist.entries == ((P("++").mask, Fraction(1)),)
+
+
+def _fraction_sum_support(n, entries):
+    """The construction ``FiniteSupport`` replaced: each entry checked in order (mask, then mass), masses merged and
+    summed as ``Fraction``s, ``_cum`` the float sums of the masses, ``_top`` from it, and the weights over the lcm.
+    Returns (entries, _cum, _top, (masks, weights, denominator)), or (type, message) of the error it raises."""
+    try:
+        merged = {}
+        for mask, prob in entries:
+            require_masks("support mask", (mask,), n)
+            if (p := exact_rational(prob, "probability")) < 0:
+                raise ValueError(f"negative probability {p} at {CubePoint(n, mask).to_string()}")
+            merged[mask] = merged.get(mask, Fraction(0)) + p
+        total = sum(merged.values(), Fraction(0))
+        if total != 1:
+            raise ValueError(f"probabilities sum to {total}, expected exactly 1")
+    except (ValueError, DimensionMismatch) as exc:
+        return type(exc), str(exc)
+    canonical = tuple((mask, merged[mask]) for mask in sorted(merged) if merged[mask])
+    cum = tuple(accumulate(float(prob) for _, prob in canonical))
+
+    def pick(value):
+        return bisect_right(cum, value * 2**-53 * cum[-1], 0, len(cum) - 1)
+
+    top = bytes(pick(t << 45) for t in range(256)) if len(canonical) <= 256 else b""
+    exact = all(pick((t + 1 << 45) - 1) == entry for t, entry in enumerate(top))
+    denominator = math.lcm(*(p.denominator for _, p in canonical))
+    weights = [p.numerator * (denominator // p.denominator) for _, p in canonical]
+    return canonical, cum, top if exact else b"", ([mask for mask, _ in canonical], weights, denominator)
+
+
+def _integer_form(dist):
+    """A ``FiniteSupport`` in ``_fraction_sum_support``'s form."""
+    masks, weights, denominator = support_weights(dist)
+    return dist.entries, dist._cum, dist._top, (list(masks), list(weights), denominator)
+
+
+def _integer_support(n, entries):
+    """``FiniteSupport(n, entries)`` in ``_fraction_sum_support``'s form."""
+    try:
+        return _integer_form(FiniteSupport(n, entries))
+    except (ValueError, DimensionMismatch) as exc:
+        return type(exc), str(exc)
+
+
+_BAD_MASKS = [-1, 1.0, True, 2.5, Fraction(1), "0", None]
+_BAD_MASSES = [Fraction(-1, 3), -2, -0.5, float("nan"), float("inf"), True, "1/2", None]
+
+
+@st.composite
+def support_entries(draw):
+    """(n, entries): masses such as 1/3 and 7/51, duplicate masks, zero masses and some floats and ints; often a
+    sum other than 1, and sometimes one or two bad masks or masses at any entry."""
+    n = draw(st.integers(1, 6))
+    masks = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=0, max_size=30))
+    weights = draw(st.lists(st.integers(0, 20), min_size=len(masks), max_size=len(masks)))
+    scale = draw(st.sampled_from([Fraction(1)] * 4 + [Fraction(2, 3), Fraction(7, 5)]))
+    probs = [Fraction(w, sum(weights) or 1) * scale for w in weights]
+    entries = [(mask, float(p) if draw(st.integers(0, 5)) == 0 else p) for mask, p in zip(masks, probs)]
+    if draw(st.booleans()) and entries:  # a mass of 1 as an int, the rest 0
+        entries = [(entries[0][0], 1), *((mask, 0) for mask, _ in entries[1:])]
+    for _ in range(draw(st.integers(0, 2)) if entries else 0):
+        i = draw(st.integers(0, len(entries) - 1))
+        mask, prob = entries[i]
+        if draw(st.booleans()):
+            entries[i] = (draw(st.sampled_from([*_BAD_MASKS, 1 << n])), prob)
+        else:
+            entries[i] = (mask, draw(st.sampled_from(_BAD_MASSES)))
+    return n, tuple(entries)
+
+
+@settings(max_examples=300, deadline=None)
+@given(support_entries())
+def test_finite_support_is_the_fraction_sum_construction(case):
+    # Integer numerators over the lcm give every entry, float sum, top byte, weight and refusal the Fraction sums gave.
+    n, entries = case
+    old, new = _fraction_sum_support(n, entries), _integer_support(n, entries)
+    if len(old) == 2:
+        event(f"refused: {old[1].split()[0]}")
+        assert new == old
+        return
+    event("merged" if len({mask for mask, _ in entries}) < len(entries) else "no merge")
+    (entries_old, cum_old, top_old, weights_old), (entries_new, cum_new, top_new, weights_new) = old, new
+    assert [(type(x), x, type(p), p) for x, p in entries_new] == [(type(x), x, type(p), p) for x, p in entries_old]
+    assert [c.hex() for c in cum_new] == [c.hex() for c in cum_old]
+    assert top_new == top_old and weights_new == weights_old
+    if len({mask for mask, _ in entries}) == len(entries):  # no merge: the Fraction objects given are kept
+        given = {mask: prob for mask, prob in entries if type(prob) is Fraction}
+        assert all(p is given[x] for x, p in entries_new if x in given)
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        (((0, Fraction(-1, 2)), (5, Fraction(3, 2))), "^negative probability -1/2 at --$"),
+        (((5, Fraction(-1, 2)), (0, Fraction(3, 2))), "^support mask 5 out of range for dimension 2$"),
+        (((0, Fraction(1, 2)), (1, Fraction(-1, 2)), (5, Fraction(1))), r"^negative probability -1/2 at -\+$"),
+        (((4, Fraction(1, 2)), (1, "1/2")), "^support mask 4 out of range for dimension 2$"),
+        (((1, "1/2"), (4, Fraction(1, 2))), "^probability must be an int, a finite float or a Fraction, got '1/2'$"),
+        (((1, Fraction(1, 3)), (1, Fraction(1, 3)), (2, Fraction(1, 7))), "^probabilities sum to 17/21, expected"),
+        ((), "^probabilities sum to 0, expected exactly 1$"),
+    ],
+)
+def test_finite_support_refuses_the_first_bad_entry_mask_before_mass(entries, message):
+    assert _fraction_sum_support(2, entries)[1] == _integer_support(2, entries)[1]
+    with pytest.raises((ValueError, DimensionMismatch), match=message):
+        FiniteSupport(2, entries)
+
+
+def test_finite_support_reduces_merged_weights_to_the_lcm_of_the_merged_masses():
+    # 1/6 + 1/3 at mask 0 merge into 1/2: the weights are over 2, not 6, as the merged masses' lcm gives.
+    dist = FiniteSupport(2, ((0, Fraction(1, 6)), (3, Fraction(1, 2)), (0, Fraction(1, 3))))
+    masks, weights, denominator = support_weights(dist)
+    assert dist.entries == ((0, Fraction(1, 2)), (3, Fraction(1, 2))) and (list(weights), denominator) == ([1, 1], 2)
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [UniformCube(1), UniformCube(5), ProductDist(3, (Fraction(1, 3), Fraction(0), Fraction(2, 7))),
+     FiniteSupport(3, ((1, Fraction(1, 3)), (6, Fraction(1, 6)), (4, Fraction(1, 2))))],
+    ids=["uniform1", "uniform5", "product", "finite"],
+)
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_pushforward_is_the_fraction_sum_image_with_one_fraction_per_weight(dist, k):
+    phi = ReplicateMap(dist.n, k)
+    image = pushforward(dist, phi)
+    old = _fraction_sum_support(phi.target_n, tuple((phi.encode(mask), prob) for mask, prob in dist.support()))
+    assert _integer_form(image) == old
+    masses = [p for _, p in image.entries]
+    assert len({id(p) for p in masses}) == len(set(masses))
 
 
 def test_pushforward_doubling_on_one_variable():

@@ -328,9 +328,9 @@ def test_learn_dense_trial_reads_only_the_cover_of_s2(monkeypatch):
 
     monkeypatch.setattr(harness, "draw_training_set", draw_and_keep)
     expected, loss, estimator = run_trial(target, dist, 5000, 50000, 1, trial_seed)
-    # Phase 1 counts s1's draws, so it builds s1's masks tuple; nothing in the trial builds s2's.
+    # Phase 1 counts s1's positives from its index draw: nothing in the trial builds a masks tuple, s1's or s2's.
     s1, s2 = plain
-    assert "masks" in s1.__dict__ and "masks" not in s2.__dict__
+    assert "masks" not in s1.__dict__ and "masks" not in s2.__dict__
     cap = LocalMQOracle.for_samples(target, 1, s1, s2).query_cap
     assert cap == oracle.QUERY_BUDGET_FACTOR * target.n * (5000 + 50000) and "masks" not in s2.__dict__
     draws = []
@@ -360,9 +360,9 @@ def _one_pass_state(dist, m, seed):
 
 def test_learn_dense_trial_reads_one_block_of_s2_until_its_labels_are_read(monkeypatch):
     # Trial 0 of learn-dense's doubled-tree suite draws every support point in the first block of s1 and of s2, so
-    # each stops there. Phase 1 reads s1's masks, which draws s1's rest; nothing in the trial reads s2's labels, so
-    # its generator gives one block of words. The first read of the labels draws the rest, once, to the state one
-    # pass over all 50,000 draws leaves.
+    # each stops there. Phase 1 counts s1's positives, which draws s1's rest and stores its labels but builds no
+    # masks tuple; nothing in the trial reads s2's labels, so its generator gives one block of words. The first
+    # read of the labels draws the rest, once, to the state one pass over all 50,000 draws leaves.
     trial_seed = derive_seed(42, "trial", 0)
     s1_seed, s2_seed = derive_seed(trial_seed, "s1"), derive_seed(trial_seed, "s2")
     target, dist = doubled_tree_family(4, 8)(derive_seed(trial_seed, "instance"))
@@ -384,7 +384,8 @@ def test_learn_dense_trial_reads_one_block_of_s2_until_its_labels_are_read(monke
     s1, s2 = samples
     assert [k for k, _ in reads] == [_DRAW_BLOCK, _DRAW_BLOCK, 5000 - _DRAW_BLOCK]  # s1, s2, then s1's rest
     assert [state for _, state in reads[1:]] == states[:2]
-    assert vars(s1).keys() == {"n", "masks", "labels", "cover"} and "labels" not in vars(s2) and len(s2) == 50000
+    assert vars(s1).keys() == {"n", "_indexed", "labels", "cover"} and "masks" not in vars(s2)
+    assert "labels" not in vars(s2) and len(s2) == 50000
     assert s2.labels == label_masks(target, s2.masks)
     assert [k for k, _ in reads[3:]] == [50000 - _DRAW_BLOCK] and reads[3][1] == states[2]
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 from itertools import compress
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from cubes import cube_points
 from lmqlab.concepts import DnfFormula, Term, random_dnf
@@ -421,6 +421,46 @@ def phase2_cases(draw):
 @given(phase2_cases())
 def test_phase2_on_lanes_matches_the_set_scan(case):
     candidates, s2 = case
+    assert prune_terms(candidates, s2) == _set_scan_phase2(candidates, s2)
+
+
+@st.composite
+def phase2_negative_blocks(draw):
+    """Candidate mask pairs and a second sample of three to four blocks of negatives, the lanes phase 2 lays out,
+    with a few positives among them; most candidates fire first at a negative of any block, the last and short one
+    included, so pruning goes on across blocks."""
+    n = draw(st.sampled_from([16, 17, 32, 33, 64, 65]))
+    rng = random.Random(draw(st.integers(0, 1 << 30)))
+    negative_count = 3 * _DRAW_BLOCK + draw(st.sampled_from([0, 1, 5, _DRAW_BLOCK - 1]))
+    labels = [0] * negative_count + [1] * draw(st.integers(0, 40))
+    rng.shuffle(labels)
+    s2 = LabeledSample(n, tuple(rng.getrandbits(n) for _ in labels), bytes(labels))
+    negatives = [x for x, y in zip(s2.masks, labels) if not y]
+    pools = {"point": negatives, "wide": negatives, "late": negatives[3 * _DRAW_BLOCK:] or negatives[2 * _DRAW_BLOCK:],
+             "positive": [x for x, y in zip(s2.masks, labels) if y] or negatives}
+    full, candidates = (1 << n) - 1, []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = rng.choice(["point", "wide", "late", "positive", "narrow"])
+        if kind == "narrow":  # one to three literals: fires early, if at all
+            reads = sum(1 << j for j in rng.sample(range(n), rng.randint(1, 3)))
+            pos = rng.getrandbits(n) & reads
+            candidates.append((pos, reads & ~pos))
+        else:  # every coordinate, or all but one, at a sampled point: it fires there and at most at one flip
+            x, keep = rng.choice(pools[kind]), full if kind != "wide" else full & ~(1 << rng.randrange(n))
+            candidates.append((x & keep, ~x & keep))
+    return list(dict.fromkeys(candidates)), s2
+
+
+@settings(max_examples=30, deadline=None)
+@given(phase2_negative_blocks())
+def test_phase2_prunes_across_blocks_of_negatives_as_the_set_scan(case):
+    candidates, s2 = case
+    negatives = list(compress(s2.cover[0], s2.cover[1].translate(NEGATE)))
+    assert len(negatives) >= 3 * _DRAW_BLOCK
+    # The block of the first negative each candidate fires at, as phase 2 lays the negatives out.
+    drops = [next((i // _DRAW_BLOCK for i, x in enumerate(negatives) if x & (pos | neg) == pos), None)
+             for pos, neg in candidates]
+    event(f"last drop in block {max((b for b in drops if b is not None), default=None)}")
     assert prune_terms(candidates, s2) == _set_scan_phase2(candidates, s2)
 
 

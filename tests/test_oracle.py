@@ -8,6 +8,7 @@ import re
 import sys
 import threading
 from collections import Counter
+from itertools import compress
 from pathlib import Path
 
 import pytest
@@ -1232,6 +1233,94 @@ def test_index_path_sample_stopped_at_its_cover_completes_as_the_one_pass_draw(d
         assert getattr(drawn, first) == getattr(eager, first)
         if pending or first == "masks":
             assert vars(drawn) == vars(eager)
+
+
+def _assert_counts_are_the_reference(sample: LabeledSample, reference: LabeledSample) -> None:
+    """``positive_counts()`` against the ``Counter`` of the twin's positive masks: the same keys, order and counts."""
+    counts = sample.positive_counts()
+    expected = Counter(m for m, y in zip(reference.masks, reference.labels) if y)
+    assert list(counts.items()) == list(expected.items())
+    assert all(type(x) is int and type(c) is int for x, c in counts.items())
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    dist=st.one_of(
+        INDEX_PATH_DISTS,  # stopped at their cover or drawn whole, and the ambiguous supports drawn as masks
+        st.integers(1, 8).map(lambda n: doubled_tree_family(n, n)(0)[1]),  # learn-dense's supports
+        st.just(_NEVER_COVERED),
+        st.integers(9, 12).map(UniformCube),
+        st.just(ProductDist(3, (Fraction(1, 3), Fraction(1, 2), Fraction(9, 10)))),
+    ),
+    m=st.sampled_from([*_BLOCK_EDGES, 50_000]) | st.integers(0, 40),
+    seed=st.integers(0, 2**32),
+)
+@example(dist=doubled_tree_family(8, 8)(0)[1], m=5000, seed=0)
+@example(dist=UniformCube(8), m=50_000, seed=0)
+def test_positive_counts_are_the_counter_of_the_positive_masks(dist, m, seed):
+    # positive_counts() is Counter(compress(masks, labels)). A sample drawn by index counts its point indices: it
+    # draws its rest if it stopped, stores its labels and builds no masks tuple; a later first read of the masks or
+    # the labels still gives the one-pass sample's. A sample of any other distribution is a _drawn sample.
+    target = random_dnf(dist.n, 3, 3, random.Random(seed))
+    masks = sample(dist, m, seed)
+    twin = LabeledSample(dist.n, masks, tuple(map(target.label, masks)))
+    _assert_counts_are_the_reference(twin, twin)
+    indexed = sample_indices(dist, m, seed)
+    event("drawn" if indexed is None else "indexed, stopped" if indexed[2] else "indexed, whole")
+    for first in ("masks", "labels"):
+        drawn = draw_training_set(dist, target, m, seed)
+        _assert_counts_are_the_reference(drawn, twin)
+        if indexed:
+            assert "masks" not in vars(drawn) and vars(drawn)["labels"] == twin.labels and len(drawn) == m
+            assert drawn.cover == _one_pass(dist, target, m, seed).cover
+            _assert_counts_are_the_reference(drawn, twin)  # a second call counts the same
+        assert getattr(drawn, first) == getattr(twin, first) and drawn == twin
+        assert not indexed or vars(drawn).keys() == {"n", "masks", "labels", "cover"}
+        _assert_counts_are_the_reference(drawn, twin)
+
+
+def test_positive_counts_racing_first_reads_in_threads_always_find_the_draws():
+    # On a sample whose draws stopped at their covering block, two threads count its positives while one reads its
+    # labels and one its masks, with the interpreter switching threads every microsecond: every reader finds the
+    # one-pass draw's values, and the sample ends completed.
+    dist, target, m = UniformCube(8), random_dnf(8, 3, 3, random.Random(0)), 3 * _DRAW_BLOCK + 1
+    whole = draw_training_set(dist, target, m, 1)
+    counts = list(Counter(compress(whole.masks, whole.labels)).items())
+    want, found = {"masks": whole.masks, "labels": whole.labels, "counts": counts}, []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(300):
+            drawn, start = draw_training_set(dist, target, m, 1), threading.Barrier(4, timeout=10)
+            assert drawn._indexed[2] is not None
+
+            def read(name) -> None:
+                start.wait()
+                try:
+                    value = list(drawn.positive_counts().items()) if name == "counts" else getattr(drawn, name)
+                    found.append(value == want[name])
+                except AttributeError as exc:
+                    found.append(exc)
+
+            threads = [threading.Thread(target=read, args=(name,)) for name in ("counts", "labels", "counts", "masks")]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(10)
+            assert not any(t.is_alive() for t in threads)
+            assert vars(drawn).keys() == {"n", "masks", "labels", "cover"}
+    finally:
+        sys.setswitchinterval(interval)
+    assert found == [True] * 1200
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, (1 << n) - 1), st.integers(0, 1)), max_size=60))))
+def test_positive_counts_of_a_constructor_built_sample_are_the_counter_of_the_positive_masks(case):
+    n, pairs = case
+    built = LabeledSample(n, [x for x, _ in pairs], [y for _, y in pairs])
+    _assert_counts_are_the_reference(built, built)
 
 
 def test_drawn_sample_storage_lives_only_in_distributions():
