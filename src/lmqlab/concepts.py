@@ -20,7 +20,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import chain
 from operator import and_, or_, xor
 from typing import Collection, Iterable, Iterator, Mapping, Protocol, Sequence, Union
@@ -579,11 +579,13 @@ class SparsePtf(MaskConcept):
         return self.poly.compare_columns(columns, full, [(self.theta, full)])[0]
 
 
+@lru_cache(maxsize=None, typed=True)  # typed: a bool or a float never meets an int's entry; only 8 counts succeed
 def maj_poly(k: int) -> SparsePoly:
     """Exact multilinear expansion of majority on k variables, outputs in ±1.
 
     Computed by a Walsh transform of the block majority ``ReplicateMap(1, k).decode``
     over all 2^k points; k must be odd so no tie-breaking is needed. Degree <= k and at most 2^k nonzero coefficients.
+    Cached by k: every caller shares one polynomial, whose ``monomials`` no code mutates.
     """
     if not is_int(k, 1, MAJ_POLY_CAP):
         raise ValueError(f"variable count {k!r} out of range 1..{MAJ_POLY_CAP}")

@@ -20,6 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, islice
 from typing import Callable, NamedTuple
 
@@ -53,6 +54,7 @@ TREE_LEAF_CAP = 32768
 POLY_COEFF_CAP = 1 << 16
 FLIP_RADIUS_CAP = 3  # the verifier checks at most this many flips around an image
 FLIP_ENUM_BUDGET = 5_000_000
+CACHE_SIZE = 8  # entries each map-keyed cache keeps: a matrix uses 7 point sets, 4 simulators and 5 products
 
 
 @dataclass(frozen=True)
@@ -112,6 +114,7 @@ class QReduction:
 # DNF construction (kind A)
 
 
+@lru_cache(maxsize=CACHE_SIZE, typed=True)
 def build_detector(phi: ReplicateMap) -> DnfFormula:
     """DNF over phi's target firing iff some replication block is non-constant.
 
@@ -150,6 +153,7 @@ def reduce_dnf_type_a(formula: DnfFormula, phi: ReplicateMap) -> DnfFormula:
 # DFA construction (kind A)
 
 
+@lru_cache(maxsize=CACHE_SIZE, typed=True)
 def build_block_checker(phi: ReplicateMap) -> Dfa:
     """Automaton accepting exactly the inputs of phi's target length with a non-constant block.
 
@@ -167,6 +171,7 @@ def build_block_checker(phi: ReplicateMap) -> Dfa:
     return Dfa(tuple(delta), 0, frozenset({1}), phi.target_n)
 
 
+@lru_cache(maxsize=CACHE_SIZE, typed=True)
 def build_block_simulator(automaton: Dfa, phi: ReplicateMap) -> Dfa:
     """Automaton over phi's target length running the source machine once per block.
 
@@ -186,6 +191,7 @@ def build_block_simulator(automaton: Dfa, phi: ReplicateMap) -> Dfa:
     return Dfa(delta, automaton.start * k, accepting, phi.target_n)
 
 
+@lru_cache(maxsize=CACHE_SIZE, typed=True)
 def dfa_product_or(a1: Dfa, a2: Dfa) -> Dfa:
     """Pair construction accepting iff either machine accepts; state ``s1 * |a2| + s2``.
 
@@ -425,39 +431,18 @@ class ReductionReport(Verdict):
         return canonical(self, passed=self.passed)
 
 
-def verify_reduction(reduction: QReduction, concept: Concept) -> ReductionReport:
-    """Exhaustively check a reduction against one source concept.
+@lru_cache(maxsize=CACHE_SIZE, typed=True)
+def _point_set(phi: ReplicateMap, radius: int) -> tuple[tuple[int, ...], tuple[int, ...], int, int, int]:
+    """(image masks, row, centres, everything, fresh): ``verify_reduction``'s point set, one per (map, radius).
 
-    Confirms value agreement on the whole image and checks every point
-    obtained by flipping 1..min(q, FLIP_RADIUS_CAP) coordinates of an image
-    point, once, as one point set per row, labelled by one ``label_columns``
-    call (a polynomial by ``compare_columns``, for exact equality with each
-    image's value). Image s holds bits s * B .. (s + 1) * B - 1, B = ball_size:
-    its centre, then its flips in ``ball_columns`` order. Kind A requires label 1 off the image.
-    Kind B requires the centre's value: ``QReduction`` enforces 2q < k, so every
-    ball point decodes to its centre, and ``anchor_failures`` stays 0.
-    FLIP_ENUM_BUDGET bounds the check count, as the target cube is astronomically large; a row over it is
-    refused before its transform is built, and ``reduction.transform`` checks the concept's class, its dimension
-    and its own.
+    Image-major: image s holds bits s * B .. (s + 1) * B - 1, B = ball_size, its centre, then its flips in
+    ``ball_columns`` order. ``row`` is the set's columns, ``centres`` the images' bits, ``everything`` every bit and
+    ``fresh`` each ball point once, with the earlier image where balls meet.
     """
-    phi = reduction.phi
     n, n_target, k = phi.source_n, phi.target_n, phi.k
-    radius = min(reduction.q, FLIP_RADIUS_CAP)
-    checks = ball_size(n_target, radius) << n
-    require_at_most("flip checks", checks, FLIP_ENUM_BUDGET)  # before the transform, which grows with the checks
-    transformed = reduction.transform(concept)
-
-    report = ReductionReport(reduction.name, reduction.kind, n, n_target, reduction.q, radius)
-    sources = range(1 << n)
-    if isinstance(concept, SparsePoly):  # a polynomial's images expect its exact values
-        values = [concept.value(m) for m in sources]
-    else:  # any other concept's images expect its labels, read off one truth table
-        truth = concept.label_columns(cube_columns(n), (1 << (1 << n)) - 1)
-        values = [truth >> m & 1 for m in sources]
-    image_masks = [phi.encode(m) for m in sources]
-
-    # One point set per row, image-major (see above): the ball's columns, shifted past the centre and
-    # complemented where phi.encode(s) is set, tile by doubling over the source bits.
+    image_masks = tuple(phi.encode(m) for m in range(1 << n))
+    # The ball's columns, shifted past the centre and complemented where phi.encode(s) is set, tile by doubling over
+    # the source bits.
     columns, size = ball_columns(n_target, radius), ball_size(n_target, radius)
     full, row, centres = (1 << size) - 1, [c << 1 for c in columns], 1
     for b in range(n):
@@ -471,11 +456,46 @@ def verify_reduction(reduction: QReduction, concept: Concept) -> ReductionReport
         for near in (s for w in range(1, 2 * radius // k + 1) for s in masks_at_distance(source, n, w) if s < source):
             shared = full >> 1 ^ count_above(recentre(columns, full >> 1, centre ^ image_masks[near]), radius)
             fresh &= ~(shared << source * size + 1)
+    return image_masks, tuple(row), centres, everything, fresh
+
+
+def verify_reduction(reduction: QReduction, concept: Concept) -> ReductionReport:
+    """Exhaustively check a reduction against one source concept.
+
+    Confirms value agreement on the whole image and checks every point
+    obtained by flipping 1..min(q, FLIP_RADIUS_CAP) coordinates of an image
+    point, once, as one point set per row, labelled by one ``label_columns``
+    call (a polynomial by ``compare_columns``, for exact equality with each
+    image's value). The point set depends on ``(phi, radius)`` alone, so ``_point_set`` builds it once per pair;
+    the transforms' map-only builders (``build_detector``, ``build_block_checker``, ``build_block_simulator``,
+    ``dfa_product_or`` and ``maj_poly``) are cached by their inputs too. Kind A requires label 1 off the image.
+    Kind B requires the centre's value: ``QReduction`` enforces 2q < k, so every
+    ball point decodes to its centre, and ``anchor_failures`` stays 0.
+    FLIP_ENUM_BUDGET bounds the check count, as the target cube is astronomically large; a row over it is
+    refused before its transform is built, and ``reduction.transform`` checks the concept's class, its dimension
+    and its own.
+    """
+    phi = reduction.phi
+    n, n_target = phi.source_n, phi.target_n
+    radius = min(reduction.q, FLIP_RADIUS_CAP)
+    size = ball_size(n_target, radius)
+    require_at_most("flip checks", size << n, FLIP_ENUM_BUDGET)  # before the transform, which grows with the checks
+    transformed = reduction.transform(concept)
+
+    report = ReductionReport(reduction.name, reduction.kind, n, n_target, reduction.q, radius)
+    sources = range(1 << n)
+    if isinstance(concept, SparsePoly):  # a polynomial's images expect its exact values
+        values = [concept.value(m) for m in sources]
+    else:  # any other concept's images expect its labels, read off one truth table
+        truth = concept.label_columns(cube_columns(n), (1 << (1 << n)) - 1)
+        values = [truth >> m & 1 for m in sources]
+    image_masks, row, centres, everything, fresh = _point_set(phi, radius)
 
     # Each centre expects its source's value; kind A expects 1 on the balls, kind B the centre's value throughout.
     targets = {1: everything ^ centres} if reduction.kind == "A" else {}
+    own = (1 << size) - 1 if reduction.kind == "B" else 1
     for source, value in enumerate(values):
-        targets[value] = targets.get(value, 0) | (full if reduction.kind == "B" else 1) << source * size
+        targets[value] = targets.get(value, 0) | own << source * size
     if isinstance(transformed, SparsePoly):
         right = transformed.compare_columns(row, everything, targets.items())[1]
     else:

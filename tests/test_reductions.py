@@ -52,6 +52,7 @@ from lmqlab.reductions import (
     simulate_pac_from_local,
     verify_reduction,
 )
+from lmqlab.formats import canonical_json
 from lmqlab.harness import run_reduction_suite
 
 
@@ -1001,3 +1002,72 @@ def test_reduction_suite_calls_what_perfbench_replaces(seed, monkeypatch):
     assert len(shipped) == 19
     assert verified == shipped + ["dnf-no-detector", "dfa-stuck-simulator", "tree-first-copy"]
     assert simulated == ["dnf", "junta", "ptf"]
+
+
+# The reduction matrix's map-only work, each cached by its inputs: the verifier's point set and the five builders.
+MAP_CACHES = (reductions._point_set, build_detector, build_block_checker, build_block_simulator, dfa_product_or)
+
+
+def _clear_map_caches() -> None:
+    for cached in (*MAP_CACHES, maj_poly):
+        cached.cache_clear()
+
+
+def test_map_caches_are_typed_and_bounded():
+    for cached in MAP_CACHES:
+        assert cached.cache_parameters() == {"maxsize": reductions.CACHE_SIZE, "typed": True}
+    assert maj_poly.cache_parameters()["typed"]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3])
+def test_a_cold_matrix_and_a_warm_one_print_the_same_line(seed, monkeypatch):
+    # Cold: every cache cleared before each verified row, so no row reads what an earlier row on its map left.
+    # Warm: right after a matrix of another seed, whose rows and controls share every map with this one.
+    def cold(reduction, concept):
+        _clear_map_caches()
+        return verify_reduction(reduction, concept)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(harness, "verify_reduction", cold)
+        line = canonical_json(run_reduction_suite(seed).to_dict())
+    run_reduction_suite(seed + 1)
+    assert canonical_json(run_reduction_suite(seed).to_dict()) == line
+
+
+def test_the_matrix_reads_seven_point_sets_each_equal_to_an_uncached_build(monkeypatch):
+    point_set, keys = reductions._point_set, []
+
+    def record(phi, radius):
+        keys.append((phi, radius))
+        return point_set(phi, radius)
+
+    monkeypatch.setattr(reductions, "_point_set", record)
+    run_reduction_suite(0)
+    keys = list(dict.fromkeys(keys))
+    assert len(keys) == 7
+    for key in keys:
+        assert point_set(*key) == point_set.__wrapped__(*key)
+
+
+def test_a_matrix_leaves_the_shared_majority_polynomials_as_built():
+    run_reduction_suite(0)
+    for k in (1, 3, 5, 7):
+        assert maj_poly(k) is maj_poly(k) and maj_poly(k).monomials == maj_poly.__wrapped__(k).monomials
+
+
+@pytest.mark.parametrize(
+    "shipped, broken, concept",
+    [
+        (make_reduction("dnf", 2), corrupted_dnf_reduction_without_detector(2), DnfFormula(2, (Term.of(1),))),
+        (make_reduction("dfa", 2), corrupted_dfa_reduction_stuck_simulator(2), parity_dfa(2)),
+        (make_reduction("tree", 2, q0=1), corrupted_tree_reduction_first_copy(2, 1),
+         DecisionTree(2, Node(1, Leaf(0), Leaf(1)))),
+    ],
+    ids=["dnf", "dfa", "tree"],
+)
+def test_a_negative_control_is_detected_right_after_its_shipped_row(shipped, broken, concept):
+    # The control shares its row's map, so it reads the point set and builders the row just cached.
+    _clear_map_caches()
+    assert verify_reduction(shipped, concept).passed
+    report = verify_reduction(broken, concept).to_dict()
+    assert not report["passed"] and report == _reference_verify(broken, concept)
