@@ -5,10 +5,12 @@ enumerated form: its support's masks ascending, each mass a positive int
 weight over one denominator, a ``ProductDist``'s weights read lazily off one
 ``itertools.product``. A ``FiniteSupport`` weighs its entries once, on
 construction, as int numerators over the lcm of their denominators, and
-keeps them. ``exact_loss`` and ``evident.evidence_report`` sum those weights,
-with no ``Fraction`` step per point; the one ``support()`` the three classes
-share reads them as (mask, ``Fraction``) pairs, and ``pushforward`` builds one
-``Fraction`` per distinct weight. Draws, supports and ``LabeledSample`` (a
+keeps their running sums, the one form of the masses that its weights, its
+exact draws and its top-byte table read. ``exact_loss`` and
+``evident.evidence_report`` sum those weights, with no ``Fraction`` step per
+point; the one ``support()`` the three classes share reads them as (mask,
+``Fraction``) pairs, and ``pushforward`` builds one ``Fraction`` per distinct
+weight. Draws, supports and ``LabeledSample`` (a
 tuple of masks, labels as ``bytes``) hold int masks; a ``CubePoint`` is built
 only for an error message or an iterated sample. A support or sample mask out
 of range is refused by ``cube.require_masks``, and a map, target or hypothesis
@@ -53,7 +55,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import accumulate, compress, product, repeat, starmap
-from operator import mul, not_
+from operator import mul, not_, sub
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .cube import (
@@ -151,18 +153,17 @@ class ProductDist(_Supported):
 @dataclass(frozen=True)
 class FiniteSupport(_Supported):
     """Point masses as ``(mask, prob)`` entries (int masks in [0, 2^n), exact masses summing to 1), drawn as indices:
-    by the table ``_top`` if every top byte of random()'s first word names one entry, else by bisection.
+    by the table ``_top`` if every mass is a multiple of 1/256, else by an exact integer bisection, ``_pick``.
 
     Construction checks each entry in order, its mask before its mass, then sums the masses as int numerators over
-    the lcm of their denominators, duplicate masks merged. It stores those weights, reduced by any factor a merge
-    leaves, for ``support_weights``, and keeps the ``Fraction`` masses given unless two masks merged."""
+    the lcm of their denominators, duplicate masks merged. It stores the running sums ``_cum`` of those weights,
+    reduced by any factor a merge leaves, so the last is the denominator, and keeps the ``Fraction`` masses given
+    unless two masks merged."""
 
     n: int
     entries: tuple[tuple[int, Fraction], ...]
-    _cum: tuple[float, ...] = field(init=False, repr=False, compare=False)
     _masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _weights: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _denominator: int = field(init=False, repr=False, compare=False)
+    _cum: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _top: bytes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -191,19 +192,18 @@ class FiniteSupport(_Supported):
             masses = map(Fraction, numerators, repeat(denominator))
         object.__setattr__(self, "entries", tuple(zip(masks, masses)))
         object.__setattr__(self, "_masks", masks)
-        object.__setattr__(self, "_weights", numerators)
-        object.__setattr__(self, "_denominator", denominator)
-        # w / denominator is float(Fraction(w, denominator)), both correctly rounded: the float masses, summed.
-        object.__setattr__(self, "_cum", tuple(accumulate(w / denominator for w in numerators)))
-        # Top byte t holds the 53-bit values t << 45 to (t + 1 << 45) - 1; _pick is monotone, so if both ends pick
-        # one entry, every value under t does.
-        top = bytes(self._pick(t << 45) for t in range(256)) if len(masks) <= 256 else b""
-        exact = all(self._pick((t + 1 << 45) - 1) == entry for t, entry in enumerate(top))
-        object.__setattr__(self, "_top", top if exact else b"")
+        object.__setattr__(self, "_cum", tuple(accumulate(numerators)))
+        # Top byte t holds random()'s values in [t / 256, (t + 1) / 256). If the denominator divides 256, every
+        # running sum over it is a multiple of 1/256, so each top byte lies in one entry, entry i filling
+        # 256 // denominator bytes per unit of its weight. Any other support draws by _pick.
+        unit, rest = divmod(256, denominator)
+        top = b"".join(bytes((i,)) * (unit * w) for i, w in enumerate(numerators)) if not rest else b""
+        object.__setattr__(self, "_top", top)
 
     def _pick(self, value: int) -> int:
-        """The entry drawn when ``random()`` returns ``value / 2**53``; the last if the product rounds to the total."""
-        return bisect_right(self._cum, value * 2**-53 * self._cum[-1], 0, len(self._cum) - 1)
+        """The entry drawn when ``random()`` returns ``value / 2**53``: the i with ``_cum[i-1] <= value / 2**53 *
+        denominator < _cum[i]``. The running sums are ints, so bisecting the floor of that product is exact."""
+        return bisect_right(self._cum, value * self._cum[-1] >> 53)
 
     def _indices(self, rng: random.Random, m: int) -> Union[bytes, list[int]]:
         """The next m draws' entries, two generator words each: as bytes, one ``translate`` of the first words' top
@@ -231,12 +231,13 @@ Distribution = Union[UniformCube, ProductDist, FiniteSupport]
 
 def support_weights(dist: Distribution) -> tuple[Sequence[int], Iterator[int], int]:
     """(masks, weights, denominator): the mass at ``masks[i]``, ascending, is the i-th positive int weight over the
-    denominator. A ``FiniteSupport``'s entries at any n, as weighed on construction, else the cube (n <=
-    ``ENUMERATION_CAP``) less its points of mass 0. The weights are an iterator, read once; a ``ProductDist``'s come
-    lazily, one multiplication a point, off the ``product`` of two lists: the weights of coordinates 1..n//2 (the
-    high bits) and those of the rest."""
+    denominator. A ``FiniteSupport``'s entries at any n, each weight the step between two of its running sums, the
+    last of which is the denominator, else the cube (n <= ``ENUMERATION_CAP``) less its points of mass 0. The weights
+    are an iterator, read once; a ``ProductDist``'s come lazily, one multiplication a point, off the ``product`` of
+    two lists: the weights of coordinates 1..n//2 (the high bits) and those of the rest."""
     if isinstance(dist, FiniteSupport):
-        return dist._masks, iter(dist._weights), dist._denominator
+        cum = dist._cum
+        return dist._masks, map(sub, cum, (0, *cum)), cum[-1]
     require_enumerable(dist.n)
     cube = range(1 << dist.n)
     if isinstance(dist, UniformCube):

@@ -44,8 +44,8 @@ from .concepts import (
     random_junta,
     random_tree,
 )
-from .cube import CubePoint, ReplicateMap, ball_columns, ball_size, count_above, iter_bits
-from .cube import cube_columns, masks_at_distance, recentre, require_at_most, require_count, require_dimension
+from .cube import CubePoint, ReplicateMap, ball_columns, ball_size, count_above, iter_bits, masks_at_distance
+from .cube import recentre, require_at_most, require_count, require_dimension, restrict
 from .distributions import LabeledSample
 from .formats import NOTE_CAP, Verdict, canonical, parse_dfa, parse_dnf, parse_junta, parse_poly, parse_tree
 from .oracle import LocalMQOracle
@@ -486,8 +486,8 @@ def verify_reduction(reduction: QReduction, concept: Concept) -> ReductionReport
     sources = range(1 << n)
     if isinstance(concept, SparsePoly):  # a polynomial's images expect its exact values
         values = [concept.value(m) for m in sources]
-    else:  # any other concept's images expect its labels, read off one truth table
-        truth = concept.label_columns(cube_columns(n), (1 << (1 << n)) - 1)
+    else:  # any other concept's images expect its labels, read off its table over every coordinate
+        truth = restrict(concept, (1 << n) - 1)
         values = [truth >> m & 1 for m in sources]
     image_masks, row, centres, everything, fresh = _point_set(phi, radius)
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from cubes import cube_points
 from lmqlab.concepts import DnfFormula, PolyConcept, SparsePoly, Term, random_dfa, random_dnf, random_tree
@@ -23,6 +23,7 @@ from lmqlab.distributions import (
     mc_loss,
     pushforward,
     sample,
+    sample_indices,
     support_weights,
     _DRAW_BLOCK,
 )
@@ -275,8 +276,9 @@ def test_finite_support_merges_duplicates():
 
 def _fraction_sum_support(n, entries):
     """The construction ``FiniteSupport`` replaced: each entry checked in order (mask, then mass), masses merged and
-    summed as ``Fraction``s, ``_cum`` the float sums of the masses, ``_top`` from it, and the weights over the lcm.
-    Returns (entries, _cum, _top, (masks, weights, denominator)), or (type, message) of the error it raises."""
+    summed as ``Fraction``s, the weights over the lcm, ``_cum`` their running sums, and ``_top`` by 512 probes of
+    the float bisection of the masses' float sums. Returns (entries, _cum, _top, (masks, weights, denominator)), or
+    (type, message) of the error it raises."""
     try:
         merged = {}
         for mask, prob in entries:
@@ -290,6 +292,15 @@ def _fraction_sum_support(n, entries):
     except (ValueError, DimensionMismatch) as exc:
         return type(exc), str(exc)
     canonical = tuple((mask, merged[mask]) for mask in sorted(merged) if merged[mask])
+    denominator = math.lcm(*(p.denominator for _, p in canonical))
+    weights = [p.numerator * (denominator // p.denominator) for _, p in canonical]
+    cum = tuple(accumulate(weights))
+    return canonical, cum, _probed_top(canonical), ([mask for mask, _ in canonical], weights, denominator)
+
+
+def _probed_top(canonical):
+    """The top-byte table as the float version built it: a float bisection of the masses' float sums at both ends of
+    each top byte t's values, t << 45 and (t + 1 << 45) - 1 over 2**53, kept only if the two agree for every t."""
     cum = tuple(accumulate(float(prob) for _, prob in canonical))
 
     def pick(value):
@@ -297,9 +308,7 @@ def _fraction_sum_support(n, entries):
 
     top = bytes(pick(t << 45) for t in range(256)) if len(canonical) <= 256 else b""
     exact = all(pick((t + 1 << 45) - 1) == entry for t, entry in enumerate(top))
-    denominator = math.lcm(*(p.denominator for _, p in canonical))
-    weights = [p.numerator * (denominator // p.denominator) for _, p in canonical]
-    return canonical, cum, top if exact else b"", ([mask for mask, _ in canonical], weights, denominator)
+    return top if exact else b""
 
 
 def _integer_form(dist):
@@ -345,7 +354,8 @@ def support_entries(draw):
 @settings(max_examples=300, deadline=None)
 @given(support_entries())
 def test_finite_support_is_the_fraction_sum_construction(case):
-    # Integer numerators over the lcm give every entry, float sum, top byte, weight and refusal the Fraction sums gave.
+    # Integer numerators over the lcm give every entry, running sum, weight and refusal the Fraction sums gave, and
+    # the table the float version probed.
     n, entries = case
     old, new = _fraction_sum_support(n, entries), _integer_support(n, entries)
     if len(old) == 2:
@@ -355,7 +365,7 @@ def test_finite_support_is_the_fraction_sum_construction(case):
     event("merged" if len({mask for mask, _ in entries}) < len(entries) else "no merge")
     (entries_old, cum_old, top_old, weights_old), (entries_new, cum_new, top_new, weights_new) = old, new
     assert [(type(x), x, type(p), p) for x, p in entries_new] == [(type(x), x, type(p), p) for x, p in entries_old]
-    assert [c.hex() for c in cum_new] == [c.hex() for c in cum_old]
+    assert cum_new == cum_old and set(map(type, cum_new)) == {int}
     assert top_new == top_old and weights_new == weights_old
     if len({mask for mask, _ in entries}) == len(entries):  # no merge: the Fraction objects given are kept
         given = {mask: prob for mask, prob in entries if type(prob) is Fraction}
@@ -378,6 +388,73 @@ def test_finite_support_refuses_the_first_bad_entry_mask_before_mass(entries, me
     assert _fraction_sum_support(2, entries)[1] == _integer_support(2, entries)[1]
     with pytest.raises((ValueError, DimensionMismatch), match=message):
         FiniteSupport(2, entries)
+
+
+_HALF_EDGE = Fraction(1, 2**60)
+# Masses 1/2 + 2**-60 and 1/2 - 2**-60 are both 0.5 as floats: a float bisection puts the boundary at 1/2.
+_NEAR_HALVES = [FiniteSupport(1, ((0, Fraction(1, 2) + _HALF_EDGE), (1, Fraction(1, 2) - _HALF_EDGE))),
+                FiniteSupport(1, ((0, Fraction(1, 2) - _HALF_EDGE), (1, Fraction(1, 2) + _HALF_EDGE)))]
+
+
+@st.composite
+def pick_supports(draw):
+    """Supports of 1 to 300 points: integer weights over a power of two from 2 to 2**62 (dyadic, with and without a
+    top-byte table) or over their own sum, and sometimes a first mass 1/3, 7/51 or 1/2 +- 2**-60, the rest scaled."""
+    near_halves = [dist.entries[0][1] for dist in _NEAR_HALVES]
+    first = draw(st.none() | st.sampled_from([Fraction(1, 3), Fraction(7, 51), *near_halves]))
+    count = draw(st.integers(1 + (first is not None), 300))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    masks = rng.sample(range(1 << 9), count)
+    rest = count - (first is not None)
+    if draw(st.booleans()):  # dyadic: rest positive weights summing to 2**k
+        low = max(rest - 1, 1).bit_length()
+        k = draw(st.integers(low, max(low, 8)) | st.integers(low, 62))  # often a table, when rest <= 256
+        cuts = [0, *sorted(rng.sample(range(1, 2**k), rest - 1)), 2**k]
+        masses = [Fraction(b - a, 2**k) for a, b in zip(cuts, cuts[1:])]
+    else:
+        weights = [rng.randint(1, 20) for _ in range(rest)]
+        masses = [Fraction(w, sum(weights)) for w in weights]
+    if first is not None:
+        masses = [first, *(p * (1 - first) for p in masses)]
+    event("256 % D == 0" if 256 % math.lcm(*(p.denominator for p in masses)) == 0 else "no table")
+    return FiniteSupport(9, tuple(zip(masks, masses)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pick_supports())
+@example(_NEAR_HALVES[0])
+@example(_NEAR_HALVES[1])
+def test_pick_is_exact_beside_every_entry_boundary(dist):
+    # Entry i holds the random() values v / 2**53 with cum[i-1] <= v / 2**53 * D < cum[i]: probe each entry's first
+    # value, ceil(cum[i-1] * 2**53 / D), and its two neighbours.
+    _, weights, denominator = support_weights(dist)
+    cum = [0, *accumulate(weights)]
+    for c in cum[:-1]:
+        start = -(-c * 2**53 // denominator)
+        for value in range(max(start - 1, 0), min(start + 2, 2**53)):
+            i = dist._pick(value)
+            assert cum[i] * 2**53 <= value * denominator < cum[i + 1] * 2**53
+
+
+@settings(max_examples=200, deadline=None)
+@given(pick_supports())
+@example(_NEAR_HALVES[0])
+@example(_NEAR_HALVES[1])
+def test_top_byte_table_exists_iff_the_denominator_divides_256(dist):
+    # A top byte names one entry for every support iff each mass is a multiple of 1/256; the table is then the one
+    # the float version probed.
+    denominator = support_weights(dist)[2]
+    assert bool(dist._top) == (256 % denominator == 0)
+    if dist._top:
+        assert dist._top == _probed_top(dist.entries)
+
+
+@pytest.mark.parametrize("dist", _NEAR_HALVES, ids=["heavy-first", "light-first"])
+def test_masses_a_float_rounds_to_one_half_get_no_table_and_exact_picks(dist):
+    assert dist._top == b"" and sample_indices(dist, 1, 0) is None
+    # random() = 2**52 / 2**53 is exactly 1/2: entry 0's if its mass is the heavier, else entry 1's.
+    heavy = int(dist.entries[1][1] > dist.entries[0][1])
+    assert [dist._pick(v) for v in (2**52 - 1, 2**52, 2**52 + 1)] == [0, heavy, 1]
 
 
 def test_finite_support_reduces_merged_weights_to_the_lcm_of_the_merged_masses():
